@@ -34,6 +34,7 @@ from typing import Any, TypeVar
 
 from repro.config.loader import CaladriusConfig
 from repro.config.registry import ModelRegistry, build_registry
+from repro.core.calibration_cache import CalibrationCache
 from repro.durability.breaker import CircuitBreaker
 from repro.durability.deadline import (
     DEADLINE_HEADER,
@@ -44,7 +45,6 @@ from repro.durability.deadline import (
 from repro.durability.lifecycle import LifecycleController
 from repro.api.ingest import FRAMES_CONTENT_TYPE, decode_frames
 from repro.errors import ApiError, MetricsError, ReproError, TopologyError
-from repro.faults.health import assess_topology_metrics
 from repro.heron.tracker import TopologyTracker
 from repro.serving import (
     INTERACTIVE,
@@ -121,7 +121,13 @@ class CaladriusApp:
         # failure is logged via counters, never turned into a 5xx).
         self.shipper: Any | None = None
         self.sync_ship = False
-        self.registry: ModelRegistry = build_registry(config, tracker, store)
+        # One calibration (and one metrics-health verdict) per topology
+        # and data version, whichever of the models, the sweep engine or
+        # the re-warm path asks first.
+        self.calibrations = CalibrationCache(tracker, store)
+        self.registry: ModelRegistry = build_registry(
+            config, tracker, store, self.calibrations
+        )
         self._clock = clock
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="caladrius-model"
@@ -141,7 +147,9 @@ class CaladriusApp:
                 open_seconds=durability.breaker_open_seconds,
                 clock=clock,
             )
-        self.sweep_engine = PlanSweepEngine(tracker, store)
+        self.sweep_engine = PlanSweepEngine(
+            tracker, store, calibrations=self.calibrations
+        )
         self.serving: ServingLayer | None = None
         if config.serving.enabled:
             self.serving = ServingLayer(
@@ -286,14 +294,12 @@ class CaladriusApp:
         response carries the health report so callers can decide whether
         to retry later or lower ``degraded_threshold``.
         """
-        tracked = self._tracked(topology)
-        spouts = [s.name for s in tracked.topology.spouts()]
-        health = assess_topology_metrics(
-            self.store,
-            topology,
-            spouts,
-            degraded_threshold=self.config.degraded_threshold,
-        )
+        try:
+            health = self.calibrations.health(
+                topology, self.config.degraded_threshold
+            )
+        except TopologyError as exc:
+            raise ApiError(str(exc), 404) from exc
         if not health.usable:
             raise ApiError(
                 f"metrics for topology {topology!r} are {health.status}: "
@@ -590,6 +596,7 @@ class CaladriusApp:
             stats: dict[str, Any] = {"enabled": False}
         else:
             stats = self.serving.stats()
+        stats["calibration"] = self.calibrations.stats()
         if self.breaker is not None:
             stats["breaker"] = self.breaker.stats()
         return stats

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config.loader import CaladriusConfig
+from repro.core.calibration_cache import CalibrationCache
 from repro.core.performance_models import (
     BackpressureEvaluationModel,
     PerformanceModel,
@@ -57,8 +58,13 @@ def build_registry(
     config: CaladriusConfig,
     tracker: TopologyTracker,
     store: MetricsStore,
+    calibrations: CalibrationCache | None = None,
 ) -> ModelRegistry:
-    """Instantiate every enabled model with its configured options."""
+    """Instantiate every enabled model with its configured options.
+
+    Performance models share ``calibrations`` when the service passes
+    its cache, so one request that runs several of them calibrates once.
+    """
     traffic: dict[str, TrafficModel] = {}
     for name in config.traffic_models:
         options = config.options_for(name)
@@ -87,11 +93,11 @@ def build_registry(
         options = config.options_for(name)
         if name == "throughput-prediction":
             performance[name] = ThroughputPredictionModel(
-                tracker, store, **options
+                tracker, store, calibrations, **options
             )
         elif name == "backpressure-evaluation":
             performance[name] = BackpressureEvaluationModel(
-                tracker, store, **options
+                tracker, store, calibrations, **options
             )
         else:  # pragma: no cover - load_config already validates names
             raise ConfigError(f"unknown performance model {name!r}")

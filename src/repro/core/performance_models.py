@@ -23,6 +23,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from repro.heron.metrics import MetricNames
 from repro.heron.topology import LogicalTopology
 from repro.heron.tracker import TopologyTracker, TrackedTopology
 from repro.timeseries.store import MetricsStore
+
+if TYPE_CHECKING:
+    from repro.core.calibration_cache import CalibrationCache
 
 __all__ = [
     "PerformancePrediction",
@@ -422,13 +426,24 @@ def calibrate_topology(
 # Model-tier interfaces
 # ----------------------------------------------------------------------
 class PerformanceModel(ABC):
-    """Base class for performance models served by the API tier."""
+    """Base class for performance models served by the API tier.
+
+    ``calibrations`` is the service's shared
+    :class:`~repro.core.calibration_cache.CalibrationCache`; without one
+    every prediction calibrates from the store.
+    """
 
     name = "performance-model"
 
-    def __init__(self, tracker: TopologyTracker, store: MetricsStore) -> None:
+    def __init__(
+        self,
+        tracker: TopologyTracker,
+        store: MetricsStore,
+        calibrations: CalibrationCache | None = None,
+    ) -> None:
         self.tracker = tracker
         self.store = store
+        self.calibrations = calibrations
 
     @abstractmethod
     def predict(
@@ -464,8 +479,14 @@ class PerformanceModel(ABC):
         cluster: str,
         environ: str,
     ) -> tuple[TrackedTopology, TopologyModel, dict[str, PiecewiseLinearFit]]:
-        tracked = self.tracker.get(topology_name, cluster, environ)
-        base, fits = calibrate_topology(tracked, self.store)
+        if self.calibrations is None:
+            tracked = self.tracker.get(topology_name, cluster, environ)
+            base, fits = calibrate_topology(tracked, self.store)
+        else:
+            calibration = self.calibrations.get(topology_name, cluster, environ)
+            tracked, base, fits = (
+                calibration.tracked, calibration.base, calibration.fits
+            )
         if parallelisms:
             base = apply_parallelisms(tracked.topology, base, parallelisms)
         return tracked, base, fits

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.calibration import PiecewiseLinearFit
+from repro.core.calibration_cache import Calibration
 from repro.core.cpu_model import CpuModel, fit_cpu_model
 from repro.core.performance_models import (
     apply_parallelisms,
@@ -140,7 +141,29 @@ class CalibrationArtifact:
             tracked, store, warmup_minutes=warmup_minutes,
             since_seconds=since_seconds,
         )
+        calibration = Calibration(
+            tracked, data_version, warmup_minutes, since_seconds, base, fits
+        )
+        return cls.from_calibration(calibration, store, fit_cpu=fit_cpu)
+
+    @classmethod
+    def from_calibration(
+        cls,
+        calibration: Calibration,
+        store: MetricsStore,
+        fit_cpu: bool = True,
+    ) -> "CalibrationArtifact":
+        """Freeze an existing calibration.
+
+        Adds what only sweeps need — per-bolt CPU coefficients and the
+        path set — so a sweep after a prediction on unchanged data shares
+        the prediction's calibration.  The artifact keeps the
+        calibration's stamp: it is no newer than its throughput fits.
+        """
+        tracked = calibration.tracked
         topology = tracked.topology
+        warmup_minutes = calibration.warmup_minutes
+        since_seconds = calibration.since_seconds
         cpu_models = (
             _fit_cpu_models(topology, store, warmup_minutes, since_seconds)
             if fit_cpu
@@ -151,12 +174,12 @@ class CalibrationArtifact:
             cluster=tracked.cluster,
             environ=tracked.environ,
             topology=topology,
-            base=base,
-            fits=fits,
+            base=calibration.base,
+            fits=calibration.fits,
             cpu_models=cpu_models,
             paths=tuple(tuple(p) for p in source_sink_paths(topology)),
             plan_revision=tracked.revision,
-            data_version=data_version,
+            data_version=calibration.data_version,
             warmup_minutes=warmup_minutes,
             since_seconds=since_seconds,
         )

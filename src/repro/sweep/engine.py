@@ -12,6 +12,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Mapping, Sequence
 
+from repro.core.calibration_cache import CalibrationCache
 from repro.core.performance_models import (
     PerformancePrediction,
     evaluate_throughput,
@@ -33,6 +34,12 @@ class PlanSweepEngine:
     since) and revalidated on every access — a tracker revision bump
     (redeploy) or a metrics write (new minute) forces recalibration,
     nothing else does.
+
+    ``calibrations`` is the service's shared
+    :class:`~repro.core.calibration_cache.CalibrationCache`: with one, a
+    new artifact reuses the calibration a prediction on the same data
+    already made and adds only the CPU fits; without one it calibrates
+    itself.
     """
 
     def __init__(
@@ -41,11 +48,13 @@ class PlanSweepEngine:
         store: MetricsStore,
         warmup_minutes: int = 1,
         fit_cpu: bool = True,
+        calibrations: CalibrationCache | None = None,
     ) -> None:
         self.tracker = tracker
         self.store = store
         self.warmup_minutes = warmup_minutes
         self.fit_cpu = fit_cpu
+        self.calibrations = calibrations
         self._lock = threading.Lock()
         self._artifacts: dict[tuple, CalibrationArtifact] = {}
         self._hits = 0
@@ -69,13 +78,23 @@ class PlanSweepEngine:
             if cached is not None and cached.is_current(tracked, self.store):
                 self._hits += 1
                 return cached
-        built = CalibrationArtifact.build(
-            tracked,
-            self.store,
-            warmup_minutes=self.warmup_minutes,
-            since_seconds=since_seconds,
-            fit_cpu=self.fit_cpu,
-        )
+        if self.calibrations is None:
+            built = CalibrationArtifact.build(
+                tracked,
+                self.store,
+                warmup_minutes=self.warmup_minutes,
+                since_seconds=since_seconds,
+                fit_cpu=self.fit_cpu,
+            )
+        else:
+            built = CalibrationArtifact.from_calibration(
+                self.calibrations.get(
+                    topology_name, cluster, environ,
+                    self.warmup_minutes, since_seconds,
+                ),
+                self.store,
+                fit_cpu=self.fit_cpu,
+            )
         with self._lock:
             self._artifacts[key] = built
             self._misses += 1

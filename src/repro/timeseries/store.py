@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -31,6 +31,18 @@ class MetricKey:
 
     name: str
     tags: tuple[tuple[str, str], ...] = ()
+    #: Value of the ``topology`` tag (``None`` when untagged): every write
+    #: reads it to pick the ``data_version`` counter, so it is found once
+    #: per key instead of through a tag dictionary per sample.
+    topology: str | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        for tag, value in self.tags:
+            if tag == "topology":
+                object.__setattr__(self, "topology", value)
+                break
 
     @classmethod
     def of(cls, name: str, tags: Mapping[str, str] | None = None) -> "MetricKey":
@@ -46,8 +58,8 @@ class MetricKey:
         """True when names are equal and every filter tag matches."""
         if self.name != name:
             return False
-        own = self.tag_dict()
-        return all(own.get(k) == v for k, v in tag_filter.items())
+        tags = self.tags
+        return all(item in tags for item in tag_filter.items())
 
 
 @dataclass
@@ -162,14 +174,14 @@ class MetricsStore:
         """``write`` with the key already built; returns the series
         buffer so the durable subclass can reach its per-series cache
         slot without a second keyed lookup."""
-        topology = key.tag_dict().get("topology")
+        topology = key.topology
         with self._lock:
             buffer = self._series.setdefault(key, _SeriesBuffer())
             buffer.append(timestamp, value)
             if self._latest is None or timestamp > self._latest:
                 self._latest = int(timestamp)
             self._versions[topology] = self._versions.get(topology, 0) + 1
-            self._apply_retention_locked()
+            self._apply_retention_locked((topology,))
             listeners = list(self._listeners)
         for listener in listeners:
             listener(topology)
@@ -262,7 +274,7 @@ class MetricsStore:
                     f"got {timestamp} after {batch.last_ts}"
                 )
             self._append_batch_locked(batch, timestamp, values, topology)
-            self._apply_retention_locked()
+            self._apply_retention_locked((topology,))
 
     def _append_batch_locked(
         self,
@@ -342,7 +354,7 @@ class MetricsStore:
                     )
                     continue
                 last_seen[key] = timestamp
-                topology = key.tag_dict().get("topology")
+                topology = key.topology
                 gkey = (timestamp, topology)
                 position = group_index.get(gkey, -1)
                 if position < prev_group.get(key, -1):
@@ -367,20 +379,35 @@ class MetricsStore:
                 if topology not in touched:
                     touched.append(topology)
             if groups:
-                self._apply_retention_locked()
+                self._apply_retention_locked(touched)
             listeners = list(self._listeners) if groups else []
         for topology in touched:
             for listener in listeners:
                 listener(topology)
         return errors
 
-    def _apply_retention_locked(self) -> None:
+    def _apply_retention_locked(self, written: Collection[str | None]) -> None:
+        """Trim expired samples after a write to the ``written`` topologies.
+
+        A trim changes what the trimmed series' topology can query, so
+        that topology's ``data_version`` has to move as well — otherwise
+        every consumer keyed on it (result cache, calibration cache,
+        sweep artifacts) would keep serving answers computed from samples
+        that are gone.  The written topologies' counters just moved, and
+        an untagged write moved every digest, so only the *other*
+        topologies that lost samples are bumped here.
+        """
         if self._retention is None or self._latest is None:
             return
         cutoff = self._latest - self._retention
-        for buffer in self._series.values():
+        trimmed: set[str | None] = set()
+        for key, buffer in self._series.items():
             if buffer.timestamps and buffer.timestamps[0] < cutoff:
                 buffer.trim_before(cutoff)
+                trimmed.add(key.topology)
+        if None not in written:
+            for topology in trimmed.difference(written):
+                self._versions[topology] = self._versions.get(topology, 0) + 1
 
     # ------------------------------------------------------------------
     # Reading
@@ -552,7 +579,8 @@ class MetricsStore:
         """Monotonic digest of the writes that can affect one topology.
 
         Any write tagged ``topology=<name>`` bumps that topology's
-        counter; untagged writes (and :meth:`clear`) bump a shared
+        counter, as does a retention trim of its series triggered by a
+        write elsewhere; untagged writes (and :meth:`clear`) bump a shared
         counter folded into every digest.  Equal digests therefore
         guarantee the topology's queryable data is unchanged — the
         metrics half of the serving tier's content-addressed cache key.

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MetricsError
-from repro.timeseries.store import MetricsStore
+from repro.timeseries.store import MetricKey, MetricsStore
 
 
 class TestAtomicSave:
@@ -94,3 +94,33 @@ class TestRetentionVersusDataVersion:
         store.write("m", 100_000, 2.0)
         assert store.data_version() == 2
         assert store.data_version("wc") == 3
+
+    def test_trim_by_another_topologys_write_moves_the_trimmed_digest(self):
+        store = MetricsStore(retention_seconds=120)
+        for i in range(3):
+            store.write("m", 60 * (i + 1), float(i), {"topology": "B"})
+        assert store.data_version("B") == 3
+        # A's far-future write trims every sample B can query...
+        store.write("m", 600, 1.0, {"topology": "A"})
+        assert len(store.get("m", {"topology": "B"})) == 0
+        # ...so B's digest has to move, or caches keyed on it go stale.
+        assert store.data_version("B") == 4
+        assert store.data_version("A") == 1
+        # A write that trims nothing of B's leaves B's digest alone.
+        store.write("m", 660, 2.0, {"topology": "A"})
+        assert store.data_version("B") == 4
+
+    def test_batched_paths_move_the_trimmed_digest_too(self):
+        for batched in (False, True):
+            store = MetricsStore(retention_seconds=120)
+            store.write("m", 60, 0.0, {"topology": "B"})
+            key = MetricKey.of("m", {"topology": "A"})
+            store.write("m", 60, 0.0, {"topology": "A"})
+            if batched:
+                batch = store.make_minute_batch([key])
+                store.append_minute_batch(batch, 600, [1.0], topology="A")
+            else:
+                assert store.apply_sample_batch([(key, 600, 1.0)]) == [None]
+            assert len(store.get("m", {"topology": "B"})) == 0
+            assert store.data_version("B") == 2
+            assert store.data_version("A") == 2

@@ -32,6 +32,15 @@ class TestMetricKey:
         assert key.matches("m", {"component": "a"})
         assert not key.matches("m", {"component": "b"})
         assert not key.matches("other", {})
+        assert not key.matches("m", {"container": "1"})
+        assert key.matches("m", {})
+
+    def test_topology_tag_is_an_attribute_outside_identity(self):
+        tagged = MetricKey.of("m", {"topology": "wc", "component": "a"})
+        assert tagged.topology == "wc"
+        assert MetricKey.of("m", {"component": "a"}).topology is None
+        assert tagged == MetricKey("m", (("component", "a"), ("topology", "wc")))
+        assert hash(tagged) == hash(MetricKey("m", tagged.tags))
 
     def test_tag_dict(self):
         key = MetricKey.of("m", {"k": "v"})
