@@ -1,6 +1,6 @@
 """Batched binary ingest: throughput, byte-identity, kill -9 safety.
 
-The async ingestion tier exists to amortize the per-request costs of
+The batched ingest path exists to amortize the per-request costs of
 metrics writes — HTTP round-trip, JSON parse, lock acquisition, WAL
 fsync — over many samples.  This benchmark measures that directly
 against a durable store with ``fsync="always"`` (the strictest policy,
@@ -17,8 +17,8 @@ Three gates make this a CI check, not just a report:
    per-request rate;
 2. the two paths must leave *byte-identical* durable state — same
    ``store_content_hash``, same per-topology ``data_version``;
-3. a ``kill -9`` mid-storm (a real ``serve --async-api --fsync always``
-   subprocess) must lose **zero acknowledged frames**.
+3. a ``kill -9`` mid-storm (a real ``serve --fsync always`` subprocess)
+   must lose **zero acknowledged frames**.
 
 Machine-readable results land in ``benchmarks/results/ingest.json``.
 Run standalone::
@@ -55,11 +55,11 @@ _PORT_LINE = re.compile(r"caladrius serving on ([\d.]+):(\d+)")
 
 
 def _boot(data_dir: Path):
-    """An async-served durable app in-process; returns (server, app)."""
+    """A served durable app in-process; returns (server, app, store)."""
     from dataclasses import replace
 
     from repro.api.app import CaladriusApp
-    from repro.api.async_server import AsyncCaladriusServer
+    from repro.api.server import CaladriusServer
     from repro.config import load_config
     from repro.durability import DurableMetricsStore
     from repro.heron.tracker import TopologyTracker
@@ -68,7 +68,7 @@ def _boot(data_dir: Path):
     config = replace(config, serving=replace(config.serving, enabled=False))
     store = DurableMetricsStore(data_dir, fsync="always")
     app = CaladriusApp(config, TopologyTracker(), store)
-    server = AsyncCaladriusServer(app, port=0)
+    server = CaladriusServer(app, port=0)
     server.start()
     return server, app, store
 
@@ -186,7 +186,6 @@ def _spawn_server(data_dir: Path) -> tuple[subprocess.Popen, int]:
             "--data-dir", str(data_dir),
             "--fsync", "always",
             "--port", "0",
-            "--async-api",
         ],
         env=env,
         stdout=subprocess.PIPE,

@@ -3,12 +3,14 @@
 "Caladrius ... is deployed as a web service that can easily be launched
 in a container and is accessible to developers through a RESTful API
 provided by the API tier" (paper Section III).  This package implements
-that tier on the standard library's threading HTTP server:
+that tier on the standard library alone (an ``asyncio`` listener in
+front of a synchronous app):
 
 * :class:`~repro.api.app.CaladriusApp` — request routing, model dispatch
   and the asynchronous job mechanism ("it is prudent to let the API be
   asynchronous");
-* :class:`~repro.api.server.CaladriusServer` — the HTTP listener;
+* :class:`~repro.api.server.CaladriusServer` — the one HTTP listener
+  (also hosts the cluster's router and followers);
 * :class:`~repro.api.client.CaladriusClient` — a Python client.
 
 Endpoints (all responses JSON):
@@ -24,12 +26,10 @@ Endpoints (all responses JSON):
 """
 
 from repro.api.app import CaladriusApp
-from repro.api.async_server import AsyncCaladriusServer
 from repro.api.client import BatchAck, BatchWriter, CaladriusClient
 from repro.api.server import CaladriusServer
 
 __all__ = [
-    "AsyncCaladriusServer",
     "BatchAck",
     "BatchWriter",
     "CaladriusApp",

@@ -563,7 +563,7 @@ class CaladriusApp:
     ) -> tuple[int, dict[str, Any]]:
         """Commit one group of an in-flight batch stream.
 
-        The asyncio server chunks a large ``write_batch`` body into
+        The HTTP listener chunks a large ``write_batch`` body into
         commit groups and calls this once per group, streaming each
         result as it lands.  Admission (drain, read-only, epoch fence)
         is re-checked per group: a drain beginning mid-stream refuses

@@ -1,507 +1,6 @@
-"""asyncio HTTP front-end for high-throughput metrics ingestion.
+"""Import alias kept only for the frozen ``benchmarks/ledger`` harness;
+it dies with the next benchmark re-baseline."""
 
-The threaded server spends one OS thread per connection; a telemetry
-fleet holding thousands of keep-alive connections needs an event loop.
-:class:`AsyncCaladriusServer` terminates connections on a single
-``asyncio`` loop and bridges each request into the existing synchronous
-:class:`~repro.api.app.CaladriusApp` through a small worker pool
-(``ingest.worker_threads``), preserving the threaded front-end's
-contract exactly:
+from repro.api.server import CaladriusServer
 
-- the lifecycle gauge brackets dispatch *and* response writing, so a
-  drain never closes a socket mid-response;
-- deadlines, the 413 body cap, strict query parsing and the raw-body
-  pass-through behave identically (the helpers are imported from
-  :mod:`repro.api.server`, not re-implemented);
-- :meth:`shutdown_gracefully` / :meth:`install_signal_handlers` are the
-  same :class:`~repro.api.server.GracefulServerMixin` code.
-
-``POST /metrics/write_batch`` additionally gets *streaming group-commit
-acks*: a large batch is chunked into commit groups of
-``ingest.commit_max_frames`` frames and the response is chunked NDJSON —
-one ``{"commit": ...}`` line per group as its fsync lands, then a final
-``{"done": true, ...}`` summary.  A drain beginning mid-stream refuses
-the remaining groups while every already-streamed ack stands.
-"""
-
-from __future__ import annotations
-
-import asyncio
-import json
-import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from http.client import responses as _REASONS
-from typing import Any
-from urllib.parse import urlsplit
-
-from repro.api.app import CaladriusApp
-from repro.api.ingest import STREAM_CONTENT_TYPE, decode_frames
-from repro.api.server import (
-    GracefulServerMixin,
-    app_max_body_bytes,
-    parse_query_strict,
-)
-from repro.errors import ApiError
-
-__all__ = ["AsyncCaladriusServer"]
-
-logger = logging.getLogger("repro.api.async_server")
-
-# Bound on the request head (request line + headers); readuntil refuses
-# anything larger, which doubles as slowloris header protection.
-_MAX_HEAD_BYTES = 64 * 1024
-_DEFAULT_COMMIT_MAX_FRAMES = 4096
-
-
-def _parse_head(blob: bytes) -> tuple[str, str, str, dict[str, str]]:
-    """Split a request head into (method, target, version, headers)."""
-    lines = blob.decode("latin1").split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line {lines[0]!r}")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    return method, target, version, headers
-
-
-class AsyncCaladriusServer(GracefulServerMixin):
-    """asyncio listener with the same surface as ``CaladriusServer``.
-
-    ``start()``/``stop()``/``shutdown_gracefully()``/``port``/``host``
-    and the context-manager protocol all match, so the CLI and tests
-    can swap the two behind one flag (``serve --async-api``).
-    """
-
-    def __init__(
-        self, app: CaladriusApp, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.app = app
-        self._requested = (host, port)
-        self._bound: tuple[str, int] | None = None
-        ingest = getattr(app.config, "ingest", None)
-        self._max_body_bytes = app_max_body_bytes(app)
-        self._commit_max_frames = max(
-            1,
-            getattr(ingest, "commit_max_frames", _DEFAULT_COMMIT_MAX_FRAMES),
-        )
-        self._raw_prefixes = tuple(getattr(app, "raw_body_paths", ()))
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, getattr(ingest, "worker_threads", 8)),
-            thread_name_prefix="caladrius-ingest",
-        )
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._shutdown_lock = threading.Lock()
-        self._shutdown_done = threading.Event()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def port(self) -> int:
-        """The bound TCP port."""
-        if self._bound is None:
-            raise RuntimeError("server is not started")
-        return self._bound[1]
-
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        if self._bound is None:
-            raise RuntimeError("server is not started")
-        return self._bound[0]
-
-    def start(self) -> "AsyncCaladriusServer":
-        """Bind and serve on a daemon thread running the event loop."""
-        self._thread = threading.Thread(
-            target=self._run_loop, daemon=True, name="caladrius-async"
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("async server failed to start within 10s")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            loop.close()
-
-    async def _serve(self) -> None:
-        host, port = self._requested
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, host, port, limit=_MAX_HEAD_BYTES
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
-        self._stop_event = asyncio.Event()
-        sockname = server.sockets[0].getsockname()
-        self._bound = (sockname[0], sockname[1])
-        self._started.set()
-        await self._stop_event.wait()
-        server.close()
-        # shutdown_gracefully already waited for in-flight requests;
-        # anything left is an idle keep-alive reader — cancel it.
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        await server.wait_closed()
-
-    def stop(self) -> None:
-        """Stop serving and release the socket."""
-        loop = self._loop
-        if (
-            loop is not None
-            and not loop.is_closed()
-            and self._stop_event is not None
-        ):
-            loop.call_soon_threadsafe(self._stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():
-                logger.warning(
-                    "async serve thread did not join within 5s; "
-                    "continuing shutdown"
-                )
-            self._thread = None
-        self._pool.shutdown(wait=True)
-        self.app.lifecycle.mark_stopped()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    return  # client hung up between requests
-                except asyncio.LimitOverrunError:
-                    await self._send(
-                        writer,
-                        431,
-                        {"error": "request head too large"},
-                        close=True,
-                    )
-                    return
-                if not await self._handle_request(reader, writer, head):
-                    return
-        except asyncio.CancelledError:
-            return  # server stopping; connection is idle by contract
-        except (BrokenPipeError, ConnectionResetError):
-            return
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-
-    async def _handle_request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        head: bytes,
-    ) -> bool:
-        """Serve one request; returns False when the connection is done."""
-        try:
-            method, target, version, headers = _parse_head(head)
-        except ValueError as exc:
-            await self._send(writer, 400, {"error": str(exc)}, close=True)
-            return False
-        keep_alive = (
-            version == "HTTP/1.1"
-            and headers.get("connection", "").lower() != "close"
-        )
-        raw_length = headers.get("content-length")
-        try:
-            length = int(raw_length or 0)
-        except ValueError:
-            await self._send(
-                writer,
-                400,
-                {
-                    "error": "Content-Length must be an integer, "
-                    f"got {raw_length!r}"
-                },
-                close=True,
-            )
-            return False
-        if length > self._max_body_bytes:
-            # Same contract as the threaded server: refuse on the
-            # declared size without buffering a byte, then close (the
-            # unread body would desynchronise the connection).
-            await self._send(
-                writer,
-                413,
-                {
-                    "error": "request body too large: "
-                    f"{length} > {self._max_body_bytes} bytes",
-                    "max_body_bytes": self._max_body_bytes,
-                    "content_length": length,
-                },
-                close=True,
-            )
-            return False
-        body_bytes = b""
-        if length:
-            try:
-                body_bytes = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return False
-        split = urlsplit(target)
-        try:
-            query = parse_query_strict(split.query)
-        except ApiError as exc:
-            await self._send(
-                writer,
-                exc.status,
-                {"error": str(exc), **exc.payload},
-                close=not keep_alive,
-            )
-            return keep_alive
-        if method.upper() == "POST" and split.path == "/metrics/write_batch":
-            return await self._handle_write_batch(
-                writer, body_bytes, headers, keep_alive
-            )
-        if split.path.startswith(self._raw_prefixes):
-            body: Any = body_bytes
-        elif body_bytes:
-            try:
-                body = json.loads(body_bytes.decode("utf8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                await self._send(
-                    writer,
-                    400,
-                    {"error": "request body is not JSON"},
-                    close=not keep_alive,
-                )
-                return keep_alive
-        else:
-            body = {}
-        # The in-flight gauge brackets dispatch AND response writing: a
-        # drain must not close the socket mid-response.
-        self.app.lifecycle.request_started()
-        try:
-            status, payload = await self._dispatch(
-                method, split.path, query, body, headers
-            )
-            await self._send(writer, status, payload, close=not keep_alive)
-        finally:
-            self.app.lifecycle.request_finished()
-        return keep_alive
-
-    async def _dispatch(
-        self,
-        method: str,
-        path: str,
-        query: dict[str, str],
-        body: Any,
-        headers: dict[str, str],
-    ) -> tuple[int, dict[str, Any]]:
-        """Run the synchronous app on the worker pool."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool, self.app.handle, method, path, query, body, headers
-        )
-
-    # ------------------------------------------------------------------
-    # Streaming batched ingest
-    # ------------------------------------------------------------------
-    async def _handle_write_batch(
-        self,
-        writer: asyncio.StreamWriter,
-        body_bytes: bytes,
-        headers: dict[str, str],
-        keep_alive: bool,
-    ) -> bool:
-        self.app.lifecycle.request_started()
-        try:
-            try:
-                frames = decode_frames(body_bytes)
-                if not frames:
-                    raise ApiError("write_batch body contains no frames")
-            except ApiError as exc:
-                await self._send(
-                    writer,
-                    exc.status,
-                    {"error": str(exc), **exc.payload},
-                    close=not keep_alive,
-                )
-                return keep_alive
-            loop = asyncio.get_running_loop()
-            step = self._commit_max_frames
-            if len(frames) <= step:
-                # One commit group: a plain JSON response, no streaming
-                # overhead — identical to the threaded server's answer.
-                status, payload = await loop.run_in_executor(
-                    self._pool,
-                    self.app.handle_write_batch_frames,
-                    frames,
-                    headers,
-                )
-                await self._send(
-                    writer, status, payload, close=not keep_alive
-                )
-                return keep_alive
-            return await self._stream_commits(
-                writer, frames, headers, keep_alive, loop
-            )
-        finally:
-            self.app.lifecycle.request_finished()
-
-    async def _stream_commits(
-        self,
-        writer: asyncio.StreamWriter,
-        frames: list[tuple[Any, str]],
-        headers: dict[str, str],
-        keep_alive: bool,
-        loop: asyncio.AbstractEventLoop,
-    ) -> bool:
-        """Commit groups one by one, streaming each ack as it lands.
-
-        Each ``{"commit": ...}`` line is written after that group's
-        WAL flush returns, so a client can treat every streamed frame
-        range as durable the moment the line arrives — even if the
-        connection later dies mid-batch.
-        """
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {STREAM_CONTENT_TYPE}\r\n"
-            "Transfer-Encoding: chunked\r\n"
-        )
-        if not keep_alive:
-            head += "Connection: close\r\n"
-        try:
-            writer.write(head.encode("latin1") + b"\r\n")
-            acked = 0
-            rejected: list[dict[str, Any]] = []
-            refused: list[dict[str, Any]] = []
-            first_lsn: int | None = None
-            last_lsn: int | None = None
-            step = self._commit_max_frames
-            for group_index, start in enumerate(range(0, len(frames), step)):
-                group = frames[start:start + step]
-                status, payload = await loop.run_in_executor(
-                    self._pool,
-                    self.app.handle_write_batch_frames,
-                    group,
-                    headers,
-                )
-                commit: dict[str, Any] = {
-                    "group": group_index,
-                    "frame_start": start,
-                    "frames": len(group),
-                }
-                if status == 200:
-                    # Rebase per-group frame indexes onto the batch.
-                    group_rejected = [
-                        {**entry, "frame": start + entry["frame"]}
-                        for entry in payload.get("rejected", ())
-                    ]
-                    rejected.extend(group_rejected)
-                    acked += payload.get("acked", 0)
-                    commit.update(
-                        acked=payload.get("acked", 0),
-                        rejected=group_rejected,
-                        first_lsn=payload.get("first_lsn"),
-                        last_lsn=payload.get("last_lsn"),
-                    )
-                    if first_lsn is None:
-                        first_lsn = payload.get("first_lsn")
-                    if payload.get("last_lsn") is not None:
-                        last_lsn = payload.get("last_lsn")
-                else:
-                    # Drain/fence/read-only arrived mid-stream: this
-                    # group (and its frames) was refused, retryably —
-                    # already-streamed acks stand.
-                    entry = {**commit, "status": status, **payload}
-                    refused.append(entry)
-                    commit = entry
-                await self._write_chunk(writer, {"commit": commit})
-            summary: dict[str, Any] = {
-                "done": True,
-                "frames": len(frames),
-                "acked": acked,
-                "rejected": rejected,
-                "first_lsn": first_lsn,
-                "last_lsn": last_lsn,
-            }
-            if refused:
-                summary["refused"] = refused
-            await self._write_chunk(writer, summary)
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-        except (BrokenPipeError, ConnectionResetError):
-            # The client lost its acks, not its data: every streamed
-            # commit is already durable.
-            return False
-        return keep_alive
-
-    async def _write_chunk(
-        self, writer: asyncio.StreamWriter, line: dict[str, Any]
-    ) -> None:
-        data = json.dumps(line).encode("utf8") + b"\n"
-        writer.write(b"%x\r\n%s\r\n" % (len(data), data))
-        await writer.drain()
-
-    # ------------------------------------------------------------------
-    # Response writing
-    # ------------------------------------------------------------------
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any],
-        close: bool,
-    ) -> None:
-        try:
-            data = json.dumps(payload).encode("utf8")
-            reason = _REASONS.get(status, "Unknown")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(data)}\r\n"
-            )
-            retry_after = payload.get("retry_after")
-            if isinstance(retry_after, (int, float)) and not isinstance(
-                retry_after, bool
-            ):
-                head += f"Retry-After: {int(retry_after)}\r\n"
-            if close:
-                head += "Connection: close\r\n"
-            writer.write(head.encode("latin1") + b"\r\n" + data)
-            await writer.drain()
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            # The client's problem, not ours (mirrors the threaded
-            # server): the gauge in the caller's finally still runs.
-            logger.debug("client disconnected mid-response: %s", exc)
+AsyncCaladriusServer = CaladriusServer

@@ -1,45 +1,61 @@
-"""HTTP listener adapting :class:`CaladriusApp` to real sockets.
+"""The HTTP listener: one asyncio server adapting an app to real sockets.
+
+:class:`CaladriusServer` terminates keep-alive connections on a single
+``asyncio`` loop — idle connections cost file descriptors, not threads —
+and bridges each request into the synchronous hosted app
+(:class:`~repro.api.app.CaladriusApp`, the cluster's ``RouterApp`` or a
+``FollowerApp``) through a worker pool.  The pool is sized from
+``serving.max_concurrent + serving.max_queue`` plus fixed headroom, so
+every request the :class:`~repro.serving.PriorityScheduler` would admit
+or queue owns a thread and the scheduler stays the one admission gate:
+overload is shed there with 429 + ``Retry-After``, never parked in an
+executor backlog, and writes and health probes still find a thread.
 
 Beyond socket plumbing the server owns the *graceful lifecycle*: it
-brackets every request with the app's
-:class:`~repro.durability.LifecycleController` gauge, and
+brackets every request — dispatch *and* response writing — with the
+app's :class:`~repro.durability.LifecycleController` gauge, and
 :meth:`CaladriusServer.shutdown_gracefully` implements the SIGTERM
 sequence — flip ``/readyz``, refuse new work with 503 + ``Retry-After``,
 wait (bounded) for in-flight requests, run the caller's final-checkpoint
 hook, then close the socket.  :meth:`install_signal_handlers` wires
 SIGTERM/SIGINT to that sequence for ``caladrius serve``.
+
+``POST /metrics/write_batch`` gets *streaming group-commit acks* when
+the hosted app commits frames itself (``handle_write_batch_frames``): a
+batch over ``ingest.commit_max_frames`` is chunked into commit groups
+and answered as chunked NDJSON — one ``{"commit": ...}`` line per group
+as its fsync lands, then a final ``{"done": true, ...}`` summary.  A
+drain beginning mid-stream refuses the remaining groups while every
+already-streamed ack stands.  Apps without that method (router,
+follower) get the body through ``handle`` like any other route.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import signal
 import threading
 from collections.abc import Callable
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.client import responses as _REASONS
+from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.api.app import CaladriusApp
+from repro.api.ingest import STREAM_CONTENT_TYPE, decode_frames
 from repro.errors import ApiError
 
-__all__ = [
-    "CaladriusServer",
-    "GracefulServerMixin",
-    "DEFAULT_MAX_BODY_BYTES",
-    "app_max_body_bytes",
-    "parse_query_strict",
-]
+__all__ = ["CaladriusServer", "parse_query_strict"]
 
 logger = logging.getLogger("repro.api.server")
 
-DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-def app_max_body_bytes(app: CaladriusApp) -> int:
-    """The request-body cap for this app (``ingest.max_body_bytes``)."""
-    ingest = getattr(getattr(app, "config", None), "ingest", None)
-    return getattr(ingest, "max_body_bytes", DEFAULT_MAX_BODY_BYTES)
+# Bound on the request head (request line + headers); readuntil refuses
+# anything larger, which doubles as slowloris header protection.
+_MAX_HEAD_BYTES = 64 * 1024
+# Pool threads beyond what the scheduler can hold (running + queued):
+# writes, health probes and stats reads never wait behind modelling.
+_POOL_HEADROOM = 8
 
 
 def parse_query_strict(raw_query: str) -> dict[str, str]:
@@ -47,9 +63,7 @@ def parse_query_strict(raw_query: str) -> dict[str, str]:
 
     ``dict(parse_qsl(...))`` silently keeps the *last* occurrence of a
     repeated key, so ``?model=a&model=b`` would quietly model with
-    ``b`` — an ambiguous request deserves a 400, not a guess.  Shared
-    by the threaded and asyncio front-ends so both transports enforce
-    the same contract.
+    ``b`` — an ambiguous request deserves a 400, not a guess.
     """
     query: dict[str, str] = {}
     for key, value in parse_qsl(raw_query):
@@ -59,147 +73,166 @@ def parse_query_strict(raw_query: str) -> dict[str, str]:
     return query
 
 
-def _make_handler(app: CaladriusApp) -> type[BaseHTTPRequestHandler]:
-    raw_prefixes = tuple(getattr(app, "raw_body_paths", ()))
-    max_body_bytes = app_max_body_bytes(app)
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Buffer the response so status line, headers and body leave in
-        # one segment (flushed in _send).  Unbuffered, the body is a
-        # second small write that Nagle holds back until the client ACKs
-        # the headers — a flat ~40 ms per response wherever the peer
-        # delays ACKs on loopback.
-        wbufsize = -1
-
-        def log_message(self, format: str, *args) -> None:  # noqa: A002
-            pass  # tests and examples do not want request logging noise
-
-        def _respond(self, method: str) -> None:
-            split = urlsplit(self.path)
-            try:
-                query = parse_query_strict(split.query)
-            except ApiError as exc:
-                self._send(exc.status, {"error": str(exc), **exc.payload})
-                return
-            body = {}
-            raw_length = self.headers.get("Content-Length")
-            try:
-                length = int(raw_length or 0)
-            except ValueError:
-                self.close_connection = True
-                self._send(
-                    400,
-                    {
-                        "error": "Content-Length must be an integer, "
-                        f"got {raw_length!r}"
-                    },
-                )
-                return
-            if length > max_body_bytes:
-                # Refuse before reading a byte: the declared size alone
-                # is grounds for 413, and never buffering it means one
-                # bad client cannot OOM this worker.  The unread body
-                # would desynchronise the connection — close it.
-                self.close_connection = True
-                self._send(
-                    413,
-                    {
-                        "error": "request body too large: "
-                        f"{length} > {max_body_bytes} bytes",
-                        "max_body_bytes": max_body_bytes,
-                        "content_length": length,
-                    },
-                )
-                return
-            if length:
-                raw = self.rfile.read(length)
-                if split.path.startswith(raw_prefixes):
-                    # Replication endpoints ship WAL frames — opaque
-                    # bytes, not JSON; hand them through untouched.
-                    body = raw
-                else:
-                    try:
-                        body = json.loads(raw.decode("utf8"))
-                    except json.JSONDecodeError:
-                        self._send(400, {"error": "request body is not JSON"})
-                        return
-            # The in-flight gauge brackets routing AND response writing:
-            # a drain must not close the socket mid-response.
-            app.lifecycle.request_started()
-            try:
-                status, payload = app.handle(
-                    method, split.path, query, body, headers=dict(self.headers)
-                )
-                self._send(status, payload)
-            finally:
-                app.lifecycle.request_finished()
-
-        def _send(self, status: int, payload: dict) -> None:
-            # A client that hangs up mid-response (timeout, Ctrl-C,
-            # load-generator teardown) surfaces here as a broken pipe.
-            # That is the client's problem, not ours: swallow it so the
-            # handler thread survives and the in-flight gauge in
-            # _respond's finally still decrements — otherwise a drain
-            # would wait on a request that already died.
-            try:
-                data = json.dumps(payload).encode("utf8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                retry_after = payload.get("retry_after")
-                if isinstance(retry_after, (int, float)) and not isinstance(
-                    retry_after, bool
-                ):
-                    # Load-shedding (429), degraded-metrics and draining
-                    # (503) answers tell clients when to come back.
-                    self.send_header("Retry-After", str(int(retry_after)))
-                self.end_headers()
-                self.wfile.write(data)
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError) as exc:
-                self.close_connection = True
-                logger.debug(
-                    "client %s disconnected mid-response (%s %s): %s",
-                    self.client_address,
-                    self.command,
-                    self.path,
-                    exc,
-                )
-
-        def do_GET(self) -> None:  # noqa: N802
-            self._respond("GET")
-
-        def do_POST(self) -> None:  # noqa: N802
-            self._respond("POST")
-
-    return Handler
+def _parse_head(blob: bytes) -> tuple[str, str, str, dict[str, str]]:
+    """Split a request head into (method, target, version, headers)."""
+    lines = blob.decode("latin1").split("\r\n")
+    parts = lines[0].split(" ")
+    if len(parts) != 3:
+        raise ValueError(f"malformed request line {lines[0]!r}")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"malformed header line {line!r}")
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # Two lengths frame the body two ways; letting the last one
+            # win is how request smuggling starts.
+            raise ValueError("duplicate Content-Length header")
+        headers[name] = value.strip()
+    return method, target, version, headers
 
 
-class _Listener(ThreadingHTTPServer):
-    # The socketserver default backlog of 5 resets connections under
-    # concurrent bursts; admission control is the serving layer's job,
-    # so accept generously and let the scheduler shed with 429 instead.
-    request_queue_size = 128
-    daemon_threads = True
+def _crash_payload(exc: Exception) -> dict[str, Any]:
+    return {"error": f"internal error: {exc}", "type": type(exc).__name__}
 
 
-class GracefulServerMixin:
-    """The SIGTERM drain sequence, shared by both HTTP front-ends.
+class CaladriusServer:
+    """The HTTP server hosting the Caladrius API (or a router/follower).
 
-    Requires the host class to provide ``self.app`` (a
-    :class:`CaladriusApp`), ``self.stop()``, ``self._shutdown_lock``
-    and ``self._shutdown_done``.  Keeping this as literally shared code
-    — not a parallel implementation — is what guarantees the asyncio
-    server's drain semantics match the threaded server's.
+    Use as a context manager in examples and tests::
+
+        with CaladriusServer(app, port=0) as server:
+            client = CaladriusClient("127.0.0.1", server.port)
+            ...
+
+    ``port=0`` binds an ephemeral port, exposed as :attr:`port` once
+    :meth:`start` returns.
     """
 
-    app: CaladriusApp
-    _shutdown_lock: threading.Lock
-    _shutdown_done: threading.Event
+    def __init__(
+        self, app: Any, host: str = "127.0.0.1", port: int = 0
+    ) -> None:
+        self.app = app
+        self._requested = (host, port)
+        self._bound: tuple[str, int] | None = None
+        self._max_body_bytes = app.config.ingest.max_body_bytes
+        self._commit_max_frames = app.config.ingest.commit_max_frames
+        self._raw_prefixes = tuple(app.raw_body_paths)
+        # Streaming group commits need an app that commits frames
+        # itself; a router or follower takes the body through handle().
+        self._commits_frames = hasattr(app, "handle_write_batch_frames")
+        serving = app.config.serving
+        self._pool = ThreadPoolExecutor(
+            max_workers=(
+                serving.max_concurrent + serving.max_queue + _POOL_HEADROOM
+            ),
+            thread_name_prefix="caladrius-http",
+        )
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop_event: asyncio.Event | None = None
+        self._conn_tasks: set[asyncio.Task] = set()
+        self._thread: threading.Thread | None = None
+        self._started = threading.Event()
+        self._startup_error: BaseException | None = None
+        self._shutdown_lock = threading.Lock()
+        self._shutdown_done = threading.Event()
 
-    def stop(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def port(self) -> int:
+        """The bound TCP port."""
+        if self._bound is None:
+            raise RuntimeError("server is not started")
+        return self._bound[1]
+
+    @property
+    def host(self) -> str:
+        """The bound host address."""
+        if self._bound is None:
+            raise RuntimeError("server is not started")
+        return self._bound[0]
+
+    def start(self) -> "CaladriusServer":
+        """Bind and serve on a daemon thread running the event loop."""
+        self._thread = threading.Thread(
+            target=self._run_loop, daemon=True, name="caladrius-http-loop"
+        )
+        self._thread.start()
+        if not self._started.wait(timeout=10):
+            raise RuntimeError("server failed to start within 10s")
+        if self._startup_error is not None:
+            raise self._startup_error
+        return self
+
+    def _run_loop(self) -> None:
+        loop = asyncio.new_event_loop()
+        self._loop = loop
+        try:
+            loop.run_until_complete(self._serve())
+        finally:
+            loop.close()
+
+    async def _serve(self) -> None:
+        host, port = self._requested
+        try:
+            # Accept generously (backlog): admission control is the
+            # serving layer's job, not the kernel's.
+            server = await asyncio.start_server(
+                self._handle_connection,
+                host,
+                port,
+                limit=_MAX_HEAD_BYTES,
+                backlog=128,
+            )
+        except OSError as exc:
+            self._startup_error = exc
+            self._started.set()
+            return
+        self._stop_event = asyncio.Event()
+        sockname = server.sockets[0].getsockname()
+        self._bound = (sockname[0], sockname[1])
+        self._started.set()
+        await self._stop_event.wait()
+        server.close()
+        # shutdown_gracefully already waited for in-flight requests;
+        # anything left is an idle keep-alive reader — cancel it.
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await server.wait_closed()
+
+    def stop(self) -> None:
+        """Stop serving and release the socket."""
+        loop = self._loop
+        if (
+            loop is not None
+            and not loop.is_closed()
+            and self._stop_event is not None
+        ):
+            loop.call_soon_threadsafe(self._stop_event.set)
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+            if self._thread.is_alive():
+                logger.warning(
+                    "serve thread did not join within 5s; "
+                    "a handler may be blocked — continuing shutdown"
+                )
+            self._thread = None
+        self._pool.shutdown(wait=True)
+        self.app.lifecycle.mark_stopped()
+
+    def __enter__(self) -> "CaladriusServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     def shutdown_gracefully(
         self,
@@ -277,66 +310,314 @@ class GracefulServerMixin:
         finally:
             self._shutdown_done.set()
 
-    def start(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-class CaladriusServer(GracefulServerMixin):
-    """A threaded HTTP server hosting the Caladrius API.
-
-    Use as a context manager in examples and tests::
-
-        with CaladriusServer(app, port=0) as server:
-            client = CaladriusClient("127.0.0.1", server.port)
-            ...
-
-    ``port=0`` binds an ephemeral port, exposed as :attr:`port`.
-    """
-
-    def __init__(
-        self, app: CaladriusApp, host: str = "127.0.0.1", port: int = 0
+    # ------------------------------------------------------------------
+    # Connection handling
+    # ------------------------------------------------------------------
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.app = app
-        self._httpd = _Listener((host, port), _make_handler(app))
-        self._thread: threading.Thread | None = None
-        self._shutdown_lock = threading.Lock()
-        self._shutdown_done = threading.Event()
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+        try:
+            while True:
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except (
+                    asyncio.IncompleteReadError,
+                    ConnectionResetError,
+                ):
+                    return  # client hung up between requests
+                except asyncio.LimitOverrunError:
+                    await self._send(
+                        writer, 431, {"error": "request head too large"}, False
+                    )
+                    return
+                if not await self._handle_request(reader, writer, head):
+                    return
+        except asyncio.CancelledError:
+            return  # server stopping; connection is idle by contract
+        except (BrokenPipeError, ConnectionResetError):
+            return
+        finally:
+            try:
+                writer.close()
+            except Exception:  # pragma: no cover - best-effort close
+                pass
 
-    @property
-    def port(self) -> int:
-        """The bound TCP port."""
-        return self._httpd.server_address[1]
-
-    @property
-    def host(self) -> str:
-        """The bound host address."""
-        return self._httpd.server_address[0]
-
-    def start(self) -> "CaladriusServer":
-        """Start serving on a daemon thread."""
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+    async def _handle_request(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        head: bytes,
+    ) -> bool:
+        """Serve one request; returns False when the connection is done."""
+        try:
+            method, target, version, headers = _parse_head(head)
+            split = urlsplit(target)
+        except ValueError as exc:
+            return await self._send(writer, 400, {"error": str(exc)}, False)
+        keep_alive = (
+            version == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close"
         )
-        self._thread.start()
-        return self
+        raw_length = headers.get("content-length")
+        try:
+            length = int(raw_length or 0)
+            if length < 0:
+                raise ValueError(raw_length)
+        except ValueError:
+            return await self._send(
+                writer,
+                400,
+                {
+                    "error": "Content-Length must be a non-negative "
+                    f"integer, got {raw_length!r}"
+                },
+                False,
+            )
+        if length > self._max_body_bytes:
+            # Refuse before reading a byte: the declared size alone is
+            # grounds for 413, and never buffering it means one bad
+            # client cannot OOM this worker.  The unread body would
+            # desynchronise the connection — close it.
+            return await self._send(
+                writer,
+                413,
+                {
+                    "error": "request body too large: "
+                    f"{length} > {self._max_body_bytes} bytes",
+                    "max_body_bytes": self._max_body_bytes,
+                    "content_length": length,
+                },
+                False,
+            )
+        body_bytes = b""
+        if length:
+            try:
+                body_bytes = await reader.readexactly(length)
+            except (asyncio.IncompleteReadError, ConnectionResetError):
+                return False
+        # The in-flight gauge brackets dispatch AND response writing: a
+        # drain must not close the socket mid-response.
+        self.app.lifecycle.request_started()
+        try:
+            status, payload = await self._respond(
+                writer, method, split.path, split.query, body_bytes,
+                headers, keep_alive,
+            )
+            if status is None:
+                return payload  # the response was streamed
+            return await self._send(writer, status, payload, keep_alive)
+        except Exception as exc:
+            # A bug in the hosted app (or a model), not a refusal: say
+            # so, so the client does not mistake it for a transport
+            # error and blindly re-send a possibly-applied write.
+            logger.exception(
+                "unhandled error serving %s %s", method, split.path
+            )
+            return await self._send(writer, 500, _crash_payload(exc), False)
+        finally:
+            self.app.lifecycle.request_finished()
 
-    def stop(self) -> None:
-        """Stop serving and release the socket."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():
-                logger.warning(
-                    "serve thread did not join within 5s; "
-                    "a handler may be blocked — socket is closed, "
-                    "continuing shutdown"
+    async def _respond(
+        self,
+        writer: asyncio.StreamWriter,
+        method: str,
+        path: str,
+        raw_query: str,
+        body_bytes: bytes,
+        headers: dict[str, str],
+        keep_alive: bool,
+    ) -> tuple[int | None, Any]:
+        """Answer one framed request: ``(status, payload)`` to send, or
+        ``(None, keep_alive)`` when the answer was streamed already."""
+        try:
+            query = parse_query_strict(raw_query)
+            if (
+                self._commits_frames
+                and method.upper() == "POST"
+                and path == "/metrics/write_batch"
+            ):
+                frames = decode_frames(body_bytes)
+                if not frames:
+                    raise ApiError("write_batch body contains no frames")
+                if len(frames) > self._commit_max_frames:
+                    return None, await self._stream_commits(
+                        writer, frames, headers, keep_alive
+                    )
+                # One commit group: a plain JSON response, no
+                # streaming overhead.
+                return await self._run(
+                    self.app.handle_write_batch_frames, frames, headers
                 )
-            self._thread = None
-        self.app.lifecycle.mark_stopped()
+        except ApiError as exc:
+            return exc.status, {"error": str(exc), **exc.payload}
+        if path.startswith(self._raw_prefixes):
+            # WAL frames and replication segments are opaque bytes, not
+            # JSON; hand them through untouched.
+            body: Any = body_bytes
+        elif body_bytes:
+            try:
+                body = json.loads(body_bytes.decode("utf8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                return 400, {"error": "request body is not JSON"}
+            if not isinstance(body, dict):
+                return 400, {"error": "request body must be a JSON object"}
+        else:
+            body = {}
+        return await self._run(
+            self.app.handle, method, path, query, body, headers
+        )
+
+    async def _run(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run the synchronous app on the worker pool."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, fn, *args
+        )
+
+    # ------------------------------------------------------------------
+    # Streaming batched ingest
+    # ------------------------------------------------------------------
+    async def _stream_commits(
+        self,
+        writer: asyncio.StreamWriter,
+        frames: list[tuple[Any, str]],
+        headers: dict[str, str],
+        keep_alive: bool,
+    ) -> bool:
+        """Commit groups one by one, streaming each ack as it lands.
+
+        Each ``{"commit": ...}`` line is written after that group's
+        WAL flush returns, so a client can treat every streamed frame
+        range as durable the moment the line arrives — even if the
+        connection later dies mid-batch.
+        """
+        head = (
+            "HTTP/1.1 200 OK\r\n"
+            f"Content-Type: {STREAM_CONTENT_TYPE}\r\n"
+            "Transfer-Encoding: chunked\r\n"
+        )
+        if not keep_alive:
+            head += "Connection: close\r\n"
+        try:
+            writer.write(head.encode("latin1") + b"\r\n")
+            acked = 0
+            rejected: list[dict[str, Any]] = []
+            refused: list[dict[str, Any]] = []
+            first_lsn: int | None = None
+            last_lsn: int | None = None
+            crash: dict[str, Any] | None = None
+            step = self._commit_max_frames
+            for group_index, start in enumerate(range(0, len(frames), step)):
+                group = frames[start:start + step]
+                if crash is None:
+                    try:
+                        status, payload = await self._run(
+                            self.app.handle_write_batch_frames, group, headers
+                        )
+                    except Exception as exc:
+                        # The 200 head is gone, so the crash is reported
+                        # in-band; later groups are not attempted — they
+                        # would land ahead of this one's retry.
+                        logger.exception("unhandled error in commit group")
+                        crash = _crash_payload(exc)
+                if crash is not None:
+                    status, payload = 500, crash
+                commit: dict[str, Any] = {
+                    "group": group_index,
+                    "frame_start": start,
+                    "frames": len(group),
+                }
+                if status == 200:
+                    # Rebase per-group frame indexes onto the batch.
+                    group_rejected = [
+                        {**entry, "frame": start + entry["frame"]}
+                        for entry in payload.get("rejected", ())
+                    ]
+                    rejected.extend(group_rejected)
+                    acked += payload.get("acked", 0)
+                    commit.update(
+                        acked=payload.get("acked", 0),
+                        rejected=group_rejected,
+                        first_lsn=payload.get("first_lsn"),
+                        last_lsn=payload.get("last_lsn"),
+                    )
+                    if first_lsn is None:
+                        first_lsn = payload.get("first_lsn")
+                    if payload.get("last_lsn") is not None:
+                        last_lsn = payload.get("last_lsn")
+                else:
+                    # Drain/fence/read-only arrived mid-stream: this
+                    # group (and its frames) was refused, retryably —
+                    # already-streamed acks stand.
+                    commit = {**commit, "status": status, **payload}
+                    refused.append(commit)
+                await self._write_chunk(writer, {"commit": commit})
+            summary: dict[str, Any] = {
+                "done": True,
+                "frames": len(frames),
+                "acked": acked,
+                "rejected": rejected,
+                "first_lsn": first_lsn,
+                "last_lsn": last_lsn,
+            }
+            if refused:
+                summary["refused"] = refused
+            await self._write_chunk(writer, summary)
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+        except (BrokenPipeError, ConnectionResetError):
+            # The client lost its acks, not its data: every streamed
+            # commit is already durable.
+            return False
+        return keep_alive
+
+    async def _write_chunk(
+        self, writer: asyncio.StreamWriter, line: dict[str, Any]
+    ) -> None:
+        data = json.dumps(line).encode("utf8") + b"\n"
+        writer.write(b"%x\r\n%s\r\n" % (len(data), data))
+        await writer.drain()
+
+    # ------------------------------------------------------------------
+    # Response writing
+    # ------------------------------------------------------------------
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: dict[str, Any],
+        keep_alive: bool,
+    ) -> bool:
+        """Write one JSON response; returns whether the connection lives."""
+        data = json.dumps(payload).encode("utf8")
+        reason = _REASONS.get(status, "Unknown")
+        head = (
+            f"HTTP/1.1 {status} {reason}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+        retry_after = payload.get("retry_after")
+        if isinstance(retry_after, (int, float)) and not isinstance(
+            retry_after, bool
+        ):
+            # Load-shedding (429), degraded-metrics and draining (503)
+            # answers tell clients when to come back.
+            head += f"Retry-After: {int(retry_after)}\r\n"
+        if not keep_alive:
+            head += "Connection: close\r\n"
+        try:
+            # Head and body leave in one write: a second small segment
+            # would sit behind Nagle until the peer ACKs the first.
+            writer.write(head.encode("latin1") + b"\r\n" + data)
+            await writer.drain()
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            # A client that hangs up mid-response (timeout, Ctrl-C,
+            # load-generator teardown) is the client's problem, not
+            # ours: swallow it so the gauge in the caller's finally
+            # still decrements and a drain never waits on a dead request.
+            logger.debug("client disconnected mid-response: %s", exc)
+            return False
+        return keep_alive

@@ -120,11 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
              "writes (stronger durability, higher write latency)",
     )
     serve.add_argument(
-        "--async-api", action="store_true",
-        help="serve over the asyncio ingestion front-end (keep-alive "
-             "event loop bridging into a worker pool)",
-    )
-    serve.add_argument(
         "--service-faults", default=None, metavar="SPEC",
         help=argparse.SUPPRESS,  # internal: chaos storage-fault schedule
     )
@@ -550,10 +545,6 @@ def _cmd_serve(args) -> int:
             config,
             durability=replace(config.durability, **durability_overrides),
         )
-    if args.async_api and not config.ingest.async_api:
-        config = replace(
-            config, ingest=replace(config.ingest, async_api=True)
-        )
     cluster_overrides = {}
     if args.shards is not None:
         cluster_overrides["shards"] = args.shards
@@ -644,12 +635,7 @@ def _cmd_serve(args) -> int:
         shipper.start()
     if app.serving is not None:
         app.serving.start()  # warm-cache precompute loop
-    if config.ingest.async_api:
-        from repro.api.async_server import AsyncCaladriusServer
-
-        server = AsyncCaladriusServer(app, host=args.host, port=args.port)
-    else:
-        server = CaladriusServer(app, host=args.host, port=args.port)
+    server = CaladriusServer(app, host=args.host, port=args.port)
     server.start()
 
     def _final_checkpoint() -> None:
@@ -739,8 +725,6 @@ def _serve_cluster(args, config) -> int:
             argv += ["--ship-to", ship_to]
         if config.cluster.sync_ship and ship_to:
             argv += ["--sync-ship"]
-        if config.ingest.async_api:
-            argv += ["--async-api"]
         if shard_id in shard_faults:
             argv += ["--service-faults", shard_faults[shard_id]]
         return argv

@@ -261,9 +261,12 @@ class FollowerApp:
     """Routes ``/replica/*`` to the replica, everything else read-only.
 
     Duck-types :class:`~repro.api.app.CaladriusApp` just enough for
-    :class:`~repro.api.server.CaladriusServer` to host it: ``handle``,
-    ``lifecycle``, ``config`` and ``raw_body_paths`` (which makes the
-    server hand ``/replica/…`` bodies through as raw bytes).
+    the one HTTP listener (:class:`~repro.api.server.CaladriusServer`)
+    to host it: ``handle``, ``lifecycle``, ``config`` and
+    ``raw_body_paths`` (which makes the server hand ``/replica/…``
+    bodies through as raw bytes).  It deliberately has no
+    ``handle_write_batch_frames`` — a follower commits nothing itself,
+    so the listener routes ``write_batch`` through ``handle`` too.
     """
 
     raw_body_paths = ("/replica/",)

@@ -1,8 +1,11 @@
 """The cluster front door: consistent-hash routing over shard workers.
 
 :class:`RouterApp` duck-types :class:`~repro.api.app.CaladriusApp`
-(``handle`` / ``lifecycle`` / ``config``) so the plain
-:class:`~repro.api.server.CaladriusServer` can host it.  It owns a
+(``handle`` / ``lifecycle`` / ``config`` / ``raw_body_paths``) so the
+one HTTP listener, :class:`~repro.api.server.CaladriusServer`, hosts it
+like any other app.  It has no ``handle_write_batch_frames``: batches
+arrive through ``handle`` as raw bytes and are answered as one merged
+JSON document, never streamed.  It owns a
 :class:`~repro.cluster.shard.ShardManager` and routes every
 topology-keyed request — modelling calls, topology lookups, metric
 writes — to the shard that owns the topology id on the

@@ -92,18 +92,13 @@ class IngestConfig:
     ``max_body_bytes`` caps how large a request body any server will
     read — a request declaring more is refused with a structured 413
     before a byte of the body is buffered, so one bad client cannot
-    OOM a shard worker.  ``async_api`` swaps the threaded listener for
-    the asyncio front-end (``repro.api.async_server``), which streams
-    per-commit-group acks on ``POST /metrics/write_batch``.
-    ``worker_threads`` sizes the pool bridging the event loop into the
-    synchronous app; ``commit_max_frames`` is the largest number of
-    frames the streaming batch path commits (and fsyncs) at once — a
-    client batch at or under it costs exactly one fsync.
+    OOM a shard worker.  ``commit_max_frames`` is the largest number of
+    frames ``POST /metrics/write_batch`` commits (and fsyncs) at once — a
+    client batch at or under it costs exactly one fsync; a larger one is
+    answered as streamed per-commit-group acks.
     """
 
     max_body_bytes: int = 8 * 1024 * 1024
-    async_api: bool = False
-    worker_threads: int = 8
     commit_max_frames: int = 4096
 
 
@@ -211,8 +206,6 @@ def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
             unresponsive_timeout_seconds: 10
           ingest:
             max_body_bytes: 8388608
-            async_api: false
-            worker_threads: 8
             commit_max_frames: 4096
 
     Unknown model names and malformed sections raise
@@ -495,10 +488,7 @@ def _parse_ingest(section: Any) -> IngestConfig:
     if not isinstance(section, dict):
         raise ConfigError("'ingest' section must be a mapping")
     defaults = IngestConfig()
-    known = {
-        "max_body_bytes", "async_api", "worker_threads",
-        "commit_max_frames",
-    }
+    known = {"max_body_bytes", "commit_max_frames"}
     unknown = sorted(set(section) - known)
     if unknown:
         raise ConfigError(
@@ -510,21 +500,12 @@ def _parse_ingest(section: Any) -> IngestConfig:
     )
     if max_body < 1024:
         raise ConfigError("ingest.max_body_bytes must be >= 1024")
-    async_api = section.get("async_api", defaults.async_api)
-    if not isinstance(async_api, bool):
-        raise ConfigError("ingest.async_api must be a boolean")
-    workers = _positive_int(
-        section.get("worker_threads", defaults.worker_threads),
-        "ingest.worker_threads",
-    )
     commit_frames = _positive_int(
         section.get("commit_max_frames", defaults.commit_max_frames),
         "ingest.commit_max_frames",
     )
     return IngestConfig(
         max_body_bytes=max_body,
-        async_api=async_api,
-        worker_threads=workers,
         commit_max_frames=commit_frames,
     )
 

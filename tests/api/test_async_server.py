@@ -1,10 +1,11 @@
-"""The asyncio ingestion front-end: parity, streaming acks, lifecycle.
+"""Streaming group-commit acks on ``write_batch``, and kill -9 durability.
 
-``AsyncCaladriusServer`` must be a drop-in for ``CaladriusServer`` —
-same routes, same error contracts (413, strict queries), same drain
-semantics — plus streaming group-commit acks on large ``write_batch``
-bodies.  The kill -9 test boots ``serve --async-api --fsync always``
-as a subprocess and asserts every acknowledged frame survives.
+Batches over ``ingest.commit_max_frames`` are answered as streamed
+per-commit-group acks; a drain mid-stream keeps the acked prefix.  The
+kill -9 test boots ``serve --fsync always`` as a subprocess and asserts
+every acknowledged frame survives.  (Plain-route, keep-alive, 413 and
+strict-query behaviour of the listener lives in ``test_server_client``,
+``test_keepalive`` and ``test_write_batch``.)
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from pathlib import Path
 import pytest
 
 from repro.api.app import CaladriusApp
-from repro.api.async_server import AsyncCaladriusServer
+from repro.api.server import CaladriusServer
 from repro.api.client import CaladriusClient
 from repro.config import load_config
 from repro.durability import DurableMetricsStore, open_data_dir
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
-from repro.timeseries.store import MetricsStore
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 _PORT_LINE = re.compile(r"caladrius serving on ([\d.]+):(\d+)")
@@ -45,12 +45,12 @@ def _bare_config(**ingest_overrides):
 
 
 @pytest.fixture()
-def async_service(tmp_path):
-    """A durable app on the asyncio server, commit groups of 10."""
+def grouped_service(tmp_path):
+    """A durable app behind the listener, commit groups of 10."""
     config = _bare_config(commit_max_frames=10)
     store = DurableMetricsStore(tmp_path / "data", fsync="always")
     app = CaladriusApp(config, TopologyTracker(), store)
-    with AsyncCaladriusServer(app, port=0) as server:
+    with CaladriusServer(app, port=0) as server:
         client = CaladriusClient(server.host, server.port, retries=0)
         try:
             yield app, client, store
@@ -60,67 +60,9 @@ def async_service(tmp_path):
     store.close()
 
 
-class TestParity:
-    def test_plain_json_routes_work(self, async_service):
-        _, client, _ = async_service
-        assert client.healthz()["status"] == "ok"
-        assert client.topologies() == []
-        written = client.write_metrics(
-            "arrivals", [(60, 1.0), (120, 2.0)], {"topology": "wc"}
-        )
-        assert written == 2
-        (series,) = client.read_metrics("arrivals", {"topology": "wc"})
-        assert series["values"] == [1.0, 2.0]
-
-    def test_keep_alive_reuses_one_connection(self, async_service):
-        _, client, _ = async_service
-        client.healthz()
-        connection, _ = client._connection()
-        for _ in range(5):
-            client.healthz()
-        again, reused = client._connection()
-        assert again is connection and reused
-
-    def test_unknown_route_is_a_404(self, async_service):
-        _, client, _ = async_service
-        with pytest.raises(ApiError) as excinfo:
-            client._request("GET", "/no/such/route")
-        assert excinfo.value.status == 404
-
-    def test_bad_json_body_is_a_400(self, async_service):
-        _, client, _ = async_service
-        with pytest.raises(ApiError, match="not JSON"):
-            client._request(
-                "POST", "/metrics/write", raw_body=b"{not json",
-            )
-
-    def test_duplicate_query_parameter_is_a_400(self, async_service):
-        _, client, _ = async_service
-        with pytest.raises(ApiError) as excinfo:
-            client._request("GET", "/metrics/read?name=a&name=b")
-        assert excinfo.value.status == 400
-        assert "duplicate query parameter" in str(excinfo.value)
-
-    def test_oversized_body_is_a_413(self, tmp_path):
-        config = _bare_config(max_body_bytes=512)
-        app = CaladriusApp(config, TopologyTracker(), MetricsStore())
-        with AsyncCaladriusServer(app, port=0) as server:
-            client = CaladriusClient(server.host, server.port, retries=0)
-            try:
-                with pytest.raises(ApiError) as excinfo:
-                    client.write_batch(
-                        [("m", 60 * (i + 1), float(i)) for i in range(100)]
-                    )
-                assert excinfo.value.status == 413
-                assert excinfo.value.payload["max_body_bytes"] == 512
-            finally:
-                client.close()
-        app.shutdown()
-
-
 class TestStreamingAcks:
-    def test_small_batch_answers_plain_json(self, async_service):
-        _, client, _ = async_service
+    def test_small_batch_answers_plain_json(self, grouped_service):
+        _, client, _ = grouped_service
         # 10 frames = exactly one commit group: no streaming, no
         # commits list in the answer.
         ack = client.write_batch(
@@ -131,8 +73,8 @@ class TestStreamingAcks:
         assert ack.commits == []
         assert ack.last_lsn - ack.first_lsn == 9
 
-    def test_large_batch_streams_group_commits(self, async_service):
-        _, client, store = async_service
+    def test_large_batch_streams_group_commits(self, grouped_service):
+        _, client, store = grouped_service
         ack = client.write_batch(
             [("many", 60 * (i + 1), float(i), {"topology": "s2"})
              for i in range(35)]
@@ -156,8 +98,8 @@ class TestStreamingAcks:
         series = store.get("many", {"topology": "s2"})
         assert len(series.timestamps) == 35
 
-    def test_rejections_are_rebased_onto_the_batch(self, async_service):
-        _, client, _ = async_service
+    def test_rejections_are_rebased_onto_the_batch(self, grouped_service):
+        _, client, _ = grouped_service
         entries = [
             ("rebase", 60 * (i + 1), float(i), {"topology": "s3"})
             for i in range(25)
@@ -167,8 +109,8 @@ class TestStreamingAcks:
         assert ack.acked == 24
         assert [r["frame"] for r in ack.rejected] == [12]
 
-    def test_drain_mid_stream_keeps_the_acked_prefix(self, async_service):
-        app, client, store = async_service
+    def test_drain_mid_stream_keeps_the_acked_prefix(self, grouped_service):
+        app, client, store = grouped_service
         original = app.handle_write_batch_frames
         calls = {"n": 0}
 
@@ -200,6 +142,40 @@ class TestStreamingAcks:
         series = store.get("racing", {"topology": "s4"})
         assert len(series.timestamps) == 20
 
+    def test_crash_mid_stream_is_reported_in_band(self, grouped_service):
+        """A bug in one commit group is not a transport error.
+
+        The 200 head is already out, so the crash rides the stream as a
+        status-500 refusal; later groups are not attempted (they would
+        land ahead of the crashed group's retry) and the acked prefix
+        stands.
+        """
+        app, client, store = grouped_service
+        original = app.handle_write_batch_frames
+        calls = {"n": 0}
+
+        def crash_on_second_group(frames, headers=None):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise RuntimeError("model bug")
+            return original(frames, headers)
+
+        app.handle_write_batch_frames = crash_on_second_group
+        try:
+            ack = client.write_batch(
+                [("crashy", 60 * (i + 1), float(i), {"topology": "s6"})
+                 for i in range(35)]
+            )
+        finally:
+            app.handle_write_batch_frames = original
+        assert calls["n"] == 2
+        assert ack.acked == 10
+        assert [r["status"] for r in ack.refused] == [500, 500, 500]
+        assert {r["type"] for r in ack.refused} == {"RuntimeError"}
+        series = store.get("crashy", {"topology": "s6"})
+        assert len(series.timestamps) == 10
+        assert app.lifecycle.wait_idle(5)
+
     def test_batch_racing_graceful_shutdown(self, tmp_path):
         """A drain during an in-flight batch never truncates a response.
 
@@ -210,7 +186,7 @@ class TestStreamingAcks:
         config = _bare_config(commit_max_frames=10)
         store = DurableMetricsStore(tmp_path / "data", fsync="always")
         app = CaladriusApp(config, TopologyTracker(), store)
-        server = AsyncCaladriusServer(app, port=0)
+        server = CaladriusServer(app, port=0)
         server.start()
         client = CaladriusClient(server.host, server.port, retries=0)
         results: list = []
@@ -265,7 +241,6 @@ def _spawn(data_dir: Path, *extra: str) -> tuple[subprocess.Popen, int]:
             "--data-dir", str(data_dir),
             "--fsync", "always",
             "--port", "0",
-            "--async-api",
             *extra,
         ],
         env=env,

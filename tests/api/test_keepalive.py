@@ -3,7 +3,7 @@ clients that disconnect mid-response."""
 
 from __future__ import annotations
 
-import json
+import asyncio
 import logging
 import threading
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.api.app import CaladriusApp
 from repro.api.client import CaladriusClient
-from repro.api.server import CaladriusServer, _make_handler
+from repro.api.server import CaladriusServer
 from repro.config import load_config
 
 
@@ -81,8 +81,8 @@ class TestKeepAlive:
         client.close()
 
 
-class _Sink:
-    """A wfile that drops the connection partway through a response."""
+class _DeadWriter:
+    """A stream writer whose peer went away partway through a response."""
 
     def __init__(self, fail_with: type[Exception]) -> None:
         self.fail_with = fail_with
@@ -92,21 +92,8 @@ class _Sink:
         self.writes += 1
         raise self.fail_with("peer went away")
 
-    def flush(self) -> None:  # BaseHTTPRequestHandler may flush
+    async def drain(self) -> None:
         pass
-
-
-def _bare_handler(app) -> object:
-    """A handler instance with just enough state to drive ``_send``."""
-    handler_cls = _make_handler(app)
-    handler = handler_cls.__new__(handler_cls)
-    handler.request_version = "HTTP/1.1"
-    handler.close_connection = False
-    handler.command = "GET"
-    handler.path = "/healthz"
-    handler.client_address = ("127.0.0.1", 54321)
-    handler.requestline = "GET /healthz HTTP/1.1"
-    return handler
 
 
 class TestClientDisconnectMidResponse:
@@ -117,15 +104,16 @@ class TestClientDisconnectMidResponse:
         _, _, _, store, tracker = deployed_wordcount
         app = CaladriusApp(load_config({}), tracker, store)
         try:
-            handler = _bare_handler(app)
-            sink = _Sink(error)
-            handler.wfile = sink
+            server = CaladriusServer(app, port=0)
+            writer = _DeadWriter(error)
             with caplog.at_level(logging.DEBUG, logger="repro.api.server"):
-                handler._send(200, {"ok": True})  # must not raise
-            assert sink.writes >= 1
-            # The connection is marked dead so the handler loop exits
-            # instead of trying to read another request from it.
-            assert handler.close_connection is True
+                alive = asyncio.run(  # must not raise
+                    server._send(writer, 200, {"ok": True}, True)
+                )
+            assert writer.writes >= 1
+            # The connection is reported dead so the connection loop
+            # exits instead of trying to read another request from it.
+            assert alive is False
             assert any(
                 "disconnected mid-response" in message
                 for message in caplog.messages
@@ -137,10 +125,14 @@ class TestClientDisconnectMidResponse:
         _, _, _, store, tracker = deployed_wordcount
         app = CaladriusApp(load_config({}), tracker, store)
         try:
-            handler = _bare_handler(app)
-            handler.wfile = _Sink(BrokenPipeError)
+            server = CaladriusServer(app, port=0)
             with pytest.raises(TypeError):
                 # Unserialisable payloads are bugs, not disconnects.
-                handler._send(200, {"bad": object()})
+                asyncio.run(
+                    server._send(
+                        _DeadWriter(BrokenPipeError), 200,
+                        {"bad": object()}, True,
+                    )
+                )
         finally:
             app.shutdown()

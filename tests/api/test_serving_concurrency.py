@@ -20,6 +20,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -197,6 +198,68 @@ class TestSingleFlightOverHttp:
             uncached.shutdown()
 
 
+class _BlockingModel:
+    """A performance model that holds its scheduler slot until released."""
+
+    def __init__(self) -> None:
+        self.release = threading.Event()
+
+    def predict(self, topology, **_kwargs):
+        self.release.wait(60)
+        return SimpleNamespace(as_dict=lambda: {"model": "blocking"})
+
+
+def _overload(app, extra):
+    """Fill every scheduler slot and queue place, then ``extra`` more.
+
+    Distinct source rates defeat coalescing, and the blocking model pins
+    the admitted requests in place, so exactly ``extra`` arrivals find
+    the queue full — no timing assumption.  Returns the per-request
+    ``(status, Retry-After header, payload)`` outcomes and what
+    ``/healthz`` answered while the service was saturated.
+    """
+    model = _BlockingModel()
+    app.registry.performance["throughput-prediction"] = model
+    scheduler = app.serving.scheduler
+    capacity = scheduler.max_concurrent + scheduler.max_queue
+
+    def hammer(rate):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=60
+        )
+        try:
+            connection.request(
+                "POST",
+                "/model/topology/heron/word-count",
+                body=json.dumps({"source_rate": rate}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read().decode())
+            return response.status, response.getheader("Retry-After"), payload
+        finally:
+            connection.close()
+
+    with CaladriusServer(app) as server:
+        with ThreadPoolExecutor(max_workers=capacity + extra) as pool:
+            futures = [
+                pool.submit(hammer, (30 + i) * M)
+                for i in range(capacity + extra)
+            ]
+            try:
+                deadline = time.monotonic() + 30
+                while scheduler.shed < extra and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                with CaladriusClient(
+                    "127.0.0.1", server.port, timeout=10, retries=0
+                ) as client:
+                    health = client.healthz()
+            finally:
+                model.release.set()
+            outcomes = [f.result(120) for f in futures]
+    return outcomes, health
+
+
 class TestLoadSheddingOverHttp:
     def test_429_with_retry_after_header(self, private_deployment):
         tracker, store = private_deployment
@@ -208,43 +271,13 @@ class TestLoadSheddingOverHttp:
         )
         app = CaladriusApp(config, tracker, store)
         try:
-            barrier = threading.Barrier(8, timeout=30)
-
-            def hammer(rate):
-                connection = http.client.HTTPConnection(
-                    "127.0.0.1", server.port, timeout=60
-                )
-                try:
-                    body = json.dumps({"source_rate": rate}).encode()
-                    barrier.wait()
-                    connection.request(
-                        "POST",
-                        "/model/topology/heron/word-count",
-                        body=body,
-                        headers={"Content-Type": "application/json"},
-                    )
-                    response = connection.getresponse()
-                    payload = json.loads(response.read().decode())
-                    return (
-                        response.status,
-                        response.getheader("Retry-After"),
-                        payload,
-                    )
-                finally:
-                    connection.close()
-
-            with CaladriusServer(app) as server:
-                with ThreadPoolExecutor(max_workers=8) as pool:
-                    # 8 concurrent *distinct* requests (no coalescing)
-                    # against 1 slot + 1 queue place: most must shed.
-                    futures = [
-                        pool.submit(hammer, (30 + i) * M) for i in range(8)
-                    ]
-                    outcomes = [f.result(120) for f in futures]
+            # 8 concurrent *distinct* requests against 1 slot + 1 queue
+            # place: all but two must shed.
+            outcomes, _ = _overload(app, extra=6)
             shed = [o for o in outcomes if o[0] == 429]
             served = [o for o in outcomes if o[0] == 200]
-            assert len(served) >= 1
-            assert len(shed) >= 1
+            assert len(served) == 2
+            assert len(shed) == 6
             for status, retry_after, payload in shed:
                 assert retry_after is not None
                 assert int(retry_after) >= 1
@@ -252,6 +285,36 @@ class TestLoadSheddingOverHttp:
                 assert "error" in payload
             status, stats = app.handle("GET", "/serving/stats")
             assert stats["shed"] == len(shed)
+        finally:
+            app.shutdown()
+
+    def test_default_config_sheds_at_the_scheduler_not_the_listener(
+        self, private_deployment
+    ):
+        """The listener's pool never stands in front of the scheduler.
+
+        With the default ``max_concurrent 4 + max_queue 32``, every
+        admitted or queued request must own a worker thread; otherwise
+        overload parks in the executor backlog, nothing is ever shed,
+        and ``/healthz`` waits behind blocked modelling requests.
+        """
+        tracker, store = private_deployment
+        config = load_config(_MODEL_CONFIG)
+        capacity = config.serving.max_concurrent + config.serving.max_queue
+        app = CaladriusApp(config, tracker, store)
+        try:
+            outcomes, health = _overload(app, extra=5)
+            statuses = [status for status, _, _ in outcomes]
+            assert statuses.count(200) == capacity
+            assert statuses.count(429) == 5
+            assert all(
+                int(retry_after) >= 1
+                for status, retry_after, _ in outcomes
+                if status == 429
+            )
+            # Answered while every slot and queue place was held.
+            assert health["status"] in ("ok", "degraded")
+            assert app.lifecycle.inflight() == 0
         finally:
             app.shutdown()
 

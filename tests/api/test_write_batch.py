@@ -1,4 +1,4 @@
-"""The batched binary ingest endpoint over the threaded server.
+"""The batched binary ingest endpoint over HTTP.
 
 ``POST /metrics/write_batch`` carries WAL-framed samples verbatim;
 these tests pin the codec's strict decode errors, the route's ack
@@ -51,7 +51,7 @@ def _bare_config(**ingest_overrides):
 
 @pytest.fixture()
 def live(tmp_path):
-    """A durable app on the threaded server, plus a no-retry client."""
+    """A durable app behind the listener, plus a no-retry client."""
     config = _bare_config()
     store = DurableMetricsStore(tmp_path / "data", fsync="always")
     app = CaladriusApp(config, TopologyTracker(), store)

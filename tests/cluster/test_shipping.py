@@ -231,5 +231,17 @@ class TestFollowerReads:
                     tags={"topology": "word-count"},
                 )
             assert excinfo.value.status == 403
+            # A follower commits no frames itself, so the listener takes
+            # write_batch through handle() like any JSON route: framed
+            # bytes are a structured 400 on a live connection, not a
+            # crash in a streaming path the app does not have.
+            with pytest.raises(ApiError) as excinfo:
+                client.write_batch(
+                    [("emit-count", 999960, 1.0, {"topology": "word-count"})]
+                )
+            assert excinfo.value.status == 400
+            assert "not JSON" in str(excinfo.value)
+            assert client.healthz()["state"] == "running"
+            assert server.app.lifecycle.wait_idle(5)
         finally:
             client.close()

@@ -206,6 +206,32 @@ class TestRouterWriteBatch:
         assert refusal["shard_id"] == fenced_owner
 
 
+    def test_served_router_answers_one_json_document(self, mini_cluster):
+        """Over HTTP the router merges; it never streams commit groups.
+
+        ``RouterApp`` has no ``handle_write_batch_frames``, so even a
+        batch over ``commit_max_frames`` reaches ``handle`` as raw bytes
+        and comes back as the one merged summary, ``per_shard`` included.
+        """
+        _, router, router_server, _ = mini_cluster
+        count = router.config.ingest.commit_max_frames + 4
+        entries = _mixed_entries(count)
+        client = CaladriusClient(
+            router_server.host, router_server.port, retries=0
+        )
+        try:
+            over_http = client._request(
+                "POST", "/metrics/write_batch",
+                raw_body=encode_frames(entries),
+            )
+        finally:
+            client.close()
+        assert over_http["acked"] == count
+        assert "commits" not in over_http
+        assert set(over_http["per_shard"]) == {"0", "1"}
+        assert router.lifecycle.wait_idle(5)
+
+
 class TestClusterClientWriteBatch:
     def _client(self, router_server, **kwargs):
         kwargs.setdefault("sleep", lambda seconds: None)

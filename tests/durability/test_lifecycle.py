@@ -268,8 +268,7 @@ class TestGracefulShutdownOverHttp:
                 return True
 
         real_thread = server._thread
-        server._httpd.shutdown()
-        server._httpd.server_close()
+        server._loop.call_soon_threadsafe(server._stop_event.set)
         real_thread.join(5)
         server._thread = StuckThread()
         with caplog.at_level("WARNING", logger="repro.api.server"):
@@ -298,3 +297,7 @@ class TestClientHelpers:
             assert written == 2
             series = bare_app.store.get("latency", {"topology": "word-count"})
             assert list(series.values) == [4.2, 4.5]
+            (read_back,) = client.read_metrics(
+                "latency", {"topology": "word-count"}
+            )
+            assert read_back["values"] == [4.2, 4.5]
