@@ -44,7 +44,7 @@ from repro.durability.deadline import (
 )
 from repro.durability.lifecycle import LifecycleController
 from repro.api.ingest import FRAMES_CONTENT_TYPE, decode_frames
-from repro.errors import ApiError, MetricsError, ReproError, TopologyError
+from repro.errors import ApiError, ReproError, TopologyError
 from repro.heron.tracker import TopologyTracker
 from repro.serving import (
     INTERACTIVE,
@@ -453,11 +453,12 @@ class CaladriusApp:
     def _metrics_write(self, body: Mapping[str, Any]) -> dict[str, Any]:
         """Append samples to the store; 200 means *durably* accepted.
 
-        The write goes through :meth:`MetricsStore.write`, so when the
-        store is a :class:`~repro.durability.DurableMetricsStore` every
-        sample is journalled (per the configured fsync policy) before
-        the response leaves — the contract the crash-recovery harness
-        verifies with ``kill -9``.
+        The validated samples go to the store as one batch
+        (:meth:`MetricsStore.write_many`), so when the store is a
+        :class:`~repro.durability.DurableMetricsStore` they are
+        journalled in one group commit (per the configured fsync policy)
+        before the response leaves — the contract the crash-recovery
+        harness verifies with ``kill -9``.
         """
         name = body.get("name")
         if not isinstance(name, str) or not name:
@@ -470,7 +471,6 @@ class CaladriusApp:
         samples = body.get("samples")
         if not isinstance(samples, list) or not samples:
             raise ApiError("samples must be a non-empty list of [ts, value]")
-        written = 0
         for sample in samples:
             if (
                 not isinstance(sample, (list, tuple))
@@ -481,10 +481,9 @@ class CaladriusApp:
                 raise ApiError(
                     "each sample must be a [timestamp, value] number pair"
                 )
-            self.store.write(name, int(sample[0]), float(sample[1]), tags)
-            written += 1
+        self.store.write_many(name, samples, tags)
         self._ship_after_write()
-        return {"written": written}
+        return {"written": len(samples)}
 
     def _ship_after_write(self) -> None:
         """Synchronous replica catch-up before acking (when enabled).
@@ -517,44 +516,9 @@ class CaladriusApp:
         frames = decode_frames(raw)
         if not frames:
             raise ApiError("write_batch body contains no frames")
-        result = self._ingest_frames(frames)
+        result = self.store.ingest_frames(frames)
         self._ship_after_write()
         return result
-
-    def _ingest_frames(
-        self, frames: list[tuple[Any, str]]
-    ) -> dict[str, Any]:
-        ingest = getattr(self.store, "ingest_frames", None)
-        if ingest is not None:
-            return ingest(frames)
-        # Plain in-memory store: same validation and batched apply,
-        # nothing to journal so ack offsets stay None.
-        from repro.durability.store import frame_sample
-
-        rejected: list[dict[str, Any]] = []
-        entries = []
-        indexes = []
-        for idx, (record, body) in enumerate(frames):
-            try:
-                entries.append(frame_sample(record, body))
-            except MetricsError as exc:
-                rejected.append({"frame": idx, "error": str(exc)})
-            else:
-                indexes.append(idx)
-        errors = self.store.apply_sample_batch(entries)
-        rejected.extend(
-            {"frame": idx, "error": error}
-            for idx, error in zip(indexes, errors)
-            if error is not None
-        )
-        rejected.sort(key=lambda entry: entry["frame"])
-        return {
-            "frames": len(frames),
-            "acked": len(frames) - len(rejected),
-            "rejected": rejected,
-            "first_lsn": None,
-            "last_lsn": None,
-        }
 
     def handle_write_batch_frames(
         self,
@@ -575,7 +539,7 @@ class CaladriusApp:
             self._refuse_if_draining()
             self._refuse_if_read_only()
             self._check_epoch(lowered)
-            result = self._ingest_frames(frames)
+            result = self.store.ingest_frames(frames)
             self._ship_after_write()
             return 200, result
         except ApiError as exc:

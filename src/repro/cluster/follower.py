@@ -14,7 +14,7 @@ follower maintains:
 * **a live read replica**: every *complete* frame past the applied LSN
   is decoded with the same codec recovery uses
   (:func:`~repro.durability.wal.read_segment_records` +
-  :func:`~repro.durability.store.apply_wal_record`) into an in-memory
+  :func:`~repro.durability.store.apply_wal_records`) into an in-memory
   store and tracker, served read-only through an embedded
   :class:`~repro.api.app.CaladriusApp` — modelling queries
   (``/model/…``, ``/topologies``) work against the follower; writes are
@@ -53,9 +53,9 @@ from repro.durability.codec import (
     restore_tracker_state,
     store_content_hash,
 )
-from repro.durability.store import apply_wal_record
+from repro.durability.store import apply_wal_records
 from repro.durability.wal import read_segment_records
-from repro.errors import DurabilityError, MetricsError
+from repro.errors import DurabilityError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
 
@@ -230,20 +230,23 @@ class FollowerReplica:
         stops at the first incomplete or corrupt frame, and the parse
         offset stays just before it so the next shipment resumes there.
         """
-        start = self._parse_offsets.get(path.name, 0)
-        end = start
-        for record, end in read_segment_records(path, start):
-            lsn = int(record.get("lsn", 0))
-            if lsn <= self.applied_lsn:
-                continue
-            try:
-                apply_wal_record(self.store, record)
-                self.applied_records += 1
-            except MetricsError:
-                # Same stance as crash recovery: a record the store
-                # rejects (duplicate of checkpointed data) is skipped.
-                self.skipped_records += 1
-            self.applied_lsn = lsn
+        end = self._parse_offsets.get(path.name, 0)
+        last = self.applied_lsn
+
+        def fresh():
+            nonlocal end, last
+            for record, end in read_segment_records(path, end):
+                lsn = int(record.get("lsn", 0))
+                if lsn > last:
+                    last = lsn
+                    yield record
+
+        # Same stance as crash recovery: a record the store rejects
+        # (duplicate of checkpointed data) is skipped.
+        applied, skipped = apply_wal_records(self.store, fresh())
+        self.applied_records += applied
+        self.skipped_records += skipped
+        self.applied_lsn = last
         self._parse_offsets[path.name] = end
 
     @staticmethod

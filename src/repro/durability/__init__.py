@@ -46,7 +46,7 @@ from repro.durability.recovery import open_data_dir, peek_recoverable_lsn
 from repro.durability.store import (
     DurableMetricsStore,
     RecoveryReport,
-    apply_wal_record,
+    apply_wal_records,
 )
 from repro.durability.wal import (
     FSYNC_ALWAYS,
@@ -78,7 +78,7 @@ __all__ = [
     "LifecycleController",
     "RecoveryReport",
     "WriteAheadLog",
-    "apply_wal_record",
+    "apply_wal_records",
     "atomic_write_json",
     "check_deadline",
     "read_segment_records",

@@ -70,8 +70,9 @@ def restore_store_state(store: MetricsStore, state: dict[str, Any]) -> int:
     """Load a snapshot into an (empty) store; returns samples restored.
 
     Versions are restored *before* the series are replayed through
-    :meth:`MetricsStore.write`, so the final counters are snapshot
-    values plus replay increments — never lower than at snapshot time.
+    :meth:`MetricsStore.write_many` (one batch per series), so the final
+    counters are snapshot values plus replay increments — never lower
+    than at snapshot time.
     """
     if not isinstance(state, dict) or "series" not in state:
         raise DurabilityError("malformed store snapshot: no 'series' list")

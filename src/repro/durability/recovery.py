@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +20,6 @@ def open_data_dir(
     fsync: str = FSYNC_INTERVAL,
     fsync_interval_seconds: float = 0.05,
     segment_max_bytes: int = 4 * 1024 * 1024,
-    clock: Callable[[], float] = time.monotonic,
     faults: Any | None = None,
 ) -> tuple[DurableMetricsStore, TopologyTracker]:
     """Recover (or initialise) a data directory.
@@ -38,7 +35,6 @@ def open_data_dir(
         fsync=fsync,
         fsync_interval_seconds=fsync_interval_seconds,
         segment_max_bytes=segment_max_bytes,
-        clock=clock,
         faults=faults,
     )
     tracker = TopologyTracker()

@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -33,81 +32,70 @@ from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import encode_store_state, restore_store_state
 from repro.durability.wal import FSYNC_INTERVAL, WriteAheadLog
 from repro.errors import MetricsError
-from repro.timeseries.store import MetricKey, MetricsStore
+from repro.timeseries.store import (
+    MetricKey,
+    MetricsStore,
+    MinuteBatch,
+    raise_first_error,
+    frame_sample,
+)
 
 __all__ = [
     "DurableMetricsStore",
     "RecoveryReport",
-    "apply_wal_record",
+    "apply_wal_records",
     "frame_sample",
 ]
 
 _WAL_SUBDIR = "wal"
+#: What a per-series journal template starts with; a record *body* (the
+#: form ``WriteAheadLog.append_bodies`` takes) is the same text without it.
+_LSN_SLOT = '{"lsn":%d,'
+_REPLAY_BATCH = 1024
 
 
-def apply_wal_record(store: MetricsStore, record: Mapping[str, Any]) -> None:
-    """Apply one WAL record to a store through the plain (unjournaled)
-    write path.
+def apply_wal_records(
+    store: MetricsStore, records: Iterable[Mapping[str, Any]]
+) -> tuple[int, int]:
+    """Replay WAL records into a store; returns ``(replayed, skipped)``.
 
-    Shared by :class:`DurableMetricsStore` recovery and the cluster
-    tier's follower replay, so a replica replays shipped segments with
-    exactly the semantics recovery uses.
+    The one replay function: :class:`DurableMetricsStore` recovery and
+    the cluster tier's follower both hand their records here, so a
+    replica replays shipped segments with exactly the semantics recovery
+    uses.  Runs of ``write`` records go through the plain (unjournaled)
+    keyed loop as one batch each (cut at :data:`_REPLAY_BATCH` so a long
+    log is never held in memory as entries); a ``clear`` is applied in
+    its place between them.  A record the store rejects (it predates the
+    checkpoint cut, or duplicates a replayed sample) or whose ``op`` is
+    unknown is skipped and counted: replay restores everything
+    restorable.
     """
-    op = record.get("op")
-    if op == "write":
-        MetricsStore.write(
-            store,
-            record["name"],
-            int(record["ts"]),
-            float(record["v"]),
-            record.get("tags") or None,
-        )
-    elif op == "clear":
-        MetricsStore.clear(store)
-    else:
-        raise MetricsError(f"unknown WAL op {op!r}")
+    replayed = skipped = 0
+    entries: list[tuple[MetricKey, int, float]] = []
 
+    def apply_pending() -> None:
+        nonlocal replayed, skipped
+        errors = MetricsStore.apply_sample_batch(store, entries)
+        accepted = errors.count(None)
+        replayed += accepted
+        skipped += len(errors) - accepted
+        entries.clear()
 
-def frame_sample(record: Any, body: str) -> tuple[MetricKey, int, float]:
-    """Validate one decoded ingest frame into a ``(key, ts, value)`` sample.
-
-    The batched ingest path appends client-framed payloads to the WAL
-    verbatim (modulo the spliced LSN prefix), so durability owns the
-    gate on what a frame may contain: a ``write`` record whose fields
-    recovery can replay, and nothing that would corrupt the log — in
-    particular no client-supplied ``lsn`` (a duplicate JSON key would
-    shadow the server-assigned one on replay) and no non-finite value
-    (``repr`` of ``inf``/``nan`` is not JSON).  Raises
-    :class:`~repro.errors.MetricsError` naming the defect.
-    """
-    if not isinstance(record, Mapping):
-        raise MetricsError("frame payload must be a JSON object")
-    if record.get("op") != "write":
-        raise MetricsError(f"unsupported frame op {record.get('op')!r}")
-    if "lsn" in record:
-        raise MetricsError(
-            "frame must not carry an 'lsn' field; the server assigns LSNs"
-        )
-    name = record.get("name")
-    if not isinstance(name, str) or not name:
-        raise MetricsError("frame 'name' must be a non-empty string")
-    tags = record.get("tags") or {}
-    if not isinstance(tags, Mapping) or any(
-        not isinstance(k, str) or not isinstance(v, str)
-        for k, v in tags.items()
-    ):
-        raise MetricsError("frame 'tags' must map strings to strings")
-    ts = record.get("ts")
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-        raise MetricsError("frame 'ts' must be a number")
-    value = record.get("v")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MetricsError("frame 'v' must be a number")
-    if not math.isfinite(value):
-        raise MetricsError("frame 'v' must be finite")
-    if not body.startswith("{"):
-        raise MetricsError("frame payload must be a compact JSON object")
-    return MetricKey.of(name, tags), int(ts), float(value)
+    for record in records:
+        op = record.get("op")
+        if op == "write":
+            key = MetricKey.of(record["name"], record.get("tags") or None)
+            entries.append((key, record["ts"], record["v"]))
+            if len(entries) >= _REPLAY_BATCH:
+                apply_pending()
+        elif op == "clear":
+            apply_pending()
+            MetricsStore.clear(store)
+            replayed += 1
+        else:
+            skipped += 1
+    apply_pending()
+    return replayed, skipped
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,6 @@ class DurableMetricsStore(MetricsStore):
         fsync: str = FSYNC_INTERVAL,
         fsync_interval_seconds: float = 0.05,
         segment_max_bytes: int = 4 * 1024 * 1024,
-        clock: Callable[[], float] = time.monotonic,
         faults: Any | None = None,
     ) -> None:
         self.data_dir = Path(data_dir)
@@ -170,10 +157,10 @@ class DurableMetricsStore(MetricsStore):
         super().__init__(retention_seconds)
         # One lock serialises apply+journal so WAL order always matches
         # in-memory apply order (replay must not reorder same-series
-        # writes).  It is re-entrant because recovery applies records
-        # through the plain (journalling-off) superclass path, and it
-        # replaces the superclass lock outright so a journaled write
-        # pays one lock round-trip, not two.
+        # writes).  It is re-entrant because every journaled mutation
+        # holds it around the superclass body, and it replaces the
+        # superclass lock outright so a journaled write pays one lock
+        # round-trip, not two.
         self._journal_lock = threading.RLock()
         self._lock = self._journal_lock
         self._journalling = False
@@ -184,7 +171,6 @@ class DurableMetricsStore(MetricsStore):
             segment_max_bytes=segment_max_bytes,
             fsync=fsync,
             fsync_interval_seconds=fsync_interval_seconds,
-            clock=clock,
             faults=faults,
             lock=self._journal_lock,
         )
@@ -207,17 +193,9 @@ class DurableMetricsStore(MetricsStore):
         if checkpoint is not None:
             checkpoint_lsn = int(checkpoint.get("last_lsn", 0))
             snapshot_samples = restore_store_state(self, checkpoint["store"])
-        replayed = 0
-        skipped = 0
-        for record in self.wal.replay(after_lsn=checkpoint_lsn):
-            try:
-                self._apply(record)
-                replayed += 1
-            except MetricsError:
-                # A record the in-memory store rejects (it predates the
-                # checkpoint cut, or duplicates a replayed sample) is
-                # skipped: recovery restores everything restorable.
-                skipped += 1
+        replayed, skipped = apply_wal_records(
+            self, self.wal.replay(after_lsn=checkpoint_lsn)
+        )
         return RecoveryReport(
             checkpoint_lsn=checkpoint_lsn,
             snapshot_samples=snapshot_samples,
@@ -227,12 +205,38 @@ class DurableMetricsStore(MetricsStore):
             last_lsn=self.wal.last_lsn,
         )
 
-    def _apply(self, record: Mapping[str, Any]) -> None:
-        apply_wal_record(self, record)
-
     # ------------------------------------------------------------------
     # Journaled mutations
     # ------------------------------------------------------------------
+    def apply_sample_batch(
+        self,
+        entries: Sequence[tuple[MetricKey, int, float]],
+        bodies: Sequence[str] | None = None,
+    ) -> list[str | None]:
+        """Apply a keyed batch, then journal what was accepted: one
+        lock hold, one group commit (at most one fsync under
+        ``fsync="always"``).
+
+        Every batched writer lands here — ``write_many``, the
+        simulator's minute flushes, ``POST /metrics/write`` and
+        :meth:`ingest_frames` — so this is the one place a batch meets
+        the log.  ``bodies`` (the client's own record text, from
+        :meth:`ingest_frames`) is appended verbatim modulo the spliced
+        LSN prefix; without it each record is rendered from its series'
+        cached template.  Rejected entries are never journaled.
+        """
+        with self._journal_lock:
+            errors = super().apply_sample_batch(entries)
+            if self._journalling:
+                accepted = [
+                    self._body(*entries[idx]) if bodies is None else bodies[idx]
+                    for idx, error in enumerate(errors)
+                    if error is None
+                ]
+                if accepted:
+                    self.wal.append_bodies(accepted)
+        return errors
+
     def write(
         self,
         name: str,
@@ -240,101 +244,94 @@ class DurableMetricsStore(MetricsStore):
         value: float,
         tags: Mapping[str, str] | None = None,
     ) -> None:
-        """Append one sample; durable (per fsync policy) before return."""
+        """Append one sample; durable (per fsync policy) before return.
+
+        A batch of one through the shared loop; only the journal call is
+        specialised — one format pass straight into the log instead of a
+        rendered body handed to ``append_bodies`` — because the cost of a
+        durable ``write`` over an in-memory one is a benchmarked gate
+        (``bench_wal_overhead``).
+        """
         key = MetricKey.of(name, tags)
         with self._journal_lock:
-            buffer = MetricsStore._write_keyed(self, key, timestamp, value)
+            raise_first_error(
+                MetricsStore.apply_sample_batch(self, ((key, timestamp, value),))
+            )
             if self._journalling:
                 if type(value) is not float:
                     value = float(value)
-                if type(timestamp) is not int:
-                    timestamp = int(timestamp)
-                template = buffer.journal_template
-                if template is None:
-                    template = self._render_template(key, buffer)
                 if math.isfinite(value):
-                    self.wal.append_template(template, timestamp, value)
-                else:
-                    # repr() of inf/nan is not JSON; take the slow path.
-                    self.wal.append(
-                        {
-                            "op": "write",
-                            "name": name,
-                            "ts": timestamp,
-                            "v": value,
-                            "tags": dict(tags) if tags else {},
-                        }
+                    self.wal.append_template(
+                        self._template(key), int(timestamp), value
                     )
+                else:
+                    self.wal.append_bodies((self._body(key, timestamp, value),))
 
-    def _render_template(self, key: MetricKey, buffer: Any) -> str:
-        # %r of a finite float is its shortest round-tripping repr,
-        # which is valid JSON; non-finite values take the slow path.
-        fields = '"op":"write","name":%s,"tags":%s' % (
-            json.dumps(key.name),
-            json.dumps(key.tag_dict(), separators=(",", ":")),
-        )
-        template = (
-            '{"lsn":%d,' + fields.replace("%", "%%") + ',"ts":%d,"v":%r}'
-        )
-        buffer.journal_template = template
+    def _template(self, key: MetricKey) -> str:
+        """The series' record as a ``%`` template: LSN, timestamp, value."""
+        buffer = self._series[key]
+        template = buffer.journal_template
+        if template is None:
+            # %r of a finite float is its shortest round-tripping repr,
+            # which is valid JSON.
+            fields = '"op":"write","name":%s,"tags":%s' % (
+                json.dumps(key.name),
+                json.dumps(key.tag_dict(), separators=(",", ":")),
+            )
+            template = buffer.journal_template = (
+                _LSN_SLOT + fields.replace("%", "%%") + ',"ts":%d,"v":%r}'
+            )
         return template
+
+    def _body(self, key: MetricKey, timestamp: int, value: float) -> str:
+        """One accepted sample as record text without the LSN."""
+        value = float(value)
+        if math.isfinite(value):
+            return "{" + self._template(key)[len(_LSN_SLOT):] % (
+                int(timestamp), value
+            )
+        # repr() of inf/nan is not JSON; json.dumps spells them the way
+        # json.loads reads them back.
+        return json.dumps(
+            {
+                "op": "write",
+                "name": key.name,
+                "tags": key.tag_dict(),
+                "ts": int(timestamp),
+                "v": value,
+            },
+            separators=(",", ":"),
+        )
 
     def ingest_frames(
         self, frames: Sequence[tuple[Any, str]]
     ) -> dict[str, Any]:
-        """Apply and journal a pre-framed write batch: one lock, one fsync.
-
-        ``frames`` is ``(record, body)`` per frame as produced by
-        :func:`repro.api.ingest.decode_frames` — the decoded record and
-        the exact payload string the client framed.  Under a single
-        journal-lock hold the accepted samples are applied through
-        :meth:`~repro.timeseries.store.MetricsStore.apply_sample_batch`
-        and their bodies appended to the WAL verbatim modulo the spliced
-        LSN prefix (values are never re-encoded), in one group commit
-        costing at most one fsync under ``fsync="always"``.
-
-        Frames the validator or the store rejects (bad shape,
-        out-of-order timestamp) are reported individually and never
-        journaled; they do not poison the rest of the batch.  Returns
-        ``{"frames", "acked", "rejected", "first_lsn", "last_lsn"}``
-        where ``rejected`` is ``[{"frame": i, "error": msg}, ...]`` and
-        the LSN fields are ``None`` when nothing was journaled.
-        """
-        rejected: list[dict[str, Any]] = []
-        entries: list[tuple[MetricKey, int, float]] = []
-        indexes: list[int] = []
-        bodies: list[str] = []
-        for idx, (record, body) in enumerate(frames):
-            try:
-                entries.append(frame_sample(record, body))
-            except MetricsError as exc:
-                rejected.append({"frame": idx, "error": str(exc)})
-            else:
-                indexes.append(idx)
-                bodies.append(body)
-        first_lsn: int | None = None
-        last_lsn: int | None = None
+        """As :meth:`MetricsStore.ingest_frames`, plus the LSN range of
+        the group commit that made the acked frames durable."""
         with self._journal_lock:
-            errors = self.apply_sample_batch(entries)
-            accepted = [
-                body for body, error in zip(bodies, errors) if error is None
-            ]
-            rejected.extend(
-                {"frame": idx, "error": error}
-                for idx, error in zip(indexes, errors)
-                if error is not None
+            result = super().ingest_frames(frames)
+            if result["acked"] and self._journalling:
+                result["last_lsn"] = self.wal.last_lsn
+                result["first_lsn"] = self.wal.last_lsn - result["acked"] + 1
+        return result
+
+    def append_minute_batch(
+        self,
+        batch: MinuteBatch,
+        timestamp: int,
+        values: Sequence[float],
+        topology: str | None = None,
+    ) -> None:
+        """A prepared minute through the journaled loop: one group commit."""
+        if len(values) != len(batch.keys):
+            raise MetricsError(
+                f"batch expects {len(batch.keys)} values, got {len(values)}"
             )
-            if accepted and self._journalling:
-                first_lsn = self.wal.append_bodies(accepted)
-                last_lsn = first_lsn + len(accepted) - 1
-        rejected.sort(key=lambda entry: entry["frame"])
-        return {
-            "frames": len(frames),
-            "acked": len(frames) - len(rejected),
-            "rejected": rejected,
-            "first_lsn": first_lsn,
-            "last_lsn": last_lsn,
-        }
+        raise_first_error(
+            self.apply_sample_batch(
+                [(key, timestamp, value) for key, value in zip(batch.keys, values)]
+            )
+        )
 
     def clear(self) -> None:
         """Drop every stored series (journaled)."""

@@ -41,11 +41,9 @@ import json
 import os
 import struct
 import threading
-import time
 import zlib
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Any
 
@@ -82,50 +80,6 @@ class WalScan:
     torn_records: int
     segments: int
     records: int
-
-
-def _encode_value(value: Any) -> str | None:
-    """Compact JSON for the plain types WAL records are made of.
-
-    ``json.dumps`` builds a fresh encoder per call, which dominates the
-    append path; records are flat dicts of strings, numbers and string
-    maps, so render those directly and return ``None`` (fall back to
-    ``json.dumps``) for anything fancier — subclasses, non-finite
-    floats, exotic containers.
-    """
-    kind = type(value)
-    if kind is str:
-        return _escape(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return str(value)
-    if kind is float:
-        if value != value or value in (float("inf"), float("-inf")):
-            return None
-        return repr(value)
-    if value is None:
-        return "null"
-    if kind is dict:
-        return _encode_object(value)
-    if kind is list or kind is tuple:
-        items = [_encode_value(item) for item in value]
-        if None in items:
-            return None
-        return "[" + ",".join(items) + "]"
-    return None
-
-
-def _encode_object(mapping: dict) -> str | None:
-    parts = []
-    for key, value in mapping.items():
-        if type(key) is not str:
-            return None
-        encoded = _encode_value(value)
-        if encoded is None:
-            return None
-        parts.append(_escape(key) + ":" + encoded)
-    return "{" + ",".join(parts) + "}"
 
 
 def _segment_path(directory: Path, first_lsn: int) -> Path:
@@ -201,8 +155,6 @@ class WriteAheadLog:
         One of :data:`FSYNC_POLICIES` (see module docstring).
     fsync_interval_seconds:
         Minimum spacing of fsyncs under the ``interval`` policy.
-    clock:
-        Monotonic time source (injectable for tests).
     faults:
         Optional :class:`~repro.faults.service.ServiceFaultInjector`
         driving torn-write / fsync-error / disk-full fault tests.
@@ -219,7 +171,6 @@ class WriteAheadLog:
         segment_max_bytes: int = 4 * 1024 * 1024,
         fsync: str = FSYNC_INTERVAL,
         fsync_interval_seconds: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
         faults: Any | None = None,
         lock: Any | None = None,
     ) -> None:
@@ -235,7 +186,6 @@ class WriteAheadLog:
         self.fsync_policy = fsync
         self.fsync_interval_seconds = fsync_interval_seconds
         self._sync_always = fsync == FSYNC_ALWAYS
-        self._sync_timed = fsync == FSYNC_INTERVAL
         # Group commit: under the interval/never policies framed records
         # buffer here and hit the file in batches.  The loss window is
         # unchanged (flush()/the fsync tick drain first), but the hot
@@ -252,23 +202,20 @@ class WriteAheadLog:
         self._fd_lock = threading.Lock()
         self._flusher: threading.Thread | None = None
         self._flusher_stop = threading.Event()
-        self._clock = clock
         self._faults = faults
         self._handle: io.BufferedWriter | None = None
         self._active_path: Path | None = None
         self._active_bytes = 0
-        self._last_sync = self._clock()
         self._unsynced = False
         self._failed: str | None = None
         self.appended = 0
         self.fsyncs = 0
         self._scan = self._scan_segments()
         self._next_lsn = self._scan.last_lsn + 1
-        if self._sync_timed:
+        if fsync == FSYNC_INTERVAL:
             # The fsync tick runs on this thread, off the append path:
             # a slow disk delays durability (within the interval
             # contract) instead of stalling writers.
-            self._sync_timed = False
             self._flusher = threading.Thread(
                 target=self._flush_loop, name="wal-flusher", daemon=True
             )
@@ -288,68 +235,30 @@ class WriteAheadLog:
 
     def _scan_segments(self) -> WalScan:
         """Walk every segment, truncating a torn tail on the last one."""
-        last_lsn = 0
-        torn = 0
-        records = 0
+        last_lsn = torn = records = 0
         paths = self._segment_paths()
-        for position, path in enumerate(paths):
-            final = position == len(paths) - 1
-            valid_end, segment_records, segment_last, segment_torn = (
-                self._scan_one(path, final)
-            )
-            records += segment_records
-            torn += segment_torn
-            if segment_last is not None:
-                last_lsn = segment_last
-            if final and segment_torn:
-                # Cut the file back to the last whole record so appends
-                # resume at a clean frame boundary.
-                with open(path, "r+b") as handle:
-                    handle.truncate(valid_end)
-                _fsync_directory(self.directory)
-        return WalScan(last_lsn, torn, len(paths), records)
-
-    def _scan_one(
-        self, path: Path, final: bool
-    ) -> tuple[int, int, int | None, int]:
-        """One segment: (valid_end_offset, records, last_lsn, torn)."""
-        records = 0
-        last_lsn: int | None = None
-        valid_end = 0
-        with open(path, "rb") as handle:
-            while True:
-                header = handle.read(_HEADER.size)
-                if not header:
-                    return valid_end, records, last_lsn, 0
-                if len(header) < _HEADER.size:
-                    break  # torn mid-header
-                length, crc = _HEADER.unpack(header)
-                if length > _MAX_RECORD_BYTES:
-                    break  # torn/corrupt length word
-                payload = handle.read(length)
-                if len(payload) < length:
-                    break  # torn mid-payload
-                if zlib.crc32(payload) != crc:
-                    break  # torn mid-overwrite (or bit rot)
-                try:
-                    record = json.loads(payload.decode("utf8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
+        for path in paths:
+            valid_end = 0
+            for record, valid_end in read_segment_records(path):
                 records += 1
                 last_lsn = int(record.get("lsn", 0)) or last_lsn
-                valid_end = handle.tell()
+            if path.stat().st_size == valid_end:
+                continue
             # A frame failed to parse.  Torn-tail tolerance only covers
             # the *end of the log*: the final segment, with nothing but
             # the damaged bytes after the last whole record.
-            handle.seek(0, os.SEEK_END)
-            file_end = handle.tell()
-        if not final:
-            raise DurabilityError(
-                f"WAL segment {path} is corrupt at offset {valid_end} "
-                "and is not the final segment; refusing to replay past it"
-            )
-        torn = 1 if file_end > valid_end else 0
-        return valid_end, records, last_lsn, torn
+            if path != paths[-1]:
+                raise DurabilityError(
+                    f"WAL segment {path} is corrupt at offset {valid_end} "
+                    "and is not the final segment; refusing to replay past it"
+                )
+            torn = 1
+            # Cut the file back to the last whole record so appends
+            # resume at a clean frame boundary.
+            with open(path, "r+b") as handle:
+                handle.truncate(valid_end)
+            _fsync_directory(self.directory)
+        return WalScan(last_lsn, torn, len(paths), records)
 
     def replay(self, after_lsn: int = 0) -> Iterator[dict[str, Any]]:
         """Yield every recoverable record with ``lsn > after_lsn``.
@@ -417,56 +326,19 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: dict[str, Any]) -> int:
         """Frame, write and (per policy) sync one record; returns its LSN."""
-        body = None if "lsn" in record else _encode_object(record)
-        if body is None:
-            body = json.dumps(record, separators=(",", ":"))
-        return self.append_body(body)
+        return self.append_bodies((json.dumps(record, separators=(",", ":")),))
 
     def append_body(self, body: str) -> int:
-        """Append a pre-rendered JSON object (sans LSN); returns its LSN.
-
-        ``body`` must be compact JSON object text — the LSN field is
-        spliced in here so callers on the hot write path can cache the
-        rendered record fragments instead of re-encoding every append.
-        This is the hot path: it stays flat (no helper calls, locals
-        over attributes) because its overhead versus a plain in-memory
-        write is a benchmarked gate (``bench_wal_overhead``).
-        """
-        with self._mutex:
-            if self._failed:
-                raise DurabilityError(
-                    f"write-ahead log is failed ({self._failed}); "
-                    "reopen the data directory to recover"
-                )
-            lsn = self._next_lsn
-            if body == "{}":
-                payload = b'{"lsn":%d}' % lsn
-            else:
-                payload = ('{"lsn":%d,%s' % (lsn, body[1:])).encode("utf8")
-            frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            if not self._pending:
-                self._pending_first_lsn = lsn
-            self._pending.append(frame)
-            self._pending_bytes += len(frame)
-            self._next_lsn = lsn + 1
-            self.appended += 1
-            self._unsynced = True
-            if self._sync_always:
-                self.flush()
-            elif self._pending_bytes >= self._group_max_bytes:
-                self._drain()
-            elif self._sync_timed:
-                if self._clock() - self._last_sync >= self.fsync_interval_seconds:
-                    self.flush()
-            return lsn
+        """``append_bodies((body,))``; kept for the frozen
+        ``benchmarks/ledger`` finding test, goes at its re-baseline."""
+        return self.append_bodies((body,))
 
     def append_bodies(self, bodies: Sequence[str]) -> int:
         """Append many pre-rendered bodies as one commit group.
 
         Each element of ``bodies`` is compact JSON object text *without*
-        an LSN — exactly what :meth:`append_body` takes; the LSN prefix
-        is spliced per frame, so client-encoded frames hit the log
-        without re-serialization.  The whole batch is enqueued under a
+        an LSN; the LSN prefix is spliced per frame, so client-encoded
+        frames hit the log without re-serialization.  The whole batch is enqueued under a
         single lock acquisition and issued contiguous LSNs; under
         ``fsync=always`` the batch is synced with **one** ``fsync`` at
         the end instead of one per record — the group-commit amortisation
@@ -505,12 +377,10 @@ class WriteAheadLog:
             count = lsn - first
             self._next_lsn = lsn
             self.appended += count
-            if count:
-                self._unsynced = True
-                if self._sync_always:
-                    self.flush()
-                elif self._pending_bytes >= self._group_max_bytes:
-                    self._drain()
+            if count and self._sync_always:
+                self.flush()
+            elif self._pending_bytes >= self._group_max_bytes:
+                self._drain()
             return first
 
     def append_template(self, template: str, *args: Any) -> int:
@@ -522,8 +392,9 @@ class WriteAheadLog:
         repeatedly (the durable store's write path) cache the template
         once per series, so the whole payload is rendered by a single
         format pass here — no intermediate body string, no splice.
-        Shares :meth:`append_body`'s enqueue tail verbatim: both are the
-        benchmarked hot path and stay flat.
+        This is the per-sample hot path: it stays flat (no helper calls,
+        locals over attributes) because its overhead versus a plain
+        in-memory write is a benchmarked gate (``bench_wal_overhead``).
         """
         with self._mutex:
             if self._failed:
@@ -540,14 +411,10 @@ class WriteAheadLog:
             self._pending_bytes += len(frame)
             self._next_lsn = lsn + 1
             self.appended += 1
-            self._unsynced = True
             if self._sync_always:
                 self.flush()
             elif self._pending_bytes >= self._group_max_bytes:
                 self._drain()
-            elif self._sync_timed:
-                if self._clock() - self._last_sync >= self.fsync_interval_seconds:
-                    self.flush()
             return lsn
 
     def _drain(self) -> None:
@@ -575,6 +442,7 @@ class WriteAheadLog:
                         f"WAL append failed: {exc}"
                     ) from exc
                 self._active_bytes += total
+                self._unsynced = True
                 return
         # Slow path: rotation boundaries inside the batch, or fault
         # injection that must see each frame individually.
@@ -594,6 +462,10 @@ class WriteAheadLog:
                 self._failed = f"append failed: {exc}"
                 raise DurabilityError(f"WAL append failed: {exc}") from exc
             self._active_bytes += frame_len
+            # Marked per write, not per append: opening a segment for
+            # this frame fsynced the one before it (rotate -> flush),
+            # which must not count as having synced this frame.
+            self._unsynced = True
 
     def _inject_append_faults(
         self, handle: io.BufferedWriter, frame: bytes
@@ -618,17 +490,13 @@ class WriteAheadLog:
             )
         return frame
 
-    def _handle_for(
-        self, frame_bytes: int, first_lsn: int | None = None
-    ) -> io.BufferedWriter:
+    def _handle_for(self, frame_bytes: int, first_lsn: int) -> io.BufferedWriter:
         """The active segment handle, rotating when over the size bound.
 
         ``first_lsn`` names a fresh segment after the first record that
         will land in it (drains carry records appended earlier than
         ``_next_lsn`` says).
         """
-        if first_lsn is None:
-            first_lsn = self._next_lsn
         if (
             self._handle is not None
             and self._active_bytes + frame_bytes > self.segment_max_bytes
@@ -665,7 +533,6 @@ class WriteAheadLog:
             with self._fd_lock:
                 os.fsync(self._handle.fileno())
             self.fsyncs += 1
-            self._last_sync = self._clock()
             self._unsynced = False
 
     def _flush_loop(self) -> None:
@@ -694,7 +561,6 @@ class WriteAheadLog:
                 except OSError as exc:
                     self._failed = f"flush failed: {exc}"
                     return
-                self._last_sync = self._clock()
                 self._unsynced = False
             try:
                 if self._faults is not None:

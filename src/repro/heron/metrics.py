@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import MetricsError
-from repro.timeseries.store import MetricsStore
+from repro.timeseries.store import MetricKey, MetricsStore, raise_first_error
 
 __all__ = ["MetricNames", "MetricsManager"]
 
@@ -302,7 +302,12 @@ class MetricsManager:
         return self._elapsed_in_minute + dt >= MINUTE_SECONDS - 1e-9
 
     def _flush_minute(self) -> None:
+        """Hand the closing minute to the store as one keyed batch."""
         timestamp = self._minute_start
+        stream_prefix = MetricNames.STREAM_EMIT_COUNT + ":"
+        ceiling = MINUTE_SECONDS * 1000.0
+        samples: list[tuple[str, dict[str, str], float]] = []
+        add = samples.append
         for (component, instance, container), buffer in self._buffers.items():
             if self.blacked_out(component, instance):
                 continue
@@ -312,33 +317,32 @@ class MetricsManager:
                 "instance": instance,
                 "container": container,
             }
-            stream_prefix = MetricNames.STREAM_EMIT_COUNT + ":"
             for name, value in buffer.counters.items():
                 if name.startswith(stream_prefix):
-                    stream = name[len(stream_prefix):]
-                    self.store.write(
-                        MetricNames.STREAM_EMIT_COUNT,
-                        timestamp,
-                        value,
-                        {**tags, "stream": stream},
-                    )
+                    stream = {**tags, "stream": name[len(stream_prefix):]}
+                    add((MetricNames.STREAM_EMIT_COUNT, stream, value))
                 else:
-                    self.store.write(name, timestamp, value, tags)
+                    add((name, tags, value))
             for name, integral in buffer.gauge_integrals.items():
-                self.store.write(name, timestamp, integral / MINUTE_SECONDS, tags)
-            self.store.write(
-                MetricNames.BACKPRESSURE_TIME_MS,
-                timestamp,
-                min(buffer.backpressure_ms, MINUTE_SECONDS * 1000.0),
-                tags,
+                add((name, tags, integral / MINUTE_SECONDS))
+            add(
+                (MetricNames.BACKPRESSURE_TIME_MS, tags,
+                 min(buffer.backpressure_ms, ceiling))
             )
         if (None, None) not in self._blackouts:
-            self.store.write(
-                MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS,
-                timestamp,
-                min(self._topology_backpressure_ms, MINUTE_SECONDS * 1000.0),
-                {"topology": self.topology_name},
+            add(
+                (MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS,
+                 {"topology": self.topology_name},
+                 min(self._topology_backpressure_ms, ceiling))
             )
+        raise_first_error(
+            self.store.apply_sample_batch(
+                [
+                    (MetricKey.of(name, tags), timestamp, value)
+                    for name, tags, value in samples
+                ]
+            )
+        )
         self._buffers = {key: _MinuteBuffer() for key in self._buffers}
         self._topology_backpressure_ms = 0.0
         self._elapsed_in_minute = 0.0

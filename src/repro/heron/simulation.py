@@ -1711,10 +1711,9 @@ class HeronSimulation:
     def _fast_flush_ready(self) -> bool:
         if self._flush_plan is None or self.metrics.has_blackouts:
             return False
-        store = self.metrics.store
         return (
-            store.supports_batched_appends()
-            and store.data_version(self.topology.name) == self._store_token
+            self.metrics.store.data_version(self.topology.name)
+            == self._store_token
         )
 
     def _fast_flush(self) -> None:
@@ -1755,12 +1754,11 @@ class HeronSimulation:
         """(Re)compile the batched flush plan after a keyed slow flush.
 
         Only possible when every series the plan covers exists in the
-        store (i.e. the minute just flushed was complete — no blackouts)
-        and the store's batched path is byte-equivalent.
+        store (i.e. the minute just flushed was complete — no blackouts).
         """
         metrics = self.metrics
         store = metrics.store
-        if metrics.has_blackouts or not store.supports_batched_appends():
+        if metrics.has_blackouts:
             return
         token = store.data_version(self.topology.name)
         if self._flush_plan is not None and token == self._store_token:

@@ -11,18 +11,26 @@ trimming — the full contract Caladrius's metrics interface needs.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import Any
 
 from repro.errors import MetricsError
 from repro.timeseries.aggregation import rollup
 from repro.timeseries.series import TimeSeries
 
-__all__ = ["MetricKey", "MetricsStore", "MinuteBatch"]
+__all__ = [
+    "MetricKey",
+    "MetricsStore",
+    "MinuteBatch",
+    "frame_sample",
+    "raise_first_error",
+]
 
 
 @dataclass(frozen=True)
@@ -79,16 +87,6 @@ class _SeriesBuffer:
     # buffer drops the cache.
     _frozen: TimeSeries | None = None
 
-    def append(self, timestamp: int, value: float) -> None:
-        if self.timestamps and timestamp <= self.timestamps[-1]:
-            raise MetricsError(
-                "writes must be in increasing timestamp order: "
-                f"got {timestamp} after {self.timestamps[-1]}"
-            )
-        self.timestamps.append(int(timestamp))
-        self.values.append(float(value))
-        self._frozen = None
-
     def freeze(self) -> TimeSeries:
         if self._frozen is None:
             self._frozen = TimeSeries(self.timestamps, self.values)
@@ -123,13 +121,64 @@ class MinuteBatch:
     token moved underneath it.
     """
 
-    __slots__ = ("buffers", "ts_lists", "val_lists", "last_ts")
+    __slots__ = ("keys", "buffers", "ts_lists", "val_lists", "last_ts")
 
-    def __init__(self) -> None:
+    def __init__(self, keys: Sequence[MetricKey]) -> None:
+        self.keys = list(keys)
         self.buffers: list[_SeriesBuffer] = []
         self.ts_lists: list[list[int]] = []
         self.val_lists: list[list[float]] = []
         self.last_ts: int | None = None
+
+
+def frame_sample(record: Any, body: str) -> tuple[MetricKey, int, float]:
+    """Validate one decoded ingest frame into a ``(key, ts, value)`` sample.
+
+    The batched ingest path hands client-framed payloads to the store —
+    and a journaling store appends them to its log verbatim (modulo the
+    spliced LSN prefix) — so this is the gate on what a frame may
+    contain: a ``write`` record whose fields recovery can replay, and
+    nothing that would corrupt the log — in particular no
+    client-supplied ``lsn`` (a duplicate JSON key would shadow the
+    server-assigned one on replay) and no non-finite value (``repr`` of
+    ``inf``/``nan`` is not JSON).  Raises
+    :class:`~repro.errors.MetricsError` naming the defect.
+    """
+    if not isinstance(record, Mapping):
+        raise MetricsError("frame payload must be a JSON object")
+    if record.get("op") != "write":
+        raise MetricsError(f"unsupported frame op {record.get('op')!r}")
+    if "lsn" in record:
+        raise MetricsError(
+            "frame must not carry an 'lsn' field; the server assigns LSNs"
+        )
+    name = record.get("name")
+    if not isinstance(name, str) or not name:
+        raise MetricsError("frame 'name' must be a non-empty string")
+    tags = record.get("tags") or {}
+    if not isinstance(tags, Mapping) or any(
+        not isinstance(k, str) or not isinstance(v, str)
+        for k, v in tags.items()
+    ):
+        raise MetricsError("frame 'tags' must map strings to strings")
+    ts = record.get("ts")
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+        raise MetricsError("frame 'ts' must be a number")
+    value = record.get("v")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MetricsError("frame 'v' must be a number")
+    if not math.isfinite(value):
+        raise MetricsError("frame 'v' must be finite")
+    if not body.startswith("{"):
+        raise MetricsError("frame payload must be a compact JSON object")
+    return MetricKey.of(name, tags), int(ts), float(value)
+
+
+def raise_first_error(errors: Iterable[str | None]) -> None:
+    """Raise the first per-entry error of a batch, if there is one."""
+    for error in errors:
+        if error is not None:
+            raise MetricsError(error)
 
 
 class MetricsStore:
@@ -166,26 +215,8 @@ class MetricsStore:
         tags: Mapping[str, str] | None = None,
     ) -> None:
         """Append one sample to the series identified by name + tags."""
-        self._write_keyed(MetricKey.of(name, tags), timestamp, value)
-
-    def _write_keyed(
-        self, key: MetricKey, timestamp: int, value: float
-    ) -> _SeriesBuffer:
-        """``write`` with the key already built; returns the series
-        buffer so the durable subclass can reach its per-series cache
-        slot without a second keyed lookup."""
-        topology = key.topology
-        with self._lock:
-            buffer = self._series.setdefault(key, _SeriesBuffer())
-            buffer.append(timestamp, value)
-            if self._latest is None or timestamp > self._latest:
-                self._latest = int(timestamp)
-            self._versions[topology] = self._versions.get(topology, 0) + 1
-            self._apply_retention_locked((topology,))
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(topology)
-        return buffer
+        key = MetricKey.of(name, tags)
+        raise_first_error(self.apply_sample_batch(((key, timestamp, value),)))
 
     def write_many(
         self,
@@ -193,41 +224,138 @@ class MetricsStore:
         samples: Iterable[tuple[int, float]],
         tags: Mapping[str, str] | None = None,
     ) -> None:
-        """Append several ``(timestamp, value)`` samples to one series."""
-        for timestamp, value in samples:
-            self.write(name, timestamp, value, tags)
+        """Append several ``(timestamp, value)`` samples to one series.
 
-    # ------------------------------------------------------------------
-    # Batched minute appends (the simulator's steady-state flush path)
-    # ------------------------------------------------------------------
-    def supports_batched_appends(self) -> bool:
-        """True when the batched append fast path is byte-equivalent here.
-
-        The fast path bypasses both :meth:`write` and
-        :meth:`_write_keyed`, so it is only safe on a store whose
-        subclass overrode *neither* (the durable store journals every
-        sample in its ``write`` override — a batch that skipped it would
-        silently skip the WAL) and that has no invalidation listeners
-        expecting a callback per write.
+        One batch: every in-order sample lands, then the first
+        out-of-order one (if any) is raised.
         """
-        return (
-            type(self)._write_keyed is MetricsStore._write_keyed
-            and type(self).write is MetricsStore.write
-            and not self._listeners
+        key = MetricKey.of(name, tags)
+        raise_first_error(
+            self.apply_sample_batch(
+                [(key, timestamp, value) for timestamp, value in samples]
+            )
         )
 
+    def apply_sample_batch(
+        self,
+        entries: Sequence[tuple[MetricKey, int, float]],
+        bodies: Sequence[str] | None = None,
+    ) -> list[str | None]:
+        """Apply keyed samples, in order, under one lock acquisition.
+
+        The one body behind every keyed write.  ``entries`` is
+        ``(key, timestamp, value)`` per sample, in arrival order, and
+        the end state is the one the equivalent sequence of
+        :meth:`write` calls leaves: the same samples on the same series
+        (created in entry order), the same entries rejected for
+        timestamp-order violations (reported per entry in the returned
+        list — ``None`` means accepted — instead of raising), the same
+        ``data_version`` per topology and the same retention trims.
+        Only the invalidation listeners are coalesced: one callback per
+        distinct touched topology after the lock drops, rather than one
+        per sample.
+
+        ``bodies`` is the serialized record behind each entry when the
+        caller already holds it (:meth:`ingest_frames` does).  A store
+        without a journal has no use for it; the durable subclass
+        appends it to its log verbatim.
+        """
+        errors: list[str | None] = [None] * len(entries)
+        accepted: dict[str | None, int] = {}
+        series = self._series
+        retention = self._retention
+        with self._lock:
+            latest = self._latest
+            for idx, (key, timestamp, value) in enumerate(entries):
+                timestamp = int(timestamp)
+                buffer = series.get(key)
+                if buffer is None:
+                    buffer = series[key] = _SeriesBuffer()
+                timestamps = buffer.timestamps
+                if timestamps and timestamp <= timestamps[-1]:
+                    errors[idx] = (
+                        "writes must be in increasing timestamp order: "
+                        f"got {timestamp} after {timestamps[-1]}"
+                    )
+                    continue
+                timestamps.append(timestamp)
+                buffer.values.append(float(value))
+                buffer._frozen = None
+                topology = key.topology
+                accepted[topology] = accepted.get(topology, 0) + 1
+                if latest is None or timestamp > latest:
+                    latest = self._latest = timestamp
+                    if retention is not None:
+                        # The cutoff moved: trim now, as the write this
+                        # entry stands for would, so later entries are
+                        # judged against what it left behind.
+                        self._apply_retention_locked((topology,))
+                elif retention is not None and timestamp < latest - retention:
+                    buffer.trim_before(latest - retention)  # expired on arrival
+            for topology, count in accepted.items():
+                self._versions[topology] = (
+                    self._versions.get(topology, 0) + count
+                )
+            listeners = list(self._listeners) if accepted else ()
+        for topology in accepted:
+            for listener in listeners:
+                listener(topology)
+        return errors
+
+    def ingest_frames(
+        self, frames: Sequence[tuple[Any, str]]
+    ) -> dict[str, Any]:
+        """Apply a pre-framed write batch: validate, one batch, report.
+
+        ``frames`` is ``(record, body)`` per frame as produced by
+        :func:`repro.api.ingest.decode_frames` — the decoded record and
+        the exact payload string the client framed.  Frames that
+        :func:`frame_sample` or the store rejects (bad shape,
+        out-of-order timestamp) are reported individually and do not
+        poison the rest of the batch; the others go through
+        :meth:`apply_sample_batch` with their bodies.  Returns
+        ``{"frames", "acked", "rejected", "first_lsn", "last_lsn"}``
+        where ``rejected`` is ``[{"frame": i, "error": msg}, ...]``; the
+        LSN fields are ``None`` on a store without a journal.
+        """
+        rejected: list[dict[str, Any]] = []
+        valid: list[tuple[int, tuple[MetricKey, int, float], str]] = []
+        for idx, (record, body) in enumerate(frames):
+            try:
+                valid.append((idx, frame_sample(record, body), body))
+            except MetricsError as exc:
+                rejected.append({"frame": idx, "error": str(exc)})
+        errors = self.apply_sample_batch(
+            [entry for _, entry, _ in valid], [body for _, _, body in valid]
+        )
+        rejected.extend(
+            {"frame": idx, "error": error}
+            for (idx, _, _), error in zip(valid, errors)
+            if error is not None
+        )
+        rejected.sort(key=lambda entry: entry["frame"])
+        return {
+            "frames": len(frames),
+            "acked": len(frames) - len(rejected),
+            "rejected": rejected,
+            "first_lsn": None,
+            "last_lsn": None,
+        }
+
+    # ------------------------------------------------------------------
+    # Prepared minute appends (the simulator's steady-state flush path)
+    # ------------------------------------------------------------------
     def make_minute_batch(self, keys: Sequence[MetricKey]) -> MinuteBatch:
         """Resolve an ordered set of existing series into a MinuteBatch.
 
         Every key must already have a series (created by ordinary keyed
         writes — a batch never creates series, so series-dict insertion
-        order stays exactly what the slow path established).  Raises
+        order stays exactly what the keyed loop established).  Raises
         :class:`~repro.errors.MetricsError` on an unknown key.
         """
-        batch = MinuteBatch()
-        last_ts: int | None = None
+        batch = MinuteBatch(keys)
         with self._lock:
-            for key in keys:
+            for key in batch.keys:
                 buffer = self._series.get(key)
                 if buffer is None:
                     raise MetricsError(
@@ -237,11 +365,9 @@ class MetricsStore:
                 batch.buffers.append(buffer)
                 batch.ts_lists.append(buffer.timestamps)
                 batch.val_lists.append(buffer.values)
-                if buffer.timestamps:
-                    ts = buffer.timestamps[-1]
-                    if last_ts is None or ts > last_ts:
-                        last_ts = ts
-        batch.last_ts = last_ts
+            batch.last_ts = max(
+                (stamps[-1] for stamps in batch.ts_lists if stamps), default=None
+            )
         return batch
 
     def append_minute_batch(
@@ -255,11 +381,13 @@ class MetricsStore:
 
         ``values[i]`` (already a plain float — callers pass the output
         of ``ndarray.tolist()``) lands on ``batch`` series ``i`` at the
-        shared ``timestamp``.  End state is identical to issuing the
-        equivalent keyed writes in batch order: same per-series samples,
-        same ``data_version`` delta (one bump per series), same
-        retention trim; only the per-write listener callbacks are
-        skipped, which :meth:`supports_batched_appends` guards.
+        shared ``timestamp``; ``topology`` is the tag the batch's keys
+        share.  End state is identical to handing the same samples to
+        :meth:`apply_sample_batch` in batch order — same per-series
+        samples, same ``data_version`` delta (one bump per series), same
+        retention trim, one listener call — but with the keyed lookups
+        and the order check resolved beforehand it is three C-level
+        loops: the second (and last) body that appends to a series.
         """
         if len(values) != len(batch.buffers):
             raise MetricsError(
@@ -273,118 +401,26 @@ class MetricsStore:
                     "writes must be in increasing timestamp order: "
                     f"got {timestamp} after {batch.last_ts}"
                 )
-            self._append_batch_locked(batch, timestamp, values, topology)
+            deque(
+                map(list.append, batch.ts_lists, repeat(timestamp)),
+                maxlen=0,
+            )
+            deque(map(list.append, batch.val_lists, values), maxlen=0)
+            deque(
+                map(setattr, batch.buffers,
+                    repeat("_frozen"), repeat(None)),
+                maxlen=0,
+            )
+            batch.last_ts = timestamp
+            if self._latest is None or timestamp > self._latest:
+                self._latest = timestamp
+            self._versions[topology] = (
+                self._versions.get(topology, 0) + len(batch.buffers)
+            )
             self._apply_retention_locked((topology,))
-
-    def _append_batch_locked(
-        self,
-        batch: MinuteBatch,
-        timestamp: int,
-        values: Sequence[float],
-        topology: str | None,
-    ) -> None:
-        """One batched append with the lock held — the PR-9 fast path.
-
-        Shared by :meth:`append_minute_batch` (the simulator's minute
-        flush) and :meth:`apply_sample_batch` (the HTTP batched-ingest
-        path): three C-level loops instead of thousands of keyed writes.
-        """
-        deque(
-            map(list.append, batch.ts_lists, repeat(timestamp)),
-            maxlen=0,
-        )
-        deque(map(list.append, batch.val_lists, values), maxlen=0)
-        deque(
-            map(setattr, batch.buffers,
-                repeat("_frozen"), repeat(None)),
-            maxlen=0,
-        )
-        batch.last_ts = timestamp
-        if self._latest is None or timestamp > self._latest:
-            self._latest = timestamp
-        self._versions[topology] = (
-            self._versions.get(topology, 0) + len(batch.buffers)
-        )
-
-    def apply_sample_batch(
-        self, entries: Sequence[tuple[MetricKey, int, float]]
-    ) -> list[str | None]:
-        """Apply many keyed samples under one lock acquisition.
-
-        ``entries`` is ``(key, timestamp, value)`` per sample, in arrival
-        order.  The end state is identical to issuing the equivalent
-        keyed writes sequentially: the same samples land on the same
-        series, the same entries are rejected for timestamp-order
-        violations (reported per entry in the returned list — ``None``
-        means accepted — instead of raising), the ``data_version`` delta
-        per topology is the same, and retention trims to the same
-        cutoff.  Only the invalidation listeners are coalesced: one
-        callback per distinct touched topology after the lock drops,
-        rather than one per write.
-
-        Internally the batch is regrouped into ``(timestamp, topology)``
-        commit groups that run through the same three-C-level-loop core
-        as :meth:`append_minute_batch`, so a minute-shaped batch (many
-        series, one shared timestamp) costs a handful of C loops.  A
-        series' entries never reorder across groups — a group is only
-        reused for an entry when it sits at or after the group holding
-        that series' previous entry.
-        """
-        errors: list[str | None] = [None] * len(entries)
-        touched: list[str | None] = []
-        with self._lock:
-            # Plan: validate each entry against the series' (pending)
-            # tail, then assign it to an order-preserving commit group.
-            groups: list[tuple[int, str | None, list[MetricKey], list[float]]]
-            groups = []
-            group_index: dict[tuple[int, str | None], int] = {}
-            last_seen: dict[MetricKey, int] = {}
-            prev_group: dict[MetricKey, int] = {}
-            for idx, (key, timestamp, value) in enumerate(entries):
-                timestamp = int(timestamp)
-                last = last_seen.get(key)
-                if last is None:
-                    buffer = self._series.get(key)
-                    if buffer is not None and buffer.timestamps:
-                        last = buffer.timestamps[-1]
-                if last is not None and timestamp <= last:
-                    errors[idx] = (
-                        "writes must be in increasing timestamp order: "
-                        f"got {timestamp} after {last}"
-                    )
-                    continue
-                last_seen[key] = timestamp
-                topology = key.topology
-                gkey = (timestamp, topology)
-                position = group_index.get(gkey, -1)
-                if position < prev_group.get(key, -1):
-                    position = -1  # reuse would reorder this series
-                if position < 0:
-                    position = len(groups)
-                    groups.append((timestamp, topology, [], []))
-                    group_index[gkey] = position
-                groups[position][2].append(key)
-                groups[position][3].append(float(value))
-                prev_group[key] = position
-            for timestamp, topology, keys, values in groups:
-                batch = MinuteBatch()
-                for key in keys:
-                    buffer = self._series.get(key)
-                    if buffer is None:
-                        buffer = self._series[key] = _SeriesBuffer()
-                    batch.buffers.append(buffer)
-                    batch.ts_lists.append(buffer.timestamps)
-                    batch.val_lists.append(buffer.values)
-                self._append_batch_locked(batch, timestamp, values, topology)
-                if topology not in touched:
-                    touched.append(topology)
-            if groups:
-                self._apply_retention_locked(touched)
-            listeners = list(self._listeners) if groups else []
-        for topology in touched:
-            for listener in listeners:
-                listener(topology)
-        return errors
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener(topology)
 
     def _apply_retention_locked(self, written: Collection[str | None]) -> None:
         """Trim expired samples after a write to the ``written`` topologies.
@@ -594,7 +630,8 @@ class MetricsStore:
     def add_invalidation_listener(
         self, listener: Callable[[str | None], None]
     ) -> None:
-        """Call ``listener(topology_tag)`` after every write (and clear).
+        """Call ``listener(topology_tag)`` after every write batch, once
+        per topology it touched (and after every clear).
 
         Listeners run outside the store lock and must be cheap — the
         serving tier uses them to evict cached results and queue warm

@@ -210,6 +210,36 @@ class TestWriteBatchRoute:
         app.shutdown()
 
 
+class TestMetricsWriteRoute:
+    """``POST /metrics/write``: the JSON route hands its sample list to
+    the store as one batch too."""
+
+    def test_fifty_samples_cost_one_fsync(self, live):
+        _, client, store = live
+        before = store.wal.fsyncs
+        samples = [[60 * (i + 1), float(i)] for i in range(50)]
+        assert client.write_metrics("m", samples, {"topology": "t"}) == 50
+        assert store.wal.fsyncs == before + 1
+        assert store.wal.last_lsn == 50
+
+    def test_out_of_order_sample_is_the_same_400(self, live):
+        _, client, store = live
+        with pytest.raises(ApiError) as excinfo:
+            client.write_metrics("m", [[120, 1.0], [60, 2.0]])
+        assert excinfo.value.status == 400
+        assert "got 60 after 120" in str(excinfo.value)
+        # Only the in-order sample reached the store and the log.
+        assert list(store.get("m").timestamps) == [120]
+        assert store.wal.last_lsn == 1
+
+    def test_malformed_sample_writes_nothing(self, live):
+        _, client, store = live
+        with pytest.raises(ApiError) as excinfo:
+            client.write_metrics("m", [[60, 1.0], [120, "x"]])
+        assert excinfo.value.status == 400
+        assert len(store) == 0 and store.wal.last_lsn == 0
+
+
 class TestRequestLimits:
     def test_oversized_body_is_a_413(self, tmp_path):
         config = _bare_config(max_body_bytes=1024)

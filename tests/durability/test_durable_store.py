@@ -7,9 +7,16 @@ fsync policy already persisted) and the directory is reopened fresh.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from repro.durability import DurableMetricsStore, open_data_dir
+from repro.cluster.follower import FollowerReplica
+from repro.durability import (
+    DurableMetricsStore,
+    open_data_dir,
+    store_content_hash,
+)
 from repro.errors import MetricsError
 
 
@@ -58,6 +65,37 @@ class TestJournalledWrites:
         assert recovered.recovery.replayed_records == 2
         assert recovered.recovery.skipped_records == 1
         assert list(recovered.get("m").values) == [1.0, 2.0]
+        recovered.close()
+
+
+class TestReplay:
+    """Recovery and the follower replay one log through one function."""
+
+    def test_interleaved_clear_and_duplicate_count_the_same(self, tmp_path):
+        store = DurableMetricsStore(tmp_path / "shard", fsync="always")
+        _fill(store, 3)
+        duplicate = {
+            "op": "write", "name": "m", "tags": {"topology": "t"},
+            "ts": 180, "v": 2.0,
+        }
+        store.wal.append(duplicate)  # same sample twice in the log
+        store.clear()
+        _fill(store, 2)  # timestamps the clear made writable again
+        store.wal.append({**duplicate, "ts": 60})  # stale after the refill
+        store.close()
+
+        recovered = DurableMetricsStore(tmp_path / "shard")
+        # 3 writes, the clear and 2 more writes replay; both extras skip.
+        assert recovered.recovery.replayed_records == 6
+        assert recovered.recovery.skipped_records == 2
+        assert list(recovered.get("m", {"topology": "t"}).timestamps) == [60, 120]
+
+        shutil.copytree(tmp_path / "shard" / "wal", tmp_path / "replica" / "wal")
+        replica = FollowerReplica(tmp_path / "replica")
+        assert replica.applied_records == 6
+        assert replica.skipped_records == 2
+        assert replica.applied_lsn == recovered.wal.last_lsn == 8
+        assert store_content_hash(replica.store) == store_content_hash(recovered)
         recovered.close()
 
 

@@ -19,6 +19,7 @@ from repro.durability.wal import (
     FSYNC_ALWAYS,
     FSYNC_NEVER,
     WriteAheadLog,
+    read_segment_records,
 )
 from repro.errors import DurabilityError
 
@@ -143,6 +144,28 @@ class TestRotationAndPruning:
         assert len(list(tmp_path.glob("wal-*.log"))) > 1
         with WriteAheadLog(tmp_path, segment_max_bytes=1024) as wal:
             assert [r["i"] for r in _records(wal)] == list(range(50))
+
+    @pytest.mark.parametrize("group", [1, 3], ids=["append", "append_bodies"])
+    def test_acked_append_is_on_disk_across_rotations(self, tmp_path, group):
+        """Under ``always`` an append that opens a new segment must be
+        synced into it before it is acknowledged (it used to sit in the
+        fresh handle's user-space buffer until the next append)."""
+        body = '{"op":"write","name":"m","tags":{},"ts":1,"v":1.0}'
+        with WriteAheadLog(
+            tmp_path, segment_max_bytes=1024, fsync=FSYNC_ALWAYS
+        ) as wal:
+            for acked in range(group, 120 + group, group):
+                if group == 1:
+                    wal.append({"op": "write", "name": "m", "ts": 1, "v": 1.0})
+                else:
+                    wal.append_bodies([body] * group)
+                on_disk = sum(
+                    1
+                    for segment in wal.segments()
+                    for _ in read_segment_records(segment)
+                )
+                assert on_disk == acked
+            assert len(wal.segments()) > 5
 
     def test_prune_keeps_segments_with_newer_records(self, tmp_path):
         with WriteAheadLog(tmp_path, segment_max_bytes=1024) as wal:

@@ -1,0 +1,96 @@
+"""Structure guards: one keyed write loop, one journal override.
+
+The store used to carry four write paths kept apart by a base class that
+inspected its own subclasses.  These checks read the source so the
+duplicates cannot quietly come back.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: ``MetricsStore`` methods that change what the store holds.
+MUTATIONS = {
+    "write",
+    "write_many",
+    "apply_sample_batch",
+    "ingest_frames",
+    "make_minute_batch",
+    "append_minute_batch",
+    "clear",
+}
+
+
+def _sources() -> dict[Path, str]:
+    return {path: path.read_text("utf8") for path in sorted(SRC.rglob("*.py"))}
+
+
+def test_retired_write_paths_are_gone():
+    retired = ("_write_keyed", "_append_batch_locked", "supports_batched_appends")
+    offenders = [
+        (str(path.relative_to(SRC)), name)
+        for path, source in _sources().items()
+        for name in retired
+        if name in source
+    ]
+    assert offenders == []
+
+
+def test_only_the_durable_store_overrides_a_mutation():
+    overriding = {}
+    for path, source in _sources().items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = {
+                base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                for base in node.bases
+            }
+            if not bases & {"MetricsStore", "DurableMetricsStore"}:
+                continue
+            overriding[node.name] = MUTATIONS & {
+                item.name for item in node.body if isinstance(item, ast.FunctionDef)
+            }
+    assert set(overriding) == {"DurableMetricsStore"}
+    assert overriding["DurableMetricsStore"] == {
+        "write", "apply_sample_batch", "ingest_frames", "append_minute_batch",
+        "clear",
+    }
+
+
+def test_two_bodies_append_to_a_series():
+    """The keyed loop and the prepared minute batch, nothing else."""
+    appenders = []
+    for path in sorted((SRC / "timeseries").glob("*.py")):
+        source = path.read_text("utf8")
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = ast.get_source_segment(source, node)
+            if "timestamps.append(" in body or "list.append, batch.ts_lists" in body:
+                appenders.append(node.name)
+    assert appenders == ["apply_sample_batch", "append_minute_batch"]
+
+
+def test_frames_are_validated_in_one_place():
+    sources = _sources()
+    app = sources[SRC / "api" / "app.py"]
+    assert "frame_sample" not in app and "rejected.append" not in app
+    defining = [
+        str(path.relative_to(SRC))
+        for path, source in sources.items()
+        if "frame_sample(record, body)" in source
+    ]
+    assert defining == ["timeseries/store.py"]
+
+
+def test_one_wal_record_replay_function():
+    replaying = [
+        str(path.relative_to(SRC))
+        for path, source in _sources().items()
+        if 'op == "clear"' in source
+    ]
+    assert replaying == ["durability/store.py"]

@@ -202,8 +202,20 @@ class TestMinuteBatchAppends:
         with pytest.raises(MetricsError):
             store.append_minute_batch(batch, 60, [1.0, 2.0, 3.0], "t")
 
-    def test_listener_disables_fast_path(self):
-        store, _ = self._seeded_store()
-        assert store.supports_batched_appends()
-        store.add_invalidation_listener(lambda topology: None)
-        assert not store.supports_batched_appends()
+    def test_listener_hears_each_simulated_minute_once(self):
+        def run(listen):
+            topology, packing, logic = build_word_count(WordCountParams())
+            store = MetricsStore()
+            calls = []
+            if listen:
+                store.add_invalidation_listener(calls.append)
+            HeronSimulation(
+                topology, packing, logic, store, SimulationConfig(seed=3)
+            ).run(4)
+            return store, calls
+
+        quiet, _ = run(listen=False)
+        heard, calls = run(listen=True)
+        # One keyed minute, three prepared ones: a call each, same data.
+        assert calls == ["word-count"] * 4
+        assert _store_samples(heard) == _store_samples(quiet)

@@ -11,7 +11,10 @@ listeners coalesced.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import MetricsError
 from repro.timeseries.store import MetricKey, MetricsStore
 
 
@@ -149,28 +152,92 @@ class TestListeners:
 
 
 class TestBatchedAppendGuard:
-    def test_plain_store_supports_batched_appends(self):
-        assert MetricsStore().supports_batched_appends() is True
+    """What the removed ``supports_batched_appends`` guard stood in for
+    is now a property of the batch paths themselves (journaling of
+    batches is pinned in ``tests/durability/test_simulated_feed.py``)."""
 
-    def test_listeners_disable_the_fast_path(self):
+    def test_prepared_append_notifies_listeners_once(self):
         store = MetricsStore()
-        store.add_invalidation_listener(lambda topology: None)
-        assert store.supports_batched_appends() is False
-
-    def test_write_override_disables_the_fast_path(self):
-        # The durable store overrides write() (to journal), not
-        # _write_keyed(); the guard must catch that too or batches
-        # would silently skip the WAL.
-        class JournallingStore(MetricsStore):
-            def write(self, name, timestamp, value, tags=None):
-                super().write(name, timestamp, value, tags)
-
-        assert JournallingStore().supports_batched_appends() is False
+        keys = [MetricKey.of("m", {"topology": "t", "i": str(i)}) for i in range(3)]
+        store.apply_sample_batch([(key, 60, 0.0) for key in keys])
+        calls: list[str | None] = []
+        store.add_invalidation_listener(calls.append)
+        batch = store.make_minute_batch(keys)
+        store.append_minute_batch(batch, 120, [1.0, 2.0, 3.0], topology="t")
+        assert calls == ["t"]
+        assert store.data_version("t") == 6
 
     def test_empty_batch_is_a_no_op(self):
         store = MetricsStore()
         assert store.apply_sample_batch([]) == []
         assert store.data_version() == 0
+
+
+# ----------------------------------------------------------------------
+# Property: a batch is the sequence of writes it stands for
+# ----------------------------------------------------------------------
+_KEYS = [
+    MetricKey.of(name, tags)
+    for name in ("a", "b")
+    for tags in (
+        None,
+        {"topology": "t1"},
+        {"topology": "t1", "instance": "1"},
+        {"topology": "t2"},
+    )
+]
+_ENTRY = st.tuples(
+    st.sampled_from(_KEYS),
+    st.integers(min_value=0, max_value=12).map(lambda minute: minute * 60),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+def _observe(store, calls):
+    """Everything the equivalence covers, series-dict order included."""
+    return {
+        "series": [
+            (key, list(buffer.timestamps), list(buffer.values))
+            for key, buffer in store._series.items()
+        ],
+        "versions": {t: store.data_version(t) for t in (None, "t1", "t2")},
+        "latest": store.latest_timestamp(),
+        "notified": set(calls),
+    }
+
+
+class TestBatchEqualsSequentialWrites:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batches=st.lists(st.lists(_ENTRY, max_size=12), min_size=1, max_size=3),
+        retention=st.sampled_from([None, 60, 180, 600]),
+    )
+    def test_arbitrary_interleavings(self, batches, retention):
+        batched = MetricsStore(retention_seconds=retention)
+        batched_calls: list[str | None] = []
+        batched.add_invalidation_listener(batched_calls.append)
+        batched_errors = [
+            error
+            for entries in batches
+            for error in batched.apply_sample_batch(entries)
+        ]
+
+        sequential = MetricsStore(retention_seconds=retention)
+        sequential_calls: list[str | None] = []
+        sequential.add_invalidation_listener(sequential_calls.append)
+        sequential_errors: list[str | None] = []
+        for key, timestamp, value in (e for entries in batches for e in entries):
+            try:
+                sequential.write(key.name, timestamp, value, key.tag_dict())
+            except MetricsError as exc:
+                sequential_errors.append(str(exc))
+            else:
+                sequential_errors.append(None)
+
+        assert batched_errors == sequential_errors
+        assert _observe(batched, batched_calls) == _observe(
+            sequential, sequential_calls
+        )
 
 
 if __name__ == "__main__":
