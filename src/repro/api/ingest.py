@@ -7,22 +7,25 @@ once and the server appends the payload bytes to the write-ahead log
 verbatim, modulo the spliced server-assigned LSN prefix.  No field is
 re-serialized between the client and the segment file.
 
-Unlike :func:`repro.durability.wal.read_segment_records`, which
-tolerates a torn final frame (a crash mid-append is expected on disk),
-the decoder here is strict: an HTTP body is either a complete frame
-sequence or a client bug, so any short, oversized, or CRC-broken frame
-rejects the whole request with a structured 400 naming the frame index
-and byte offset.
+Both sides walk frames with the one decoder,
+:func:`repro.durability.wal.frame_windows`.  Segment readers are its
+tolerant callers (a crash mid-append is expected on disk, so they stop
+at a torn final frame); :func:`decode_frames` is the strict one: an HTTP
+body is either a complete frame sequence or a client bug, so any short,
+oversized, CRC-broken or non-JSON frame rejects the whole request with a
+structured 400 naming the frame index and byte offset.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
+from repro.durability.wal import frame_windows
 from repro.errors import ApiError
 
 __all__ = [
@@ -42,10 +45,9 @@ FRAMES_CONTENT_TYPE = "application/x-caladrius-frames"
 # line per group commit and a final ``{"done": true, ...}`` summary.
 STREAM_CONTENT_TYPE = "application/x-ndjson"
 
-# Mirrors repro.durability.wal — one codec, stated once on the wire and
-# once on disk.  struct format "<II" = little-endian (length, crc32).
+# Mirrors repro.durability.wal — one codec, framed here by the client
+# and there by the log.  struct format "<II" = little-endian (length, crc32).
 _HEADER = struct.Struct("<II")
-_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 def encode_frame(
@@ -104,40 +106,15 @@ def decode_frames(raw: bytes) -> list[tuple[Any, str]]:
     the bug in its encoder.
     """
     frames: list[tuple[Any, str]] = []
-    offset = 0
-    total = len(raw)
-    while offset < total:
-        index = len(frames)
-
-        def _reject(message: str) -> ApiError:
-            return ApiError(
-                f"malformed frame {index} at byte {offset}: {message}",
+    for payloads, records, offset, fault in frame_windows(io.BytesIO(raw)):
+        if fault is not None:
+            index = len(frames)
+            raise ApiError(
+                f"malformed frame {index} at byte {offset}: {fault}",
                 status=400,
                 payload={"frame": index, "offset": offset},
             )
-
-        if total - offset < _HEADER.size:
-            raise _reject(
-                f"truncated header ({total - offset} of {_HEADER.size} bytes)"
-            )
-        length, crc = _HEADER.unpack_from(raw, offset)
-        if length > _MAX_FRAME_BYTES:
-            raise _reject(f"frame length {length} exceeds {_MAX_FRAME_BYTES}")
-        start = offset + _HEADER.size
-        if total - start < length:
-            raise _reject(
-                f"truncated payload ({total - start} of {length} bytes)"
-            )
-        payload = raw[start:start + length]
-        if zlib.crc32(payload) != crc:
-            raise _reject("crc32 mismatch")
-        try:
-            body = payload.decode("utf8")
-            record = json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _reject(f"payload is not JSON ({exc})") from None
-        frames.append((record, body))
-        offset = start + length
+        frames.extend(zip(records, [str(p, "utf8") for p in payloads]))
     return frames
 
 

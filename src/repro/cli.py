@@ -943,6 +943,9 @@ def _cmd_recover(args) -> int:
     print(f"wal replay   : {recovery['replayed_records']} records "
           f"({recovery['skipped_records']} skipped, "
           f"{recovery['torn_records']} torn)")
+    print(f"wal scanned  : {recovery['segments']} segments, "
+          f"{recovery['bytes']} bytes, opened in "
+          f"{recovery['seconds']:.3f} s")
     print(f"last lsn     : {recovery['last_lsn']}")
     print(f"topologies   : {', '.join(report['topologies']) or '(none)'}")
     if "checkpoint" in report:

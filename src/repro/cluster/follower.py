@@ -54,7 +54,7 @@ from repro.durability.codec import (
     store_content_hash,
 )
 from repro.durability.store import apply_wal_records
-from repro.durability.wal import read_segment_records
+from repro.durability.wal import read_segment_records, record_lsn
 from repro.errors import DurabilityError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
@@ -236,13 +236,17 @@ class FollowerReplica:
         def fresh():
             nonlocal end, last
             for record, end in read_segment_records(path, end):
-                lsn = int(record.get("lsn", 0))
-                if lsn > last:
+                # A payload that is not an object has no LSN to place it
+                # by; it goes through to be skipped and counted.
+                if isinstance(record, dict):
+                    lsn = record_lsn(record)
+                    if lsn <= last:
+                        continue
                     last = lsn
-                    yield record
+                yield record
 
         # Same stance as crash recovery: a record the store rejects
-        # (duplicate of checkpointed data) is skipped.
+        # (duplicate of checkpointed data, malformed) is skipped.
         applied, skipped = apply_wal_records(self.store, fresh())
         self.applied_records += applied
         self.skipped_records += skipped

@@ -8,7 +8,7 @@ from typing import Any
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import restore_tracker_state
 from repro.durability.store import DurableMetricsStore
-from repro.durability.wal import FSYNC_INTERVAL, read_segment_records
+from repro.durability.wal import FSYNC_INTERVAL, scan_segment
 from repro.heron.tracker import TopologyTracker
 
 __all__ = ["open_data_dir", "peek_recoverable_lsn"]
@@ -48,7 +48,8 @@ def peek_recoverable_lsn(data_dir: str | Path) -> int:
 
     An offline, read-only scan: the checkpoint's ``last_lsn`` plus
     every whole CRC-framed record in the WAL segments (torn tails stop
-    the scan of a segment, exactly as replay would).  A missing or
+    the scan of a segment, exactly as replay would) — a CRC walk that
+    decodes only each segment's last record, for its LSN.  A missing or
     empty directory peeks as 0.  The shard manager compares this
     against a follower's applied LSN before respawning a crashed worker
     — a data directory that would recover *less* than its replica holds
@@ -62,9 +63,6 @@ def peek_recoverable_lsn(data_dir: str | Path) -> int:
     last = int(checkpoint.get("last_lsn", 0)) if checkpoint else 0
     wal_dir = data_dir / "wal"
     if wal_dir.is_dir():
-        for path in sorted(wal_dir.glob("wal-*.log")):
-            for record, _ in read_segment_records(path):
-                lsn = int(record.get("lsn", 0))
-                if lsn > last:
-                    last = lsn
+        for path in wal_dir.glob("wal-*.log"):
+            last = max(last, scan_segment(path)[1])
     return last

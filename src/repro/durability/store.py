@@ -21,10 +21,12 @@ caller was never told succeeded.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
+import time
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -47,6 +49,8 @@ __all__ = [
     "frame_sample",
 ]
 
+logger = logging.getLogger("repro.durability.store")
+
 _WAL_SUBDIR = "wal"
 #: What a per-series journal template starts with; a record *body* (the
 #: form ``WriteAheadLog.append_bodies`` takes) is the same text without it.
@@ -64,14 +68,18 @@ def apply_wal_records(
     replica replays shipped segments with exactly the semantics recovery
     uses.  Runs of ``write`` records go through the plain (unjournaled)
     keyed loop as one batch each (cut at :data:`_REPLAY_BATCH` so a long
-    log is never held in memory as entries); a ``clear`` is applied in
-    its place between them.  A record the store rejects (it predates the
-    checkpoint cut, or duplicates a replayed sample) or whose ``op`` is
-    unknown is skipped and counted: replay restores everything
-    restorable.
+    log is never held in memory as entries), their keys resolved through
+    the store's intern table; a ``clear`` is applied in its place
+    between them.  A record the store rejects (it predates the
+    checkpoint cut, or duplicates a replayed sample), whose ``op`` is
+    unknown, or that is malformed — not an object, a ``write`` without a
+    string ``name``, mapping ``tags`` or numeric ``ts``/``v`` — is
+    skipped and counted: a CRC only vouches for the bytes, and replay
+    restores everything restorable.
     """
     replayed = skipped = 0
     entries: list[tuple[MetricKey, int, float]] = []
+    key_of = store.key_of
 
     def apply_pending() -> None:
         nonlocal replayed, skipped
@@ -81,11 +89,21 @@ def apply_wal_records(
         skipped += len(errors) - accepted
         entries.clear()
 
+    def sample(record: Mapping[str, Any]) -> tuple[MetricKey, int, float]:
+        name = record["name"]
+        if not isinstance(name, str):
+            raise TypeError("name must be a string")
+        return key_of(name, record.get("tags")), int(record["ts"]), float(record["v"])
+
     for record in records:
-        op = record.get("op")
-        if op == "write":
-            key = MetricKey.of(record["name"], record.get("tags") or None)
-            entries.append((key, record["ts"], record["v"]))
+        try:
+            op = record.get("op")
+            entry = sample(record) if op == "write" else None
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+            skipped += 1
+            continue
+        if entry is not None:
+            entries.append(entry)
             if len(entries) >= _REPLAY_BATCH:
                 apply_pending()
         elif op == "clear":
@@ -100,7 +118,7 @@ def apply_wal_records(
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """What opening a data directory recovered."""
+    """What opening a data directory recovered, and what it cost."""
 
     checkpoint_lsn: int
     snapshot_samples: int
@@ -108,17 +126,15 @@ class RecoveryReport:
     skipped_records: int
     torn_records: int
     last_lsn: int
+    #: WAL segments and whole-frame bytes the opening scan walked, and
+    #: the wall time of the open (scan + snapshot restore + replay).
+    segments: int
+    bytes: int
+    seconds: float
 
-    def as_dict(self) -> dict[str, int]:
+    def as_dict(self) -> dict[str, int | float]:
         """JSON-friendly form (the ``recover`` CLI prints this)."""
-        return {
-            "checkpoint_lsn": self.checkpoint_lsn,
-            "snapshot_samples": self.snapshot_samples,
-            "replayed_records": self.replayed_records,
-            "skipped_records": self.skipped_records,
-            "torn_records": self.torn_records,
-            "last_lsn": self.last_lsn,
-        }
+        return asdict(self)
 
 
 class DurableMetricsStore(MetricsStore):
@@ -149,6 +165,7 @@ class DurableMetricsStore(MetricsStore):
         segment_max_bytes: int = 4 * 1024 * 1024,
         faults: Any | None = None,
     ) -> None:
+        began = time.perf_counter()
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         checkpoint = read_checkpoint(self.data_dir)
@@ -181,13 +198,26 @@ class DurableMetricsStore(MetricsStore):
         self.tracker_snapshot: dict[str, Any] | None = (
             checkpoint.get("tracker") if checkpoint else None
         )
-        self.recovery = self._recover(checkpoint)
+        self.recovery = self._recover(checkpoint, began)
         self._journalling = True
+        logger.info(
+            "recovered data_dir=%s records=%d skipped=%d torn=%d segments=%d "
+            "bytes=%d seconds=%.3f",
+            self.data_dir,
+            self.recovery.replayed_records,
+            self.recovery.skipped_records,
+            self.recovery.torn_records,
+            self.recovery.segments,
+            self.recovery.bytes,
+            self.recovery.seconds,
+        )
 
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _recover(self, checkpoint: dict[str, Any] | None) -> RecoveryReport:
+    def _recover(
+        self, checkpoint: dict[str, Any] | None, began: float
+    ) -> RecoveryReport:
         checkpoint_lsn = 0
         snapshot_samples = 0
         if checkpoint is not None:
@@ -203,6 +233,9 @@ class DurableMetricsStore(MetricsStore):
             skipped_records=skipped,
             torn_records=self.wal.scan.torn_records,
             last_lsn=self.wal.last_lsn,
+            segments=self.wal.scan.segments,
+            bytes=self.wal.scan.bytes,
+            seconds=time.perf_counter() - began,
         )
 
     # ------------------------------------------------------------------
@@ -252,7 +285,7 @@ class DurableMetricsStore(MetricsStore):
         durable ``write`` over an in-memory one is a benchmarked gate
         (``bench_wal_overhead``).
         """
-        key = MetricKey.of(name, tags)
+        key = self.key_of(name, tags)
         with self._journal_lock:
             raise_first_error(
                 MetricsStore.apply_sample_batch(self, ((key, timestamp, value),))

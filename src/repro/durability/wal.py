@@ -56,7 +56,10 @@ __all__ = [
     "FSYNC_POLICIES",
     "WalScan",
     "WriteAheadLog",
+    "frame_windows",
     "read_segment_records",
+    "record_lsn",
+    "scan_segment",
 ]
 
 FSYNC_ALWAYS = "always"
@@ -70,6 +73,14 @@ _SEGMENT_SUFFIX = ".log"
 #: Frames larger than this are treated as corruption, not allocation
 #: requests — a torn length word must not make replay try to read 4 GB.
 _MAX_RECORD_BYTES = 64 * 1024 * 1024
+#: How the frame decoder reads: blocks of this many bytes, JSON-decoded
+#: in windows of at most this many frames — what bounds the memory of a
+#: scan, replay or ``write_batch`` decode, whatever the segment size.
+#: (Recovery time is flat from 32 to 1024 frames a window; the decoded
+#: records a window holds at once are not.)
+_BLOCK_BYTES = 256 * 1024
+_WINDOW_FRAMES = 256
+_NOT_JSON = "payload is not JSON"
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,7 @@ class WalScan:
     torn_records: int
     segments: int
     records: int
+    bytes: int
 
 
 def _segment_path(directory: Path, first_lsn: int) -> Path:
@@ -94,40 +106,176 @@ def _segment_first_lsn(path: Path) -> int:
         raise DurabilityError(f"not a WAL segment name: {path}") from None
 
 
+def _split_frames(buf: bytes) -> tuple[list[bytes], int, int, str | None]:
+    """Walk the whole CRC-valid frames at the start of ``buf``.
+
+    Returns ``(payloads, used, want, fault)``: the frames' payloads, the
+    bytes they occupy, and — when the walk stops before the end of the
+    buffer — why the frame at ``used`` is not whole.  ``want`` is how
+    many bytes that frame needs in all when more bytes could still make
+    it whole (a short header or payload); 0 for damage no further byte
+    repairs (an over-long length word, a CRC mismatch).  The one place a
+    frame header is unpacked for reading, on disk and on the wire.
+    """
+    payloads: list[bytes] = []
+    offset, total = 0, len(buf)
+    unpack, crc32, header = _HEADER.unpack_from, zlib.crc32, _HEADER.size
+    while offset < total:
+        start = offset + header
+        if start > total:
+            return payloads, offset, header, (
+                f"truncated header ({total - offset} of {header} bytes)"
+            )
+        length, crc = unpack(buf, offset)
+        if length > _MAX_RECORD_BYTES:
+            return payloads, offset, 0, (
+                f"frame length {length} exceeds {_MAX_RECORD_BYTES}"
+            )
+        end = start + length
+        if end > total:
+            return payloads, offset, header + length, (
+                f"truncated payload ({total - start} of {length} bytes)"
+            )
+        payload = buf[start:end]
+        if crc32(payload) != crc:
+            return payloads, offset, 0, "crc32 mismatch"
+        payloads.append(payload)
+        offset = end
+    return payloads, offset, 0, None
+
+
+def _decode_window(
+    payloads: Sequence[bytes],
+) -> tuple[list[Any], Exception | None]:
+    """JSON-decode a window of payloads: ``(records, error)``.
+
+    ``records`` are the values of the leading payloads that decode;
+    ``error`` is what ``json.loads(payload.decode("utf8"))`` raises on
+    the first that does not (``None`` when all do).  The window is
+    decoded by one ``json.loads`` over the payloads joined into an array
+    when that provably equals decoding each alone — every payload is
+    ``{...}`` with no newline and no ``[`` in it.  A string cannot then
+    run across a joint (a raw newline ends it in error), nothing but
+    objects nest inside a payload, and an object left open at a joint
+    would meet ``,{`` where it needs a key — so each payload contributes
+    whole values, and a count equal to the window's means one each.
+    Anything else (a scalar, a list, padding, a splice) takes the
+    per-payload loop.
+    """
+    count = len(payloads)
+    blob = b",\n".join(payloads)
+    if (
+        blob[:1] == b"{"
+        and blob[-1:] == b"}"
+        and blob.count(b"\n") == count - 1
+        and blob.count(b"},\n{") == count - 1
+        and b"[" not in blob
+    ):
+        try:
+            records = json.loads("[%s]" % blob.decode("utf8"))
+        except (ValueError, RecursionError):
+            pass
+        else:
+            if len(records) == count:
+                return records, None
+    records = []
+    for payload in payloads:
+        try:
+            records.append(json.loads(payload.decode("utf8")))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            return records, exc
+    return records, None
+
+
+def frame_windows(
+    handle: "io.BufferedReader | io.BytesIO",
+    offset: int = 0,
+    decode: bool = True,
+) -> Iterator[tuple[list[bytes], list[Any] | None, int, str | None]]:
+    """The one frame decoder: walk a frame stream a bounded window at a time.
+
+    Reads ``handle`` from ``offset`` in blocks of :data:`_BLOCK_BYTES`
+    (more only for a single frame larger than that) and yields
+    ``(payloads, records, offset, fault)`` per window of at most
+    :data:`_WINDOW_FRAMES` whole frames: the payload bytes, their
+    decoded JSON values (``None`` under ``decode=False``, the CRC-only
+    walk) and the byte offset of the window's first frame.  The last
+    item is always a terminator with no frames whose ``offset`` is where
+    the walk stopped and whose ``fault`` says why — ``None`` at a clean
+    end of data, else the defect of the frame at that offset (short,
+    over-long, CRC-broken, or not JSON).  Tolerant callers (segment
+    replay, the follower) resume or truncate at that offset; the strict
+    one (``write_batch``) turns the fault into a 400.  Memory is bounded
+    by the block and the window, never by the stream.
+    """
+    handle.seek(offset)
+    buf, want, fault = b"", 0, None
+    while True:
+        block = handle.read(max(_BLOCK_BYTES, want - len(buf)))
+        if not block:
+            break
+        buf += block
+        payloads, used, want, fault = _split_frames(buf)
+        buf = buf[used:]
+        for first in range(0, len(payloads), _WINDOW_FRAMES):
+            window = payloads[first : first + _WINDOW_FRAMES]
+            records, error = _decode_window(window) if decode else (None, None)
+            if error is not None:
+                window = window[: len(records)]
+            if window:
+                yield window, records, offset, None
+                offset += sum(map(len, window)) + _HEADER.size * len(window)
+            if error is not None:
+                yield [], [], offset, f"{_NOT_JSON} ({error})"
+                return
+        if fault is not None and not want:
+            break
+    yield [], [], offset, fault
+
+
 def read_segment_records(
     source: "str | Path | io.BufferedReader",
     start_offset: int = 0,
 ) -> Iterator[tuple[dict[str, Any], int]]:
     """Yield ``(record, end_offset)`` for each whole frame in a segment.
 
-    This is the one CRC-framed decoder: the WAL's own replay, the
-    cluster tier's segment shipping and the follower's incremental
-    replay all parse segment bytes through it.  Parsing stops silently
-    at the first incomplete or CRC-broken frame (a torn tail, or bytes
-    that simply have not arrived yet); ``end_offset`` is where the next
-    parse attempt should resume.
+    The tolerant reading of :func:`frame_windows`: parsing stops
+    silently at the first incomplete, CRC-broken or undecodable frame (a
+    torn tail, or bytes that simply have not arrived yet);
+    ``end_offset`` is where the next parse attempt should resume.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             yield from read_segment_records(handle, start_offset)
             return
-    handle = source
-    handle.seek(start_offset)
-    while True:
-        header = handle.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            return
-        length, crc = _HEADER.unpack(header)
-        if length > _MAX_RECORD_BYTES:
-            return
-        payload = handle.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            return
-        try:
-            record = json.loads(payload.decode("utf8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return
-        yield record, handle.tell()
+    for payloads, records, end, _ in frame_windows(source, start_offset):
+        for payload, record in zip(payloads, records):
+            end += _HEADER.size + len(payload)
+            yield record, end
+
+
+def record_lsn(record: Any) -> int:
+    """A decoded record's LSN; 0 when it carries no integer one."""
+    lsn = record.get("lsn") if isinstance(record, dict) else None
+    return lsn if type(lsn) is int else 0
+
+
+def scan_segment(path: Path) -> tuple[int, int, int, str | None]:
+    """CRC-walk one segment: ``(records, last_lsn, valid_end, fault)``.
+
+    Counts the whole frames and decodes only the last one, for its LSN
+    (0 when the segment holds no record that carries one) — what the
+    opening scan and :func:`~repro.durability.recovery.peek_recoverable_lsn`
+    need, without the JSON decode replay will do anyway.
+    """
+    records, last = 0, None
+    with open(path, "rb") as handle:
+        for payloads, _, valid_end, fault in frame_windows(handle, decode=False):
+            if payloads:
+                records += len(payloads)
+                last = payloads[-1]
+    decoded = _decode_window([last])[0] if last is not None else []
+    return records, record_lsn(decoded[0] if decoded else None), valid_end, fault
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -234,15 +382,15 @@ class WriteAheadLog:
         return sorted(paths, key=_segment_first_lsn)
 
     def _scan_segments(self) -> WalScan:
-        """Walk every segment, truncating a torn tail on the last one."""
-        last_lsn = torn = records = 0
+        """CRC-walk every segment, truncating a torn tail on the last one."""
+        last_lsn = torn = records = total = 0
         paths = self._segment_paths()
         for path in paths:
-            valid_end = 0
-            for record, valid_end in read_segment_records(path):
-                records += 1
-                last_lsn = int(record.get("lsn", 0)) or last_lsn
-            if path.stat().st_size == valid_end:
+            count, lsn, valid_end, fault = scan_segment(path)
+            records += count
+            last_lsn = lsn or last_lsn
+            total += valid_end
+            if fault is None:
                 continue
             # A frame failed to parse.  Torn-tail tolerance only covers
             # the *end of the log*: the final segment, with nothing but
@@ -258,13 +406,18 @@ class WriteAheadLog:
             with open(path, "r+b") as handle:
                 handle.truncate(valid_end)
             _fsync_directory(self.directory)
-        return WalScan(last_lsn, torn, len(paths), records)
+        return WalScan(last_lsn, torn, len(paths), records, total)
 
     def replay(self, after_lsn: int = 0) -> Iterator[dict[str, Any]]:
         """Yield every recoverable record with ``lsn > after_lsn``.
 
         The torn tail (if any) was already truncated by the opening
-        scan, so this simply walks the remaining frames in order.
+        scan, which checked CRCs but decoded nothing, so this is the one
+        JSON decode of the log.  A CRC-valid frame that does not decode
+        was written that way, not torn: replaying past it would lose
+        whatever follows, so it raises.  A decoded value that is not an
+        object has no LSN to filter on and is yielded for the consumer
+        to skip and count.
         """
         # Surface buffered (not-yet-fsynced) appends to this reader;
         # durability is still governed by the fsync policy.
@@ -274,9 +427,19 @@ class WriteAheadLog:
             if self._handle is not None:
                 self._handle.flush()
         for path in self._segment_paths():
-            for record, _ in read_segment_records(path):
-                if int(record.get("lsn", 0)) > after_lsn:
-                    yield record
+            with open(path, "rb") as handle:
+                for _, records, offset, fault in frame_windows(handle):
+                    if fault is not None and fault.startswith(_NOT_JSON):
+                        raise DurabilityError(
+                            f"WAL segment {path} is corrupt at offset "
+                            f"{offset}: {fault}"
+                        )
+                    for record in records:
+                        if (
+                            not isinstance(record, dict)
+                            or record_lsn(record) > after_lsn
+                        ):
+                            yield record
 
     @property
     def scan(self) -> WalScan:

@@ -45,12 +45,24 @@ class MetricKey:
     topology: str | None = field(
         init=False, default=None, compare=False, repr=False
     )
+    #: ``hash((name, tags))``, computed once: a key is hashed on every
+    #: series-dict lookup of every write.
+    _hash: int = field(init=False, default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.tags)))
         for tag, value in self.tags:
             if tag == "topology":
                 object.__setattr__(self, "topology", value)
                 break
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ per process, so
+        # a pickled key must not carry this process's cached hash.
+        return MetricKey, (self.name, self.tags)
 
     @classmethod
     def of(cls, name: str, tags: Mapping[str, str] | None = None) -> "MetricKey":
@@ -131,7 +143,16 @@ class MinuteBatch:
         self.last_ts: int | None = None
 
 
-def frame_sample(record: Any, body: str) -> tuple[MetricKey, int, float]:
+#: Interned keys a store may hold beyond twice its live series: room for
+#: one large batch of new series validated before any of them exists.
+_INTERN_SLACK = 4096
+
+
+def frame_sample(
+    record: Any,
+    body: str,
+    key_of: Callable[[str, Mapping[str, str]], MetricKey] = MetricKey.of,
+) -> tuple[MetricKey, int, float]:
     """Validate one decoded ingest frame into a ``(key, ts, value)`` sample.
 
     The batched ingest path hands client-framed payloads to the store —
@@ -141,7 +162,8 @@ def frame_sample(record: Any, body: str) -> tuple[MetricKey, int, float]:
     nothing that would corrupt the log — in particular no
     client-supplied ``lsn`` (a duplicate JSON key would shadow the
     server-assigned one on replay) and no non-finite value (``repr`` of
-    ``inf``/``nan`` is not JSON).  Raises
+    ``inf``/``nan`` is not JSON).  ``key_of`` resolves the series key (a
+    store passes its interning :meth:`MetricsStore.key_of`).  Raises
     :class:`~repro.errors.MetricsError` naming the defect.
     """
     if not isinstance(record, Mapping):
@@ -167,11 +189,15 @@ def frame_sample(record: Any, body: str) -> tuple[MetricKey, int, float]:
     value = record.get("v")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MetricsError("frame 'v' must be a number")
+    try:
+        ts, value = int(ts), float(value)
+    except (ValueError, OverflowError):  # NaN/Infinity ts, 400-digit v
+        raise MetricsError("frame 'ts' and 'v' must be finite") from None
     if not math.isfinite(value):
         raise MetricsError("frame 'v' must be finite")
     if not body.startswith("{"):
         raise MetricsError("frame payload must be a compact JSON object")
-    return MetricKey.of(name, tags), int(ts), float(value)
+    return key_of(name, tags), ts, value
 
 
 def raise_first_error(errors: Iterable[str | None]) -> None:
@@ -197,6 +223,8 @@ class MetricsStore:
             raise MetricsError("retention_seconds must be positive or None")
         self._retention = retention_seconds
         self._series: dict[MetricKey, _SeriesBuffer] = {}
+        # (name, tag items as they arrived) -> the series' one MetricKey.
+        self._interned: dict[tuple[str, tuple], MetricKey] = {}
         self._lock = threading.Lock()
         self._latest: int | None = None
         # Write counters per `topology` tag value (None = untagged),
@@ -207,6 +235,32 @@ class MetricsStore:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def key_of(
+        self, name: str, tags: Mapping[str, str] | None = None
+    ) -> MetricKey:
+        """:meth:`MetricKey.of`, interned: one key object per series.
+
+        Writers name the same few thousand series over and over (WAL
+        replay, ``write_batch`` frames, per-sample writes); looking the
+        key up by ``(name, tags as given)`` skips the sort, the dataclass
+        construction and the hash of a fresh key per sample, and the
+        series-dict lookup that follows hits on identity.  The table is a
+        cache: at most a small multiple of the live series (a writer that
+        permutes tag order cannot grow it past that), emptied by
+        :meth:`clear`.
+        """
+        items = tuple(tags.items()) if tags else ()
+        interned = self._interned
+        key = interned.get((name, items))
+        if key is None:
+            # Sorting these items (not a second ``tags.items()``) lets the
+            # key share its pair tuples with the table entry.
+            key = MetricKey(name, tuple(sorted(items)))
+            if len(interned) >= 2 * len(self._series) + _INTERN_SLACK:
+                interned.clear()
+            interned[(name, items)] = key
+        return key
+
     def write(
         self,
         name: str,
@@ -215,7 +269,7 @@ class MetricsStore:
         tags: Mapping[str, str] | None = None,
     ) -> None:
         """Append one sample to the series identified by name + tags."""
-        key = MetricKey.of(name, tags)
+        key = self.key_of(name, tags)
         raise_first_error(self.apply_sample_batch(((key, timestamp, value),)))
 
     def write_many(
@@ -229,7 +283,7 @@ class MetricsStore:
         One batch: every in-order sample lands, then the first
         out-of-order one (if any) is raised.
         """
-        key = MetricKey.of(name, tags)
+        key = self.key_of(name, tags)
         raise_first_error(
             self.apply_sample_batch(
                 [(key, timestamp, value) for timestamp, value in samples]
@@ -320,9 +374,10 @@ class MetricsStore:
         """
         rejected: list[dict[str, Any]] = []
         valid: list[tuple[int, tuple[MetricKey, int, float], str]] = []
+        key_of = self.key_of
         for idx, (record, body) in enumerate(frames):
             try:
-                valid.append((idx, frame_sample(record, body), body))
+                valid.append((idx, frame_sample(record, body, key_of), body))
             except MetricsError as exc:
                 rejected.append({"frame": idx, "error": str(exc)})
         errors = self.apply_sample_batch(
@@ -600,6 +655,7 @@ class MetricsStore:
         """Drop every stored series."""
         with self._lock:
             self._series.clear()
+            self._interned.clear()
             self._latest = None
             # A wipe changes what every query returns: bump the untagged
             # counter (which folds into every topology's digest).

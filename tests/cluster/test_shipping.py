@@ -18,6 +18,7 @@ from repro.durability import (
     open_data_dir,
     store_content_hash,
 )
+from repro.durability.wal import read_segment_records
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
@@ -201,6 +202,36 @@ class TestFollowerIngestGuards:
         )
         assert status == 200
         assert body["applied_lsn"] == 3
+        assert replica.status()["content_hash"] == store_content_hash(
+            shard_store
+        )
+
+
+    def test_shipment_cut_mid_frame_inside_a_decode_window_resumes_there(
+        self, shard_store, tmp_path
+    ):
+        # 2500 frames: the decoder works in windows of 256, so a cut in
+        # frame 1500 falls inside the sixth window of the first parse.
+        shard_store.apply_sample_batch(
+            [
+                (shard_store.key_of("emit-count", {"topology": "wc", "i": str(i)}),
+                 60, float(i))
+                for i in range(2500)
+            ]
+        )
+        shard_store.flush()
+        (segment,) = shard_store.wal.segments()
+        raw = segment.read_bytes()
+        ends = [end for _, end in read_segment_records(segment)]
+        cut = ends[1499] + 11  # three bytes into frame 1500's payload
+        replica = FollowerReplica(tmp_path / "r")
+        status, body = replica.receive_segment(segment.name, 0, raw[:cut])
+        assert (status, body["applied_lsn"]) == (200, 1500)
+        assert replica.status()["segments"] == {segment.name: ends[1499]}
+        status, body = replica.receive_segment(segment.name, cut, raw[cut:])
+        assert (status, body["applied_lsn"]) == (200, 2500)
+        assert replica.status()["segments"] == {segment.name: len(raw)}
+        assert (replica.applied_records, replica.skipped_records) == (2500, 0)
         assert replica.status()["content_hash"] == store_content_hash(
             shard_store
         )

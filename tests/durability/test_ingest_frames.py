@@ -81,6 +81,15 @@ class TestFrameSample:
         with pytest.raises(MetricsError, match=message):
             frame_sample(record, json.dumps(record))
 
+    @pytest.mark.parametrize(
+        "fields", ['"ts":NaN,"v":1.0', '"ts":Infinity,"v":1.0',
+                   '"ts":60,"v":1' + "0" * 400],
+    )
+    def test_numbers_that_do_not_convert_are_rejected_not_raised(self, fields):
+        body = '{"op":"write","name":"m","tags":{},%s}' % fields
+        with pytest.raises(MetricsError, match="must be finite"):
+            frame_sample(json.loads(body), body)
+
     def test_non_finite_value_is_rejected(self):
         # Python's json.loads accepts NaN/Infinity literals, but the
         # WAL promises strictly valid JSON payloads.

@@ -1,8 +1,10 @@
-"""Structure guards: one keyed write loop, one journal override.
+"""Structure guards: one keyed write loop, one journal override, one
+frame decoder.
 
 The store used to carry four write paths kept apart by a base class that
-inspected its own subclasses.  These checks read the source so the
-duplicates cannot quietly come back.
+inspected its own subclasses, and the log was parsed by a per-record file
+reader on disk and a second loop on the wire.  These checks read the
+source so the duplicates cannot quietly come back.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def test_frames_are_validated_in_one_place():
     defining = [
         str(path.relative_to(SRC))
         for path, source in sources.items()
-        if "frame_sample(record, body)" in source
+        if "frame_sample(record, body" in source
     ]
     assert defining == ["timeseries/store.py"]
 
@@ -94,3 +96,31 @@ def test_one_wal_record_replay_function():
         if 'op == "clear"' in source
     ]
     assert replaying == ["durability/store.py"]
+
+
+def _functions_containing(needle: str) -> list[str]:
+    found = []
+    for path, source in _sources().items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and needle in (
+                ast.get_source_segment(source, node) or ""
+            ):
+                found.append(f"{path.relative_to(SRC)}:{node.name}")
+    return found
+
+
+def test_one_function_unpacks_a_frame_header():
+    """On disk and on the wire: the chunked walk, nothing beside it."""
+    assert _functions_containing("unpack") == ["durability/wal.py:_split_frames"]
+
+
+def test_no_per_record_read_loop_remains():
+    """Segments are read a block at a time, by the decoder alone; nothing
+    under ``durability/`` or ``api/ingest.py`` reads a header's worth."""
+    assert _functions_containing("_HEADER.size)") == []
+    reading = [
+        name
+        for name in _functions_containing(".read(")
+        if name.startswith(("durability/", "api/ingest.py"))
+    ]
+    assert reading == ["durability/wal.py:frame_windows"]

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
 
 from repro.errors import MetricsError
+from repro.timeseries import store as store_module
 from repro.timeseries.store import MetricKey, MetricsStore
 
 
@@ -45,6 +47,38 @@ class TestMetricKey:
     def test_tag_dict(self):
         key = MetricKey.of("m", {"k": "v"})
         assert key.tag_dict() == {"k": "v"}
+
+    def test_hash_is_cached_and_never_pickled(self):
+        key = MetricKey.of("m", {"topology": "wc"})
+        assert hash(key) == hash(("m", key.tags)) == key._hash
+        # String hashes are per process: a key sent to a pool worker must
+        # be rebuilt there, not arrive with this process's hash.
+        assert key.__reduce__() == (MetricKey, ("m", key.tags))
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key and hash(clone) == hash(key)
+        assert clone.topology == "wc"
+        assert repr(key) == "MetricKey(name='m', tags=(('topology', 'wc'),))"
+
+
+class TestKeyOf:
+    def test_interns_one_key_per_series_whatever_the_tag_order(self):
+        s = MetricsStore()
+        a = s.key_of("m", {"x": "1", "y": "2"})
+        assert a is s.key_of("m", {"x": "1", "y": "2"})
+        assert a == s.key_of("m", {"y": "2", "x": "1"}) == MetricKey.of(
+            "m", {"x": "1", "y": "2"}
+        )
+        assert s.key_of("m") is s.key_of("m", {}) and s.key_of("m").tags == ()
+
+    def test_table_is_bounded_by_live_series_and_dropped_by_clear(self):
+        s = MetricsStore()
+        for i in range(20_000):  # series named but never written
+            s.key_of("m", {"i": str(i)})
+        assert len(s._interned) <= store_module._INTERN_SLACK
+        s.write("m", 60, 1.0, {"i": "0"})
+        assert s._interned
+        s.clear()
+        assert s._interned == {}
 
 
 class TestWrite:
