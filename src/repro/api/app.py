@@ -43,7 +43,7 @@ from repro.durability.deadline import (
     parse_deadline_header,
 )
 from repro.durability.lifecycle import LifecycleController
-from repro.api.ingest import FRAMES_CONTENT_TYPE, decode_frames
+from repro.api.ingest import FRAMES_CONTENT_TYPE, split_frames
 from repro.errors import ApiError, ReproError, TopologyError
 from repro.heron.tracker import TopologyTracker
 from repro.serving import (
@@ -513,26 +513,31 @@ class CaladriusApp:
                 "write_batch requires a framed binary body "
                 f"(Content-Type: {FRAMES_CONTENT_TYPE})"
             )
-        frames = decode_frames(raw)
-        if not frames:
+        payloads, fault = split_frames(raw)
+        if fault is not None:
+            # An earlier payload that is not JSON outranks it.
+            self.store.frame_samples(payloads)
+            raise fault
+        if not payloads:
             raise ApiError("write_batch body contains no frames")
-        result = self.store.ingest_frames(frames)
+        result = self.store.ingest_frames(payloads)
         self._ship_after_write()
         return result
 
     def handle_write_batch_frames(
         self,
-        frames: list[tuple[Any, str]],
+        frames: list[bytes],
         headers: Mapping[str, str] | None = None,
     ) -> tuple[int, dict[str, Any]]:
         """Commit one group of an in-flight batch stream.
 
         The HTTP listener chunks a large ``write_batch`` body into
-        commit groups and calls this once per group, streaming each
-        result as it lands.  Admission (drain, read-only, epoch fence)
-        is re-checked per group: a drain beginning mid-stream refuses
-        the *remaining* groups with 503 while every already-streamed
-        ack stands — acknowledged frames are already durable.
+        commit groups and calls this once per group (``frames`` is the
+        group's payload bytes), streaming each result as it lands.
+        Admission (drain, read-only, epoch fence) is re-checked per
+        group: a drain beginning mid-stream refuses the *remaining*
+        groups with 503 while every already-streamed ack stands —
+        acknowledged frames are already durable.
         """
         lowered = {k.lower(): v for k, v in dict(headers or {}).items()}
         try:

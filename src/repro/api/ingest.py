@@ -10,23 +10,27 @@ re-serialized between the client and the segment file.
 Both sides walk frames with the one decoder,
 :func:`repro.durability.wal.frame_windows`.  Segment readers are its
 tolerant callers (a crash mid-append is expected on disk, so they stop
-at a torn final frame); :func:`decode_frames` is the strict one: an HTTP
-body is either a complete frame sequence or a client bug, so any short,
-oversized, CRC-broken or non-JSON frame rejects the whole request with a
-structured 400 naming the frame index and byte offset.
+at a torn final frame); the wire's are strict: an HTTP body is either a
+complete frame sequence or a client bug, so any short, oversized,
+CRC-broken or non-JSON frame rejects the whole request with a
+structured 400 naming the frame index and byte offset.  The listener
+runs the framing walk alone (:func:`split_frames`) and hands the payload
+bytes to the store, which decodes only what it has not seen before and
+raises the same 400 for a payload that is not JSON;
+:func:`decode_frames` does both at once for callers that want records.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import struct
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
-from repro.durability.wal import frame_windows
+from repro.durability.wal import frame_windows, malformed_frame
 from repro.errors import ApiError
+from repro.timeseries.store import write_head, write_record
 
 __all__ = [
     "FRAMES_CONTENT_TYPE",
@@ -37,6 +41,7 @@ __all__ = [
     "frame_bytes",
     "merge_stream_lines",
     "rebase_refused",
+    "split_frames",
 ]
 
 # The request body: WAL-framed records, appended to the log verbatim.
@@ -50,6 +55,13 @@ STREAM_CONTENT_TYPE = "application/x-ndjson"
 _HEADER = struct.Struct("<II")
 
 
+#: Rendered record heads by ``(name, tag items as given)``: a writer names
+#: the same series every minute, so its head is rendered once.  A cache,
+#: emptied when it reaches this many entries.
+_HEAD_MEMO_MAX = 1 << 16
+_head_memo: dict[tuple[str, tuple], bytes] = {}
+
+
 def encode_frame(
     name: str,
     timestamp: int,
@@ -60,16 +72,30 @@ def encode_frame(
 
     The payload is compact JSON with the fields in the WAL's journal
     order (``op``, ``name``, ``tags``, ``ts``, ``v``) and no ``lsn`` —
-    the server splices its assigned LSN in front when appending.
+    the server splices its assigned LSN in front when appending.  Byte
+    for byte ``json.dumps`` of the record: the head (everything through
+    ``"ts":``) comes from the one renderer, memoised per series when the
+    name and every tag key and value are exactly ``str``; the tail is
+    the integer and ``repr`` of the float, which is what ``json.dumps``
+    writes (and its ``Infinity``/``NaN`` when the value is not finite).
     """
-    record = {
-        "op": "write",
-        "name": name,
-        "tags": dict(tags) if tags else {},
-        "ts": int(timestamp),
-        "v": float(value),
-    }
-    payload = json.dumps(record, separators=(",", ":")).encode("utf8")
+    try:
+        key = (name, tuple(tags.items()) if tags else ())
+        head = _head_memo.get(key)
+    except (AttributeError, TypeError):  # tags not a mapping / unhashable
+        key = head = None
+    if head is None:
+        tags = dict(tags) if tags else {}
+    timestamp, value = int(timestamp), float(value)
+    if head is None:
+        head = write_head(name, tags)
+        if key is not None and type(name) is str and all(
+            type(k) is str and type(v) is str for k, v in key[1]
+        ):
+            if len(_head_memo) >= _HEAD_MEMO_MAX:
+                _head_memo.clear()
+            _head_memo[key] = head
+    payload = write_record(head, timestamp, value)
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -99,23 +125,34 @@ def decode_frames(raw: bytes) -> list[tuple[Any, str]]:
     """Strictly decode a request body into ``(record, body)`` per frame.
 
     ``record`` is the parsed JSON value and ``body`` the exact payload
-    string the client framed — the durable store journals ``body``
-    verbatim so client bytes and segment bytes stay identical.  Raises
-    :class:`~repro.errors.ApiError` (400) on any malformed frame; the
-    payload names the frame index and byte offset so a client can find
-    the bug in its encoder.
+    string the client framed.  Raises :class:`~repro.errors.ApiError`
+    (400) on any malformed frame; the payload names the frame index and
+    byte offset so a client can find the bug in its encoder.
     """
     frames: list[tuple[Any, str]] = []
     for payloads, records, offset, fault in frame_windows(io.BytesIO(raw)):
         if fault is not None:
-            index = len(frames)
-            raise ApiError(
-                f"malformed frame {index} at byte {offset}: {fault}",
-                status=400,
-                payload={"frame": index, "offset": offset},
-            )
+            raise malformed_frame(len(frames), offset, fault)
         frames.extend(zip(records, [str(p, "utf8") for p in payloads]))
     return frames
+
+
+def split_frames(raw: bytes) -> tuple[list[bytes], ApiError | None]:
+    """The strict framing walk alone: ``(payloads, fault)``.
+
+    Lengths and CRCs are checked, nothing is JSON-decoded — cheap enough
+    for the listener's event loop.  ``payloads`` are the whole frames'
+    payload bytes and ``fault`` the 400 for the first frame that is
+    short, over-long or CRC-broken (``None`` for a clean body).  It is
+    returned, not raised, because an earlier payload that is not JSON
+    outranks it: the caller has the store check ``payloads`` first.
+    """
+    payloads: list[bytes] = []
+    for window, _, offset, fault in frame_windows(io.BytesIO(raw), decode=False):
+        payloads.extend(window)
+    if fault is None:
+        return payloads, None
+    return payloads, malformed_frame(len(payloads), offset, fault)
 
 
 def rebase_refused(
@@ -157,11 +194,12 @@ def rebase_refused(
 def merge_stream_lines(lines: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Fold streamed ``commit``/``done`` lines into one batch summary.
 
-    The threaded server answers ``write_batch`` with a single JSON
-    summary; the asyncio server streams one line per group commit.  The
-    client funnels both shapes through this so callers see one ack
-    regardless of transport.  ``commits`` preserves the per-group ack
-    offsets for callers that track durability incrementally.
+    The listener answers a ``write_batch`` of one commit group (and the
+    router any batch) with a single JSON summary, and streams one line
+    per group commit for a larger one.  The client funnels both shapes
+    through this so callers see one ack either way.  ``commits``
+    preserves the per-group ack offsets for callers that track
+    durability incrementally.
     """
     merged: dict[str, Any] = {
         "frames": 0,

@@ -43,7 +43,7 @@ from http.client import responses as _REASONS
 from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.api.ingest import STREAM_CONTENT_TYPE, decode_frames
+from repro.api.ingest import STREAM_CONTENT_TYPE, split_frames
 from repro.errors import ApiError
 
 __all__ = ["CaladriusServer", "parse_query_strict"]
@@ -440,10 +440,20 @@ class CaladriusServer:
                 and method.upper() == "POST"
                 and path == "/metrics/write_batch"
             ):
-                frames = decode_frames(body_bytes)
+                # Lengths and CRCs here; every JSON decode runs on the
+                # pool.  A body that is not one clean commit group is
+                # checked whole there before any part of it commits: a
+                # payload that is not JSON refuses it all, and outranks
+                # a framing fault behind it.
+                frames, fault = split_frames(body_bytes)
+                streamed = len(frames) > self._commit_max_frames
+                if streamed or fault is not None:
+                    await self._run(self.app.store.frame_samples, frames)
+                    if fault is not None:
+                        raise fault
                 if not frames:
                     raise ApiError("write_batch body contains no frames")
-                if len(frames) > self._commit_max_frames:
+                if streamed:
                     return None, await self._stream_commits(
                         writer, frames, headers, keep_alive
                     )
@@ -483,7 +493,7 @@ class CaladriusServer:
     async def _stream_commits(
         self,
         writer: asyncio.StreamWriter,
-        frames: list[tuple[Any, str]],
+        frames: list[bytes],
         headers: dict[str, str],
         keep_alive: bool,
     ) -> bool:

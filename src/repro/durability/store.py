@@ -20,7 +20,6 @@ caller was never told succeeded.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import threading
@@ -40,6 +39,8 @@ from repro.timeseries.store import (
     MinuteBatch,
     raise_first_error,
     frame_sample,
+    write_head,
+    write_record,
 )
 
 __all__ = [
@@ -54,7 +55,7 @@ logger = logging.getLogger("repro.durability.store")
 _WAL_SUBDIR = "wal"
 #: What a per-series journal template starts with; a record *body* (the
 #: form ``WriteAheadLog.append_bodies`` takes) is the same text without it.
-_LSN_SLOT = '{"lsn":%d,'
+_LSN_SLOT = b'{"lsn":%d,'
 _REPLAY_BATCH = 1024
 
 
@@ -244,7 +245,7 @@ class DurableMetricsStore(MetricsStore):
     def apply_sample_batch(
         self,
         entries: Sequence[tuple[MetricKey, int, float]],
-        bodies: Sequence[str] | None = None,
+        bodies: Sequence[bytes] | None = None,
     ) -> list[str | None]:
         """Apply a keyed batch, then journal what was accepted: one
         lock hold, one group commit (at most one fsync under
@@ -253,10 +254,11 @@ class DurableMetricsStore(MetricsStore):
         Every batched writer lands here — ``write_many``, the
         simulator's minute flushes, ``POST /metrics/write`` and
         :meth:`ingest_frames` — so this is the one place a batch meets
-        the log.  ``bodies`` (the client's own record text, from
-        :meth:`ingest_frames`) is appended verbatim modulo the spliced
-        LSN prefix; without it each record is rendered from its series'
-        cached template.  Rejected entries are never journaled.
+        the log.  ``bodies`` (the client's own record bytes, the very
+        ones :meth:`ingest_frames` validated) is appended verbatim
+        modulo the spliced LSN prefix; without it each record is
+        rendered from its series' cached template.  Rejected entries
+        are never journaled.
         """
         with self._journal_lock:
             errors = super().apply_sample_batch(entries)
@@ -300,49 +302,47 @@ class DurableMetricsStore(MetricsStore):
                 else:
                     self.wal.append_bodies((self._body(key, timestamp, value),))
 
-    def _template(self, key: MetricKey) -> str:
+    def _template(self, key: MetricKey) -> bytes:
         """The series' record as a ``%`` template: LSN, timestamp, value."""
         buffer = self._series[key]
         template = buffer.journal_template
         if template is None:
             # %r of a finite float is its shortest round-tripping repr,
             # which is valid JSON.
-            fields = '"op":"write","name":%s,"tags":%s' % (
-                json.dumps(key.name),
-                json.dumps(key.tag_dict(), separators=(",", ":")),
-            )
+            head = write_head(key.name, key.tag_dict())
             template = buffer.journal_template = (
-                _LSN_SLOT + fields.replace("%", "%%") + ',"ts":%d,"v":%r}'
+                _LSN_SLOT + head[1:].replace(b"%", b"%%") + b'%d,"v":%r}'
             )
         return template
 
-    def _body(self, key: MetricKey, timestamp: int, value: float) -> str:
-        """One accepted sample as record text without the LSN."""
+    def _body(self, key: MetricKey, timestamp: int, value: float) -> bytes:
+        """One accepted sample as a record without the LSN."""
         value = float(value)
         if math.isfinite(value):
-            return "{" + self._template(key)[len(_LSN_SLOT):] % (
+            return b"{" + self._template(key)[len(_LSN_SLOT):] % (
                 int(timestamp), value
             )
-        # repr() of inf/nan is not JSON; json.dumps spells them the way
-        # json.loads reads them back.
-        return json.dumps(
-            {
-                "op": "write",
-                "name": key.name,
-                "tags": key.tag_dict(),
-                "ts": int(timestamp),
-                "v": value,
-            },
-            separators=(",", ":"),
+        # repr() of inf/nan is not JSON, so no template for them.
+        return write_record(
+            write_head(key.name, key.tag_dict()), int(timestamp), value
         )
 
-    def ingest_frames(
-        self, frames: Sequence[tuple[Any, str]]
+    def _apply_frames(
+        self,
+        payloads: list[bytes],
+        samples: list[tuple[MetricKey, int, float] | None],
+        rejected: list[dict[str, Any]],
     ) -> dict[str, Any]:
-        """As :meth:`MetricsStore.ingest_frames`, plus the LSN range of
-        the group commit that made the acked frames durable."""
+        """As :meth:`MetricsStore._apply_frames`, plus the LSN range of
+        the group commit that made the acked frames durable.
+
+        The journal lock is held for apply + journal only — long enough
+        to read the range the group was issued; validation ran before,
+        without it, so a large group does not stall readers for the
+        time it takes to check it.
+        """
         with self._journal_lock:
-            result = super().ingest_frames(frames)
+            result = super()._apply_frames(payloads, samples, rejected)
             if result["acked"] and self._journalling:
                 result["last_lsn"] = self.wal.last_lsn
                 result["first_lsn"] = self.wal.last_lsn - result["acked"] + 1

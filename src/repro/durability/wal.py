@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import DurabilityError
+from repro.errors import ApiError, DurabilityError
 
 __all__ = [
     "FSYNC_ALWAYS",
@@ -57,6 +57,7 @@ __all__ = [
     "WalScan",
     "WriteAheadLog",
     "frame_windows",
+    "malformed_frame",
     "read_segment_records",
     "record_lsn",
     "scan_segment",
@@ -231,6 +232,16 @@ def frame_windows(
         if fault is not None and not want:
             break
     yield [], [], offset, fault
+
+
+def malformed_frame(index: int, offset: int, fault: str) -> ApiError:
+    """The strict readers' verdict on a request body: the 400 naming
+    the frame (its index and byte offset) that ``fault`` stopped at."""
+    return ApiError(
+        f"malformed frame {index} at byte {offset}: {fault}",
+        status=400,
+        payload={"frame": index, "offset": offset},
+    )
 
 
 def read_segment_records(
@@ -489,19 +500,21 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def append(self, record: dict[str, Any]) -> int:
         """Frame, write and (per policy) sync one record; returns its LSN."""
-        return self.append_bodies((json.dumps(record, separators=(",", ":")),))
-
-    def append_body(self, body: str) -> int:
-        """``append_bodies((body,))``; kept for the frozen
-        ``benchmarks/ledger`` finding test, goes at its re-baseline."""
+        body = json.dumps(record, separators=(",", ":")).encode("utf8")
         return self.append_bodies((body,))
 
-    def append_bodies(self, bodies: Sequence[str]) -> int:
+    def append_body(self, body: str) -> int:
+        """``append_bodies`` of one text body; kept for the frozen
+        ``benchmarks/ledger`` finding test, goes at its re-baseline."""
+        return self.append_bodies((body.encode("utf8"),))
+
+    def append_bodies(self, bodies: Sequence[bytes]) -> int:
         """Append many pre-rendered bodies as one commit group.
 
-        Each element of ``bodies`` is compact JSON object text *without*
-        an LSN; the LSN prefix is spliced per frame, so client-encoded
-        frames hit the log without re-serialization.  The whole batch is enqueued under a
+        Each element of ``bodies`` is a compact JSON object (UTF-8
+        bytes) *without* an LSN; the LSN prefix is spliced per frame, so
+        client-encoded frames hit the log without re-serialization or a
+        text round trip.  The whole batch is enqueued under a
         single lock acquisition and issued contiguous LSNs; under
         ``fsync=always`` the batch is synced with **one** ``fsync`` at
         the end instead of one per record — the group-commit amortisation
@@ -517,10 +530,10 @@ class WriteAheadLog:
             first = self._next_lsn
             lsn = first
             for body in bodies:
-                if body == "{}":
+                if body == b"{}":
                     payload = b'{"lsn":%d}' % lsn
                 else:
-                    payload = ('{"lsn":%d,%s' % (lsn, body[1:])).encode("utf8")
+                    payload = b'{"lsn":%d,%b' % (lsn, body[1:])
                 frame = (
                     _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
                 )
@@ -546,10 +559,10 @@ class WriteAheadLog:
                 self._drain()
             return first
 
-    def append_template(self, template: str, *args: Any) -> int:
+    def append_template(self, template: bytes, *args: Any) -> int:
         """Append via a cached ``%``-format template; returns the LSN.
 
-        ``template`` must render to compact JSON object text, with the
+        ``template`` must render to a compact JSON object, with the
         LSN as its *first* placeholder followed by one placeholder per
         element of ``args``.  Callers that append the same record shape
         repeatedly (the durable store's write path) cache the template
@@ -566,7 +579,7 @@ class WriteAheadLog:
                     "reopen the data directory to recover"
                 )
             lsn = self._next_lsn
-            payload = (template % (lsn, *args)).encode("utf8")
+            payload = template % (lsn, *args)
             frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
             if not self._pending:
                 self._pending_first_lsn = lsn

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
@@ -30,6 +31,8 @@ __all__ = [
     "MinuteBatch",
     "frame_sample",
     "raise_first_error",
+    "write_head",
+    "write_record",
 ]
 
 
@@ -91,7 +94,7 @@ class _SeriesBuffer:
     # Opaque per-series cache slot for subclasses: the durable store
     # parks its rendered WAL record template here, so the journaling
     # hot path pays an attribute read instead of a second keyed lookup.
-    journal_template: str | None = None
+    journal_template: bytes | None = None
     # Cached frozen view: rebuilding numpy arrays per read dominates
     # repeated-query cost (calibration reads every series several
     # times per sweep).  TimeSeries is immutable with read-only
@@ -143,14 +146,55 @@ class MinuteBatch:
         self.last_ts: int | None = None
 
 
-#: Interned keys a store may hold beyond twice its live series: room for
-#: one large batch of new series validated before any of them exists.
+#: Interned keys (and registered record heads) a store may hold beyond
+#: twice its live series: room for one large batch of new series
+#: validated before any of them exists.
 _INTERN_SLACK = 4096
+
+#: A write payload is *head + tail*: the head is every byte before the
+#: last ``,"ts":`` (op, name and tags — the same bytes every minute a
+#: series reports), the tail the marker, an integer, ``,"v":``, a number
+#: and the closing brace.  The tail grammar is a subset of JSON's on
+#: which ``int()``/``float()`` of the matched text equal what
+#: ``frame_sample`` makes of the decoded record: JSON's integer (at most
+#: 18 digits, under ``int()``'s digit limit) and JSON's number — no
+#: space, sign, ``_``, leading zero, ``inf`` or ``nan`` that the
+#: converters alone would let through — minus the integer ``-0``, which
+#: decodes to ``0`` and so to ``0.0``, not ``float("-0")``.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_TS_KEY = b',"ts":'
+_TAIL = re.compile(
+    re.escape(_TS_KEY) + rb"(-?(?:0|[1-9][0-9]{0,17}))"
+    rb',"v":(?!-0\})(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}'
+)
+
+
+def write_head(name: Any, tags: Mapping[Any, Any]) -> bytes:
+    """A write record up to and including ``"ts":`` — its one renderer.
+
+    Compact JSON in the journal's field order, byte for byte what
+    ``json.dumps`` of the whole record starts with; the client encoder
+    and the durable store's per-series template and fallback body all
+    start from it.
+    """
+    return b'{"op":"write","name":%b,"tags":%b,"ts":' % (
+        _compact_json(name).encode("utf8"),
+        _compact_json(tags).encode("utf8"),
+    )
+
+
+def write_record(head: bytes, timestamp: int, value: float) -> bytes:
+    """``head`` finished with a sample, as ``json.dumps`` would: ``repr``
+    of a finite float is its JSON; ``inf``/``nan`` take ``json.dumps``'
+    own spelling, the one ``json.loads`` reads back."""
+    if math.isfinite(value):
+        return head + b'%d,"v":%r}' % (timestamp, value)
+    return head + b'%d,"v":%b}' % (timestamp, json.dumps(value).encode("utf8"))
 
 
 def frame_sample(
     record: Any,
-    body: str,
+    body: bytes | str,
     key_of: Callable[[str, Mapping[str, str]], MetricKey] = MetricKey.of,
 ) -> tuple[MetricKey, int, float]:
     """Validate one decoded ingest frame into a ``(key, ts, value)`` sample.
@@ -162,9 +206,10 @@ def frame_sample(
     nothing that would corrupt the log — in particular no
     client-supplied ``lsn`` (a duplicate JSON key would shadow the
     server-assigned one on replay) and no non-finite value (``repr`` of
-    ``inf``/``nan`` is not JSON).  ``key_of`` resolves the series key (a
-    store passes its interning :meth:`MetricsStore.key_of`).  Raises
-    :class:`~repro.errors.MetricsError` naming the defect.
+    ``inf``/``nan`` is not JSON).  ``record`` is what ``body`` (the
+    payload, bytes or text) decodes to; ``key_of`` resolves the series
+    key (a store passes its interning :meth:`MetricsStore.key_of`).
+    Raises :class:`~repro.errors.MetricsError` naming the defect.
     """
     if not isinstance(record, Mapping):
         raise MetricsError("frame payload must be a JSON object")
@@ -195,7 +240,7 @@ def frame_sample(
         raise MetricsError("frame 'ts' and 'v' must be finite") from None
     if not math.isfinite(value):
         raise MetricsError("frame 'v' must be finite")
-    if not body.startswith("{"):
+    if body[:1] not in (b"{", "{"):  # the LSN is spliced in after it
         raise MetricsError("frame payload must be a compact JSON object")
     return key_of(name, tags), ts, value
 
@@ -225,6 +270,11 @@ class MetricsStore:
         self._series: dict[MetricKey, _SeriesBuffer] = {}
         # (name, tag items as they arrived) -> the series' one MetricKey.
         self._interned: dict[tuple[str, tuple], MetricKey] = {}
+        # Record head bytes that passed the gate -> the key they name,
+        # and how many ingest frames were resolved through it / decoded.
+        self._heads: dict[bytes, MetricKey] = {}
+        self.frames_by_head = 0
+        self.frames_decoded = 0
         self._lock = threading.Lock()
         self._latest: int | None = None
         # Write counters per `topology` tag value (None = untagged),
@@ -293,7 +343,7 @@ class MetricsStore:
     def apply_sample_batch(
         self,
         entries: Sequence[tuple[MetricKey, int, float]],
-        bodies: Sequence[str] | None = None,
+        bodies: Sequence[bytes] | None = None,
     ) -> list[str | None]:
         """Apply keyed samples, in order, under one lock acquisition.
 
@@ -356,42 +406,132 @@ class MetricsStore:
                 listener(topology)
         return errors
 
+    def frame_samples(
+        self, payloads: Sequence[bytes]
+    ) -> tuple[list[tuple[MetricKey, int, float] | None], list[dict[str, Any]]]:
+        """Validate ingest payloads: ``(samples, rejected)``, nothing applied.
+
+        The one validating body behind :meth:`ingest_frames`.
+        ``samples[i]`` is the ``(key, ts, value)`` sample of payload
+        ``i`` (``None`` when it is refused) and ``rejected`` lists the
+        refusals as ``{"frame": i, "error": msg}``; a payload that is
+        not JSON at all refuses them all — the strict frame decoder's
+        :class:`~repro.errors.ApiError` (400), naming its index and its
+        byte offset in the body the payloads were framed in.
+
+        A series sends the same *head* (see :data:`_TAIL`) every minute,
+        so the JSON decode and :func:`frame_sample` run once per head,
+        not once per payload.  A payload whose head is registered and
+        whose tail is in the grammar is resolved from the bytes alone.
+        Every other payload — unknown head, tail outside the grammar,
+        non-finite value — goes the full way, the misses of a group
+        decoded together a window at a time, so every refusal and its
+        wording comes from the one gate; a payload that passed it *and*
+        has a grammatical tail registers its head.
+
+        Why a hit may skip the gate: JSON is parsed left to right, and
+        ``,"`` cannot occur inside a string of a valid document (the
+        quote would have to be escaped), so in a payload that decoded
+        and whose tail matched, the last ``,"ts":`` is a key of the
+        object the final ``}`` closes — the top-level one, since the
+        document ends there.  A payload with identical head bytes and a
+        grammatical tail therefore decodes to that same object — the
+        same ``op``, ``name`` and ``tags``, still no ``lsn`` — with only
+        ``ts`` and ``v`` replaced by an integer and a number, which the
+        tail grammar converts exactly as the decoder would; the
+        finiteness check is repeated here.  Head to key is a pure
+        function of the bytes, so the table can never be stale: it is a
+        cache, bounded like the intern table and emptied by
+        :meth:`clear`, safe to read and fill without the store lock.
+        """
+        from repro.durability.wal import (
+            _HEADER, _NOT_JSON, _WINDOW_FRAMES, _decode_window, malformed_frame,
+        )
+
+        heads, known, tail = self._heads, self._heads.get, _TAIL.fullmatch
+        samples: list[tuple[MetricKey, int, float] | None] = [None] * len(payloads)
+        misses: list[tuple[int, bytes]] = []
+        for idx, payload in enumerate(payloads):
+            head = payload[: payload.rfind(_TS_KEY)]
+            key = known(head)
+            if key is not None:
+                match = tail(payload, len(head))
+                if match is not None:
+                    value = float(match[2])
+                    if math.isfinite(value):
+                        samples[idx] = (key, int(match[1]), value)
+                        continue
+            misses.append((idx, head))
+        self.frames_by_head += len(payloads) - len(misses)
+        self.frames_decoded += len(misses)
+        rejected: list[dict[str, Any]] = []
+        key_of = self.key_of
+        for first in range(0, len(misses), _WINDOW_FRAMES):
+            window = misses[first : first + _WINDOW_FRAMES]
+            if len(heads) + len(window) > 2 * len(self._series) + _INTERN_SLACK:
+                heads.clear()
+            records, error = _decode_window([payloads[idx] for idx, _ in window])
+            for (idx, head), record in zip(window, records):
+                payload = payloads[idx]
+                try:
+                    sample = samples[idx] = frame_sample(record, payload, key_of)
+                except MetricsError as exc:
+                    rejected.append({"frame": idx, "error": str(exc)})
+                else:
+                    if tail(payload, len(head)) is not None:
+                        heads[head] = sample[0]
+            if error is not None:
+                idx = window[len(records)][0]
+                offset = sum(map(len, payloads[:idx])) + _HEADER.size * idx
+                raise malformed_frame(idx, offset, f"{_NOT_JSON} ({error})")
+        return samples, rejected
+
     def ingest_frames(
-        self, frames: Sequence[tuple[Any, str]]
+        self, frames: Sequence[bytes | tuple[Any, str]]
     ) -> dict[str, Any]:
         """Apply a pre-framed write batch: validate, one batch, report.
 
-        ``frames`` is ``(record, body)`` per frame as produced by
-        :func:`repro.api.ingest.decode_frames` — the decoded record and
-        the exact payload string the client framed.  Frames that
-        :func:`frame_sample` or the store rejects (bad shape,
-        out-of-order timestamp) are reported individually and do not
-        poison the rest of the batch; the others go through
-        :meth:`apply_sample_batch` with their bodies.  Returns
-        ``{"frames", "acked", "rejected", "first_lsn", "last_lsn"}``
-        where ``rejected`` is ``[{"frame": i, "error": msg}, ...]``; the
-        LSN fields are ``None`` on a store without a journal.
+        ``frames`` is the payload bytes the client framed, per frame — or
+        the ``(record, body)`` pairs of
+        :func:`repro.api.ingest.decode_frames`, of which only the body
+        counts: what is validated is what a journaling store appends.
+        Frames that :meth:`frame_samples` or the store rejects (bad
+        shape, out-of-order timestamp) are reported individually and do
+        not poison the rest of the batch; the others go through
+        :meth:`apply_sample_batch` with their bodies.  A payload that is
+        not JSON refuses the whole batch (the decoder's 400) before
+        anything is applied.  Returns ``{"frames", "acked", "rejected",
+        "first_lsn", "last_lsn"}`` where ``rejected`` is ``[{"frame": i,
+        "error": msg}, ...]``; the LSN fields are ``None`` on a store
+        without a journal.
         """
-        rejected: list[dict[str, Any]] = []
-        valid: list[tuple[int, tuple[MetricKey, int, float], str]] = []
-        key_of = self.key_of
-        for idx, (record, body) in enumerate(frames):
-            try:
-                valid.append((idx, frame_sample(record, body, key_of), body))
-            except MetricsError as exc:
-                rejected.append({"frame": idx, "error": str(exc)})
+        payloads = [
+            frame if type(frame) is bytes else frame[1].encode("utf8")
+            for frame in frames
+        ]
+        return self._apply_frames(payloads, *self.frame_samples(payloads))
+
+    def _apply_frames(
+        self,
+        payloads: list[bytes],
+        samples: list[tuple[MetricKey, int, float] | None],
+        rejected: list[dict[str, Any]],
+    ) -> dict[str, Any]:
+        """Apply validated frames as one batch and build the report."""
+        count = len(payloads)
+        valid = [idx for idx in range(count) if samples[idx] is not None]
         errors = self.apply_sample_batch(
-            [entry for _, entry, _ in valid], [body for _, _, body in valid]
+            [samples[idx] for idx in valid], [payloads[idx] for idx in valid]
         )
         rejected.extend(
             {"frame": idx, "error": error}
-            for (idx, _, _), error in zip(valid, errors)
+            for idx, error in zip(valid, errors)
             if error is not None
         )
         rejected.sort(key=lambda entry: entry["frame"])
         return {
-            "frames": len(frames),
-            "acked": len(frames) - len(rejected),
+            "frames": count,
+            "acked": count - len(rejected),
             "rejected": rejected,
             "first_lsn": None,
             "last_lsn": None,
@@ -656,6 +796,7 @@ class MetricsStore:
         with self._lock:
             self._series.clear()
             self._interned.clear()
+            self._heads.clear()
             self._latest = None
             # A wipe changes what every query returns: bump the untagged
             # counter (which folds into every topology's digest).

@@ -13,10 +13,12 @@ from __future__ import annotations
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 from repro.api.app import CaladriusApp
 from repro.api.server import CaladriusServer
 from repro.api.client import CaladriusClient
+from repro.api.ingest import encode_frame
 from repro.config import load_config
 from repro.durability import DurableMetricsStore, open_data_dir
 from repro.errors import ApiError
@@ -108,6 +111,29 @@ class TestStreamingAcks:
         ack = client.write_batch(entries)
         assert ack.acked == 24
         assert [r["frame"] for r in ack.rejected] == [12]
+
+    def test_non_json_payload_in_a_later_group_refuses_the_whole_body(
+        self, grouped_service
+    ):
+        """A streamed body is checked whole before its first group
+        commits: one 400 naming the frame, nothing applied, no stream."""
+        _, client, store = grouped_service
+        frames = [
+            encode_frame("whole", 60 * (i + 1), float(i), {"topology": "s4"})
+            for i in range(35)
+        ]
+        junk = b'{"op":"write","name":"whole","tags":{},"ts":60,"v":}'
+        frames[27] = struct.pack("<II", len(junk), zlib.crc32(junk)) + junk
+        with pytest.raises(ApiError) as excinfo:
+            client.write_batch_raw(b"".join(frames))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["frame"] == 27
+        assert excinfo.value.payload["offset"] == sum(map(len, frames[:27]))
+        assert "payload is not JSON" in str(excinfo.value)
+        assert len(store) == 0 and store.wal.last_lsn == 0
+        # The connection and the service are fine: the repaired body lands.
+        frames[27] = encode_frame("whole", 60 * 28, 27.0, {"topology": "s4"})
+        assert client.write_batch_raw(b"".join(frames)).acked == 35
 
     def test_drain_mid_stream_keeps_the_acked_prefix(self, grouped_service):
         app, client, store = grouped_service

@@ -164,6 +164,46 @@ class TestWriteBatchRoute:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["frame"] == 0
 
+    def test_non_json_payload_is_the_decoders_400_and_writes_nothing(self, live):
+        """The listener no longer decodes payloads; the store finds the
+        defect before it applies anything, worded as ``decode_frames``
+        words it — over the socket and through ``handle`` alike."""
+        app, client, store = live
+        good = encode_frame("m", 60, 1.0)
+        junk = b"{not json"
+        raw = good + _HEADER.pack(len(junk), zlib.crc32(junk)) + junk + good
+        with pytest.raises(ApiError) as expected:
+            decode_frames(raw)
+        with pytest.raises(ApiError) as excinfo:
+            client.write_batch_raw(raw)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value) == str(expected.value)
+        assert excinfo.value.payload["frame"] == 1
+        assert excinfo.value.payload["offset"] == len(good)
+        status, payload = app.handle("POST", "/metrics/write_batch", {}, raw)
+        assert (status, payload["error"]) == (400, str(expected.value))
+        assert len(store) == 0 and store.wal.last_lsn == 0
+
+    def test_the_first_malformed_frame_in_body_order_is_reported(self, live):
+        """A payload that is not JSON outranks a framing fault behind
+        it, as when one decoder found both."""
+        app, client, store = live
+        good, junk = encode_frame("m", 60, 1.0), b"[1,"
+        bad = _HEADER.pack(len(junk), zlib.crc32(junk)) + junk
+        # Not JSON at 1 then torn at 2; and torn at 1 with nothing before.
+        for body in (good + bad + good[:-2], good + bad[:-1]):
+            with pytest.raises(ApiError) as expected:
+                decode_frames(body)
+            with pytest.raises(ApiError) as excinfo:
+                client.write_batch_raw(body)
+            assert str(excinfo.value) == str(expected.value)
+            assert excinfo.value.payload == {
+                "error": str(expected.value), **expected.value.payload
+            }
+            status, payload = app.handle("POST", "/metrics/write_batch", {}, body)
+            assert (status, payload["error"]) == (400, str(expected.value))
+        assert len(store) == 0
+
     def test_empty_body_is_a_400(self, live):
         app, client, _ = live
         # Over HTTP a zero-length body arrives as "no body at all".

@@ -165,7 +165,7 @@ class TestEquivalence:
         wire = encode_frame("m", 60, 1.5, {"topology": "t"})
         ((_, body),) = decode_frames(wire)
         with WriteAheadLog(tmp_path, fsync="never") as log:
-            log.append_bodies([body])
+            log.append_bodies([body.encode("utf8")])
         (segment,) = sorted(tmp_path.glob("wal-*.log"))
         ((record, end),) = read_segment_records(segment)
         assert end == segment.stat().st_size
@@ -180,8 +180,7 @@ def _fill(directory, records, segment_max_bytes=4 * 1024 * 1024):
             log.append_bodies(
                 [
                     (WRITE % (0, i % 900, 60 * (1 + i // 900), i))
-                    .decode()
-                    .replace('"lsn":0,', "", 1)
+                    .replace(b'"lsn":0,', b"", 1)
                     for i in range(first, min(first + 500, records))
                 ]
             )

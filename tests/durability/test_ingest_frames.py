@@ -148,6 +148,22 @@ class TestGroupCommit:
             assert result["first_lsn"] is None
             assert store.wal.fsyncs == before
 
+    def test_what_is_journaled_is_what_was_validated(self, tmp_path):
+        """The pair form used to validate the record and journal the
+        body, whatever it said; only the body counts now."""
+        record = {"op": "write", "name": "a", "tags": {}, "ts": 60, "v": 1.0}
+        with DurableMetricsStore(tmp_path, fsync="always") as store:
+            result = store.ingest_frames([(record, '{"op":"clear"}')])
+            assert result["acked"] == 0
+            assert "unsupported frame op" in result["rejected"][0]["error"]
+            body = '{"op":"write","name":"b","tags":{},"ts":60,"v":2.0}'
+            assert store.ingest_frames([(record, body)])["acked"] == 1
+            live = store_content_hash(store)
+            assert [key.name for key in store.keys()] == ["b"]
+        with DurableMetricsStore(tmp_path) as reopened:
+            assert reopened.recovery.replayed_records == 1
+            assert store_content_hash(reopened) == live
+
     def test_recovery_matches_unbatched_writes(self, tmp_path):
         entries = _entries(25) + _entries(25, topology="other")
         batched_dir = tmp_path / "batched"

@@ -72,7 +72,7 @@ def _build(directory: Path, ops, tear: int) -> None:
     ) as store:
         for op in ops:
             if op[0] == "write":
-                store.wal.append_bodies([_body(*op[1:])])
+                store.wal.append_bodies([_body(*op[1:]).encode("utf8")])
             elif op[0] == "clear":
                 store.wal.append({"op": "clear"})
             else:

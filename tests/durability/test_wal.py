@@ -150,7 +150,7 @@ class TestRotationAndPruning:
         """Under ``always`` an append that opens a new segment must be
         synced into it before it is acknowledged (it used to sit in the
         fresh handle's user-space buffer until the next append)."""
-        body = '{"op":"write","name":"m","tags":{},"ts":1,"v":1.0}'
+        body = b'{"op":"write","name":"m","tags":{},"ts":1,"v":1.0}'
         with WriteAheadLog(
             tmp_path, segment_max_bytes=1024, fsync=FSYNC_ALWAYS
         ) as wal:

@@ -1,15 +1,17 @@
 """Structure guards: one keyed write loop, one journal override, one
-frame decoder.
+frame decoder, one write-record renderer, one frame-validating body.
 
 The store used to carry four write paths kept apart by a base class that
-inspected its own subclasses, and the log was parsed by a per-record file
-reader on disk and a second loop on the wire.  These checks read the
-source so the duplicates cannot quietly come back.
+inspected its own subclasses, the log was parsed by a per-record file
+reader on disk and a second loop on the wire, and a write record was
+spelled out by the client encoder and twice by the durable store.  These
+checks read the source so the duplicates cannot quietly come back.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -20,6 +22,7 @@ MUTATIONS = {
     "write_many",
     "apply_sample_batch",
     "ingest_frames",
+    "_apply_frames",
     "make_minute_batch",
     "append_minute_batch",
     "clear",
@@ -57,8 +60,10 @@ def test_only_the_durable_store_overrides_a_mutation():
                 item.name for item in node.body if isinstance(item, ast.FunctionDef)
             }
     assert set(overriding) == {"DurableMetricsStore"}
+    # ``_apply_frames`` (apply + journal + LSN range under the journal
+    # lock), not ``ingest_frames``: validation stays outside the lock.
     assert overriding["DurableMetricsStore"] == {
-        "write", "apply_sample_batch", "ingest_frames", "append_minute_batch",
+        "write", "apply_sample_batch", "_apply_frames", "append_minute_batch",
         "clear",
     }
 
@@ -75,18 +80,6 @@ def test_two_bodies_append_to_a_series():
             if "timestamps.append(" in body or "list.append, batch.ts_lists" in body:
                 appenders.append(node.name)
     assert appenders == ["apply_sample_batch", "append_minute_batch"]
-
-
-def test_frames_are_validated_in_one_place():
-    sources = _sources()
-    app = sources[SRC / "api" / "app.py"]
-    assert "frame_sample" not in app and "rejected.append" not in app
-    defining = [
-        str(path.relative_to(SRC))
-        for path, source in sources.items()
-        if "frame_sample(record, body" in source
-    ]
-    assert defining == ["timeseries/store.py"]
 
 
 def test_one_wal_record_replay_function():
@@ -124,3 +117,30 @@ def test_no_per_record_read_loop_remains():
         if name.startswith(("durability/", "api/ingest.py"))
     ]
     assert reading == ["durability/wal.py:frame_windows"]
+
+
+def test_frames_are_validated_in_one_place():
+    """``frame_sample`` is defined once and called once, by the store's
+    validating body; the API tier only words what that body raises."""
+    assert _functions_containing("frame_sample(") == [
+        "timeseries/store.py:frame_sample",
+        "timeseries/store.py:frame_samples",
+    ]
+    app = (SRC / "api" / "app.py").read_text("utf8")
+    assert "frame_sample(" not in app and "rejected.append" not in app
+    assert _functions_containing("def _decode_window(") == [
+        "durability/wal.py:_decode_window"
+    ]
+
+
+def test_one_function_renders_a_write_record_head():
+    assert _functions_containing('{"op":"write"') == [
+        "timeseries/store.py:write_head"
+    ]
+    spelled = re.compile(r"""["']op["']\s*:\s*["']write["']""")
+    elsewhere = [
+        str(path.relative_to(SRC))
+        for path, source in _sources().items()
+        if path.parent.name in ("api", "durability") and spelled.search(source)
+    ]
+    assert elsewhere == []
