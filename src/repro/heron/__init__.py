@@ -25,7 +25,7 @@ from repro.heron.groupings import (
     ShuffleGrouping,
     grouping_from_name,
 )
-from repro.heron.metrics import MetricNames, MetricsManager
+from repro.heron.metrics import MetricNames
 from repro.heron.packing import (
     ContainerPlan,
     InstancePlan,
@@ -65,7 +65,6 @@ __all__ = [
     "KeyDistribution",
     "LogicalTopology",
     "MetricNames",
-    "MetricsManager",
     "PackingPlan",
     "Resources",
     "RoundRobinPacking",

@@ -17,8 +17,9 @@ tick (default one second) the engine:
    stays raised until pending falls below the low watermark; any raised
    flag suppresses every spout (the broadcast to all stream managers);
 5. accrues CPU (worker thread proportional to utilisation, gateway thread
-   proportional to tuples moved) and hands per-minute metrics to the
-   :class:`~repro.heron.metrics.MetricsManager`.
+   proportional to tuples moved) and, on the tick that closes a minute,
+   plays the metrics-manager role (paper Section II-D): one sample per
+   series of the minute layout goes to the metrics store.
 
 Spout emissions are additionally clipped against downstream queue headroom
 within the tick: a real stream manager stops reading from a spout the
@@ -44,8 +45,13 @@ managers becomes one whole-array pass per level, and all per-tick RNG is
 pre-drawn in minute-sized batches with a static draw layout.  Every
 floating-point operation sequence — including numpy's pairwise summation
 trees and the RNG draw order — is arranged to be bit-identical to the
-pre-vectorization engine (kept as ``repro.heron.simulation_legacy``);
-the golden trace fixtures under ``tests/data`` pin that contract.
+scalar engine this one replaced; the golden fixtures under ``tests/data``,
+recorded from that engine, pin the contract.
+
+The per-minute series table — which series every instance reports, in
+which order, gathered from which accumulator — is compiled once
+(:meth:`HeronSimulation._compile_minute_layout`) and read by the one
+minute close, whether it writes keyed or through a prepared batch.
 """
 
 from __future__ import annotations
@@ -56,10 +62,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import MetricsError, SimulationError
-from repro.heron.metrics import MetricNames, MetricsManager
+from repro.heron.metrics import MetricNames
 from repro.heron.packing import PackingPlan
 from repro.heron.topology import LogicalTopology, Stream
-from repro.timeseries.store import MetricKey, MetricsStore
+from repro.timeseries.store import (
+    MetricKey,
+    MetricsStore,
+    MinuteBatch,
+    raise_first_error,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -360,6 +371,32 @@ class _ClipEdge:
         self.per = np.empty(shares.shape[0])
 
 
+@dataclass(frozen=True, slots=True)
+class _MinuteLayout:
+    """The compiled per-minute series table of one simulation.
+
+    ``keys[i]`` is the series ``out[i]`` is written to, ``owners[i]`` the
+    ``(component, index)`` of the instance reporting it (``None`` for
+    the topology-level series, which comes last).  ``counters`` / ``gauges``
+    are ``(positions, gather, accumulator)`` triples — ``out[positions]``
+    is filled from ``accumulator[gather]`` — and ``bp_positions`` /
+    ``bp_gather`` the same for the bolts' backpressure milliseconds.
+    Positions no triple covers (a spout's ``backpressure-time-ms``: a
+    spout never raises backpressure) keep the zero ``out`` starts with.
+    ``instances`` lists each owner once, as ``(component, index,
+    down-flag arena, arena index)``.
+    """
+
+    keys: list[MetricKey]
+    owners: list[tuple[str, int] | None]
+    instances: list[tuple[str, int, np.ndarray, int]]
+    out: np.ndarray
+    counters: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    gauges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    bp_positions: np.ndarray
+    bp_gather: np.ndarray
+
+
 def _contiguous_span(
     idx: np.ndarray, cols: np.ndarray
 ) -> tuple[int, int, int, int] | None:
@@ -447,8 +484,22 @@ class HeronSimulation:
         self.packing = packing
         self.config = config or SimulationConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self.metrics = MetricsManager(store, topology.name, start_at_seconds)
+        if start_at_seconds < 0 or start_at_seconds % int(_MINUTE) != 0:
+            raise MetricsError(
+                "start_at_seconds must be a non-negative multiple of 60"
+            )
+        self._store = store
         self._now = float(start_at_seconds)
+        # The open minute: its timestamp, the ticks it has seen and the
+        # topology-wide backpressure they accrued.
+        self._minute_start = start_at_seconds
+        self._minute_ticks = 0
+        self._ticks_per_minute = round(_MINUTE / self.config.tick_seconds)
+        self._topology_bp_ms = 0.0
+        # Active metric-dropout scopes: ``(component, index)`` one
+        # instance, ``(component, None)`` a component, ``(None, None)``
+        # the topology including its topology-level series.
+        self._dropouts: set[tuple[str | None, int | None]] = set()
         self._spouts: dict[str, _SpoutView] = {}
         self._bolts: dict[str, _BoltView] = {}
         self._containers: dict[str, np.ndarray] = {}
@@ -477,16 +528,11 @@ class HeronSimulation:
                     f"got {type(faults).__name__}"
                 )
             self._injector.attach(self)
-        self._minute_labels: dict[str, list[tuple[str, str]]] = {}
-        for component in self._order:
-            labels = []
-            for index in range(topology.parallelism(component)):
-                instance = f"{component}_{index}"
-                container = str(packing.container_of(component, index))
-                self.metrics.register_instance(component, instance, container)
-                labels.append((instance, container))
-            self._minute_labels[component] = labels
-        self._flush_plan = None
+        # Compiled by the first minute close, the first to need it.
+        self._layout: _MinuteLayout | None = None
+        # The store's prepared append over the layout's series, and the
+        # topology's ``data_version`` as this simulation last left it.
+        self._batch: MinuteBatch | None = None
         self._store_token = -1
 
     # ------------------------------------------------------------------
@@ -1087,7 +1133,6 @@ class HeronSimulation:
             self._b_down[g] = True
         else:
             self._sp_down[g] = True
-        self.metrics.set_blackout(component, f"{component}_{index}", True)
 
     def restore_instance(self, component: str, index: int) -> None:
         """Restart a crashed instance; it resumes with whatever queued."""
@@ -1097,7 +1142,6 @@ class HeronSimulation:
             self._b_down[g] = False
         else:
             self._sp_down[g] = False
-        self.metrics.set_blackout(component, f"{component}_{index}", False)
 
     def instance_down(self, component: str, index: int) -> bool:
         """True while an instance is crashed."""
@@ -1159,27 +1203,29 @@ class HeronSimulation:
 
         The topology keeps running; its per-minute samples are simply not
         written for the scoped entities — one instance, one component, or
-        (both ``None``) the whole topology.
+        (both ``None``) the whole topology.  A scope is independent of
+        any crash: an instance reports again only once it is neither
+        crashed nor under an active scope.
         """
         if component is None:
             if index is not None:
                 raise SimulationError(
                     "an instance-scoped dropout needs its component"
                 )
-            self.metrics.set_blackout(None, None, active)
-            return
-        if component not in self.topology.components:
+        elif component not in self.topology.components:
             raise SimulationError(
                 f"{component!r} is not a component of this topology"
             )
-        if index is None:
-            self.metrics.set_blackout(component, None, active)
-            return
-        if not 0 <= index < self.topology.parallelism(component):
+        elif index is not None and not (
+            0 <= index < self.topology.parallelism(component)
+        ):
             raise SimulationError(
                 f"{component!r} has no instance index {index}"
             )
-        self.metrics.set_blackout(component, f"{component}_{index}", active)
+        if active:
+            self._dropouts.add((component, index))
+        else:
+            self._dropouts.discard((component, index))
 
     @property
     def fault_log(self) -> list[tuple[float, str, object]]:
@@ -1546,7 +1592,6 @@ class HeronSimulation:
         # produced (counters: 0.0 + a_1 + ... + a_n; gauges:
         # 0.0 + v_1*dt + ...), so flushed per-minute values match bit
         # for bit.
-        metrics = self.metrics
         if self._n_sp:
             util = np.divide(
                 self._sp_fetched, self._sp_util_denom, out=self._sp_t1
@@ -1587,299 +1632,104 @@ class HeronSimulation:
             self._acc_b2d += self._b_tick2d
             self._acc_b_streams += self._b_slot_vals
         if bp_at_start or self.backpressure_active():
-            metrics.add_topology_backpressure(dt)
-        if metrics.minute_closing(dt):
-            # Hand the accumulated minute over before the advance that
-            # flushes it.  Using the manager's own clock keeps the
-            # decision aligned with the actual flush, whatever the tick.
-            if self._fast_flush_ready():
-                self._fast_flush()
-                metrics.advance_batched(dt)
-            else:
-                self._flush_minute_accumulators()
-                metrics.advance(dt)
-                self._maybe_build_flush_plan()
-        else:
-            metrics.advance(dt)
+            self._topology_bp_ms += dt * 1000.0
+        self._minute_ticks += 1
+        if self._minute_ticks >= self._ticks_per_minute:
+            self._close_minute()
 
-    def _flush_minute_accumulators(self) -> None:
-        """Feed one minute of accumulated metrics into the manager.
 
-        Per-instance add order mirrors the scalar engine exactly, so
-        buffer-dict insertion order — and therefore store write order and
-        series key-insertion order — is unchanged.
+    def _compile_minute_layout(self) -> _MinuteLayout:
+        """Build the per-minute series table: keys, owners and gathers.
+
+        Series order is the store's series-creation order, which the
+        golden fixtures pin: components in topological order, their
+        instances in index order, and per instance the counters, the
+        per-stream emit counters, the gauges, then
+        ``backpressure-time-ms``; the topology-level series closes the
+        table.
         """
-        metrics = self.metrics
-        for name in self._spout_names:
-            view = self._spouts[name]
-            s0 = view.start
-            stream_slots = self._sp_stream_slots[name]
-            for i, (instance, container) in enumerate(
-                self._minute_labels[name]
-            ):
-                g = s0 + i
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.SOURCE_COUNT, float(self._acc_sp_source[g]),
-                )
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.EXECUTE_COUNT, float(self._acc_sp_fetched[g]),
-                )
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.EMIT_COUNT, float(self._acc_sp_emitted[g]),
-                )
-                for stream_name, base in stream_slots:
-                    metrics.add_counter(
-                        name, instance, container,
-                        MetricNames.stream_emit(stream_name),
-                        float(self._acc_sp_streams[base + i]),
-                    )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.BACKLOG_TUPLES,
-                    float(self._acc_sp_backlog[g]),
-                )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.CPU_LOAD, float(self._acc_sp_cpu[g]),
-                )
-        for name in self._bolt_names:
-            view = self._bolts[name]
-            s0 = view.start
-            stream_slots = self._b_stream_slots[name]
-            for i, (instance, container) in enumerate(
-                self._minute_labels[name]
-            ):
-                g = s0 + i
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.RECEIVED_COUNT,
-                    float(self._acc_b_arrivals[g]),
-                )
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.EXECUTE_COUNT,
-                    float(self._acc_b_processed[g]),
-                )
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.EMIT_COUNT, float(self._acc_b_emitted[g]),
-                )
-                metrics.add_counter(
-                    name, instance, container,
-                    MetricNames.FAIL_COUNT, float(self._acc_b_failed[g]),
-                )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.MEMORY_BYTES, float(self._acc_b_memory[g]),
-                )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.QUEUE_LATENCY_MS,
-                    float(self._acc_b_latency[g]),
-                )
-                for stream_name, base in stream_slots:
-                    metrics.add_counter(
-                        name, instance, container,
-                        MetricNames.stream_emit(stream_name),
-                        float(self._acc_b_streams[base + i]),
-                    )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.PENDING_BYTES, float(self._acc_b_pending[g]),
-                )
-                metrics.add_gauge_integral(
-                    name, instance, container,
-                    MetricNames.CPU_LOAD, float(self._acc_b_cpu[g]),
-                )
-                metrics.add_backpressure_ms(
-                    name, instance, container, float(self._acc_b_bpms[g]),
-                )
-        self._reset_accumulators()
-
-    def _reset_accumulators(self) -> None:
-        self._acc_sp2d.fill(0.0)
-        self._acc_sp_streams.fill(0.0)
-        self._acc_b2d.fill(0.0)
-        self._acc_b_streams.fill(0.0)
-
-    # ------------------------------------------------------------------
-    # Batched minute flush (steady-state fast path)
-    # ------------------------------------------------------------------
-    def _fast_flush_ready(self) -> bool:
-        if self._flush_plan is None or self.metrics.has_blackouts:
-            return False
-        return (
-            self.metrics.store.data_version(self.topology.name)
-            == self._store_token
-        )
-
-    def _fast_flush(self) -> None:
-        """Write the closing minute straight into the store, batched.
-
-        Produces values bit-identical to the keyed slow path: counter
-        buffers hold ``0.0 + total`` (== total for the non-negative
-        totals involved), gauges divide their integral by 60, and
-        backpressure clamps at one minute.
-        """
-        plan = self._flush_plan
-        out = plan["out"]
-        for positions, gather, src in plan["counters"]:
-            out[positions] = src[gather]
-        for positions, gather, src in plan["gauges"]:
-            out[positions] = src[gather] / _MINUTE
-        bp_positions, bp_gather = plan["bolt_bp"]
-        if bp_positions is not None:
-            out[bp_positions] = np.minimum(
-                self._acc_b_bpms[bp_gather], _MINUTE * 1000.0
-            )
-        if plan["zero_positions"] is not None:
-            out[plan["zero_positions"]] = 0.0
-        out[plan["topo_position"]] = min(
-            self.metrics.topology_backpressure_ms, _MINUTE * 1000.0
-        )
-        store = self.metrics.store
-        store.append_minute_batch(
-            plan["batch"],
-            self.metrics.minute_start,
-            out.tolist(),
-            topology=self.topology.name,
-        )
-        self._store_token = store.data_version(self.topology.name)
-        self._reset_accumulators()
-
-    def _maybe_build_flush_plan(self) -> None:
-        """(Re)compile the batched flush plan after a keyed slow flush.
-
-        Only possible when every series the plan covers exists in the
-        store (i.e. the minute just flushed was complete — no blackouts).
-        """
-        metrics = self.metrics
-        store = metrics.store
-        if metrics.has_blackouts:
-            return
-        token = store.data_version(self.topology.name)
-        if self._flush_plan is not None and token == self._store_token:
-            return
         topo = self.topology.name
         keys: list[MetricKey] = []
+        owners: list[tuple[str, int] | None] = []
+        instances: list[tuple[str, int, np.ndarray, int]] = []
+        # id(accumulator) -> (accumulator, positions, gather)
         counter_specs: dict[int, tuple[np.ndarray, list, list]] = {}
         gauge_specs: dict[int, tuple[np.ndarray, list, list]] = {}
-
-        def add(specs, src, position, arena_index):
-            entry = specs.get(id(src))
-            if entry is None:
-                entry = (src, [], [])
-                specs[id(src)] = entry
-            entry[1].append(position)
-            entry[2].append(arena_index)
-
-        zero_positions: list[int] = []
         bp_positions: list[int] = []
         bp_gather: list[int] = []
+
+        def series(metric, tags, owner, specs=None, src=None, at=0):
+            if specs is not None:
+                _, positions, gather = specs.setdefault(
+                    id(src), (src, [], [])
+                )
+                positions.append(len(keys))
+                gather.append(at)
+            keys.append(MetricKey.of(metric, tags))
+            owners.append(owner)
+
         for name in self._order:
-            labels = self._minute_labels[name]
-            spout = self._spouts.get(name)
-            if spout is not None:
+            view = self._spouts.get(name)
+            is_bolt = view is None
+            if not is_bolt:
+                down = self._sp_down
+                counters = (
+                    (MetricNames.SOURCE_COUNT, self._acc_sp_source),
+                    (MetricNames.EXECUTE_COUNT, self._acc_sp_fetched),
+                    (MetricNames.EMIT_COUNT, self._acc_sp_emitted),
+                )
                 stream_slots = self._sp_stream_slots[name]
-                for i, (instance, container) in enumerate(labels):
-                    g = spout.start + i
-                    tags = {
-                        "topology": topo,
-                        "component": name,
-                        "instance": instance,
-                        "container": container,
-                    }
-                    add(counter_specs, self._acc_sp_source, len(keys), g)
-                    keys.append(MetricKey.of(MetricNames.SOURCE_COUNT, tags))
-                    add(counter_specs, self._acc_sp_fetched, len(keys), g)
-                    keys.append(MetricKey.of(MetricNames.EXECUTE_COUNT, tags))
-                    add(counter_specs, self._acc_sp_emitted, len(keys), g)
-                    keys.append(MetricKey.of(MetricNames.EMIT_COUNT, tags))
-                    for stream_name, base in stream_slots:
-                        add(
-                            counter_specs, self._acc_sp_streams,
-                            len(keys), base + i,
-                        )
-                        keys.append(
-                            MetricKey.of(
-                                MetricNames.STREAM_EMIT_COUNT,
-                                {**tags, "stream": stream_name},
-                            )
-                        )
-                    add(gauge_specs, self._acc_sp_backlog, len(keys), g)
-                    keys.append(
-                        MetricKey.of(MetricNames.BACKLOG_TUPLES, tags)
-                    )
-                    add(gauge_specs, self._acc_sp_cpu, len(keys), g)
-                    keys.append(MetricKey.of(MetricNames.CPU_LOAD, tags))
-                    zero_positions.append(len(keys))
-                    keys.append(
-                        MetricKey.of(MetricNames.BACKPRESSURE_TIME_MS, tags)
-                    )
-                continue
-            bolt = self._bolts[name]
-            stream_slots = self._b_stream_slots[name]
-            for i, (instance, container) in enumerate(labels):
-                g = bolt.start + i
+                stream_acc = self._acc_sp_streams
+                gauges = (
+                    (MetricNames.BACKLOG_TUPLES, self._acc_sp_backlog),
+                    (MetricNames.CPU_LOAD, self._acc_sp_cpu),
+                )
+            else:
+                view = self._bolts[name]
+                down = self._b_down
+                counters = (
+                    (MetricNames.RECEIVED_COUNT, self._acc_b_arrivals),
+                    (MetricNames.EXECUTE_COUNT, self._acc_b_processed),
+                    (MetricNames.EMIT_COUNT, self._acc_b_emitted),
+                    (MetricNames.FAIL_COUNT, self._acc_b_failed),
+                )
+                stream_slots = self._b_stream_slots[name]
+                stream_acc = self._acc_b_streams
+                gauges = (
+                    (MetricNames.MEMORY_BYTES, self._acc_b_memory),
+                    (MetricNames.QUEUE_LATENCY_MS, self._acc_b_latency),
+                    (MetricNames.PENDING_BYTES, self._acc_b_pending),
+                    (MetricNames.CPU_LOAD, self._acc_b_cpu),
+                )
+            for i, container in enumerate(self._containers[name].tolist()):
+                g = view.start + i
+                owner = (name, i)
+                instances.append((name, i, down, g))
                 tags = {
                     "topology": topo,
                     "component": name,
-                    "instance": instance,
-                    "container": container,
+                    "instance": f"{name}_{i}",
+                    "container": str(container),
                 }
-                add(counter_specs, self._acc_b_arrivals, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.RECEIVED_COUNT, tags))
-                add(counter_specs, self._acc_b_processed, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.EXECUTE_COUNT, tags))
-                add(counter_specs, self._acc_b_emitted, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.EMIT_COUNT, tags))
-                add(counter_specs, self._acc_b_failed, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.FAIL_COUNT, tags))
+                for metric, acc in counters:
+                    series(metric, tags, owner, counter_specs, acc, g)
                 for stream_name, base in stream_slots:
-                    add(
-                        counter_specs, self._acc_b_streams,
-                        len(keys), base + i,
+                    series(
+                        MetricNames.STREAM_EMIT_COUNT,
+                        {**tags, "stream": stream_name},
+                        owner, counter_specs, stream_acc, base + i,
                     )
-                    keys.append(
-                        MetricKey.of(
-                            MetricNames.STREAM_EMIT_COUNT,
-                            {**tags, "stream": stream_name},
-                        )
-                    )
-                add(gauge_specs, self._acc_b_memory, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.MEMORY_BYTES, tags))
-                add(gauge_specs, self._acc_b_latency, len(keys), g)
-                keys.append(
-                    MetricKey.of(MetricNames.QUEUE_LATENCY_MS, tags)
-                )
-                add(gauge_specs, self._acc_b_pending, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.PENDING_BYTES, tags))
-                add(gauge_specs, self._acc_b_cpu, len(keys), g)
-                keys.append(MetricKey.of(MetricNames.CPU_LOAD, tags))
-                bp_positions.append(len(keys))
-                bp_gather.append(g)
-                keys.append(
-                    MetricKey.of(MetricNames.BACKPRESSURE_TIME_MS, tags)
-                )
-        topo_position = len(keys)
-        keys.append(
-            MetricKey.of(
-                MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS,
-                {"topology": topo},
-            )
+                for metric, acc in gauges:
+                    series(metric, tags, owner, gauge_specs, acc, g)
+                if is_bolt:
+                    bp_positions.append(len(keys))
+                    bp_gather.append(g)
+                series(MetricNames.BACKPRESSURE_TIME_MS, tags, owner)
+        series(
+            MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS, {"topology": topo}, None
         )
-        try:
-            batch = store.make_minute_batch(keys)
-        except MetricsError:
-            # Some series are missing (e.g. the first minute overlapped
-            # a blackout); retry after a later complete slow flush.
-            self._flush_plan = None
-            return
 
-        def finalize(specs):
+        def gathers(specs):
             return [
                 (
                     np.array(positions, dtype=np.intp),
@@ -1889,22 +1739,112 @@ class HeronSimulation:
                 for src, positions, gather in specs.values()
             ]
 
-        self._flush_plan = {
-            "batch": batch,
-            "out": np.empty(len(keys)),
-            "counters": finalize(counter_specs),
-            "gauges": finalize(gauge_specs),
-            "bolt_bp": (
-                (
-                    np.array(bp_positions, dtype=np.intp),
-                    np.array(bp_gather, dtype=np.intp),
-                )
-                if bp_positions else (None, None)
-            ),
-            "zero_positions": (
-                np.array(zero_positions, dtype=np.intp)
-                if zero_positions else None
-            ),
-            "topo_position": topo_position,
+        return _MinuteLayout(
+            keys=keys,
+            owners=owners,
+            instances=instances,
+            out=np.zeros(len(keys)),
+            counters=gathers(counter_specs),
+            gauges=gathers(gauge_specs),
+            bp_positions=np.array(bp_positions, dtype=np.intp),
+            bp_gather=np.array(bp_gather, dtype=np.intp),
+        )
+
+    def _dark_owners(self, layout: _MinuteLayout) -> set:
+        """Owners whose samples go missing this minute.
+
+        An instance is dark while it is crashed (the down arenas) or
+        under an active dropout scope; ``None`` — the topology-level
+        series — only under the whole-topology scope.  Empty in the
+        steady state.
+        """
+        scopes = self._dropouts
+        if not (scopes or self._sp_down.any() or self._b_down.any()):
+            return set()
+        whole = (None, None) in scopes
+        dark: set = {
+            (component, index)
+            for component, index, down, g in layout.instances
+            if whole
+            or down[g]
+            or (component, None) in scopes
+            or (component, index) in scopes
         }
-        self._store_token = token
+        if whole:
+            dark.add(None)
+        return dark
+
+    def _close_minute(self) -> None:
+        """The metrics-manager role: hand the closing minute to the store.
+
+        Counters are sums over the minute, gauges time-averages,
+        backpressure milliseconds clamp at one minute.  Every close fills
+        the same ``out`` vector over the same keys; only the delivery
+        differs.  Once the store has resolved the layout's series into a
+        prepared batch, a minute nobody else wrote into and nobody is
+        dark in is appended through it.  Any other minute — the first,
+        one after a foreign write moved the topology's ``data_version``,
+        one with dark owners — goes keyed, minus the dark owners'
+        series (missing minutes, which a fixed batch cannot express), and
+        a complete keyed minute resolves the batch again.
+        """
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = self._compile_minute_layout()
+        out = layout.out
+        for positions, gather, src in layout.counters:
+            out[positions] = src[gather]
+        for positions, gather, src in layout.gauges:
+            out[positions] = src[gather] / _MINUTE
+        ceiling = _MINUTE * 1000.0
+        out[layout.bp_positions] = np.minimum(
+            self._acc_b_bpms[layout.bp_gather], ceiling
+        )
+        out[-1] = min(self._topology_bp_ms, ceiling)
+        values = out.tolist()
+
+        store = self._store
+        topo = self.topology.name
+        timestamp = self._minute_start
+        dark = self._dark_owners(layout)
+        prepared = (
+            self._batch is not None
+            and not dark
+            and store.data_version(topo) == self._store_token
+        )
+        if prepared:
+            store.append_minute_batch(
+                self._batch, timestamp, values, topology=topo
+            )
+        else:
+            raise_first_error(
+                store.apply_sample_batch(
+                    [
+                        (key, timestamp, value)
+                        for key, owner, value in zip(
+                            layout.keys, layout.owners, values
+                        )
+                        if owner not in dark
+                    ]
+                )
+            )
+        if not dark:
+            # A complete minute leaves the batch resolved and the token
+            # at what this simulation itself just wrote.
+            if not prepared:
+                try:
+                    self._batch = store.make_minute_batch(layout.keys)
+                except MetricsError:
+                    # A series is gone again (the store was cleared
+                    # under us): the next complete keyed minute
+                    # recreates it and resolves the batch.
+                    self._batch = None
+            self._store_token = store.data_version(topo)
+
+        self._acc_sp2d.fill(0.0)
+        self._acc_sp_streams.fill(0.0)
+        self._acc_b2d.fill(0.0)
+        self._acc_b_streams.fill(0.0)
+        self._topology_bp_ms = 0.0
+        self._minute_ticks = 0
+        self._minute_start += int(_MINUTE)

@@ -1,13 +1,17 @@
-"""Regenerate the simulator golden-hash fixtures under ``tests/data``.
+"""Regenerate the simulator golden fixtures under ``tests/data``.
 
     PYTHONPATH=src python tests/data/regenerate_sim_goldens.py
 
-The committed copies were produced by the **pre-refactor scalar engine**
-(the one preserved as ``repro.heron.simulation_legacy``) immediately
-before the struct-of-arrays core landed: they are the bit-identity
-contract the vectorized engine is held to.  Regenerating them with a
-changed engine and committing the result silently *redefines* that
-contract — do it only for a deliberate, explained numerics change.
+The committed copies were produced by the **scalar engine** the
+struct-of-arrays core replaced: they are the bit-identity contract the
+one remaining engine is held to.  That engine is no longer in the tree;
+it lives in history, in ``src/repro/heron/`` at commit ``094a9af`` (the
+module suffixed ``_legacy``, deleted by the next commit), where the trace
+and matrix hashes were recorded immediately before the struct-of-arrays
+core landed and the Word Count digests immediately before it was deleted.
+This script can only run the engine the tree has, so regenerating and
+committing the result silently *redefines* the contract — do it only for
+a deliberate, explained numerics change.
 
 Fixtures written:
 
@@ -19,11 +23,15 @@ Fixtures written:
   ``stmgr_capacity_tps``, every fault kind, and combined cases.
 * ``golden_matrix_cells_s7.json`` — per-cell simulate-phase hashes for
   the full 40-cell (shape × fault × traffic) scenario matrix.
+* ``golden_wordcount_s42.json`` — digests of *every* series of three
+  4-minute Word Count runs (transparent, finite stream managers,
+  half-second ticks): values, timestamps and series-creation order.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 DATA_DIR = Path(__file__).resolve().parent
@@ -119,6 +127,23 @@ def main() -> None:
         + "\n"
     )
     print(f"wrote golden_matrix_cells_s7.json ({len(cells)} cells)")
+
+    # The Word Count runs and their digest are the parity test's own.
+    sys.path.insert(0, str(DATA_DIR.parent.parent))
+    from tests.heron.test_simulator_parity import (
+        WORDCOUNT_CONFIGS,
+        run_wordcount,
+        store_digest,
+    )
+
+    digests = {
+        config_id: store_digest(run_wordcount(**kwargs))
+        for config_id, kwargs in WORDCOUNT_CONFIGS.items()
+    }
+    (DATA_DIR / "golden_wordcount_s42.json").write_text(
+        json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote golden_wordcount_s42.json ({len(digests)} configs)")
 
 
 if __name__ == "__main__":

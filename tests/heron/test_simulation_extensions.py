@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import MetricsError, SimulationError
 from repro.heron.groupings import ShuffleGrouping
-from repro.heron.metrics import MetricNames, MetricsManager
+from repro.heron.metrics import MetricNames
 from repro.heron.packing import RoundRobinPacking
 from repro.heron.simulation import (
     ComponentLogic,
@@ -256,5 +256,16 @@ class TestClockOffset:
         assert sim.now == pytest.approx(420.0)
 
     def test_offset_must_be_minute_aligned(self):
-        with pytest.raises(MetricsError, match="multiple of 60"):
-            MetricsManager(MetricsStore(), "t", start_seconds=90)
+        builder = TopologyBuilder("offset")
+        builder.add_spout("spout", 1)
+        builder.add_bolt("worker", 1)
+        builder.connect("spout", "worker", ShuffleGrouping())
+        topology = builder.build()
+        packing = RoundRobinPacking().pack(topology, 1)
+        logic = {"spout": SpoutLogic(), "worker": ComponentLogic(capacity_tps=1e4)}
+        for start in (90, -60):
+            with pytest.raises(MetricsError, match="non-negative multiple of 60"):
+                HeronSimulation(
+                    topology, packing, logic, MetricsStore(),
+                    start_at_seconds=start,
+                )

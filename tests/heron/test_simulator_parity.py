@@ -1,16 +1,19 @@
 """Bit-identity contract of the struct-of-arrays simulator core.
 
-The vectorized engine in :mod:`repro.heron.simulation` must reproduce
-the preserved scalar engine (:mod:`repro.heron.simulation_legacy`)
-*exactly* — same IEEE-754 operation sequence, same RNG draw order, same
-per-minute samples to the last bit.  Three layers of evidence:
+The engine in :mod:`repro.heron.simulation` must reproduce the scalar
+engine it replaced *exactly* — same IEEE-754 operation sequence, same
+RNG draw order, same per-minute samples to the last bit.  That engine is
+gone from the tree (it lives in history: ``src/repro/heron/`` at commit
+``094a9af`` has it, as the module suffixed ``_legacy``); what it produced
+is committed under ``tests/data``.  Three layers of evidence:
 
 * replays against committed golden hashes covering the configuration
   axes the default fixtures do not reach (sub-second ticks, finite
   stream-manager capacity, every fault kind, combined cases) and the
   full 40-cell scenario matrix;
-* direct store-level A/B runs of both engines on the Word Count
-  deployment, compared sample by sample;
+* store-level replays of the Word Count deployment against digests of
+  every series the scalar engine wrote — values, timestamps and the
+  order the series were created in;
 * unit coverage of the supporting machinery: the process-wide grouping
   shares memo and the store's batched minute-append fast path.
 
@@ -21,6 +24,7 @@ Regenerate the fixtures only for a deliberate numerics change::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -34,7 +38,6 @@ from repro.heron.simulation import (
     _grouping_shares,
     warm_shares_memo,
 )
-from repro.heron.simulation_legacy import HeronSimulation as LegacySimulation
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricKey, MetricsStore
 
@@ -85,12 +88,19 @@ class TestMatrixCellGoldens:
 
 
 # ----------------------------------------------------------------------
-# Direct legacy-vs-vectorized store parity
+# Word Count store replays against the scalar engine's digests
 # ----------------------------------------------------------------------
-def _run_wordcount(engine, **config_kwargs):
+WORDCOUNT_CONFIGS = {
+    "transparent": {},
+    "finite_stmgr": {"stmgr_capacity_tps": 150_000.0},
+    "tick_0.5": {"tick_seconds": 0.5},
+}
+
+
+def run_wordcount(**config_kwargs):
     topology, packing, logic = build_word_count(WordCountParams())
     store = MetricsStore()
-    sim = engine(
+    sim = HeronSimulation(
         topology, packing, logic, store,
         SimulationConfig(seed=42, **config_kwargs),
     )
@@ -106,24 +116,42 @@ def _store_samples(store):
     }
 
 
+def store_digest(store):
+    """Counts and SHA-256 digests of a store, in series-creation order.
+
+    ``keys_sha256`` covers the series identities alone, so a mismatch
+    says whether the order or the numbers moved (``json`` renders a
+    float by ``repr``, which round-trips every bit).
+    """
+    series = [
+        [key.name, list(key.tags), list(buf.timestamps), list(buf.values)]
+        for key, buf in store._series.items()
+    ]
+
+    def sha256(payload):
+        text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        return hashlib.sha256(text.encode("utf8")).hexdigest()
+
+    return {
+        "series": len(series),
+        "samples": sum(len(entry[2]) for entry in series),
+        "keys_sha256": sha256([entry[:2] for entry in series]),
+        "samples_sha256": sha256(series),
+    }
+
+
 class TestStoreParity:
-    @pytest.mark.parametrize(
-        "config_kwargs",
-        [
-            {},
-            {"stmgr_capacity_tps": 150_000.0},
-            {"tick_seconds": 0.5},
-        ],
-        ids=["transparent", "finite_stmgr", "tick_0.5"],
-    )
-    def test_wordcount_stores_identical(self, config_kwargs):
-        legacy = _store_samples(_run_wordcount(LegacySimulation, **config_kwargs))
-        new = _store_samples(_run_wordcount(HeronSimulation, **config_kwargs))
-        assert legacy == new
+    @pytest.mark.parametrize("config_id", WORDCOUNT_CONFIGS)
+    def test_wordcount_stores_identical(self, config_id):
+        golden = json.loads(
+            (DATA_DIR / "golden_wordcount_s42.json").read_text()
+        )["configs"][config_id]
+        store = run_wordcount(**WORDCOUNT_CONFIGS[config_id])
+        assert store_digest(store) == golden
 
     def test_same_seed_runs_identical(self):
-        first = _store_samples(_run_wordcount(HeronSimulation))
-        second = _store_samples(_run_wordcount(HeronSimulation))
+        first = _store_samples(run_wordcount())
+        second = _store_samples(run_wordcount())
         assert first == second
 
     def test_injector_attribute_preserved(self):
