@@ -22,7 +22,10 @@ from repro.api.ingest import (
 from repro.durability.deadline import DEADLINE_HEADER
 from repro.errors import ApiError
 
-__all__ = ["BatchAck", "BatchWriter", "CaladriusClient"]
+__all__ = ["BatchAck", "BatchWriter", "CaladriusClient", "TRANSPORT_ERRORS"]
+
+#: What :meth:`CaladriusClient.exchange` raises when no response arrived.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 #: Statuses worth retrying: the service said "not right now", not "no".
 RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
@@ -172,23 +175,31 @@ class CaladriusClient:
         spread = self.jitter * base
         return max(0.0, base + self._rng.uniform(-spread, spread))
 
-    def _attempt(
+    def exchange(
         self,
         method: str,
         path: str,
-        payload: bytes | None,
-        extra_headers: dict[str, str] | None = None,
+        payload: bytes | None = None,
+        headers: dict[str, str] | None = None,
         content_type: str = "application/json",
     ) -> tuple[int, dict[str, Any], float | None]:
         """One round-trip: (status, decoded JSON body, Retry-After).
 
-        A streamed NDJSON answer (the asyncio server's group-commit
-        acks) is folded into one summary dict, so callers see the same
-        shape whichever front-end answered.
+        The single-shot primitive under :meth:`_request` and under every
+        hop between the service's own tiers (router → shard, manager →
+        worker, shipper → follower): no retry, no status check.  It
+        rides this thread's keep-alive socket, reconnecting once only
+        when a *reused* socket turns out stale.  A streamed NDJSON
+        answer (the listener's group-commit acks) is folded into one
+        summary dict, so callers see one shape however the batch was
+        answered; ``Retry-After`` comes from the header, else from the
+        body's ``retry_after``.  Raises :data:`TRANSPORT_ERRORS` when no
+        response arrived and :class:`~repro.errors.ApiError` (carrying
+        the HTTP status) for a body that is not a JSON object.
         """
-        headers = {"Content-Type": content_type} if payload else {}
-        if extra_headers:
-            headers.update(extra_headers)
+        sent = {"Content-Type": content_type} if payload else {}
+        if headers:
+            sent.update(headers)
         raw = b""
         status = 0
         retry_after: float | None = None
@@ -196,7 +207,7 @@ class CaladriusClient:
         for retry_stale in (True, False):
             connection, reused = self._connection()
             try:
-                connection.request(method, path, body=payload, headers=headers)
+                connection.request(method, path, body=payload, headers=sent)
                 response = connection.getresponse()
                 raw = response.read()
                 status = response.status
@@ -212,7 +223,7 @@ class CaladriusClient:
                     self._drop_connection()
                 else:
                     self._local.connection_used = True
-            except (OSError, http.client.HTTPException):
+            except TRANSPORT_ERRORS:
                 # A reused socket the server already closed (keep-alive
                 # timeout, restart) fails on first use; reconnect once
                 # before treating it as a real transport error.  Fresh
@@ -286,10 +297,10 @@ class CaladriusClient:
                     self._sleep(self._backoff(attempt))
             server_delay = None
             try:
-                status, data, retry_after = self._attempt(
+                status, data, retry_after = self.exchange(
                     method, path, payload, extra_headers, content_type
                 )
-            except (OSError, http.client.HTTPException) as exc:
+            except TRANSPORT_ERRORS as exc:
                 last_error = exc
                 continue
             if status in RETRYABLE_STATUSES and attempt < self.retries:
@@ -321,7 +332,7 @@ class CaladriusClient:
         """Readiness; raises :class:`ApiError` (503) while draining."""
         # Single shot on purpose: retrying a 503 readyz probe would turn
         # "not ready" into a multi-second stall for the caller.
-        status, data, _ = self._attempt("GET", "/readyz", None)
+        status, data, _ = self.exchange("GET", "/readyz")
         if status >= 400:
             raise ApiError(data.get("error", f"HTTP {status}"), status, data)
         return data
@@ -342,7 +353,7 @@ class CaladriusClient:
         while time.monotonic() < deadline:
             try:
                 return self.readyz()
-            except (OSError, http.client.HTTPException, ApiError) as exc:
+            except (*TRANSPORT_ERRORS, ApiError) as exc:
                 last = str(exc)
             self._sleep(poll_seconds)
         raise ApiError(
@@ -570,7 +581,7 @@ class CaladriusClient:
                 return result["result"]
             if result["status"] == "error":
                 raise ApiError(result.get("error", "modelling failed"), 500)
-            time.sleep(poll_seconds)
+            self._sleep(poll_seconds)
         raise ApiError(f"request {request_id} timed out", 504)
 
 

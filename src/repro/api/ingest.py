@@ -18,6 +18,11 @@ runs the framing walk alone (:func:`split_frames`) and hands the payload
 bytes to the store, which decodes only what it has not seen before and
 raises the same 400 for a payload that is not JSON;
 :func:`decode_frames` does both at once for callers that want records.
+
+The cluster tier regroups a batch by ring owner on the way in and merges
+the owners' acks on the way out.  The router and the shard-aware client
+both do it, so it lives here once: :func:`routing_key`,
+:func:`keyed_frames`, :func:`split_by_owner`, :func:`merge_owner_acks`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import io
 import struct
 import zlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.durability.wal import frame_windows, malformed_frame
@@ -39,8 +44,12 @@ __all__ = [
     "encode_frame",
     "encode_frames",
     "frame_bytes",
+    "keyed_frames",
+    "merge_owner_acks",
     "merge_stream_lines",
     "rebase_refused",
+    "routing_key",
+    "split_by_owner",
     "split_frames",
 ]
 
@@ -112,7 +121,7 @@ def encode_frames(
 def frame_bytes(body: str) -> bytes:
     """Re-frame a decoded payload string, byte-identical to the original.
 
-    The router and cluster client split a mixed batch into per-shard
+    :func:`keyed_frames` regroups a mixed batch into per-shard
     sub-batches; since the payload bytes are untouched, re-framing them
     reproduces the client's frames exactly — the no-re-serialization
     guarantee survives the extra hop.
@@ -153,6 +162,125 @@ def split_frames(raw: bytes) -> tuple[list[bytes], ApiError | None]:
     if fault is None:
         return payloads, None
     return payloads, malformed_frame(len(payloads), offset, fault)
+
+
+def routing_key(name: Any, tags: Any) -> str:
+    """The ring key of a series: its ``topology`` tag, else its name.
+
+    Untagged series hash on the metric name — stable, spreads load, and
+    reads route the same way.  ``""`` when there is neither.  The router
+    and the shard-aware client both place series with this, which is
+    what lets the client skip the router.
+    """
+    topology = tags.get("topology") if isinstance(tags, Mapping) else None
+    return str(topology or name or "")
+
+
+def keyed_frames(raw: bytes) -> list[tuple[str, bytes]]:
+    """Strictly decode a request body into ``(routing key, frame)`` pairs.
+
+    The frames are re-framed from the untouched payload strings
+    (:func:`frame_bytes`), so regrouping them re-serializes nothing.
+    """
+    return [
+        (
+            routing_key(record.get("name"), record.get("tags"))
+            if isinstance(record, dict)
+            else "",
+            frame_bytes(body),
+        )
+        for record, body in decode_frames(raw)
+    ]
+
+
+def split_by_owner(
+    frames: Iterable[tuple[str, bytes]], shard_for: Callable[[str], int]
+) -> dict[int, tuple[list[int], bytes]]:
+    """Regroup ``(routing key, frame)`` pairs by ring owner.
+
+    Returns ``{owner: (parent indexes, sub-batch body)}`` in owner
+    order; ``indexes[i]`` is the position in the parent batch of the
+    sub-batch's ``i``-th frame, which :func:`merge_owner_acks` uses to
+    rebase the owner's answer.
+    """
+    groups: dict[int, tuple[list[int], list[bytes]]] = {}
+    for index, (key, frame) in enumerate(frames):
+        indexes, parts = groups.setdefault(shard_for(key), ([], []))
+        indexes.append(index)
+        parts.append(frame)
+    return {
+        owner: (indexes, b"".join(parts))
+        for owner, (indexes, parts) in sorted(groups.items())
+    }
+
+
+def merge_owner_acks(
+    frames: int,
+    groups: Mapping[int, tuple[Sequence[int], bytes]],
+    outcomes: Mapping[int, tuple[int, Mapping[str, Any]]],
+) -> dict[str, Any]:
+    """Merge per-owner ``(status, payload)`` answers into one batch ack.
+
+    ``groups`` is :func:`split_by_owner`'s result.  A 200 owner's
+    ``acked`` is summed, its ``rejected`` frames and both ``refused``
+    shapes are rebased onto the parent batch and its streamed
+    ``commits`` tagged with the shard; any other status refuses that
+    owner's whole sub-batch, retryably, without touching the others'
+    acks.  LSNs are per shard, so the top-level pair is set only when
+    one shard owned the batch; ``per_shard`` always has each owner's.
+    """
+    acked = 0
+    rejected: list[dict[str, Any]] = []
+    refused: list[dict[str, Any]] = []
+    commits: list[dict[str, Any]] = []
+    per_shard: dict[str, dict[str, Any]] = {}
+    for shard_id, (indexes, _) in groups.items():
+        status, payload = outcomes[shard_id]
+        per_shard[str(shard_id)] = {
+            "status": status,
+            "frames": len(indexes),
+            "acked": payload.get("acked", 0) if status == 200 else 0,
+            "first_lsn": payload.get("first_lsn"),
+            "last_lsn": payload.get("last_lsn"),
+        }
+        if status != 200:
+            refused.append(
+                {
+                    "frames": list(indexes),
+                    "shard_id": shard_id,
+                    "status": status,
+                    "error": payload.get("error", f"HTTP {status}"),
+                    "retry_after": payload.get("retry_after"),
+                }
+            )
+            continue
+        acked += payload.get("acked", 0)
+        for entry in payload.get("rejected", ()):
+            entry = dict(entry)
+            frame = entry.get("frame")
+            if isinstance(frame, int) and 0 <= frame < len(indexes):
+                entry["frame"] = indexes[frame]
+            rejected.append(entry)
+        refused.extend(
+            rebase_refused(entry, indexes, shard_id)
+            for entry in payload.get("refused", ())
+        )
+        commits.extend(
+            {**commit, "shard_id": shard_id}
+            for commit in payload.get("commits", ())
+        )
+    rejected.sort(key=lambda entry: entry.get("frame", -1))
+    sole = next(iter(per_shard.values())) if len(per_shard) == 1 else {}
+    return {
+        "frames": frames,
+        "acked": acked,
+        "rejected": rejected,
+        "first_lsn": sole.get("first_lsn"),
+        "last_lsn": sole.get("last_lsn"),
+        "per_shard": per_shard,
+        "refused": refused,
+        "commits": commits,
+    }
 
 
 def rebase_refused(

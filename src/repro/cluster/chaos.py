@@ -361,9 +361,11 @@ class ChaosController:
             self.host,
             port,
             ring_ttl_seconds=1.0,
-            failover_retries=1,
             timeout=3.0,
-            retries=1,
+            # Four router attempts per fallback: long enough to ride out
+            # a respawn, short enough that a stuck write shows up as a
+            # failed one.
+            retries=3,
             backoff_seconds=0.05,
             backoff_max_seconds=0.5,
         )
@@ -766,22 +768,21 @@ class ChaosController:
         missing: list[dict[str, Any]] = []
         for name, samples in sorted(ledger.items()):
             stored: set[tuple[int, float]] = set()
-            for attempt in range(3):
-                try:
-                    series = self._client.read_metrics(
-                        "chaos-samples", {"topology": name}
+            try:
+                series = self._client.read_metrics(
+                    "chaos-samples", {"topology": name}
+                )
+            except (ApiError, OSError):
+                # The client's retry budget is spent on a quiesced
+                # cluster: what cannot be read back counts as lost.
+                series = []
+            for entry in series:
+                stored.update(
+                    zip(
+                        (int(t) for t in entry["timestamps"]),
+                        (float(v) for v in entry["values"]),
                     )
-                except (ApiError, OSError):
-                    time.sleep(0.5)
-                    continue
-                for entry in series:
-                    stored.update(
-                        zip(
-                            (int(t) for t in entry["timestamps"]),
-                            (float(v) for v in entry["values"]),
-                        )
-                    )
-                break
+                )
             lost = [s for s in samples if s not in stored]
             if lost:
                 missing.append(
@@ -866,9 +867,6 @@ class ChaosController:
                 "failed_writes": self.failed_writes,
                 "fenced_writes": client.fenced_writes if client else 0,
                 "router_fallbacks": client.router_fallbacks if client else 0,
-                "retry_after_waits": (
-                    client.retry_after_waits if client else 0
-                ),
                 "probes": self._probes,
                 "stale_reads": self._stale_reads,
                 "fence_attempts": self._fence_attempts,

@@ -6,16 +6,16 @@ and metric write through it would serialise the fleet behind one GIL.
 builds the same :class:`~repro.cluster.ring.HashRing` the router uses
 (the ring is deterministic, so both always agree on placement) and
 talks to the owning shard directly over a per-shard keep-alive
-:class:`~repro.api.client.CaladriusClient`.
+:class:`~repro.api.client.CaladriusClient` (:class:`ShardClients`, which
+the router keeps for its own hops too).
 
 When a direct call fails — the shard crashed, the ring changed under
 us, or the write was fenced off by a newer epoch — the client refreshes
-the ring and falls back to the router proxy for that one call.  When
-the router itself answers 503 + ``Retry-After`` (owner down or
-replaying its WAL), the client honors the server's delay — capped at
-the base client's ``backoff_max_seconds``, exactly like the base client
-does for 429 — and retries the router a bounded number of times before
-surfacing the error.  Control-plane reads (``healthz``,
+the ring and falls back to the router proxy for that one call.  That
+fallback is one ordinary call on the router's client, whose retry loop
+is the only one there is: it honors the router's 503 ``Retry-After``
+(owner down or replaying its WAL) capped at ``backoff_max_seconds``,
+and ``retries`` is the whole budget.  Control-plane reads (``healthz``,
 ``serving/stats``, ``topologies``) always go to the router, whose
 fan-out aggregation is the point.
 
@@ -30,23 +30,59 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.api.client import BatchAck, CaladriusClient
 from repro.api.ingest import (
-    decode_frames,
     encode_frame,
-    frame_bytes,
-    rebase_refused,
+    keyed_frames,
+    merge_owner_acks,
+    routing_key,
+    split_by_owner,
 )
 from repro.cluster.ring import HashRing
 from repro.errors import ApiError
 
-__all__ = ["ClusterClient"]
+__all__ = ["ClusterClient", "ShardClients"]
 
 logger = logging.getLogger("repro.cluster.client")
+
+
+class ShardClients:
+    """Single-shot keep-alive clients, one per shard id.
+
+    Keyed by shard id, not address: every respawn or promotion moves a
+    shard to a new ephemeral port, and a client cached under the old one
+    would be stranded with its per-thread sockets.  A changed address
+    closes and replaces the entry.  The clients never retry — whoever
+    holds them decides what a failed hop means.  (The router also keeps
+    a shard's follower here, under ``("follower", id)``.)
+    """
+
+    def __init__(self, **client_options: Any) -> None:
+        self._options = {**client_options, "retries": 0}
+        self._lock = threading.Lock()
+        self._clients: dict[Hashable, CaladriusClient] = {}
+
+    def get(self, key: Hashable, address: tuple[str, int]) -> CaladriusClient:
+        """The client for shard ``key``, which now lives at ``address``."""
+        with self._lock:
+            client = self._clients.get(key)
+            if client is None or (client.host, client.port) != address:
+                if client is not None:
+                    client.close()
+                client = CaladriusClient(*address, **self._options)
+                self._clients[key] = client
+            return client
+
+    def close(self) -> None:
+        with self._lock:
+            clients = list(self._clients.values())
+            self._clients.clear()
+        for client in clients:
+            client.close()
 
 
 class ClusterClient:
@@ -58,14 +94,13 @@ class ClusterClient:
         The cluster router's address.
     ring_ttl_seconds:
         How long a fetched ring is trusted before it is re-fetched.
-    failover_retries:
-        Extra router attempts when the router answers a retryable 503
-        carrying ``Retry-After`` (shard down, restarting, promoting).
-        Each wait honors the server's hint, capped at the base client's
-        ``backoff_max_seconds``.
     **client_options:
         Forwarded to every underlying :class:`CaladriusClient`
-        (timeouts, retry schedule, injectable sleep).
+        (timeouts, retry schedule, injectable sleep).  ``retries`` is
+        the budget of a router fallback — the router's 503 +
+        ``Retry-After`` while an owner is down, restarting or promoting
+        is retried like any other 503; direct shard calls are always
+        single-shot.
     """
 
     def __init__(
@@ -73,24 +108,20 @@ class ClusterClient:
         host: str,
         port: int,
         ring_ttl_seconds: float = 5.0,
-        failover_retries: int = 2,
         **client_options: Any,
     ) -> None:
         self.router = CaladriusClient(host, port, **client_options)
         self.ring_ttl_seconds = ring_ttl_seconds
-        self.failover_retries = failover_retries
-        self._client_options = client_options
         self._lock = threading.Lock()
         self._ring: HashRing | None = None
         self._addresses: dict[int, tuple[str, int] | None] = {}
         self._epochs: dict[int, int] = {}
         self._version = -1
         self._fetched_at = 0.0
-        self._shard_clients: dict[tuple[str, int], CaladriusClient] = {}
+        self._shard_clients = ShardClients(**client_options)
         self.direct_calls = 0
         self.router_fallbacks = 0
         self.fenced_writes = 0
-        self.retry_after_waits = 0
 
     # ------------------------------------------------------------------
     # Ring management
@@ -137,47 +168,51 @@ class ClusterClient:
             assert self._ring is not None
             return self._ring, dict(self._addresses), dict(self._epochs)
 
-    def _shard_client(self, address: tuple[str, int]) -> CaladriusClient:
-        with self._lock:
-            client = self._shard_clients.get(address)
-            if client is None:
-                # Direct calls do not retry: a failed shard call falls
-                # back to the router, which owns the wait-for-recovery
-                # story (503 + Retry-After) and the proxy retry.
-                options = dict(self._client_options)
-                options["retries"] = 0
-                client = CaladriusClient(address[0], address[1], **options)
-                self._shard_clients[address] = client
-            return client
-
     # ------------------------------------------------------------------
     # Topology-keyed dispatch
     # ------------------------------------------------------------------
     def _call(
         self,
-        topology: str,
-        operation,
+        key: str,
+        operation: str,
         *args: Any,
         stamp_epoch: bool = False,
         **kwargs: Any,
     ):
+        """Run ``operation`` on the shard that owns ``key``."""
+        ring, addresses, epochs = self._routing()
+        shard_id = ring.shard_for(key)
+        return self._to_owner(
+            shard_id,
+            addresses.get(shard_id),
+            epochs.get(shard_id) if stamp_epoch else None,
+            operation,
+            *args,
+            **kwargs,
+        )
+
+    def _to_owner(
+        self,
+        shard_id: int,
+        address: tuple[str, int] | None,
+        epoch: int | None,
+        operation: str,
+        *args: Any,
+        **kwargs: Any,
+    ):
         """Try the owning shard directly; fall back to the router once.
 
-        With ``stamp_epoch`` the direct attempt carries the owner's
-        epoch from the ring, so a superseded worker answers a fencing
-        409 — treated like any other routing failure: refresh and let
-        the router (which stamps the *current* epoch) arbitrate.
+        ``operation`` names a :class:`CaladriusClient` method.  With an
+        ``epoch`` the direct attempt carries it, so a superseded worker
+        answers a fencing 409 — treated like any other routing failure:
+        refresh and let the router (which stamps the *current* epoch)
+        arbitrate.
         """
-        ring, addresses, epochs = self._routing()
-        shard_id = ring.shard_for(topology)
-        address = addresses.get(shard_id)
         if address is not None:
-            client = self._shard_client(address)
-            direct_kwargs = dict(kwargs)
-            if stamp_epoch and epochs.get(shard_id):
-                direct_kwargs["epoch"] = epochs[shard_id]
+            client = self._shard_clients.get(shard_id, address)
+            direct_kwargs = {**kwargs, "epoch": epoch} if epoch else kwargs
             try:
-                result = operation(client)(*args, **direct_kwargs)
+                result = getattr(client, operation)(*args, **direct_kwargs)
                 self.direct_calls += 1
                 return result
             except ApiError as exc:
@@ -192,37 +227,12 @@ class ClusterClient:
                 pass
         # The shard is down, restarting, fenced, or the ring moved: let
         # the router arbitrate, and refetch the ring for the next call.
+        # Waiting out the owner's recovery is the router client's retry
+        # loop; nothing here repeats the call.
         self.router_fallbacks += 1
         with self._lock:
             self._fetched_at = 0.0
-        return self._router_call(operation, *args, **kwargs)
-
-    def _router_call(self, operation, *args: Any, **kwargs: Any):
-        """Run an operation against the router, honoring Retry-After.
-
-        A router 503 during a failover window carries ``retry_after``
-        (the owner is restarting or promoting); instead of treating it
-        as a generic failure, wait the server's hint — capped at the
-        base client's ``backoff_max_seconds`` — and try again, up to
-        ``failover_retries`` extra attempts.
-        """
-        attempts = max(0, self.failover_retries) + 1
-        for attempt in range(attempts):
-            try:
-                return operation(self.router)(*args, **kwargs)
-            except ApiError as exc:
-                if exc.status != 503 or attempt == attempts - 1:
-                    raise
-                hint = (exc.payload or {}).get("retry_after")
-                if not isinstance(hint, (int, float)) or isinstance(
-                    hint, bool
-                ):
-                    raise
-                self.retry_after_waits += 1
-                self.router._sleep(
-                    min(float(hint), self.router.backoff_max_seconds)
-                )
-        raise AssertionError("unreachable")  # pragma: no cover
+        return getattr(self.router, operation)(*args, **kwargs)
 
     def write_metrics(
         self,
@@ -230,9 +240,8 @@ class ClusterClient:
         samples: list[tuple[int, float]] | list[list[float]],
         tags: dict[str, str] | None = None,
     ) -> int:
-        key = (tags or {}).get("topology") or name
         return self._call(
-            key, lambda c: c.write_metrics, name, samples, tags,
+            routing_key(name, tags), "write_metrics", name, samples, tags,
             stamp_epoch=True,
         )
 
@@ -250,17 +259,20 @@ class ClusterClient:
         :attr:`BatchAck.refused` — one shard's trouble never poisons
         the others' acks.
         """
-        keys: list[str] = []
-        frames: list[bytes] = []
+        frames: list[tuple[str, bytes]] = []
         for entry in entries:
             if len(entry) == 3:
                 name, timestamp, value = entry
                 tags = None
             else:
                 name, timestamp, value, tags = entry
-            keys.append(str((tags or {}).get("topology") or name))
-            frames.append(encode_frame(name, timestamp, value, tags))
-        return self._write_batch_frames(keys, frames)
+            frames.append(
+                (
+                    routing_key(name, tags),
+                    encode_frame(name, timestamp, value, tags),
+                )
+            )
+        return self._write_batch_frames(frames)
 
     def write_batch_raw(
         self, raw: bytes, epoch: int | None = None
@@ -272,143 +284,76 @@ class ClusterClient:
         current epoch from the ring.
         """
         del epoch
-        keys = []
-        frames = []
-        for record, body in decode_frames(raw):
-            key = ""
-            if isinstance(record, dict):
-                tags = record.get("tags") or {}
-                topology = (
-                    tags.get("topology") if isinstance(tags, dict) else None
-                )
-                key = str(topology or record.get("name") or "")
-            keys.append(key)
-            frames.append(frame_bytes(body))
-        return self._write_batch_frames(keys, frames)
+        return self._write_batch_frames(keyed_frames(raw))
 
     def _write_batch_frames(
-        self, keys: list[str], frames: list[bytes]
+        self, frames: list[tuple[str, bytes]]
     ) -> BatchAck:
         if not frames:
             return BatchAck()
         ring, addresses, epochs = self._routing()
-        groups: dict[int, list[int]] = {}
-        for idx, key in enumerate(keys):
-            groups.setdefault(ring.shard_for(key), []).append(idx)
+        groups = split_by_owner(frames, ring.shard_for)
 
-        def send(shard_id: int, indexes: list[int]) -> BatchAck | ApiError:
-            raw = b"".join(frames[i] for i in indexes)
+        def send(shard_id: int) -> tuple[int, dict[str, Any]]:
             try:
-                address = addresses.get(shard_id)
-                if address is not None:
-                    client = self._shard_client(address)
-                    try:
-                        ack = client.write_batch_raw(
-                            raw, epoch=epochs.get(shard_id) or None
-                        )
-                        self.direct_calls += 1
-                        return ack
-                    except ApiError as exc:
-                        fenced = exc.status == 409 and bool(
-                            (exc.payload or {}).get("fenced")
-                        )
-                        if fenced:
-                            self.fenced_writes += 1
-                        elif exc.status not in (502, 503, 504):
-                            raise
-                    except OSError:
-                        pass
-                self.router_fallbacks += 1
-                with self._lock:
-                    self._fetched_at = 0.0
-                return self._router_call(lambda c: c.write_batch_raw, raw)
+                ack = self._to_owner(
+                    shard_id,
+                    addresses.get(shard_id),
+                    epochs.get(shard_id),
+                    "write_batch_raw",
+                    groups[shard_id][1],
+                )
             except ApiError as exc:
                 # Surfaced per sub-batch in `refused`, never raised:
                 # the other shards' acks must stand.
-                return exc
+                return exc.status, {"error": str(exc), **exc.payload}
+            return 200, vars(ack)
 
-        ordered = sorted(groups.items())
-        if len(ordered) == 1:
-            outcomes = [(ordered[0][0], send(*ordered[0]))]
+        if len(groups) == 1:
+            outcomes = {shard_id: send(shard_id) for shard_id in groups}
         else:
             with ThreadPoolExecutor(
-                max_workers=min(8, len(ordered)),
+                max_workers=min(8, len(groups)),
                 thread_name_prefix="cluster-batch",
             ) as pool:
-                futures = [
-                    (shard_id, pool.submit(send, shard_id, indexes))
-                    for shard_id, indexes in ordered
-                ]
-                outcomes = [
-                    (shard_id, future.result())
-                    for shard_id, future in futures
-                ]
-        merged = BatchAck(frames=len(frames))
-        for shard_id, result in outcomes:
-            indexes = groups[shard_id]
-            if isinstance(result, ApiError):
-                merged.refused.append(
-                    {
-                        "frames": list(indexes),
-                        "shard_id": shard_id,
-                        "status": result.status,
-                        "error": str(result),
-                        "retry_after": (result.payload or {}).get(
-                            "retry_after"
-                        ),
-                    }
-                )
-                continue
-            merged.acked += result.acked
-            for entry in result.rejected:
-                frame = entry.get("frame")
-                if isinstance(frame, int) and 0 <= frame < len(indexes):
-                    merged.rejected.append(
-                        {**entry, "frame": indexes[frame]}
-                    )
-                else:
-                    merged.rejected.append(dict(entry))
-            for entry in result.refused:
-                merged.refused.append(
-                    rebase_refused(entry, indexes, shard_id)
-                )
-            merged.commits.extend(
-                {**commit, "shard_id": shard_id}
-                for commit in result.commits
-            )
-            if len(ordered) == 1:
-                # LSNs are per-shard; only meaningful unsplit.
-                merged.first_lsn = result.first_lsn
-                merged.last_lsn = result.last_lsn
-        merged.rejected.sort(key=lambda entry: entry.get("frame", -1))
-        return merged
+                outcomes = dict(zip(groups, pool.map(send, groups)))
+        return BatchAck.from_payload(
+            merge_owner_acks(len(frames), groups, outcomes)
+        )
 
     def read_metrics(
-        self, name: str, tags: dict[str, str] | None = None
+        self,
+        name: str,
+        tags: dict[str, str] | None = None,
+        allow_stale: bool = False,
     ) -> list[dict[str, Any]]:
-        key = (tags or {}).get("topology") or name
-        return self._call(key, lambda c: c.read_metrics, name, tags)
+        """Read series back from their owner.
+
+        ``allow_stale`` is harmless on the direct attempt (a serving
+        primary is never stale) and is what lets the router answer the
+        fallback from the owner's follower during a promotion window.
+        """
+        return self._call(
+            routing_key(name, tags), "read_metrics", name, tags,
+            allow_stale=allow_stale,
+        )
 
     def traffic(self, topology: str, **kwargs: Any) -> dict[str, Any]:
-        return self._call(topology, lambda c: c.traffic, topology, **kwargs)
+        return self._call(topology, "traffic", topology, **kwargs)
 
     def performance(self, topology: str, **kwargs: Any) -> dict[str, Any]:
-        return self._call(
-            topology, lambda c: c.performance, topology, **kwargs
-        )
+        return self._call(topology, "performance", topology, **kwargs)
 
     def plan_sweep(
         self, topology: str, *args: Any, **kwargs: Any
     ) -> dict[str, Any]:
-        return self._call(
-            topology, lambda c: c.plan_sweep, topology, *args, **kwargs
-        )
+        return self._call(topology, "plan_sweep", topology, *args, **kwargs)
 
     def logical_plan(self, topology: str) -> dict[str, Any]:
-        return self._call(topology, lambda c: c.logical_plan, topology)
+        return self._call(topology, "logical_plan", topology)
 
     def packing_plan(self, topology: str) -> dict[str, Any]:
-        return self._call(topology, lambda c: c.packing_plan, topology)
+        return self._call(topology, "packing_plan", topology)
 
     # ------------------------------------------------------------------
     # Fleet-wide calls (always through the router)
@@ -434,11 +379,7 @@ class ClusterClient:
         )
 
     def close(self) -> None:
-        with self._lock:
-            clients = list(self._shard_clients.values())
-            self._shard_clients.clear()
-        for client in clients:
-            client.close()
+        self._shard_clients.close()
         self.router.close()
 
     def __enter__(self) -> "ClusterClient":

@@ -37,6 +37,15 @@ exceptions soften that during failover windows:
   promotion and lands on the superseded zombie is refused with a
   structured 409 instead of diverging state.
 
+Every router → shard exchange is one call of
+:meth:`~repro.api.client.CaladriusClient.exchange` on a per-shard
+keep-alive client (:class:`~repro.cluster.client.ShardClients`, keyed by
+shard id) — :meth:`RouterApp._hop`, which is also where "no response"
+becomes the 503 refusal.  The router never retries a hop: waiting out a
+recovering shard is the calling client's retry budget.  A batch is split
+and its acks merged by the functions :mod:`repro.api.ingest` shares with
+the cluster client.
+
 The router is the *control* plane and slow-path proxy.  Throughput-
 critical callers use :class:`~repro.cluster.client.ClusterClient`,
 which fetches the ring once and talks to shards directly.
@@ -44,7 +53,6 @@ which fetches the ring once and talks to shards directly.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import re
@@ -52,20 +60,23 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
+from urllib.parse import urlencode
 
+from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
 from repro.api.ingest import (
     FRAMES_CONTENT_TYPE,
-    STREAM_CONTENT_TYPE,
-    decode_frames,
-    frame_bytes,
-    merge_stream_lines,
-    rebase_refused,
+    keyed_frames,
+    merge_owner_acks,
+    routing_key,
+    split_by_owner,
 )
+from repro.cluster.client import ShardClients
 from repro.cluster.epoch import EPOCH_HEADER
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, HashRing
-from repro.cluster.shard import READY, ShardManager
+from repro.cluster.shard import ShardManager
 from repro.config.loader import CaladriusConfig
 from repro.durability.lifecycle import LifecycleController
+from repro.errors import ApiError
 
 __all__ = ["RouterApp"]
 
@@ -74,6 +85,14 @@ logger = logging.getLogger("repro.cluster.router")
 _RESULT_ID = re.compile(r"^s(\d+)-")
 #: Fleet fan-out parallelism for /healthz, /serving/stats, /topologies.
 _FANOUT_WORKERS = 8
+#: The ``retry_after`` of every refusal the router words itself.
+_RETRY_AFTER_SECONDS = 1
+#: Caller headers that ride along on a router → shard hop.
+_FORWARDED = ("x-request-deadline", "x-request-priority")
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class RouterApp:
@@ -89,14 +108,13 @@ class RouterApp:
         manager: ShardManager,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         proxy_timeout: float = 30.0,
-        retry_after_seconds: int = 1,
     ) -> None:
         self.config = config
         self.manager = manager
         self.virtual_nodes = virtual_nodes
         self.proxy_timeout = proxy_timeout
-        self.retry_after_seconds = retry_after_seconds
         self.lifecycle = LifecycleController()
+        self._clients = ShardClients(timeout=proxy_timeout)
         self._ring_lock = threading.Lock()
         self._ring: HashRing | None = None
         self._ring_version = -1
@@ -205,15 +223,10 @@ class RouterApp:
         ):
             return parts[3]
         if parts == ["metrics", "write"]:
-            tags = body.get("tags") or {}
-            if isinstance(tags, dict) and tags.get("topology"):
-                return str(tags["topology"])
-            # Untagged series hash on the metric name: stable, spreads
-            # load, and reads route the same way.
-            name = body.get("name")
-            return str(name) if name else None
+            return routing_key(body.get("name"), body.get("tags")) or None
         if parts == ["metrics", "read"]:
-            return query.get("topology") or query.get("name")
+            # A read's tag filters are its query parameters.
+            return routing_key(query.get("name"), query) or None
         return None
 
     def _proxy_for_topology(
@@ -270,6 +283,28 @@ class RouterApp:
         body: dict[str, Any],
         headers: dict[str, str],
     ) -> tuple[int, dict[str, Any]]:
+        path = "/" + "/".join(parts)
+        if query:
+            # The listener percent-decoded these; encode them again.
+            path += "?" + urlencode(query)
+        payload = json.dumps(body).encode("utf8") if body else None
+        return self._forward(shard_id, method, path, payload, headers)
+
+    def _forward(
+        self,
+        shard_id: int,
+        method: str,
+        path: str,
+        payload: bytes | None,
+        headers: dict[str, str],
+        content_type: str = "application/json",
+    ) -> tuple[int, dict[str, Any]]:
+        """Send one request to a shard's primary, stamped with its epoch.
+
+        A shard that is not serving is refused here, 503 +
+        ``retry_after`` — unless the caller opted into a stale read and
+        the shard's follower is alive to answer it.
+        """
         address = self.manager.address_of(shard_id)
         if address is None:
             state = self.manager.state_of(shard_id)
@@ -279,75 +314,68 @@ class RouterApp:
                     # Promotion-window read: the follower's mirror may
                     # trail the primary by the replication lag, but the
                     # caller opted in explicitly.
-                    status, payload = self._proxy_to(
-                        shard_id, follower, method, parts, query, body, {}
+                    client = self._clients.get(
+                        ("follower", shard_id), follower
+                    )
+                    status, answer = self._hop(
+                        shard_id, client, method, path, payload, {}
                     )
                     if status < 500:
-                        payload["stale_read"] = True
-                        payload["shard_state"] = state
-                    return status, payload
-            self._unavailable += 1
-            return 503, {
-                "error": (
-                    f"shard {shard_id} is {state or 'unknown'} "
-                    "(recovering its WAL); retry shortly"
-                ),
-                "retry_after": self.retry_after_seconds,
-                "shard_id": shard_id,
-                "shard_state": state,
-            }
+                        answer["stale_read"] = True
+                        answer["shard_state"] = state
+                    return status, answer
+            return self._refuse(
+                shard_id,
+                f"{state or 'unknown'} (recovering its WAL); retry shortly",
+                shard_state=state,
+            )
         forward = {
-            k: v
-            for k, v in headers.items()
-            if k.lower() in ("x-request-deadline", "x-request-priority")
+            k: v for k, v in headers.items() if k.lower() in _FORWARDED
         }
         # Stamp the owner's writer generation: a zombie primary that
         # was fenced off by a promotion answers 409 instead of silently
         # accepting a write for a shard it no longer owns.
         forward[EPOCH_HEADER] = str(self.manager.epoch_of(shard_id))
-        return self._proxy_to(
-            shard_id, address, method, parts, query, body, forward
+        client = self._clients.get(shard_id, address)
+        return self._hop(
+            shard_id, client, method, path, payload, forward, content_type
         )
 
-    def _proxy_to(
+    def _hop(
         self,
         shard_id: int,
-        address: tuple[str, int],
+        client: CaladriusClient,
         method: str,
-        parts: list[str],
-        query: dict[str, str],
-        body: dict[str, Any],
-        forward: dict[str, str],
+        path: str,
+        payload: bytes | None,
+        headers: dict[str, str],
+        content_type: str = "application/json",
     ) -> tuple[int, dict[str, Any]]:
-        host, port = address
-        path = "/" + "/".join(parts)
-        if query:
-            path += "?" + "&".join(f"{k}={v}" for k, v in query.items())
-        payload = json.dumps(body).encode("utf8") if body else None
-        if payload:
-            forward = {**forward, "Content-Type": "application/json"}
-        conn = http.client.HTTPConnection(
-            host, port, timeout=self.proxy_timeout
-        )
+        """The one router → shard exchange: the shard's answer as it
+        came, or the 503 refusal when no answer arrived."""
         try:
-            conn.request(method, path, body=payload, headers=forward)
-            response = conn.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            self._unavailable += 1
-            return 503, {
-                "error": f"shard {shard_id} is unreachable: {exc}",
-                "retry_after": self.retry_after_seconds,
-                "shard_id": shard_id,
-            }
-        finally:
-            conn.close()
+            status, answer, _ = client.exchange(
+                method, path, payload, headers, content_type
+            )
+        except TRANSPORT_ERRORS as exc:
+            return self._refuse(shard_id, f"unreachable: {exc}")
+        except ApiError as exc:
+            status = exc.status
+            answer = {"error": "shard returned a non-JSON response"}
         self._proxied += 1
-        try:
-            decoded = json.loads(raw.decode("utf8")) if raw else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            decoded = {"error": "shard returned a non-JSON response"}
-        return response.status, decoded
+        return status, answer
+
+    def _refuse(
+        self, shard_id: int, reason: str, **extra: Any
+    ) -> tuple[int, dict[str, Any]]:
+        """The retryable 503 for a shard that cannot answer right now."""
+        self._unavailable += 1
+        return 503, {
+            "error": f"shard {shard_id} is {reason}",
+            "retry_after": _RETRY_AFTER_SECONDS,
+            "shard_id": shard_id,
+            **extra,
+        }
 
     # ------------------------------------------------------------------
     # Batched ingest: split by ring owner, forward sub-batches raw
@@ -366,164 +394,53 @@ class RouterApp:
         was accepted anywhere does the whole request answer 503 +
         ``Retry-After``.
         """
-        from repro.errors import ApiError
-
         if raw is None:
             return 400, {
                 "error": "write_batch requires a framed binary body "
                 f"(Content-Type: {FRAMES_CONTENT_TYPE})"
             }
         try:
-            frames = decode_frames(raw)
+            frames = keyed_frames(raw)
         except ApiError as exc:
             return exc.status, {"error": str(exc), **exc.payload}
         if not frames:
             return 400, {"error": "write_batch body contains no frames"}
-        groups: dict[int, list[int]] = {}
-        for idx, (record, _) in enumerate(frames):
-            key = ""
-            if isinstance(record, dict):
-                tags = record.get("tags") or {}
-                topology = (
-                    tags.get("topology") if isinstance(tags, dict) else None
-                )
-                key = str(topology or record.get("name") or "")
-            groups.setdefault(self.shard_for(key), []).append(idx)
+        groups = split_by_owner(frames, self.shard_for)
         futures = {
             shard_id: self._fanout.submit(
-                self._forward_batch,
+                self._forward,
                 shard_id,
-                [frames[i][1] for i in indexes],
+                "POST",
+                "/metrics/write_batch",
+                body,
                 headers,
+                FRAMES_CONTENT_TYPE,
             )
-            for shard_id, indexes in groups.items()
+            for shard_id, (_, body) in groups.items()
         }
-        acked = 0
-        rejected: list[dict[str, Any]] = []
-        refused: list[dict[str, Any]] = []
-        per_shard: dict[str, Any] = {}
-        retry_after: int | None = None
-        for shard_id, future in sorted(futures.items()):
-            status, payload = future.result()
-            indexes = groups[shard_id]
-            per_shard[str(shard_id)] = {
-                "status": status,
-                "frames": len(indexes),
-                "acked": payload.get("acked", 0) if status == 200 else 0,
-                "first_lsn": payload.get("first_lsn"),
-                "last_lsn": payload.get("last_lsn"),
-            }
-            if status == 200:
-                acked += payload.get("acked", 0)
-                for entry in payload.get("rejected", ()):
-                    frame = entry.get("frame")
-                    if isinstance(frame, int) and 0 <= frame < len(indexes):
-                        rejected.append({**entry, "frame": indexes[frame]})
-                    else:
-                        rejected.append(dict(entry))
-                for entry in payload.get("refused", ()):
-                    refused.append(rebase_refused(entry, indexes, shard_id))
-            else:
-                hint = payload.get("retry_after")
-                if isinstance(hint, (int, float)) and not isinstance(
-                    hint, bool
-                ):
-                    retry_after = max(retry_after or 0, int(hint))
-                refused.append(
-                    {
-                        "frames": list(indexes),
-                        "shard_id": shard_id,
-                        "status": status,
-                        "error": payload.get("error", f"HTTP {status}"),
-                        "retry_after": payload.get("retry_after"),
-                    }
-                )
-        rejected.sort(key=lambda entry: entry.get("frame", -1))
-        summary: dict[str, Any] = {
-            "frames": len(frames),
-            "acked": acked,
-            "rejected": rejected,
-            "first_lsn": None,
-            "last_lsn": None,
-            "per_shard": per_shard,
+        outcomes = {
+            shard_id: future.result() for shard_id, future in futures.items()
         }
-        if refused:
-            summary["refused"] = refused
-        if acked == 0 and not rejected and refused:
+        summary = merge_owner_acks(len(frames), groups, outcomes)
+        # The wire document: LSNs only per shard, commit groups folded.
+        del summary["commits"]
+        summary["first_lsn"] = summary["last_lsn"] = None
+        if not summary["refused"]:
+            del summary["refused"]
+        elif summary["acked"] == 0 and not summary["rejected"]:
             # Nothing landed anywhere: surface it as one retryable 503
             # so plain clients re-send the whole batch.
+            hints = [
+                int(answer["retry_after"])
+                for status, answer in outcomes.values()
+                if status != 200 and _is_number(answer.get("retry_after"))
+            ]
             summary["error"] = "no shard accepted the batch; retry shortly"
-            summary["retry_after"] = retry_after or self.retry_after_seconds
+            summary["retry_after"] = (
+                max(hints, default=0) or _RETRY_AFTER_SECONDS
+            )
             return 503, summary
         return 200, summary
-
-    def _forward_batch(
-        self,
-        shard_id: int,
-        bodies: list[str],
-        headers: dict[str, str],
-    ) -> tuple[int, dict[str, Any]]:
-        """POST one shard's sub-batch as raw frames; parse either answer."""
-        address = self.manager.address_of(shard_id)
-        if address is None:
-            state = self.manager.state_of(shard_id)
-            self._unavailable += 1
-            return 503, {
-                "error": (
-                    f"shard {shard_id} is {state or 'unknown'} "
-                    "(recovering its WAL); retry shortly"
-                ),
-                "retry_after": self.retry_after_seconds,
-                "shard_id": shard_id,
-                "shard_state": state,
-            }
-        raw = b"".join(frame_bytes(body) for body in bodies)
-        forward = {
-            k: v
-            for k, v in headers.items()
-            if k.lower() == "x-request-deadline"
-        }
-        forward[EPOCH_HEADER] = str(self.manager.epoch_of(shard_id))
-        forward["Content-Type"] = FRAMES_CONTENT_TYPE
-        host, port = address
-        conn = http.client.HTTPConnection(
-            host, port, timeout=self.proxy_timeout
-        )
-        try:
-            conn.request(
-                "POST", "/metrics/write_batch", body=raw, headers=forward
-            )
-            response = conn.getresponse()
-            data = response.read()
-            content_type = (
-                (response.getheader("Content-Type") or "")
-                .split(";")[0]
-                .strip()
-            )
-        except (OSError, http.client.HTTPException) as exc:
-            self._unavailable += 1
-            return 503, {
-                "error": f"shard {shard_id} is unreachable: {exc}",
-                "retry_after": self.retry_after_seconds,
-                "shard_id": shard_id,
-            }
-        finally:
-            conn.close()
-        self._proxied += 1
-        try:
-            if content_type == STREAM_CONTENT_TYPE:
-                decoded = merge_stream_lines(
-                    [
-                        json.loads(line)
-                        for line in data.decode("utf8").splitlines()
-                        if line.strip()
-                    ]
-                )
-            else:
-                decoded = json.loads(data.decode("utf8")) if data else {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            decoded = {"error": "shard returned a non-JSON response"}
-        return response.status, decoded
 
     def _fan_out(
         self, method: str, path: str
@@ -573,13 +490,13 @@ class RouterApp:
             return 503, {
                 "ready": False,
                 "error": "router is draining",
-                "retry_after": self.retry_after_seconds,
+                "retry_after": _RETRY_AFTER_SECONDS,
             }
         if not self.manager.all_ready():
             return 503, {
                 "ready": False,
                 "error": "one or more shards are not ready",
-                "retry_after": self.retry_after_seconds,
+                "retry_after": _RETRY_AFTER_SECONDS,
                 "shards": self.manager.statuses(),
             }
         return 200, {"ready": True, "shards": len(self.manager.shard_ids())}
@@ -609,9 +526,7 @@ class RouterApp:
             reachable += 1
             for key in self._SUMMED_STATS:
                 value = payload.get(key)
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
+                if _is_number(value):
                     totals[key] += value
         requests = totals["requests"]
         totals["hit_rate"] = totals["hits"] / requests if requests else 0.0
@@ -690,4 +605,5 @@ class RouterApp:
     def shutdown(self) -> None:
         """Stop the fan-out pool and the whole shard fleet."""
         self._fanout.shutdown(wait=False)
+        self._clients.close()
         self.manager.stop_all()

@@ -40,8 +40,6 @@ Everything here is transport-free; the HTTP front door lives in
 
 from __future__ import annotations
 
-import http.client
-import json
 import logging
 import re
 import signal
@@ -53,10 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
-from repro.api.client import CaladriusClient
+from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
 from repro.cluster.epoch import EpochStore
 from repro.durability.recovery import peek_recoverable_lsn
-from repro.errors import DurabilityError, ReproError
+from repro.errors import ApiError, DurabilityError, ReproError
 
 __all__ = [
     "ShardManager",
@@ -515,7 +513,8 @@ class ShardManager:
             if worker is None:
                 continue
             handle.last_probe_at = time.monotonic()
-            if self._probe_once(worker.port):
+            health = self._get_once(worker.port, "/healthz", _PROBE_TIMEOUT)
+            if health is not None:
                 handle.last_probe_ok = time.monotonic()
                 continue
             silent_for = (
@@ -531,20 +530,22 @@ class ShardManager:
                 )
                 _kill(worker.process)
 
-    def _probe_once(self, port: int) -> bool:
-        try:
-            connection = http.client.HTTPConnection(
-                self.host, port, timeout=_PROBE_TIMEOUT
-            )
+    def _get_once(
+        self, port: int, path: str, timeout: float
+    ) -> dict[str, Any] | None:
+        """One GET on a fresh connection: the 200 document, else ``None``.
+
+        Fresh on purpose: the question is whether the process answers
+        *now*, and a child may be gone before the next poll.
+        """
+        with CaladriusClient(
+            self.host, port, timeout=timeout, retries=0
+        ) as client:
             try:
-                connection.request("GET", "/healthz")
-                response = connection.getresponse()
-                response.read()
-                return response.status == 200
-            finally:
-                connection.close()
-        except (OSError, http.client.HTTPException):
-            return False
+                status, document, _ = client.exchange("GET", path)
+            except (*TRANSPORT_ERRORS, ApiError):
+                return None
+        return document if status == 200 else None
 
     # ------------------------------------------------------------------
     # Recovery and promotion
@@ -594,20 +595,12 @@ class ShardManager:
         follower = handle.follower
         if follower is None or follower.process.poll() is not None:
             return None
+        document = self._get_once(follower.port, "/replica/status", 2.0)
+        if document is None:
+            return None
         try:
-            connection = http.client.HTTPConnection(
-                self.host, follower.port, timeout=2.0
-            )
-            try:
-                connection.request("GET", "/replica/status")
-                response = connection.getresponse()
-                raw = response.read()
-            finally:
-                connection.close()
-            if response.status != 200:
-                return None
-            return int(json.loads(raw.decode("utf8")).get("applied_lsn", 0))
-        except (OSError, ValueError, http.client.HTTPException):
+            return int(document.get("applied_lsn", 0))
+        except ValueError:
             return None
 
     def _promotable(self, handle: ShardHandle) -> bool:

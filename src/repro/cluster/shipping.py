@@ -23,6 +23,13 @@ follower restart, a truncated transfer), and the shipper rewinds.  A
 shipped chunk may end mid-frame; the follower only *applies* whole
 frames, so torn tails are invisible to replica reads.
 
+The transport is a single-shot
+:class:`~repro.api.client.CaladriusClient` (``exchange``: a keep-alive
+socket per shipping thread, one reconnect when a reused socket has gone
+stale).  :meth:`SegmentShipper._post` turns what comes back into the
+shipper's contract: ``OSError`` for no response, for any status ≥ 500
+and for a fencing 409; a plain 409 is an offset to rewind to.
+
 Epoch fencing rides the same transport: every post carries
 ``epoch=<writer generation>`` and a follower that has seen a newer
 generation answers 409 with ``"fenced": true`` — *not* an offset
@@ -33,17 +40,16 @@ state again.
 
 from __future__ import annotations
 
-import http.client
-import json
 import logging
 import threading
 import time
 from pathlib import Path
 from typing import Any
 
+from repro.api.client import CaladriusClient
 from repro.durability.checkpoint import CHECKPOINT_FILENAME
 from repro.durability.store import DurableMetricsStore
-from repro.errors import DurabilityError
+from repro.errors import ApiError, DurabilityError
 
 __all__ = ["SegmentShipper"]
 
@@ -89,7 +95,9 @@ class SegmentShipper:
         self._fencing_409s = 0
         self._offsets: dict[str, int] = {}
         self._checkpoint_sig: tuple[int, int] | None = None
-        self._conn: http.client.HTTPConnection | None = None
+        self._client = CaladriusClient(
+            self.host, self.port, timeout=timeout, retries=0
+        )
         self._mutex = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -119,10 +127,7 @@ class SegmentShipper:
                 self.ship_now()
             except OSError:
                 logger.warning("final ship to %s:%d failed", self.host, self.port)
-        with self._mutex:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
+        self._client.close()
 
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_seconds):
@@ -231,48 +236,30 @@ class SegmentShipper:
         if self.epoch is not None:
             separator = "&" if "?" in path else "?"
             path = f"{path}{separator}epoch={self.epoch}"
-        for attempt in (0, 1):
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
-                )
-            try:
-                self._conn.request(
-                    "POST",
-                    path,
-                    body=body,
-                    headers={"Content-Type": "application/octet-stream"},
-                )
-                response = self._conn.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException):
-                self._conn.close()
-                self._conn = None
-                if attempt:
-                    raise
-                continue  # stale keep-alive connection; retry once fresh
-            try:
-                payload = json.loads(raw.decode("utf8")) if raw else {}
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {}
-            if response.status >= 500:
-                raise OSError(
-                    f"follower {self.host}:{self.port} answered "
-                    f"{response.status} for {path}"
-                )
-            if response.status == 409 and payload.get("fenced"):
-                # Not an offset disagreement: the follower belongs to a
-                # newer writer generation.  Stop shipping for good —
-                # rewinding would loop forever against a fence.
-                self._fenced = True
-                self._fencing_409s += 1
-                raise OSError(
-                    f"follower {self.host}:{self.port} fenced off epoch "
-                    f"{self.epoch} (follower epoch "
-                    f"{payload.get('follower_epoch')})"
-                )
-            return response.status, payload
-        raise OSError("unreachable")  # pragma: no cover
+        try:
+            status, payload, _ = self._client.exchange(
+                "POST", path, body, content_type="application/octet-stream"
+            )
+        except ApiError as exc:
+            # Not a JSON document: judge the answer by its status alone.
+            status, payload = exc.status, {}
+        if status >= 500:
+            raise OSError(
+                f"follower {self.host}:{self.port} answered "
+                f"{status} for {path}"
+            )
+        if status == 409 and payload.get("fenced"):
+            # Not an offset disagreement: the follower belongs to a
+            # newer writer generation.  Stop shipping for good —
+            # rewinding would loop forever against a fence.
+            self._fenced = True
+            self._fencing_409s += 1
+            raise OSError(
+                f"follower {self.host}:{self.port} fenced off epoch "
+                f"{self.epoch} (follower epoch "
+                f"{payload.get('follower_epoch')})"
+            )
+        return status, payload
 
     # ------------------------------------------------------------------
     # Introspection

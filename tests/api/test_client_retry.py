@@ -16,7 +16,9 @@ from repro.errors import ApiError
 class _FlakyHandler(http.server.BaseHTTPRequestHandler):
     """Serves `behaviour` for the first `failures` requests, then JSON."""
 
-    behaviour = "close"  # "close" | "503" | "429" | "429_body" | "html" | "empty"
+    # "close" | "503" | "429" | "429_body" | "503_body" | "409_body"
+    # | "pending" | "html" | "empty"
+    behaviour = "close"
     failures = 0
     seen = 0
     retry_after = 7
@@ -36,11 +38,13 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
                 self.end_headers()
                 self.wfile.write(body)
                 return
-            if cls.behaviour in ("429", "429_body"):
+            if cls.behaviour == "pending":
+                return self._json({"status": "pending"})
+            if cls.behaviour in ("429", "429_body", "503_body", "409_body"):
                 body = json.dumps(
                     {"error": "overloaded", "retry_after": cls.retry_after}
                 ).encode()
-                self.send_response(429)
+                self.send_response(int(cls.behaviour[:3]))
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 if cls.behaviour == "429":
@@ -61,7 +65,16 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        body = json.dumps({"topologies": ["word-count"]}).encode()
+        if cls.behaviour == "pending":
+            return self._json({"status": "done", "result": {"ok": True}})
+        self._json({"topologies": ["word-count"]})
+
+    def do_POST(self):  # noqa: N802 - the async submit of "pending"
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._json({"request_id": "r1"})
+
+    def _json(self, document):
+        body = json.dumps(document).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -181,6 +194,33 @@ class TestRetryAfter:
             client.topologies()
         assert excinfo.value.status == 429
         assert "overloaded" in str(excinfo.value)
+
+    def test_503_body_hint_is_honored_and_capped(self, flaky_server):
+        # The cluster router's refusal while a shard is down: the hint
+        # is a body field.  This loop is the only one that waits it out
+        # — a cluster client's router fallback is one call through it.
+        host, port = flaky_server("503_body", failures=2, retry_after=5)
+        client, sleeps = _client(host, port)
+        assert client.topologies() == ["word-count"]
+        assert sleeps == [0.05, 0.05]  # 5s hint capped at backoff_max
+
+    def test_409_with_a_hint_is_never_retried(self, flaky_server):
+        # A fencing conflict is an answer, not "not right now".
+        host, port = flaky_server("409_body", failures=10, retry_after=1)
+        client, sleeps = _client(host, port)
+        with pytest.raises(ApiError) as excinfo:
+            client.topologies()
+        assert excinfo.value.status == 409
+        assert sleeps == []
+
+
+class TestAsyncPoll:
+    def test_polls_wait_on_the_injected_sleep(self, flaky_server):
+        host, port = flaky_server("pending", failures=3)
+        client, sleeps = _client(host, port)
+        result = client.performance_async("word-count", poll_seconds=0.25)
+        assert result == {"ok": True}
+        assert sleeps == [0.25, 0.25, 0.25]
 
 
 class TestNonJsonBodies:

@@ -3,9 +3,10 @@
 End-to-end fencing (a real promotion creating a real zombie) is the
 chaos harness's job; these tests pin the building blocks — the epoch
 store's monotonic persistence, the worker's 409 on a mismatched
-``X-Shard-Epoch``, the follower's refuse-the-past rule, the shipper's
-permanent stop once fenced, and the client-side Retry-After handling —
-so a failure names the broken layer directly.
+``X-Shard-Epoch``, the follower's refuse-the-past rule and the shipper's
+permanent stop once fenced — so a failure names the broken layer
+directly.  (How a client waits out a router 503 is the one retry loop's
+business: ``tests/api/test_client_retry.py``.)
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from repro.api.app import CaladriusApp
 from repro.api.client import CaladriusClient
 from repro.api.server import CaladriusServer
-from repro.cluster import ClusterClient, EpochStore
+from repro.cluster import EpochStore
 from repro.cluster.follower import FollowerReplica
 from repro.cluster.shipping import SegmentShipper
 from repro.config import load_config
@@ -221,66 +222,3 @@ class TestShipperFencing:
         )
         with pytest.raises(OSError, match="WAL flush failed"):
             shipper.ship_now()
-
-
-class TestClientRetryAfter:
-    """The cluster client honors router 503 Retry-After hints, capped."""
-
-    def _client_with_stub_router(self, failover_retries=2, cap=0.4):
-        client = ClusterClient(
-            "127.0.0.1", 1, failover_retries=failover_retries, retries=0
-        )
-        client.router.close()
-        sleeps: list[float] = []
-        client.router = SimpleNamespace(
-            backoff_max_seconds=cap,
-            _sleep=sleeps.append,
-            close=lambda: None,
-        )
-        return client, sleeps
-
-    def test_hint_is_honored_and_capped(self):
-        client, sleeps = self._client_with_stub_router()
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise ApiError("shard down", 503, {"retry_after": 5})
-            return "ok"
-
-        assert client._router_call(lambda r: flaky) == "ok"
-        assert sleeps == [0.4, 0.4]  # 5s hint capped at backoff_max
-        assert client.retry_after_waits == 2
-
-    def test_503_without_a_hint_raises_immediately(self):
-        client, sleeps = self._client_with_stub_router()
-
-        def always_down():
-            raise ApiError("down", 503, {"error": "down"})
-
-        with pytest.raises(ApiError):
-            client._router_call(lambda r: always_down)
-        assert sleeps == []
-        assert client.retry_after_waits == 0
-
-    def test_retries_exhausted_surfaces_the_503(self):
-        client, sleeps = self._client_with_stub_router(failover_retries=1)
-
-        def always_down():
-            raise ApiError("down", 503, {"retry_after": 0.2})
-
-        with pytest.raises(ApiError) as excinfo:
-            client._router_call(lambda r: always_down)
-        assert excinfo.value.status == 503
-        assert sleeps == [0.2]  # below the cap: used verbatim
-
-    def test_non_503_is_never_retried(self):
-        client, sleeps = self._client_with_stub_router()
-
-        def conflict():
-            raise ApiError("fenced", 409, {"retry_after": 1})
-
-        with pytest.raises(ApiError):
-            client._router_call(lambda r: conflict)
-        assert sleeps == []

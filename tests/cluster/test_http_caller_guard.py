@@ -1,0 +1,229 @@
+"""Structure guards: one HTTP caller, one retry loop, one batch merge.
+
+The service's tiers call each other over HTTP (router → shard, client →
+shard, manager → worker, shipper → follower).  Each of those hops used
+to open its own ``http.client.HTTPConnection``, the cluster client
+wrapped the base client's retry loop in a second one, and the router and
+the cluster client each grouped a batch by ring owner and merged the
+acks on their own.  These checks read the source (AST, not grep) so the
+duplicates cannot quietly come back.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+#: Loops that sleep between client calls but are *not* retry policies:
+#: they wait for a condition until a deadline, not for a call to succeed
+#: within a budget of attempts.  Listed by name so a new one is a
+#: decision, and each must really be a ``while … < deadline`` loop.
+DEADLINE_POLLS = {
+    "api/client.py:CaladriusClient.wait_ready": (
+        "polls /readyz until the process admits work"
+    ),
+    "api/client.py:CaladriusClient.performance_async": (
+        "polls /model/result/<id> until the submitted job finishes"
+    ),
+    "cluster/chaos.py:ChaosController._quiesce": (
+        "harness: waits for every shard to report ready after the campaign"
+    ),
+    "cluster/chaos.py:ChaosController._check_convergence": (
+        "harness: waits for each follower's hash to match its primary's"
+    ),
+}
+
+RETIRED = (
+    "_proxy_to",
+    "_router_call",
+    "failover_retries",
+    "retry_after_waits",
+    "retry_after_seconds",
+    "_probe_once",
+    "_attempt",
+)
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {
+        str(path.relative_to(SRC)): ast.parse(path.read_text("utf8"))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _functions(trees=None):
+    """Every function as ``("file:Class.name", node)``."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{child.name}", child
+                yield from walk(child, f"{prefix}{child.name}.")
+            else:
+                yield from walk(child, prefix)
+
+    for name, tree in (trees or _trees()).items():
+        yield from walk(tree, f"{name}:")
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute):
+            return func.attr
+    return None
+
+
+def _calls(node: ast.AST) -> set[str]:
+    return {name for n in ast.walk(node) if (name := _called_name(n))}
+
+
+def test_one_function_opens_an_http_connection():
+    opening = [
+        name
+        for name, node in _functions()
+        if _calls(node) & {"HTTPConnection", "HTTPSConnection"}
+    ]
+    assert opening == ["api/client.py:CaladriusClient._connection"]
+
+
+def test_no_other_http_or_socket_caller():
+    offenders = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "urllib":
+                    modules += [f"urllib.{a.name}" for a in node.names]
+                if node.module == "socket":
+                    modules += [f"socket.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                modules = [f"socket.{node.attr}"] if (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "socket"
+                ) else []
+            else:
+                continue
+            offenders += [
+                (name, module)
+                for module in modules
+                if module.startswith("urllib.request")
+                or module == "socket.create_connection"
+            ]
+    assert offenders == []
+
+
+def _client_methods(trees) -> set[str]:
+    """What a call on one of the two clients can be named."""
+    names = set()
+    for tree in (trees["api/client.py"], trees["cluster/client.py"]):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in (
+                "CaladriusClient", "ClusterClient"
+            ):
+                names |= {
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                }
+    return {n for n in names if not n.startswith("__")} - {"close"}
+
+
+def _sleeping_call_loops(trees):
+    """``(function, loop)`` for every loop that sleeps and either calls
+    a client or counts its rounds (``for … in range(…)``): the shape of
+    "try, wait, try again"."""
+    methods = _client_methods(trees)
+    for name, function in _functions(trees):
+        for loop in ast.walk(function):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            called = _calls(loop)
+            counted = isinstance(loop, ast.For) and (
+                _called_name(loop.iter) == "range"
+            )
+            if called & {"sleep", "_sleep"} and (counted or called & methods):
+                yield name, loop
+                break
+
+
+def test_one_loop_retries_with_a_sleep_between_attempts():
+    trees = _trees()
+    found = dict(_sleeping_call_loops(trees))
+    retrying = sorted(set(found) - set(DEADLINE_POLLS))
+    assert retrying == ["api/client.py:CaladriusClient._request"]
+    # The allow-list is exact, and each entry is a deadline poll in form.
+    assert set(found) - set(retrying) == set(DEADLINE_POLLS)
+    for name in DEADLINE_POLLS:
+        loop = found[name]
+        assert isinstance(loop, ast.While), name
+        assert "deadline" in {
+            n.id for n in ast.walk(loop.test) if isinstance(n, ast.Name)
+        }, name
+    # …while the retry loop counts attempts.
+    assert isinstance(found[retrying[0]], ast.For)
+
+
+def test_refused_groups_are_rebased_in_one_place():
+    callers = [
+        name
+        for name, node in _functions()
+        if "rebase_refused" in _calls(node)
+    ]
+    assert callers == ["api/ingest.py:merge_owner_acks"]
+
+
+def test_owner_split_and_merge_have_one_caller_per_tier():
+    """The router and the cluster client both call the shared split and
+    merge; neither carries its own."""
+    users = {
+        helper: sorted(
+            name.split(":")[0]
+            for name, node in _functions()
+            if helper in _calls(node)
+        )
+        for helper in ("split_by_owner", "merge_owner_acks")
+    }
+    assert users == {
+        "split_by_owner": ["cluster/client.py", "cluster/router.py"],
+        "merge_owner_acks": ["cluster/client.py", "cluster/router.py"],
+    }
+
+
+def test_the_routing_key_is_spelled_once():
+    """Neither tier reads a ``topology`` tag itself (the ``/topology/…``
+    path segment the router matches is not a tag)."""
+    readers = []
+    for name in ("cluster/router.py", "cluster/client.py"):
+        for node in ast.walk(_trees()[name]):
+            key = None
+            if _called_name(node) == "get" and node.args:
+                key = node.args[0]
+            elif isinstance(node, ast.Subscript):
+                key = node.slice
+            if isinstance(key, ast.Constant) and key.value == "topology":
+                readers.append((name, node.lineno))
+    assert readers == []
+
+
+def test_retired_names_are_gone_from_source_and_docs():
+    whole = re.compile(
+        r"(?<![A-Za-z0-9_])(" + "|".join(RETIRED) + r")(?![A-Za-z0-9_])"
+    )
+    files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "docs").rglob("*.md"))
+    offenders = [
+        (str(path.relative_to(ROOT)), match.group(1))
+        for path in files
+        for match in whole.finditer(path.read_text("utf8"))
+    ]
+    assert offenders == []

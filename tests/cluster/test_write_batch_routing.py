@@ -273,7 +273,7 @@ class TestClusterClientWriteBatch:
 
     def test_fencing_409_falls_back_without_poisoning(self, mini_cluster):
         manager, router, router_server, shards = mini_cluster
-        client = self._client(router_server, failover_retries=1)
+        client = self._client(router_server, retries=1)
         try:
             client.refresh_ring()
             fenced_owner = router.shard_for("alpha")
