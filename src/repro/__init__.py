@@ -10,7 +10,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.heron` — a simulated Heron cluster (the evaluation
   substrate: topologies, packing, backpressure, metrics).
 * :mod:`repro.timeseries` — the metrics database.
-* :mod:`repro.graph` — the property-graph / traversal layer.
+* :mod:`repro.graph` — the property-graph / path-enumeration layer.
 * :mod:`repro.forecasting` — Prophet-style traffic forecasting.
 * :mod:`repro.core` — the paper's models (Eq. 1-14) and calibration.
 * :mod:`repro.api` — the RESTful service tier.

@@ -27,7 +27,7 @@ import json
 import threading
 import time
 import uuid
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, TypeVar
@@ -45,7 +45,7 @@ from repro.durability.deadline import (
 from repro.durability.lifecycle import LifecycleController
 from repro.api.ingest import FRAMES_CONTENT_TYPE, split_frames
 from repro.errors import ApiError, ReproError, TopologyError
-from repro.heron.tracker import TopologyTracker
+from repro.heron.tracker import TopologyTracker, TrackedTopology
 from repro.serving import (
     INTERACTIVE,
     PRECOMPUTE,
@@ -635,19 +635,24 @@ class CaladriusApp:
         query: Mapping[str, str],
         body: Mapping[str, Any],
     ) -> dict[str, Any]:
-        source_rate = body.get("source_rate")
-        if source_rate is not None and not isinstance(source_rate, (int, float)):
-            raise ApiError("source_rate must be a number")
+        source_rate = _source_rate(body, required=False)
         parallelisms = body.get("parallelisms")
         if parallelisms is not None:
             if not isinstance(parallelisms, dict) or not all(
-                isinstance(v, int) for v in parallelisms.values()
+                is_count(v) for v in parallelisms.values()
             ):
                 raise ApiError("parallelisms must map components to integers")
         traffic_model_name = body.get("traffic_model")
         horizon = _int_param(query, "horizon_minutes", default=60)
         model = query.get("model")
-        self._tracked(topology)  # 404 before caching/admission
+        tracked = self._tracked(topology)  # 404 before caching/admission
+        if parallelisms:
+            _check_plans(
+                tracked,
+                [parallelisms],
+                "unknown component {name!r}",
+                "component {name!r} parallelism must be >= 1, got {parallelism}",
+            )
         descriptor = RequestDescriptor.of(
             "performance",
             topology,
@@ -678,13 +683,19 @@ class CaladriusApp:
         model: str | None,
     ) -> dict[str, Any]:
         self._require_healthy_metrics(topology)
+        # Looked up out here: a model name the configuration does not
+        # enable is the caller's mistake, not an evaluator failure.
+        models = self.registry.performance_model(model)
+        traffic_models = (
+            self.registry.traffic_model(traffic_model_name)
+            if source_rate is None
+            else []
+        )
 
         def evaluate() -> list[dict[str, Any]]:
             traffic = None
             if source_rate is None:
-                traffic_models = self.registry.traffic_model(traffic_model_name)
                 traffic = traffic_models[0].predict(topology, None, horizon)
-            models = self.registry.performance_model(model)
             return [
                 m.predict(
                     topology,
@@ -705,11 +716,7 @@ class CaladriusApp:
         query: Mapping[str, str],
         body: Mapping[str, Any],
     ) -> dict[str, Any]:
-        source_rate = body.get("source_rate")
-        if not isinstance(source_rate, (int, float)) or isinstance(
-            source_rate, bool
-        ):
-            raise ApiError("source_rate must be a number")
+        source_rate = _source_rate(body, required=True)
         plans = body.get("plans")
         if not isinstance(plans, list) or not plans:
             raise ApiError("plans must be a non-empty list of parallelism maps")
@@ -720,17 +727,20 @@ class CaladriusApp:
             )
         for plan in plans:
             if not isinstance(plan, dict) or not all(
-                isinstance(k, str)
-                and isinstance(v, int)
-                and not isinstance(v, bool)
-                for k, v in plan.items()
+                isinstance(k, str) and is_count(v) for k, v in plan.items()
             ):
                 raise ApiError(
                     "each plan must map component names to integer "
                     "parallelisms"
                 )
         top_k = _int_param(query, "top_k", default=None)
-        self._tracked(topology)  # 404 before caching/admission
+        tracked = self._tracked(topology)  # 404 before caching/admission
+        _check_plans(
+            tracked,
+            plans,
+            "plan names unknown component {name!r} in topology {topology!r}",
+            "plan parallelism for {name!r} must be >= 1, got {parallelism}",
+        )
         descriptor = RequestDescriptor.of(
             "plan_sweep",
             topology,
@@ -852,6 +862,53 @@ class CaladriusApp:
         self._pool.shutdown(wait=True)
         if self.serving is not None:
             self.serving.close()
+
+
+def is_number(value: Any) -> bool:
+    """A JSON number.  ``true`` is not one, though ``bool`` is an ``int``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_count(value: Any) -> bool:
+    """A JSON integer (and, as above, not a boolean)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _source_rate(body: Mapping[str, Any], required: bool) -> float | None:
+    """The request's ``source_rate``: a non-negative JSON number."""
+    value = body.get("source_rate")
+    if value is None and not required:
+        return None
+    if not is_number(value):
+        raise ApiError("source_rate must be a number")
+    if value < 0:
+        raise ApiError("source_rate must be non-negative")
+    return value
+
+
+def _check_plans(
+    tracked: TrackedTopology,
+    plans: Sequence[Mapping[str, int]],
+    unknown: str,
+    below_one: str,
+) -> None:
+    """400 for a parallelism plan the topology cannot take.
+
+    The models refuse the same plans (and a negative source rate) in the
+    same words, but from inside ``_evaluate``, where the circuit breaker
+    books the refusal as an evaluator failure: five mistyped requests
+    would open the circuit for every other caller.  Request-derived
+    input is judged before it.
+    """
+    known = tracked.topology.components  # a copy per read: take it once
+    for plan in plans:
+        for name, parallelism in plan.items():
+            if name not in known:
+                raise ApiError(unknown.format(name=name, topology=tracked.name))
+            if parallelism < 1:
+                raise ApiError(
+                    below_one.format(name=name, parallelism=parallelism)
+                )
 
 
 def _int_param(

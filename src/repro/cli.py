@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from collections.abc import Sequence
@@ -522,6 +523,7 @@ def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
 # ----------------------------------------------------------------------
 def _cmd_serve(args) -> int:
     config = load_config(args.config) if args.config else load_config({})
+    logging.basicConfig(level=config.log_level, stream=sys.stderr)
     serving_overrides = {}
     if args.cache_mb is not None:
         serving_overrides["cache_mb"] = args.cache_mb
@@ -802,6 +804,7 @@ def _cmd_follow(args) -> int:
     from repro.cluster.follower import FollowerApp, FollowerReplica
 
     config = load_config({})
+    logging.basicConfig(level=config.log_level, stream=sys.stderr)
     # A follower only serves reads over replicated state; the serving
     # layer's cache keys would be correct but its precompute loop is
     # wasted work here, so the layer stays off.

@@ -102,8 +102,3 @@ class EpochStore:
                     {"epochs": {str(k): v for k, v in self._epochs.items()}},
                 )
             return epoch
-
-    def snapshot(self) -> dict[int, int]:
-        """All counters (published in ``GET /cluster/ring``)."""
-        with self._lock:
-            return dict(self._epochs)

@@ -68,13 +68,6 @@ class HashRing:
             position = 0  # wrap around the circle
         return self._owners[position]
 
-    def ownership(self, keys: list[str]) -> dict[int, list[str]]:
-        """Group ``keys`` by owning shard (diagnostics, tests)."""
-        owned: dict[int, list[str]] = {shard: [] for shard in self.shard_ids}
-        for key in keys:
-            owned[self.shard_for(key)].append(key)
-        return owned
-
     def __len__(self) -> int:
         return len(self.shard_ids)
 

@@ -62,6 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from urllib.parse import urlencode
 
+from repro.api.app import is_number
 from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
 from repro.api.ingest import (
     FRAMES_CONTENT_TYPE,
@@ -89,10 +90,6 @@ _FANOUT_WORKERS = 8
 _RETRY_AFTER_SECONDS = 1
 #: Caller headers that ride along on a router → shard hop.
 _FORWARDED = ("x-request-deadline", "x-request-priority")
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class RouterApp:
@@ -433,7 +430,7 @@ class RouterApp:
             hints = [
                 int(answer["retry_after"])
                 for status, answer in outcomes.values()
-                if status != 200 and _is_number(answer.get("retry_after"))
+                if status != 200 and is_number(answer.get("retry_after"))
             ]
             summary["error"] = "no shard accepted the batch; retry shortly"
             summary["retry_after"] = (
@@ -526,7 +523,7 @@ class RouterApp:
             reachable += 1
             for key in self._SUMMED_STATS:
                 value = payload.get(key)
-                if _is_number(value):
+                if is_number(value):
                     totals[key] += value
         requests = totals["requests"]
         totals["hit_rate"] = totals["hits"] / requests if requests else 0.0

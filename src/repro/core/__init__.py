@@ -21,7 +21,6 @@ This package is the primary contribution being reproduced:
 
 from repro.core.calibration import (
     PiecewiseLinearFit,
-    calibrate_component,
     component_observations,
     fit_linear,
     fit_piecewise_linear,
@@ -30,7 +29,6 @@ from repro.core.component_model import ComponentModel
 from repro.core.cpu_model import CpuModel, fit_cpu_model
 from repro.core.instance_model import InstanceModel
 from repro.core.latency_model import LatencyModel, WatermarkSettings
-from repro.core.memory_model import MemoryModel, fit_memory_model
 from repro.core.performance_models import (
     BackpressureEvaluationModel,
     PerformanceModel,
@@ -52,7 +50,6 @@ __all__ = [
     "CpuModel",
     "InstanceModel",
     "LatencyModel",
-    "MemoryModel",
     "PerformanceModel",
     "WatermarkSettings",
     "PerformancePrediction",
@@ -63,10 +60,8 @@ __all__ = [
     "TopologyModel",
     "TrafficModel",
     "TrafficPrediction",
-    "calibrate_component",
     "component_observations",
     "fit_cpu_model",
     "fit_linear",
-    "fit_memory_model",
     "fit_piecewise_linear",
 ]

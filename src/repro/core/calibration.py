@@ -10,7 +10,7 @@ one in the non-saturation interval and one in the saturation interval"
   ``ST = alpha * SP`` built in, plus confidence information;
 * :func:`fit_linear` — straight-line fits (through the origin or with an
   intercept) used for I/O ratios and the CPU model;
-* :func:`component_observations` / :func:`calibrate_component` — adapters
+* :func:`component_observations` / :func:`calibrate_sink` — adapters
   that pull per-minute counters out of a metrics store and produce a
   ready-to-use :class:`~repro.core.component_model.ComponentModel`.
 """
@@ -38,9 +38,7 @@ __all__ = [
     "mape",
     "degraded_aggregate",
     "component_observations",
-    "calibrate_component",
     "calibrate_sink",
-    "measured_shares",
 ]
 
 
@@ -74,22 +72,6 @@ class PiecewiseLinearFit:
     def predict(self, x: np.ndarray | float) -> np.ndarray | float:
         """Evaluate the fitted curve."""
         return self.alpha * np.minimum(x, self.saturation_point)
-
-    def to_instance_model(
-        self, stream: str = "default", per_instance_scale: float = 1.0
-    ) -> InstanceModel:
-        """Convert to an :class:`InstanceModel`.
-
-        ``per_instance_scale`` divides the fitted saturation point when
-        the fit was made at component level over ``p`` uniformly loaded
-        instances (``scale = p``).
-        """
-        if per_instance_scale <= 0:
-            raise CalibrationError("per_instance_scale must be positive")
-        return InstanceModel(
-            {stream: self.alpha},
-            self.saturation_point / per_instance_scale,
-        )
 
 
 @dataclass(frozen=True)
@@ -349,77 +331,6 @@ def component_observations(
         "output": out_aligned.values[sl],
         "cpu": cpu_aligned.values[sl],
     }
-
-
-def calibrate_component(
-    name: str,
-    source: np.ndarray,
-    output: np.ndarray,
-    parallelism: int,
-    stream: str = "default",
-    input_shares: np.ndarray | None = None,
-) -> tuple[ComponentModel, PiecewiseLinearFit]:
-    """Fit a component model from (source rate, output rate) points.
-
-    The fit is at *component* level (what the metrics expose); the
-    instance model is derived by dividing the component saturation point
-    by the parallelism (uniform shares) or by the hottest share (biased),
-    which inverts Eq. 9 / the Section IV-B2b share analysis.
-    """
-    fit = fit_piecewise_linear(source, output)
-    if input_shares is None:
-        scale = float(parallelism)
-    else:
-        shares = np.asarray(input_shares, dtype=np.float64)
-        max_share = float(shares.max())
-        if max_share <= 0:
-            raise CalibrationError("input shares must have positive mass")
-        scale = 1.0 / max_share
-    instance = fit.to_instance_model(stream, per_instance_scale=scale)
-    model = ComponentModel(
-        name,
-        instance,
-        parallelism,
-        None if input_shares is None else input_shares,
-    )
-    return model, fit
-
-
-def measured_shares(
-    store: MetricsStore,
-    topology_name: str,
-    component: str,
-    parallelism: int,
-    start: int | None = None,
-) -> np.ndarray:
-    """The observed per-instance traffic shares of one component.
-
-    The paper's "routing probability ... is a function of the data in
-    the tuple stream and their relative frequency" — and the most direct
-    way to obtain it is to measure it: each instance's share of the
-    component's received tuples over a window.  Use the result as
-    ``input_shares`` when building a :class:`ComponentModel` for a
-    fields-grouped component whose key distribution is unknown.
-    """
-    totals = np.zeros(parallelism, dtype=np.float64)
-    for index in range(parallelism):
-        series = store.aggregate(
-            MetricNames.RECEIVED_COUNT,
-            {
-                "topology": topology_name,
-                "component": component,
-                "instance": f"{component}_{index}",
-            },
-            start=start,
-        )
-        totals[index] = series.sum()
-    grand_total = float(totals.sum())
-    if grand_total <= 0:
-        raise CalibrationError(
-            f"component {component!r} received no traffic in the window; "
-            "shares are undefined"
-        )
-    return totals / grand_total
 
 
 def calibrate_sink(

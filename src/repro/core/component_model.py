@@ -107,14 +107,6 @@ class ComponentModel:
             (alpha * np.minimum(rates, self.instance.saturation_point)).sum()
         )
 
-    def total_output_rate(self, source_rate: float) -> float:
-        """Summed instance outputs over all streams."""
-        rates = self.instance_input_rates(source_rate)
-        alpha = self.instance.total_alpha()
-        return float(
-            (alpha * np.minimum(rates, self.instance.saturation_point)).sum()
-        )
-
     # ------------------------------------------------------------------
     # Saturation
     # ------------------------------------------------------------------
@@ -147,53 +139,6 @@ class ComponentModel:
         return source_rate >= self.saturation_point()
 
     # ------------------------------------------------------------------
-    # Inverse model
-    # ------------------------------------------------------------------
-    def required_source_rate(
-        self, output_rate: float, stream: str = DEFAULT_STREAM
-    ) -> float:
-        """Source rate needed for a target output rate (Eq. 13 step).
-
-        In the linear region this is exact.  Between the first instance
-        saturating and full component saturation the curve is still
-        monotonic, so the value is found by bisection; outputs beyond
-        the component's saturation throughput raise.
-        """
-        if output_rate < 0:
-            raise ModelError("output_rate must be non-negative")
-        if output_rate == 0:
-            return 0.0
-        st_component = self.saturation_throughput(stream)
-        if output_rate > st_component * (1 + 1e-9):
-            raise ModelError(
-                f"component {self.name!r} cannot produce {output_rate}; "
-                f"its saturation throughput is {st_component}"
-            )
-        sp = self.saturation_point()
-        alpha = self.instance.alpha(stream)
-        if alpha == 0:
-            raise ModelError(
-                f"stream {stream!r} has alpha=0; only zero output is feasible"
-            )
-        # Uniform shares: closed form.
-        if np.allclose(self.input_shares, self.input_shares[0]):
-            return min(output_rate / alpha, sp)
-        # Biased shares: the output curve is piecewise linear and
-        # monotone in source rate; bisect on it.
-        lo, hi = 0.0, sp if not math.isinf(sp) else output_rate / alpha
-        while self.output_rate(hi, stream) < output_rate * (1 - 1e-12):
-            hi *= 2.0
-            if hi > 1e18:
-                raise ModelError("failed to bracket the inverse")
-        for _ in range(100):
-            mid = (lo + hi) / 2.0
-            if self.output_rate(mid, stream) < output_rate:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    # ------------------------------------------------------------------
     # What-if derivations (Eq. 9 and Eq. 11)
     # ------------------------------------------------------------------
     def with_parallelism(
@@ -221,22 +166,6 @@ class ComponentModel:
         return ComponentModel(
             self.name, self.instance, new_parallelism, new_shares
         )
-
-    def outputs_under_traffic_scale(
-        self,
-        observed_source_rate: float,
-        beta: float,
-        stream: str = DEFAULT_STREAM,
-    ) -> float:
-        """Eq. 11: output when the source traffic scales by ``beta``.
-
-        Shares are assumed stable over time (the paper's steady-bias
-        assumption), so each instance's input scales by ``beta`` and its
-        output clips at its saturation throughput.
-        """
-        if beta < 0:
-            raise ModelError("beta must be non-negative")
-        return self.output_rate(observed_source_rate * beta, stream)
 
     def __repr__(self) -> str:
         return (

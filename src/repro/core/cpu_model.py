@@ -67,14 +67,6 @@ class CpuModel:
             np.sum(self.base_cores + self.psi * processed)
         )
 
-    def predict_curve(
-        self, model: ComponentModel, source_rates: np.ndarray
-    ) -> np.ndarray:
-        """Component CPU over a sweep of source rates."""
-        return np.asarray(
-            [self.component_cpu(model, float(rate)) for rate in source_rates]
-        )
-
 
 def fit_cpu_model(
     component: str,

@@ -8,16 +8,15 @@ saturates (Fig. 3):
 where :math:`\\alpha_i` is the I/O coefficient determined by the
 processing logic, :math:`SP_i` the saturation point (input rate above
 which backpressure triggers) and :math:`ST_i = \\alpha_i SP_i` the
-saturation throughput.  With multiple inputs the contributions add
-(Eq. 3); with multiple output streams each stream ``j`` has its own
-:math:`\\alpha_j` and :math:`ST_j` sharing the same saturation point
-(Eq. 4-5).
+saturation throughput.  With multiple output streams each stream ``j``
+has its own :math:`\\alpha_j` and :math:`ST_j` sharing the same saturation
+point (Eq. 4-5).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ModelError
@@ -69,10 +68,6 @@ class InstanceModel:
         """``ST = alpha * SP`` for one output stream (Eq. 1)."""
         return self.alpha(stream) * self.saturation_point
 
-    def total_alpha(self) -> float:
-        """Sum of coefficients over all output streams."""
-        return sum(self.alphas.values())
-
     # ------------------------------------------------------------------
     # Forward model
     # ------------------------------------------------------------------
@@ -92,66 +87,11 @@ class InstanceModel:
         """Eq. 2: ``min(alpha * t, ST)`` for a single input stream."""
         return self.alpha(stream) * self.processed_rate(input_rate)
 
-    def output_rate_multi(
-        self, input_rates: Sequence[float], stream: str = DEFAULT_STREAM
-    ) -> float:
-        """Eq. 3: sum of clipped contributions over several inputs.
-
-        Each input stream's contribution is clipped at the stream's
-        saturation throughput, per the paper's formulation.
-        """
-        st = self.saturation_throughput(stream)
-        alpha = self.alpha(stream)
-        total = 0.0
-        for rate in input_rates:
-            if rate < 0:
-                raise ModelError("input rates must be non-negative")
-            total += min(alpha * rate, st)
-        return total
-
-    def output_rates(self, input_rate: float) -> dict[str, float]:
-        """Eq. 4-5: per-output-stream rates for one input rate."""
-        processed = self.processed_rate(input_rate)
-        return {stream: alpha * processed for stream, alpha in self.alphas.items()}
-
-    def total_output_rate(self, input_rate: float) -> float:
-        """Eq. 4: summed output over all streams."""
-        return self.total_alpha() * self.processed_rate(input_rate)
-
     def is_saturated(self, input_rate: float) -> bool:
         """True when the input rate meets or exceeds the saturation point."""
         if input_rate < 0:
             raise ModelError("input_rate must be non-negative")
         return input_rate >= self.saturation_point
-
-    # ------------------------------------------------------------------
-    # Inverse model
-    # ------------------------------------------------------------------
-    def required_input_rate(
-        self, output_rate: float, stream: str = DEFAULT_STREAM
-    ) -> float:
-        """Input rate needed to produce ``output_rate`` on one stream.
-
-        This is the building block of the paper's Eq. 13 backward chain.
-        Requesting more than the saturation throughput is infeasible and
-        raises; requesting exactly ``ST`` returns ``SP``.
-        """
-        if output_rate < 0:
-            raise ModelError("output_rate must be non-negative")
-        alpha = self.alpha(stream)
-        if alpha == 0:
-            if output_rate == 0:
-                return 0.0
-            raise ModelError(
-                f"stream {stream!r} has alpha=0; only zero output is feasible"
-            )
-        st = self.saturation_throughput(stream)
-        if output_rate > st * (1 + 1e-12):
-            raise ModelError(
-                f"requested output {output_rate} exceeds the saturation "
-                f"throughput {st}"
-            )
-        return min(output_rate / alpha, self.saturation_point)
 
     # ------------------------------------------------------------------
     # Derivation

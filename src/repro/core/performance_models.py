@@ -133,10 +133,6 @@ def grouping_input_shares(
     return list(shares / total)
 
 
-# Backwards-compatible private alias (pre-sweep call sites).
-_input_shares = grouping_input_shares
-
-
 def apply_parallelisms(
     topology: LogicalTopology,
     base: TopologyModel,
@@ -373,7 +369,7 @@ def calibrate_topology(
         x = offered[name]
         if x is None:
             raise CalibrationError(f"bolt {name!r} received no offered rate")
-        shares = _input_shares(topology, name, spec.parallelism)
+        shares = grouping_input_shares(topology, name, spec.parallelism)
         outputs = topology.outputs(name)
         y_in = sel(("received", name))
         if not outputs:
@@ -490,16 +486,6 @@ class PerformanceModel(ABC):
         if parallelisms:
             base = apply_parallelisms(tracked.topology, base, parallelisms)
         return tracked, base, fits
-
-    @staticmethod
-    def _chain_relative_stderr(
-        model: TopologyModel,
-        fits: Mapping[str, PiecewiseLinearFit],
-        path: Sequence[str],
-        source_rate: float,
-    ) -> float:
-        """See :func:`chain_relative_stderr` (module-level)."""
-        return chain_relative_stderr(model, fits, path, source_rate)
 
 
 class ThroughputPredictionModel(PerformanceModel):

@@ -20,7 +20,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 
 from repro.core.component_model import ComponentModel
 from repro.core.instance_model import InstanceModel
@@ -103,11 +102,6 @@ class TopologyModel:
         except KeyError:
             raise ModelError(f"no model for component {name!r}") from None
 
-    @property
-    def component_models(self) -> Mapping[str, ComponentModel]:
-        """Read-only view of every component's model (spouts included)."""
-        return MappingProxyType(self._models)
-
     # ------------------------------------------------------------------
     # Path utilities
     # ------------------------------------------------------------------
@@ -157,51 +151,8 @@ class TopologyModel:
         return rate
 
     # ------------------------------------------------------------------
-    # Eq. 13: inverse chain / saturation point
+    # Eq. 13: saturation point
     # ------------------------------------------------------------------
-    def path_saturation_output(self, path: Sequence[str]) -> float:
-        """The path's maximum achievable output (chained STs)."""
-        self._validate_path(path)
-        rate = math.inf
-        for stage, name in enumerate(path):
-            model = self._models[name]
-            if stage + 1 < len(path):
-                stream = self._stream_between(name, path[stage + 1])
-                cap = model.saturation_throughput(stream)
-                rate = (
-                    min(model.output_rate(rate, stream), cap)
-                    if not math.isinf(rate)
-                    else cap
-                )
-            else:
-                sp = model.saturation_point()
-                rate = min(rate, sp) if not math.isinf(rate) else sp
-        return rate
-
-    def path_saturation_source_rate(self, path: Sequence[str]) -> float:
-        """Eq. 13: :math:`t_0'`, the source rate where the path saturates.
-
-        Computed by inverting the chain at the path's saturation output.
-        A fully unsaturable path returns ``math.inf``.
-        """
-        target = self.path_saturation_output(path)
-        if math.isinf(target):
-            return math.inf
-        self._validate_path(path)
-        rate = target
-        for stage in range(len(path) - 1, -1, -1):
-            name = path[stage]
-            model = self._models[name]
-            if stage + 1 < len(path):
-                stream = self._stream_between(name, path[stage + 1])
-                rate = model.required_source_rate(rate, stream)
-            else:
-                # Final stage: rate is its processing throughput, which
-                # equals its source rate in the linear regime and SP at
-                # saturation.
-                rate = min(rate, model.saturation_point())
-        return rate
-
     def path_bottleneck(self, path: Sequence[str]) -> tuple[str | None, float]:
         """The first component to saturate, and the source rate at which.
 

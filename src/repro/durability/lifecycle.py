@@ -50,11 +50,6 @@ class LifecycleController:
         with self._cond:
             return self._state
 
-    def is_running(self) -> bool:
-        """True while new work is admitted."""
-        with self._cond:
-            return self._state == RUNNING
-
     def is_draining(self) -> bool:
         """True once a drain has begun (new work is refused)."""
         with self._cond:

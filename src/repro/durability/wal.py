@@ -363,7 +363,6 @@ class WriteAheadLog:
         self._flusher_stop = threading.Event()
         self._faults = faults
         self._handle: io.BufferedWriter | None = None
-        self._active_path: Path | None = None
         self._active_bytes = 0
         self._unsynced = False
         self._failed: str | None = None
@@ -461,12 +460,6 @@ class WriteAheadLog:
         """Every segment file in LSN order (the last one is active)."""
         with self._mutex:
             return self._segment_paths()
-
-    @property
-    def active_path(self) -> Path | None:
-        """The segment currently being appended to, if one is open."""
-        with self._mutex:
-            return self._active_path
 
     @property
     def last_lsn(self) -> int:
@@ -687,7 +680,6 @@ class WriteAheadLog:
                 if last.stat().st_size + frame_bytes <= self.segment_max_bytes:
                     path = last  # resume the recovered tail segment
             self._handle = open(path, "ab", buffering=256 * 1024)
-            self._active_path = path
             self._active_bytes = path.stat().st_size
             _fsync_directory(self.directory)
         return self._handle
@@ -759,7 +751,6 @@ class WriteAheadLog:
                 with self._fd_lock:
                     self._handle.close()
                 self._handle = None
-            self._active_path = None
             self._active_bytes = 0
 
     def prune_through(self, lsn: int) -> int:

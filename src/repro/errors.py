@@ -31,7 +31,7 @@ class MetricsError(ReproError):
 
 
 class GraphError(ReproError):
-    """A property-graph operation failed (missing vertex, bad traversal)."""
+    """A property-graph operation failed (missing vertex, cycle, no path)."""
 
 
 class ForecastError(ReproError):

@@ -58,14 +58,6 @@ class FaultInjector:
         """Chronological ``(sim_seconds, "inject"|"recover", event)`` log."""
         return list(self._log)
 
-    def active_events(self) -> list[FaultEvent]:
-        """Events currently in force (copy)."""
-        return list(self._active)
-
-    def exhausted(self) -> bool:
-        """True when every event has been injected and recovered."""
-        return not self._pending and not self._active
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------

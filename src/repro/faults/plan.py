@@ -124,16 +124,6 @@ class FaultEvent:
             return float("inf")
         return self.at_seconds + self.duration_seconds
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON/YAML-friendly representation (round-trips via from_dict)."""
-        out: dict[str, Any] = {"kind": self.kind, "at_seconds": self.at_seconds}
-        for name in ("component", "index", "container", "duration_seconds",
-                     "factor"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultEvent":
         """Build one event from a mapping (the YAML event shape).
@@ -212,13 +202,6 @@ class FaultPlan:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON/YAML-friendly representation."""
-        return {
-            "seed": self.seed,
-            "events": [event.to_dict() for event in self.events],
-        }
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultPlan":
         """Build a plan from a mapping with ``events`` (and ``seed``)."""
@@ -237,35 +220,6 @@ class FaultPlan:
             events=tuple(FaultEvent.from_dict(e) for e in events),
             seed=seed,
         )
-
-    @classmethod
-    def from_yaml(cls, path: str | Path) -> "FaultPlan":
-        """Load a plan from a YAML file (the CLI ``--faults`` format).
-
-        Document shape::
-
-            faults:
-              seed: 7
-              events:
-                - {kind: crash, at_minutes: 2, duration_minutes: 1,
-                   component: splitter, index: 0}
-                - {kind: straggler, at_minutes: 1, duration_minutes: 3,
-                   component: counter, index: 2, factor: 0.4}
-                - {kind: stmgr_stall, at_minutes: 4, duration_minutes: 1,
-                   container: 1}
-                - {kind: metric_dropout, at_minutes: 3,
-                   duration_minutes: 2, component: counter}
-        """
-        import yaml
-
-        path = Path(path)
-        if not path.exists():
-            raise FaultError(f"fault plan file {path} does not exist")
-        with open(path, encoding="utf8") as handle:
-            document = yaml.safe_load(handle)
-        if document is None:
-            return cls()
-        return cls.from_dict(document)
 
     @classmethod
     def randomized(
@@ -386,6 +340,20 @@ def load_fault_plan(
     duration_minutes: float | None = None,
 ) -> FaultPlan:
     """Load a fault plan from YAML (path) or a mapping, the CLI entry.
+
+    Document shape (the CLI ``--faults`` format)::
+
+        faults:
+          seed: 7
+          events:
+            - {kind: crash, at_minutes: 2, duration_minutes: 1,
+               component: splitter, index: 0}
+            - {kind: straggler, at_minutes: 1, duration_minutes: 3,
+               component: counter, index: 2, factor: 0.4}
+            - {kind: stmgr_stall, at_minutes: 4, duration_minutes: 1,
+               container: 1}
+            - {kind: metric_dropout, at_minutes: 3,
+               duration_minutes: 2, component: counter}
 
     Besides explicit ``events``, the document may carry a ``randomized``
     section (counts per fault class) which is materialised

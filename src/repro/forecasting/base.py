@@ -41,10 +41,6 @@ class Forecast:
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
 
-    def to_series(self) -> TimeSeries:
-        """The point forecast as a :class:`TimeSeries`."""
-        return TimeSeries(self.timestamps, self.yhat)
-
     def summary(self) -> dict[str, float]:
         """Summary statistics of the forecast horizon.
 

@@ -5,42 +5,34 @@ database behind an Apache TinkerPop abstraction and runs path calculations
 over it (paper Section III-C1).  This package is the offline equivalent:
 
 * :class:`~repro.graph.property_graph.PropertyGraph` — an in-memory
-  directed property graph (vertices and edges with labels + properties).
-* :class:`~repro.graph.traversal.Traversal` — a small Gremlin-flavoured
-  fluent traversal API (``g.V().has(...).out(...).path()``).
-* :mod:`~repro.graph.topology_graph` — adapters that materialise Heron
-  logical and physical (packing) plans into property graphs, enumerate
-  tuple paths, and rank critical-path candidates.
+  directed property graph (vertices and edges with labels + properties)
+  that enumerates simple paths.
+* :mod:`~repro.graph.topology_graph` — the adapter that materialises a
+  Heron logical plan into a property graph and enumerates tuple paths.
+* :mod:`~repro.graph.plan_analysis` — local vs remote traffic and
+  stream-manager load of a proposed packing plan.
 """
 
 from repro.graph.plan_analysis import (
     PlanCost,
     analyse_plan,
-    compare_plans,
     stream_rates_from_propagation,
 )
 from repro.graph.property_graph import Edge, PropertyGraph, Vertex
 from repro.graph.topology_graph import (
-    critical_path_candidates,
     logical_graph,
     path_count,
-    physical_graph,
     source_sink_paths,
 )
-from repro.graph.traversal import Traversal
 
 __all__ = [
     "Edge",
     "PlanCost",
     "PropertyGraph",
-    "Traversal",
     "Vertex",
     "analyse_plan",
-    "compare_plans",
-    "critical_path_candidates",
     "logical_graph",
     "path_count",
-    "physical_graph",
     "source_sink_paths",
     "stream_rates_from_propagation",
 ]

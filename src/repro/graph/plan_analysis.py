@@ -29,12 +29,7 @@ from repro.errors import GraphError
 from repro.heron.packing import PackingPlan
 from repro.heron.topology import LogicalTopology
 
-__all__ = [
-    "PlanCost",
-    "analyse_plan",
-    "stream_rates_from_propagation",
-    "compare_plans",
-]
+__all__ = ["PlanCost", "analyse_plan", "stream_rates_from_propagation"]
 
 
 @dataclass(frozen=True)
@@ -159,20 +154,3 @@ def analyse_plan(
                     remote += flow
                     stmgr_load[receiver.container_id] += flow
     return PlanCost(local, remote, stmgr_load)
-
-
-def compare_plans(
-    topology: LogicalTopology,
-    plans: Mapping[str, PackingPlan],
-    stream_rates: Mapping[tuple[str, str], float],
-) -> dict[str, PlanCost]:
-    """Cost several proposed plans for the same topology at once.
-
-    This is the "several different proposed topology configurations to
-    be assessed in parallel" benefit from the paper's introduction,
-    restricted to the network dimension schedulers argue about.
-    """
-    return {
-        name: analyse_plan(topology, plan, stream_rates)
-        for name, plan in plans.items()
-    }

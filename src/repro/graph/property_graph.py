@@ -2,8 +2,8 @@
 
 Vertices and edges carry a string label and a free-form property mapping,
 mirroring the TinkerPop data model that Caladrius's graph interface is
-built on.  The graph is the storage layer; querying lives in
-:mod:`repro.graph.traversal`.
+built on.  It stores a topology's components and streams and enumerates
+the simple paths between two of them; that is all the models ask of it.
 """
 
 from __future__ import annotations
@@ -143,18 +143,6 @@ class PropertyGraph:
         self._in[target][(source, label)] = edge
         return edge
 
-    def remove_vertex(self, vertex_id: str) -> None:
-        """Remove a vertex and every incident edge."""
-        if vertex_id not in self._vertices:
-            raise GraphError(f"vertex {vertex_id!r} does not exist")
-        for edge in list(self._out[vertex_id].values()):
-            del self._in[edge.target][(vertex_id, edge.label)]
-        for edge in list(self._in[vertex_id].values()):
-            del self._out[edge.source][(vertex_id, edge.label)]
-        del self._out[vertex_id]
-        del self._in[vertex_id]
-        del self._vertices[vertex_id]
-
     def clear(self) -> None:
         """Remove every vertex and edge."""
         self._vertices.clear()
@@ -171,25 +159,6 @@ class PropertyGraph:
         except KeyError:
             raise GraphError(f"vertex {vertex_id!r} does not exist") from None
 
-    def has_vertex(self, vertex_id: str) -> bool:
-        """True when a vertex with this id exists."""
-        return vertex_id in self._vertices
-
-    def vertices(self, label: str | None = None) -> list[Vertex]:
-        """All vertices, optionally restricted to one label."""
-        if label is None:
-            return list(self._vertices.values())
-        return [v for v in self._vertices.values() if v.label == label]
-
-    def edges(self, label: str | None = None) -> list[Edge]:
-        """All edges, optionally restricted to one label."""
-        out: list[Edge] = []
-        for per_vertex in self._out.values():
-            for edge in per_vertex.values():
-                if label is None or edge.label == label:
-                    out.append(edge)
-        return out
-
     def out_edges(self, vertex_id: str, label: str | None = None) -> list[Edge]:
         """Edges leaving a vertex, optionally filtered by label."""
         if vertex_id not in self._vertices:
@@ -200,45 +169,9 @@ class PropertyGraph:
             if label is None or e.label == label
         ]
 
-    def in_edges(self, vertex_id: str, label: str | None = None) -> list[Edge]:
-        """Edges arriving at a vertex, optionally filtered by label."""
-        if vertex_id not in self._vertices:
-            raise GraphError(f"vertex {vertex_id!r} does not exist")
-        return [
-            e
-            for e in self._in[vertex_id].values()
-            if label is None or e.label == label
-        ]
-
-    def successors(self, vertex_id: str, label: str | None = None) -> list[Vertex]:
-        """Distinct vertices reachable over one outgoing edge."""
-        seen: dict[str, Vertex] = {}
-        for edge in self.out_edges(vertex_id, label):
-            seen[edge.target] = self._vertices[edge.target]
-        return list(seen.values())
-
-    def predecessors(self, vertex_id: str, label: str | None = None) -> list[Vertex]:
-        """Distinct vertices that reach this one over one edge."""
-        seen: dict[str, Vertex] = {}
-        for edge in self.in_edges(vertex_id, label):
-            seen[edge.source] = self._vertices[edge.source]
-        return list(seen.values())
-
-    def sources(self) -> list[Vertex]:
-        """Vertices with no incoming edges."""
-        return [v for v in self._vertices.values() if not self._in[v.id]]
-
     def sinks(self) -> list[Vertex]:
         """Vertices with no outgoing edges."""
         return [v for v in self._vertices.values() if not self._out[v.id]]
-
-    def vertex_count(self) -> int:
-        """Number of vertices."""
-        return len(self._vertices)
-
-    def edge_count(self) -> int:
-        """Number of edges."""
-        return sum(len(per_vertex) for per_vertex in self._out.values())
 
     # ------------------------------------------------------------------
     # Algorithms
@@ -258,14 +191,6 @@ class PropertyGraph:
         if len(order) != len(self._vertices):
             raise GraphError("graph contains a cycle; no topological order exists")
         return order
-
-    def is_dag(self) -> bool:
-        """True when the graph contains no directed cycle."""
-        try:
-            self.topological_order()
-        except GraphError:
-            return False
-        return True
 
     def all_paths(self, source: str, target: str) -> Iterator[list[Vertex]]:
         """Yield every simple directed path from ``source`` to ``target``."""
@@ -292,9 +217,3 @@ class PropertyGraph:
                 on_path.discard(nxt)
 
         yield from walk(source)
-
-    def traversal(self) -> "Traversal":
-        """Start a Gremlin-flavoured traversal over this graph."""
-        from repro.graph.traversal import Traversal
-
-        return Traversal(self)

@@ -1,19 +1,11 @@
-"""Topology ↔ property-graph adapters and path calculations.
+"""Topology ↔ property-graph adapter and path calculations.
 
-Caladrius uploads each topology's logical graph — "which includes the
-instances and stream managers" — into the graph database and runs path
-calculations over it (paper Section III-C1).  This module materialises:
-
-* the **logical graph**: one vertex per component, edges labelled with
-  their grouping;
-* the **physical graph**: one vertex per instance and per stream manager,
-  with instance→stmgr→instance edges reflecting the packing plan (local
-  traffic passes one stream manager, remote traffic passes two, exactly
-  as in Fig. 1c of the paper);
-
-plus the path utilities the models use: source→sink path enumeration, the
-combinatorial path count of the physical plan, and critical-path candidate
-ranking for Eq. 12.
+Caladrius uploads each topology's logical graph into the graph database
+and runs path calculations over it (paper Section III-C1).  This module
+materialises the **logical graph** — one vertex per component, edges
+labelled with their grouping — and the path utilities over it:
+source→sink path enumeration, which the models chain Eq. 12 along, and
+the combinatorial path count of the physical plan.
 """
 
 from __future__ import annotations
@@ -21,17 +13,10 @@ from __future__ import annotations
 import math
 
 from repro.errors import GraphError
-from repro.graph.property_graph import PropertyGraph, Vertex
-from repro.heron.packing import PackingPlan
+from repro.graph.property_graph import PropertyGraph
 from repro.heron.topology import LogicalTopology
 
-__all__ = [
-    "logical_graph",
-    "physical_graph",
-    "source_sink_paths",
-    "path_count",
-    "critical_path_candidates",
-]
+__all__ = ["logical_graph", "source_sink_paths", "path_count"]
 
 
 def logical_graph(topology: LogicalTopology) -> PropertyGraph:
@@ -56,73 +41,6 @@ def logical_graph(topology: LogicalTopology) -> PropertyGraph:
             {"stream": stream.name},
         )
     return graph
-
-
-def physical_graph(
-    topology: LogicalTopology, packing: PackingPlan
-) -> PropertyGraph:
-    """Instance-level graph including stream managers.
-
-    Vertices: one per instance (label ``"instance"``, properties
-    ``component``, ``component_index``, ``container``, ``task_id``) and one
-    per container stream manager (label ``"stmgr"``).  For every logical
-    stream and every (upstream instance, downstream instance) pair, edges
-    route sender → sender's stmgr → [receiver's stmgr →] receiver:
-    co-located pairs touch one stream manager, remote pairs touch two.
-    """
-    graph = PropertyGraph()
-    for container in packing.containers:
-        graph.add_vertex(
-            f"stmgr-{container.container_id}",
-            "stmgr",
-            {"container": container.container_id},
-        )
-        for instance in container.instances:
-            graph.add_vertex(
-                instance.instance_id,
-                "instance",
-                {
-                    "component": instance.component,
-                    "component_index": instance.component_index,
-                    "container": instance.container_id,
-                    "task_id": instance.task_id,
-                },
-            )
-    for stream in topology.streams:
-        senders = packing.instances_of(stream.source)
-        receivers = packing.instances_of(stream.destination)
-        for sender in senders:
-            sender_stmgr = f"stmgr-{sender.container_id}"
-            _ensure_edge(
-                graph, sender.instance_id, sender_stmgr, stream.name,
-                {"role": "egress"},
-            )
-            for receiver in receivers:
-                receiver_stmgr = f"stmgr-{receiver.container_id}"
-                if receiver.container_id != sender.container_id:
-                    _ensure_edge(
-                        graph, sender_stmgr, receiver_stmgr, stream.name,
-                        {"role": "transfer"},
-                    )
-                _ensure_edge(
-                    graph, receiver_stmgr, receiver.instance_id, stream.name,
-                    {"role": "ingress"},
-                )
-    return graph
-
-
-def _ensure_edge(
-    graph: PropertyGraph,
-    source: str,
-    target: str,
-    label: str,
-    properties: dict[str, object],
-) -> None:
-    existing = {
-        (e.target, e.label) for e in graph.out_edges(source)
-    }
-    if (target, label) not in existing:
-        graph.add_edge(source, target, label, properties)
 
 
 def source_sink_paths(topology: LogicalTopology) -> list[list[str]]:
@@ -153,31 +71,3 @@ def path_count(topology: LogicalTopology) -> int:
     for path in source_sink_paths(topology):
         total += math.prod(topology.parallelism(name) for name in path)
     return total
-
-
-def critical_path_candidates(
-    topology: LogicalTopology,
-    weights: dict[str, float] | None = None,
-) -> list[tuple[list[str], float]]:
-    """Component paths ranked as critical-path candidates.
-
-    The paper notes that when the critical path "cannot be identified
-    easily, multiple sub-critical path candidates can be considered and
-    predicted at the same time" (Section IV-B3).  Candidates are every
-    source→sink path, scored by the sum of per-component weights —
-    callers typically pass measured utilisation or per-component load.
-    With no weights, longer paths rank first (more stages, more chances
-    to bottleneck).
-
-    Returns ``(path, score)`` pairs, highest score first.
-    """
-    weights = weights or {}
-    scored: list[tuple[list[str], float]] = []
-    for path in source_sink_paths(topology):
-        if weights:
-            score = sum(weights.get(name, 0.0) for name in path)
-        else:
-            score = float(len(path))
-        scored.append((path, score))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored

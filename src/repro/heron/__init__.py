@@ -5,8 +5,7 @@ Twitter's Aurora cluster.  Offline, this package provides the equivalent
 system: logical topology definition, Heron-style round-robin packing into
 containers, stream groupings, a fluid (rate-level) per-second simulation of
 instances with watermark-based backpressure, per-minute metrics emission,
-a Heron-Tracker-style metadata service and the ``heron update`` scaling
-command (including dry-run mode).
+and a Heron-Tracker-style metadata service.
 
 The simulator is *fluid*: it tracks tuple rates and queue sizes rather than
 individual tuples.  Everything Caladrius's models observe — per-minute
@@ -23,7 +22,6 @@ from repro.heron.groupings import (
     Grouping,
     KeyDistribution,
     ShuffleGrouping,
-    grouping_from_name,
 )
 from repro.heron.metrics import MetricNames
 from repro.heron.packing import (
@@ -33,7 +31,6 @@ from repro.heron.packing import (
     Resources,
     RoundRobinPacking,
 )
-from repro.heron.scaling import ScalingCommand, UpdateResult
 from repro.heron.simulation import (
     ComponentLogic,
     HeronSimulation,
@@ -68,7 +65,6 @@ __all__ = [
     "PackingPlan",
     "Resources",
     "RoundRobinPacking",
-    "ScalingCommand",
     "ShuffleGrouping",
     "SimulationConfig",
     "SpoutLogic",
@@ -76,11 +72,9 @@ __all__ = [
     "SyntheticCorpus",
     "TopologyBuilder",
     "TopologyTracker",
-    "UpdateResult",
     "WordCountParams",
     "build_ads_pipeline",
     "build_word_count",
-    "grouping_from_name",
     "load_topology_yaml",
     "parse_topology_document",
 ]

@@ -3,9 +3,9 @@
 The paper's spout reads lines of *The Great Gatsby* as sentences, and the
 Splitter's input/output coefficient — the mean words per sentence — is
 measured as 7.63–7.64 (Fig. 5).  Only two properties of the text reach the
-models: the sentence-length distribution (it *is* the Splitter's alpha) and
-the word-frequency distribution (it drives fields-grouping shares into the
-Counter).  This module generates a deterministic corpus with both
+models: the mean sentence length (it *is* the Splitter's alpha) and the
+word-frequency distribution (it drives fields-grouping shares into the
+Counter).  This module describes a deterministic corpus with both
 properties configurable, defaulting to the paper's measured values.
 """
 
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from repro.errors import TopologyError
 from repro.heron.groupings import KeyDistribution
@@ -47,9 +45,6 @@ class SyntheticCorpus:
         Expected words per sentence; this becomes the Splitter component's
         I/O coefficient.  Default 7.635, the midpoint of the paper's
         measured 7.63–7.64 band.
-    sentence_words_std:
-        Standard deviation of per-sentence word counts.  Nonzero values
-        give the small non-saturation fluctuation visible in Fig. 5.
     vocabulary_size:
         Number of distinct words.  *The Great Gatsby* has roughly 6,000
         distinct words; the default mirrors that.
@@ -58,21 +53,15 @@ class SyntheticCorpus:
         to Zipf with exponent ~1; the paper observed that Twitter-scale
         key diversity makes fields-grouping bias weak, which holds here
         because hashing scatters ranks across instances.
-    seed:
-        Seed for the corpus's own sampling helpers.
     """
 
     mean_sentence_words: float = 7.635
-    sentence_words_std: float = 2.5
     vocabulary_size: int = 6000
     zipf_exponent: float = 0.6
-    seed: int = 7
 
     def __post_init__(self) -> None:
         if self.mean_sentence_words <= 1.0:
             raise TopologyError("mean_sentence_words must exceed 1")
-        if self.sentence_words_std < 0:
-            raise TopologyError("sentence_words_std must be non-negative")
         if self.vocabulary_size < 1:
             raise TopologyError("vocabulary_size must be positive")
 
@@ -94,44 +83,6 @@ class SyntheticCorpus:
     def words_per_sentence(self) -> float:
         """The corpus-wide mean words per sentence (the Splitter alpha)."""
         return self.mean_sentence_words
-
-    def sample_sentence_lengths(
-        self,
-        count: int,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Draw per-sentence word counts (integer, at least 1).
-
-        Lengths follow a clipped normal around the configured mean, which
-        is a good match for prose sentence-length histograms and keeps the
-        sample mean within a fraction of a percent of the target.
-        """
-        if count < 0:
-            raise TopologyError("count must be non-negative")
-        rng = rng or np.random.default_rng(self.seed)
-        raw = rng.normal(self.mean_sentence_words, self.sentence_words_std, count)
-        return np.maximum(1, np.rint(raw)).astype(np.int64)
-
-    def sample_sentences(
-        self,
-        count: int,
-        rng: np.random.Generator | None = None,
-    ) -> list[str]:
-        """Materialise ``count`` sentences of synthetic prose.
-
-        The fluid simulator never reads tuple content, but examples and
-        tests use real sentences to demonstrate the full pipeline.
-        """
-        rng = rng or np.random.default_rng(self.seed)
-        lengths = self.sample_sentence_lengths(count, rng)
-        weights = np.asarray(self.word_distribution().normalised_weights())
-        vocab = self.vocabulary
-        sentences = []
-        for length in lengths:
-            indices = rng.choice(len(vocab), size=int(length), p=weights)
-            words = [vocab[i] for i in indices]
-            sentences.append(" ".join(words).capitalize() + ".")
-        return sentences
 
 
 @lru_cache(maxsize=8)

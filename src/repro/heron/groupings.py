@@ -14,7 +14,7 @@ reproduced faithfully.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "FieldsGrouping",
     "AllGrouping",
     "GlobalGrouping",
-    "grouping_from_name",
 ]
 
 
@@ -120,14 +119,6 @@ class Grouping:
     def shares(self, parallelism: int) -> np.ndarray:
         """Per-downstream-instance traffic fractions."""
         raise NotImplementedError
-
-    def amplification(self) -> float:
-        """Total downstream tuples produced per emitted tuple.
-
-        1.0 for partitioning groupings; ``p`` for all-grouping is handled
-        by summing :meth:`shares`, so this reports the sum for p=1.
-        """
-        return float(self.shares(1).sum())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -224,29 +215,3 @@ class GlobalGrouping(Grouping):
         shares = np.zeros(parallelism)
         shares[0] = 1.0
         return shares
-
-
-def grouping_from_name(
-    name: str,
-    fields: Sequence[str] | None = None,
-    key_distribution: KeyDistribution | None = None,
-) -> Grouping:
-    """Construct a grouping from its Heron name.
-
-    ``fields`` and ``key_distribution`` are required for ``"fields"`` and
-    ignored otherwise.
-    """
-    simple: Mapping[str, type[Grouping]] = {
-        "shuffle": ShuffleGrouping,
-        "all": AllGrouping,
-        "global": GlobalGrouping,
-    }
-    if name in simple:
-        return simple[name]()
-    if name == "fields":
-        if fields is None or key_distribution is None:
-            raise TopologyError(
-                "fields grouping needs both `fields` and `key_distribution`"
-            )
-        return FieldsGrouping(fields, key_distribution)
-    raise TopologyError(f"unknown grouping {name!r}")

@@ -171,16 +171,6 @@ class PackingPlan:
         """Number of containers in the plan."""
         return len(self.containers)
 
-    def colocated(
-        self, a: tuple[str, int], b: tuple[str, int]
-    ) -> bool:
-        """True when two instances share a container.
-
-        Tuples crossing containers pass through two stream managers
-        (Section II-E); the simulator charges them the remote route.
-        """
-        return self.container_of(*a) == self.container_of(*b)
-
     def summary(self) -> dict[str, object]:
         """A JSON-friendly description of the plan."""
         return {
@@ -387,23 +377,3 @@ class FirstFitDecreasingPacking:
             )
             containers.append(ContainerPlan(container_id, instances))
         return PackingPlan(topology.name, containers)
-
-
-def repack(
-    topology: LogicalTopology,
-    changes: Mapping[str, int],
-    packer: RoundRobinPacking | None = None,
-    num_containers: int | None = None,
-) -> tuple[LogicalTopology, PackingPlan]:
-    """Apply parallelism changes and produce the new plan.
-
-    Returns the updated logical topology and its packing.  When
-    ``num_containers`` is omitted the container count is kept proportional
-    to the instance total (same average density as a fresh 2-per-container
-    round robin), which is what ``heron update`` does by default.
-    """
-    packer = packer or RoundRobinPacking()
-    updated = topology.with_parallelism(changes)
-    if num_containers is None:
-        return updated, packer.pack_with_density(updated, 2)
-    return updated, packer.pack(updated, num_containers)

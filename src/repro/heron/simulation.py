@@ -1189,10 +1189,6 @@ class HeronSimulation:
             raise SimulationError(f"no container with id {container_id}")
         self._stalled_containers.discard(container_id)
 
-    def stalled_containers(self) -> list[int]:
-        """Container ids whose stream managers are currently stalled."""
-        return sorted(self._stalled_containers)
-
     def set_metric_dropout(
         self,
         component: str | None = None,
@@ -1234,16 +1230,6 @@ class HeronSimulation:
         if self._injector is None:
             return []
         return self._injector.log
-
-    def stmgr_queued_tuples(self, container_id: int) -> float:
-        """Tuples waiting inside one container's stream manager.
-
-        Always zero when stream managers are transparent (infinite
-        capacity, the default).
-        """
-        if container_id not in self._stmgrs:
-            raise SimulationError(f"no container with id {container_id}")
-        return self._stmgrs[container_id].queued_tuples()
 
     def spout_backlog(self, spout: str) -> np.ndarray:
         """Current per-instance external backlog for one spout (copy)."""

@@ -221,9 +221,9 @@ class LogicalTopology:
     def with_parallelism(self, changes: Mapping[str, int]) -> "LogicalTopology":
         """A copy of this topology with some components' parallelism changed.
 
-        This is the logical half of the ``heron update`` command; packing
-        and (optionally) model evaluation happen in
-        :mod:`repro.heron.scaling`.
+        This is the logical half of a ``heron update``: the model tier
+        rescales a calibration to it for a dry run, and a deploy packs it
+        and hands both plans to ``TopologyTracker.update``.
         """
         components = dict(self._components)
         for name, parallelism in changes.items():

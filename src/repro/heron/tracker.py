@@ -16,7 +16,7 @@ can be invalidated precisely.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import TopologyError
@@ -187,40 +187,3 @@ class TopologyTracker:
         with self._lock:
             if listener in self._listeners:
                 self._listeners.remove(listener)
-
-
-class GraphCache:
-    """Revision-keyed cache for derived graph state.
-
-    The paper: "a topology's logical and physical representation is cached
-    in the graph metadata component ... if a change is made to a topology,
-    the information in the graph component is invalidated and updated."
-    Values are cached per (topology, revision); a new revision naturally
-    misses, and stale revisions are evicted on insert.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[str, tuple[int, object]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, name: str, revision: int) -> object | None:
-        """Cached value for this topology at this revision, if fresh."""
-        with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None and entry[0] == revision:
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-            return None
-
-    def put(self, name: str, revision: int, value: object) -> None:
-        """Store a derived value for this topology revision."""
-        with self._lock:
-            self._entries[name] = (revision, value)
-
-    def stats(self) -> Mapping[str, int]:
-        """Hit/miss counters (for the cache-efficacy test)."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses}

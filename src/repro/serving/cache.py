@@ -154,12 +154,6 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def current_bytes(self) -> int:
-        """Total payload bytes currently held."""
-        with self._lock:
-            return self._bytes
-
     def stats(self) -> dict[str, int]:
         """Counters plus current occupancy (for ``/serving/stats``)."""
         with self._lock:

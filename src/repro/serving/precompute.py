@@ -108,11 +108,6 @@ class WarmCachePrecomputer:
             self._pending.clear()
             return pending
 
-    def pending_count(self) -> int:
-        """Descriptors queued but not yet recomputed."""
-        with self._lock:
-            return len(self._pending)
-
     def stats(self) -> dict[str, int]:
         """Counters (for ``/serving/stats``)."""
         with self._lock:

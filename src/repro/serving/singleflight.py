@@ -68,11 +68,6 @@ class SingleFlight:
             call.done.set()
         return call.result, True
 
-    def in_flight(self) -> int:
-        """Number of keys currently being computed."""
-        with self._lock:
-            return len(self._calls)
-
     def stats(self) -> dict[str, int]:
         """Leader/waiter counters (for ``/serving/stats``)."""
         with self._lock:

@@ -6,19 +6,14 @@ MetricsCache).  Caladrius pulls per-minute counters out of that store for
 calibration and forecasting.  This package provides the offline equivalent:
 
 * :class:`~repro.timeseries.series.TimeSeries` — an immutable, sorted
-  (timestamp, value) sequence with alignment, resampling and arithmetic.
+  (timestamp, value) sequence with alignment, arithmetic and summaries.
 * :class:`~repro.timeseries.store.MetricsStore` — a tag-indexed in-memory
   metrics database with range queries, group-by aggregation and retention.
-* :mod:`~repro.timeseries.aggregation` — rollup and summary helpers shared
-  by the store and the forecasting backtester.
+* :func:`~repro.timeseries.aggregation.rollup` — the per-instance →
+  component sum behind the store's aggregations.
 """
 
-from repro.timeseries.aggregation import (
-    resample_mean,
-    resample_sum,
-    rollup,
-    summarize,
-)
+from repro.timeseries.aggregation import rollup
 from repro.timeseries.series import TimeSeries
 from repro.timeseries.store import MetricKey, MetricsStore
 
@@ -26,8 +21,5 @@ __all__ = [
     "MetricKey",
     "MetricsStore",
     "TimeSeries",
-    "resample_mean",
-    "resample_sum",
     "rollup",
-    "summarize",
 ]

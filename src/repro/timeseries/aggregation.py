@@ -1,38 +1,17 @@
-"""Rollup and summary helpers shared by the store and the models.
+"""The component rollup shared by the store's aggregations.
 
-These are the operations Caladrius's metrics interface performs when it
+This is the operation Caladrius's metrics interface performs when it
 "summarizes performance metrics from a given metrics source" (paper
-Section III-C2): bucketed rollups, cross-series reduction, and the summary
-statistics the statistic-summary traffic model reports.
+Section III-C2): per-instance counters summed into one component series.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.errors import MetricsError
 from repro.timeseries.series import TimeSeries, merge_sum
 
-__all__ = [
-    "resample_mean",
-    "resample_sum",
-    "rollup",
-    "cross_reduce",
-    "summarize",
-    "confidence_band",
-]
-
-
-def resample_sum(series: TimeSeries, bucket: int) -> TimeSeries:
-    """Sum samples into ``bucket``-second windows."""
-    return series.resample(bucket, how="sum")
-
-
-def resample_mean(series: TimeSeries, bucket: int) -> TimeSeries:
-    """Average samples into ``bucket``-second windows."""
-    return series.resample(bucket, how="mean")
+__all__ = ["rollup"]
 
 
 def rollup(series: Sequence[TimeSeries]) -> TimeSeries:
@@ -42,87 +21,3 @@ def rollup(series: Sequence[TimeSeries]) -> TimeSeries:
     (Eq. 6 of the paper: a component's rate is the sum of its instances').
     """
     return merge_sum(list(series))
-
-
-def cross_reduce(series: Sequence[TimeSeries], how: str = "mean") -> TimeSeries:
-    """Reduce several series sample-wise at their common timestamps.
-
-    Unlike :func:`rollup`, this aligns on the *intersection* of timestamps
-    and applies a chosen reducer across series — used to average repeated
-    experiment runs when building the 90% confidence bands of Figs. 4-12.
-    """
-    populated = [s for s in series if len(s)]
-    if not populated:
-        return TimeSeries.empty()
-    reducers = {
-        "mean": np.nanmean,
-        "median": np.nanmedian,
-        "min": np.nanmin,
-        "max": np.nanmax,
-        "sum": np.nansum,
-    }
-    if how not in reducers:
-        raise MetricsError(f"unknown cross reducer {how!r}")
-    common = populated[0].timestamps
-    for s in populated[1:]:
-        common = np.intersect1d(common, s.timestamps)
-    if common.size == 0:
-        return TimeSeries.empty()
-    stacked = np.vstack(
-        [s.values[np.searchsorted(s.timestamps, common)] for s in populated]
-    )
-    reduced = reducers[how](stacked, axis=0)
-    return TimeSeries(common, reduced)
-
-
-def summarize(series: TimeSeries) -> dict[str, float]:
-    """Summary statistics of a series.
-
-    Returns the statistics the paper's "Statistic Summary Traffic Model"
-    exposes: mean, median, standard deviation, min/max and the 10/25/75/90
-    percentiles.
-    """
-    if not series:
-        raise MetricsError("cannot summarize an empty series")
-    return {
-        "count": float(len(series)),
-        "mean": series.mean(),
-        "median": series.median(),
-        "std": series.std(),
-        "min": series.min(),
-        "max": series.max(),
-        "p10": series.quantile(0.10),
-        "p25": series.quantile(0.25),
-        "p75": series.quantile(0.75),
-        "p90": series.quantile(0.90),
-    }
-
-
-def confidence_band(
-    runs: Sequence[TimeSeries],
-    level: float = 0.90,
-) -> tuple[TimeSeries, TimeSeries, TimeSeries]:
-    """Per-timestamp mean and symmetric quantile band over repeated runs.
-
-    The paper repeats each throughput observation 10 times and plots the
-    mean with a 90% confidence band (e.g. Fig. 4).  Returns
-    ``(mean, lower, upper)`` aligned on the timestamps common to all runs.
-    """
-    if not 0.0 < level < 1.0:
-        raise MetricsError(f"confidence level must be in (0, 1), got {level}")
-    populated = [s for s in runs if len(s)]
-    if not populated:
-        raise MetricsError("confidence_band requires at least one run")
-    common = populated[0].timestamps
-    for s in populated[1:]:
-        common = np.intersect1d(common, s.timestamps)
-    if common.size == 0:
-        raise MetricsError("runs share no timestamps")
-    stacked = np.vstack(
-        [s.values[np.searchsorted(s.timestamps, common)] for s in populated]
-    )
-    alpha = (1.0 - level) / 2.0
-    mean = TimeSeries(common, np.nanmean(stacked, axis=0))
-    lower = TimeSeries(common, np.nanquantile(stacked, alpha, axis=0))
-    upper = TimeSeries(common, np.nanquantile(stacked, 1.0 - alpha, axis=0))
-    return mean, lower, upper

@@ -9,7 +9,6 @@ calibration code and the forecasting models.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -68,28 +67,6 @@ class TimeSeries:
     def empty(cls) -> "TimeSeries":
         """Return a series with no samples."""
         return cls([], [])
-
-    @classmethod
-    def regular(
-        cls,
-        start: int,
-        step: int,
-        values: Iterable[float],
-    ) -> "TimeSeries":
-        """Build a series sampled every ``step`` seconds from ``start``."""
-        vs = list(values)
-        ts = [start + i * step for i in range(len(vs))]
-        return cls(ts, vs)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "TimeSeries":
-        """Build a series from an iterable of ``(timestamp, value)``."""
-        ts: list[float] = []
-        vs: list[float] = []
-        for t, v in pairs:
-            ts.append(t)
-            vs.append(v)
-        return cls(ts, vs)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -225,10 +202,6 @@ class TimeSeries:
         """Return the series with every value multiplied by ``factor``."""
         return self * factor
 
-    def shift(self, seconds: int) -> "TimeSeries":
-        """Return the series with every timestamp moved by ``seconds``."""
-        return TimeSeries(self._timestamps + int(seconds), self._values)
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
@@ -267,71 +240,6 @@ class TimeSeries:
             raise MetricsError(f"quantile must be in [0, 1], got {q}")
         self._require_nonempty()
         return float(np.nanquantile(self._values, q))
-
-    def value_at(self, timestamp: int) -> float:
-        """The exact sample at ``timestamp`` (raises if absent)."""
-        idx = np.searchsorted(self._timestamps, timestamp)
-        if idx >= len(self) or self._timestamps[idx] != timestamp:
-            raise MetricsError(f"no sample at timestamp {timestamp}")
-        return float(self._values[idx])
-
-    def interpolate_at(self, timestamp: float) -> float:
-        """Linearly interpolate the value at an arbitrary time.
-
-        Times outside the observed range clamp to the boundary samples,
-        which matches how the calibration code extends regression inputs.
-        """
-        self._require_nonempty()
-        return float(
-            np.interp(timestamp, self._timestamps, self._values)
-        )
-
-    # ------------------------------------------------------------------
-    # Resampling
-    # ------------------------------------------------------------------
-    def resample(self, bucket: int, how: str = "mean") -> "TimeSeries":
-        """Aggregate samples into fixed ``bucket``-second windows.
-
-        Each output sample is stamped at the *start* of its bucket.  The
-        simulator emits per-second counters; Heron reports per-minute
-        metrics, so ``resample(60, "sum")`` reproduces Heron's counters.
-
-        Parameters
-        ----------
-        bucket:
-            Window width in seconds; must be positive.
-        how:
-            One of ``"mean"``, ``"sum"``, ``"max"``, ``"min"``,
-            ``"median"``, ``"last"``.
-        """
-        if bucket <= 0:
-            raise MetricsError(f"bucket must be positive, got {bucket}")
-        reducers = {
-            "mean": np.nanmean,
-            "sum": np.nansum,
-            "max": np.nanmax,
-            "min": np.nanmin,
-            "median": np.nanmedian,
-            "last": lambda arr: arr[~np.isnan(arr)][-1]
-            if np.any(~np.isnan(arr))
-            else math.nan,
-        }
-        if how not in reducers:
-            raise MetricsError(f"unknown resample reducer {how!r}")
-        if not self:
-            return TimeSeries.empty()
-        reduce = reducers[how]
-        keys = (self._timestamps // bucket) * bucket
-        out_ts: list[int] = []
-        out_vs: list[float] = []
-        start_idx = 0
-        for i in range(1, len(keys) + 1):
-            if i == len(keys) or keys[i] != keys[start_idx]:
-                window = self._values[start_idx:i]
-                out_ts.append(int(keys[start_idx]))
-                out_vs.append(float(reduce(window)))
-                start_idx = i
-        return TimeSeries(out_ts, out_vs)
 
     def to_pairs(self) -> list[tuple[int, float]]:
         """Return the samples as a list of ``(timestamp, value)`` tuples."""

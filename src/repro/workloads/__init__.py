@@ -6,7 +6,7 @@ enforced grid (ROADMAP: the PDSP-Bench-style workload matrix):
 * :mod:`repro.workloads.generator` — seeded parameterized topology
   generator (diamond, fan-in join, deep chain, multi-spout fan-out) with
   windowed/stateful bolt profiles, Zipf-skewed fields groupings and
-  auto-assigned capacities; plus multi-tenant cluster generation;
+  auto-assigned capacities;
 * :mod:`repro.workloads.scenarios` — traffic patterns and canonical
   per-cell fault plans over the existing fault kinds;
 * :mod:`repro.workloads.trace` — canonical simulation traces and the
@@ -20,7 +20,6 @@ from repro.workloads.generator import (
     SHAPES,
     GeneratedWorkload,
     GeneratorParams,
-    generate_cluster,
     generate_workload,
     workload_seed,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "cell_seed",
     "default_grid",
     "fault_plan_for",
-    "generate_cluster",
     "generate_workload",
     "golden_trace_payload",
     "report_json",

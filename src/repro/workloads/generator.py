@@ -68,7 +68,6 @@ __all__ = [
     "GeneratorParams",
     "GeneratedWorkload",
     "generate_workload",
-    "generate_cluster",
     "workload_seed",
 ]
 
@@ -192,30 +191,6 @@ def generate_workload(
     topology, alphas, profiles = builders[params.shape](params, rng)
     logic = _finalise_logic(topology, alphas, profiles, params, rng)
     return GeneratedWorkload(params, topology, _pack(topology), logic)
-
-
-def generate_cluster(
-    count: int, seed: int = 0, base_rate_tpm: float | None = None
-) -> list[GeneratedWorkload]:
-    """A multi-tenant cluster of ``count`` heterogeneous topologies.
-
-    Shapes cycle through :data:`SHAPES`; each tenant gets its own derived
-    seed and a unique topology name, so N tenants can register with one
-    tracker and share one metrics store without colliding.
-    """
-    if count < 1:
-        raise TopologyError("a cluster needs at least one tenant")
-    tenants = []
-    for index in range(count):
-        shape = SHAPES[index % len(SHAPES)]
-        tenant_seed = zlib.crc32(f"{seed}:tenant-{index}".encode("utf8"))
-        overrides: dict[str, object] = {
-            "name": f"gen-{shape}-s{seed}-t{index}"
-        }
-        if base_rate_tpm is not None:
-            overrides["base_rate_tpm"] = base_rate_tpm
-        tenants.append(generate_workload(shape, tenant_seed, **overrides))
-    return tenants
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from repro.api.app import CaladriusApp
 from repro.config import load_config
 
 M = 1e6
+PERFORMANCE = "/model/topology/heron/word-count"
+SWEEP = "/model/plan_sweep/heron/word-count"
 
 
 @pytest.fixture()
@@ -142,9 +144,70 @@ class TestPerformanceEndpoint:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            (PERFORMANCE, {"source_rate": True}, "source_rate"),
+            (
+                PERFORMANCE,
+                {"source_rate": 20 * M, "parallelisms": {"splitter": True}},
+                "parallelisms",
+            ),
+            (SWEEP, {"source_rate": True, "plans": [{"splitter": 3}]}, "source_rate"),
+            (SWEEP, {"source_rate": 20 * M, "plans": [{"splitter": True}]}, "plan"),
+        ],
+        ids=["predict-rate", "predict-parallelism", "sweep-rate", "sweep-plan"],
+    )
+    def test_a_boolean_is_not_a_number(self, app, path, body, field):
+        status, payload = app.handle("POST", path, body=body)
+        assert status == 400
+        assert field in payload["error"]
+
     def test_wrong_method(self, app):
         status, _ = app.handle("GET", "/model/topology/heron/word-count")
         assert status == 405
+
+
+class TestBreakerCountsOnlyEvaluatorFailures:
+    """Default breaker: 5 calls minimum, opens at a 50 % failure rate."""
+
+    #: ``(path, query, body)`` of requests only their sender can fix.
+    CLIENT_MISTAKES = [
+        (PERFORMANCE, {}, {"source_rate": 20 * M, "parallelisms": {"splitter": 0}}),
+        (PERFORMANCE, {}, {"source_rate": 20 * M, "parallelisms": {"splitter": -3}}),
+        (PERFORMANCE, {}, {"source_rate": 20 * M, "parallelisms": {"nope": 2}}),
+        (PERFORMANCE, {}, {"source_rate": -1.0}),
+        (PERFORMANCE, {"model": "nope"}, {"source_rate": 20 * M}),
+        (PERFORMANCE, {}, {"traffic_model": "nope"}),
+        (SWEEP, {}, {"source_rate": 20 * M, "plans": [{"nope": 2}]}),
+    ]
+
+    def test_client_400s_leave_the_circuit_closed(self, app):
+        for i in range(5):
+            status, _ = app.handle("POST", PERFORMANCE, body={"source_rate": 20 * M + i})
+            assert status == 200
+        for path, query, body in self.CLIENT_MISTAKES * 2:
+            status, payload = app.handle("POST", path, query, body)
+            assert status == 400, payload
+        stats = app.breaker.stats()
+        assert (stats["state"], stats["opened_count"]) == ("closed", 0)
+        status, _ = app.handle("POST", PERFORMANCE, body={"source_rate": 30 * M})
+        assert status == 200
+
+    def test_a_failing_evaluator_still_opens_it(self, app, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("evaluator down")
+
+        for model in app.registry.performance.values():
+            monkeypatch.setattr(model, "predict", broken)
+        for i in range(5):
+            with pytest.raises(RuntimeError, match="evaluator down"):
+                app.handle("POST", PERFORMANCE, body={"source_rate": 20 * M + i})
+        assert app.breaker.stats()["state"] == "open"
+        status, payload = app.handle("POST", PERFORMANCE, body={"source_rate": 30 * M})
+        assert status == 503
+        assert "circuit is open" in payload["error"]
+        assert payload["retry_after"] >= 1
 
 
 class TestAsyncJobs:

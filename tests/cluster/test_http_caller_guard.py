@@ -12,11 +12,10 @@ duplicates cannot quietly come back.
 from __future__ import annotations
 
 import ast
+import functools
 import re
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
+from tests.source_index import ROOT
 
 #: Loops that sleep between client calls but are *not* retry policies:
 #: they wait for a condition until a deadline, not for a call to succeed
@@ -48,30 +47,6 @@ RETIRED = (
 )
 
 
-def _trees() -> dict[str, ast.Module]:
-    return {
-        str(path.relative_to(SRC)): ast.parse(path.read_text("utf8"))
-        for path in sorted(SRC.rglob("*.py"))
-    }
-
-
-def _functions(trees=None):
-    """Every function as ``("file:Class.name", node)``."""
-
-    def walk(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{prefix}{child.name}", child
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
-
-    for name, tree in (trees or _trees()).items():
-        yield from walk(tree, f"{name}:")
-
-
 def _called_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
         func = node.func
@@ -82,23 +57,24 @@ def _called_name(node: ast.AST) -> str | None:
     return None
 
 
-def _calls(node: ast.AST) -> set[str]:
-    return {name for n in ast.walk(node) if (name := _called_name(n))}
+@functools.cache  # nodes come from the session's one parsed copy of src/
+def _calls(node: ast.AST) -> frozenset[str]:
+    return frozenset(name for n in ast.walk(node) if (name := _called_name(n)))
 
 
-def test_one_function_opens_an_http_connection():
+def test_one_function_opens_an_http_connection(src_index):
     opening = [
         name
-        for name, node in _functions()
+        for name, node, _ in src_index.functions()
         if _calls(node) & {"HTTPConnection", "HTTPSConnection"}
     ]
     assert opening == ["api/client.py:CaladriusClient._connection"]
 
 
-def test_no_other_http_or_socket_caller():
+def test_no_other_http_or_socket_caller(src_index):
     offenders = []
-    for name, tree in _trees().items():
-        for node in ast.walk(tree):
+    for name, file in src_index.items():
+        for node in ast.walk(file.tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -123,11 +99,11 @@ def test_no_other_http_or_socket_caller():
     assert offenders == []
 
 
-def _client_methods(trees) -> set[str]:
+def _client_methods(src_index) -> set[str]:
     """What a call on one of the two clients can be named."""
     names = set()
-    for tree in (trees["api/client.py"], trees["cluster/client.py"]):
-        for node in ast.walk(tree):
+    for path in ("api/client.py", "cluster/client.py"):
+        for node in ast.walk(src_index[path].tree):
             if isinstance(node, ast.ClassDef) and node.name in (
                 "CaladriusClient", "ClusterClient"
             ):
@@ -139,12 +115,12 @@ def _client_methods(trees) -> set[str]:
     return {n for n in names if not n.startswith("__")} - {"close"}
 
 
-def _sleeping_call_loops(trees):
+def _sleeping_call_loops(src_index):
     """``(function, loop)`` for every loop that sleeps and either calls
     a client or counts its rounds (``for … in range(…)``): the shape of
     "try, wait, try again"."""
-    methods = _client_methods(trees)
-    for name, function in _functions(trees):
+    methods = _client_methods(src_index)
+    for name, function, _ in src_index.functions():
         for loop in ast.walk(function):
             if not isinstance(loop, (ast.For, ast.While)):
                 continue
@@ -157,9 +133,8 @@ def _sleeping_call_loops(trees):
                 break
 
 
-def test_one_loop_retries_with_a_sleep_between_attempts():
-    trees = _trees()
-    found = dict(_sleeping_call_loops(trees))
+def test_one_loop_retries_with_a_sleep_between_attempts(src_index):
+    found = dict(_sleeping_call_loops(src_index))
     retrying = sorted(set(found) - set(DEADLINE_POLLS))
     assert retrying == ["api/client.py:CaladriusClient._request"]
     # The allow-list is exact, and each entry is a deadline poll in form.
@@ -174,22 +149,22 @@ def test_one_loop_retries_with_a_sleep_between_attempts():
     assert isinstance(found[retrying[0]], ast.For)
 
 
-def test_refused_groups_are_rebased_in_one_place():
+def test_refused_groups_are_rebased_in_one_place(src_index):
     callers = [
         name
-        for name, node in _functions()
+        for name, node, _ in src_index.functions()
         if "rebase_refused" in _calls(node)
     ]
     assert callers == ["api/ingest.py:merge_owner_acks"]
 
 
-def test_owner_split_and_merge_have_one_caller_per_tier():
+def test_owner_split_and_merge_have_one_caller_per_tier(src_index):
     """The router and the cluster client both call the shared split and
     merge; neither carries its own."""
     users = {
         helper: sorted(
             name.split(":")[0]
-            for name, node in _functions()
+            for name, node, _ in src_index.functions()
             if helper in _calls(node)
         )
         for helper in ("split_by_owner", "merge_owner_acks")
@@ -200,12 +175,12 @@ def test_owner_split_and_merge_have_one_caller_per_tier():
     }
 
 
-def test_the_routing_key_is_spelled_once():
+def test_the_routing_key_is_spelled_once(src_index):
     """Neither tier reads a ``topology`` tag itself (the ``/topology/…``
     path segment the router matches is not a tag)."""
     readers = []
     for name in ("cluster/router.py", "cluster/client.py"):
-        for node in ast.walk(_trees()[name]):
+        for node in ast.walk(src_index[name].tree):
             key = None
             if _called_name(node) == "get" and node.args:
                 key = node.args[0]
@@ -216,14 +191,16 @@ def test_the_routing_key_is_spelled_once():
     assert readers == []
 
 
-def test_retired_names_are_gone_from_source_and_docs():
+def test_retired_names_are_gone_from_source_and_docs(src_index):
     whole = re.compile(
         r"(?<![A-Za-z0-9_])(" + "|".join(RETIRED) + r")(?![A-Za-z0-9_])"
     )
-    files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "docs").rglob("*.md"))
+    texts = {f"src/repro/{path}": file.source for path, file in src_index.items()}
+    for path in sorted((ROOT / "docs").rglob("*.md")):
+        texts[str(path.relative_to(ROOT))] = path.read_text("utf8")
     offenders = [
-        (str(path.relative_to(ROOT)), match.group(1))
-        for path in files
-        for match in whole.finditer(path.read_text("utf8"))
+        (name, match.group(1))
+        for name, text in texts.items()
+        for match in whole.finditer(text)
     ]
     assert offenders == []

@@ -15,8 +15,15 @@ from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricsStore
+from tests import source_index
 
 M = 1e6
+
+
+@pytest.fixture(scope="session")
+def src_index() -> source_index.SourceIndex:
+    """``src/repro`` parsed once for all the structure-guard modules."""
+    return source_index.build()
 
 
 @pytest.fixture(scope="session")

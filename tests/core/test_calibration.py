@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.calibration import (
-    calibrate_component,
     calibrate_sink,
     component_observations,
     fit_linear,
@@ -110,42 +109,8 @@ class TestFitPiecewise:
         with pytest.raises(CalibrationError, match="zero rate"):
             fit_piecewise_linear(np.zeros(5), np.zeros(5))
 
-    def test_to_instance_model_scaling(self):
-        x, y = piecewise_data(sp=33e6)  # a p=3 component observation
-        fit = fit_piecewise_linear(x, y)
-        instance = fit.to_instance_model(per_instance_scale=3.0)
-        assert instance.saturation_point == pytest.approx(11e6, rel=0.02)
-        with pytest.raises(CalibrationError):
-            fit.to_instance_model(per_instance_scale=0.0)
-
 
 class TestCalibrateComponent:
-    def test_uniform_component(self):
-        x, y = piecewise_data(sp=33e6, noise=0.01)
-        model, fit = calibrate_component("splitter", x, y, parallelism=3)
-        assert model.parallelism == 3
-        assert model.instance.saturation_point == pytest.approx(
-            11e6, rel=0.05
-        )
-        assert model.saturation_point() == pytest.approx(33e6, rel=0.05)
-
-    def test_biased_component_uses_hottest_share(self):
-        # Single-breakpoint observation (the model family's form): the
-        # component's curve breaks when the hot instance saturates, so
-        # the recovered instance SP must be fitted_SP * max_share.
-        shares = np.array([0.5, 0.3, 0.2])
-        sp_component = 11e6 / 0.5
-        x, y = piecewise_data(sp=sp_component, noise=0.01, seed=2)
-        model, fit = calibrate_component(
-            "splitter", x, y, parallelism=3, input_shares=shares
-        )
-        assert model.instance.saturation_point == pytest.approx(
-            fit.saturation_point * 0.5, rel=1e-9
-        )
-        assert model.saturation_point() == pytest.approx(
-            sp_component, rel=0.10
-        )
-
     def test_multi_breakpoint_truth_fits_a_compromise(self):
         # With biased shares the true component curve has one breakpoint
         # per distinct share; the paper's single-breakpoint family lands
@@ -156,9 +121,7 @@ class TestCalibrateComponent:
         y = np.zeros_like(x)
         for share in shares:
             y += 7.63 * np.minimum(share * x, 11e6)
-        _, fit = calibrate_component(
-            "splitter", x, y, parallelism=3, input_shares=shares
-        )
+        fit = fit_piecewise_linear(x, y)
         assert 11e6 / 0.5 <= fit.saturation_point <= 11e6 / 0.2
 
     def test_calibrate_sink(self):
@@ -193,9 +156,7 @@ class TestComponentObservations:
         obs = component_observations(
             store, "word-count", "splitter", "sentence-spout"
         )
-        model, fit = calibrate_component(
-            "splitter", obs["source"], obs["output"], parallelism=2
-        )
+        fit = fit_piecewise_linear(obs["source"], obs["output"])
         true_alpha = logic["splitter"].alphas["default"]
         true_sp = logic["splitter"].capacity_tps * 60 * 2
         assert fit.alpha == pytest.approx(true_alpha, rel=0.02)
@@ -234,48 +195,3 @@ def test_property_piecewise_fit_recovers_sp_exactly_without_noise(alpha, sp):
     x, y = piecewise_data(alpha=alpha, sp=sp, noise=0.0)
     fit = fit_piecewise_linear(x, y)
     assert fit.saturation_point == pytest.approx(sp, rel=0.05)
-
-
-class TestMeasuredShares:
-    def test_shares_from_simulated_skew(self):
-        from repro.core.calibration import measured_shares
-        from repro.heron.groupings import FieldsGrouping, KeyDistribution
-        from repro.heron.packing import RoundRobinPacking
-        from repro.heron.simulation import (
-            ComponentLogic,
-            HeronSimulation,
-            SimulationConfig,
-            SpoutLogic,
-        )
-        from repro.heron.topology import TopologyBuilder
-        from repro.timeseries.store import MetricsStore
-
-        kd = KeyDistribution(("hot", "cold"), (0.7, 0.3))
-        builder = TopologyBuilder("shares")
-        builder.add_spout("s", 1)
-        builder.add_bolt("w", 2)
-        builder.connect("s", "w", FieldsGrouping(["k"], kd))
-        topology = builder.build()
-        packing = RoundRobinPacking().pack(topology, 1)
-        store = MetricsStore()
-        sim = HeronSimulation(
-            topology,
-            packing,
-            {"s": SpoutLogic(), "w": ComponentLogic(capacity_tps=1e9)},
-            store,
-            SimulationConfig(seed=2),
-        )
-        sim.set_source_rate("s", 1e6)
-        sim.run(2)
-        shares = measured_shares(store, "shares", "w", parallelism=2)
-        expected = kd.shares_mod(2)
-        assert shares == pytest.approx(expected, abs=0.02)
-
-    def test_no_traffic_raises(self, deployed_wordcount):
-        from repro.core.calibration import measured_shares
-
-        _, _, _, store, _ = deployed_wordcount
-        with pytest.raises(CalibrationError, match="no traffic"):
-            measured_shares(
-                store, "word-count", "splitter", 2, start=10**9
-            )

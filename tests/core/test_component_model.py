@@ -106,53 +106,20 @@ class TestEquation11:
     def test_beta_scaling_in_linear_region(self):
         model = splitter_component(3)
         base = model.output_rate(10e6)
-        assert model.outputs_under_traffic_scale(10e6, 2.0) == pytest.approx(
-            2 * base
-        )
+        assert model.output_rate(10e6 * 2.0) == pytest.approx(2 * base)
 
     def test_beta_scaling_clips_at_st(self):
         model = splitter_component(3)
-        scaled = model.outputs_under_traffic_scale(20e6, 4.0)  # 80M >> SP
+        scaled = model.output_rate(20e6 * 4.0)  # 80M >> SP
         assert scaled == pytest.approx(model.saturation_throughput())
-
-    def test_beta_validation(self):
-        with pytest.raises(ModelError):
-            splitter_component(1).outputs_under_traffic_scale(1e6, -1.0)
 
     def test_biased_shares_clip_per_instance(self):
         model = splitter_component(2, shares=[0.8, 0.2])
         # beta pushes only the hot instance past SP.
-        out = model.outputs_under_traffic_scale(10e6, 1.6)  # 16M total
+        out = model.output_rate(10e6 * 1.6)  # 16M total
         hot = min(0.8 * 16e6, 11e6)
         cold = 0.2 * 16e6
         assert out == pytest.approx(7.63 * (hot + cold))
-
-
-class TestInverse:
-    def test_uniform_inverse_round_trip(self):
-        model = splitter_component(3)
-        for rate in (1e6, 20e6, 32e6):
-            output = model.output_rate(rate)
-            assert model.required_source_rate(output) == pytest.approx(
-                rate, rel=1e-6
-            )
-
-    def test_biased_inverse_round_trip(self):
-        model = splitter_component(2, shares=[0.7, 0.3])
-        for rate in (1e6, 12e6, 20e6):
-            output = model.output_rate(rate)
-            recovered = model.required_source_rate(output)
-            assert model.output_rate(recovered) == pytest.approx(
-                output, rel=1e-6
-            )
-
-    def test_inverse_of_infeasible_output(self):
-        model = splitter_component(2)
-        with pytest.raises(ModelError, match="cannot produce"):
-            model.required_source_rate(model.saturation_throughput() * 1.01)
-
-    def test_inverse_zero(self):
-        assert splitter_component(2).required_source_rate(0.0) == 0.0
 
 
 @given(

@@ -50,7 +50,7 @@ class TestCpuModel:
         cpu = CpuModel("splitter", psi=1e-7)
         component = splitter_component(2)
         rates = np.array([0.0, 11e6, 22e6, 44e6])
-        curve = cpu.predict_curve(component, rates)
+        curve = np.asarray([cpu.component_cpu(component, r) for r in rates])
         assert curve.shape == (4,)
         assert np.all(np.diff(curve) >= -1e-9)  # non-decreasing
 

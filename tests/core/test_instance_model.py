@@ -47,74 +47,28 @@ class TestEquation2:
         assert splitter.is_saturated(11e6)
 
 
-class TestEquation3:
-    """Multiple inputs: contributions clip independently and add."""
-
-    def test_two_inputs_below_sp(self, splitter):
-        total = splitter.output_rate_multi([2e6, 3e6])
-        assert total == pytest.approx(7.63 * 5e6)
-
-    def test_one_input_saturates_alone(self, splitter):
-        st_value = splitter.saturation_throughput()
-        total = splitter.output_rate_multi([20e6, 1e6])
-        assert total == pytest.approx(st_value + 7.63e6)
-
-    def test_reduces_to_eq2_for_single_input(self, splitter):
-        assert splitter.output_rate_multi([4e6]) == splitter.output_rate(4e6)
-
-
 class TestEquations4And5:
     """Multiple output streams share the SP, each with its own alpha."""
 
     def test_per_stream_rates(self):
         model = InstanceModel({"words": 7.6, "errors": 0.01}, 1e6)
-        rates = model.output_rates(0.5e6)
-        assert rates["words"] == pytest.approx(7.6 * 0.5e6)
-        assert rates["errors"] == pytest.approx(0.01 * 0.5e6)
-
-    def test_total_output_sums_streams(self):
-        model = InstanceModel({"a": 2.0, "b": 3.0}, 100.0)
-        assert model.total_output_rate(10.0) == pytest.approx(50.0)
-        assert model.total_alpha() == 5.0
+        assert model.output_rate(0.5e6, "words") == pytest.approx(7.6 * 0.5e6)
+        assert model.output_rate(0.5e6, "errors") == pytest.approx(0.01 * 0.5e6)
 
     def test_streams_saturate_together(self):
         model = InstanceModel({"a": 2.0, "b": 3.0}, 100.0)
-        rates = model.output_rates(500.0)
-        assert rates["a"] == pytest.approx(200.0)
-        assert rates["b"] == pytest.approx(300.0)
+        assert model.output_rate(500.0, "a") == pytest.approx(200.0)
+        assert model.output_rate(500.0, "b") == pytest.approx(300.0)
 
     def test_unknown_stream(self, splitter):
         with pytest.raises(ModelError, match="no output stream"):
             splitter.output_rate(1.0, stream="missing")
 
 
-class TestInverse:
-    def test_inverse_in_linear_region(self, splitter):
-        output = splitter.output_rate(4e6)
-        assert splitter.required_input_rate(output) == pytest.approx(4e6)
-
-    def test_inverse_at_saturation(self, splitter):
-        st_value = splitter.saturation_throughput()
-        assert splitter.required_input_rate(st_value) == pytest.approx(11e6)
-
-    def test_inverse_beyond_st_infeasible(self, splitter):
-        with pytest.raises(ModelError, match="exceeds"):
-            splitter.required_input_rate(splitter.saturation_throughput() * 1.1)
-
-    def test_inverse_zero(self, splitter):
-        assert splitter.required_input_rate(0.0) == 0.0
-
-    def test_inverse_with_zero_alpha(self):
-        model = InstanceModel({"s": 0.0}, 10.0)
-        assert model.required_input_rate(0.0, "s") == 0.0
-        with pytest.raises(ModelError, match="alpha=0"):
-            model.required_input_rate(1.0, "s")
-
-
 class TestConstructionAndDerivation:
     def test_sink_has_no_streams(self):
         sink = InstanceModel({}, 1e6)
-        assert sink.total_alpha() == 0.0
+        assert sink.alphas == {}
         assert sink.processed_rate(2e6) == 1e6
 
     def test_unsaturable_instance(self):
@@ -165,16 +119,3 @@ def test_property_output_bounded_by_st(alpha, sp, t):
     assert model.output_rate(t, "s") <= model.saturation_throughput("s") * (
         1 + 1e-12
     )
-
-
-@given(
-    alpha=st.floats(min_value=0.001, max_value=100.0),
-    sp=st.floats(min_value=1.0, max_value=1e9),
-    t=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_property_inverse_round_trip_in_linear_region(alpha, sp, t):
-    model = InstanceModel({"s": alpha}, sp)
-    input_rate = t * sp  # stay within the invertible region
-    output = model.output_rate(input_rate, "s")
-    recovered = model.required_input_rate(output, "s")
-    assert recovered == pytest.approx(input_rate, rel=1e-9, abs=1e-9)

@@ -89,20 +89,14 @@ class TestEquation12:
 
 
 class TestEquation13:
-    def test_saturation_output_is_chained_st(self):
-        model = wordcount_model(splitter_p=2, counter_p=4)
-        assert model.path_saturation_output(PATH) == pytest.approx(
-            2 * 7.63 * 11e6
-        )
-
     def test_saturation_source_rate_splitter_bound(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        t0_prime = model.path_saturation_source_rate(PATH)
+        _, t0_prime = model.path_bottleneck(PATH)
         assert t0_prime == pytest.approx(22e6, rel=1e-6)
 
     def test_saturation_source_rate_counter_bound(self):
         model = wordcount_model(splitter_p=8, counter_p=2)
-        t0_prime = model.path_saturation_source_rate(PATH)
+        _, t0_prime = model.path_bottleneck(PATH)
         # Counter saturates at 140M words = 140/7.63 M sentences.
         assert t0_prime == pytest.approx(140e6 / 7.63, rel=1e-6)
 
@@ -115,13 +109,6 @@ class TestEquation13:
         name2, _ = model2.path_bottleneck(PATH)
         assert name2 == "counter"
 
-    def test_bottleneck_agrees_with_inverse_chain(self):
-        for sp, cp in ((2, 4), (8, 2), (3, 3)):
-            model = wordcount_model(splitter_p=sp, counter_p=cp)
-            _, via_factors = model.path_bottleneck(PATH)
-            via_inverse = model.path_saturation_source_rate(PATH)
-            assert via_factors == pytest.approx(via_inverse, rel=1e-6)
-
     def test_unsaturable_path(self):
         topology, _, _ = build_word_count(
             WordCountParams(splitter_parallelism=1, counter_parallelism=1)
@@ -133,7 +120,6 @@ class TestEquation13:
             "counter": ComponentModel("counter", InstanceModel({}), 1),
         }
         model = TopologyModel(topology, components)
-        assert math.isinf(model.path_saturation_source_rate(PATH))
         name, rate = model.path_bottleneck(PATH)
         assert name is None
         assert math.isinf(rate)
@@ -216,11 +202,11 @@ class TestWithParallelism:
         scaled = model.with_parallelism({"splitter": 4})
         # After scaling the splitter to 4, the counter (4 x 70M words =
         # 280M, i.e. 280/7.63 M sentences) becomes the binding stage.
-        assert scaled.path_saturation_source_rate(PATH) == pytest.approx(
+        assert scaled.path_bottleneck(PATH)[1] == pytest.approx(
             280e6 / 7.63, rel=1e-6
         )
         # The original is untouched.
-        assert model.path_saturation_source_rate(PATH) == pytest.approx(22e6)
+        assert model.path_bottleneck(PATH)[1] == pytest.approx(22e6)
 
     def test_scaling_moves_the_bottleneck(self):
         model = wordcount_model(splitter_p=2, counter_p=4)

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import Path
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ``MetricsStore`` methods that change what the store holds.
 MUTATIONS = {
@@ -29,25 +26,21 @@ MUTATIONS = {
 }
 
 
-def _sources() -> dict[Path, str]:
-    return {path: path.read_text("utf8") for path in sorted(SRC.rglob("*.py"))}
-
-
-def test_retired_write_paths_are_gone():
+def test_retired_write_paths_are_gone(src_index):
     retired = ("_write_keyed", "_append_batch_locked", "supports_batched_appends")
     offenders = [
-        (str(path.relative_to(SRC)), name)
-        for path, source in _sources().items()
+        (path, name)
+        for path, file in src_index.items()
         for name in retired
-        if name in source
+        if name in file.source
     ]
     assert offenders == []
 
 
-def test_only_the_durable_store_overrides_a_mutation():
+def test_only_the_durable_store_overrides_a_mutation(src_index):
     overriding = {}
-    for path, source in _sources().items():
-        for node in ast.walk(ast.parse(source)):
+    for file in src_index.values():
+        for node in ast.walk(file.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             bases = {
@@ -68,79 +61,69 @@ def test_only_the_durable_store_overrides_a_mutation():
     }
 
 
-def test_two_bodies_append_to_a_series():
+def test_two_bodies_append_to_a_series(src_index):
     """The keyed loop and the prepared minute batch, nothing else."""
-    appenders = []
-    for path in sorted((SRC / "timeseries").glob("*.py")):
-        source = path.read_text("utf8")
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            body = ast.get_source_segment(source, node)
-            if "timestamps.append(" in body or "list.append, batch.ts_lists" in body:
-                appenders.append(node.name)
+    appenders = [
+        function.node.name
+        for function in src_index.functions()
+        if function.name.startswith("timeseries/")
+        and isinstance(function.node, ast.FunctionDef)
+        and (
+            "timestamps.append(" in function.text
+            or "list.append, batch.ts_lists" in function.text
+        )
+    ]
     assert appenders == ["apply_sample_batch", "append_minute_batch"]
 
 
-def test_one_wal_record_replay_function():
+def test_one_wal_record_replay_function(src_index):
     replaying = [
-        str(path.relative_to(SRC))
-        for path, source in _sources().items()
-        if 'op == "clear"' in source
+        path for path, file in src_index.items() if 'op == "clear"' in file.source
     ]
     assert replaying == ["durability/store.py"]
 
 
-def _functions_containing(needle: str) -> list[str]:
-    found = []
-    for path, source in _sources().items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.FunctionDef) and needle in (
-                ast.get_source_segment(source, node) or ""
-            ):
-                found.append(f"{path.relative_to(SRC)}:{node.name}")
-    return found
-
-
-def test_one_function_unpacks_a_frame_header():
+def test_one_function_unpacks_a_frame_header(src_index):
     """On disk and on the wire: the chunked walk, nothing beside it."""
-    assert _functions_containing("unpack") == ["durability/wal.py:_split_frames"]
+    assert src_index.functions_containing("unpack") == [
+        "durability/wal.py:_split_frames"
+    ]
 
 
-def test_no_per_record_read_loop_remains():
+def test_no_per_record_read_loop_remains(src_index):
     """Segments are read a block at a time, by the decoder alone; nothing
     under ``durability/`` or ``api/ingest.py`` reads a header's worth."""
-    assert _functions_containing("_HEADER.size)") == []
+    assert src_index.functions_containing("_HEADER.size)") == []
     reading = [
         name
-        for name in _functions_containing(".read(")
+        for name in src_index.functions_containing(".read(")
         if name.startswith(("durability/", "api/ingest.py"))
     ]
     assert reading == ["durability/wal.py:frame_windows"]
 
 
-def test_frames_are_validated_in_one_place():
+def test_frames_are_validated_in_one_place(src_index):
     """``frame_sample`` is defined once and called once, by the store's
     validating body; the API tier only words what that body raises."""
-    assert _functions_containing("frame_sample(") == [
+    assert src_index.functions_containing("frame_sample(") == [
         "timeseries/store.py:frame_sample",
         "timeseries/store.py:frame_samples",
     ]
-    app = (SRC / "api" / "app.py").read_text("utf8")
+    app = src_index["api/app.py"].source
     assert "frame_sample(" not in app and "rejected.append" not in app
-    assert _functions_containing("def _decode_window(") == [
+    assert src_index.functions_containing("def _decode_window(") == [
         "durability/wal.py:_decode_window"
     ]
 
 
-def test_one_function_renders_a_write_record_head():
-    assert _functions_containing('{"op":"write"') == [
+def test_one_function_renders_a_write_record_head(src_index):
+    assert src_index.functions_containing('{"op":"write"') == [
         "timeseries/store.py:write_head"
     ]
     spelled = re.compile(r"""["']op["']\s*:\s*["']write["']""")
     elsewhere = [
-        str(path.relative_to(SRC))
-        for path, source in _sources().items()
-        if path.parent.name in ("api", "durability") and spelled.search(source)
+        path
+        for path, file in src_index.items()
+        if path.split("/")[0] in ("api", "durability") and spelled.search(file.source)
     ]
     assert elsewhere == []

@@ -186,15 +186,6 @@ class TestForecastType:
         with pytest.raises(ForecastError):
             Forecast(ts, np.zeros(3), np.zeros(2), np.zeros(2))
 
-    def test_to_series(self):
-        forecast = Forecast(
-            np.array([0, 60]),
-            np.array([1.0, 2.0]),
-            np.zeros(2),
-            np.full(2, 3.0),
-        )
-        assert forecast.to_series().to_pairs() == [(0, 1.0), (60, 2.0)]
-
     def test_hyperparameter_validation(self):
         with pytest.raises(ForecastError):
             ProphetLite(interval_level=0.5)

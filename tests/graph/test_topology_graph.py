@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.topology_graph import (
-    critical_path_candidates,
     logical_graph,
     path_count,
-    physical_graph,
     source_sink_paths,
 )
 from repro.heron.groupings import ShuffleGrouping
-from repro.heron.packing import RoundRobinPacking
 from repro.heron.topology import TopologyBuilder
 from repro.heron.wordcount import WordCountParams, build_word_count
 
@@ -29,7 +26,7 @@ class TestLogicalGraph:
     def test_vertices_and_labels(self, wordcount):
         topology, _, _ = wordcount
         g = logical_graph(topology)
-        assert g.vertex_count() == 3
+        assert len(g.topological_order()) == 3
         assert g.vertex("sentence-spout").label == "spout"
         assert g.vertex("splitter")["parallelism"] == 2
 
@@ -40,38 +37,6 @@ class TestLogicalGraph:
         assert edge.label == "shuffle"
         (edge,) = g.out_edges("splitter")
         assert edge.label == "fields"
-
-
-class TestPhysicalGraph:
-    def test_instances_and_stmgrs_materialised(self, wordcount):
-        topology, packing, _ = wordcount
-        g = physical_graph(topology, packing)
-        instances = g.vertices("instance")
-        stmgrs = g.vertices("stmgr")
-        assert len(instances) == topology.total_instances()
-        assert len(stmgrs) == packing.num_containers()
-
-    def test_local_route_uses_one_stmgr(self, wordcount):
-        topology, packing, _ = wordcount
-        g = physical_graph(topology, packing)
-        # Every instance's egress goes to its own container's stmgr.
-        for instance in g.vertices("instance"):
-            for edge in g.out_edges(instance.id):
-                assert edge.target == f"stmgr-{instance['container']}"
-
-    def test_remote_route_uses_two_stmgrs(self, wordcount):
-        topology, packing, _ = wordcount
-        g = physical_graph(topology, packing)
-        transfers = [
-            e
-            for e in g.edges()
-            if e.get("role") == "transfer"
-        ]
-        # With instances spread over containers, remote transfers exist.
-        assert transfers
-        for edge in transfers:
-            assert edge.source.startswith("stmgr-")
-            assert edge.target.startswith("stmgr-")
 
 
 class TestPaths:
@@ -98,36 +63,3 @@ class TestPaths:
         builder.connect("right", "sink", ShuffleGrouping())
         topology = builder.build()
         assert path_count(topology) == 2 * 3 * 1 + 2 * 5 * 1
-
-    def test_critical_path_candidates_by_weight(self):
-        builder = TopologyBuilder("diamond")
-        builder.add_spout("s", 1)
-        builder.add_bolt("left", 1)
-        builder.add_bolt("right", 1)
-        builder.add_bolt("sink", 1)
-        builder.connect("s", "left", ShuffleGrouping())
-        builder.connect("s", "right", ShuffleGrouping())
-        builder.connect("left", "sink", ShuffleGrouping())
-        builder.connect("right", "sink", ShuffleGrouping())
-        topology = builder.build()
-        ranked = critical_path_candidates(
-            topology, weights={"left": 0.9, "right": 0.2}
-        )
-        assert ranked[0][0] == ["s", "left", "sink"]
-
-    def test_candidates_default_prefers_longer_paths(self, wordcount):
-        topology, _, _ = wordcount
-        ranked = critical_path_candidates(topology)
-        assert ranked[0][1] == 3.0
-
-    def test_stream_managers_do_not_add_paths(self, wordcount):
-        # Section II-E: stmgr routing must not change the path count, so
-        # the count is computed on instances only.
-        topology, packing, _ = wordcount
-        single = RoundRobinPacking().pack(topology, 1)
-        many = RoundRobinPacking().pack(topology, 4)
-        assert path_count(topology) == 16
-        # Physical graphs differ, the logical path count does not.
-        assert physical_graph(topology, single).vertex_count() != (
-            physical_graph(topology, many).vertex_count()
-        )

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.heron.corpus import SyntheticCorpus
@@ -47,65 +44,11 @@ class TestDistribution:
         assert shares.max() > 1.3 / 3
 
 
-class TestSentenceLengths:
-    def test_mean_matches_configuration(self):
-        corpus = SyntheticCorpus()
-        lengths = corpus.sample_sentence_lengths(200_000)
-        assert lengths.mean() == pytest.approx(7.635, rel=0.01)
-
-    def test_lengths_at_least_one(self):
-        corpus = SyntheticCorpus(mean_sentence_words=1.5, sentence_words_std=3)
-        assert corpus.sample_sentence_lengths(10_000).min() >= 1
-
-    def test_reproducible_with_seed(self):
-        corpus = SyntheticCorpus()
-        a = corpus.sample_sentence_lengths(100)
-        b = corpus.sample_sentence_lengths(100)
-        assert np.array_equal(a, b)
-
-    def test_count_validation(self):
-        with pytest.raises(TopologyError):
-            SyntheticCorpus().sample_sentence_lengths(-1)
-
-
-class TestSentences:
-    def test_sentences_look_like_prose(self):
-        sentences = SyntheticCorpus().sample_sentences(20)
-        assert len(sentences) == 20
-        for sentence in sentences:
-            assert sentence.endswith(".")
-            assert sentence[0].isupper()
-
-    def test_words_come_from_vocabulary(self):
-        corpus = SyntheticCorpus(vocabulary_size=100)
-        vocab = set(corpus.vocabulary)
-        for sentence in corpus.sample_sentences(10):
-            for word in sentence[:-1].lower().split():
-                assert word in vocab
-
-
 class TestValidation:
     def test_mean_must_exceed_one(self):
         with pytest.raises(TopologyError):
             SyntheticCorpus(mean_sentence_words=0.5)
 
-    def test_std_non_negative(self):
-        with pytest.raises(TopologyError):
-            SyntheticCorpus(sentence_words_std=-1)
-
     def test_vocabulary_positive(self):
         with pytest.raises(TopologyError):
             SyntheticCorpus(vocabulary_size=0)
-
-
-@settings(max_examples=20)
-@given(
-    mean=st.floats(min_value=2.0, max_value=20.0),
-    std=st.floats(min_value=0.0, max_value=5.0),
-)
-def test_property_sample_mean_tracks_configured_mean(mean, std):
-    corpus = SyntheticCorpus(mean_sentence_words=mean, sentence_words_std=std)
-    lengths = corpus.sample_sentence_lengths(20_000)
-    # Clipping at 1 biases the mean upward slightly for small means.
-    assert lengths.mean() >= mean - 0.5
-    assert lengths.mean() <= mean + max(1.0, std)

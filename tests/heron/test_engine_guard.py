@@ -10,30 +10,23 @@ source so the duplicates cannot quietly come back.
 
 from __future__ import annotations
 
-import ast
 import re
-from pathlib import Path
 
 from tests.durability.test_write_path_guard import MUTATIONS
+from tests.source_index import ROOT
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
-ENGINE = SRC / "heron" / "simulation.py"
+ENGINE = "heron/simulation.py"
 
 #: ``MetricsStore`` methods that add or drop samples (resolving a
 #: prepared batch does neither).
 STORE_WRITES = MUTATIONS - {"make_minute_batch"}
 
 
-def _sources() -> dict[Path, str]:
-    return {path: path.read_text("utf8") for path in sorted(SRC.rglob("*.py"))}
-
-
-def test_one_simulator_engine():
+def test_one_simulator_engine(src_index):
     defining = [
-        str(path.relative_to(SRC))
-        for path, source in _sources().items()
-        if re.search(r"^class HeronSimulation\b", source, re.MULTILINE)
+        path
+        for path, file in src_index.items()
+        if re.search(r"^class HeronSimulation\b", file.source, re.MULTILINE)
     ]
     assert defining == ["heron/simulation.py"]
 
@@ -56,7 +49,7 @@ def test_the_retired_engine_is_named_nowhere():
     assert offenders == []
 
 
-def test_retired_accumulation_api_is_gone():
+def test_retired_accumulation_api_is_gone(src_index):
     retired = (
         "add_counter",
         "add_gauge",
@@ -70,30 +63,28 @@ def test_retired_accumulation_api_is_gone():
         "_MinuteBuffer",
     )
     offenders = [
-        (str(path.relative_to(SRC)), name)
-        for path, source in _sources().items()
+        (path, name)
+        for path, file in src_index.items()
         for name in retired
-        if name in source
+        if name in file.source
     ]
     assert offenders == []
 
 
-def test_one_function_lists_the_per_minute_series():
+def test_one_function_lists_the_per_minute_series(src_index):
     """Only the layout compiler names a reported series; the minute
     close and everything else in the engine go through its table."""
-    source = ENGINE.read_text("utf8")
     naming = [
-        node.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef)
-        and "MetricNames." in ast.get_source_segment(source, node)
+        function.node.name
+        for function in src_index[ENGINE].functions
+        if "MetricNames." in function.text
     ]
     assert naming == ["_compile_minute_layout"]
 
 
-def test_the_engine_writes_through_two_store_calls():
+def test_the_engine_writes_through_two_store_calls(src_index):
     """Keyed and prepared, both from the minute close."""
-    source = ENGINE.read_text("utf8")
+    source = src_index[ENGINE].source
     writes = sorted(
         call
         for call in re.findall(r"\bstore\.(\w+)\(", source)
@@ -101,12 +92,10 @@ def test_the_engine_writes_through_two_store_calls():
     )
     assert writes == ["append_minute_batch", "apply_sample_batch"]
     closing = [
-        node.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef)
-        and re.search(
-            r"\bstore\.(apply_sample_batch|append_minute_batch)\(",
-            ast.get_source_segment(source, node),
+        function.node.name
+        for function in src_index[ENGINE].functions
+        if re.search(
+            r"\bstore\.(apply_sample_batch|append_minute_batch)\(", function.text
         )
     ]
     assert closing == ["_close_minute"]

@@ -14,7 +14,6 @@ from repro.heron.groupings import (
     GlobalGrouping,
     KeyDistribution,
     ShuffleGrouping,
-    grouping_from_name,
     stable_hash,
 )
 
@@ -109,30 +108,10 @@ class TestOtherGroupings:
     def test_all_grouping_replicates(self):
         shares = AllGrouping().shares(3)
         assert shares.tolist() == [1.0, 1.0, 1.0]
-        assert AllGrouping().amplification() == 1.0
 
     def test_global_grouping_targets_first(self):
         shares = GlobalGrouping().shares(3)
         assert shares.tolist() == [1.0, 0.0, 0.0]
-
-
-class TestFactory:
-    def test_simple_names(self):
-        assert isinstance(grouping_from_name("shuffle"), ShuffleGrouping)
-        assert isinstance(grouping_from_name("all"), AllGrouping)
-        assert isinstance(grouping_from_name("global"), GlobalGrouping)
-
-    def test_fields_needs_arguments(self, uniform_keys):
-        with pytest.raises(TopologyError, match="needs both"):
-            grouping_from_name("fields")
-        grouping = grouping_from_name(
-            "fields", fields=["w"], key_distribution=uniform_keys
-        )
-        assert isinstance(grouping, FieldsGrouping)
-
-    def test_unknown_name(self):
-        with pytest.raises(TopologyError, match="unknown grouping"):
-            grouping_from_name("magic")
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.heron.packing import (
     PackingPlan,
     Resources,
     RoundRobinPacking,
-    repack,
 )
 from repro.heron.topology import TopologyBuilder
 
@@ -103,7 +102,7 @@ class TestPackingPlan:
 
     def test_container_of_and_colocated(self):
         plan = RoundRobinPacking().pack(topology(), 1)
-        assert plan.colocated(("s", 0), ("a", 0))
+        assert plan.container_of("s", 0) == plan.container_of("a", 0)
 
     def test_instance_id_format(self):
         plan = RoundRobinPacking().pack(topology(), 3)
@@ -135,14 +134,3 @@ class TestPackingPlan:
         container = plan.containers[0]
         total = container.required_resources()
         assert total.cpu == len(container.instances)
-
-
-class TestRepack:
-    def test_repack_applies_changes(self):
-        updated, plan = repack(topology(), {"a": 6})
-        assert updated.parallelism("a") == 6
-        assert plan.parallelism("a") == 6
-
-    def test_repack_with_explicit_containers(self):
-        _, plan = repack(topology(), {"a": 6}, num_containers=4)
-        assert plan.num_containers() == 4

@@ -1,11 +1,11 @@
-"""Tests for the topology tracker and the revision-keyed graph cache."""
+"""Tests for the topology tracker."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import TopologyError
-from repro.heron.tracker import GraphCache, TopologyTracker
+from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 
 
@@ -91,35 +91,3 @@ class TestPlans:
     def test_packing_plan_is_summary(self, tracked_setup):
         _, _, packing, record = tracked_setup
         assert record.packing_plan() == packing.summary()
-
-
-class TestGraphCache:
-    def test_cache_hit_same_revision(self):
-        cache = GraphCache()
-        cache.put("topo", 1, "value")
-        assert cache.get("topo", 1) == "value"
-        assert cache.stats()["hits"] == 1
-
-    def test_cache_miss_on_new_revision(self):
-        cache = GraphCache()
-        cache.put("topo", 1, "old")
-        assert cache.get("topo", 2) is None
-        assert cache.stats()["misses"] == 1
-
-    def test_cache_replaces_stale_revision(self):
-        cache = GraphCache()
-        cache.put("topo", 1, "old")
-        cache.put("topo", 2, "new")
-        assert cache.get("topo", 1) is None
-        assert cache.get("topo", 2) == "new"
-
-    def test_cache_invalidation_end_to_end(self):
-        """The paper's invalidate-on-update contract via the tracker."""
-        topology, packing, _ = build_word_count()
-        tracker = TopologyTracker()
-        record = tracker.register(topology, packing)
-        cache = GraphCache()
-        cache.put(record.name, record.revision, "derived-graph")
-        assert cache.get(record.name, record.revision) == "derived-graph"
-        updated = tracker.update(record.name, topology, packing)
-        assert cache.get(updated.name, updated.revision) is None

@@ -57,7 +57,7 @@ class TestLru:
         cache = ResultCache(100, clock=clock)
         cache.put("k", b"x" * 60, "wc")
         cache.put("k", b"y" * 10, "wc")
-        assert cache.current_bytes == 10
+        assert cache.stats()["bytes"] == 10
         assert cache.get("k") == b"y" * 10
 
     def test_rejects_nonpositive_budget(self):
@@ -81,7 +81,7 @@ class TestTtl:
         clock.advance(11)
         cache.put("new", b"v", "wc")
         assert len(cache) == 1
-        assert cache.current_bytes == 1
+        assert cache.stats()["bytes"] == 1
 
     def test_none_ttl_never_expires(self, clock):
         cache = ResultCache(1024, ttl_seconds=None, clock=clock)
@@ -107,7 +107,7 @@ class TestInvalidation:
         cache.put("b", b"2", "other")
         assert cache.invalidate_topology(None) == 2
         assert len(cache) == 0
-        assert cache.current_bytes == 0
+        assert cache.stats()["bytes"] == 0
 
     def test_invalidate_unknown_topology_is_noop(self, clock):
         cache = ResultCache(1024, clock=clock)

@@ -45,7 +45,7 @@ class TestPopularity:
         pre.record(desc("wc", 60))
         pre.invalidate("wc")
         pre.invalidate("wc")
-        assert pre.pending_count() == 1
+        assert pre.stats()["pending"] == 1
 
     def test_take_pending_drains(self):
         pre = WarmCachePrecomputer(top_k=4)

@@ -96,4 +96,3 @@ class TestCoalescing:
         flight.do("k", lambda: 1)
         result, led = flight.do("k", lambda: 2)
         assert (result, led) == (2, True)
-        assert flight.in_flight() == 0

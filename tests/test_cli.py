@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests.source_index import ROOT
 
 
 class TestParser:
@@ -130,6 +135,32 @@ class TestServe:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["DEBUG", None])
+    def test_log_level_is_applied(self, tmp_path, level):
+        """In a child process: under pytest the root logger already has
+        handlers, which makes ``logging.basicConfig`` a no-op."""
+        argv = ["serve", "--once", "--port", "0", "--data-dir", str(tmp_path / "d")]
+        if level is not None:
+            config = tmp_path / "c.yaml"
+            config.write_text(f"caladrius:\n  log_level: {level}\n")
+            argv += ["--config", str(config)]
+        script = (
+            "import logging, sys; from repro.cli import main; "
+            f"code = main({argv!r}); "
+            "print('level', logging.getLogger('repro').getEffectiveLevel()); "
+            "sys.exit(code)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        expected = logging.DEBUG if level == "DEBUG" else logging.INFO
+        assert f"level {expected}" in child.stdout
+        # The recovery summary is an INFO line of ``repro.durability.store``.
+        assert "INFO:repro.durability.store:recovered data_dir=" in child.stderr
 
 
 class TestSimulateYamlTopology:

@@ -9,7 +9,7 @@ complete story across every tier of the library:
 2. the tracker serves its plans; the graph layer inspects its structure;
 3. the traffic model forecasts, the performance model dry-runs a scaling
    proposal through the REST API;
-4. the ``update`` command deploys the chosen proposal;
+4. the chosen proposal is deployed: the tracker is handed the new plans;
 5. a fresh simulation of the updated plan validates the prediction.
 """
 
@@ -22,7 +22,6 @@ from repro.api import CaladriusApp, CaladriusClient, CaladriusServer
 from repro.config import load_config
 from repro.graph.topology_graph import path_count, source_sink_paths
 from repro.heron.metrics import MetricNames
-from repro.heron.scaling import ScalingCommand
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
@@ -90,10 +89,14 @@ class TestFullWorkflow:
         assert proposal["backpressure_risk"] == "low"
 
     def test_step4_deploy_the_chosen_proposal(self, workflow):
-        _, _, _, _, tracker, _ = workflow
-        command = ScalingCommand(tracker)
-        result = command.update("word-count", {"splitter": 4})
-        assert result.deployed
+        params, _, _, _, tracker, _ = workflow
+        scaled_params = WordCountParams(
+            spout_parallelism=params.spout_parallelism,
+            splitter_parallelism=4,
+            counter_parallelism=params.counter_parallelism,
+        )
+        topology, packing, _ = build_word_count(scaled_params)
+        tracker.update("word-count", topology, packing)
         assert tracker.get("word-count").topology.parallelism("splitter") == 4
 
     def test_step5_reality_matches_the_prediction(self, workflow):

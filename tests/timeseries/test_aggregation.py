@@ -1,21 +1,12 @@
-"""Tests for rollups, cross-series reduction and confidence bands."""
+"""Tests for the component rollup."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import MetricsError
-from repro.timeseries.aggregation import (
-    confidence_band,
-    cross_reduce,
-    resample_mean,
-    resample_sum,
-    rollup,
-    summarize,
-)
+from repro.timeseries.aggregation import rollup
 from repro.timeseries.series import TimeSeries
 
 
@@ -35,85 +26,6 @@ class TestRollup:
 
     def test_rollup_empty(self):
         assert len(rollup([])) == 0
-
-
-class TestCrossReduce:
-    def test_mean_over_common_timestamps(self):
-        runs = [make([0, 60], [1.0, 2.0]), make([60, 120], [4.0, 8.0])]
-        reduced = cross_reduce(runs, "mean")
-        assert reduced.to_pairs() == [(60, 3.0)]
-
-    def test_unknown_reducer(self):
-        with pytest.raises(MetricsError):
-            cross_reduce([make([0], [1.0])], "p99")
-
-    def test_no_overlap_returns_empty(self):
-        reduced = cross_reduce([make([0], [1.0]), make([60], [2.0])])
-        assert len(reduced) == 0
-
-
-class TestSummarize:
-    def test_summary_fields(self):
-        summary = summarize(make(range(10), [float(i) for i in range(10)]))
-        assert summary["count"] == 10
-        assert summary["mean"] == 4.5
-        assert summary["min"] == 0.0
-        assert summary["max"] == 9.0
-        assert summary["p90"] == pytest.approx(8.1)
-
-    def test_summarize_empty_raises(self):
-        with pytest.raises(MetricsError):
-            summarize(TimeSeries.empty())
-
-
-class TestConfidenceBand:
-    def test_band_brackets_mean(self):
-        rng = np.random.default_rng(0)
-        runs = [
-            make(range(20), 100.0 + rng.normal(0, 5, 20)) for _ in range(10)
-        ]
-        mean, low, high = confidence_band(runs, level=0.90)
-        assert np.all(low.values <= mean.values + 1e-9)
-        assert np.all(mean.values <= high.values + 1e-9)
-
-    def test_single_run_band_is_degenerate(self):
-        runs = [make([0, 60], [1.0, 2.0])]
-        mean, low, high = confidence_band(runs)
-        assert mean == low == high
-
-    def test_level_validation(self):
-        with pytest.raises(MetricsError):
-            confidence_band([make([0], [1.0])], level=1.5)
-
-    def test_requires_overlap(self):
-        with pytest.raises(MetricsError, match="share no timestamps"):
-            confidence_band([make([0], [1.0]), make([60], [2.0])])
-
-
-class TestResampleHelpers:
-    def test_resample_sum_and_mean(self):
-        series = TimeSeries.regular(0, 30, [1.0, 3.0, 5.0, 7.0])
-        assert resample_sum(series, 60).to_pairs() == [(0, 4.0), (60, 12.0)]
-        assert resample_mean(series, 60).to_pairs() == [(0, 2.0), (60, 6.0)]
-
-
-@given(
-    runs=st.lists(
-        st.lists(
-            st.floats(min_value=0, max_value=1e6),
-            min_size=5,
-            max_size=5,
-        ),
-        min_size=2,
-        max_size=8,
-    )
-)
-def test_property_band_ordering(runs):
-    series = [TimeSeries(range(5), values) for values in runs]
-    mean, low, high = confidence_band(series)
-    assert np.all(low.values <= high.values + 1e-9)
-    assert np.all(low.values - 1e-9 <= mean.values)
-    assert np.all(mean.values <= high.values + 1e-9)
 
 
 @given(

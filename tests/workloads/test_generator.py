@@ -13,7 +13,6 @@ from repro.timeseries.store import MetricsStore
 from repro.workloads import (
     SHAPES,
     GeneratorParams,
-    generate_cluster,
     generate_workload,
     workload_seed,
 )
@@ -134,17 +133,9 @@ class TestParams:
 
 
 class TestCluster:
-    def test_tenants_unique_and_deterministic(self):
-        first = generate_cluster(5, seed=7)
-        second = generate_cluster(5, seed=7)
-        names = [w.name for w in first]
-        assert len(set(names)) == 5
-        assert names == [w.name for w in second]
-        shapes = {w.params.shape for w in first}
-        assert len(shapes) >= 4  # all shapes cycle through
-
     def test_cluster_workloads_simulate(self):
-        for workload in generate_cluster(2, seed=3):
+        for shape in SHAPES[:2]:
+            workload = generate_workload(shape, seed=3)
             store = MetricsStore()
             sim = HeronSimulation(
                 *workload.deployment(), store, SimulationConfig(seed=1)
