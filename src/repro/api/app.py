@@ -409,20 +409,18 @@ class CaladriusApp:
         if not name:
             raise ApiError("name query parameter is required")
         filters = {k: v for k, v in query.items() if k != "name"}
-        series = []
-        for key in self.store.keys(name):
-            tags = key.tag_dict()
-            if all(tags.get(k) == v for k, v in filters.items()):
-                full = self.store.get(key.name, tags)
-                series.append(
-                    {
-                        "name": key.name,
-                        "tags": tags,
-                        "timestamps": [int(t) for t in full.timestamps],
-                        "values": [float(v) for v in full.values],
-                    }
-                )
-        return {"series": series}
+        matched = self.store.query(name, filters)
+        return {
+            "series": [
+                {
+                    "name": name,
+                    "tags": key.tag_dict(),
+                    "timestamps": matched[key].timestamps.tolist(),
+                    "values": matched[key].values.tolist(),
+                }
+                for key in sorted(matched, key=lambda key: key.tags)
+            ]
+        }
 
     def _state_hash(self) -> dict[str, Any]:
         """Content hash of the store, for shard/replica convergence checks."""

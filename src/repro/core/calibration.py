@@ -37,6 +37,7 @@ __all__ = [
     "fit_linear",
     "mape",
     "degraded_aggregate",
+    "skip_degraded",
     "component_observations",
     "calibrate_sink",
 ]
@@ -270,7 +271,20 @@ def degraded_aggregate(
     dropped, and lets calibration proceed on the clean window — the
     graceful-degradation contract of the fault model.
     """
-    series, degraded = store.aggregate_complete(name, tag_filter, start=start)
+    return skip_degraded(
+        name, tag_filter, *store.aggregate_complete(name, tag_filter, start=start)
+    )
+
+
+def skip_degraded(
+    name: str,
+    tag_filter: dict[str, str],
+    series: TimeSeries,
+    degraded: list[int],
+    stacklevel: int = 3,
+) -> TimeSeries:
+    """``series``, after the warning :func:`degraded_aggregate` owes for
+    the ``degraded`` minutes a complete-minute aggregate left out of it."""
     if degraded:
         warnings.warn(
             DegradedMetricsWarning(
@@ -278,7 +292,7 @@ def degraded_aggregate(
                 f"degraded metric minute(s) (missing or partially "
                 f"reported); calibrating on the remaining {len(series)}"
             ),
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return series
 

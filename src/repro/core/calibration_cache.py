@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from repro.core.calibration import PiecewiseLinearFit
+from repro.core.cpu_model import CpuModel
 from repro.core.performance_models import calibrate_topology
 from repro.core.topology_model import TopologyModel
 from repro.faults.health import MetricsHealth, assess_topology_metrics
@@ -39,7 +40,11 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class Calibration:
-    """A fitted topology model and the stamp of the inputs it was fitted on."""
+    """A fitted topology model and the stamp of the inputs it was fitted on.
+
+    ``cpu_models`` (per bolt, what a plan sweep adds to a prediction) is
+    fitted from the same read of the store as ``fits``.
+    """
 
     tracked: TrackedTopology
     data_version: int
@@ -47,6 +52,7 @@ class Calibration:
     since_seconds: int | None
     base: TopologyModel
     fits: dict[str, PiecewiseLinearFit]
+    cpu_models: dict[str, CpuModel]
 
 
 class CalibrationCache:
@@ -78,12 +84,14 @@ class CalibrationCache:
         """The topology's calibration at its current stamp, fitting on miss."""
 
         def calibrate(tracked: TrackedTopology, data_version: int) -> Calibration:
+            cpu_models: dict[str, CpuModel] = {}
             base, fits = calibrate_topology(
                 tracked, self.store, warmup_minutes=warmup_minutes,
-                since_seconds=since_seconds,
+                since_seconds=since_seconds, cpu_models=cpu_models,
             )
             return Calibration(
-                tracked, data_version, warmup_minutes, since_seconds, base, fits
+                tracked, data_version, warmup_minutes, since_seconds,
+                base, fits, cpu_models,
             )
 
         calibration, hit = self._lookup(

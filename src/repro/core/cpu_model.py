@@ -23,9 +23,12 @@ import numpy as np
 
 from repro.core.calibration import LinearFit, fit_linear
 from repro.core.component_model import ComponentModel
-from repro.errors import ModelError
+from repro.errors import MetricsError, ModelError
+from repro.heron.metrics import MetricNames
+from repro.heron.topology import LogicalTopology
+from repro.timeseries.store import TopologyFrame
 
-__all__ = ["CpuModel", "fit_cpu_model"]
+__all__ = ["CpuModel", "fit_cpu_model", "fit_cpu_models"]
 
 
 @dataclass(frozen=True)
@@ -92,3 +95,68 @@ def fit_cpu_model(
             "do not look like CPU-vs-input data"
         )
     return CpuModel(component, fit.slope, max(0.0, fit.intercept)), fit
+
+
+def fit_cpu_models(
+    topology: LogicalTopology, frame: TopologyFrame, warmup_minutes: int
+) -> dict[str, CpuModel]:
+    """Per-bolt CPU coefficients from the per-instance series of a frame.
+
+    Pairs every instance's per-minute ``received-count`` with its
+    ``cpu-load`` gauge (aligned on shared timestamps), concatenates the
+    instances of a component and fits one per-instance ``psi``.  Bolts
+    whose series are missing or degenerate are simply skipped — CPU
+    estimates are an optional enrichment of the sweep output, not a
+    prerequisite for throughput ranking.
+    """
+    models: dict[str, CpuModel] = {}
+    for spec in topology.bolts():
+        try:
+            received = frame.group(MetricNames.RECEIVED_COUNT, spec.name)
+            cpu = frame.group(MetricNames.CPU_LOAD, spec.name)
+        except MetricsError:
+            continue
+        by_instance = {
+            instance: row
+            for row, instance in enumerate(cpu.tag_values("instance"))
+        }
+        pairs = [
+            (row, by_instance[instance])
+            for row, instance in enumerate(received.tag_values("instance"))
+            if instance in by_instance
+        ]
+        if not pairs:
+            continue
+        rows, cpu_rows = map(list, zip(*pairs))
+        if received.block is not None and cpu.block is not None:
+            # Every instance shares its group's timestamps: one alignment
+            # for the whole component instead of one per instance.
+            aligned = [(
+                received.timestamps, received.block[rows],
+                cpu.timestamps, cpu.block[cpu_rows],
+            )]
+        else:
+            inputs, loads = received.series(), cpu.series()
+            aligned = [
+                (inputs[i].timestamps, inputs[i].values,
+                 loads[j].timestamps, loads[j].values)
+                for i, j in pairs
+            ]
+        xs: list[np.ndarray] = []
+        ys: list[np.ndarray] = []
+        for x_ts, x, y_ts, y in aligned:
+            common = np.intersect1d(x_ts, y_ts)[warmup_minutes:]
+            if common.shape[0] < 3:
+                continue
+            xs.append(x[..., np.isin(x_ts, common)].ravel())
+            ys.append(y[..., np.isin(y_ts, common)].ravel())
+        if not xs:
+            continue
+        try:
+            model, _ = fit_cpu_model(
+                spec.name, np.concatenate(xs), np.concatenate(ys)
+            )
+        except ModelError:
+            continue
+        models[spec.name] = model
+    return models

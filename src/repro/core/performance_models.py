@@ -30,10 +30,11 @@ import numpy as np
 from repro.core.calibration import (
     PiecewiseLinearFit,
     calibrate_sink,
-    degraded_aggregate,
     fit_piecewise_linear,
+    skip_degraded,
 )
 from repro.core.component_model import ComponentModel
+from repro.core.cpu_model import CpuModel, fit_cpu_models
 from repro.core.instance_model import InstanceModel
 from repro.core.topology_model import TopologyModel
 from repro.core.traffic_models import TrafficPrediction
@@ -271,6 +272,7 @@ def calibrate_topology(
     store: MetricsStore,
     warmup_minutes: int = 1,
     since_seconds: int | None = None,
+    cpu_models: dict[str, CpuModel] | None = None,
 ) -> tuple[TopologyModel, dict[str, PiecewiseLinearFit]]:
     """Fit every bolt's piecewise-linear model from stored metrics.
 
@@ -284,8 +286,30 @@ def calibrate_topology(
     ``since_seconds`` restricts calibration to metrics at or after that
     timestamp — essential after a redeployment, when older minutes
     describe a different physical configuration.
+
+    The store is read once (:meth:`MetricsStore.topology_frame`).  A
+    caller that also wants the per-bolt CPU models passes a dictionary
+    as ``cpu_models``: it is filled from that same read, so the two sets
+    of fits describe the same minutes.
     """
     topology = tracked.topology
+    names = [
+        MetricNames.SOURCE_COUNT,
+        MetricNames.RECEIVED_COUNT,
+        MetricNames.STREAM_EMIT_COUNT,
+    ]
+    if cpu_models is not None:
+        names.append(MetricNames.CPU_LOAD)
+    frame = store.topology_frame(topology.name, names, start=since_seconds)
+
+    def fetch(metric: str, component: str, stream: str | None = None):
+        tags = {"topology": topology.name, "component": component}
+        if stream is not None:
+            tags["stream"] = stream
+        return skip_degraded(
+            metric, tags, *frame.group(metric, component, stream).complete()
+        )
+
     offered: dict[str, np.ndarray | None] = {
         name: None for name in topology.components
     }
@@ -303,24 +327,19 @@ def calibrate_topology(
         for spec in topology.topological_order():
             check_deadline()
             name = spec.name
-            tags = {"topology": topology.name, "component": name}
             if spec.is_spout:
-                fetched[("source", name)] = degraded_aggregate(
-                    store, MetricNames.SOURCE_COUNT, tags,
-                    start=since_seconds,
+                fetched[("source", name)] = fetch(
+                    MetricNames.SOURCE_COUNT, name
                 )
                 continue
-            fetched[("received", name)] = degraded_aggregate(
-                store, MetricNames.RECEIVED_COUNT, tags, start=since_seconds
+            fetched[("received", name)] = fetch(
+                MetricNames.RECEIVED_COUNT, name
             )
             for stream_name in sorted(
                 {s.name for s in topology.outputs(name)}
             ):
-                fetched[("emit", name, stream_name)] = degraded_aggregate(
-                    store,
-                    MetricNames.STREAM_EMIT_COUNT,
-                    {**tags, "stream": stream_name},
-                    start=since_seconds,
+                fetched[("emit", name, stream_name)] = fetch(
+                    MetricNames.STREAM_EMIT_COUNT, name, stream_name
                 )
     except MetricsError as exc:
         # A series that was never written at all (e.g. a dropout from
@@ -415,6 +434,8 @@ def calibrate_topology(
             predicted = fit.alpha * np.minimum(x, sp_component)
             add_offered(stream.destination, predicted)
 
+    if cpu_models is not None:
+        cpu_models.update(fit_cpu_models(topology, frame, warmup_minutes))
     return TopologyModel(topology, models), fits
 
 

@@ -31,8 +31,10 @@ from repro.forecasting.prophet_lite import ProphetLite
 from repro.forecasting.summary import SummaryForecaster
 from repro.heron.metrics import MetricNames
 from repro.heron.tracker import TopologyTracker
+from repro.timeseries.aggregation import rollup
 from repro.timeseries.gaps import fill_gaps
-from repro.timeseries.store import MetricsStore
+from repro.timeseries.series import TimeSeries
+from repro.timeseries.store import MetricsStore, SeriesGroup
 
 __all__ = [
     "TrafficPrediction",
@@ -114,15 +116,19 @@ class TrafficModel(ABC):
         source_minutes: int | None,
         cluster: str,
         environ: str,
-    ) -> dict[str, "np.ndarray | object"]:
+    ) -> dict[str, tuple[TimeSeries, SeriesGroup]]:
+        """Per spout: its complete-minute ``source-count`` rollup (gaps
+        interpolated, cut to the trailing window) and the member series
+        it was summed from — one read of the store for all spouts."""
         tracked = self.tracker.get(topology_name, cluster, environ)
         spouts = [s.name for s in tracked.topology.spouts()]
+        frame = self.store.topology_frame(
+            topology_name, [MetricNames.SOURCE_COUNT]
+        )
         series = {}
         for spout in spouts:
-            full, degraded = self.store.aggregate_complete(
-                MetricNames.SOURCE_COUNT,
-                {"topology": topology_name, "component": spout},
-            )
+            group = frame.group(MetricNames.SOURCE_COUNT, spout)
+            full, degraded = group.complete()
             if degraded:
                 warnings.warn(
                     f"spout {spout!r} of topology {topology_name!r} is "
@@ -134,7 +140,7 @@ class TrafficModel(ABC):
                 full = fill_gaps(full)
             if source_minutes is not None:
                 full = full.tail(source_minutes)
-            series[spout] = full
+            series[spout] = full, group
         return series
 
     @staticmethod
@@ -198,26 +204,14 @@ class ProphetTrafficModel(TrafficModel):
         per_spout: dict[str, dict[str, float]] = {}
         per_inst: dict[str, dict[str, float]] = {}
         forecasts: list[Forecast] = []
-        for spout, series in spout_series.items():
+        for spout, (series, group) in spout_series.items():
             if self.per_instance:
-                keys = self.store.keys(MetricNames.SOURCE_COUNT)
-                instance_ids = sorted(
-                    {
-                        key.tag_dict()["instance"]
-                        for key in keys
-                        if key.tag_dict().get("topology") == topology_name
-                        and key.tag_dict().get("component") == spout
-                    }
-                )
                 spout_forecasts = []
-                for instance_id in instance_ids:
-                    inst_series = self.store.aggregate(
-                        MetricNames.SOURCE_COUNT,
-                        {
-                            "topology": topology_name,
-                            "component": spout,
-                            "instance": instance_id,
-                        },
+                for instance_id in sorted(
+                    set(group.tag_values("instance")) - {None}
+                ):
+                    inst_series = rollup(
+                        group.where("instance", instance_id).series()
                     )
                     if source_minutes is not None:
                         inst_series = inst_series.tail(source_minutes)
@@ -276,7 +270,7 @@ class StatsSummaryTrafficModel(TrafficModel):
         )
         per_spout: dict[str, dict[str, float]] = {}
         forecasts: list[Forecast] = []
-        for spout, series in spout_series.items():
+        for spout, (series, _) in spout_series.items():
             forecaster = SummaryForecaster(self.statistic, self.window)
             forecast = forecaster.fit(series).forecast(
                 horizon_minutes, step_seconds=_MINUTE

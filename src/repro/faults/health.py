@@ -71,12 +71,12 @@ def assess_topology_metrics(
         raise MetricsError("degraded_threshold must be in [0, 1]")
     total = 0
     degraded = 0
+    frame = store.topology_frame(topology_name, [MetricNames.SOURCE_COUNT])
     for spout in spouts:
         try:
-            series, dropped = store.aggregate_complete(
-                MetricNames.SOURCE_COUNT,
-                {"topology": topology_name, "component": spout},
-            )
+            series, dropped = frame.group(
+                MetricNames.SOURCE_COUNT, spout
+            ).complete()
         except MetricsError:
             return MetricsHealth(
                 status=UNAVAILABLE,

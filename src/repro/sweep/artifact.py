@@ -19,81 +19,23 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.calibration import PiecewiseLinearFit
 from repro.core.calibration_cache import Calibration
-from repro.core.cpu_model import CpuModel, fit_cpu_model
+from repro.core.cpu_model import CpuModel
 from repro.core.performance_models import (
     apply_parallelisms,
     calibrate_topology,
     grouping_input_shares,
 )
 from repro.core.topology_model import TopologyModel
-from repro.errors import MetricsError, ModelError
+from repro.errors import ModelError
 from repro.graph.topology_graph import source_sink_paths
-from repro.heron.metrics import MetricNames
 from repro.heron.topology import LogicalTopology
 from repro.heron.tracker import TrackedTopology
 from repro.serving.fingerprint import fingerprint
 from repro.timeseries.store import MetricsStore
 
 __all__ = ["CalibrationArtifact"]
-
-
-def _fit_cpu_models(
-    topology: LogicalTopology,
-    store: MetricsStore,
-    warmup_minutes: int,
-    since_seconds: int | None,
-) -> dict[str, CpuModel]:
-    """Per-bolt CPU coefficients from per-instance observations.
-
-    Pairs every instance's per-minute ``received-count`` with its
-    ``cpu-load`` gauge (aligned on shared timestamps), concatenates the
-    instances of a component and fits one per-instance ``psi``.  Bolts
-    whose series are missing or degenerate are simply skipped — CPU
-    estimates are an optional enrichment of the sweep output, not a
-    prerequisite for throughput ranking.
-    """
-    models: dict[str, CpuModel] = {}
-    for spec in topology.bolts():
-        tags = {"topology": topology.name, "component": spec.name}
-        try:
-            received = store.query(
-                MetricNames.RECEIVED_COUNT, tags, start=since_seconds
-            )
-            cpu = store.query(MetricNames.CPU_LOAD, tags, start=since_seconds)
-        except MetricsError:
-            continue
-        xs: list[np.ndarray] = []
-        ys: list[np.ndarray] = []
-        by_instance = {
-            key.tag_dict().get("instance"): series
-            for key, series in cpu.items()
-        }
-        for key, series in received.items():
-            cpu_series = by_instance.get(key.tag_dict().get("instance"))
-            if cpu_series is None:
-                continue
-            common = np.intersect1d(series.timestamps, cpu_series.timestamps)
-            common = common[warmup_minutes:]
-            if common.shape[0] < 3:
-                continue
-            xs.append(series.values[np.isin(series.timestamps, common)])
-            ys.append(
-                cpu_series.values[np.isin(cpu_series.timestamps, common)]
-            )
-        if not xs:
-            continue
-        try:
-            model, _ = fit_cpu_model(
-                spec.name, np.concatenate(xs), np.concatenate(ys)
-            )
-        except ModelError:
-            continue
-        models[spec.name] = model
-    return models
 
 
 @dataclass(frozen=True)
@@ -137,38 +79,33 @@ class CalibrationArtifact:
         into a supposedly-consistent snapshot.
         """
         data_version = store.data_version(tracked.name)
+        cpu_models: dict[str, CpuModel] | None = {} if fit_cpu else None
         base, fits = calibrate_topology(
             tracked, store, warmup_minutes=warmup_minutes,
-            since_seconds=since_seconds,
+            since_seconds=since_seconds, cpu_models=cpu_models,
         )
         calibration = Calibration(
-            tracked, data_version, warmup_minutes, since_seconds, base, fits
+            tracked, data_version, warmup_minutes, since_seconds,
+            base, fits, cpu_models or {},
         )
-        return cls.from_calibration(calibration, store, fit_cpu=fit_cpu)
+        return cls.from_calibration(calibration, fit_cpu=fit_cpu)
 
     @classmethod
     def from_calibration(
         cls,
         calibration: Calibration,
-        store: MetricsStore,
         fit_cpu: bool = True,
     ) -> "CalibrationArtifact":
-        """Freeze an existing calibration.
+        """Freeze an existing calibration, without reading the store.
 
-        Adds what only sweeps need — per-bolt CPU coefficients and the
-        path set — so a sweep after a prediction on unchanged data shares
-        the prediction's calibration.  The artifact keeps the
-        calibration's stamp: it is no newer than its throughput fits.
+        Adds the path set only sweeps need, so a sweep after a
+        prediction on unchanged data shares the prediction's
+        calibration — throughput fits and per-bolt CPU coefficients
+        (dropped when ``fit_cpu`` is false) alike, both from the one
+        read of the store the calibration's stamp vouches for.
         """
         tracked = calibration.tracked
         topology = tracked.topology
-        warmup_minutes = calibration.warmup_minutes
-        since_seconds = calibration.since_seconds
-        cpu_models = (
-            _fit_cpu_models(topology, store, warmup_minutes, since_seconds)
-            if fit_cpu
-            else {}
-        )
         return cls(
             topology_name=tracked.name,
             cluster=tracked.cluster,
@@ -176,12 +113,12 @@ class CalibrationArtifact:
             topology=topology,
             base=calibration.base,
             fits=calibration.fits,
-            cpu_models=cpu_models,
+            cpu_models=calibration.cpu_models if fit_cpu else {},
             paths=tuple(tuple(p) for p in source_sink_paths(topology)),
             plan_revision=tracked.revision,
             data_version=calibration.data_version,
-            warmup_minutes=warmup_minutes,
-            since_seconds=since_seconds,
+            warmup_minutes=calibration.warmup_minutes,
+            since_seconds=calibration.since_seconds,
         )
 
     # ------------------------------------------------------------------

@@ -38,8 +38,8 @@ class PlanSweepEngine:
     ``calibrations`` is the service's shared
     :class:`~repro.core.calibration_cache.CalibrationCache`: with one, a
     new artifact reuses the calibration a prediction on the same data
-    already made and adds only the CPU fits; without one it calibrates
-    itself.
+    already made — its CPU fits included — and reads no metrics;
+    without one it calibrates itself.
     """
 
     def __init__(
@@ -92,7 +92,6 @@ class PlanSweepEngine:
                     topology_name, cluster, environ,
                     self.warmup_minutes, since_seconds,
                 ),
-                self.store,
                 fit_cpu=self.fit_cpu,
             )
         with self._lock:

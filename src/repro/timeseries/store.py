@@ -6,6 +6,13 @@ a tag mapping (for Heron metrics the tags are ``topology``, ``component``,
 ``instance``, ``container``).  The store supports point writes, range
 queries, group-by aggregation across matching series, and retention
 trimming — the full contract Caladrius's metrics interface needs.
+
+Series are indexed by ``(name, topology tag)``: a read whose filter names
+a ``topology`` walks that bucket only, and every other tag of the filter
+is checked within it; a filter without one walks every series.
+:meth:`MetricsStore.topology_frame` reads several metrics of one topology
+in a single lock hold — what a calibration, the health gate and a sweep
+artifact fit from.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from itertools import repeat
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.errors import MetricsError
 from repro.timeseries.aggregation import rollup
 from repro.timeseries.series import TimeSeries
@@ -29,6 +38,8 @@ __all__ = [
     "MetricKey",
     "MetricsStore",
     "MinuteBatch",
+    "SeriesGroup",
+    "TopologyFrame",
     "frame_sample",
     "raise_first_error",
     "write_head",
@@ -48,6 +59,11 @@ class MetricKey:
     topology: str | None = field(
         init=False, default=None, compare=False, repr=False
     )
+    #: Value of the ``component`` tag, found once for the same reason: a
+    #: topology frame groups thousands of keys by it under the store lock.
+    component: str | None = field(
+        init=False, default=None, compare=False, repr=False
+    )
     #: ``hash((name, tags))``, computed once: a key is hashed on every
     #: series-dict lookup of every write.
     _hash: int = field(init=False, default=0, compare=False, repr=False)
@@ -55,9 +71,8 @@ class MetricKey:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.name, self.tags)))
         for tag, value in self.tags:
-            if tag == "topology":
-                object.__setattr__(self, "topology", value)
-                break
+            if tag in ("topology", "component"):
+                object.__setattr__(self, tag, value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -252,6 +267,168 @@ def raise_first_error(errors: Iterable[str | None]) -> None:
             raise MetricsError(error)
 
 
+def _cadence_gaps(seen: Sequence[int]) -> list[int]:
+    """The interior timestamps that ``seen`` (sorted, distinct) skips at
+    its own smallest step: minutes in which no series reported at all."""
+    if len(seen) < 2:
+        return []
+    step = min(b - a for a, b in zip(seen, seen[1:]))
+    present = set(seen)
+    return [
+        ts for ts in range(seen[0], seen[-1] + step, step) if ts not in present
+    ]
+
+
+def complete_minutes(
+    members: Iterable[TimeSeries],
+) -> tuple[TimeSeries, list[int]]:
+    """Sum ``members`` over the timestamps every one of them reports.
+
+    The one definition of the complete-minute rule, behind
+    :meth:`MetricsStore.aggregate_complete` and every ragged
+    :class:`SeriesGroup`: ``(series, degraded)``, where ``degraded``
+    lists what was dropped — partially reported timestamps plus interior
+    cadence gaps.  A member with no sample at all (trimmed away by
+    retention, or wholly outside the queried window) is an instance that
+    is gone, not one that fails to report: like a series never written,
+    it does not count.
+    """
+    members = [series for series in members if len(series)]
+    n_series = len(members)
+    counts: dict[int, int] = {}
+    totals: dict[int, float] = {}
+    for series in members:
+        for ts, value in zip(
+            series.timestamps.tolist(), series.values.tolist()
+        ):
+            counts[ts] = counts.get(ts, 0) + 1
+            totals[ts] = totals.get(ts, 0.0) + value
+    seen = sorted(counts)
+    complete = [ts for ts in seen if counts[ts] == n_series]
+    partial = [ts for ts in seen if counts[ts] < n_series]
+    return (
+        TimeSeries(complete, [totals[ts] for ts in complete]),
+        sorted(partial + _cadence_gaps(seen)),
+    )
+
+
+@dataclass(frozen=True)
+class SeriesGroup:
+    """The series of one ``(name, component)`` of a topology, in
+    creation order, as :meth:`MetricsStore.topology_frame` read them.
+
+    *Dense* — every member holds the same timestamps, the steady state —
+    is one shared ``int64`` ``timestamps`` vector and a ``members ×
+    minutes`` ``float64`` ``block``; otherwise (a crash, a dropout, a
+    late joiner) ``block`` is ``None`` and ``members`` holds one view per
+    series.
+    """
+
+    keys: tuple[MetricKey, ...]
+    timestamps: np.ndarray | None = None
+    block: np.ndarray | None = None
+    members: tuple[TimeSeries, ...] | None = None
+
+    def tag_values(self, tag: str) -> list[str | None]:
+        """Each member's value of ``tag`` (``None`` where it has none)."""
+        return [dict(key.tags).get(tag) for key in self.keys]
+
+    def series(self) -> Sequence[TimeSeries]:
+        """One view per member, what :meth:`MetricsStore.query` returns."""
+        if self.members is not None:
+            return self.members
+        return [TimeSeries(self.timestamps, row) for row in self.block]
+
+    def complete(self) -> tuple[TimeSeries, list[int]]:
+        """:meth:`MetricsStore.aggregate_complete` of the group."""
+        if self.block is None:
+            return complete_minutes(self.members)
+        # ``accumulate`` adds row by row by definition (``sum`` goes
+        # pairwise on a one-column block); the trailing ``+ 0.0`` is the
+        # ``0.0`` the rule's running total starts from (``-0.0`` -> ``0.0``).
+        totals = np.add.accumulate(self.block, axis=0)[-1] + 0.0
+        return (
+            TimeSeries(self.timestamps, totals),
+            _cadence_gaps(self.timestamps.tolist()),
+        )
+
+    def where(self, tag: str, value: str) -> "SeriesGroup":
+        """The members carrying ``tag=value``."""
+        rows = [i for i, v in enumerate(self.tag_values(tag)) if v == value]
+        if len(rows) == len(self.keys):
+            return self
+        return SeriesGroup(
+            tuple(self.keys[i] for i in rows),
+            self.timestamps,
+            None if self.block is None else self.block[rows],
+            None if self.members is None else tuple(self.members[i] for i in rows),
+        )
+
+    def since(self, start: int) -> "SeriesGroup":
+        """The group restricted to samples at or after ``start``."""
+        if self.block is None:
+            views = tuple(view.between(start, 2**62) for view in self.members)
+            return SeriesGroup(self.keys, members=views)
+        first = int(np.searchsorted(self.timestamps, start))
+        return SeriesGroup(
+            self.keys, self.timestamps[first:], self.block[:, first:]
+        )
+
+
+def _series_group(
+    keys: list[MetricKey], buffers: list[_SeriesBuffer]
+) -> SeriesGroup:
+    """Snapshot one group's buffers (the caller holds the store lock).
+
+    Nothing is allocated per member on the dense path — the block is
+    built straight from the buffers — so a frame of thousands of series
+    leaves the cyclic collector nothing to scan.
+    """
+    first = buffers[0].timestamps
+    if all(buffer.timestamps == first for buffer in buffers):
+        block = np.array([buffer.values for buffer in buffers], np.float64)
+        if not np.isinf(block).any():  # a view refuses infinities
+            return SeriesGroup(tuple(keys), np.array(first, np.int64), block)
+    return SeriesGroup(
+        tuple(keys), members=tuple(buffer.freeze() for buffer in buffers)
+    )
+
+
+@dataclass(frozen=True)
+class TopologyFrame:
+    """One consistent read of several metrics of one topology.
+
+    What :meth:`MetricsStore.topology_frame` returns: a
+    :class:`SeriesGroup` per ``(name, component)``, all taken in the same
+    lock hold, so everything fitted from a frame saw the same minutes.
+    A group none of whose series can be viewed (an infinite sample) is
+    held as the error, raised when — and only if — it is looked up.
+    """
+
+    topology: str
+    groups: dict[tuple[str, str | None], SeriesGroup | MetricsError]
+
+    def group(
+        self, name: str, component: str, stream: str | None = None
+    ) -> SeriesGroup:
+        """The series ``query(name, {topology, component[, stream]})``
+        matches; raises as :meth:`MetricsStore.aggregate_complete` does
+        when there is none (or when one of them cannot be viewed)."""
+        tag_filter = {"topology": self.topology, "component": component}
+        found = self.groups.get((name, component))
+        if isinstance(found, MetricsError):
+            raise found
+        if stream is not None:
+            tag_filter["stream"] = stream
+            if found is not None:
+                found = found.where("stream", stream)
+        if found is None or not found.keys:
+            raise MetricsError(
+                f"no series match {name!r} with filter {tag_filter}"
+            )
+        return found
+
+
 class MetricsStore:
     """Thread-safe in-memory metrics database.
 
@@ -268,6 +445,11 @@ class MetricsStore:
             raise MetricsError("retention_seconds must be positive or None")
         self._retention = retention_seconds
         self._series: dict[MetricKey, _SeriesBuffer] = {}
+        # (name, topology tag) -> that bucket of ``_series``, filled in
+        # series-creation order: what a read naming a topology walks.
+        self._by_topology: dict[
+            tuple[str, str | None], dict[MetricKey, _SeriesBuffer]
+        ] = {}
         # (name, tag items as they arrived) -> the series' one MetricKey.
         self._interned: dict[tuple[str, tuple], MetricKey] = {}
         # Record head bytes that passed the gate -> the key they name,
@@ -375,6 +557,9 @@ class MetricsStore:
                 buffer = series.get(key)
                 if buffer is None:
                     buffer = series[key] = _SeriesBuffer()
+                    self._by_topology.setdefault(
+                        (key.name, key.topology), {}
+                    )[key] = buffer
                 timestamps = buffer.timestamps
                 if timestamps and timestamp <= timestamps[-1]:
                     errors[idx] = (
@@ -686,10 +871,19 @@ class MetricsStore:
         ``start <= t < end`` when given.
         """
         tag_filter = dict(tag_filter or {})
+        # A filter naming a topology walks that bucket of the index (its
+        # members in creation order, so the result iterates as a walk of
+        # every series would); the other tags filter within it.
+        topology = tag_filter.get("topology")
         with self._lock:
+            candidates = (
+                self._series
+                if topology is None
+                else self._by_topology.get((name, topology), {})
+            )
             matched = {
                 key: buffer.freeze()
-                for key, buffer in self._series.items()
+                for key, buffer in candidates.items()
                 if key.matches(name, tag_filter)
             }
         if start is not None or end is not None:
@@ -740,26 +934,44 @@ class MetricsStore:
             raise MetricsError(
                 f"no series match {name!r} with filter {dict(tag_filter or {})}"
             )
-        n_series = len(matched)
-        counts: dict[int, int] = {}
-        totals: dict[int, float] = {}
-        for series in matched.values():
-            for ts, value in zip(series.timestamps, series.values):
-                ts = int(ts)
-                counts[ts] = counts.get(ts, 0) + 1
-                totals[ts] = totals.get(ts, 0.0) + float(value)
-        complete = sorted(ts for ts, c in counts.items() if c == n_series)
-        degraded = sorted(ts for ts, c in counts.items() if c < n_series)
-        if len(counts) > 1:
-            seen = sorted(counts)
-            steps = [b - a for a, b in zip(seen, seen[1:])]
-            step = min(steps)
-            if step > 0:
-                expected = range(seen[0], seen[-1] + step, step)
-                missing = [ts for ts in expected if ts not in counts]
-                degraded = sorted(set(degraded) | set(missing))
-        series = TimeSeries(complete, [totals[ts] for ts in complete])
-        return series, degraded
+        return complete_minutes(matched.values())
+
+    def topology_frame(
+        self,
+        topology: str,
+        names: Iterable[str],
+        start: int | None = None,
+    ) -> TopologyFrame:
+        """The ``names`` metrics of one topology, read in one lock hold.
+
+        Per ``(name, component)`` a :class:`SeriesGroup` of the series
+        :meth:`query` would match, in the same order, restricted to
+        samples at or after ``start`` when given — so a calibration, its
+        CPU fits and the health gate each read a topology once, and
+        everything fitted from one frame saw the same set of minutes.
+        The frame is a snapshot: later writes do not show in it.
+        """
+        members: dict[tuple[str, str | None], tuple[list, list]] = {}
+        groups: dict[tuple[str, str | None], SeriesGroup | MetricsError] = {}
+        with self._lock:
+            for name in names:
+                bucket = self._by_topology.get((name, topology), {})
+                for key, buffer in bucket.items():
+                    group = members.get((name, key.component))
+                    if group is None:
+                        group = members[name, key.component] = ([], [])
+                    group[0].append(key)
+                    group[1].append(buffer)
+            for group_key, (keys, buffers) in members.items():
+                try:
+                    groups[group_key] = _series_group(keys, buffers)
+                except MetricsError as exc:  # raised again on lookup
+                    groups[group_key] = exc
+        if start is not None:
+            for group_key, group in groups.items():
+                if isinstance(group, SeriesGroup):
+                    groups[group_key] = group.since(start)
+        return TopologyFrame(topology, groups)
 
     def group_by(
         self,
@@ -795,6 +1007,7 @@ class MetricsStore:
         """Drop every stored series."""
         with self._lock:
             self._series.clear()
+            self._by_topology.clear()
             self._interned.clear()
             self._heads.clear()
             self._latest = None

@@ -165,6 +165,27 @@ class TestModelGuidedScaler:
         assert trace.deployments == 0
         assert "no scaling needed" in trace.rounds[0].action
 
+    def test_sizes_after_a_scale_down(self):
+        """The instances a scale-down removed stop reporting; inside the
+        post-deployment window they are not instances that fail to
+        report, so every minute of it is still complete."""
+        cluster = SimulatedCluster(
+            word_count_params=WordCountParams(
+                splitter_parallelism=4, counter_parallelism=5
+            ),
+            config=SimulationConfig(seed=4),
+        )
+        cluster.set_source_rate("sentence-spout", 10 * M)
+        cluster.run(4)
+        cluster.deploy({"splitter": 2, "counter": 2})
+        for rate in np.arange(8 * M, DEMAND + 1, 8 * M):
+            cluster.set_source_rate("sentence-spout", float(rate))
+            cluster.run(2)
+        scaler = ModelGuidedScaler(cluster, slo_output_tpm=SLO, observe_minutes=3)
+        proposal = scaler._size(DEMAND, cluster.deployed_at_seconds)
+        assert proposal["splitter"] >= 4
+        assert proposal["counter"] >= 5
+
     def test_parameter_validation(self):
         cluster = SimulatedCluster(
             word_count_params=WordCountParams(

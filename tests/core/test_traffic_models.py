@@ -99,6 +99,51 @@ class TestProphetTrafficModel:
         inst1 = prediction.per_instance["sentence-spout_1"]["mean"]
         assert inst1 == pytest.approx(2 * inst0, rel=0.2)
 
+    @pytest.mark.parametrize("source_minutes", [None, 45])
+    def test_per_instance_reads_only_its_own_topology(
+        self, traffic_setup, source_minutes
+    ):
+        """Two topologies share the spout's name (and instance ids); the
+        per-instance forecasts of each are what the parent's loop — list
+        every ``source-count`` key, then one full-store ``aggregate`` per
+        instance — produced, and a series that splits one instance over
+        two containers is still summed into it."""
+        tracker, first = traffic_setup
+        store = MetricsStore()
+        for key, series in first.query(MetricNames.SOURCE_COUNT).items():
+            for topology, scale in (("word-count", 1.0), ("word-count-b", 3.0)):
+                store.write_many(
+                    key.name, [(t, scale * v) for t, v in series],
+                    {**key.tag_dict(), "topology": topology},
+                )
+        store.write_many(
+            MetricNames.SOURCE_COUNT, [(t, 1e5) for t in range(0, 180 * 60, 60)],
+            {"topology": "word-count", "component": "sentence-spout",
+             "instance": "sentence-spout_1", "container": "2"},
+        )
+        model = ProphetTrafficModel(
+            tracker, store, per_instance=True, make_forecaster=hourly_forecaster
+        )
+        prediction = model.predict("word-count", source_minutes, horizon_minutes=30)
+
+        expected = {}
+        for instance in ("sentence-spout_0", "sentence-spout_1"):
+            series = store.aggregate(MetricNames.SOURCE_COUNT, {
+                "topology": "word-count", "component": "sentence-spout",
+                "instance": instance,
+            })
+            if source_minutes is not None:
+                series = series.tail(source_minutes)
+            forecast = hourly_forecaster().fit(series).forecast(30, step_seconds=60)
+            expected[instance] = forecast.summary()
+        assert prediction.per_instance == expected
+        solo = ProphetTrafficModel(
+            tracker, first, per_instance=True, make_forecaster=hourly_forecaster
+        ).predict("word-count", source_minutes, horizon_minutes=30)
+        assert prediction.per_instance["sentence-spout_0"] == (
+            solo.per_instance["sentence-spout_0"]
+        )
+
     def test_source_window_restricts_history(self, traffic_setup):
         tracker, store = traffic_setup
         model = ProphetTrafficModel(

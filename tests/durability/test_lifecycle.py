@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -170,6 +171,27 @@ class TestDeadlines:
 
     def test_check_deadline_is_noop_without_scope(self):
         check_deadline()  # must not raise
+
+    def test_check_deadline_is_a_scheduling_point(self, monkeypatch):
+        """Every poll hands the interpreter to a thread waiting for it (a
+        writer back from its fsync), deadline or not, before it can raise.
+        What that buys is measured where it shows — the ledger's
+        ``mixed_rw`` acks — not here: a wall-clock assertion on GIL
+        hand-offs is at the mercy of every thread earlier tests left."""
+        from repro.durability import deadline as deadline_module
+
+        if hasattr(os, "sched_yield"):
+            assert deadline_module._yield_interpreter is os.sched_yield
+        yields = []
+        monkeypatch.setattr(
+            deadline_module, "_yield_interpreter", lambda: yields.append(1)
+        )
+        check_deadline()
+        with deadline_scope(Deadline(0.000001)):
+            time.sleep(0.01)
+            with pytest.raises(DeadlineExceeded):
+                check_deadline()
+        assert len(yields) == 2
 
     def test_expired_deadline_raises_504(self):
         deadline = Deadline(0.000001)

@@ -99,3 +99,40 @@ class TestAggregateComplete:
     def test_no_match_raises(self):
         with pytest.raises(MetricsError, match="no series match"):
             MetricsStore().aggregate_complete("execute-count")
+
+    def test_member_outside_the_window_is_not_an_instance(self):
+        """Three instances report minutes 1-5, two of them 6-12 (a
+        scale-down): from minute 6 on every minute is complete."""
+        store = MetricsStore()
+        tags = {"topology": "t", "component": "c"}
+        for index, last in enumerate((12, 12, 5)):
+            store.write_many(
+                "execute-count", [(60 * m, 10.0) for m in range(1, last + 1)],
+                {**tags, "instance": f"c_{index}"},
+            )
+        series, degraded = store.aggregate_complete("execute-count", tags, start=360)
+        assert series.timestamps.tolist() == [60 * m for m in range(6, 13)]
+        assert series.values.tolist() == [20.0] * 7
+        assert degraded == []
+        # Without the window the third instance is a dropout from minute 6.
+        _, degraded = store.aggregate_complete("execute-count", tags)
+        assert degraded == [60 * m for m in range(6, 13)]
+
+    def test_member_emptied_by_retention_is_not_an_instance(self):
+        store = MetricsStore(retention_seconds=300)
+        tags = {"topology": "t", "component": "c"}
+        store.write_many(
+            "execute-count", [(60, 1.0), (120, 1.0)], {**tags, "instance": "removed"}
+        )
+        for minute in range(1, 13):
+            store.write("execute-count", 60 * minute, 2.0, {**tags, "instance": "kept"})
+        assert len(store.get("execute-count", {**tags, "instance": "removed"})) == 0
+        series, degraded = store.aggregate_complete("execute-count", tags)
+        assert degraded == []
+        assert series.values.tolist() == [2.0] * len(series)
+
+    def test_window_holding_no_sample_is_empty_not_an_error(self):
+        store = MetricsStore()
+        store.write("execute-count", 60, 1.0, {"instance": "a"})
+        series, degraded = store.aggregate_complete("execute-count", start=600)
+        assert len(series) == 0 and degraded == []
