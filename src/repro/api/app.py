@@ -59,6 +59,10 @@ __all__ = ["CaladriusApp"]
 
 T = TypeVar("T")
 
+#: What a modelling handler makes of a valid request: the descriptor that
+#: keys its answer, the computation behind it, and its priority.
+_Plan = tuple[RequestDescriptor, Callable[[], dict[str, Any]], int]
+
 
 @dataclass
 class _Job:
@@ -181,6 +185,32 @@ class CaladriusApp:
         ``body`` as raw bytes; everywhere else it is a parsed JSON
         object.
         """
+        return self._handle(method, path, query, body, headers, True)
+
+    def handle_nonblocking(
+        self, method: str, path: str, query: Mapping[str, str] | None = None,
+        body: Mapping[str, Any] | bytes | None = None,
+        headers: Mapping[str, str] | None = None,
+    ) -> tuple[int, dict[str, Any] | bytes] | None:
+        """:meth:`handle`, for a caller that must not wait.
+
+        Answers what can be decided without I/O, a journal, a scheduler
+        slot or a model: the liveness probe (unless this shard ships its
+        WAL), the readiness probe, and a synchronous modelling request
+        that is refused (400/404/405, 503 draining, 504 expired) or whose
+        result is cached — that one as the stored response *bytes*.
+        Anything else returns ``None`` having changed nothing, and the
+        caller runs :meth:`handle` where it may block.  The same code
+        decides either way; the two differ in :meth:`_serve`'s one call
+        into the serving layer.
+        """
+        return self._handle(method, path, query, body, headers, False)
+
+    def _handle(
+        self, method: str, path: str, query: Mapping[str, str] | None,
+        body: Mapping[str, Any] | bytes | None,
+        headers: Mapping[str, str] | None, blocking: bool,
+    ) -> tuple[int, Any] | None:
         query = dict(query or {})
         if isinstance(body, (bytes, bytearray)):
             raw: bytes | None = bytes(body)
@@ -193,9 +223,10 @@ class CaladriusApp:
         try:
             deadline = parse_deadline_header(lowered.get(DEADLINE_HEADER.lower()))
             with deadline_scope(deadline):
-                return 200, self._route(
-                    method.upper(), parts, query, body, lowered, raw
+                result = self._route(
+                    method.upper(), parts, query, body, lowered, raw, blocking
                 )
+            return None if result is None else (200, result)
         except ApiError as exc:
             return exc.status, {"error": str(exc), **exc.payload}
         except ReproError as exc:
@@ -209,11 +240,56 @@ class CaladriusApp:
         body: Mapping[str, Any],
         headers: Mapping[str, str] | None = None,
         raw: bytes | None = None,
-    ) -> dict[str, Any]:
+        blocking: bool = True,
+    ) -> dict[str, Any] | bytes | None:
+        """The one route table.  ``None`` (and the cached ``bytes``) only
+        come back to a caller that passed ``blocking=False``."""
         if method == "GET" and parts == ["healthz"]:
+            if not blocking and self.shipper is not None:
+                return None  # its counters sit behind a shipping pass's lock
             return self._healthz()
         if method == "GET" and parts == ["readyz"]:
             return self._readyz()
+        if (
+            len(parts) == 4
+            and parts[0] == "model"
+            and parts[1] == "traffic"
+            and parts[2] == "heron"
+        ):
+            if method != "GET":
+                raise ApiError("traffic modelling uses GET", 405)
+            self._refuse_if_draining()
+            return self._maybe_async(
+                query, lambda: self._traffic(parts[3], query), blocking
+            )
+        if (
+            len(parts) == 4
+            and parts[0] == "model"
+            and parts[1] == "topology"
+            and parts[2] == "heron"
+        ):
+            if method != "POST":
+                raise ApiError("performance modelling uses POST", 405)
+            self._refuse_if_draining()
+            return self._maybe_async(
+                query, lambda: self._performance(parts[3], query, body), blocking
+            )
+        if (
+            len(parts) == 4
+            and parts[0] == "model"
+            and parts[1] == "plan_sweep"
+            and parts[2] == "heron"
+        ):
+            if method != "POST":
+                raise ApiError("plan sweeps use POST", 405)
+            self._refuse_if_draining()
+            return self._maybe_async(
+                query, lambda: self._plan_sweep(parts[3], query, body), blocking
+            )
+        if not blocking:
+            # Every route below reads the store, journals, ships or
+            # touches the job table.
+            return None
         if method == "POST" and parts == ["metrics", "write"]:
             self._refuse_if_draining()
             self._refuse_if_read_only()
@@ -236,42 +312,6 @@ class CaladriusApp:
             return self._serving_stats()
         if method == "GET" and len(parts) == 3 and parts[0] == "topology":
             return self._topology_info(parts[1], parts[2])
-        if (
-            len(parts) == 4
-            and parts[0] == "model"
-            and parts[1] == "traffic"
-            and parts[2] == "heron"
-        ):
-            if method != "GET":
-                raise ApiError("traffic modelling uses GET", 405)
-            self._refuse_if_draining()
-            return self._maybe_async(
-                query, lambda: self._traffic(parts[3], query)
-            )
-        if (
-            len(parts) == 4
-            and parts[0] == "model"
-            and parts[1] == "topology"
-            and parts[2] == "heron"
-        ):
-            if method != "POST":
-                raise ApiError("performance modelling uses POST", 405)
-            self._refuse_if_draining()
-            return self._maybe_async(
-                query, lambda: self._performance(parts[3], query, body)
-            )
-        if (
-            len(parts) == 4
-            and parts[0] == "model"
-            and parts[1] == "plan_sweep"
-            and parts[2] == "heron"
-        ):
-            if method != "POST":
-                raise ApiError("plan sweeps use POST", 405)
-            self._refuse_if_draining()
-            return self._maybe_async(
-                query, lambda: self._plan_sweep(parts[3], query, body)
-            )
         if method == "GET" and len(parts) == 3 and parts[:2] == ["model", "result"]:
             return self._result(parts[2])
         raise ApiError(f"no route for {method} /{'/'.join(parts)}", 404)
@@ -576,12 +616,18 @@ class CaladriusApp:
         descriptor: RequestDescriptor,
         compute: Callable[[], dict[str, Any]],
         priority: int,
-    ) -> dict[str, Any]:
+        blocking: bool,
+    ) -> dict[str, Any] | bytes | None:
+        """Answer a validated modelling request.  Without ``blocking``
+        only a cached answer (its stored bytes) comes back, else ``None``:
+        ``compute`` never runs and nothing is waited for."""
         deadline = current_deadline()
         timeout = None
         if deadline is not None:
             deadline.check()  # 504 before queueing when already expired
             timeout = deadline.remaining()
+        if not blocking:
+            return None if self.serving is None else self.serving.cached(descriptor)
         if self.serving is None:
             return compute()
         return self.serving.execute(descriptor, compute, priority, timeout=timeout)
@@ -594,7 +640,7 @@ class CaladriusApp:
 
     def _traffic(
         self, topology: str, query: Mapping[str, str]
-    ) -> dict[str, Any]:
+    ) -> _Plan:
         horizon = _int_param(query, "horizon_minutes", default=60)
         source = _int_param(query, "source_minutes", default=None)
         model = query.get("model")
@@ -605,7 +651,7 @@ class CaladriusApp:
             model,
             {"horizon_minutes": horizon, "source_minutes": source},
         )
-        return self._serve(
+        return (
             descriptor,
             lambda: self._traffic_uncached(topology, horizon, source, model),
             _priority_param(query),
@@ -632,7 +678,7 @@ class CaladriusApp:
         topology: str,
         query: Mapping[str, str],
         body: Mapping[str, Any],
-    ) -> dict[str, Any]:
+    ) -> _Plan:
         source_rate = _source_rate(body, required=False)
         parallelisms = body.get("parallelisms")
         if parallelisms is not None:
@@ -662,7 +708,7 @@ class CaladriusApp:
                 "traffic_model": traffic_model_name,
             },
         )
-        return self._serve(
+        return (
             descriptor,
             lambda: self._performance_uncached(
                 topology, horizon, source_rate, parallelisms,
@@ -713,7 +759,7 @@ class CaladriusApp:
         topology: str,
         query: Mapping[str, str],
         body: Mapping[str, Any],
-    ) -> dict[str, Any]:
+    ) -> _Plan:
         source_rate = _source_rate(body, required=True)
         plans = body.get("plans")
         if not isinstance(plans, list) or not plans:
@@ -749,7 +795,7 @@ class CaladriusApp:
                 "top_k": top_k,
             },
         )
-        return self._serve(
+        return (
             descriptor,
             lambda: self._plan_sweep_uncached(
                 topology, float(source_rate), plans, top_k
@@ -802,9 +848,22 @@ class CaladriusApp:
     # ------------------------------------------------------------------
     # Async jobs
     # ------------------------------------------------------------------
-    def _maybe_async(self, query: Mapping[str, str], work) -> dict[str, Any]:
+    def _maybe_async(
+        self,
+        query: Mapping[str, str],
+        plan: Callable[[], _Plan],
+        blocking: bool,
+    ) -> dict[str, Any] | bytes | None:
+        """Validate (``plan``) and serve a modelling request: now, or
+        with ``?async=1`` as a job on the modelling pool."""
+
+        def work():
+            return self._serve(*plan(), blocking)
+
         if query.get("async") not in ("1", "true", "yes"):
             return work()
+        if not blocking:
+            return None
         request_id = uuid.uuid4().hex
         if self.shard_id is not None:
             # Router-routable: /model/result/{id} polls carry the owning

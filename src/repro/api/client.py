@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import socket
 import threading
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from http.client import HTTPConnection
 from typing import Any
 from urllib.parse import urlencode
 
@@ -25,7 +24,118 @@ from repro.errors import ApiError
 __all__ = ["BatchAck", "BatchWriter", "CaladriusClient", "TRANSPORT_ERRORS"]
 
 #: What :meth:`CaladriusClient.exchange` raises when no response arrived.
-TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+TRANSPORT_ERRORS = (OSError,)
+
+# Bounds on a response head, as ``http.client`` sets them.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Wire:
+    """One keep-alive HTTP/1.1 connection to the service.
+
+    A request leaves as a single ``sendall`` (head and body in one
+    segment, ``TCP_NODELAY``) and the response head is split by hand —
+    the two things ``http.client`` spends a request's worth of time on.
+    Anything but a well-formed response raises a :class:`ConnectionError`.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._reader = self.sock.makefile("rb")
+        self._host = f"Host: {host}:{port}\r\nAccept-Encoding: identity\r\n"
+        self.used = False
+
+    def close(self) -> None:
+        self._reader.close()
+        self.sock.close()
+
+    def _line(self) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ConnectionError("response line too long")
+        return line
+
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        payload: bytes | None,
+        headers: Mapping[str, str],
+    ) -> tuple[int, dict[str, str], bytes, bool]:
+        """Send one request; ``(status, headers, body, will_close)`` back."""
+        head = f"{method} {path} HTTP/1.1\r\n{self._host}"
+        if payload is not None or method in ("POST", "PUT", "PATCH"):
+            head += f"Content-Length: {len(payload or b'')}\r\n"
+        for name, value in headers.items():
+            head += f"{name}: {value}\r\n"
+        self.sock.sendall(head.encode("latin1") + b"\r\n" + (payload or b""))
+        status = 100
+        while status == 100:  # an interim "Continue" precedes the answer
+            line = self._line()
+            if not line:
+                raise ConnectionResetError("peer closed before a status line")
+            version, *rest = line.split(None, 2) or [b""]
+            try:
+                status = int(rest[0])
+            except (IndexError, ValueError):
+                status = 0
+            if not version.startswith(b"HTTP/1.") or not 100 <= status <= 999:
+                raise ConnectionError(f"bad status line {line!r}")
+            received: dict[str, str] = {}
+            for _ in range(_MAX_HEADERS):  # header lines and the blank one
+                line = self._line()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin1").partition(":")
+                received[name.strip().lower()] = value.strip()
+            else:
+                raise ConnectionError(f"more than {_MAX_HEADERS} header lines")
+        connection = received.get("connection", "").lower()
+        if version == b"HTTP/1.0":
+            will_close = (
+                "keep-alive" not in connection and "keep-alive" not in received
+            )
+        else:
+            will_close = "close" in connection
+        if received.get("transfer-encoding", "").lower() == "chunked":
+            body = self._chunked()
+        elif status in (204, 304) or status < 200:
+            body = b""
+        else:
+            try:
+                length = int(received["content-length"])
+            except (KeyError, ValueError):
+                length = -1
+            if length < 0:  # delimited by the end of the connection
+                body, will_close = self._reader.read(), True
+            else:
+                body = self._read(length)
+        return status, received, body, will_close
+
+    def _read(self, length: int) -> bytes:
+        data = self._reader.read(length)
+        if len(data) < length:
+            raise ConnectionError("peer closed mid-body")
+        return data
+
+    def _chunked(self) -> bytes:
+        chunks = []
+        while True:
+            try:  # extensions after ";" are ignored
+                size = int(self._line().split(b";", 1)[0], 16)
+                if size < 0:
+                    raise ValueError(size)
+            except ValueError:
+                raise ConnectionError("bad chunk size") from None
+            if size == 0:
+                while self._line() not in (b"\r\n", b"\n", b""):
+                    pass  # trailers
+                return b"".join(chunks)
+            chunks.append(self._read(size))
+            self._read(2)
+
 
 #: Statuses worth retrying: the service said "not right now", not "no".
 RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
@@ -120,30 +230,27 @@ class CaladriusClient:
         self._rng = random.Random(0x5EED)
         # One persistent HTTP/1.1 connection per thread: the server
         # speaks keep-alive, so reusing the socket saves a TCP handshake
-        # per request.  Thread-local because HTTPConnection is not
-        # thread-safe and callers share clients across worker threads.
+        # per request.  Thread-local because a connection carries one
+        # exchange at a time and callers share clients across threads.
         self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connection(self) -> tuple[HTTPConnection, bool]:
-        """This thread's connection plus whether it has served a request.
+    def _connection(self) -> _Wire:
+        """This thread's connection, opened on first use.
 
-        The flag matters for error handling: only a *reused* socket can
-        be stale (closed server-side between requests), so only then is
-        a transparent reconnect-and-retry justified.  A fresh socket
-        failing is a real transport error and goes through the normal
-        backoff schedule.
+        Its ``used`` flag matters for error handling: only a *reused*
+        socket can be stale (closed server-side between requests), so
+        only then is a transparent reconnect-and-retry justified.  A
+        fresh socket failing is a real transport error and goes through
+        the normal backoff schedule.
         """
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            connection = _Wire(self.host, self.port, self.timeout)
             self._local.connection = connection
-            self._local.connection_used = False
-        return connection, bool(getattr(self._local, "connection_used", False))
+        return connection
 
     def _drop_connection(self) -> None:
         connection = getattr(self._local, "connection", None)
@@ -200,29 +307,13 @@ class CaladriusClient:
         sent = {"Content-Type": content_type} if payload else {}
         if headers:
             sent.update(headers)
-        raw = b""
-        status = 0
-        retry_after: float | None = None
-        response_type = ""
         for retry_stale in (True, False):
-            connection, reused = self._connection()
+            connection = self._connection()
+            reused = connection.used
             try:
-                connection.request(method, path, body=payload, headers=sent)
-                response = connection.getresponse()
-                raw = response.read()
-                status = response.status
-                retry_after = _parse_retry_after(
-                    response.getheader("Retry-After")
+                status, received, raw, will_close = connection.exchange(
+                    method, path, payload, sent
                 )
-                response_type = (
-                    (response.getheader("Content-Type") or "")
-                    .split(";")[0]
-                    .strip()
-                )
-                if response.will_close:
-                    self._drop_connection()
-                else:
-                    self._local.connection_used = True
             except TRANSPORT_ERRORS:
                 # A reused socket the server already closed (keep-alive
                 # timeout, restart) fails on first use; reconnect once
@@ -234,6 +325,12 @@ class CaladriusClient:
                     raise
                 continue
             break
+        if will_close:
+            self._drop_connection()
+        else:
+            connection.used = True
+        retry_after = _parse_retry_after(received.get("retry-after"))
+        response_type = received.get("content-type", "").split(";")[0].strip()
         try:
             if response_type == STREAM_CONTENT_TYPE:
                 lines = [

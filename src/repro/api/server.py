@@ -9,7 +9,23 @@ and bridges each request into the synchronous hosted app
 every request the :class:`~repro.serving.PriorityScheduler` would admit
 or queue owns a thread and the scheduler stays the one admission gate:
 overload is shed there with 429 + ``Retry-After``, never parked in an
-executor backlog, and writes and health probes still find a thread.
+executor backlog, and writes still find a thread.
+
+What cannot block is answered where it arrives.  An app that has
+``handle_nonblocking`` (:class:`~repro.api.app.CaladriusApp`) is offered
+each request on the loop thread first, and answers ``GET /healthz``,
+``GET /readyz`` and a synchronous ``/model/{traffic,topology,plan_sweep}``
+request that is refused or whose result is cached — the hit as the
+cached bytes, written to the socket as they are.  A miss, a write, every
+other route and every app without the method go to the pool.  *The rule
+for code the loop thread runs:* no file or socket I/O, no ``fsync``, no
+journal lock, no scheduler or single-flight wait, no model or
+calibration code.  The locks it may take are the result cache's, the
+tracker's, the serving counters', the precomputer's, the lifecycle's and
+the circuit breaker's, each held for O(1) work; the store is read
+without one (``MetricsStore.data_version``), and the liveness probe of a
+shard that ships its WAL — whose counters sit behind the lock a shipping
+pass holds — goes to the pool.
 
 Beyond socket plumbing the server owns the *graceful lifecycle*: it
 brackets every request — dispatch *and* response writing — with the
@@ -39,7 +55,7 @@ import signal
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from http.client import responses as _REASONS
+from http import HTTPStatus
 from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
@@ -56,6 +72,7 @@ _MAX_HEAD_BYTES = 64 * 1024
 # Pool threads beyond what the scheduler can hold (running + queued):
 # writes, health probes and stats reads never wait behind modelling.
 _POOL_HEADROOM = 8
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 def parse_query_strict(raw_query: str) -> dict[str, str]:
@@ -125,6 +142,9 @@ class CaladriusServer:
         # Streaming group commits need an app that commits frames
         # itself; a router or follower takes the body through handle().
         self._commits_frames = hasattr(app, "handle_write_batch_frames")
+        # ... and answers on the loop thread one that says what it can
+        # answer without blocking.
+        self._nonblocking = getattr(app, "handle_nonblocking", None)
         serving = app.config.serving
         self._pool = ThreadPoolExecutor(
             max_workers=(
@@ -363,6 +383,17 @@ class CaladriusServer:
             and headers.get("connection", "").lower() != "close"
         )
         raw_length = headers.get("content-length")
+        if "transfer-encoding" in headers:
+            # Request transfer codings are not implemented; reading the
+            # request as body-less would parse its chunks as the next
+            # request.  Both framings at once is the smuggling shape.
+            return await self._send(
+                writer,
+                501 if raw_length is None else 400,
+                {"error": "request Transfer-Encoding is not supported: "
+                 "frame the body with Content-Length alone"},
+                False,
+            )
         try:
             length = int(raw_length or 0)
             if length < 0:
@@ -477,6 +508,10 @@ class CaladriusServer:
                 return 400, {"error": "request body must be a JSON object"}
         else:
             body = {}
+        if self._nonblocking is not None:
+            answer = self._nonblocking(method, path, query, body, headers)
+            if answer is not None:
+                return answer
         return await self._run(
             self.app.handle, method, path, query, body, headers
         )
@@ -598,18 +633,25 @@ class CaladriusServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict[str, Any],
+        payload: dict[str, Any] | bytes,
         keep_alive: bool,
     ) -> bool:
-        """Write one JSON response; returns whether the connection lives."""
-        data = json.dumps(payload).encode("utf8")
+        """Write one JSON response; returns whether the connection lives.
+
+        ``payload`` as ``bytes`` is an already-encoded document (a cached
+        200, so never a ``retry_after`` carrier) and is sent as it is.
+        """
+        if isinstance(payload, bytes):
+            data, retry_after = payload, None
+        else:
+            data = json.dumps(payload).encode("utf8")
+            retry_after = payload.get("retry_after")
         reason = _REASONS.get(status, "Unknown")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(data)}\r\n"
         )
-        retry_after = payload.get("retry_after")
         if isinstance(retry_after, (int, float)) and not isinstance(
             retry_after, bool
         ):

@@ -24,7 +24,7 @@ import logging
 import math
 import threading
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -259,17 +259,26 @@ class DurableMetricsStore(MetricsStore):
         modulo the spliced LSN prefix; without it each record is
         rendered from its series' cached template.  Rejected entries
         are never journaled.
+
+        Invalidation listeners hear of the batch after its group commit,
+        so the re-warm a write wakes does not race that write's own
+        ``fsync`` — and hear of it even when the journal raised, because
+        the samples are in memory either way.
         """
-        with self._journal_lock:
-            errors = super().apply_sample_batch(entries)
-            if self._journalling:
-                accepted = [
-                    self._body(*entries[idx]) if bodies is None else bodies[idx]
-                    for idx, error in enumerate(errors)
-                    if error is None
-                ]
-                if accepted:
-                    self.wal.append_bodies(accepted)
+        touched: Collection[str | None] = ()
+        try:
+            with self._journal_lock:
+                errors, touched = self._apply_entries(entries)
+                if self._journalling:
+                    accepted = [
+                        self._body(*entries[idx]) if bodies is None else bodies[idx]
+                        for idx, error in enumerate(errors)
+                        if error is None
+                    ]
+                    if accepted:
+                        self.wal.append_bodies(accepted)
+        finally:
+            self._notify(touched)
         return errors
 
     def write(
@@ -288,19 +297,24 @@ class DurableMetricsStore(MetricsStore):
         (``bench_wal_overhead``).
         """
         key = self.key_of(name, tags)
-        with self._journal_lock:
-            raise_first_error(
-                MetricsStore.apply_sample_batch(self, ((key, timestamp, value),))
-            )
-            if self._journalling:
-                if type(value) is not float:
-                    value = float(value)
-                if math.isfinite(value):
-                    self.wal.append_template(
-                        self._template(key), int(timestamp), value
-                    )
-                else:
-                    self.wal.append_bodies((self._body(key, timestamp, value),))
+        touched: Collection[str | None] = ()
+        try:
+            with self._journal_lock:
+                errors, touched = self._apply_entries(((key, timestamp, value),))
+                raise_first_error(errors)
+                if self._journalling:
+                    if type(value) is not float:
+                        value = float(value)
+                    if math.isfinite(value):
+                        self.wal.append_template(
+                            self._template(key), int(timestamp), value
+                        )
+                    else:
+                        self.wal.append_bodies(
+                            (self._body(key, timestamp, value),)
+                        )
+        finally:
+            self._notify(touched)
 
     def _template(self, key: MetricKey) -> bytes:
         """The series' record as a ``%`` template: LSN, timestamp, value."""

@@ -38,8 +38,9 @@ class ResultCache:
         when an insert would exceed it.  A payload larger than the whole
         budget is simply not cached.
     ttl_seconds:
-        Entry lifetime; expired entries miss on read and are swept on
-        write.  ``None`` disables expiry.
+        Entry lifetime; expired entries miss on read and are swept
+        before an insert evicts a live entry for room.  ``None``
+        disables expiry.
     clock:
         Monotonic time source (injectable for tests).
     """
@@ -70,17 +71,21 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Read / write
     # ------------------------------------------------------------------
-    def get(self, key: str) -> bytes | None:
-        """The cached payload, or ``None`` on miss/expiry."""
+    def get(self, key: str, count_miss: bool = True) -> bytes | None:
+        """The cached payload, or ``None`` on miss/expiry.
+
+        With ``count_miss=False`` a miss leaves no trace (no counter, no
+        expiry drop): the caller will ask again through the counted path.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.expires_at <= self._clock():
-                self._drop_locked(key)
-                self.expirations += 1
-                self.misses += 1
+            expired = entry is not None and entry.expires_at <= self._clock()
+            if entry is None or expired:
+                if count_miss:
+                    if expired:
+                        self._drop_locked(key)
+                        self.expirations += 1
+                    self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
@@ -96,7 +101,9 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._drop_locked(key)
-            self._sweep_expired_locked(now)
+            if self._bytes + size > self.max_bytes:
+                # Only now walk the table: the dead make room first.
+                self._sweep_expired_locked(now)
             while self._bytes + size > self.max_bytes:
                 oldest = next(iter(self._entries))
                 self._drop_locked(oldest)

@@ -128,6 +128,23 @@ class ServingLayer:
             self.precomputer.record(descriptor)
         return json.loads(payload)
 
+    def cached(self, descriptor: RequestDescriptor) -> bytes | None:
+        """The stored response bytes when :meth:`execute` would hit, else
+        ``None`` with no counter moved.
+
+        Blocks on nothing but O(1) lock holds, so the HTTP listener may
+        call it on its event-loop thread; a hit is booked exactly as
+        :meth:`execute` books one, a miss is left for :meth:`execute` to
+        book when the request is run again where it may wait.
+        """
+        payload = self.cache.get(self._key(descriptor), count_miss=False)
+        if payload is not None:
+            with self._counters:
+                self.requests += 1
+                self.hits += 1
+            self.precomputer.record(descriptor)
+        return payload
+
     def _compute_and_store(
         self,
         key: str,
@@ -144,8 +161,9 @@ class ServingLayer:
         result = self.scheduler.run(compute, priority, timeout)
         with self._counters:
             self.computations += 1
-        # Insertion order is preserved through dumps/loads, so the HTTP
-        # tier re-encodes cached responses to the exact uncached bytes.
+        # dumps(loads(payload)) == payload: what the HTTP tier encodes
+        # from execute()'s dict and what it sends from cached() are the
+        # same bytes.
         payload = json.dumps(result).encode("utf8")
         self.cache.put(key, payload, descriptor.topology)
         return payload

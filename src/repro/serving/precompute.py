@@ -54,6 +54,9 @@ class WarmCachePrecomputer:
             raise ConfigError("max_tracked must be >= top_k")
         self._lock = threading.Lock()
         self._popular: dict[RequestDescriptor, _Popularity] = {}
+        # The descriptors seen exactly once, oldest first: the eviction
+        # order, kept as requests arrive instead of searched for.
+        self._seen_once: dict[RequestDescriptor, None] = {}
         self._pending: dict[RequestDescriptor, None] = {}  # ordered set
         self._seq = 0
         self.recorded = 0
@@ -69,14 +72,17 @@ class WarmCachePrecomputer:
             entry = self._popular.get(descriptor)
             if entry is None:
                 entry = self._popular[descriptor] = _Popularity()
+                self._seen_once[descriptor] = None
+            else:
+                self._seen_once.pop(descriptor, None)
             entry.count += 1
             entry.last_seq = self._seq
             self.recorded += 1
             if len(self._popular) > self.max_tracked:
-                coldest = min(
-                    self._popular,
-                    key=lambda d: (self._popular[d].count, self._popular[d].last_seq),
-                )
+                # Coldest is lowest (count, last_seq).  Only a new
+                # descriptor grows the table, so one seen once exists.
+                coldest = next(iter(self._seen_once))
+                del self._seen_once[coldest]
                 del self._popular[coldest]
 
     # ------------------------------------------------------------------

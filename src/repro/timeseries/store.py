@@ -546,6 +546,16 @@ class MetricsStore:
         without a journal has no use for it; the durable subclass
         appends it to its log verbatim.
         """
+        errors, touched = self._apply_entries(entries)
+        self._notify(touched)
+        return errors
+
+    def _apply_entries(
+        self, entries: Sequence[tuple[MetricKey, int, float]]
+    ) -> tuple[list[str | None], Collection[str | None]]:
+        """:meth:`apply_sample_batch` up to the lock's release:
+        ``(errors, touched topologies)``, no listener told yet — a
+        journaling store tells them once the batch is durable."""
         errors: list[str | None] = [None] * len(entries)
         accepted: dict[str | None, int] = {}
         series = self._series
@@ -585,11 +595,14 @@ class MetricsStore:
                 self._versions[topology] = (
                     self._versions.get(topology, 0) + count
                 )
-            listeners = list(self._listeners) if accepted else ()
-        for topology in accepted:
+        return errors, accepted
+
+    def _notify(self, topologies: Iterable[str | None]) -> None:
+        """Tell every invalidation listener about each touched topology."""
+        listeners = list(self._listeners)
+        for topology in topologies:
             for listener in listeners:
                 listener(topology)
-        return errors
 
     def frame_samples(
         self, payloads: Sequence[bytes]
@@ -798,9 +811,7 @@ class MetricsStore:
                 self._versions.get(topology, 0) + len(batch.buffers)
             )
             self._apply_retention_locked((topology,))
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(topology)
+        self._notify((topology,))
 
     def _apply_retention_locked(self, written: Collection[str | None]) -> None:
         """Trim expired samples after a write to the ``written`` topologies.
@@ -1014,9 +1025,7 @@ class MetricsStore:
             # A wipe changes what every query returns: bump the untagged
             # counter (which folds into every topology's digest).
             self._versions[None] = self._versions.get(None, 0) + 1
-            listeners = list(self._listeners)
-        for listener in listeners:
-            listener(None)
+        self._notify((None,))
 
     # ------------------------------------------------------------------
     # Cache invalidation support
@@ -1030,12 +1039,18 @@ class MetricsStore:
         counter folded into every digest.  Equal digests therefore
         guarantee the topology's queryable data is unchanged — the
         metrics half of the serving tier's content-addressed cache key.
+
+        Read without the lock, which a journaling store holds across its
+        ``fsync``: the HTTP listener asks on its event-loop thread.  Each
+        read is atomic and the counters only grow, so a sum torn by
+        concurrent batches is the digest of a state the store passed
+        through during the call or of no state at all.
         """
-        with self._lock:
-            version = self._versions.get(topology, 0)
-            if topology is not None:
-                version += self._versions.get(None, 0)
-            return version
+        versions = self._versions
+        version = versions.get(topology, 0)
+        if topology is not None:
+            version += versions.get(None, 0)
+        return version
 
     def add_invalidation_listener(
         self, listener: Callable[[str | None], None]

@@ -117,6 +117,31 @@ class TestMalformedHead:
         assert headers["connection"] == "close"
 
 
+    @pytest.mark.parametrize(
+        "length, status",
+        [(b"", 501), (b"Content-Length: 29\r\n", 400)],
+        ids=["chunked", "chunked-and-length"],
+    )
+    def test_request_transfer_coding_is_refused_unread(
+        self, listener, length, status
+    ):
+        """A chunked request used to be read as body-less: the app
+        answered 400 for the empty body and the chunk lines were then
+        parsed — and answered — as a second request."""
+        body = json.dumps({"name": "m", "samples": [[60, 1.0]]}).encode()
+        raw = _exchange(
+            listener,
+            b"POST /metrics/write HTTP/1.1\r\nHost: x\r\n" + length
+            + b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body),
+        )
+        ((answered, headers, payload),) = _responses(raw)
+        assert answered == status
+        assert "transfer-encoding" in payload["error"].lower()
+        assert headers["connection"] == "close"
+        assert len(listener.app.store) == 0  # not a byte of it was applied
+        assert listener.app.lifecycle.inflight() == 0
+
     @pytest.mark.parametrize("body", [b"7", b"[1, 2]", b'"text"'])
     def test_non_object_json_body_is_a_400(self, listener, body):
         raw = _exchange(
@@ -191,34 +216,56 @@ _BODIES = st.sampled_from(
 ) | st.binary(max_size=64)
 
 
+_END = b"\r\n\r\n"
+
+
 @st.composite
-def _request_like(draw) -> bytes:
-    """Bytes shaped like a request, wrong in at most a few places."""
+def _request_like(draw) -> tuple[bytes, int]:
+    """Bytes shaped like a request, wrong in at most a few places, and
+    how many request heads a listener may find in them."""
     line = " ".join([draw(_METHODS), draw(_TARGETS), draw(_VERSIONS)])
     headers, body = draw(_HEADERS), draw(_BODIES)
-    if draw(st.booleans()):
-        # Frame the body correctly half the time, so the fuzz reaches
-        # body parsing and dispatch and not only the head checks.
+    # Frame the body correctly two times in three, so the fuzz reaches
+    # body parsing and dispatch and not only the head checks.
+    framing = draw(st.sampled_from(["none", "length", "chunked"]))
+    if framing == "length":
         headers = [*headers, f"Content-Length: {len(body)}"]
-    head = "\r\n".join([line, *headers]) + "\r\n\r\n"
-    return head.encode("latin1", "replace") + body
+    elif framing == "chunked":
+        headers = [*headers, "Transfer-Encoding: chunked"]
+        body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    head = ("\r\n".join([line, *headers])).encode("latin1", "replace") + _END
+    if framing != "none" and head.count(_END) == 1:
+        return head + body, 1  # the body's bytes are nobody's head
+    return head + body, _blob_heads(head + body)
+
+
+def _blob_heads(blob: bytes) -> int:
+    """Heads unframed bytes can hold: one per terminator, and one that
+    the next piece's terminator may complete."""
+    return blob.count(_END) + 1
 
 
 class TestFramingFuzz:
     @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(_request_like() | st.binary(max_size=200), max_size=3).map(
-            b"".join
+        st.lists(
+            _request_like()
+            | st.binary(max_size=200).map(lambda b: (b, _blob_heads(b))),
+            max_size=3,
         )
     )
-    def test_any_bytes_get_a_refusal_or_a_clean_close(self, listener, raw):
+    def test_any_bytes_get_a_refusal_or_a_clean_close(self, listener, pieces):
+        raw = b"".join(piece for piece, _ in pieces)
         answered = _responses(_exchange(listener, raw))
         for status, _, payload in answered:
-            # Never a 5xx: malformed input is the peer's fault (4xx/431),
+            # Never a crash: malformed input is the peer's fault (4xx/431,
+            # 501 for a transfer coding the listener does not implement),
             # and whatever happens to be a valid request is just served.
-            assert status < 500, (status, payload)
+            assert status < 500 or status == 501, (status, payload)
             if status >= 400:
                 assert isinstance(payload.get("error"), str)
+        # A framed body is never parsed as the next request.
+        assert len(answered) <= sum(heads for _, heads in pieces)
         assert listener.app.lifecycle.wait_idle(5), "leaked in-flight count"
 
 

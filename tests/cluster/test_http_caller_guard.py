@@ -2,7 +2,8 @@
 
 The service's tiers call each other over HTTP (router → shard, client →
 shard, manager → worker, shipper → follower).  Each of those hops used
-to open its own ``http.client.HTTPConnection``, the cluster client
+to open its own ``http.client.HTTPConnection`` (now one hand-parsed
+keep-alive wire under ``CaladriusClient.exchange``), the cluster client
 wrapped the base client's retry loop in a second one, and the router and
 the cluster client each grouped a batch by ring owner and merged the
 acks on their own.  These checks read the source (AST, not grep) so the
@@ -63,12 +64,30 @@ def _calls(node: ast.AST) -> frozenset[str]:
 
 
 def test_one_function_opens_an_http_connection(src_index):
+    """One function connects a socket — the client's own wire — and
+    nothing under ``src/repro`` imports ``http.client`` (its reason
+    phrases come from ``http.HTTPStatus``), so no process pays for
+    ``http.client`` + ``email`` + ``ssl`` at start."""
     opening = [
         name
         for name, node, _ in src_index.functions()
-        if _calls(node) & {"HTTPConnection", "HTTPSConnection"}
+        if _calls(node)
+        & {"create_connection", "HTTPConnection", "HTTPSConnection"}
     ]
-    assert opening == ["api/client.py:CaladriusClient._connection"]
+    assert opening == ["api/client.py:_Wire.__init__"]
+    importing = []
+    for name, file in src_index.items():
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            importing += [
+                name for module in modules if module.startswith("http.client")
+            ]
+    assert importing == []
 
 
 def test_no_other_http_or_socket_caller(src_index):
@@ -96,7 +115,8 @@ def test_no_other_http_or_socket_caller(src_index):
                 if module.startswith("urllib.request")
                 or module == "socket.create_connection"
             ]
-    assert offenders == []
+    # The one caller the test above names.
+    assert offenders == [("api/client.py", "socket.create_connection")]
 
 
 def _client_methods(src_index) -> set[str]:

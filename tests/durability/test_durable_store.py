@@ -68,6 +68,69 @@ class TestJournalledWrites:
         recovered.close()
 
 
+class TestListenersHearAfterTheCommit:
+    """An invalidation wakes the re-warm of what the write made stale;
+    told before the journal commit, that work raced the write's own fsync."""
+
+    @staticmethod
+    def _store(tmp_path, **kwargs):
+        store = DurableMetricsStore(tmp_path, fsync="always", **kwargs)
+        heard: list[tuple[str | None, int, int]] = []
+        store.add_invalidation_listener(
+            lambda topology: heard.append(
+                (topology, store.wal.last_lsn, store.wal.fsyncs)
+            )
+        )
+        return store, heard
+
+    def test_every_journalled_write_path(self, tmp_path):
+        store, heard = self._store(tmp_path)
+        key = store.key_of("m", {"topology": "t"})
+        store.write("m", 60, 1.0, {"topology": "t"})
+        assert heard == [("t", 1, 1)]
+        store.apply_sample_batch([(key, 120, 2.0), (key, 180, 3.0)])
+        assert heard[1:] == [("t", 3, 2)]
+        batch = store.make_minute_batch([key])
+        store.append_minute_batch(batch, 240, [4.0], "t")
+        assert heard[2:] == [("t", 4, 3)]
+        store.write_many("m", [(300, 5.0), (360, 6.0)], {"topology": "t"})
+        assert heard[3:] == [("t", 6, 4)]
+        store.ingest_frames(
+            [b'{"op":"write","name":"m","tags":{"topology":"u"},"ts":60,"v":1.0}']
+        )
+        assert heard[4:] == [("u", 7, 5)]
+        store.close()
+
+    def test_a_rejected_write_tells_nobody(self, tmp_path):
+        store, heard = self._store(tmp_path)
+        store.write("m", 120, 1.0, {"topology": "t"})
+        with pytest.raises(MetricsError):
+            store.write("m", 60, 2.0, {"topology": "t"})
+        assert len(heard) == 1
+        store.close()
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["write", "batch"])
+    def test_a_failed_journal_append_still_tells_them(self, tmp_path, batched):
+        """The samples are in memory (and ``data_version`` has moved)
+        whether or not the log took them, so a cached answer computed
+        without them must still go."""
+        from repro.errors import DurabilityError
+        from repro.faults.service import ServiceFault, ServiceFaultInjector
+
+        faults = ServiceFaultInjector([ServiceFault("fsync_error", at_append=1)])
+        store, heard = self._store(tmp_path, faults=faults)
+        before = store.data_version("t")
+        with pytest.raises(DurabilityError):
+            if batched:
+                key = store.key_of("m", {"topology": "t"})
+                store.apply_sample_batch([(key, 60, 1.0)])
+            else:
+                store.write("m", 60, 1.0, {"topology": "t"})
+        assert [topology for topology, _, _ in heard] == ["t"]
+        assert store.data_version("t") == before + 1
+        assert len(store.get("m", {"topology": "t"})) == 1
+
+
 class TestReplay:
     """Recovery and the follower replay one log through one function."""
 

@@ -62,7 +62,8 @@ def test_only_the_durable_store_overrides_a_mutation(src_index):
 
 
 def test_two_bodies_append_to_a_series(src_index):
-    """The keyed loop and the prepared minute batch, nothing else."""
+    """The keyed loop (``apply_sample_batch`` up to the lock's release)
+    and the prepared minute batch, nothing else."""
     appenders = [
         function.node.name
         for function in src_index.functions()
@@ -73,7 +74,13 @@ def test_two_bodies_append_to_a_series(src_index):
             or "list.append, batch.ts_lists" in function.text
         )
     ]
-    assert appenders == ["apply_sample_batch", "append_minute_batch"]
+    assert appenders == ["_apply_entries", "append_minute_batch"]
+    callers = src_index.functions_containing("._apply_entries(")
+    assert callers == [
+        "durability/store.py:apply_sample_batch",
+        "durability/store.py:write",
+        "timeseries/store.py:apply_sample_batch",
+    ]
 
 
 def test_one_wal_record_replay_function(src_index):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.serving.fingerprint import RequestDescriptor, fingerprint
@@ -64,6 +67,49 @@ class TestContentAddressing:
         first = layer.execute(desc(), lambda: result)
         second = layer.execute(desc(), lambda: dict(result))
         assert json.dumps(first) == json.dumps(second)
+        layer.close()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+            | st.floats(allow_nan=True, allow_infinity=True),
+            lambda leaf: st.lists(leaf, max_size=3)
+            | st.dictionaries(st.text(max_size=5), leaf, max_size=3)
+            # Keys that only become text on the way out.  (A dict holding
+            # both 1 and "1" would lose one of them to the round trip; no
+            # model builds such a result.)
+            | st.dictionaries(st.integers(0, 50) | st.booleans(), leaf, max_size=3),
+            max_leaves=12,
+        ).map(lambda value: {"result": value, "ünïcode": "höhe ≥ 3 \U0001f600"})
+    )
+    def test_a_stored_payload_survives_decode_and_encode_unchanged(self, result):
+        """What the listener sends for a hit (the stored bytes) and what
+        it encodes from ``execute``'s dict are one and the same."""
+        layer, _, _ = make_layer()
+        try:
+            document = layer.execute(desc(), lambda: result)
+            stored = layer.cached(desc())
+            assert stored is not None
+            assert json.dumps(json.loads(stored)).encode("utf8") == stored
+            assert json.dumps(document).encode("utf8") == stored
+        finally:
+            layer.close()
+
+    def test_cached_books_a_hit_once_and_a_miss_not_at_all(self):
+        layer, _, _ = make_layer()
+        assert layer.cached(desc()) is None
+        assert layer.cached(desc()) is None
+        stats = layer.stats()
+        assert (stats["requests"], stats["hits"]) == (0, 0)
+        assert (stats["cache"]["misses"], stats["precompute"]["recorded"]) == (0, 0)
+        layer.execute(desc(), lambda: {"value": 7})
+        assert layer.cached(desc()) == b'{"value": 7}'
+        stats = layer.stats()
+        assert (stats["requests"], stats["hits"]) == (2, 1)
+        # execute's own two looks, and nothing from the three attempts.
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (2, 1)
+        assert stats["precompute"]["recorded"] == 2
         layer.close()
 
     def test_metrics_write_invalidates(self):

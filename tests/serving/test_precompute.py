@@ -60,6 +60,50 @@ class TestPopularity:
             pre.record(desc("wc", horizon))
         assert pre.stats()["tracked"] <= 4
 
+    def test_eviction_takes_the_lowest_count_then_the_least_recent(self):
+        """The survivors the whole-table ``min`` used to pick, checked
+        against that search over a long random-ish request stream."""
+        pre = WarmCachePrecomputer(top_k=2, max_tracked=6)
+        reference: dict[RequestDescriptor, tuple[int, int]] = {}
+        horizon = 1
+        for seq in range(1, 400):
+            horizon = (horizon * 37 + seq // 7) % 23  # repeats and strangers
+            descriptor = desc("wc", horizon)
+            count, _ = reference.get(descriptor, (0, 0))
+            reference[descriptor] = (count + 1, seq)
+            if len(reference) > 6:
+                del reference[min(reference, key=reference.get)]
+            pre.record(descriptor)
+            assert {
+                d: (p.count, p.last_seq) for d, p in pre._popular.items()
+            } == reference
+            assert set(pre._seen_once) == {
+                d for d, (count, _) in reference.items() if count == 1
+            }
+
+    def test_recording_a_new_descriptor_visits_no_other(self):
+        """Once the table was full every *new* descriptor cost a ``min``
+        over all of it, under the lock every request takes."""
+
+        class Counting(dict):
+            visited = 0
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    Counting.visited += 1
+                    yield key
+
+        pre = WarmCachePrecomputer(top_k=8)
+        for horizon in range(64):
+            pre.record(desc("wc", horizon))
+        for name, table in list(vars(pre).items()):
+            if isinstance(table, dict):
+                setattr(pre, name, Counting(table))
+        for horizon in range(64, 96):
+            pre.record(desc("wc", horizon))
+        assert pre.stats()["tracked"] == 64
+        assert Counting.visited == 32  # the one evicted each time
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             WarmCachePrecomputer(top_k=0)

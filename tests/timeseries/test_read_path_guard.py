@@ -93,8 +93,9 @@ def test_from_calibration_takes_no_store(src_index):
 
 
 def test_series_are_created_and_indexed_in_one_place(src_index):
+    # ``apply_sample_batch``'s body under the lock.
     assert src_index.functions_containing("_SeriesBuffer()") == [
-        "timeseries/store.py:apply_sample_batch"
+        "timeseries/store.py:_apply_entries"
     ]
     touching = [
         name
@@ -103,7 +104,7 @@ def test_series_are_created_and_indexed_in_one_place(src_index):
     ]
     assert touching == [
         "timeseries/store.py:__init__",
-        "timeseries/store.py:apply_sample_batch",
+        "timeseries/store.py:_apply_entries",
         "timeseries/store.py:query",
         "timeseries/store.py:topology_frame",
         "timeseries/store.py:clear",
