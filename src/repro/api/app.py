@@ -24,6 +24,7 @@ layer's counters.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import uuid
@@ -58,6 +59,10 @@ from repro.timeseries.store import MetricsStore
 __all__ = ["CaladriusApp"]
 
 T = TypeVar("T")
+
+#: A value of ``blocking``: the caller may wait, and takes a synchronous
+#: modelling answer as the response bytes the result cache stored.
+_ENCODED = "encoded"
 
 #: What a modelling handler makes of a valid request: the descriptor that
 #: keys its answer, the computation behind it, and its priority.
@@ -178,14 +183,19 @@ class CaladriusApp:
         query: Mapping[str, str] | None = None,
         body: Mapping[str, Any] | bytes | None = None,
         headers: Mapping[str, str] | None = None,
-    ) -> tuple[int, dict[str, Any]]:
+        encoded: bool = False,
+    ) -> tuple[int, dict[str, Any] | bytes]:
         """Route one request; returns ``(status, json_payload)``.
 
         For paths in :attr:`raw_body_paths` the transport passes
         ``body`` as raw bytes; everywhere else it is a parsed JSON
-        object.
+        object.  ``encoded`` is the HTTP listener's: a synchronous
+        modelling answer then comes back as the response *bytes* the
+        result cache stored, computed or not, to be written as they are.
         """
-        return self._handle(method, path, query, body, headers, True)
+        return self._handle(
+            method, path, query, body, headers, _ENCODED if encoded else True
+        )
 
     def handle_nonblocking(
         self, method: str, path: str, query: Mapping[str, str] | None = None,
@@ -200,16 +210,16 @@ class CaladriusApp:
         that is refused (400/404/405, 503 draining, 504 expired) or whose
         result is cached — that one as the stored response *bytes*.
         Anything else returns ``None`` having changed nothing, and the
-        caller runs :meth:`handle` where it may block.  The same code
-        decides either way; the two differ in :meth:`_serve`'s one call
-        into the serving layer.
+        caller runs :meth:`handle` (``encoded``) where it may block.  The
+        same code decides either way; they differ in :meth:`_serve`'s one
+        call into the serving layer.
         """
         return self._handle(method, path, query, body, headers, False)
 
     def _handle(
         self, method: str, path: str, query: Mapping[str, str] | None,
         body: Mapping[str, Any] | bytes | None,
-        headers: Mapping[str, str] | None, blocking: bool,
+        headers: Mapping[str, str] | None, blocking: bool | str,
     ) -> tuple[int, Any] | None:
         query = dict(query or {})
         if isinstance(body, (bytes, bytearray)):
@@ -240,10 +250,11 @@ class CaladriusApp:
         body: Mapping[str, Any],
         headers: Mapping[str, str] | None = None,
         raw: bytes | None = None,
-        blocking: bool = True,
+        blocking: bool | str = True,
     ) -> dict[str, Any] | bytes | None:
-        """The one route table.  ``None`` (and the cached ``bytes``) only
-        come back to a caller that passed ``blocking=False``."""
+        """The one route table.  ``None`` only comes back to a caller that
+        passed ``blocking=False``, ``bytes`` to that one (a cached answer)
+        and to one that passed ``_ENCODED``."""
         if method == "GET" and parts == ["healthz"]:
             if not blocking and self.shipper is not None:
                 return None  # its counters sit behind a shipping pass's lock
@@ -616,11 +627,12 @@ class CaladriusApp:
         descriptor: RequestDescriptor,
         compute: Callable[[], dict[str, Any]],
         priority: int,
-        blocking: bool,
+        blocking: bool | str,
     ) -> dict[str, Any] | bytes | None:
         """Answer a validated modelling request.  Without ``blocking``
         only a cached answer (its stored bytes) comes back, else ``None``:
-        ``compute`` never runs and nothing is waited for."""
+        ``compute`` never runs and nothing is waited for.  ``_ENCODED``
+        takes a computed answer as the bytes it was stored as, too."""
         deadline = current_deadline()
         timeout = None
         if deadline is not None:
@@ -630,7 +642,10 @@ class CaladriusApp:
             return None if self.serving is None else self.serving.cached(descriptor)
         if self.serving is None:
             return compute()
-        return self.serving.execute(descriptor, compute, priority, timeout=timeout)
+        serve = (
+            self.serving.payload if blocking is _ENCODED else self.serving.execute
+        )
+        return serve(descriptor, compute, priority, timeout=timeout)
 
     def _evaluate(self, compute: Callable[[], T]) -> T:
         """Run model evaluation under the circuit breaker (if enabled)."""
@@ -686,6 +701,8 @@ class CaladriusApp:
                 is_count(v) for v in parallelisms.values()
             ):
                 raise ApiError("parallelisms must map components to integers")
+            # An empty plan is no plan: one fingerprint, one cached answer.
+            parallelisms = parallelisms or None
         traffic_model_name = body.get("traffic_model")
         horizon = _int_param(query, "horizon_minutes", default=60)
         model = query.get("model")
@@ -740,12 +757,14 @@ class CaladriusApp:
             traffic = None
             if source_rate is None:
                 traffic = traffic_models[0].predict(topology, None, horizon)
+            passes: dict = {}  # the models read one evaluation
             return [
                 m.predict(
                     topology,
                     source_rate=source_rate,
                     traffic=traffic,
                     parallelisms=parallelisms,
+                    passes=passes,
                 ).as_dict()
                 for m in models
             ]
@@ -753,6 +772,10 @@ class CaladriusApp:
         return {"topology": topology, "results": self._evaluate(evaluate)}
 
     _MAX_SWEEP_PLANS = 1024
+    #: Instances of one component a plan may propose.  The paper's
+    #: topologies run tens to hundreds; every rescale allocates a share
+    #: vector this long (and a sweep one per plan).
+    _MAX_PARALLELISM = 10_000
 
     def _plan_sweep(
         self,
@@ -852,16 +875,17 @@ class CaladriusApp:
         self,
         query: Mapping[str, str],
         plan: Callable[[], _Plan],
-        blocking: bool,
+        blocking: bool | str,
     ) -> dict[str, Any] | bytes | None:
         """Validate (``plan``) and serve a modelling request: now, or
-        with ``?async=1`` as a job on the modelling pool."""
+        with ``?async=1`` as a job on the modelling pool (a job holds
+        the decoded answer, whoever asked)."""
 
-        def work():
+        def work(blocking: bool | str = True):
             return self._serve(*plan(), blocking)
 
         if query.get("async") not in ("1", "true", "yes"):
-            return work()
+            return work(blocking)
         if not blocking:
             return None
         request_id = uuid.uuid4().hex
@@ -938,6 +962,8 @@ def _source_rate(body: Mapping[str, Any], required: bool) -> float | None:
         return None
     if not is_number(value):
         raise ApiError("source_rate must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity, 1e400 as an int
+        raise ApiError("source_rate must be finite")
     if value < 0:
         raise ApiError("source_rate must be non-negative")
     return value
@@ -965,6 +991,11 @@ def _check_plans(
             if parallelism < 1:
                 raise ApiError(
                     below_one.format(name=name, parallelism=parallelism)
+                )
+            if parallelism > CaladriusApp._MAX_PARALLELISM:
+                raise ApiError(
+                    f"parallelism {parallelism} for {name!r} is above the "
+                    f"{CaladriusApp._MAX_PARALLELISM} a plan may propose"
                 )
 
 

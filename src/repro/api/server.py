@@ -17,7 +17,8 @@ each request on the loop thread first, and answers ``GET /healthz``,
 ``GET /readyz`` and a synchronous ``/model/{traffic,topology,plan_sweep}``
 request that is refused or whose result is cached — the hit as the
 cached bytes, written to the socket as they are.  A miss, a write, every
-other route and every app without the method go to the pool.  *The rule
+other route and every app without the method go to the pool (the miss
+comes back from it as the bytes it was stored as, too).  *The rule
 for code the loop thread runs:* no file or socket I/O, no ``fsync``, no
 journal lock, no scheduler or single-flight wait, no model or
 calibration code.  The locks it may take are the result cache's, the
@@ -508,12 +509,16 @@ class CaladriusServer:
                 return 400, {"error": "request body must be a JSON object"}
         else:
             body = {}
-        if self._nonblocking is not None:
-            answer = self._nonblocking(method, path, query, body, headers)
-            if answer is not None:
-                return answer
+        if self._nonblocking is None:
+            return await self._run(
+                self.app.handle, method, path, query, body, headers
+            )
+        answer = self._nonblocking(method, path, query, body, headers)
+        if answer is not None:
+            return answer
+        # ... and a computed answer, like a cached one, as its bytes.
         return await self._run(
-            self.app.handle, method, path, query, body, headers
+            self.app.handle, method, path, query, body, headers, True
         )
 
     async def _run(self, fn: Callable[..., Any], *args: Any) -> Any:
@@ -639,7 +644,8 @@ class CaladriusServer:
         """Write one JSON response; returns whether the connection lives.
 
         ``payload`` as ``bytes`` is an already-encoded document (a cached
-        200, so never a ``retry_after`` carrier) and is sent as it is.
+        or just-computed 200, so never a ``retry_after`` carrier) and is
+        sent as it is.
         """
         if isinstance(payload, bytes):
             data, retry_after = payload, None

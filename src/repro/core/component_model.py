@@ -74,6 +74,12 @@ class ComponentModel:
             if not math.isclose(total, 1.0, rel_tol=1e-6):
                 raise ModelError(f"input shares must sum to 1, got {total}")
         self.input_shares = shares
+        max_share = float(shares.max())
+        self._saturation_point = (
+            math.inf
+            if max_share == 0
+            else float(instance.saturation_point) / max_share
+        )
 
     # ------------------------------------------------------------------
     # Forward model (Eq. 6-7)
@@ -117,12 +123,7 @@ class ComponentModel:
         with bias it is ``SP_i / max(share)`` — the hottest instance
         saturates first and triggers backpressure for the whole topology.
         """
-        max_share = float(self.input_shares.max())
-        if max_share == 0:
-            return math.inf
-        if math.isinf(self.instance.saturation_point):
-            return math.inf
-        return self.instance.saturation_point / max_share
+        return self._saturation_point
 
     def saturation_throughput(self, stream: str = DEFAULT_STREAM) -> float:
         """Output rate once every instance is saturated.

@@ -36,14 +36,15 @@ from repro.core.calibration import (
 from repro.core.component_model import ComponentModel
 from repro.core.cpu_model import CpuModel, fit_cpu_models
 from repro.core.instance_model import InstanceModel
-from repro.core.topology_model import TopologyModel
+from repro.core.topology_model import (
+    Evaluation,
+    TopologyModel,
+    grouping_input_shares,
+)
 from repro.core.traffic_models import TrafficPrediction
 from repro.durability.deadline import check_deadline
 from repro.errors import CalibrationError, MetricsError, ModelError
-from repro.graph.topology_graph import source_sink_paths
-from repro.heron.groupings import ShuffleGrouping
 from repro.heron.metrics import MetricNames
-from repro.heron.topology import LogicalTopology
 from repro.heron.tracker import TopologyTracker, TrackedTopology
 from repro.timeseries.store import MetricsStore
 
@@ -57,9 +58,7 @@ __all__ = [
     "BackpressureEvaluationModel",
     "calibrate_topology",
     "grouping_input_shares",
-    "apply_parallelisms",
     "evaluate_throughput",
-    "chain_relative_stderr",
 ]
 
 
@@ -111,58 +110,10 @@ class PerformancePrediction:
 # ----------------------------------------------------------------------
 # Calibration over a whole topology
 # ----------------------------------------------------------------------
-def grouping_input_shares(
-    topology: LogicalTopology, component: str, parallelism: int
-) -> Sequence[float] | None:
-    """Share vector for a component's instances at a given parallelism.
-
-    Derived from the incoming stream's grouping.  Shuffle (and any
-    grouping without share structure) returns ``None`` (uniform).  With
-    several input streams the shares would be a rate-weighted mixture;
-    uniform is used as the paper's load-balanced approximation.
-    """
-    inputs = topology.inputs(component)
-    if len(inputs) != 1:
-        return None
-    grouping = inputs[0].grouping
-    if isinstance(grouping, ShuffleGrouping):
-        return None
-    shares = grouping.shares(parallelism)
-    total = float(np.sum(shares))
-    if total <= 0:
-        return None
-    return list(shares / total)
-
-
-def apply_parallelisms(
-    topology: LogicalTopology,
-    base: TopologyModel,
-    parallelisms: Mapping[str, int],
-) -> TopologyModel:
-    """Rescale a calibrated model to proposed parallelisms (Eq. 9).
-
-    Grouping-induced share vectors are recomputed from the *logical*
-    topology for every changed component, exactly as the serving path
-    does, so batch and one-at-a-time evaluations share the same rescaled
-    models.
-    """
-    if not parallelisms:
-        return base
-    new_shares = {}
-    for component, p in parallelisms.items():
-        shares = grouping_input_shares(topology, component, p)
-        if shares is not None:
-            new_shares[component] = shares
-    return base.with_parallelism(dict(parallelisms), new_shares)
-
-
-def chain_relative_stderr(
-    model: TopologyModel,
-    fits: Mapping[str, PiecewiseLinearFit],
-    path: Sequence[str],
-    source_rate: float,
+def _chain_relative_stderr(
+    evaluation: Evaluation, fits: Mapping[str, PiecewiseLinearFit]
 ) -> float:
-    """Relative standard error of a chained output prediction.
+    """Relative standard error of the worst path's chained output.
 
     Per stage: an unsaturated component contributes its slope's
     relative standard error; a saturated one the plateau's (residual
@@ -170,33 +121,61 @@ def chain_relative_stderr(
     compound in quadrature — the accumulation the paper observes in
     its chained CPU prediction.
     """
+    worst = evaluation.worst
     total_sq = 0.0
-    rate = source_rate
-    topology = model.topology
-    for stage, name in enumerate(path):
+    for name, saturated in zip(worst.path, worst.saturated):
         fit = fits.get(name)
-        component = model.component(name)
-        if fit is not None:
-            if component.is_saturated(rate) and fit.saturated:
-                denominator = fit.saturation_throughput
-                rel = (
-                    fit.residual_std / denominator
-                    if denominator > 0
-                    else 0.0
-                )
-            else:
-                rel = (
-                    fit.alpha_stderr / fit.alpha if fit.alpha > 0 else 0.0
-                )
-            total_sq += rel * rel
-        if stage + 1 < len(path):
-            streams = [
-                s.name
-                for s in topology.outputs(name)
-                if s.destination == path[stage + 1]
-            ]
-            rate = component.output_rate(rate, streams[0])
+        if fit is None:
+            continue
+        if saturated and fit.saturated:
+            denominator = fit.saturation_throughput
+            rel = fit.residual_std / denominator if denominator > 0 else 0.0
+        else:
+            rel = fit.alpha_stderr / fit.alpha if fit.alpha > 0 else 0.0
+        total_sq += rel * rel
     return math.sqrt(total_sq)
+
+
+def _throughput(
+    topology_name: str,
+    evaluation: Evaluation,
+    fits: Mapping[str, PiecewiseLinearFit],
+    model_name: str,
+) -> PerformancePrediction:
+    """Eq. 12-13 for every path, and the whole-DAG output, of one pass."""
+    share = evaluation.share
+    # Path-level figures are in per-spout units; the topology-level
+    # saturation rate scales back up by the spout count.
+    worst = evaluation.worst
+    saturates = not math.isinf(worst.saturation_source_rate)
+    risk = worst.risk(share)
+    output_rate = sum(
+        evaluation.components[sink]["processed"] for sink in evaluation.sinks
+    )
+    rel_stderr = _chain_relative_stderr(evaluation, fits) if saturates else 0.0
+    return PerformancePrediction(
+        topology=topology_name,
+        model=model_name,
+        source_rate=evaluation.source_rate,
+        parallelisms=evaluation.parallelisms,
+        components=evaluation.components,
+        output_rate=output_rate,
+        saturation_source_rate=(
+            worst.saturation_source_rate * evaluation.spouts
+        ),
+        backpressure_risk=risk.risk.value,
+        bottleneck=risk.bottleneck,
+        paths=[
+            {
+                "path": list(path.path),
+                "output_rate": path.output_rate,
+                "saturation_source_rate": path.saturation_source_rate,
+                "bottleneck": path.bottleneck,
+            }
+            for path in evaluation.paths
+        ],
+        output_rate_stderr=output_rate * rel_stderr,
+    )
 
 
 def evaluate_throughput(
@@ -213,58 +192,7 @@ def evaluate_throughput(
     out, so a calibrate-once / evaluate-many sweep can call it per plan
     (or validate a batch kernel against it) without touching metrics.
     """
-    topology = model.topology
-    spouts = [s.name for s in topology.spouts()]
-    # The topology source rate divides evenly over spouts (the
-    # evaluation-spout convention); path-level figures below are in
-    # per-spout units and the topology-level saturation rate scales
-    # back up by the spout count.
-    share = rate / len(spouts)
-    report = model.propagate({s: share for s in spouts})
-    paths = source_sink_paths(topology)
-    path_reports = []
-    worst_rate = float("inf")
-    worst_path = None
-    for path in paths:
-        check_deadline()
-        sat = model.path_bottleneck(path)
-        path_reports.append(
-            {
-                "path": path,
-                "output_rate": model.critical_path_output(path, share),
-                "saturation_source_rate": sat[1],
-                "bottleneck": sat[0],
-            }
-        )
-        if sat[1] < worst_rate:
-            worst_rate = sat[1]
-            worst_path = path
-    output_rate = sum(
-        float(report[sink.name]["processed"]) for sink in topology.sinks()
-    )
-    risk = model.backpressure_risk(worst_path, share) if worst_path else None
-    worst_rate = worst_rate * len(spouts)
-    rel_stderr = (
-        chain_relative_stderr(model, fits, worst_path, share)
-        if worst_path
-        else 0.0
-    )
-    return PerformancePrediction(
-        topology=topology_name,
-        model=model_name,
-        source_rate=rate,
-        parallelisms={
-            name: spec.parallelism
-            for name, spec in topology.components.items()
-        },
-        components=report,
-        output_rate=output_rate,
-        saturation_source_rate=worst_rate,
-        backpressure_risk=risk.risk.value if risk else "low",
-        bottleneck=risk.bottleneck if risk else None,
-        paths=path_reports,
-        output_rate_stderr=output_rate * rel_stderr,
-    )
+    return _throughput(topology_name, model.evaluate(rate), fits, model_name)
 
 
 def calibrate_topology(
@@ -406,8 +334,11 @@ def calibrate_topology(
             per_stream_fits[stream_name] = fit_piecewise_linear(x, y_out)
         # Streams share the input, so the component saturates at the
         # smallest fitted breakpoint; alphas come from each stream's fit.
+        # A stream that emitted nothing fits alpha 0 at *any* breakpoint:
+        # it is no evidence of saturation.
         sp_component = min(
-            f.saturation_point for f in per_stream_fits.values()
+            (f.saturation_point for f in per_stream_fits.values() if f.alpha > 0),
+            default=math.inf,
         )
         if shares is None:
             instance_sp = sp_component / spec.parallelism
@@ -445,12 +376,18 @@ def calibrate_topology(
 class PerformanceModel(ABC):
     """Base class for performance models served by the API tier.
 
+    A model is a reading (:meth:`render`) of one
+    :class:`~repro.core.topology_model.Evaluation`; :meth:`predict`
+    calibrates, applies the proposed plan and evaluates — or takes the
+    pass another model of the same request already made.
     ``calibrations`` is the service's shared
     :class:`~repro.core.calibration_cache.CalibrationCache`; without one
     every prediction calibrates from the store.
     """
 
     name = "performance-model"
+    #: Evaluate a traffic forecast at its peak instead of its mean.
+    peak = False
 
     def __init__(
         self,
@@ -462,7 +399,6 @@ class PerformanceModel(ABC):
         self.store = store
         self.calibrations = calibrations
 
-    @abstractmethod
     def predict(
         self,
         topology_name: str,
@@ -471,42 +407,52 @@ class PerformanceModel(ABC):
         parallelisms: Mapping[str, int] | None = None,
         cluster: str = "local",
         environ: str = "test",
+        passes: dict[tuple, Evaluation] | None = None,
     ) -> PerformancePrediction:
-        """Evaluate the topology under traffic and/or a proposed config."""
+        """Evaluate the topology under traffic and/or a proposed config.
+
+        ``passes`` is what the models of one request hand each other: the
+        evaluations made so far, by calibrated model, plan and source
+        rate.  Two models asked the same question read one pass.
+        """
+        rate = self._resolve_source_rate(source_rate, traffic)
+        if self.calibrations is None:
+            tracked = self.tracker.get(topology_name, cluster, environ)
+            base, fits = calibrate_topology(tracked, self.store)
+        else:
+            calibration = self.calibrations.get(topology_name, cluster, environ)
+            base, fits = calibration.base, calibration.fits
+        plan = dict(parallelisms or {})
+        key = (base, tuple(sorted(plan.items())), rate)
+        evaluation = None if passes is None else passes.get(key)
+        if evaluation is None:
+            evaluation = base.with_parallelism(plan).evaluate(rate)
+            if passes is not None:
+                passes[key] = evaluation
+        return self.render(topology_name, evaluation, fits)
+
+    @abstractmethod
+    def render(
+        self,
+        topology_name: str,
+        evaluation: Evaluation,
+        fits: Mapping[str, PiecewiseLinearFit],
+    ) -> PerformancePrediction:
+        """This model's report of one evaluated pass."""
 
     def _resolve_source_rate(
         self,
         source_rate: float | None,
         traffic: TrafficPrediction | None,
-        peak: bool,
     ) -> float:
         if source_rate is not None:
             if source_rate < 0:
                 raise ModelError("source_rate must be non-negative")
             return float(source_rate)
         if traffic is not None:
-            key = "upper_max" if peak else "mean"
+            key = "upper_max" if self.peak else "mean"
             return float(traffic.summary[key])
         raise ModelError("either source_rate or traffic must be given")
-
-    def _calibrated(
-        self,
-        topology_name: str,
-        parallelisms: Mapping[str, int] | None,
-        cluster: str,
-        environ: str,
-    ) -> tuple[TrackedTopology, TopologyModel, dict[str, PiecewiseLinearFit]]:
-        if self.calibrations is None:
-            tracked = self.tracker.get(topology_name, cluster, environ)
-            base, fits = calibrate_topology(tracked, self.store)
-        else:
-            calibration = self.calibrations.get(topology_name, cluster, environ)
-            tracked, base, fits = (
-                calibration.tracked, calibration.base, calibration.fits
-            )
-        if parallelisms:
-            base = apply_parallelisms(tracked.topology, base, parallelisms)
-        return tracked, base, fits
 
 
 class ThroughputPredictionModel(PerformanceModel):
@@ -520,23 +466,14 @@ class ThroughputPredictionModel(PerformanceModel):
 
     name = "throughput-prediction"
 
-    def predict(
+    def render(
         self,
         topology_name: str,
-        source_rate: float | None = None,
-        traffic: TrafficPrediction | None = None,
-        parallelisms: Mapping[str, int] | None = None,
-        cluster: str = "local",
-        environ: str = "test",
+        evaluation: Evaluation,
+        fits: Mapping[str, PiecewiseLinearFit],
     ) -> PerformancePrediction:
-        """See :class:`PerformanceModel.predict`."""
-        rate = self._resolve_source_rate(source_rate, traffic, peak=False)
-        tracked, model, fits = self._calibrated(
-            topology_name, parallelisms, cluster, environ
-        )
-        return evaluate_throughput(
-            topology_name, model, fits, rate, model_name=self.name
-        )
+        """See :class:`PerformanceModel.render`."""
+        return _throughput(topology_name, evaluation, fits, self.name)
 
 
 class BackpressureEvaluationModel(PerformanceModel):
@@ -549,53 +486,39 @@ class BackpressureEvaluationModel(PerformanceModel):
     """
 
     name = "backpressure-evaluation"
+    peak = True
 
-    def predict(
+    def render(
         self,
         topology_name: str,
-        source_rate: float | None = None,
-        traffic: TrafficPrediction | None = None,
-        parallelisms: Mapping[str, int] | None = None,
-        cluster: str = "local",
-        environ: str = "test",
+        evaluation: Evaluation,
+        fits: Mapping[str, PiecewiseLinearFit],
     ) -> PerformancePrediction:
-        """See :class:`PerformanceModel.predict`."""
-        rate = self._resolve_source_rate(source_rate, traffic, peak=True)
-        tracked, model, _ = self._calibrated(
-            topology_name, parallelisms, cluster, environ
-        )
-        topology = model.topology
-        share = rate / len(topology.spouts())
-        paths = source_sink_paths(topology)
-        assessments = [
-            (path, model.backpressure_risk(path, share)) for path in paths
-        ]
-        worst_path, worst = min(
-            assessments, key=lambda item: item[1].saturation_source_rate
-        )
-        spout_count = len(topology.spouts())
-        path_reports = [
-            {
-                "path": path,
-                "risk": a.risk.value,
-                "saturation_source_rate": a.saturation_source_rate * spout_count,
-                "headroom": a.headroom,
-                "bottleneck": a.bottleneck,
-            }
-            for path, a in assessments
-        ]
+        """See :class:`PerformanceModel.render`."""
+        worst = evaluation.worst
+        assessments = [path.risk(evaluation.share) for path in evaluation.paths]
         return PerformancePrediction(
             topology=topology_name,
             model=self.name,
-            source_rate=rate,
-            parallelisms={
-                name: spec.parallelism
-                for name, spec in topology.components.items()
-            },
+            source_rate=evaluation.source_rate,
+            parallelisms=evaluation.parallelisms,
             components={},
-            output_rate=model.critical_path_output(worst_path, share),
-            saturation_source_rate=worst.saturation_source_rate * spout_count,
-            backpressure_risk=worst.risk.value,
+            output_rate=worst.output_rate,
+            saturation_source_rate=(
+                worst.saturation_source_rate * evaluation.spouts
+            ),
+            backpressure_risk=worst.risk(evaluation.share).risk.value,
             bottleneck=worst.bottleneck,
-            paths=path_reports,
+            paths=[
+                {
+                    "path": list(path.path),
+                    "risk": a.risk.value,
+                    "saturation_source_rate": (
+                        a.saturation_source_rate * evaluation.spouts
+                    ),
+                    "headroom": a.headroom,
+                    "bottleneck": a.bottleneck,
+                }
+                for path, a in zip(evaluation.paths, assessments)
+            ],
         )

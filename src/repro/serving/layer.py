@@ -103,13 +103,31 @@ class ServingLayer:
         timeout: float | None = None,
         record: bool = True,
     ) -> dict[str, Any]:
+        """:meth:`payload`, decoded: what an in-process caller takes.
+
+        The returned dict is decoded from the cached JSON payload, so
+        every caller — leader, coalesced waiter, later cache hit —
+        receives an identical response.
+        """
+        return json.loads(
+            self.payload(descriptor, compute, priority, timeout, record)
+        )
+
+    def payload(
+        self,
+        descriptor: RequestDescriptor,
+        compute: Callable[[], dict[str, Any]],
+        priority: int = INTERACTIVE,
+        timeout: float | None = None,
+        record: bool = True,
+    ) -> bytes:
         """Serve one request through cache, coalescing and admission.
 
         ``compute`` runs at most once per distinct input state no matter
-        how many concurrent callers present the same descriptor.  The
-        returned dict is decoded from the cached JSON payload, so every
-        caller — leader, coalesced waiter, later cache hit — receives an
-        identical response.
+        how many concurrent callers present the same descriptor.  What
+        comes back is the stored response bytes — the leader's encoding
+        of its result, handed to coalesced waiters and later hits alike —
+        which the HTTP listener writes as they are.
         """
         key = self._key(descriptor)
         if record:
@@ -126,7 +144,7 @@ class ServingLayer:
                 self.hits += 1
         if record:
             self.precomputer.record(descriptor)
-        return json.loads(payload)
+        return payload
 
     def cached(self, descriptor: RequestDescriptor) -> bytes | None:
         """The stored response bytes when :meth:`execute` would hit, else
@@ -161,9 +179,9 @@ class ServingLayer:
         result = self.scheduler.run(compute, priority, timeout)
         with self._counters:
             self.computations += 1
-        # dumps(loads(payload)) == payload: what the HTTP tier encodes
-        # from execute()'s dict and what it sends from cached() are the
-        # same bytes.
+        # dumps(loads(payload)) == payload: what the HTTP tier would
+        # encode from execute()'s dict and what it sends from payload()
+        # or cached() are the same bytes.
         payload = json.dumps(result).encode("utf8")
         self.cache.put(key, payload, descriptor.topology)
         return payload

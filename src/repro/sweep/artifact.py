@@ -1,12 +1,11 @@
 """The calibrate-once half of the plan-sweep engine.
 
 A :class:`CalibrationArtifact` freezes every piece of metrics-derived
-state a plan evaluation needs — the fitted per-instance curves, the
-piecewise-linear fit statistics, per-bolt CPU coefficients and the
-source→sink path set — so candidate parallelism plans can be scored
-without touching the metrics store again.  The artifact is immutable and
-pickleable: the process-pool validation path ships it to each worker
-exactly once.
+state a plan evaluation needs — the compiled topology model (fitted
+per-instance curves, path set, rescaled-component memo), the
+piecewise-linear fit statistics and per-bolt CPU coefficients — so
+candidate parallelism plans can be scored without touching the metrics
+store again.
 
 Identity is content-addressed the same way the serving tier keys its
 result cache: a ``(plan_revision, data_version)`` pair.  Calibration is
@@ -16,20 +15,15 @@ counter, so equal pairs guarantee an equal artifact.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 from repro.core.calibration import PiecewiseLinearFit
 from repro.core.calibration_cache import Calibration
 from repro.core.cpu_model import CpuModel
-from repro.core.performance_models import (
-    apply_parallelisms,
-    calibrate_topology,
-    grouping_input_shares,
-)
+from repro.core.performance_models import calibrate_topology
 from repro.core.topology_model import TopologyModel
 from repro.errors import ModelError
-from repro.graph.topology_graph import source_sink_paths
 from repro.heron.topology import LogicalTopology
 from repro.heron.tracker import TrackedTopology
 from repro.serving.fingerprint import fingerprint
@@ -54,14 +48,10 @@ class CalibrationArtifact:
     base: TopologyModel
     fits: Mapping[str, PiecewiseLinearFit]
     cpu_models: Mapping[str, CpuModel]
-    paths: tuple[tuple[str, ...], ...]
     plan_revision: int
     data_version: int
     warmup_minutes: int
     since_seconds: int | None = None
-    _share_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def build(
@@ -98,11 +88,11 @@ class CalibrationArtifact:
     ) -> "CalibrationArtifact":
         """Freeze an existing calibration, without reading the store.
 
-        Adds the path set only sweeps need, so a sweep after a
-        prediction on unchanged data shares the prediction's
-        calibration — throughput fits and per-bolt CPU coefficients
-        (dropped when ``fit_cpu`` is false) alike, both from the one
-        read of the store the calibration's stamp vouches for.
+        A sweep after a prediction on unchanged data shares the
+        prediction's calibration — the compiled model with its memo,
+        throughput fits and per-bolt CPU coefficients (dropped when
+        ``fit_cpu`` is false) alike, all from the one read of the store
+        the calibration's stamp vouches for.
         """
         tracked = calibration.tracked
         topology = tracked.topology
@@ -114,7 +104,6 @@ class CalibrationArtifact:
             base=calibration.base,
             fits=calibration.fits,
             cpu_models=calibration.cpu_models if fit_cpu else {},
-            paths=tuple(tuple(p) for p in source_sink_paths(topology)),
             plan_revision=tracked.revision,
             data_version=calibration.data_version,
             warmup_minutes=calibration.warmup_minutes,
@@ -166,16 +155,10 @@ class CalibrationArtifact:
             normalized[name] = p
         return normalized
 
-    def plan_shares(
-        self, component: str, parallelism: int
-    ) -> Sequence[float] | None:
-        """Grouping-induced share vector, cached per (component, p)."""
-        key = (component, parallelism)
-        if key not in self._share_cache:
-            self._share_cache[key] = grouping_input_shares(
-                self.topology, component, parallelism
-            )
-        return self._share_cache[key]
+    @property
+    def paths(self) -> tuple[tuple[str, ...], ...]:
+        """The source→sink path set (compiled with the model)."""
+        return self.base.paths
 
     def model_for_plan(self, plan: Mapping[str, int]) -> TopologyModel:
         """The calibrated model rescaled to one candidate plan (Eq. 9).
@@ -183,7 +166,7 @@ class CalibrationArtifact:
         Exactly the rescaling the one-at-a-time serving path performs —
         the sweep's serial reference path calls this per plan.
         """
-        return apply_parallelisms(self.topology, self.base, plan)
+        return self.base.with_parallelism(plan)
 
     def plan_parallelisms(self, plan: Mapping[str, int]) -> dict[str, int]:
         """Full component→parallelism map for one plan (base + overrides)."""

@@ -10,10 +10,11 @@ The kernel is built to be *bitwise identical* to evaluating each plan
 through :func:`repro.core.performance_models.evaluate_throughput`:
 
 * plans sharing a component parallelism share one
-  :class:`~repro.core.component_model.ComponentModel`, constructed by
-  the exact ``with_parallelism`` rescaling the serial path uses, so
-  every scalar (share vectors, instance saturation points, alphas) is
-  the same object or an identically-constructed array;
+  :class:`~repro.core.component_model.ComponentModel`, drawn from the
+  memo the serial path rescales through
+  (:meth:`~repro.core.topology_model.TopologyModel.rescaled`), so every
+  scalar (share vectors, instance saturation points, alphas) is the same
+  object;
 * ``shares[None, :] * x[:, None]`` produces, row by row, the very
   ``shares * x`` products the serial path computes, and summing a
   C-contiguous matrix along its last axis uses numpy's pairwise
@@ -46,7 +47,7 @@ def _stream_between(
 ) -> str:
     """First declared stream from ``source`` to ``destination``.
 
-    Mirrors ``TopologyModel._stream_between`` (first match wins).
+    First match wins, as where the serial pass compiles its paths.
     """
     for stream in topology.outputs(source):
         if stream.destination == destination:
@@ -68,25 +69,7 @@ class _PlanBatch:
         self.artifact = artifact
         self.plans = [artifact.validate_plan(plan) for plan in plans]
         self.n = len(self.plans)
-        self._models: dict[tuple[str, int], ComponentModel] = {}
         self._groups: dict[str, list[tuple[ComponentModel, np.ndarray]]] = {}
-
-    def _model(self, name: str, parallelism: int) -> ComponentModel:
-        key = (name, parallelism)
-        model = self._models.get(key)
-        if model is None:
-            base = self.artifact.base.component(name)
-            if parallelism == base.parallelism:
-                # Rebuilding at the base parallelism reconstructs the
-                # exact same arrays; reuse the calibrated object.
-                model = base
-            else:
-                model = base.with_parallelism(
-                    parallelism,
-                    self.artifact.plan_shares(name, parallelism),
-                )
-            self._models[key] = model
-        return model
 
     def groups_for(self, name: str) -> list[tuple[ComponentModel, np.ndarray]]:
         groups = self._groups.get(name)
@@ -96,7 +79,7 @@ class _PlanBatch:
                 [plan.get(name, base_p) for plan in self.plans], dtype=np.int64
             )
             groups = [
-                (self._model(name, int(p)), np.nonzero(ps == p)[0])
+                (self.artifact.base.rescaled(name, int(p)), np.nonzero(ps == p)[0])
                 for p in dict.fromkeys(ps.tolist())
             ]
             self._groups[name] = groups
@@ -212,7 +195,7 @@ def evaluate_plans(
             for k in range(len(path) - 1)
         ]
         path_streams.append(streams)
-        # Chained output (critical_path_output) for every plan at once.
+        # Chained output (Eq. 12) for every plan at once.
         rate_vec = np.full(n, float(share))
         for k, name in enumerate(path):
             if k + 1 < len(path):
@@ -220,7 +203,7 @@ def evaluate_plans(
             else:
                 rate_vec = batch.processed(name, rate_vec)
         path_output[pi] = rate_vec
-        # Bottleneck scan (path_bottleneck): SP_k / L_k with L_k the
+        # Bottleneck scan (Eq. 13): SP_k / L_k with L_k the
         # product of upstream alphas — plan-independent scalars.
         factor = 1.0
         finite_names: list[str] = []
@@ -228,10 +211,9 @@ def evaluate_plans(
         for k, name in enumerate(path):
             sp_vec = batch.saturation_points(name)
             base_sp = artifact.base.component(name).instance.saturation_point
-            if not np.isinf(base_sp):
-                if factor == 0.0:
-                    # The serial scalar path raises here too.
-                    raise ZeroDivisionError("float division by zero")
+            # A stage behind a zero alpha is never reached: it cannot be
+            # saturated from the source (the serial chain skips it too).
+            if not np.isinf(base_sp) and factor > 0:
                 finite_names.append(name)
                 finite_rates.append(sp_vec / factor)
             if k + 1 < len(path):
@@ -363,24 +345,13 @@ def estimate_plan_cpu(
     """
     if not artifact.cpu_models:
         return [None] * len(predictions)
-    cache: dict[tuple[str, int], ComponentModel] = {}
     estimates: list[float | None] = []
     for prediction in predictions:
         total = 0.0
         for name, cpu_model in artifact.cpu_models.items():
-            p = int(prediction.parallelisms[name])
-            key = (name, p)
-            model = cache.get(key)
-            if model is None:
-                base = artifact.base.component(name)
-                model = (
-                    base
-                    if p == base.parallelism
-                    else base.with_parallelism(
-                        p, artifact.plan_shares(name, p)
-                    )
-                )
-                cache[key] = model
+            model = artifact.base.rescaled(
+                name, int(prediction.parallelisms[name])
+            )
             report = prediction.components.get(name)
             input_rate = float(report["input"]) if report else 0.0
             total += cpu_model.component_cpu(model, input_rate)

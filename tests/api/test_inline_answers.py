@@ -261,6 +261,11 @@ def check_same_bytes_same_counters(deployment, serving: bool = True) -> None:
     try:
         expected_pool = []
         for label, where, request in _mix():
+            if label == "healthz":
+                # Its breaker window counts every evaluation made so far:
+                # the async jobs' too, whenever their pool gets to them.
+                for asker in askers:
+                    _wait_for_jobs(asker.app)
             answers = [_normalised(asker.ask(*request)) for asker in askers]
             assert answers[0] == answers[1] == answers[2], label
             recomputed = not serving and label.endswith(("hit", "hit again"))
@@ -335,6 +340,59 @@ class TestSameBytesSameCounters:
     def test_an_expired_entry_is_recomputed_on_the_pool(self, deployed_wordcount):
         check_an_expired_entry_is_recomputed(deployed_wordcount)
 
+    def test_a_computed_answer_is_its_stored_bytes_for_leader_and_waiters(
+        self, deployed_wordcount
+    ):
+        asker = InProcess(deployed_wordcount)
+        app = asker.app
+        method, target, body, _ = ROUTES["topology"]
+        request = _parsed(method, target.format(t=WC), body)
+        arrived, release = threading.Barrier(5), threading.Event()
+        compute = app._performance_uncached
+
+        def held(*args):
+            assert release.wait(10)
+            return compute(*args)
+
+        app._performance_uncached = held
+        answers: list = []
+
+        def ask():
+            arrived.wait(10)
+            answers.append(app.handle(*request, True))
+
+        threads = [threading.Thread(target=ask) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            arrived.wait(10)
+            while app.serving.flight.stats()["coalesced"] < 3:
+                time.sleep(0.001)
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(answers) == 4 and answers.count(answers[0]) == 4
+            status, payload = answers[0]
+            assert status == 200 and isinstance(payload, bytes)
+            stats = app.serving.stats()
+            assert (stats["computations"], stats["coalesced"]) == (1, 3)
+            # What an in-process caller decodes, and would encode again.
+            status, document = app.handle(*request)
+            assert status == 200 and isinstance(document, dict)
+            assert json.dumps(document).encode("utf8") == payload
+            assert app.handle_nonblocking(*request) == (200, payload)
+            # An async job holds the decoded answer, whoever asked.
+            _, submitted = app.handle(
+                request[0], request[1], {"async": "1"}, request[3], {}, True
+            )
+            _wait_for_jobs(app)
+            _, job = app.handle("GET", f"/model/result/{submitted['request_id']}")
+            assert job["result"] == document
+        finally:
+            release.set()
+            asker.close()
+
     def test_apps_without_the_attempt_go_to_the_pool(self, deployed_wordcount):
         """The router and the follower say nothing about what they can
         answer without blocking, and are asked nothing."""
@@ -384,6 +442,22 @@ class TestMutants:
         monkeypatch.setattr(ResultCache, "get", forgiving)
         with pytest.raises(AssertionError):
             check_an_expired_entry_is_recomputed(deployed_wordcount)
+
+    def test_a_miss_sent_as_other_bytes_than_its_document_encodes_to(
+        self, deployed_wordcount, monkeypatch
+    ):
+        """The listener writes a computed answer as the bytes it was
+        stored as: they have to be ``json.dumps`` of what ``execute``
+        returns in process (and the pool-only listener encodes)."""
+        honest = ServingLayer._compute_and_store
+
+        def compact(self, *args):
+            document = json.loads(honest(self, *args))
+            return json.dumps(document, separators=(",", ":")).encode("utf8")
+
+        monkeypatch.setattr(ServingLayer, "_compute_and_store", compact)
+        with pytest.raises(AssertionError):
+            check_same_bytes_same_counters(deployed_wordcount)
 
     def test_computing_on_the_loop_when_serving_is_disabled(
         self, deployed_wordcount, monkeypatch

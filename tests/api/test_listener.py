@@ -158,7 +158,7 @@ class TestHostedAppCrash:
     def test_unexpected_exception_is_a_logged_structured_500(
         self, listener, monkeypatch, caplog
     ):
-        def buggy_handle(method, path, query, body, headers=None):
+        def buggy_handle(method, path, query, body, headers=None, encoded=False):
             raise AttributeError("'FollowerApp' object has no attribute 'x'")
 
         monkeypatch.setattr(listener.app, "handle", buggy_handle)

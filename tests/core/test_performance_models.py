@@ -37,14 +37,14 @@ class TestCalibrateTopology:
         _, _, logic, store, tracker = deployed_wordcount
         tracked = tracker.get("word-count")
         model, _ = calibrate_topology(tracked, store)
-        path = ["sentence-spout", "splitter", "counter"]
+        assert model.paths == (("sentence-spout", "splitter", "counter"),)
         alpha = logic["splitter"].alphas["default"]
         # Linear region.
-        assert model.critical_path_output(path, 10 * M) == pytest.approx(
+        assert model.evaluate(10 * M).paths[0].output_rate == pytest.approx(
             alpha * 10 * M, rel=0.05
         )
         # Saturated region: 2 instances x 11M x alpha.
-        assert model.critical_path_output(path, 40 * M) == pytest.approx(
+        assert model.evaluate(40 * M).paths[0].output_rate == pytest.approx(
             2 * 11 * M * alpha, rel=0.10
         )
 

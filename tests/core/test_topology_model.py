@@ -14,7 +14,19 @@ from repro.heron.groupings import ShuffleGrouping
 from repro.heron.topology import TopologyBuilder
 from repro.heron.wordcount import WordCountParams, build_word_count
 
-PATH = ["sentence-spout", "splitter", "counter"]
+PATH = ("sentence-spout", "splitter", "counter")
+
+
+def chained(model, source_rate=0.0):
+    """Word Count's one path (one spout: its share is the whole rate)."""
+    (path,) = model.evaluate(source_rate).paths
+    assert path.path == PATH
+    return path
+
+
+def bottleneck(model):
+    path = chained(model)
+    return path.bottleneck, path.saturation_source_rate
 
 
 def wordcount_model(splitter_p=2, counter_p=4):
@@ -64,49 +76,40 @@ class TestEquation12:
     def test_linear_chain(self):
         model = wordcount_model()
         # 10M sentences -> 76.3M words -> counter processes all of them.
-        assert model.critical_path_output(PATH, 10e6) == pytest.approx(76.3e6)
+        assert chained(model, 10e6).output_rate == pytest.approx(76.3e6)
 
     def test_splitter_bottleneck(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
         # Splitter saturates at 22M: output clips at 2 * 7.63 * 11M.
-        out = model.critical_path_output(PATH, 40e6)
+        out = chained(model, 40e6).output_rate
         assert out == pytest.approx(2 * 7.63 * 11e6)
 
     def test_counter_bottleneck(self):
         model = wordcount_model(splitter_p=8, counter_p=2)
         # Counter capacity 140M words < splitter output at high rates.
-        out = model.critical_path_output(PATH, 40e6)
+        out = chained(model, 40e6).output_rate
         assert out == pytest.approx(2 * 70e6)
-
-    def test_path_validation(self):
-        model = wordcount_model()
-        with pytest.raises(ModelError, match="start at a spout"):
-            model.critical_path_output(["splitter", "counter"], 1e6)
-        with pytest.raises(ModelError, match="no stream"):
-            model.critical_path_output(
-                ["sentence-spout", "counter"], 1e6
-            )
 
 
 class TestEquation13:
     def test_saturation_source_rate_splitter_bound(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        _, t0_prime = model.path_bottleneck(PATH)
+        _, t0_prime = bottleneck(model)
         assert t0_prime == pytest.approx(22e6, rel=1e-6)
 
     def test_saturation_source_rate_counter_bound(self):
         model = wordcount_model(splitter_p=8, counter_p=2)
-        _, t0_prime = model.path_bottleneck(PATH)
+        _, t0_prime = bottleneck(model)
         # Counter saturates at 140M words = 140/7.63 M sentences.
         assert t0_prime == pytest.approx(140e6 / 7.63, rel=1e-6)
 
     def test_bottleneck_identification(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        name, rate = model.path_bottleneck(PATH)
+        name, rate = bottleneck(model)
         assert name == "splitter"
         assert rate == pytest.approx(22e6)
         model2 = wordcount_model(splitter_p=8, counter_p=2)
-        name2, _ = model2.path_bottleneck(PATH)
+        name2, _ = bottleneck(model2)
         assert name2 == "counter"
 
     def test_unsaturable_path(self):
@@ -120,7 +123,7 @@ class TestEquation13:
             "counter": ComponentModel("counter", InstanceModel({}), 1),
         }
         model = TopologyModel(topology, components)
-        name, rate = model.path_bottleneck(PATH)
+        name, rate = bottleneck(model)
         assert name is None
         assert math.isinf(rate)
 
@@ -128,38 +131,36 @@ class TestEquation13:
 class TestEquation14:
     def test_low_risk_far_from_saturation(self):
         model = wordcount_model()
-        assessment = model.backpressure_risk(PATH, 5e6)
+        assessment = chained(model, 5e6).risk(5e6)
         assert assessment.risk is BackpressureRisk.LOW
         assert assessment.headroom > 4
 
     def test_high_risk_near_saturation(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        assessment = model.backpressure_risk(PATH, 21e6)
+        assessment = chained(model, 21e6).risk(21e6)
         assert assessment.risk is BackpressureRisk.HIGH
         assert assessment.bottleneck == "splitter"
 
     def test_threshold_is_tunable(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        at_80pct = model.backpressure_risk(PATH, 17.6e6, threshold=0.8)
-        at_90pct = model.backpressure_risk(PATH, 17.6e6, threshold=0.9)
+        at_80pct = chained(model, 17.6e6).risk(17.6e6, threshold=0.8)
+        at_90pct = chained(model, 17.6e6).risk(17.6e6, threshold=0.9)
         assert at_80pct.risk is BackpressureRisk.HIGH
         assert at_90pct.risk is BackpressureRisk.LOW
 
     def test_validation(self):
         model = wordcount_model()
         with pytest.raises(ModelError):
-            model.backpressure_risk(PATH, 1e6, threshold=0.0)
+            chained(model, 1e6).risk(1e6, threshold=0.0)
         with pytest.raises(ModelError):
-            model.backpressure_risk(PATH, -1.0)
+            model.evaluate(-1.0)
 
 
 class TestPropagate:
     def test_dag_propagation_matches_chain_on_linear_topology(self):
         model = wordcount_model()
         report = model.propagate({"sentence-spout": 10e6})
-        assert report["counter"]["processed"] == pytest.approx(
-            model.critical_path_output(PATH, 10e6)
-        )
+        assert report["counter"]["processed"] == chained(model, 10e6).output_rate
         assert not report["splitter"]["saturated"]
 
     def test_saturation_flags(self):
@@ -202,14 +203,14 @@ class TestWithParallelism:
         scaled = model.with_parallelism({"splitter": 4})
         # After scaling the splitter to 4, the counter (4 x 70M words =
         # 280M, i.e. 280/7.63 M sentences) becomes the binding stage.
-        assert scaled.path_bottleneck(PATH)[1] == pytest.approx(
+        assert bottleneck(scaled)[1] == pytest.approx(
             280e6 / 7.63, rel=1e-6
         )
         # The original is untouched.
-        assert model.path_bottleneck(PATH)[1] == pytest.approx(22e6)
+        assert bottleneck(model)[1] == pytest.approx(22e6)
 
     def test_scaling_moves_the_bottleneck(self):
         model = wordcount_model(splitter_p=2, counter_p=4)
-        assert model.path_bottleneck(PATH)[0] == "splitter"
+        assert bottleneck(model)[0] == "splitter"
         scaled = model.with_parallelism({"splitter": 8})
-        assert scaled.path_bottleneck(PATH)[0] == "counter"
+        assert bottleneck(scaled)[0] == "counter"

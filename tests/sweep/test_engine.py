@@ -66,7 +66,6 @@ class TestArtifactMemoization:
             base=artifact.base,
             fits=artifact.fits,
             cpu_models=artifact.cpu_models,
-            paths=artifact.paths,
             plan_revision=artifact.plan_revision,
             data_version=artifact.data_version + 1,
             warmup_minutes=artifact.warmup_minutes,
