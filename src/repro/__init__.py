@@ -35,33 +35,6 @@ Quickstart::
     print(model.predict("word-count", source_rate=20e6).as_dict())
 """
 
-from repro.errors import (
-    ApiError,
-    CalibrationError,
-    ConfigError,
-    ForecastError,
-    GraphError,
-    MetricsError,
-    ModelError,
-    PackingError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ApiError",
-    "CalibrationError",
-    "ConfigError",
-    "ForecastError",
-    "GraphError",
-    "MetricsError",
-    "ModelError",
-    "PackingError",
-    "ReproError",
-    "SimulationError",
-    "TopologyError",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -25,14 +25,13 @@ Endpoints (all responses JSON):
 ===========================================  =====================================
 """
 
-from repro.api.app import CaladriusApp
-from repro.api.client import BatchAck, BatchWriter, CaladriusClient
-from repro.api.server import CaladriusServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchAck",
-    "BatchWriter",
-    "CaladriusApp",
-    "CaladriusClient",
-    "CaladriusServer",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "app": ("CaladriusApp",),
+        "client": ("CaladriusClient",),
+        "server": ("CaladriusServer",),
+    },
+)

@@ -205,10 +205,10 @@ class CaladriusApp:
         """:meth:`handle`, for a caller that must not wait.
 
         Answers what can be decided without I/O, a journal, a scheduler
-        slot or a model: the liveness probe (unless this shard ships its
-        WAL), the readiness probe, and a synchronous modelling request
-        that is refused (400/404/405, 503 draining, 504 expired) or whose
-        result is cached — that one as the stored response *bytes*.
+        slot or a model: the liveness and readiness probes, and a
+        synchronous modelling request that is refused (400/404/405, 503
+        draining, 504 expired) or whose result is cached — that one as
+        the stored response *bytes*.
         Anything else returns ``None`` having changed nothing, and the
         caller runs :meth:`handle` (``encoded``) where it may block.  The
         same code decides either way; they differ in :meth:`_serve`'s one
@@ -256,8 +256,6 @@ class CaladriusApp:
         passed ``blocking=False``, ``bytes`` to that one (a cached answer)
         and to one that passed ``_ENCODED``."""
         if method == "GET" and parts == ["healthz"]:
-            if not blocking and self.shipper is not None:
-                return None  # its counters sit behind a shipping pass's lock
             return self._healthz()
         if method == "GET" and parts == ["readyz"]:
             return self._readyz()

@@ -23,10 +23,9 @@ for code the loop thread runs:* no file or socket I/O, no ``fsync``, no
 journal lock, no scheduler or single-flight wait, no model or
 calibration code.  The locks it may take are the result cache's, the
 tracker's, the serving counters', the precomputer's, the lifecycle's and
-the circuit breaker's, each held for O(1) work; the store is read
-without one (``MetricsStore.data_version``), and the liveness probe of a
-shard that ships its WAL — whose counters sit behind the lock a shipping
-pass holds — goes to the pool.
+the circuit breaker's, each held for O(1) work; the store and a WAL
+shipper's counters are read without one (``MetricsStore.data_version``,
+``SegmentShipper.stats``).
 
 Beyond socket plumbing the server owns the *graceful lifecycle*: it
 brackets every request — dispatch *and* response writing — with the

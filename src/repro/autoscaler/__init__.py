@@ -21,15 +21,14 @@ executable:
 claim: rounds-to-SLO and simulated minutes for both strategies.
 """
 
-from repro.autoscaler.cluster import SimulatedCluster
-from repro.autoscaler.guided import ModelGuidedScaler
-from repro.autoscaler.reactive import ReactiveScaler
-from repro.autoscaler.types import ScalingRound, ScalingTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ModelGuidedScaler",
-    "ReactiveScaler",
-    "ScalingRound",
-    "ScalingTrace",
-    "SimulatedCluster",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cluster": ("SimulatedCluster",),
+        "guided": ("ModelGuidedScaler",),
+        "reactive": ("ReactiveScaler",),
+        "types": ("ScalingRound", "ScalingTrace"),
+    },
+)

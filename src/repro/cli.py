@@ -946,6 +946,8 @@ def _cmd_recover(args) -> int:
     print(f"wal replay   : {recovery['replayed_records']} records "
           f"({recovery['skipped_records']} skipped, "
           f"{recovery['torn_records']} torn)")
+    print(f"wal decoded  : {recovery['decoded_records']} records "
+          "(every other one resolved by its head)")
     print(f"wal scanned  : {recovery['segments']} segments, "
           f"{recovery['bytes']} bytes, opened in "
           f"{recovery['seconds']:.3f} s")

@@ -25,48 +25,12 @@ the service across processes while keeping the durability story intact:
 the consistency model.
 """
 
-from repro.cluster.chaos import ChaosController, ChaosEvent, build_schedule
-from repro.cluster.client import ClusterClient
-from repro.cluster.epoch import EPOCH_HEADER, EpochStore, fencing_rejection
-from repro.cluster.follower import FollowerApp, FollowerReplica
-from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, HashRing
-from repro.cluster.router import RouterApp
-from repro.cluster.shard import (
-    FAILED,
-    GAVE_UP,
-    PROMOTING,
-    READY,
-    RESTARTING,
-    STARTING,
-    STOPPED,
-    ClusterError,
-    ShardHandle,
-    ShardManager,
-)
-from repro.cluster.shipping import SegmentShipper
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosController",
-    "ChaosEvent",
-    "ClusterClient",
-    "ClusterError",
-    "DEFAULT_VIRTUAL_NODES",
-    "EPOCH_HEADER",
-    "EpochStore",
-    "FAILED",
-    "FollowerApp",
-    "FollowerReplica",
-    "GAVE_UP",
-    "HashRing",
-    "PROMOTING",
-    "READY",
-    "RESTARTING",
-    "RouterApp",
-    "STARTING",
-    "STOPPED",
-    "SegmentShipper",
-    "ShardHandle",
-    "ShardManager",
-    "build_schedule",
-    "fencing_rejection",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ClusterClient",),
+        "epoch": ("EpochStore",),
+    },
+)

@@ -12,9 +12,8 @@ follower maintains:
   :func:`repro.durability.recovery.open_data_dir` (or ``caladrius
   recover``) at the replica;
 * **a live read replica**: every *complete* frame past the applied LSN
-  is decoded with the same codec recovery uses
-  (:func:`~repro.durability.wal.read_segment_records` +
-  :func:`~repro.durability.store.apply_wal_records`) into an in-memory
+  is replayed by the function recovery replays with
+  (:func:`~repro.durability.store.replay_frames`) into an in-memory
   store and tracker, served read-only through an embedded
   :class:`~repro.api.app.CaladriusApp` — modelling queries
   (``/model/…``, ``/topologies``) work against the follower; writes are
@@ -53,8 +52,7 @@ from repro.durability.codec import (
     restore_tracker_state,
     store_content_hash,
 )
-from repro.durability.store import apply_wal_records
-from repro.durability.wal import read_segment_records, record_lsn
+from repro.durability.store import replay_frames
 from repro.errors import DurabilityError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
@@ -224,34 +222,26 @@ class FollowerReplica:
             self._apply_new_frames(path)
 
     def _apply_new_frames(self, path: Path) -> None:
-        """Decode complete frames past our parse offset and apply them.
+        """Replay complete frames past our parse offset.
 
-        A shipped chunk may end mid-frame; ``read_segment_records``
-        stops at the first incomplete or corrupt frame, and the parse
-        offset stays just before it so the next shipment resumes there.
+        A shipped chunk may end mid-frame; the walk stops at the first
+        incomplete, corrupt or undecodable frame, and the parse offset
+        stays just before it so the next shipment resumes there.  Same
+        stance as crash recovery otherwise: a record the store rejects
+        (duplicate of checkpointed data, malformed) is skipped.
         """
-        end = self._parse_offsets.get(path.name, 0)
-        last = self.applied_lsn
-
-        def fresh():
-            nonlocal end, last
-            for record, end in read_segment_records(path, end):
-                # A payload that is not an object has no LSN to place it
-                # by; it goes through to be skipped and counted.
-                if isinstance(record, dict):
-                    lsn = record_lsn(record)
-                    if lsn <= last:
-                        continue
-                    last = lsn
-                yield record
-
-        # Same stance as crash recovery: a record the store rejects
-        # (duplicate of checkpointed data, malformed) is skipped.
-        applied, skipped = apply_wal_records(self.store, fresh())
-        self.applied_records += applied
-        self.skipped_records += skipped
-        self.applied_lsn = last
-        self._parse_offsets[path.name] = end
+        with open(path, "rb") as handle:
+            walk = replay_frames(
+                self.store,
+                handle,
+                self._parse_offsets.get(path.name, 0),
+                self.applied_lsn,
+                advance=True,
+            )
+        self.applied_records += walk.replayed
+        self.skipped_records += walk.skipped
+        self.applied_lsn = walk.after_lsn
+        self._parse_offsets[path.name] = walk.end
 
     @staticmethod
     def _write_atomic(path: Path, raw: bytes) -> None:

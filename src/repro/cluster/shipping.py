@@ -93,6 +93,8 @@ class SegmentShipper:
         self.epoch = epoch
         self._fenced = False
         self._fencing_409s = 0
+        # Replaced, never mutated: :meth:`stats` reads it without the
+        # mutex a shipping pass holds across its network calls.
         self._offsets: dict[str, int] = {}
         self._checkpoint_sig: tuple[int, int] | None = None
         self._client = CaladriusClient(
@@ -174,9 +176,11 @@ class SegmentShipper:
                 shipped += self._ship_segment(path)
             # Segments reclaimed by a checkpoint vanish from the shard;
             # forget their offsets so a reused name starts clean.
-            for name in list(self._offsets):
-                if name not in live:
-                    del self._offsets[name]
+            self._offsets = {
+                name: offset
+                for name, offset in self._offsets.items()
+                if name in live
+            }
             self._passes += 1
             self._shipped_bytes += shipped
             return {
@@ -222,11 +226,11 @@ class SegmentShipper:
                 # restarted or a transfer tore); trust its offset and
                 # rewind/advance.
                 offset = int(body.get("offset", 0))
-                self._offsets[name] = offset
+                self._offsets = {**self._offsets, name: offset}
                 continue
             offset += len(chunk)
             shipped += len(chunk)
-            self._offsets[name] = offset
+            self._offsets = {**self._offsets, name: offset}
         return shipped
 
     # ------------------------------------------------------------------
@@ -265,15 +269,20 @@ class SegmentShipper:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Shipping counters for ``/healthz`` and ``/cluster/stats``."""
-        with self._mutex:
-            return {
-                "target": f"{self.host}:{self.port}",
-                "passes": self._passes,
-                "shipped_bytes": self._shipped_bytes,
-                "failures": self._failures,
-                "offsets": dict(self._offsets),
-                "epoch": self.epoch,
-                "fenced": self._fenced,
-                "fencing_409s": self._fencing_409s,
-            }
+        """Shipping counters for ``/healthz`` and ``/cluster/stats``.
+
+        Never waits on a shipping pass (which holds the mutex across its
+        POSTs): each counter is one atomic read, and the offsets table a
+        pass publishes is a fresh dict each time, so the copy taken here
+        never races a mutation.  A pass in flight may show half-counted.
+        """
+        return {
+            "target": f"{self.host}:{self.port}",
+            "passes": self._passes,
+            "shipped_bytes": self._shipped_bytes,
+            "failures": self._failures,
+            "offsets": dict(self._offsets),
+            "epoch": self.epoch,
+            "fenced": self._fenced,
+            "fencing_409s": self._fencing_409s,
+        }

@@ -8,23 +8,12 @@ package loads and validates that YAML, and builds the configured model
 registry.
 """
 
-from repro.config.loader import (
-    CaladriusConfig,
-    ClusterConfig,
-    DurabilityConfig,
-    IngestConfig,
-    ServingConfig,
-    load_config,
-)
-from repro.config.registry import ModelRegistry, build_registry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CaladriusConfig",
-    "ClusterConfig",
-    "DurabilityConfig",
-    "IngestConfig",
-    "ModelRegistry",
-    "ServingConfig",
-    "build_registry",
-    "load_config",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "loader": ("load_config",),
+        "registry": ("build_registry",),
+    },
+)

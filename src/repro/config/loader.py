@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from repro.errors import ConfigError
 
 __all__ = [
@@ -217,6 +215,8 @@ def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
         path = Path(source)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
+        import yaml  # only a file needs the parser
+
         with open(path, encoding="utf8") as handle:
             document = yaml.safe_load(handle)
     if document is None:

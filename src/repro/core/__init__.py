@@ -19,49 +19,14 @@ This package is the primary contribution being reproduced:
   the analytical models together behind the API tier.
 """
 
-from repro.core.calibration import (
-    PiecewiseLinearFit,
-    component_observations,
-    fit_linear,
-    fit_piecewise_linear,
-)
-from repro.core.component_model import ComponentModel
-from repro.core.cpu_model import CpuModel, fit_cpu_model
-from repro.core.instance_model import InstanceModel
-from repro.core.latency_model import LatencyModel, WatermarkSettings
-from repro.core.performance_models import (
-    BackpressureEvaluationModel,
-    PerformanceModel,
-    PerformancePrediction,
-    ThroughputPredictionModel,
-)
-from repro.core.topology_model import BackpressureRisk, TopologyModel
-from repro.core.traffic_models import (
-    ProphetTrafficModel,
-    StatsSummaryTrafficModel,
-    TrafficModel,
-    TrafficPrediction,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackpressureEvaluationModel",
-    "BackpressureRisk",
-    "ComponentModel",
-    "CpuModel",
-    "InstanceModel",
-    "LatencyModel",
-    "PerformanceModel",
-    "WatermarkSettings",
-    "PerformancePrediction",
-    "PiecewiseLinearFit",
-    "ProphetTrafficModel",
-    "StatsSummaryTrafficModel",
-    "ThroughputPredictionModel",
-    "TopologyModel",
-    "TrafficModel",
-    "TrafficPrediction",
-    "component_observations",
-    "fit_cpu_model",
-    "fit_linear",
-    "fit_piecewise_linear",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "performance_models": (
+            "BackpressureEvaluationModel", "ThroughputPredictionModel",
+        ),
+        "traffic_models": ("ProphetTrafficModel",),
+    },
+)

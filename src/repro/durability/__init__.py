@@ -18,74 +18,24 @@ stoppable without losing acknowledged state:
   breaker around model evaluation.
 """
 
-from repro.durability.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    CircuitOpenError,
-)
-from repro.durability.checkpoint import CheckpointManager, atomic_write_json
-from repro.durability.deadline import (
-    DEADLINE_HEADER,
-    Deadline,
-    DeadlineExceeded,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-    parse_deadline_header,
-)
-from repro.durability.lifecycle import (
-    DRAINING,
-    RUNNING,
-    STOPPED,
-    LifecycleController,
-)
-from repro.durability.codec import store_content_hash
-from repro.durability.recovery import open_data_dir, peek_recoverable_lsn
-from repro.durability.store import (
-    DurableMetricsStore,
-    RecoveryReport,
-    apply_wal_records,
-)
-from repro.durability.wal import (
-    FSYNC_ALWAYS,
-    FSYNC_INTERVAL,
-    FSYNC_NEVER,
-    FSYNC_POLICIES,
-    WriteAheadLog,
-    read_segment_records,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CheckpointManager",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "DEADLINE_HEADER",
-    "Deadline",
-    "DeadlineExceeded",
-    "DRAINING",
-    "RUNNING",
-    "STOPPED",
-    "DurableMetricsStore",
-    "FSYNC_ALWAYS",
-    "FSYNC_INTERVAL",
-    "FSYNC_NEVER",
-    "FSYNC_POLICIES",
-    "LifecycleController",
-    "RecoveryReport",
-    "WriteAheadLog",
-    "apply_wal_records",
-    "atomic_write_json",
-    "check_deadline",
-    "read_segment_records",
-    "store_content_hash",
-    "current_deadline",
-    "deadline_scope",
-    "open_data_dir",
-    "parse_deadline_header",
-    "peek_recoverable_lsn",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "breaker": (
+            "CLOSED", "HALF_OPEN", "OPEN", "CircuitBreaker",
+            "CircuitOpenError",
+        ),
+        "checkpoint": ("CheckpointManager",),
+        "codec": ("store_content_hash",),
+        "deadline": (
+            "Deadline", "DeadlineExceeded", "check_deadline", "deadline_scope",
+            "parse_deadline_header",
+        ),
+        "lifecycle": ("DRAINING", "RUNNING", "STOPPED", "LifecycleController"),
+        "recovery": ("open_data_dir",),
+        "store": ("DurableMetricsStore",),
+        "wal": ("WriteAheadLog",),
+    },
+)

@@ -8,9 +8,17 @@ recovery sequence:
 
 1. load ``checkpoint.json`` (if present) and restore the snapshotted
    series and version counters;
-2. replay WAL records with ``lsn > checkpoint.last_lsn``, skipping a
-   torn final record (a crash mid-append) without aborting;
-3. resume appending after the last recovered LSN.
+2. walk the WAL once, segment by segment: each frame is read and
+   CRC-checked once, and the same walk yields the log's extent, its
+   last LSN and a torn final record (a crash mid-append), which is cut
+   off without aborting.  Records with ``lsn > checkpoint.last_lsn`` are
+   replayed as they are read (:func:`replay_frames`): a ``write`` whose
+   record head the store has already validated is resolved from its
+   bytes through the head table ingest uses, so only first sightings,
+   other ops and tails outside the grammar are JSON-decoded;
+3. resume appending after the last recovered LSN, with the head table
+   already holding every series replayed — the first ``write_batch``
+   after a restart resolves by head.
 
 Mutations are validated against the in-memory store *first*, then
 journaled: an out-of-order timestamp raises before it can pollute the
@@ -20,34 +28,48 @@ caller was never told succeeded.
 
 from __future__ import annotations
 
+import io
+import json
 import logging
 import math
+import re
 import threading
 import time
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from sys import intern
 from typing import Any
 
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import encode_store_state, restore_store_state
-from repro.durability.wal import FSYNC_INTERVAL, WriteAheadLog
-from repro.errors import MetricsError
+from repro.durability.wal import (
+    _HEADER,
+    _NOT_JSON,
+    FSYNC_INTERVAL,
+    WriteAheadLog,
+    frame_windows,
+    record_lsn,
+)
+from repro.errors import DurabilityError, MetricsError
 from repro.timeseries.store import (
+    _TAIL,
     MetricKey,
     MetricsStore,
     MinuteBatch,
     raise_first_error,
     frame_sample,
+    write_fields,
     write_head,
     write_record,
 )
 
 __all__ = [
     "DurableMetricsStore",
+    "FrameReplay",
     "RecoveryReport",
-    "apply_wal_records",
     "frame_sample",
+    "replay_frames",
 ]
 
 logger = logging.getLogger("repro.durability.store")
@@ -57,64 +79,181 @@ _WAL_SUBDIR = "wal"
 #: form ``WriteAheadLog.append_bodies`` takes) is the same text without it.
 _LSN_SLOT = b'{"lsn":%d,'
 _REPLAY_BATCH = 1024
+#: The LSN prefix ``append_bodies`` splices in place of a body's opening
+#: brace: a JSON integer (at most 18 digits, under ``int()``'s limit).
+_LSN_PREFIX = re.compile(rb'\{"lsn":([1-9][0-9]{0,17}),')
+#: A journal record resolvable by its head: the LSN prefix, the head after
+#: its opening brace, and a tail in ingest's grammar.  Greedy, so the head
+#: runs to the *last* ``,"ts":`` — the tail cannot contain the marker, so
+#: this is exactly ingest's split (``rfind``) followed by its tail match.
+_JOURNAL_RECORD = re.compile(
+    _LSN_PREFIX.pattern + rb"(.*)" + _TAIL.pattern, re.DOTALL
+)
 
 
-def apply_wal_records(
-    store: MetricsStore, records: Iterable[Mapping[str, Any]]
-) -> tuple[int, int]:
-    """Replay WAL records into a store; returns ``(replayed, skipped)``.
+def _decode_record(payload: bytes, prefix: re.Match | None) -> tuple[Any, int, bool]:
+    """JSON-decode one journal payload: ``(record, lsn, learnable)``.
+
+    With an LSN prefix the body after it is decoded (``{`` + the rest —
+    what the client sent), so what it says about ``lsn`` is known: a
+    body without one gives the prefix's LSN and is the ingest gate's
+    kind of record, whose head may be learned; a body with one holds a
+    duplicate top-level key, and the last one wins as in a whole-payload
+    decode.  Anything else — no prefix, a body that does not decode —
+    is decoded whole, which raises ``ValueError`` for a payload that is
+    not JSON.
+    """
+    if prefix is not None:
+        try:
+            body = b"{" + payload[prefix.end(1) + 1 :]
+            record = json.loads(body.decode("utf8"))
+        except ValueError:
+            record = None
+        # ``{}`` came from ``{"lsn":N,}``, which is not JSON.
+        if record:
+            if "lsn" in record:
+                return record, record_lsn(record), False
+            return record, int(prefix[1]), True
+    record = json.loads(payload.decode("utf8"))
+    return record, record_lsn(record), False
+
+
+@dataclass
+class FrameReplay:
+    """What :func:`replay_frames` read and did."""
+
+    #: Whole frames read, and how many of them were JSON-decoded.
+    records: int = 0
+    decoded: int = 0
+    #: Samples and ``clear`` records applied; records skipped (rejected
+    #: by the store, malformed, or of an unknown op) — see the function.
+    replayed: int = 0
+    skipped: int = 0
+    #: The last nonzero LSN read, and the replay cut when the walk ended.
+    last_lsn: int = 0
+    after_lsn: int = 0
+    #: Where the walk stopped and why (``None`` at a clean end of data).
+    end: int = 0
+    fault: str | None = None
+
+
+def replay_frames(
+    store: MetricsStore,
+    handle: "io.BufferedReader | io.BytesIO",
+    offset: int = 0,
+    after_lsn: int = 0,
+    advance: bool = False,
+) -> FrameReplay:
+    """Replay journal frames into ``store`` from their bytes, in one walk.
 
     The one replay function: :class:`DurableMetricsStore` recovery and
-    the cluster tier's follower both hand their records here, so a
-    replica replays shipped segments with exactly the semantics recovery
-    uses.  Runs of ``write`` records go through the plain (unjournaled)
-    keyed loop as one batch each (cut at :data:`_REPLAY_BATCH` so a long
-    log is never held in memory as entries), their keys resolved through
-    the store's intern table; a ``clear`` is applied in its place
-    between them.  A record the store rejects (it predates the
-    checkpoint cut, or duplicates a replayed sample), whose ``op`` is
-    unknown, or that is malformed — not an object, a ``write`` without a
-    string ``name``, mapping ``tags`` or numeric ``ts``/``v`` — is
-    skipped and counted: a CRC only vouches for the bytes, and replay
-    restores everything restorable.
+    the cluster tier's follower both walk their segments here, so a
+    replica replays shipped bytes with exactly the semantics recovery
+    uses.  ``handle`` is read from ``offset`` by the frame decoder
+    (:func:`~repro.durability.wal.frame_windows`, CRC walk only) until
+    its end or the first frame that is not whole, CRC-valid JSON; the
+    result says where and why, for the caller to truncate, raise or
+    resume there.
+
+    Records with ``lsn > after_lsn`` are replayed (with ``advance``, the
+    cut moves up to each replayed record's LSN, as a follower's applied
+    LSN does); a decoded value that is not an object has no LSN and is
+    skipped and counted.  A ``write`` whose ``{"lsn":N,`` prefix parses,
+    whose head the store's head table knows and whose tail is in the
+    ingest grammar (see :meth:`MetricsStore.frame_samples`) is resolved
+    from its bytes — no JSON, no tag sort, no key built.  Every other
+    frame is decoded, in log order, and a ``write`` must pass
+    :func:`~repro.timeseries.store.write_fields`' type rules or is
+    skipped and counted: a CRC only vouches for the bytes.  A decoded
+    ``write`` that would also pass the ingest gate registers its head,
+    so a series is decoded at its first sighting only — and stays known
+    to ``write_batch`` after the restart.
+
+    Samples are applied through the plain (unjournaled) keyed loop in
+    batches of :data:`_REPLAY_BATCH`, so a long log is never held as
+    entries; a ``clear`` is applied in its place between them.  A sample
+    the store rejects (it predates the checkpoint cut, or duplicates a
+    replayed one) is skipped and counted.
     """
-    replayed = skipped = 0
+    walk = FrameReplay(after_lsn=after_lsn)
     entries: list[tuple[MetricKey, int, float]] = []
-    key_of = store.key_of
+    heads = store._heads
+    known = heads.get
+    resolvable = _JOURNAL_RECORD.fullmatch
+    after = after_lsn
 
     def apply_pending() -> None:
-        nonlocal replayed, skipped
         errors = MetricsStore.apply_sample_batch(store, entries)
         accepted = errors.count(None)
-        replayed += accepted
-        skipped += len(errors) - accepted
+        walk.replayed += accepted
+        walk.skipped += len(errors) - accepted
         entries.clear()
 
-    def sample(record: Mapping[str, Any]) -> tuple[MetricKey, int, float]:
-        name = record["name"]
-        if not isinstance(name, str):
-            raise TypeError("name must be a string")
-        return key_of(name, record.get("tags")), int(record["ts"]), float(record["v"])
-
-    for record in records:
-        try:
+    for payloads, _, start, fault in frame_windows(handle, offset, decode=False):
+        for index, payload in enumerate(payloads):
+            match = resolvable(payload)
+            if match is not None:
+                lsn, head, ts, value = match.groups()
+                key = known(b"{" + head)
+                if key is not None:
+                    lsn = walk.last_lsn = int(lsn)
+                    if lsn > after:
+                        if advance:
+                            after = lsn
+                        entries.append((key, int(ts), float(value)))
+                        if len(entries) >= _REPLAY_BATCH:
+                            apply_pending()
+                    continue
+            try:
+                record, lsn, learnable = _decode_record(
+                    payload, match or _LSN_PREFIX.match(payload)
+                )
+            except ValueError as exc:
+                payloads = payloads[:index]  # the walk ends at this frame
+                fault = f"{_NOT_JSON} ({exc})"
+                break
+            walk.decoded += 1
+            if not isinstance(record, dict):
+                walk.skipped += 1
+                continue
+            if lsn:
+                walk.last_lsn = lsn
+            if lsn <= after:
+                continue
+            if advance:
+                after = lsn
             op = record.get("op")
-            entry = sample(record) if op == "write" else None
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-            skipped += 1
-            continue
-        if entry is not None:
-            entries.append(entry)
-            if len(entries) >= _REPLAY_BATCH:
+            if op == "write":
+                try:
+                    name, tags, ts, value = write_fields(record)
+                except MetricsError:
+                    walk.skipped += 1
+                    continue
+                # A series' strings, interned: a recovered store's keys
+                # share the few names, tag keys and values they spell.
+                key = MetricKey(
+                    intern(name),
+                    tuple(sorted((intern(k), intern(v)) for k, v in tags.items())),
+                )
+                if learnable and name and match is not None:
+                    store._bound_heads(1)
+                    heads[b"{" + match[2]] = key
+                entries.append((key, ts, value))
+                if len(entries) >= _REPLAY_BATCH:
+                    apply_pending()
+            elif op == "clear":
                 apply_pending()
-        elif op == "clear":
-            apply_pending()
-            MetricsStore.clear(store)
-            replayed += 1
-        else:
-            skipped += 1
+                MetricsStore.clear(store)
+                walk.replayed += 1
+            else:
+                walk.skipped += 1
+        walk.records += len(payloads)
+        if fault is not None:
+            start += sum(map(len, payloads)) + _HEADER.size * len(payloads)
+            break
     apply_pending()
-    return replayed, skipped
+    walk.after_lsn, walk.end, walk.fault = after, start, fault
+    return walk
 
 
 @dataclass(frozen=True)
@@ -125,10 +264,14 @@ class RecoveryReport:
     snapshot_samples: int
     replayed_records: int
     skipped_records: int
+    #: Frames replay JSON-decoded: first sightings of a series, records
+    #: other than ``write`` and tails outside the ingest grammar; every
+    #: other frame was resolved by its head.
+    decoded_records: int
     torn_records: int
     last_lsn: int
-    #: WAL segments and whole-frame bytes the opening scan walked, and
-    #: the wall time of the open (scan + snapshot restore + replay).
+    #: WAL segments and whole-frame bytes the opening walk read, and the
+    #: wall time of the open (snapshot restore + walk and replay).
     segments: int
     bytes: int
     seconds: float
@@ -182,6 +325,31 @@ class DurableMetricsStore(MetricsStore):
         self._journal_lock = threading.RLock()
         self._lock = self._journal_lock
         self._journalling = False
+        self.tracker_snapshot: dict[str, Any] | None = (
+            checkpoint.get("tracker") if checkpoint else None
+        )
+        checkpoint_lsn = snapshot_samples = 0
+        if checkpoint is not None:
+            checkpoint_lsn = int(checkpoint.get("last_lsn", 0))
+            snapshot_samples = restore_store_state(self, checkpoint["store"])
+        replay = FrameReplay()
+
+        def replay_segment(path: Path) -> tuple[int, int, int, str | None]:
+            # The WAL's opening walk of one segment, replaying as it reads.
+            with open(path, "rb") as handle:
+                walk = replay_frames(self, handle, after_lsn=checkpoint_lsn)
+            if walk.fault is not None and walk.fault.startswith(_NOT_JSON):
+                # Written that way, not torn: replaying past it would
+                # lose whatever follows.
+                raise DurabilityError(
+                    f"WAL segment {path} is corrupt at offset {walk.end}: "
+                    f"{walk.fault}"
+                )
+            replay.replayed += walk.replayed
+            replay.skipped += walk.skipped
+            replay.decoded += walk.decoded
+            return walk.records, walk.last_lsn, walk.end, walk.fault
+
         # The WAL shares the journal lock, so apply + journal is one
         # lock round-trip and WAL drains serialise against store reads.
         self.wal = WriteAheadLog(
@@ -191,52 +359,36 @@ class DurableMetricsStore(MetricsStore):
             fsync_interval_seconds=fsync_interval_seconds,
             faults=faults,
             lock=self._journal_lock,
+            reader=replay_segment,
         )
         if checkpoint is not None:
             # A checkpoint that reclaimed every segment leaves nothing
-            # for the scan to number from; LSNs must still move forward.
-            self.wal.advance_to(int(checkpoint.get("last_lsn", 0)))
-        self.tracker_snapshot: dict[str, Any] | None = (
-            checkpoint.get("tracker") if checkpoint else None
+            # for the walk to number from; LSNs must still move forward.
+            self.wal.advance_to(checkpoint_lsn)
+        self.recovery = RecoveryReport(
+            checkpoint_lsn=checkpoint_lsn,
+            snapshot_samples=snapshot_samples,
+            replayed_records=replay.replayed,
+            skipped_records=replay.skipped,
+            decoded_records=replay.decoded,
+            torn_records=self.wal.scan.torn_records,
+            last_lsn=self.wal.last_lsn,
+            segments=self.wal.scan.segments,
+            bytes=self.wal.scan.bytes,
+            seconds=time.perf_counter() - began,
         )
-        self.recovery = self._recover(checkpoint, began)
         self._journalling = True
         logger.info(
             "recovered data_dir=%s records=%d skipped=%d torn=%d segments=%d "
-            "bytes=%d seconds=%.3f",
+            "bytes=%d decoded=%d seconds=%.3f",
             self.data_dir,
             self.recovery.replayed_records,
             self.recovery.skipped_records,
             self.recovery.torn_records,
             self.recovery.segments,
             self.recovery.bytes,
+            self.recovery.decoded_records,
             self.recovery.seconds,
-        )
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
-    def _recover(
-        self, checkpoint: dict[str, Any] | None, began: float
-    ) -> RecoveryReport:
-        checkpoint_lsn = 0
-        snapshot_samples = 0
-        if checkpoint is not None:
-            checkpoint_lsn = int(checkpoint.get("last_lsn", 0))
-            snapshot_samples = restore_store_state(self, checkpoint["store"])
-        replayed, skipped = apply_wal_records(
-            self, self.wal.replay(after_lsn=checkpoint_lsn)
-        )
-        return RecoveryReport(
-            checkpoint_lsn=checkpoint_lsn,
-            snapshot_samples=snapshot_samples,
-            replayed_records=replayed,
-            skipped_records=skipped,
-            torn_records=self.wal.scan.torn_records,
-            last_lsn=self.wal.last_lsn,
-            segments=self.wal.scan.segments,
-            bytes=self.wal.scan.bytes,
-            seconds=time.perf_counter() - began,
         )
 
     # ------------------------------------------------------------------

@@ -42,7 +42,7 @@ import os
 import struct
 import threading
 import zlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -275,9 +275,9 @@ def scan_segment(path: Path) -> tuple[int, int, int, str | None]:
     """CRC-walk one segment: ``(records, last_lsn, valid_end, fault)``.
 
     Counts the whole frames and decodes only the last one, for its LSN
-    (0 when the segment holds no record that carries one) — what the
-    opening scan and :func:`~repro.durability.recovery.peek_recoverable_lsn`
-    need, without the JSON decode replay will do anyway.
+    (0 when the segment holds no record that carries one) — what
+    :func:`~repro.durability.recovery.peek_recoverable_lsn` and the
+    opening walk of a log that nothing replays need.
     """
     records, last = 0, None
     with open(path, "rb") as handle:
@@ -322,6 +322,11 @@ class WriteAheadLog:
         caller that already serialises its own writes can share its lock
         so the append path pays a re-entrant acquire (an owner check)
         instead of a second full lock round-trip.
+    reader:
+        How the opening walk reads one segment: ``reader(path)`` returns
+        ``(records, last_lsn, valid_end, fault)`` as :func:`scan_segment`
+        (the default) does.  The durable store passes one that replays
+        the segment as it reads it, so an open walks each byte once.
     """
 
     def __init__(
@@ -332,6 +337,7 @@ class WriteAheadLog:
         fsync_interval_seconds: float = 0.05,
         faults: Any | None = None,
         lock: Any | None = None,
+        reader: Callable[[Path], tuple[int, int, int, str | None]] = scan_segment,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise DurabilityError(
@@ -368,7 +374,7 @@ class WriteAheadLog:
         self._failed: str | None = None
         self.appended = 0
         self.fsyncs = 0
-        self._scan = self._scan_segments()
+        self._scan = self._scan_segments(reader)
         self._next_lsn = self._scan.last_lsn + 1
         if fsync == FSYNC_INTERVAL:
             # The fsync tick runs on this thread, off the append path:
@@ -391,12 +397,15 @@ class WriteAheadLog:
         ]
         return sorted(paths, key=_segment_first_lsn)
 
-    def _scan_segments(self) -> WalScan:
-        """CRC-walk every segment, truncating a torn tail on the last one."""
+    def _scan_segments(
+        self, reader: Callable[[Path], tuple[int, int, int, str | None]]
+    ) -> WalScan:
+        """Walk every segment with ``reader``, truncating a torn tail on
+        the last one."""
         last_lsn = torn = records = total = 0
         paths = self._segment_paths()
         for path in paths:
-            count, lsn, valid_end, fault = scan_segment(path)
+            count, lsn, valid_end, fault = reader(path)
             records += count
             last_lsn = lsn or last_lsn
             total += valid_end
@@ -453,7 +462,7 @@ class WriteAheadLog:
 
     @property
     def scan(self) -> WalScan:
-        """What the opening scan found (torn records, extent)."""
+        """What the opening walk found (torn records, extent)."""
         return self._scan
 
     def segments(self) -> list[Path]:

@@ -12,12 +12,3 @@ simulation per (source rate, repetition), warmup discarded, steady-state
 minutes averaged — the paper's "experiments were allowed to run ... to
 attain steady state before measurements were retrieved".
 """
-
-from repro.experiments.sweeps import (
-    ObservationPoint,
-    SweepResult,
-    run_point,
-    run_sweep,
-)
-
-__all__ = ["ObservationPoint", "SweepResult", "run_point", "run_sweep"]

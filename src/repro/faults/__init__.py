@@ -15,29 +15,14 @@ This package supplies the three pieces of the robustness story:
   durability subsystem's crash-recovery tests.
 """
 
-from repro.faults.health import MetricsHealth, assess_topology_metrics
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FaultEvent,
-    FaultPlan,
-    load_fault_plan,
-    single_event_plan,
-)
-from repro.faults.service import (
-    ServiceFault,
-    ServiceFaultInjector,
-    parse_service_fault_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "MetricsHealth",
-    "ServiceFault",
-    "ServiceFaultInjector",
-    "assess_topology_metrics",
-    "load_fault_plan",
-    "parse_service_fault_spec",
-    "single_event_plan",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "plan": ("load_fault_plan",),
+        "service": (
+            "ServiceFault", "ServiceFaultInjector", "parse_service_fault_spec",
+        ),
+    },
+)

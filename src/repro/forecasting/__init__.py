@@ -17,19 +17,14 @@ decomposition:
 * :mod:`~repro.forecasting.backtest` — rolling-origin evaluation.
 """
 
-from repro.forecasting.backtest import BacktestResult, rolling_origin_backtest
-from repro.forecasting.base import Forecast, Forecaster
-from repro.forecasting.holt_winters import HoltWinters
-from repro.forecasting.prophet_lite import ProphetLite, Seasonality
-from repro.forecasting.summary import SummaryForecaster
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BacktestResult",
-    "Forecast",
-    "Forecaster",
-    "HoltWinters",
-    "ProphetLite",
-    "Seasonality",
-    "SummaryForecaster",
-    "rolling_origin_backtest",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "backtest": ("rolling_origin_backtest",),
+        "holt_winters": ("HoltWinters",),
+        "prophet_lite": ("ProphetLite", "Seasonality"),
+        "summary": ("SummaryForecaster",),
+    },
+)

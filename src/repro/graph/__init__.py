@@ -12,27 +12,3 @@ over it (paper Section III-C1).  This package is the offline equivalent:
 * :mod:`~repro.graph.plan_analysis` — local vs remote traffic and
   stream-manager load of a proposed packing plan.
 """
-
-from repro.graph.plan_analysis import (
-    PlanCost,
-    analyse_plan,
-    stream_rates_from_propagation,
-)
-from repro.graph.property_graph import Edge, PropertyGraph, Vertex
-from repro.graph.topology_graph import (
-    logical_graph,
-    path_count,
-    source_sink_paths,
-)
-
-__all__ = [
-    "Edge",
-    "PlanCost",
-    "PropertyGraph",
-    "Vertex",
-    "analyse_plan",
-    "logical_graph",
-    "path_count",
-    "source_sink_paths",
-    "stream_rates_from_propagation",
-]

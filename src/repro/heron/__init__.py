@@ -14,67 +14,14 @@ induced traffic splits and CPU load — is preserved; per-tuple content is
 not, because no model in the paper reads it.
 """
 
-from repro.heron.corpus import SyntheticCorpus
-from repro.heron.groupings import (
-    AllGrouping,
-    FieldsGrouping,
-    GlobalGrouping,
-    Grouping,
-    KeyDistribution,
-    ShuffleGrouping,
-)
-from repro.heron.metrics import MetricNames
-from repro.heron.packing import (
-    ContainerPlan,
-    InstancePlan,
-    PackingPlan,
-    Resources,
-    RoundRobinPacking,
-)
-from repro.heron.simulation import (
-    ComponentLogic,
-    HeronSimulation,
-    SimulationConfig,
-    SpoutLogic,
-)
-from repro.heron.topology import (
-    ComponentSpec,
-    LogicalTopology,
-    Stream,
-    TopologyBuilder,
-)
-from repro.heron.topology_yaml import load_topology_yaml, parse_topology_document
-from repro.heron.tracker import TopologyTracker
-from repro.heron.wordcount import WordCountParams, build_word_count
-from repro.heron.workloads import AdsPipelineParams, build_ads_pipeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdsPipelineParams",
-    "AllGrouping",
-    "ComponentLogic",
-    "ComponentSpec",
-    "ContainerPlan",
-    "FieldsGrouping",
-    "GlobalGrouping",
-    "Grouping",
-    "HeronSimulation",
-    "InstancePlan",
-    "KeyDistribution",
-    "LogicalTopology",
-    "MetricNames",
-    "PackingPlan",
-    "Resources",
-    "RoundRobinPacking",
-    "ShuffleGrouping",
-    "SimulationConfig",
-    "SpoutLogic",
-    "Stream",
-    "SyntheticCorpus",
-    "TopologyBuilder",
-    "TopologyTracker",
-    "WordCountParams",
-    "build_ads_pipeline",
-    "build_word_count",
-    "load_topology_yaml",
-    "parse_topology_document",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "simulation": ("HeronSimulation", "SimulationConfig"),
+        "tracker": ("TopologyTracker",),
+        "wordcount": ("WordCountParams", "build_word_count"),
+        "workloads": ("AdsPipelineParams", "build_ads_pipeline"),
+    },
+)

@@ -32,28 +32,13 @@ and the model registry:
     :class:`ServingLayer` — the facade the API tier calls.
 """
 
-from repro.serving.cache import ResultCache
-from repro.serving.fingerprint import RequestDescriptor, canonical_json, fingerprint
-from repro.serving.layer import ServingLayer
-from repro.serving.precompute import WarmCachePrecomputer
-from repro.serving.scheduler import (
-    INTERACTIVE,
-    PRECOMPUTE,
-    AdmissionError,
-    PriorityScheduler,
-)
-from repro.serving.singleflight import SingleFlight
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "INTERACTIVE",
-    "PRECOMPUTE",
-    "PriorityScheduler",
-    "RequestDescriptor",
-    "ResultCache",
-    "ServingLayer",
-    "SingleFlight",
-    "WarmCachePrecomputer",
-    "canonical_json",
-    "fingerprint",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "fingerprint": ("RequestDescriptor",),
+        "layer": ("ServingLayer",),
+        "scheduler": ("INTERACTIVE", "PRECOMPUTE"),
+    },
+)

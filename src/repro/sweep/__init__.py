@@ -12,17 +12,14 @@ Three layers (ROADMAP: "score many candidate packing plans per query"):
 orchestrated by :class:`~repro.sweep.engine.PlanSweepEngine`.
 """
 
-from repro.sweep.artifact import CalibrationArtifact
-from repro.sweep.engine import PlanSweepEngine
-from repro.sweep.kernel import estimate_plan_cpu, evaluate_plans
-from repro.sweep.pool import ValidationSpec, plan_seed, validate_plans
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationArtifact",
-    "PlanSweepEngine",
-    "evaluate_plans",
-    "estimate_plan_cpu",
-    "ValidationSpec",
-    "plan_seed",
-    "validate_plans",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "artifact": ("CalibrationArtifact",),
+        "engine": ("PlanSweepEngine",),
+        "kernel": ("estimate_plan_cpu", "evaluate_plans"),
+        "pool": ("ValidationSpec", "plan_seed", "validate_plans"),
+    },
+)

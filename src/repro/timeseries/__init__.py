@@ -13,13 +13,11 @@ calibration and forecasting.  This package provides the offline equivalent:
   component sum behind the store's aggregations.
 """
 
-from repro.timeseries.aggregation import rollup
-from repro.timeseries.series import TimeSeries
-from repro.timeseries.store import MetricKey, MetricsStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MetricKey",
-    "MetricsStore",
-    "TimeSeries",
-    "rollup",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "store": ("MetricsStore",),
+    },
+)

@@ -25,7 +25,6 @@ from collections import deque
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -42,6 +41,7 @@ __all__ = [
     "TopologyFrame",
     "frame_sample",
     "raise_first_error",
+    "write_fields",
     "write_head",
     "write_record",
 ]
@@ -234,8 +234,32 @@ def frame_sample(
         raise MetricsError(
             "frame must not carry an 'lsn' field; the server assigns LSNs"
         )
+    if not record.get("name"):
+        raise MetricsError("frame 'name' must be a non-empty string")
+    name, tags, ts, value = write_fields(record)
+    if not math.isfinite(value):
+        raise MetricsError("frame 'v' must be finite")
+    if body[:1] not in (b"{", "{"):  # the LSN is spliced in after it
+        raise MetricsError("frame payload must be a compact JSON object")
+    return key_of(name, tags), ts, value
+
+
+def write_fields(
+    record: Mapping[str, Any],
+) -> tuple[str, Mapping[str, str], int, float]:
+    """The type rules of a ``write`` record: ``(name, tags, ts, value)``.
+
+    A string ``name``, ``tags`` mapping strings to strings (absent or
+    ``null`` is no tags), and a ``ts`` and ``v`` that are JSON numbers —
+    not strings, not booleans — with an integral-convertible ``ts``.
+    :func:`frame_sample` applies them to every ingest frame and WAL
+    replay to every record it decodes; the value rules on top (a
+    non-empty name, a finite value, no ``lsn``) are the ingest gate's
+    alone, because a store accepts, and so journals, such samples from
+    its own writers.  Raises :class:`~repro.errors.MetricsError`.
+    """
     name = record.get("name")
-    if not isinstance(name, str) or not name:
+    if not isinstance(name, str):
         raise MetricsError("frame 'name' must be a non-empty string")
     tags = record.get("tags") or {}
     if not isinstance(tags, Mapping) or any(
@@ -250,14 +274,9 @@ def frame_sample(
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MetricsError("frame 'v' must be a number")
     try:
-        ts, value = int(ts), float(value)
+        return name, tags, int(ts), float(value)
     except (ValueError, OverflowError):  # NaN/Infinity ts, 400-digit v
         raise MetricsError("frame 'ts' and 'v' must be finite") from None
-    if not math.isfinite(value):
-        raise MetricsError("frame 'v' must be finite")
-    if body[:1] not in (b"{", "{"):  # the LSN is spliced in after it
-        raise MetricsError("frame payload must be a compact JSON object")
-    return key_of(name, tags), ts, value
 
 
 def raise_first_error(errors: Iterable[str | None]) -> None:
@@ -493,6 +512,12 @@ class MetricsStore:
             interned[(name, items)] = key
         return key
 
+    def _bound_heads(self, arriving: int) -> None:
+        """Empty the record-head table when ``arriving`` more heads would
+        take it past the intern table's bound."""
+        if len(self._heads) + arriving > 2 * len(self._series) + _INTERN_SLACK:
+            self._heads.clear()
+
     def write(
         self,
         name: str,
@@ -625,7 +650,10 @@ class MetricsStore:
         non-finite value — goes the full way, the misses of a group
         decoded together a window at a time, so every refusal and its
         wording comes from the one gate; a payload that passed it *and*
-        has a grammatical tail registers its head.
+        has a grammatical tail registers its head.  WAL replay
+        (:func:`repro.durability.store.replay_frames`) resolves journal
+        records through the same table, and registers only heads whose
+        payload passes this gate.
 
         Why a hit may skip the gate: JSON is parsed left to right, and
         ``,"`` cannot occur inside a string of a valid document (the
@@ -666,8 +694,7 @@ class MetricsStore:
         key_of = self.key_of
         for first in range(0, len(misses), _WINDOW_FRAMES):
             window = misses[first : first + _WINDOW_FRAMES]
-            if len(heads) + len(window) > 2 * len(self._series) + _INTERN_SLACK:
-                heads.clear()
+            self._bound_heads(len(window))
             records, error = _decode_window([payloads[idx] for idx, _ in window])
             for (idx, head), record in zip(window, records):
                 payload = payloads[idx]
@@ -1076,77 +1103,3 @@ class MetricsStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._series)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: "str | Path") -> None:
-        """Write the whole store to a JSON file, atomically.
-
-        The format is self-describing and append-friendly enough for
-        experiment caching: one record per series with its name, tags,
-        timestamps and values.  Load with :meth:`MetricsStore.load`.
-
-        The dump is written to a temporary file in the same directory,
-        fsynced and renamed over the target, so a crash mid-save leaves
-        either the old complete dump or the new one — never a truncated
-        file that :meth:`load` would reject.
-        """
-        with self._lock:
-            records = [
-                {
-                    "name": key.name,
-                    "tags": key.tag_dict(),
-                    "timestamps": list(buffer.timestamps),
-                    "values": list(buffer.values),
-                }
-                for key, buffer in self._series.items()
-            ]
-            payload = {
-                "format": "repro-metrics-v1",
-                "retention_seconds": self._retention,
-                "series": records,
-            }
-        # Imported here (not module top) to keep the hot read/write path
-        # free of persistence-only dependencies.
-        from repro.durability.checkpoint import atomic_write_json
-
-        atomic_write_json(Path(path), payload)
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "MetricsStore":
-        """Rebuild a store previously written by :meth:`save`.
-
-        A missing, empty, truncated or otherwise non-JSON file raises
-        :class:`~repro.errors.MetricsError` naming the path — callers
-        get one exception type for "this dump is unusable" instead of
-        a grab-bag of ``OSError``/``JSONDecodeError``/``KeyError``.
-        """
-        try:
-            with open(path, encoding="utf8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
-            raise MetricsError(f"cannot read metrics dump {path}: {exc}") from exc
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise MetricsError(
-                f"metrics dump {path} is not valid JSON "
-                f"(empty, truncated or corrupt): {exc}"
-            ) from exc
-        if not isinstance(payload, dict) or payload.get("format") != "repro-metrics-v1":
-            fmt = payload.get("format") if isinstance(payload, dict) else None
-            raise MetricsError(
-                f"{path} is not a repro metrics dump (format={fmt!r})"
-            )
-        store = cls(retention_seconds=payload.get("retention_seconds"))
-        try:
-            for record in payload["series"]:
-                store.write_many(
-                    record["name"],
-                    zip(record["timestamps"], record["values"]),
-                    record["tags"],
-                )
-        except (KeyError, TypeError) as exc:
-            raise MetricsError(
-                f"metrics dump {path} is malformed: {exc!r}"
-            ) from exc
-        return store

@@ -16,60 +16,21 @@ enforced grid (ROADMAP: the PDSP-Bench-style workload matrix):
   regression thresholds (the ``caladrius matrix`` command).
 """
 
-from repro.workloads.generator import (
-    SHAPES,
-    GeneratedWorkload,
-    GeneratorParams,
-    generate_workload,
-    workload_seed,
-)
-from repro.workloads.matrix import (
-    DEFAULT_THRESHOLDS,
-    REPORT_SCHEMA,
-    MatrixCell,
-    build_report,
-    cell_seed,
-    default_grid,
-    report_json,
-    run_cell,
-    run_matrix,
-)
-from repro.workloads.scenarios import (
-    FAULTS,
-    TRAFFICS,
-    fault_plan_for,
-    traffic_schedule,
-)
-from repro.workloads.trace import (
-    canonical_store_trace,
-    config_trace,
-    golden_trace_payload,
-    trace_hash,
-    workload_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SHAPES",
-    "FAULTS",
-    "TRAFFICS",
-    "DEFAULT_THRESHOLDS",
-    "REPORT_SCHEMA",
-    "GeneratedWorkload",
-    "GeneratorParams",
-    "MatrixCell",
-    "build_report",
-    "canonical_store_trace",
-    "config_trace",
-    "cell_seed",
-    "default_grid",
-    "fault_plan_for",
-    "generate_workload",
-    "golden_trace_payload",
-    "report_json",
-    "run_cell",
-    "run_matrix",
-    "trace_hash",
-    "traffic_schedule",
-    "workload_seed",
-    "workload_trace",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "generator": (
+            "SHAPES", "GeneratedWorkload", "GeneratorParams",
+            "generate_workload", "workload_seed",
+        ),
+        "matrix": (
+            "DEFAULT_THRESHOLDS", "REPORT_SCHEMA", "MatrixCell",
+            "build_report", "cell_seed", "default_grid", "report_json",
+            "run_cell", "run_matrix",
+        ),
+        "scenarios": ("FAULTS", "TRAFFICS"),
+        "trace": ("golden_trace_payload", "trace_hash", "workload_trace"),
+    },
+)

@@ -26,7 +26,9 @@ import pytest
 from repro.api.app import CaladriusApp
 from repro.api.ingest import encode_frames
 from repro.api.server import CaladriusServer
+from repro.cluster.shipping import SegmentShipper
 from repro.config import load_config
+from repro.durability import DurableMetricsStore
 from repro.serving.cache import ResultCache
 from repro.serving.layer import ServingLayer
 
@@ -550,30 +552,60 @@ def _timed(service, *request) -> float:
 
 
 class TestNoStall:
-    def test_a_shipping_shard_reads_its_shipper_on_the_pool(
-        self, deployed_wordcount
+    def test_a_shipping_shard_answers_healthz_on_the_loop(
+        self, deployed_wordcount, tmp_path
     ):
-        """``WalShipper.stats`` takes the lock a shipping pass holds
-        across its network calls."""
+        """``SegmentShipper.stats`` does not wait for the lock a shipping
+        pass holds across its POSTs: a follower that never answers does
+        not hold up the shard's liveness probe, which stays on the loop."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        posted, release = threading.Event(), threading.Event()
+
+        def stalling_follower():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                posted.set()
+                release.wait(10)
+                conn.sendall(
+                    b"HTTP/1.1 500 Internal Server Error\r\n"
+                    b"Content-Length: 2\r\n\r\n{}"
+                )
+
+        follower = threading.Thread(target=stalling_follower)
+        follower.start()
+        store = DurableMetricsStore(tmp_path / "shard", fsync="never")
+        store.write("m", 60, 1.0, {"topology": "t"})
+        shipper = SegmentShipper(
+            store, f"127.0.0.1:{listener.getsockname()[1]}"
+        )
+        shipping = threading.Thread(target=self._ship_once, args=(shipper,))
         service = Service(deployed_wordcount)
-        asked_on = []
-
-        class Shipper:
-            def stats(self):
-                asked_on.append(threading.current_thread().name)
-                return {"passes": 0}
-
-        service.app.shipper = Shipper()
+        service.app.shipper = shipper
         try:
+            shipping.start()
+            assert posted.wait(10)
+            assert shipper._mutex.locked()  # the pass is in flight
+            assert _timed(service, "GET", "/healthz") < 0.05
+            assert service.handled == []  # handle_nonblocking answered it
             raw = service.ask("GET", "/healthz")
-            assert b'"shipping": {"passes": 0}' in raw
-            assert service.handled == ["GET /healthz"]
-            assert asked_on and asked_on[0].startswith("caladrius-http_")
-            service.ask("GET", "/readyz")
-            assert service.handled == ["GET /healthz"]  # still inline
+            assert b'"shipping": {"target": "127.0.0.1:' in raw
+            assert b'"passes": 0' in raw
         finally:
+            release.set()
+            shipping.join(10)
+            follower.join(10)
+            listener.close()
+            shipper.stop(final_ship=False)
+            store.close()
             service.close()
 
+    @staticmethod
+    def _ship_once(shipper) -> None:
+        try:
+            shipper.ship_now()
+        except OSError:
+            pass  # the stub follower answers 500
 
     def test_hits_do_not_wait_behind_a_computation(self, deployed_wordcount):
         service = Service(deployed_wordcount)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.api.ingest import decode_frames, encode_frame
 from repro.durability import DurableMetricsStore, WriteAheadLog
+from repro.durability import store as store_module
 from repro.durability import wal as wal_module
 from repro.durability.wal import frame_windows, read_segment_records
 from repro.errors import ApiError, DurabilityError
@@ -187,25 +188,53 @@ def _fill(directory, records, segment_max_bytes=4 * 1024 * 1024):
     return sorted(directory.glob("wal-*.log"))
 
 
+class _CountingReads:
+    """A segment handle that tallies the bytes read through it."""
+
+    def __init__(self, handle, tally: dict[str, int]) -> None:
+        self.handle, self.tally = handle, tally
+
+    def seek(self, offset: int) -> int:
+        return self.handle.seek(offset)
+
+    def read(self, size: int) -> bytes:
+        block = self.handle.read(size)
+        name = str(self.handle.name)
+        self.tally[name] = self.tally.get(name, 0) + len(block)
+        return block
+
+
 class TestOnePass:
     def test_open_and_recover_decode_each_payload_once(self, tmp_path):
         segments = _fill(tmp_path / "wal", 3000, segment_max_bytes=64 * 1024)
         assert len(segments) > 3
-        decoded: list[bytes] = []
-        real = wal_module._decode_window
+        read: dict[str, int] = {}
+        real = wal_module.frame_windows
 
-        def counting(window):
-            decoded.extend(window)
-            return real(window)
+        def windows(handle, offset=0, decode=True):
+            assert not decode, "an open decodes no window whole"
+            return real(_CountingReads(handle, read), offset, decode)
 
-        with mock.patch.object(wal_module, "_decode_window", counting):
+        with mock.patch.object(wal_module, "frame_windows", windows), \
+                mock.patch.object(store_module, "frame_windows", windows), \
+                mock.patch.object(
+                    store_module.json, "loads", wraps=json.loads
+                ) as loads:
             with DurableMetricsStore(tmp_path) as store:
                 assert store.recovery.replayed_records == 3000
                 assert store.recovery.segments == len(segments)
-        # Replay decodes every payload; the opening scan only CRC-walks
-        # and decodes each segment's last record for its LSN.
-        assert len(decoded) == 3000 + len(segments)
-        assert len(set(decoded)) == 3000
+        # Every byte of every segment was read once: scan and replay are
+        # one walk.
+        assert read == {str(path): path.stat().st_size for path in segments}
+        # The 900 series' first records were decoded — once each, in log
+        # order, as the body after the LSN prefix — and every later minute
+        # of a series was resolved by its head.
+        decoded = [call.args[0] for call in loads.call_args_list]
+        assert decoded == [
+            (WRITE % (0, i, 60, i)).replace(b'"lsn":0,', b"", 1).decode()
+            for i in range(900)
+        ]
+        assert store.recovery.decoded_records == 900
 
     def test_replay_memory_is_bounded_by_a_window_not_a_segment(self, tmp_path):
         segments = _fill(tmp_path, 40_000, segment_max_bytes=2 * 1024 * 1024)

@@ -50,6 +50,21 @@ def _functions(rel: str, source: str, tree: ast.Module) -> list[Function]:
     return found
 
 
+def is_lazy_export_table(stmt: ast.stmt) -> bool:
+    """``__getattr__, __all__ = lazy_exports(__name__, {...})``: a package's
+    re-export table (``repro._lazy``) — it names what callers may import
+    from the package and uses none of it."""
+    return (
+        isinstance(stmt, ast.Assign)
+        and isinstance(stmt.value, ast.Call)
+        and any(
+            isinstance(node, ast.Name) and node.id == "__getattr__"
+            for target in stmt.targets
+            for node in ast.walk(target)
+        )
+    )
+
+
 class SourceIndex(dict):
     """``"api/app.py" -> SourceFile`` for every module under ``src/repro``."""
 

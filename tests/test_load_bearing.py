@@ -7,7 +7,8 @@ by a root or by another reachable definition and, for a method, when its
 class is reachable too.  The roots are what the product runs: every
 module's top-level code under ``src/repro``, ``benchmarks/`` (the frozen
 ledger included) and ``examples/``.  Imports, ``__all__`` and
-``__init__`` re-exports are not a use.  Whatever the roots cannot reach
+``__init__`` re-exports — a package's lazy export table included — are
+not a use.  Whatever the roots cannot reach
 is deleted together with the tests that test *it*, or is listed below
 because a test pins something live through it — never moved into
 ``tests/`` and never "wired in" to pass this check.
@@ -20,7 +21,7 @@ import re
 
 import pytest
 
-from tests.source_index import ROOT
+from tests.source_index import ROOT, is_lazy_export_table
 
 #: ``"module:qualname" -> what live behaviour a test observes through it``.
 TEST_SUPPORT: dict[str, str] = {
@@ -70,9 +71,6 @@ TEST_SUPPORT: dict[str, str] = {
     ),
     "timeseries/store.py:MetricsStore.latest_timestamp": (
         "batch == sequential writes compares it; probes write just past it"
-    ),
-    "timeseries/store.py:MetricsStore.save": (
-        "snapshot round trip: load() is only ever handed what save() wrote"
     ),
     # Generated workloads, rescaled.
     "workloads/generator.py:GeneratedWorkload.with_parallelisms": (
@@ -128,6 +126,8 @@ def _scan(body, prefix, parent, definitions) -> set[str]:
             else:
                 inner = _names(stmt)
             definitions[key] = (stmt.name, parent, inner)
+        elif is_lazy_export_table(stmt):
+            used |= _names(stmt.value.func)  # the helper runs; the table re-exports
         elif not _is_export(stmt):
             used |= _names(stmt)
     return used
@@ -170,6 +170,21 @@ def test_every_definition_is_reachable_or_named_test_support(src_index):
     assert len(TEST_SUPPORT) <= 30 and all(TEST_SUPPORT.values())
     # ... and an excuse no test uses any more fails the second.
     assert sorted(_unreachable(definitions, roots | _names_under("tests"))) == []
+
+
+def test_a_lazy_export_table_is_a_re_export_not_a_use():
+    """The names a package ``__init__`` resolves on first use are strings
+    in a table: counted as uses they would keep alive whatever callers
+    only import from the package in tests."""
+    package = ast.parse(
+        "from repro._lazy import lazy_exports\n"
+        "__getattr__, __all__ = lazy_exports(\n"
+        '    __name__, {"trace": ("workload_trace", "config_trace")}\n'
+        ")\n"
+    )
+    assert _scan(package.body, "workloads/__init__.py:", None, {}) == {
+        "lazy_exports"
+    }
 
 
 def test_every_declared_dependency_is_imported(src_index):

@@ -1,64 +1,9 @@
-"""Satellite hardening: atomic dumps, unreadable-file errors, retention
-interactions with the ``data_version`` counter."""
+"""Retention trims against the ``data_version`` counter: a trim never
+rewinds a digest, and moves the digest of every topology it touched."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import MetricsError
 from repro.timeseries.store import MetricKey, MetricsStore
-
-
-class TestAtomicSave:
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        store = MetricsStore()
-        store.write("m", 60, 1.0, {"topology": "t"})
-        target = tmp_path / "dump.json"
-        store.save(target)
-        store.write("m", 120, 2.0, {"topology": "t"})
-        store.save(target)  # overwrite in place
-        assert [p.name for p in tmp_path.iterdir()] == ["dump.json"]
-        loaded = MetricsStore.load(target)
-        assert list(loaded.get("m", {"topology": "t"}).values) == [1.0, 2.0]
-
-    def test_round_trip_preserves_retention(self, tmp_path):
-        store = MetricsStore(retention_seconds=600)
-        store.write("m", 60, 1.0)
-        target = tmp_path / "dump.json"
-        store.save(target)
-        assert MetricsStore.load(target)._retention == 600
-
-
-class TestLoadErrors:
-    @pytest.mark.parametrize(
-        "content,hint",
-        [
-            ("", "not valid JSON"),
-            ("{trunca", "not valid JSON"),
-            ('"just a string"', "not a repro metrics dump"),
-            ('{"format": "other-v9"}', "not a repro metrics dump"),
-            ('{"format": "repro-metrics-v1"}', "malformed"),
-            (
-                '{"format": "repro-metrics-v1", "series": [{"name": "m"}]}',
-                "malformed",
-            ),
-        ],
-    )
-    def test_unusable_dump_raises_metrics_error_naming_path(
-        self, tmp_path, content, hint
-    ):
-        target = tmp_path / "broken.json"
-        target.write_text(content)
-        with pytest.raises(MetricsError) as excinfo:
-            MetricsStore.load(target)
-        assert str(target) in str(excinfo.value)
-        assert hint in str(excinfo.value)
-
-    def test_missing_file_raises_metrics_error(self, tmp_path):
-        target = tmp_path / "nope.json"
-        with pytest.raises(MetricsError) as excinfo:
-            MetricsStore.load(target)
-        assert str(target) in str(excinfo.value)
 
 
 class TestRetentionVersusDataVersion:

@@ -184,44 +184,3 @@ class TestConcurrency:
         assert len(s) == 8
         total = s.aggregate("m")
         assert total.values[-1] == 8 * 199.0
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, store, tmp_path):
-        path = tmp_path / "metrics.json"
-        store.save(path)
-        loaded = MetricsStore.load(path)
-        assert len(loaded) == len(store)
-        original = store.aggregate("execute-count", {"component": "a"})
-        restored = loaded.aggregate("execute-count", {"component": "a"})
-        assert original == restored
-
-    def test_round_trip_preserves_retention(self, tmp_path):
-        s = MetricsStore(retention_seconds=120)
-        s.write("m", 0, 1.0)
-        path = tmp_path / "metrics.json"
-        s.save(path)
-        loaded = MetricsStore.load(path)
-        # Retention still enforced on new writes.
-        for minute in range(1, 5):
-            loaded.write("m", minute * 60, float(minute))
-        assert loaded.get("m").start >= 240 - 120
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else", "series": []}')
-        with pytest.raises(MetricsError, match="not a repro metrics dump"):
-            MetricsStore.load(path)
-
-    def test_loaded_store_supports_further_writes(self, store, tmp_path):
-        path = tmp_path / "metrics.json"
-        store.save(path)
-        loaded = MetricsStore.load(path)
-        loaded.write(
-            "execute-count", 300, 999.0,
-            {"component": "a", "instance": "a_0"},
-        )
-        series = loaded.get(
-            "execute-count", {"component": "a", "instance": "a_0"}
-        )
-        assert series.values[-1] == 999.0
