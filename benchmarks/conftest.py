@@ -1,21 +1,16 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixtures for the infrastructure benchmarks.
 
-Each ``bench_figNN_*.py`` regenerates one figure of the paper's Section V
-at full scale (set ``REPRO_BENCH_QUICK=1`` for a fast smoke run), prints
-a paper-vs-measured table, writes it to ``benchmarks/results/`` and
-benchmarks the *model-evaluation* step — the latency Caladrius's API tier
-pays per request, which the paper flags as "up to several seconds".
-
-The heavyweight simulation sweeps are session-scoped so experiments that
-share a workload (Figs. 4-6 share the single-instance sweep; Figs. 7, 8,
-11, 12 share the Splitter sweeps) only simulate it once.
-
-Besides the figure benches, three infrastructure benchmarks gate CI:
-``bench_serving_throughput`` (cache hit rate / warm speedup),
-``bench_wal_overhead`` (durable-write throughput) and
+Five benches gate CI: ``bench_serving_throughput`` (cache hit rate /
+warm speedup), ``bench_wal_overhead`` (durable-write throughput),
 ``bench_plan_sweep`` (calibrate-once sweep speedup and byte-identity
-against serial evaluation).  Each doubles as a standalone script with a
-``--smoke`` flag and writes its table to ``benchmarks/results/``.
+against serial evaluation), ``bench_ingest`` (batched binary ingest vs
+per-request writes, and no acknowledged loss under kill -9) and
+``bench_scaleout`` (a replicated 4-shard cluster killed and recovered).
+Each doubles as a standalone script with a ``--smoke`` flag (set
+``REPRO_BENCH_QUICK=1`` for the same under pytest) and writes its table
+to ``benchmarks/results/``.  The paper's figures and the model-quality
+experiments are not benches: they are records of
+``python -m repro.experiments.runner`` (``ACCURACY.json``).
 """
 
 from __future__ import annotations
@@ -25,19 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import figures
-
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def _quick() -> bool:
-    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 @pytest.fixture(scope="session")
 def quick() -> bool:
     """True when REPRO_BENCH_QUICK requests a fast smoke run."""
-    return _quick()
+    return os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
 
 @pytest.fixture(scope="session")
@@ -51,54 +40,3 @@ def report():
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
     return write
-
-
-# ----------------------------------------------------------------------
-# Shared sweeps (session scope: simulate once, reuse everywhere)
-# ----------------------------------------------------------------------
-@pytest.fixture(scope="session")
-def instance_sweep(quick):
-    """Fig. 4-6 workload: Splitter p=1, source 1..20 M/min."""
-    return figures.single_instance_sweep(quick=quick)
-
-
-@pytest.fixture(scope="session")
-def splitter_sweep3(quick):
-    """Fig. 7/11 workload: Splitter p=3, source 2..68 M/min."""
-    return figures.splitter_sweep(3, quick=quick)
-
-
-@pytest.fixture(scope="session")
-def splitter_sweep2(quick):
-    """Fig. 8/12 validation workload at p=2."""
-    return figures.splitter_sweep(2, quick=quick, seed=8)
-
-
-@pytest.fixture(scope="session")
-def splitter_sweep4(quick):
-    """Fig. 8/12 validation workload at p=4."""
-    return figures.splitter_sweep(4, quick=quick, seed=9)
-
-
-@pytest.fixture(scope="session")
-def fig07_result(quick, splitter_sweep3):
-    return figures.fig07_component_model(quick=quick, sweep3=splitter_sweep3)
-
-
-@pytest.fixture(scope="session")
-def fig09_result(quick):
-    return figures.fig09_counter_model(quick=quick)
-
-
-@pytest.fixture(scope="session")
-def fig11_result(quick, splitter_sweep3):
-    return figures.fig11_cpu_model(quick=quick, sweep3=splitter_sweep3)
-
-
-def fmt_m(value: float) -> str:
-    """Format tuples/minute as millions."""
-    import math
-
-    if math.isinf(value):
-        return "inf"
-    return f"{value / 1e6:.2f}M"

@@ -14,8 +14,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.forecasting` — Prophet-style traffic forecasting.
 * :mod:`repro.core` — the paper's models (Eq. 1-14) and calibration.
 * :mod:`repro.api` — the RESTful service tier.
-* :mod:`repro.experiments` — sweep harnesses regenerating the paper's
-  figures.
+* :mod:`repro.experiments` — the accuracy harness regenerating the
+  paper's figures, ablations and model-quality records.
 
 Quickstart::
 

@@ -17,8 +17,9 @@ executable:
   loop: observe once, calibrate the Eq. 1-14 models, size every
   component analytically, deploy once, verify.
 
-``benchmarks/bench_autoscaler_convergence.py`` reproduces the headline
-claim: rounds-to-SLO and simulated minutes for both strategies.
+The accuracy runner's ``autoscaler`` section (``python -m
+repro.experiments.runner --only autoscaler``) reproduces the headline
+claim: rounds and deployments to the SLO for both strategies.
 """
 
 from repro._lazy import lazy_exports

@@ -81,8 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the web service")
     serve.add_argument("--config", help="YAML config file", default=None)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080)
+    serve.add_argument(
+        "--host", default=None,
+        help="listen address (overrides config api.host; default 127.0.0.1)",
+    )
+    serve.add_argument(
+        "--port", type=int, default=None,
+        help="listen port (overrides config api.port; default 8080)",
+    )
     serve.add_argument(
         "--demo",
         action="store_true",
@@ -524,6 +530,10 @@ def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
 def _cmd_serve(args) -> int:
     config = load_config(args.config) if args.config else load_config({})
     logging.basicConfig(level=config.log_level, stream=sys.stderr)
+    if args.host is not None:
+        config = replace(config, api_host=args.host)
+    if args.port is not None:
+        config = replace(config, api_port=args.port)
     serving_overrides = {}
     if args.cache_mb is not None:
         serving_overrides["cache_mb"] = args.cache_mb
@@ -637,7 +647,7 @@ def _cmd_serve(args) -> int:
         shipper.start()
     if app.serving is not None:
         app.serving.start()  # warm-cache precompute loop
-    server = CaladriusServer(app, host=args.host, port=args.port)
+    server = CaladriusServer(app, host=config.api_host, port=config.api_port)
     server.start()
 
     def _final_checkpoint() -> None:
@@ -703,7 +713,7 @@ def _serve_cluster(args, config) -> int:
     ) -> list[str]:
         argv = [
             sys.executable, "-m", "repro.cli", "serve",
-            "--host", args.host, "--port", "0",
+            "--host", config.api_host, "--port", "0",
             "--shard-id", str(shard_id), "--shards", str(shards),
             "--epoch", str(epoch),
         ]
@@ -737,7 +747,7 @@ def _serve_cluster(args, config) -> int:
             return [
                 sys.executable, "-m", "repro.cli", "follow",
                 "--replica-dir", str(data_root / f"replica-{shard_id}"),
-                "--host", args.host, "--port", "0",
+                "--host", config.api_host, "--port", "0",
             ]
 
     shard_dirs = None
@@ -751,7 +761,7 @@ def _serve_cluster(args, config) -> int:
     manager = ShardManager(
         worker_argv,
         follower_argv,
-        host=args.host,
+        host=config.api_host,
         restart_backoff_seconds=config.cluster.restart_backoff_seconds,
         shard_dirs=shard_dirs,
         epoch_path=(data_root / "epochs.json") if data_root else None,
@@ -770,7 +780,7 @@ def _serve_cluster(args, config) -> int:
         virtual_nodes=config.cluster.virtual_nodes,
         proxy_timeout=config.cluster.proxy_timeout_seconds,
     )
-    server = CaladriusServer(router, host=args.host, port=args.port)
+    server = CaladriusServer(router, host=config.api_host, port=config.api_port)
     server.start()
 
     def _stop_fleet() -> None:

@@ -1,11 +1,17 @@
-"""Experiment harnesses regenerating the paper's evaluation figures.
+"""The accuracy harness: every experiment the repository reports.
 
-Each ``figNN_*`` function in :mod:`repro.experiments.figures` reproduces
-one figure of the paper's Section V on top of the simulated Heron
-cluster: it runs the Word Count topology sweep the paper ran, calibrates
-the Caladrius models exactly as the paper does, and returns both the
-measured series and the model predictions so callers (the benchmark
-suite, tests, EXPERIMENTS.md) can compare shapes and errors.
+:mod:`repro.experiments.runner` is its one entry point; each of its
+sections returns records (:mod:`repro.experiments.records`) and the
+runner prints them as one canonical document, committed as
+``ACCURACY.json``.  The sections come from three modules:
+
+* :mod:`repro.experiments.figures` — one function per figure of the
+  paper's Section V, on the simulated Heron cluster, calibrated exactly
+  as the paper does;
+* :mod:`repro.experiments.ablations` — the paper's modelling
+  assumptions, each broken on purpose;
+* :mod:`repro.experiments.quality` — the model-quality claims the paper
+  makes without a figure.
 
 :mod:`repro.experiments.sweeps` holds the shared sweep runner: fresh
 simulation per (source rate, repetition), warmup discarded, steady-state

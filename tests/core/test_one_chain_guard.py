@@ -42,9 +42,12 @@ def test_paths_are_enumerated_where_a_calibration_is_compiled(src_index):
         "graph/topology_graph.py:source_sink_paths",
         "graph/topology_graph.py:path_count",
     ]
-    # ... and a compiled model is built where a topology is calibrated.
+    # ... and a compiled model is built where a topology is calibrated —
+    # or, once, by the latency experiment from the simulator's known
+    # capacities (no calibration, no request).
     assert src_index.functions_containing("TopologyModel(") == [
-        "core/performance_models.py:calibrate_topology"
+        "core/performance_models.py:calibrate_topology",
+        "experiments/quality.py:latency",
     ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import socket
 import subprocess
 import sys
 
@@ -126,6 +127,22 @@ class TestServe:
             ["serve", "--config", str(config), "--port", "0", "--once"]
         )
         assert code == 0
+
+    def test_config_api_section_is_served_unless_flags_override(
+        self, tmp_path, capsys
+    ):
+        with socket.socket() as probe:  # a port nothing else holds
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            f"caladrius:\n  api: {{host: 127.0.0.1, port: {port}}}\n"
+        )
+        assert main(["serve", "--config", str(config), "--once"]) == 0
+        assert f"serving on 127.0.0.1:{port}" in capsys.readouterr().out
+        argv = ["serve", "--config", str(config), "--port", "0", "--once"]
+        assert main(argv) == 0
+        assert f":{port}\n" not in capsys.readouterr().out
 
     def test_serve_bad_config_is_reported(self, tmp_path, capsys):
         config = tmp_path / "c.yaml"
