@@ -127,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
              "writes (stronger durability, higher write latency)",
     )
     serve.add_argument(
-        "--service-faults", default=None, metavar="SPEC",
-        help=argparse.SUPPRESS,  # internal: chaos storage-fault schedule
-    )
-    serve.add_argument(
         "--cache-mb", type=float, default=None, metavar="MB",
         help="serving-layer result cache budget (overrides config)",
     )
@@ -439,68 +435,11 @@ def _parse_proposal(text: str | None) -> dict[str, int] | None:
     return proposal
 
 
-def _arm_service_faults(data_dir: str, spec: str | None):
-    """Build the storage-fault injector for ``--service-faults``.
-
-    Faults arm exactly once per data directory: a ``.service-faults-armed``
-    marker is dropped beside the WAL, so a supervisor respawn of the same
-    worker recovers cleanly instead of re-firing the schedule (the chaos
-    harness injects one storage failure, not a permanently broken disk).
-    """
-    if not spec:
-        return None
-    from pathlib import Path
-
-    from repro.faults import ServiceFaultInjector, parse_service_fault_spec
-
-    faults = parse_service_fault_spec(spec)
-    root = Path(data_dir)
-    marker = root / ".service-faults-armed"
-    if marker.exists():
-        return None
-    root.mkdir(parents=True, exist_ok=True)
-    marker.write_text(spec, encoding="utf8")
-    return ServiceFaultInjector(faults)
-
-
-def _parse_shard_fault_specs(spec: str | None) -> dict[int, str]:
-    """Split ``"0:torn_write@7;2:disk_full@3"`` into per-shard specs.
-
-    The cluster front door hands each worker only its own fragment (as
-    a plain ``kind@append`` list); fragments are validated here so a
-    typo fails the whole ``serve`` instead of one worker's boot loop.
-    """
-    if not spec:
-        return {}
-    from repro.faults import parse_service_fault_spec
-
-    specs: dict[int, str] = {}
-    for fragment in spec.split(";"):
-        fragment = fragment.strip()
-        if not fragment:
-            continue
-        shard_text, separator, faults = fragment.partition(":")
-        if not separator:
-            raise SystemExit(
-                f"--service-faults fragment {fragment!r} must look like "
-                f"SHARD:kind@append"
-            )
-        try:
-            shard_id = int(shard_text)
-        except ValueError:
-            raise SystemExit(
-                f"--service-faults shard {shard_text!r} is not an integer"
-            ) from None
-        parse_service_fault_spec(faults)  # fail fast on bad fragments
-        specs[shard_id] = faults
-    return specs
-
-
 def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
     """Exit the worker hard (code 70) once its WAL has failed.
 
-    A shard whose WAL hit an injected (or real) disk fault can still
-    answer reads, but every write will fail forever; dying loudly hands
+    A shard whose WAL hit a disk fault (a failed write or fsync) can
+    still answer reads, but every write will fail forever; dying loudly hands
     the decision to the shard manager, which validates the data dir and
     promotes the follower when the replica holds more than the disk.
     """
@@ -508,16 +447,14 @@ def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
     import threading
 
     def _watch() -> None:
-        while True:
+        while not store.wal.failed:
             time.sleep(poll_seconds)
-            reason = store.wal.failed
-            if reason:
-                print(
-                    f"wal failed ({reason}); exiting for the supervisor",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                os._exit(70)
+        print(
+            f"wal failed ({store.wal.failed}); exiting for the supervisor",
+            file=sys.stderr,
+            flush=True,
+        )
+        os._exit(70)
 
     threading.Thread(
         target=_watch, name="wal-watchdog", daemon=True
@@ -581,9 +518,6 @@ def _cmd_serve(args) -> int:
             fsync=config.durability.fsync,
             fsync_interval_seconds=config.durability.fsync_interval_seconds,
             segment_max_bytes=config.durability.segment_max_bytes,
-            faults=_arm_service_faults(
-                config.durability.data_dir, args.service_faults
-            ),
         )
         durable_store = store
         checkpointer = CheckpointManager(store, tracker)
@@ -706,7 +640,6 @@ def _serve_cluster(args, config) -> int:
         if config.durability.data_dir
         else None
     )
-    shard_faults = _parse_shard_fault_specs(args.service_faults)
 
     def worker_argv(
         shard_id: int, ship_to: str | None, epoch: int
@@ -737,8 +670,6 @@ def _serve_cluster(args, config) -> int:
             argv += ["--ship-to", ship_to]
         if config.cluster.sync_ship and ship_to:
             argv += ["--sync-ship"]
-        if shard_id in shard_faults:
-            argv += ["--service-faults", shard_faults[shard_id]]
         return argv
 
     follower_argv = None

@@ -18,10 +18,10 @@ claims to survive:
     disk loss.  Recovery validation must refuse the empty directory and
     promote the follower's byte mirror instead.
 
-One shard additionally boots with a storage-fault schedule from
-:mod:`repro.faults.service` (``torn_write`` / ``fsync_error`` /
-``disk_full``) armed on its WAL, exercising the worker's WAL-failure
-watchdog.
+Storage faults (a failed write or fsync, a torn tail) are not injected
+here: they reach the write-ahead log through its disk seam
+(:mod:`repro.durability.disk`) in the in-process crash-point suite,
+``tests/durability/test_crash_points.py``.
 
 Throughout the run a writer thread appends metric samples through
 :class:`~repro.cluster.client.ClusterClient` (keeping a ledger of every
@@ -66,7 +66,6 @@ from repro.api.client import CaladriusClient
 from repro.cluster.client import ClusterClient
 from repro.cluster.ring import HashRing
 from repro.errors import ApiError, ReproError
-from repro.faults.service import SERVICE_KINDS
 
 __all__ = ["ChaosController", "ChaosEvent", "build_schedule"]
 
@@ -97,17 +96,13 @@ class ChaosEvent:
 
 def build_schedule(
     shards: int, seed: int, duration_seconds: float, events: int
-) -> tuple[list[ChaosEvent], dict[int, str]]:
-    """The seeded plan: timed events plus per-shard storage-fault specs.
+) -> list[ChaosEvent]:
+    """The seeded plan: timed events, deterministic in the arguments.
 
-    Deterministic in its arguments.  Two rules bound the blast radius so
-    invariant failures stay attributable:
-
-    * at most one ``wipe`` per run, and the wiped shard receives *only*
-      its wipe (a wipe composed with a shipping partition genuinely
-      loses acked writes — that is a disaster-recovery scenario, not a
-      failover bug);
-    * the storage-fault shard is never the wiped shard.
+    At most one ``wipe`` per run, and the wiped shard receives *only* its
+    wipe, so invariant failures stay attributable (a wipe composed with a
+    shipping partition genuinely loses acked writes — that is a
+    disaster-recovery scenario, not a failover bug).
     """
     rng = random.Random(seed)
     kinds = [KILL9, KILL9, PAUSE, PARTITION, WIPE]
@@ -127,7 +122,7 @@ def build_schedule(
         raw.append(
             ChaosEvent(kind, shard_id, round(at, 2), round(duration, 2))
         )
-    schedule = sorted(
+    return sorted(
         (
             event
             for event in raw
@@ -135,13 +130,6 @@ def build_schedule(
         ),
         key=lambda event: event.at_seconds,
     )
-    service_faults: dict[int, str] = {}
-    candidates = [s for s in range(shards) if s != wipe_shard]
-    if candidates and events > 0:
-        victim = rng.choice(candidates)
-        fault_kind = rng.choice(list(SERVICE_KINDS))
-        service_faults[victim] = f"{fault_kind}@{rng.randint(8, 30)}"
-    return schedule, service_faults
 
 
 def chaos_topologies(
@@ -243,7 +231,7 @@ class ChaosController:
     # ------------------------------------------------------------------
     def run(self) -> dict[str, Any]:
         """Execute the campaign; returns the machine-readable report."""
-        schedule, service_faults = build_schedule(
+        schedule = build_schedule(
             self.shards, self.seed, self.duration_seconds, self.events
         )
         self.topologies = chaos_topologies(self.shards)
@@ -253,7 +241,7 @@ class ChaosController:
         missing: list[dict[str, Any]] = []
         total_acked = 0
         try:
-            self._start_cluster(service_faults)
+            self._start_cluster()
             self._warmup()
             writer = threading.Thread(
                 target=self._write_loop, name="chaos-writer", daemon=True
@@ -283,7 +271,6 @@ class ChaosController:
             self._teardown()
         return self._report(
             schedule,
-            service_faults,
             quiesced,
             quiesce_detail,
             convergence,
@@ -294,7 +281,7 @@ class ChaosController:
     # ------------------------------------------------------------------
     # Cluster lifecycle
     # ------------------------------------------------------------------
-    def _start_cluster(self, service_faults: dict[int, str]) -> None:
+    def _start_cluster(self) -> None:
         self.data_root.mkdir(parents=True, exist_ok=True)
         config_path = self.data_root / "chaos-config.yaml"
         config_path.write_text(
@@ -318,12 +305,6 @@ class ChaosController:
             "--no-serving",
             "--drain-timeout", "2.0",
         ]
-        if service_faults:
-            spec = ";".join(
-                f"{shard_id}:{fragment}"
-                for shard_id, fragment in sorted(service_faults.items())
-            )
-            argv += ["--service-faults", spec]
         self._process = subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
@@ -800,7 +781,6 @@ class ChaosController:
     def _report(
         self,
         schedule: list[ChaosEvent],
-        service_faults: dict[int, str],
         quiesced: bool,
         quiesce_detail: str,
         convergence: list[dict[str, Any]],
@@ -858,9 +838,6 @@ class ChaosController:
             "duration_seconds": self.duration_seconds,
             "events": self._executed
             or [dict(asdict(event), executed=False) for event in schedule],
-            "service_faults": {
-                str(shard): spec for shard, spec in service_faults.items()
-            },
             "invariants": invariants,
             "counters": {
                 "acked_writes": acked,

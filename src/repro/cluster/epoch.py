@@ -26,12 +26,13 @@ tests and non-durable clusters.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 from pathlib import Path
 from typing import Any
 
-from repro.durability.checkpoint import atomic_write_json
+from repro.durability.disk import OS_DISK
 
 __all__ = ["EPOCH_HEADER", "EpochStore", "fencing_rejection"]
 
@@ -72,8 +73,6 @@ class EpochStore:
             self._load()
 
     def _load(self) -> None:
-        import json
-
         assert self._path is not None
         try:
             payload = json.loads(self._path.read_text("utf8"))
@@ -97,8 +96,8 @@ class EpochStore:
             self._epochs[shard_id] = epoch
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_json(
-                    self._path,
-                    {"epochs": {str(k): v for k, v in self._epochs.items()}},
+                epochs = {str(k): v for k, v in self._epochs.items()}
+                OS_DISK.atomic_write(
+                    self._path, json.dumps({"epochs": epochs}).encode("utf8")
                 )
             return epoch

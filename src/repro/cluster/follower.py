@@ -5,8 +5,9 @@ A follower is a separate process paired with one shard.  The shard's
 ``checkpoint.json`` whenever it changes, and raw segment bytes — and the
 follower maintains:
 
-* **a byte mirror**: shipped bytes are appended verbatim (and fsynced)
-  under ``replica_dir/wal/`` with the checkpoint beside them, so the
+* **a byte mirror**: shipped bytes are appended verbatim (and fsynced,
+  a new segment's directory entry too) under ``replica_dir/wal/`` with
+  the checkpoint beside them (written atomically), so the
   replica directory is a valid Caladrius data directory.  Losing a
   shard's disk is recoverable by pointing
   :func:`repro.durability.recovery.open_data_dir` (or ``caladrius
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import threading
 from pathlib import Path
@@ -52,6 +52,7 @@ from repro.durability.codec import (
     restore_tracker_state,
     store_content_hash,
 )
+from repro.durability.disk import OS_DISK
 from repro.durability.store import replay_frames
 from repro.errors import DurabilityError
 from repro.heron.tracker import TopologyTracker
@@ -103,7 +104,7 @@ class FollowerReplica:
         ):
             raise DurabilityError("shipped checkpoint has the wrong format")
         with self._mutex:
-            self._write_atomic(self.replica_dir / CHECKPOINT_FILENAME, raw)
+            OS_DISK.atomic_write(self.replica_dir / CHECKPOINT_FILENAME, raw)
             self._reset_from_checkpoint(payload)
             self._replay_all_segments()
             self.checkpoints_received += 1
@@ -121,10 +122,12 @@ class FollowerReplica:
             if offset != size:
                 return 409, {"offset": size}
             if data:
-                with open(path, "ab") as handle:
+                with OS_DISK.open_append(path) as handle:
                     handle.write(data)
                     handle.flush()
-                    os.fsync(handle.fileno())
+                    OS_DISK.sync(handle)
+                if not size:  # a new segment: make its name durable too
+                    OS_DISK.sync_directory(self.wal_dir)
                 self._apply_new_frames(path)
             return 200, {
                 "offset": size + len(data),
@@ -149,9 +152,8 @@ class FollowerReplica:
                 return rejection
             if epoch > self.highest_epoch:
                 self.highest_epoch = epoch
-                self._write_atomic(
-                    self.replica_dir / _EPOCH_FILENAME,
-                    str(epoch).encode("utf8"),
+                OS_DISK.atomic_write(
+                    self.replica_dir / _EPOCH_FILENAME, str(epoch).encode("utf8")
                 )
             return None
 
@@ -242,16 +244,6 @@ class FollowerReplica:
         self.skipped_records += walk.skipped
         self.applied_lsn = walk.after_lsn
         self._parse_offsets[path.name] = walk.end
-
-    @staticmethod
-    def _write_atomic(path: Path, raw: bytes) -> None:
-        """Byte-preserving atomic replace (keeps the mirror exact)."""
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(raw)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
 
 class FollowerApp:

@@ -1,8 +1,10 @@
 """Durability and lifecycle: the service-survival subsystem.
 
-Five cooperating pieces make the Caladrius service restartable and
+Six cooperating pieces make the Caladrius service restartable and
 stoppable without losing acknowledged state:
 
+* :mod:`repro.durability.disk` — :class:`Disk`, the one seam every file
+  operation of the log, the checkpoint and the store goes through;
 * :mod:`repro.durability.wal` — a segmented, CRC32-framed write-ahead
   log with configurable fsync policy and torn-tail-tolerant replay;
 * :mod:`repro.durability.store` — :class:`DurableMetricsStore`, a

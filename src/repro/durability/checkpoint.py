@@ -1,8 +1,9 @@
 """Atomic checkpoints: snapshot state, then reclaim replayed WAL.
 
 A checkpoint is a single JSON file, ``checkpoint.json``, written with
-the classic atomic-replace dance (temp file in the same directory →
-flush → fsync → ``os.replace`` → directory fsync), so a crash at any
+the store's disk's atomic write (temp file in the same directory → flush
+→ fsync → rename → directory fsync,
+:meth:`~repro.durability.disk.Disk.atomic_write`), so a crash at any
 instant leaves either the previous checkpoint or the new one — never a
 truncated hybrid.  The payload records the WAL position (``last_lsn``)
 the snapshot covers; recovery restores the snapshot and replays only
@@ -13,58 +14,33 @@ prunes WAL segments the snapshot has subsumed.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.durability.codec import encode_tracker_state
-from repro.durability.wal import _fsync_directory
+from repro.durability.disk import OS_DISK, Disk
 from repro.errors import DurabilityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.durability.store import DurableMetricsStore
     from repro.heron.tracker import TopologyTracker
 
-__all__ = ["CHECKPOINT_FORMAT", "CheckpointManager", "atomic_write_json"]
+__all__ = ["CHECKPOINT_FORMAT", "CheckpointManager"]
 
 CHECKPOINT_FORMAT = "repro-checkpoint-v1"
 CHECKPOINT_FILENAME = "checkpoint.json"
 
 
-def atomic_write_json(path: str | Path, payload: dict[str, Any]) -> None:
-    """Write JSON so readers see the old file or the new one, never less.
-
-    The temp file is created *in the target directory* — ``os.replace``
-    is only atomic within one filesystem.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    _fsync_directory(path.parent)
-
-
-def read_checkpoint(directory: str | Path) -> dict[str, Any] | None:
+def read_checkpoint(
+    directory: str | Path, disk: Disk = OS_DISK
+) -> dict[str, Any] | None:
     """The checkpoint payload, or ``None`` when none has been written."""
     path = Path(directory) / CHECKPOINT_FILENAME
-    if not path.exists():
-        return None
     try:
-        with open(path, encoding="utf8") as handle:
+        with disk.open_read(path) as handle:
             payload = json.load(handle)
+    except FileNotFoundError:
+        return None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DurabilityError(
             f"checkpoint {path} is corrupt or truncated: {exc}"
@@ -127,7 +103,10 @@ class CheckpointManager:
                 else None
             ),
         }
-        atomic_write_json(self.path, payload)
+        # Durable before any segment it subsumes goes.
+        self.store.wal.disk.atomic_write(
+            self.path, json.dumps(payload).encode("utf8")
+        )
         pruned = self.store.wal.prune_through(last_lsn)
         self.checkpoints_taken += 1
         return {

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
 
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import restore_tracker_state
+from repro.durability.disk import OS_DISK, Disk
 from repro.durability.store import DurableMetricsStore
 from repro.durability.wal import FSYNC_INTERVAL, scan_segment
 from repro.heron.tracker import TopologyTracker
@@ -20,7 +20,7 @@ def open_data_dir(
     fsync: str = FSYNC_INTERVAL,
     fsync_interval_seconds: float = 0.05,
     segment_max_bytes: int = 4 * 1024 * 1024,
-    faults: Any | None = None,
+    disk: Disk = OS_DISK,
 ) -> tuple[DurableMetricsStore, TopologyTracker]:
     """Recover (or initialise) a data directory.
 
@@ -35,7 +35,7 @@ def open_data_dir(
         fsync=fsync,
         fsync_interval_seconds=fsync_interval_seconds,
         segment_max_bytes=segment_max_bytes,
-        faults=faults,
+        disk=disk,
     )
     tracker = TopologyTracker()
     if store.tracker_snapshot is not None:
@@ -64,5 +64,6 @@ def peek_recoverable_lsn(data_dir: str | Path) -> int:
     wal_dir = data_dir / "wal"
     if wal_dir.is_dir():
         for path in wal_dir.glob("wal-*.log"):
-            last = max(last, scan_segment(path)[1])
+            with open(path, "rb") as handle:
+                last = max(last, scan_segment(handle)[1])
     return last

@@ -43,6 +43,7 @@ from typing import Any
 
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import encode_store_state, restore_store_state
+from repro.durability.disk import OS_DISK, Disk
 from repro.durability.wal import (
     _HEADER,
     _NOT_JSON,
@@ -51,7 +52,7 @@ from repro.durability.wal import (
     frame_windows,
     record_lsn,
 )
-from repro.errors import DurabilityError, MetricsError
+from repro.errors import MetricsError
 from repro.timeseries.store import (
     _TAIL,
     MetricKey,
@@ -296,8 +297,9 @@ class DurableMetricsStore(MetricsStore):
     fsync / fsync_interval_seconds / segment_max_bytes:
         Write-ahead-log durability knobs (see
         :class:`~repro.durability.wal.WriteAheadLog`).
-    faults:
-        Optional service-level fault injector threaded into the WAL.
+    disk:
+        What the checkpoint and the WAL are read and written through
+        (:mod:`repro.durability.disk`); the operating system's by default.
     """
 
     def __init__(
@@ -307,12 +309,12 @@ class DurableMetricsStore(MetricsStore):
         fsync: str = FSYNC_INTERVAL,
         fsync_interval_seconds: float = 0.05,
         segment_max_bytes: int = 4 * 1024 * 1024,
-        faults: Any | None = None,
+        disk: Disk = OS_DISK,
     ) -> None:
         began = time.perf_counter()
         self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint = read_checkpoint(self.data_dir)
+        disk.makedirs(self.data_dir)
+        checkpoint = read_checkpoint(self.data_dir, disk)
         if retention_seconds is None and checkpoint is not None:
             retention_seconds = checkpoint.get("retention_seconds")
         super().__init__(retention_seconds)
@@ -334,17 +336,11 @@ class DurableMetricsStore(MetricsStore):
             snapshot_samples = restore_store_state(self, checkpoint["store"])
         replay = FrameReplay()
 
-        def replay_segment(path: Path) -> tuple[int, int, int, str | None]:
+        def replay_segment(
+            handle: "io.BufferedReader | io.BytesIO",
+        ) -> tuple[int, int, int, str | None]:
             # The WAL's opening walk of one segment, replaying as it reads.
-            with open(path, "rb") as handle:
-                walk = replay_frames(self, handle, after_lsn=checkpoint_lsn)
-            if walk.fault is not None and walk.fault.startswith(_NOT_JSON):
-                # Written that way, not torn: replaying past it would
-                # lose whatever follows.
-                raise DurabilityError(
-                    f"WAL segment {path} is corrupt at offset {walk.end}: "
-                    f"{walk.fault}"
-                )
+            walk = replay_frames(self, handle, after_lsn=checkpoint_lsn)
             replay.replayed += walk.replayed
             replay.skipped += walk.skipped
             replay.decoded += walk.decoded
@@ -357,7 +353,7 @@ class DurableMetricsStore(MetricsStore):
             segment_max_bytes=segment_max_bytes,
             fsync=fsync,
             fsync_interval_seconds=fsync_interval_seconds,
-            faults=faults,
+            disk=disk,
             lock=self._journal_lock,
             reader=replay_segment,
         )

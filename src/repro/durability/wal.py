@@ -36,17 +36,18 @@ failure and raises :class:`~repro.errors.DurabilityError`.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
-import os
 import struct
 import threading
 import zlib
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
+from repro.durability.disk import OS_DISK, Disk
 from repro.errors import ApiError, DurabilityError
 
 __all__ = [
@@ -271,7 +272,9 @@ def record_lsn(record: Any) -> int:
     return lsn if type(lsn) is int else 0
 
 
-def scan_segment(path: Path) -> tuple[int, int, int, str | None]:
+def scan_segment(
+    handle: "io.BufferedReader | io.BytesIO",
+) -> tuple[int, int, int, str | None]:
     """CRC-walk one segment: ``(records, last_lsn, valid_end, fault)``.
 
     Counts the whole frames and decodes only the last one, for its LSN
@@ -280,25 +283,12 @@ def scan_segment(path: Path) -> tuple[int, int, int, str | None]:
     opening walk of a log that nothing replays need.
     """
     records, last = 0, None
-    with open(path, "rb") as handle:
-        for payloads, _, valid_end, fault in frame_windows(handle, decode=False):
-            if payloads:
-                records += len(payloads)
-                last = payloads[-1]
+    for payloads, _, valid_end, fault in frame_windows(handle, decode=False):
+        if payloads:
+            records += len(payloads)
+            last = payloads[-1]
     decoded = _decode_window([last])[0] if last is not None else []
     return records, record_lsn(decoded[0] if decoded else None), valid_end, fault
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Persist directory metadata (new/renamed/deleted segment files)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return  # e.g. platforms without directory fds; best effort
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class WriteAheadLog:
@@ -314,19 +304,20 @@ class WriteAheadLog:
         One of :data:`FSYNC_POLICIES` (see module docstring).
     fsync_interval_seconds:
         Minimum spacing of fsyncs under the ``interval`` policy.
-    faults:
-        Optional :class:`~repro.faults.service.ServiceFaultInjector`
-        driving torn-write / fsync-error / disk-full fault tests.
+    disk:
+        Every file operation goes through it (:mod:`repro.durability.disk`);
+        the operating system's unless a test models one.
     lock:
         Optional re-entrant lock to use as the internal state lock.  A
         caller that already serialises its own writes can share its lock
         so the append path pays a re-entrant acquire (an owner check)
         instead of a second full lock round-trip.
     reader:
-        How the opening walk reads one segment: ``reader(path)`` returns
-        ``(records, last_lsn, valid_end, fault)`` as :func:`scan_segment`
-        (the default) does.  The durable store passes one that replays
-        the segment as it reads it, so an open walks each byte once.
+        How the opening walk reads one segment: ``reader(handle)``
+        returns ``(records, last_lsn, valid_end, fault)`` as
+        :func:`scan_segment` (the default) does.  The durable store
+        passes one that replays the segment as it reads it, so an open
+        walks each byte once.
     """
 
     def __init__(
@@ -335,9 +326,9 @@ class WriteAheadLog:
         segment_max_bytes: int = 4 * 1024 * 1024,
         fsync: str = FSYNC_INTERVAL,
         fsync_interval_seconds: float = 0.05,
-        faults: Any | None = None,
+        disk: Disk = OS_DISK,
         lock: Any | None = None,
-        reader: Callable[[Path], tuple[int, int, int, str | None]] = scan_segment,
+        reader: Callable[[Any], tuple[int, int, int, str | None]] = scan_segment,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise DurabilityError(
@@ -346,7 +337,8 @@ class WriteAheadLog:
         if segment_max_bytes < 1024:
             raise DurabilityError("segment_max_bytes must be >= 1024")
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.disk = disk
+        disk.makedirs(self.directory)
         self.segment_max_bytes = segment_max_bytes
         self.fsync_policy = fsync
         self.fsync_interval_seconds = fsync_interval_seconds
@@ -367,8 +359,7 @@ class WriteAheadLog:
         self._fd_lock = threading.Lock()
         self._flusher: threading.Thread | None = None
         self._flusher_stop = threading.Event()
-        self._faults = faults
-        self._handle: io.BufferedWriter | None = None
+        self._handle: BinaryIO | None = None
         self._active_bytes = 0
         self._unsynced = False
         self._failed: str | None = None
@@ -390,27 +381,34 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def _segment_paths(self) -> list[Path]:
         paths = [
-            p
-            for p in self.directory.iterdir()
-            if p.name.startswith(_SEGMENT_PREFIX)
-            and p.name.endswith(_SEGMENT_SUFFIX)
+            self.directory / name
+            for name in self.disk.listdir(self.directory)
+            if name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
         ]
         return sorted(paths, key=_segment_first_lsn)
 
     def _scan_segments(
-        self, reader: Callable[[Path], tuple[int, int, int, str | None]]
+        self, reader: Callable[[Any], tuple[int, int, int, str | None]]
     ) -> WalScan:
         """Walk every segment with ``reader``, truncating a torn tail on
         the last one."""
         last_lsn = torn = records = total = 0
         paths = self._segment_paths()
         for path in paths:
-            count, lsn, valid_end, fault = reader(path)
+            with self.disk.open_read(path) as handle:
+                count, lsn, valid_end, fault = reader(handle)
             records += count
             last_lsn = lsn or last_lsn
             total += valid_end
             if fault is None:
                 continue
+            if fault.startswith(_NOT_JSON):
+                # Written that way, not torn: replaying past it would
+                # lose whatever follows.
+                raise DurabilityError(
+                    f"WAL segment {path} is corrupt at offset {valid_end}: "
+                    f"{fault}"
+                )
             # A frame failed to parse.  Torn-tail tolerance only covers
             # the *end of the log*: the final segment, with nothing but
             # the damaged bytes after the last whole record.
@@ -422,9 +420,16 @@ class WriteAheadLog:
             torn = 1
             # Cut the file back to the last whole record so appends
             # resume at a clean frame boundary.
-            with open(path, "r+b") as handle:
-                handle.truncate(valid_end)
-            _fsync_directory(self.directory)
+            self.disk.truncate(path, valid_end)
+        if paths:
+            # Only the last segment can hold bytes a crashed process left
+            # in the page cache unsynced (rotation syncs the others), and
+            # the cut above is not durable either: sync it before anything
+            # is built on what was just read from it.  Left to a later
+            # rotation, a power loss could tear it once it is no longer
+            # the last.
+            with self.disk.open_append(paths[-1]) as handle:
+                self.disk.sync(handle)
         return WalScan(last_lsn, torn, len(paths), records, total)
 
     def replay(self, after_lsn: int = 0) -> Iterator[dict[str, Any]]:
@@ -446,7 +451,7 @@ class WriteAheadLog:
             if self._handle is not None:
                 self._handle.flush()
         for path in self._segment_paths():
-            with open(path, "rb") as handle:
+            with self.disk.open_read(path) as handle:
                 for _, records, offset, fault in frame_windows(handle):
                     if fault is not None and fault.startswith(_NOT_JSON):
                         raise DurabilityError(
@@ -525,10 +530,7 @@ class WriteAheadLog:
         """
         with self._mutex:
             if self._failed:
-                raise DurabilityError(
-                    f"write-ahead log is failed ({self._failed}); "
-                    "reopen the data directory to recover"
-                )
+                self._refuse()
             first = self._next_lsn
             lsn = first
             for body in bodies:
@@ -576,10 +578,7 @@ class WriteAheadLog:
         """
         with self._mutex:
             if self._failed:
-                raise DurabilityError(
-                    f"write-ahead log is failed ({self._failed}); "
-                    "reopen the data directory to recover"
-                )
+                self._refuse()
             lsn = self._next_lsn
             payload = template % (lsn, *args)
             frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -595,80 +594,51 @@ class WriteAheadLog:
                 self._drain()
             return lsn
 
+    def _refuse(self) -> None:
+        raise DurabilityError(
+            f"write-ahead log is failed ({self._failed}); "
+            "reopen the data directory to recover"
+        )
+
     def _drain(self) -> None:
-        """Write buffered frames to the active segment (no fsync)."""
+        """Write buffered frames to the active segment (no fsync).
+
+        Any disk error on the way — opening a segment, syncing its
+        directory entry, the write itself — fails the log: frames of this
+        group may or may not have landed, so nothing after them may be
+        acknowledged.
+        """
         frames = self._pending
         if not frames:
             return
         first_lsn = self._pending_first_lsn
         self._pending = []
         self._pending_bytes = 0
-        if self._faults is None:
-            total = sum(map(len, frames))
-            handle = self._handle
-            if handle is None:
-                handle = self._handle_for(total, first_lsn)
+        total = sum(map(len, frames))
+        try:
+            handle = self._handle or self._handle_for(total, first_lsn)
             if (
                 self._active_bytes + total <= self.segment_max_bytes
                 or self._active_bytes == 0
             ):
-                try:
-                    handle.write(b"".join(frames))
-                except OSError as exc:
-                    self._failed = f"append failed: {exc}"
-                    raise DurabilityError(
-                        f"WAL append failed: {exc}"
-                    ) from exc
+                handle.write(b"".join(frames))
                 self._active_bytes += total
                 self._unsynced = True
                 return
-        # Slow path: rotation boundaries inside the batch, or fault
-        # injection that must see each frame individually.
-        for offset, frame in enumerate(frames):
-            frame_len = len(frame)
-            handle = self._handle
-            if handle is None or (
-                self._active_bytes + frame_len > self.segment_max_bytes
-                and self._active_bytes > 0
-            ):
-                handle = self._handle_for(frame_len, first_lsn + offset)
-            if self._faults is not None:
-                frame = self._inject_append_faults(handle, frame)
-            try:
-                handle.write(frame)
-            except OSError as exc:
-                self._failed = f"append failed: {exc}"
-                raise DurabilityError(f"WAL append failed: {exc}") from exc
-            self._active_bytes += frame_len
-            # Marked per write, not per append: opening a segment for
-            # this frame fsynced the one before it (rotate -> flush),
-            # which must not count as having synced this frame.
-            self._unsynced = True
-
-    def _inject_append_faults(
-        self, handle: io.BufferedWriter, frame: bytes
-    ) -> bytes:
-        """Apply service-level fault injection to one append."""
-        try:
-            self._faults.before_write(len(frame))  # may raise ENOSPC
+            # Rotation boundaries inside the batch: frame by frame.
+            for offset, frame in enumerate(frames):
+                self._handle_for(len(frame), first_lsn + offset).write(frame)
+                self._active_bytes += len(frame)
+                # Marked per write, not by the append: opening a segment
+                # for the next frame syncs this one (rotate -> flush), and
+                # that sync must not count as having synced the frames
+                # written after it.
+                self._unsynced = True
         except OSError as exc:
             self._failed = f"append failed: {exc}"
             raise DurabilityError(f"WAL append failed: {exc}") from exc
-        torn = self._faults.torn_prefix(frame)
-        if torn is not None:
-            # Simulate a crash mid-write: persist only a prefix of the
-            # frame, then fail the log as the dying process would.
-            handle.write(torn)
-            handle.flush()
-            os.fsync(handle.fileno())
-            self._failed = "torn write injected"
-            raise DurabilityError(
-                "WAL append torn mid-write (injected fault); "
-                "reopen the data directory to recover"
-            )
-        return frame
 
-    def _handle_for(self, frame_bytes: int, first_lsn: int) -> io.BufferedWriter:
+    def _handle_for(self, frame_bytes: int, first_lsn: int) -> BinaryIO:
         """The active segment handle, rotating when over the size bound.
 
         ``first_lsn`` names a fresh segment after the first record that
@@ -682,33 +652,41 @@ class WriteAheadLog:
         ):
             self.rotate()
         if self._handle is None:
+            disk = self.disk
             path = _segment_path(self.directory, first_lsn)
             existing = self._segment_paths()
             if existing and _segment_first_lsn(existing[-1]) < first_lsn:
                 last = existing[-1]
-                if last.stat().st_size + frame_bytes <= self.segment_max_bytes:
+                if disk.size(last) + frame_bytes <= self.segment_max_bytes:
                     path = last  # resume the recovered tail segment
-            self._handle = open(path, "ab", buffering=256 * 1024)
-            self._active_bytes = path.stat().st_size
-            _fsync_directory(self.directory)
+            self._handle = disk.open_append(path)
+            self._active_bytes = disk.size(path)
+            disk.sync_directory(self.directory)
         return self._handle
 
     def flush(self) -> None:
-        """Force buffered appends to disk (fsync)."""
+        """Force buffered appends to disk (fsync).
+
+        An error from the flush or the sync fails the log for good, as
+        it does on the fsync tick: the kernel may already have dropped
+        the pages a failed fsync covered, and a retried one can report
+        success for them, so nothing since the last good sync may ever
+        be acknowledged.
+        """
         with self._mutex:
+            if self._failed:
+                self._refuse()
             if self._pending:
                 self._drain()
             if self._handle is None or not self._unsynced:
                 return
-            self._handle.flush()
-            if self._faults is not None:
-                try:
-                    self._faults.before_fsync()  # may raise EIO
-                except OSError as exc:
-                    self._failed = f"fsync failed: {exc}"
-                    raise DurabilityError(f"WAL fsync failed: {exc}") from exc
-            with self._fd_lock:
-                os.fsync(self._handle.fileno())
+            try:
+                self._handle.flush()
+                with self._fd_lock:
+                    self.disk.sync(self._handle)
+            except OSError as exc:
+                self._failed = f"flush failed: {exc}"
+                raise DurabilityError(f"WAL flush failed: {exc}") from exc
             self.fsyncs += 1
             self._unsynced = False
 
@@ -740,10 +718,8 @@ class WriteAheadLog:
                     return
                 self._unsynced = False
             try:
-                if self._faults is not None:
-                    self._faults.before_fsync()
                 with self._fd_lock:
-                    os.fsync(handle.fileno())
+                    self.disk.sync(handle)
                 self.fsyncs += 1
             except (OSError, ValueError) as exc:
                 with self._mutex:
@@ -783,25 +759,32 @@ class WriteAheadLog:
                 else:
                     segment_last = self.last_lsn
                 if segment_last <= lsn:
-                    path.unlink()
+                    self.disk.unlink(path)
                     deleted += 1
             if deleted:
-                _fsync_directory(self.directory)
+                self.disk.sync_directory(self.directory)
             return deleted
 
     def close(self) -> None:
-        """Flush and close the active segment; stops the fsync tick."""
+        """Flush and close the active segment; stops the fsync tick.
+
+        Raises like :meth:`flush` when what was appended could not be
+        made durable (the segment is closed all the same).
+        """
         if self._flusher is not None:
             self._flusher_stop.set()
             self._flusher.join(timeout=5)
             self._flusher = None
         with self._mutex:
-            if not self._failed:
+            try:
                 self.flush()
-            if self._handle is not None:
-                with self._fd_lock:
-                    self._handle.close()
-                self._handle = None
+            finally:
+                if self._handle is not None:
+                    # Frames still buffered here are a failed log's, which
+                    # flush() has already raised for.
+                    with self._fd_lock, contextlib.suppress(OSError):
+                        self._handle.close()
+                    self._handle = None
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -89,7 +89,10 @@ class _FlakyHandler(http.server.BaseHTTPRequestHandler):
 def flaky_server():
     """Start a server; yields a factory configuring its flakiness."""
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll: shutdown() waits out one poll interval (0.5 s by default).
+    thread = threading.Thread(
+        target=server.serve_forever, args=(0.01,), daemon=True
+    )
     thread.start()
 
     def configure(

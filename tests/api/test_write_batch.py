@@ -349,7 +349,10 @@ class TestRetryAfter:
     def test_write_batch_honors_retry_after_capped(self):
         _ThrottleOnce.hits = 0
         server = ThreadingHTTPServer(("127.0.0.1", 0), _ThrottleOnce)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll: shutdown() waits out one poll interval.
+        thread = threading.Thread(
+            target=server.serve_forever, args=(0.01,), daemon=True
+        )
         thread.start()
         sleeps: list[float] = []
         try:

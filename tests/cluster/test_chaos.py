@@ -23,7 +23,6 @@ from repro.cluster.chaos import (
     build_schedule,
     chaos_topologies,
 )
-from repro.faults.service import SERVICE_KINDS, parse_service_fault_spec
 
 
 class TestBuildSchedule:
@@ -34,13 +33,13 @@ class TestBuildSchedule:
 
     def test_different_seeds_differ(self):
         schedules = {
-            tuple(build_schedule(3, seed, 30.0, 8)[0]) for seed in range(6)
+            tuple(build_schedule(3, seed, 30.0, 8)) for seed in range(6)
         }
         assert len(schedules) > 1
 
     def test_events_are_time_sorted_and_within_the_run(self):
         for seed in range(10):
-            schedule, _ = build_schedule(4, seed, 20.0, 8)
+            schedule = build_schedule(4, seed, 20.0, 8)
             times = [event.at_seconds for event in schedule]
             assert times == sorted(times)
             for event in schedule:
@@ -56,7 +55,7 @@ class TestBuildSchedule:
         a shipping partition genuinely loses acked writes, which would
         make invariant failures unattributable."""
         for seed in range(30):
-            schedule, faults = build_schedule(3, seed, 30.0, 10)
+            schedule = build_schedule(3, seed, 30.0, 10)
             wipes = [e for e in schedule if e.kind == WIPE]
             assert len(wipes) <= 1
             if wipes:
@@ -66,27 +65,16 @@ class TestBuildSchedule:
                     if e.shard_id == victim and e.kind != WIPE
                 ]
                 assert others == []
-                assert victim not in faults
 
     def test_single_shard_never_wipes(self):
         # Wiping the only shard removes the entire data plane; the
         # event downgrades to kill9.
         for seed in range(20):
-            schedule, _ = build_schedule(1, seed, 30.0, 8)
+            schedule = build_schedule(1, seed, 30.0, 8)
             assert all(e.kind != WIPE for e in schedule)
 
-    def test_storage_fault_spec_is_parseable(self):
-        for seed in range(20):
-            _, faults = build_schedule(2, seed, 30.0, 6)
-            for spec in faults.values():
-                (fault,) = parse_service_fault_spec(spec)
-                assert fault.kind in SERVICE_KINDS
-                assert 8 <= fault.at_append <= 30
-
     def test_zero_events_is_an_empty_campaign(self):
-        schedule, faults = build_schedule(2, 0, 30.0, 0)
-        assert schedule == []
-        assert faults == {}
+        assert build_schedule(2, 0, 30.0, 0) == []
 
 
 class TestChaosTopologies:

@@ -153,6 +153,32 @@ class TestFollowerFencing:
         assert reopened.highest_epoch == 7
         assert reopened.fence(6) is not None
 
+    def test_the_fence_and_a_new_segment_survive_a_power_loss(
+        self, tmp_path, monkeypatch
+    ):
+        """``shipper.epoch`` (the fence's high-water mark) and a new
+        segment's name only survive a power loss once their directory is
+        synced; an append to a known segment needs no directory sync."""
+        from repro.cluster import follower
+        from repro.durability.disk import Disk
+
+        synced: list[str] = []
+
+        class RecordingDisk(Disk):
+            def sync_directory(self, directory):
+                synced.append(directory.name)
+                super().sync_directory(directory)
+
+        monkeypatch.setattr(follower, "OS_DISK", RecordingDisk())
+        replica = FollowerReplica(tmp_path / "replica")
+        assert replica.fence(3) is None
+        assert synced == ["replica"]
+        assert (tmp_path / "replica" / "shipper.epoch").read_text() == "3"
+        segment = f"wal-{1:016d}.log"
+        assert replica.receive_segment(segment, 0, b"\x01\x02")[0] == 200
+        assert replica.receive_segment(segment, 2, b"\x03")[0] == 200
+        assert synced == ["replica", "wal"]
+
 
 class _FencingFollower(BaseHTTPRequestHandler):
     """Answers every POST with the fencing 409."""
@@ -181,7 +207,10 @@ class TestShipperFencing:
 
     def test_fencing_409_stops_shipping_permanently(self, tmp_path):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _FencingFollower)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll: shutdown() waits out one poll interval.
+        threading.Thread(
+            target=server.serve_forever, args=(0.01,), daemon=True
+        ).start()
         (tmp_path / "checkpoint.json").write_text("{}", encoding="utf8")
         shipper = SegmentShipper(
             self._fake_store(tmp_path),

@@ -220,7 +220,10 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
 class TestRouterKeepAlive:
     def test_one_socket_and_its_failure_modes(self):
         stub = _CountingShard(("127.0.0.1", 0), _CountingHandler)
-        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        # A short poll: shutdown() waits out one poll interval.
+        threading.Thread(
+            target=stub.serve_forever, args=(0.01,), daemon=True
+        ).start()
         address = SimpleNamespace(
             host=stub.server_address[0], port=stub.server_address[1]
         )

@@ -7,11 +7,8 @@ import json
 import pytest
 
 from repro.durability import CheckpointManager, open_data_dir
-from repro.durability.checkpoint import (
-    CHECKPOINT_FILENAME,
-    atomic_write_json,
-    read_checkpoint,
-)
+from repro.durability.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
+from repro.durability.disk import OS_DISK
 from repro.errors import DurabilityError
 from repro.heron.wordcount import WordCountParams, build_word_count
 
@@ -19,8 +16,8 @@ from repro.heron.wordcount import WordCountParams, build_word_count
 class TestAtomicWriteJson:
     def test_round_trip_and_no_temp_leftovers(self, tmp_path):
         target = tmp_path / "out.json"
-        atomic_write_json(target, {"a": 1})
-        atomic_write_json(target, {"a": 2})  # overwrite is fine
+        OS_DISK.atomic_write(target, json.dumps({"a": 1}).encode())
+        OS_DISK.atomic_write(target, json.dumps({"a": 2}).encode())  # overwrite
         assert json.loads(target.read_text()) == {"a": 2}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 

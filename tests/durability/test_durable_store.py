@@ -115,10 +115,11 @@ class TestListenersHearAfterTheCommit:
         whether or not the log took them, so a cached answer computed
         without them must still go."""
         from repro.errors import DurabilityError
-        from repro.faults.service import ServiceFault, ServiceFaultInjector
+        from tests.durability.page_cache import PageCacheDisk
 
-        faults = ServiceFaultInjector([ServiceFault("fsync_error", at_append=1)])
-        store, heard = self._store(tmp_path, faults=faults)
+        disk = PageCacheDisk()
+        store, heard = self._store(tmp_path, disk=disk)
+        disk.fail_next_sync = True
         before = store.data_version("t")
         with pytest.raises(DurabilityError):
             if batched:

@@ -29,11 +29,7 @@ from repro.api.ingest import encode_frames, split_frames
 from repro.cli import main
 from repro.cluster.follower import FollowerReplica
 from repro.durability import DurableMetricsStore, store_content_hash
-from repro.durability.checkpoint import (
-    CHECKPOINT_FILENAME,
-    CHECKPOINT_FORMAT,
-    atomic_write_json,
-)
+from repro.durability.checkpoint import CHECKPOINT_FILENAME, CHECKPOINT_FORMAT
 from repro.durability.codec import encode_store_state
 from repro.durability.recovery import peek_recoverable_lsn
 from tests.durability import frame_oracle
@@ -105,6 +101,14 @@ def _body(
     return '%s,"ts":%s,"v":%s}' % (head, ts, value)
 
 
+def _write_checkpoint(directory: Path, **fields) -> None:
+    payload = {
+        "format": CHECKPOINT_FORMAT, "retention_seconds": None, "tracker": None,
+        **fields,
+    }
+    (directory / CHECKPOINT_FILENAME).write_text(json.dumps(payload))
+
+
 def _build(directory: Path, ops, tear: int) -> None:
     """Journal ``ops`` straight into the log: the store would refuse the
     duplicates, and recovery has to cope with a log that holds them."""
@@ -122,15 +126,10 @@ def _build(directory: Path, ops, tear: int) -> None:
                 # between the two): the log still holds what it covers.
                 store.wal.flush()
                 state, _ = frame_oracle.recover(directory)
-                atomic_write_json(
-                    directory / CHECKPOINT_FILENAME,
-                    {
-                        "format": CHECKPOINT_FORMAT,
-                        "last_lsn": store.wal.last_lsn,
-                        "retention_seconds": None,
-                        "store": encode_store_state(state),
-                        "tracker": None,
-                    },
+                _write_checkpoint(
+                    directory,
+                    last_lsn=store.wal.last_lsn,
+                    store=encode_store_state(state),
                 )
     segments = sorted((directory / "wal").glob("wal-*.log"))
     if tear and segments:
@@ -340,13 +339,8 @@ def test_a_known_head_below_the_cut_is_dropped_like_the_oracle_drops_it(
     segment = tmp_path / "wal" / f"wal-{1:016d}.log"
     segment.parent.mkdir()
     segment.write_bytes(_write(3) + _write(1) + _write(4))
-    atomic_write_json(
-        tmp_path / CHECKPOINT_FILENAME,
-        {
-            "format": CHECKPOINT_FORMAT, "last_lsn": 2, "retention_seconds": None,
-            "store": {"series": [], "versions": [], "latest": None},
-            "tracker": None,
-        },
+    _write_checkpoint(
+        tmp_path, last_lsn=2, store={"series": [], "versions": [], "latest": None}
     )
     expected, counts = frame_oracle.recover(tmp_path)
     assert counts["skipped_records"] == 0

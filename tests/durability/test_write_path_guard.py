@@ -1,5 +1,6 @@
 """Structure guards: one keyed write loop, one journal override, one
-frame decoder, one write-record renderer, one frame-validating body.
+frame decoder, one write-record renderer, one frame-validating body, one
+disk seam.
 
 The store used to carry four write paths kept apart by a base class that
 inspected its own subclasses, the log was parsed by a per-record file
@@ -134,3 +135,15 @@ def test_one_function_renders_a_write_record_head(src_index):
         if path.split("/")[0] in ("api", "durability") and spelled.search(file.source)
     ]
     assert elsewhere == []
+
+
+def test_only_the_disk_syncs_renames_or_makes_temp_files(src_index):
+    """Every durability-critical file operation goes through the one disk
+    seam, so the crash-point suite's modelled disk sees all of them."""
+    using = {
+        path
+        for path, file in src_index.items()
+        for call in ("os.fsync", "os.replace", "tempfile.mkstemp", "mkstemp(")
+        if call in file.source
+    }
+    assert using == {"durability/disk.py"}
