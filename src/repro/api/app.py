@@ -26,19 +26,20 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 import uuid
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.config.loader import CaladriusConfig
 from repro.config.registry import ModelRegistry, build_registry
 from repro.core.calibration_cache import CalibrationCache
 from repro.durability.breaker import CircuitBreaker
 from repro.durability.deadline import (
     DEADLINE_HEADER,
+    Deadline,
     current_deadline,
     deadline_scope,
     parse_deadline_header,
@@ -73,7 +74,7 @@ _Plan = tuple[RequestDescriptor, Callable[[], dict[str, Any]], int]
 class _Job:
     """One async modelling job: its future plus completion bookkeeping."""
 
-    future: Future
+    future: Future | None = None
     done_at: float | None = None
 
 
@@ -92,7 +93,8 @@ class CaladriusApp:
     max_workers:
         Size of the asynchronous modelling pool.
     clock:
-        Monotonic time source (injectable for async-job TTL tests).
+        The one clock of the app's time windows: request deadlines, slot
+        waits, cache and async-job lifetimes, breaker cool-down, drain age.
     """
 
     # Paths whose request body the transport must hand over as raw
@@ -106,7 +108,7 @@ class CaladriusApp:
         tracker: TopologyTracker,
         store: MetricsStore,
         max_workers: int = 4,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
         shard_id: int | None = None,
         read_only: bool = False,
         epoch: int | None = None,
@@ -231,7 +233,8 @@ class CaladriusApp:
         lowered = {k.lower(): v for k, v in dict(headers or {}).items()}
         parts = [p for p in path.split("/") if p]
         try:
-            deadline = parse_deadline_header(lowered.get(DEADLINE_HEADER.lower()))
+            budget = parse_deadline_header(lowered.get(DEADLINE_HEADER.lower()))
+            deadline = None if budget is None else Deadline(budget, self._clock)
             with deadline_scope(deadline):
                 result = self._route(
                     method.upper(), parts, query, body, lowered, raw, blocking
@@ -894,24 +897,26 @@ class CaladriusApp:
         # The pool worker runs outside the request's context; re-install
         # the deadline so async jobs honour it too.
         deadline = current_deadline()
+        job = _Job()
 
         def scoped_work():
-            with deadline_scope(deadline):
-                return work()
+            try:
+                with deadline_scope(deadline):
+                    return work()
+            finally:
+                # Stamped before the result is visible, whether or not any
+                # client ever polls — expiry must not depend on being
+                # observed, and a poll that sees "done" sees the stamp.
+                job.done_at = self._clock.monotonic()
 
-        job = _Job(self._pool.submit(scoped_work))
-        # Stamp completion when the worker finishes, whether or not any
-        # client ever polls — expiry must not depend on being observed.
-        job.future.add_done_callback(
-            lambda _future, job=job: setattr(job, "done_at", self._clock())
-        )
+        job.future = self._pool.submit(scoped_work)
         with self._jobs_lock:
             self._evict_expired_jobs_locked()
             self._jobs[request_id] = job
         return {"request_id": request_id, "status": "pending"}
 
     def _evict_expired_jobs_locked(self) -> None:
-        now = self._clock()
+        now = self._clock.monotonic()
         expired = [
             request_id
             for request_id, job in self._jobs.items()

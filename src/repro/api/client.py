@@ -6,8 +6,7 @@ import json
 import random
 import socket
 import threading
-import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import urlencode
@@ -18,6 +17,7 @@ from repro.api.ingest import (
     encode_frame,
     merge_stream_lines,
 )
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.durability.deadline import DEADLINE_HEADER
 from repro.errors import ApiError
 
@@ -201,9 +201,9 @@ class CaladriusClient:
     jitter:
         Fractional jitter applied to each delay (seeded, so test runs
         are reproducible).
-    sleep:
-        Injectable sleep function — tests pass a recorder to assert the
-        backoff schedule without waiting it out.
+    clock:
+        What back-off sleeps, readiness polls and result polls are
+        measured on.
     """
 
     def __init__(
@@ -215,7 +215,7 @@ class CaladriusClient:
         backoff_seconds: float = 0.1,
         backoff_max_seconds: float = 2.0,
         jitter: float = 0.1,
-        sleep: Callable[[float], None] = time.sleep,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if retries < 0:
             raise ApiError("retries must be non-negative")
@@ -226,7 +226,7 @@ class CaladriusClient:
         self.backoff_seconds = backoff_seconds
         self.backoff_max_seconds = backoff_max_seconds
         self.jitter = jitter
-        self._sleep = sleep
+        self.clock = clock
         self._rng = random.Random(0x5EED)
         # One persistent HTTP/1.1 connection per thread: the server
         # speaks keep-alive, so reusing the socket saves a TCP handshake
@@ -389,9 +389,9 @@ class CaladriusClient:
                     # The server asked for a specific delay (Retry-After
                     # on a shed/degraded answer); honor it up to the
                     # backoff cap instead of guessing.
-                    self._sleep(min(server_delay, self.backoff_max_seconds))
+                    self.clock.sleep(min(server_delay, self.backoff_max_seconds))
                 else:
-                    self._sleep(self._backoff(attempt))
+                    self.clock.sleep(self._backoff(attempt))
             server_delay = None
             try:
                 status, data, retry_after = self.exchange(
@@ -445,14 +445,14 @@ class CaladriusClient:
         socket) and not-ready answers until ``timeout``, then raises
         :class:`~repro.errors.ApiError` (503) with the last failure.
         """
-        deadline = time.monotonic() + timeout
+        deadline = self.clock.monotonic() + timeout
         last: str = "never reached the service"
-        while time.monotonic() < deadline:
+        while self.clock.monotonic() < deadline:
             try:
                 return self.readyz()
             except (*TRANSPORT_ERRORS, ApiError) as exc:
                 last = str(exc)
-            self._sleep(poll_seconds)
+            self.clock.sleep(poll_seconds)
         raise ApiError(
             f"service at {self.host}:{self.port} not ready within "
             f"{timeout:.1f}s: {last}",
@@ -671,14 +671,14 @@ class CaladriusClient:
             body,
         )
         request_id = submitted["request_id"]
-        deadline = time.monotonic() + max_wait_seconds
-        while time.monotonic() < deadline:
+        deadline = self.clock.monotonic() + max_wait_seconds
+        while self.clock.monotonic() < deadline:
             result = self._request("GET", f"/model/result/{request_id}")
             if result["status"] == "done":
                 return result["result"]
             if result["status"] == "error":
                 raise ApiError(result.get("error", "modelling failed"), 500)
-            self._sleep(poll_seconds)
+            self.clock.sleep(poll_seconds)
         raise ApiError(f"request {request_id} timed out", 504)
 
 
@@ -750,7 +750,7 @@ class BatchWriter:
             self._frames.append(frame)
             self._bytes += len(frame)
             if self._oldest is None:
-                self._oldest = time.monotonic()
+                self._oldest = SYSTEM_CLOCK.monotonic()
             due = (
                 len(self._frames) >= self.max_frames
                 or self._bytes >= self.max_bytes
@@ -780,13 +780,13 @@ class BatchWriter:
         assert self.max_age_seconds is not None
         poll = max(0.01, self.max_age_seconds / 4)
         while True:
-            self._wake.wait(poll)
+            SYSTEM_CLOCK.wait(self._wake, poll)
             with self._lock:
                 if self._closed:
                     return
                 due = (
                     self._oldest is not None
-                    and time.monotonic() - self._oldest
+                    and SYSTEM_CLOCK.monotonic() - self._oldest
                     >= self.max_age_seconds
                 )
             if due:

@@ -60,6 +60,7 @@ from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.api.ingest import STREAM_CONTENT_TYPE, split_frames
+from repro.clock import SYSTEM_CLOCK
 from repro.errors import ApiError
 
 __all__ = ["CaladriusServer", "parse_query_strict"]
@@ -184,7 +185,7 @@ class CaladriusServer:
             target=self._run_loop, daemon=True, name="caladrius-http-loop"
         )
         self._thread.start()
-        if not self._started.wait(timeout=10):
+        if not SYSTEM_CLOCK.wait(self._started, 10):
             raise RuntimeError("server failed to start within 10s")
         if self._startup_error is not None:
             raise self._startup_error

@@ -1,6 +1,6 @@
 """Command-line interface for the Caladrius reproduction.
 
-Four subcommands cover the operational surface:
+Eleven subcommands cover the operational surface:
 
 ``serve``
     Stand up the web service over a demo cluster (or an empty tracker)
@@ -16,15 +16,24 @@ Four subcommands cover the operational surface:
     proxy counters.
 ``chaos``
     Stand up a replicated cluster and subject it to a seeded schedule
-    of kill -9s, pauses, shipping partitions, data-dir wipes and disk
-    faults, checking failover invariants (no acked write lost, a single
-    writer per epoch, replica convergence, bounded unavailability).
+    of kill -9s, pauses, shipping partitions and data-dir wipes,
+    checking failover invariants (no acked write lost, a single writer
+    per epoch, replica convergence, bounded unavailability).
+``recover``
+    Replay a data directory offline, report what recovery read, and
+    compact the WAL into a checkpoint (``--no-checkpoint`` only reports).
 ``simulate``
     Run the Word Count topology at a source rate and print its
     per-minute metrics, useful for exploring the simulator.
 ``predict``
     One-shot performance prediction: simulate, calibrate and report the
     dry-run verdict for a traffic level and proposed parallelisms.
+``sweep``
+    Rank candidate parallelism plans for Word Count from one
+    calibration, optionally validating the best by simulation.
+``serving-stats``
+    Query a running service's serving-layer counters (cache, scheduler,
+    single-flight, precompute, breaker).
 ``forecast``
     Fit the traffic models on a simulated seasonal history and print
     the forecast summary.
@@ -45,7 +54,6 @@ import argparse
 import json
 import logging
 import sys
-import time
 from collections.abc import Sequence
 from dataclasses import replace
 
@@ -53,6 +61,7 @@ import numpy as np
 
 from repro.api.app import CaladriusApp
 from repro.api.server import CaladriusServer
+from repro.clock import SYSTEM_CLOCK
 from repro.config import load_config
 from repro.core.performance_models import ThroughputPredictionModel
 from repro.core.traffic_models import (
@@ -448,7 +457,7 @@ def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
 
     def _watch() -> None:
         while not store.wal.failed:
-            time.sleep(poll_seconds)
+            SYSTEM_CLOCK.sleep(poll_seconds)
         print(
             f"wal failed ({store.wal.failed}); exiting for the supervisor",
             file=sys.stderr,
@@ -1048,11 +1057,11 @@ def _cmd_sweep(args) -> int:
             for c in _parse_range(args.counters, "--counters")
         ]
     engine = PlanSweepEngine(tracker, store)
-    started = time.perf_counter()
+    started = SYSTEM_CLOCK.monotonic()
     payload = engine.sweep(
         "word-count", args.rate, plans, top_k=args.top_k
     )
-    elapsed = time.perf_counter() - started
+    elapsed = SYSTEM_CLOCK.monotonic() - started
     if args.validate_top > 0:
         spec = ValidationSpec(
             topology=topology,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections.abc import Hashable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
@@ -96,7 +95,8 @@ class ClusterClient:
         How long a fetched ring is trusted before it is re-fetched.
     **client_options:
         Forwarded to every underlying :class:`CaladriusClient`
-        (timeouts, retry schedule, injectable sleep).  ``retries`` is
+        (timeouts, retry schedule, the clock its back-off and ring TTL
+        are measured on).  ``retries`` is
         the budget of a router fallback — the router's 503 +
         ``Retry-After`` while an owner is down, restarting or promoting
         is retried like any other 503; direct shard calls are always
@@ -146,7 +146,7 @@ class ClusterClient:
                 int(shard_str): int(epoch)
                 for shard_str, epoch in (payload.get("epochs") or {}).items()
             }
-            self._fetched_at = time.monotonic()
+            self._fetched_at = self.router.clock.monotonic()
         return payload
 
     def _routing(
@@ -155,7 +155,8 @@ class ClusterClient:
         with self._lock:
             fresh = (
                 self._ring is not None
-                and time.monotonic() - self._fetched_at < self.ring_ttl_seconds
+                and self.router.clock.monotonic() - self._fetched_at
+                < self.ring_ttl_seconds
             )
             if fresh:
                 return (  # type: ignore[return-value]

@@ -57,7 +57,6 @@ import json
 import logging
 import re
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from urllib.parse import urlencode
@@ -71,6 +70,7 @@ from repro.api.ingest import (
     routing_key,
     split_by_owner,
 )
+from repro.clock import SYSTEM_CLOCK
 from repro.cluster.client import ShardClients
 from repro.cluster.epoch import EPOCH_HEADER
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, HashRing
@@ -120,7 +120,7 @@ class RouterApp:
         )
         self._proxied = 0
         self._unavailable = 0
-        self._started = time.monotonic()
+        self._started = SYSTEM_CLOCK.monotonic()
 
     # ------------------------------------------------------------------
     # Ring
@@ -535,7 +535,7 @@ class RouterApp:
             "router": {
                 "proxied": self._proxied,
                 "unavailable": self._unavailable,
-                "uptime_seconds": time.monotonic() - self._started,
+                "uptime_seconds": SYSTEM_CLOCK.monotonic() - self._started,
             },
             "per_shard": per_shard,
         }
@@ -576,7 +576,7 @@ class RouterApp:
             "router": {
                 "proxied": self._proxied,
                 "unavailable": self._unavailable,
-                "uptime_seconds": time.monotonic() - self._started,
+                "uptime_seconds": SYSTEM_CLOCK.monotonic() - self._started,
             },
         }
 

@@ -45,13 +45,13 @@ import re
 import signal
 import subprocess
 import threading
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
 from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
+from repro.clock import SYSTEM_CLOCK
 from repro.cluster.epoch import EpochStore
 from repro.durability.recovery import peek_recoverable_lsn
 from repro.errors import ApiError, DurabilityError, ReproError
@@ -133,8 +133,8 @@ def _spawn_announced(
     threading.Thread(
         target=_drain, args=(process.stderr, stderr_tail), daemon=True
     ).start()
-    deadline = time.monotonic() + announce_timeout
-    while time.monotonic() < deadline:
+    deadline = SYSTEM_CLOCK.monotonic() + announce_timeout
+    while SYSTEM_CLOCK.monotonic() < deadline:
         assert process.stdout is not None
         line = process.stdout.readline()
         if line:
@@ -148,7 +148,7 @@ def _spawn_announced(
         elif process.poll() is not None:
             break
         else:
-            time.sleep(0.01)
+            SYSTEM_CLOCK.sleep(0.01)
     tail = "".join(stderr_tail[-10:])
     if process.poll() is None:
         process.kill()
@@ -361,7 +361,7 @@ class ShardManager:
             client.close()
             with self._lock:
                 handle.state = READY
-                handle.became_ready = time.monotonic()
+                handle.became_ready = SYSTEM_CLOCK.monotonic()
                 handle.last_probe_at = 0.0
                 handle.last_probe_ok = handle.became_ready
                 handle.last_error = None
@@ -428,10 +428,10 @@ class ShardManager:
     # Supervision
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.poll_interval_seconds):
+        while not SYSTEM_CLOCK.wait(self._stopping, self.poll_interval_seconds):
             self._probe_health()
             with self._lock:
-                now = time.monotonic()
+                now = SYSTEM_CLOCK.monotonic()
                 for handle in self._handles.values():
                     if (
                         handle.state == READY
@@ -475,7 +475,7 @@ class ShardManager:
                     handle.shard_id,
                     handle.last_error,
                 )
-                time.sleep(self.restart_backoff_seconds)
+                SYSTEM_CLOCK.sleep(self.restart_backoff_seconds)
                 if self._stopping.is_set():
                     return
                 try:
@@ -496,7 +496,7 @@ class ShardManager:
         """
         if self.unresponsive_timeout_seconds <= 0:
             return
-        now = time.monotonic()
+        now = SYSTEM_CLOCK.monotonic()
         with self._lock:
             targets = [
                 handle
@@ -512,13 +512,13 @@ class ShardManager:
             worker = handle.worker
             if worker is None:
                 continue
-            handle.last_probe_at = time.monotonic()
+            handle.last_probe_at = SYSTEM_CLOCK.monotonic()
             health = self._get_once(worker.port, "/healthz", _PROBE_TIMEOUT)
             if health is not None:
-                handle.last_probe_ok = time.monotonic()
+                handle.last_probe_ok = SYSTEM_CLOCK.monotonic()
                 continue
             silent_for = (
-                time.monotonic() - handle.last_probe_ok
+                SYSTEM_CLOCK.monotonic() - handle.last_probe_ok
                 if handle.last_probe_ok is not None
                 else 0.0
             )

@@ -42,11 +42,11 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.api.client import CaladriusClient
+from repro.clock import SYSTEM_CLOCK
 from repro.durability.checkpoint import CHECKPOINT_FILENAME
 from repro.durability.store import DurableMetricsStore
 from repro.errors import ApiError, DurabilityError
@@ -132,7 +132,7 @@ class SegmentShipper:
         self._client.close()
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.interval_seconds):
+        while not SYSTEM_CLOCK.wait(self._stop, self.interval_seconds):
             try:
                 self.ship_now()
             except OSError as exc:

@@ -18,11 +18,11 @@ evaluation errors trip the breaker.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from collections.abc import Callable
 from typing import Any, TypeVar
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ApiError, ConfigError
 
 __all__ = ["CircuitBreaker", "CircuitOpenError", "CLOSED", "OPEN", "HALF_OPEN"]
@@ -72,7 +72,7 @@ class CircuitBreaker:
     half_open_probes:
         Concurrent probe calls admitted while half-open.
     clock:
-        Monotonic time source (injectable for tests).
+        What the cool-down is measured on.
     """
 
     def __init__(
@@ -82,7 +82,7 @@ class CircuitBreaker:
         min_calls: int = 5,
         open_seconds: float = 5.0,
         half_open_probes: int = 1,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if not 0.0 < failure_threshold <= 1.0:
             raise ConfigError("failure_threshold must be in (0, 1]")
@@ -114,20 +114,33 @@ class CircuitBreaker:
             return 0.0
         return sum(1 for ok in self._outcomes if not ok) / len(self._outcomes)
 
+    def _state_locked(self) -> str:
+        """The current state; an open circuit whose cool-down is over
+        becomes half-open here.
+
+        The one place the state is decided: :meth:`_admit`,
+        :attr:`state` and :meth:`stats` all read it here.
+        """
+        if (
+            self._state == OPEN
+            and self._clock.monotonic() - self._opened_at >= self.open_seconds
+        ):
+            self._state = HALF_OPEN
+            self._probes_in_flight = 0
+        return self._state
+
     def _admit(self) -> bool:
         """Admit one call; ``True`` when it runs as a half-open probe."""
         with self._lock:
-            if self._state == OPEN:
-                elapsed = self._clock() - self._opened_at
-                if elapsed < self.open_seconds:
-                    self.rejected += 1
-                    raise CircuitOpenError(
-                        max(1, round(self.open_seconds - elapsed)),
-                        self._failure_rate_locked(),
-                    )
-                self._state = HALF_OPEN
-                self._probes_in_flight = 0
-            if self._state == HALF_OPEN:
+            state = self._state_locked()
+            if state == OPEN:
+                self.rejected += 1
+                reopens = self._opened_at + self.open_seconds
+                raise CircuitOpenError(
+                    max(1, round(reopens - self._clock.monotonic())),
+                    self._failure_rate_locked(),
+                )
+            if state == HALF_OPEN:
                 if self._probes_in_flight >= self.half_open_probes:
                     self.rejected += 1
                     raise CircuitOpenError(
@@ -162,7 +175,7 @@ class CircuitBreaker:
 
     def _trip_locked(self) -> None:
         self._state = OPEN
-        self._opened_at = self._clock()
+        self._opened_at = self._clock.monotonic()
         self.opened_count += 1
         self._outcomes.append(False)
 
@@ -192,18 +205,13 @@ class CircuitBreaker:
     def state(self) -> str:
         """The current breaker state (`closed`/`open`/`half-open`)."""
         with self._lock:
-            if (
-                self._state == OPEN
-                and self._clock() - self._opened_at >= self.open_seconds
-            ):
-                return HALF_OPEN  # would admit a probe
-            return self._state
+            return self._state_locked()
 
     def stats(self) -> dict[str, Any]:
         """Counters for ``/serving/stats`` and the lifecycle report."""
         with self._lock:
             return {
-                "state": self._state,
+                "state": self._state_locked(),
                 "failure_rate": round(self._failure_rate_locked(), 4),
                 "window": len(self._outcomes),
                 "opened_count": self.opened_count,

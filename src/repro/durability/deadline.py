@@ -17,11 +17,12 @@ imports it without touching the rest of the durability package.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
-import time
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ApiError
 
 __all__ = [
@@ -53,24 +54,20 @@ class DeadlineExceeded(ApiError):
 
 
 class Deadline:
-    """An absolute point in (monotonic) time the request must finish by."""
+    """An absolute point on ``clock`` the request must finish by."""
 
-    def __init__(
-        self,
-        budget_seconds: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if budget_seconds <= 0:
+    def __init__(self, budget_seconds: float, clock: Clock = SYSTEM_CLOCK) -> None:
+        if not 0 < budget_seconds < math.inf:
             raise ApiError(
-                f"{DEADLINE_HEADER} must be a positive number of seconds, "
-                f"got {budget_seconds!r}"
+                f"{DEADLINE_HEADER} must be a positive, finite number of "
+                f"seconds, got {budget_seconds!r}"
             )
         self._clock = clock
-        self._at = clock() + budget_seconds
+        self._at = clock.monotonic() + budget_seconds
 
     def remaining(self) -> float:
         """Seconds left (negative once expired)."""
-        return self._at - self._clock()
+        return self._at - self._clock.monotonic()
 
     def expired(self) -> bool:
         """True once the budget has run out."""
@@ -123,19 +120,20 @@ def check_deadline() -> None:
         deadline.check()
 
 
-def parse_deadline_header(value: str | None) -> Deadline | None:
-    """Build a :class:`Deadline` from a raw header value.
+def parse_deadline_header(value: str | None) -> float | None:
+    """The budget a raw header value asks for, in seconds.
 
     Malformed values raise :class:`~repro.errors.ApiError` (400): a
     client that asked for a deadline and mistyped it should hear about
-    it, not silently run unbounded.
+    it, not silently run unbounded.  The caller builds the
+    :class:`Deadline` on its own clock, which also refuses a budget that
+    is not positive and finite (``inf``, ``1e400``, ``nan``).
     """
     if value is None:
         return None
     try:
-        budget = float(value)
+        return float(value)
     except ValueError:
         raise ApiError(
             f"{DEADLINE_HEADER} must be a number of seconds, got {value!r}"
         ) from None
-    return Deadline(budget)

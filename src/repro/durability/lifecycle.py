@@ -20,9 +20,9 @@ app consults :meth:`is_draining` when routing.
 from __future__ import annotations
 
 import threading
-import time
-from collections.abc import Callable
 from typing import Any
+
+from repro.clock import SYSTEM_CLOCK, Clock
 
 __all__ = ["LifecycleController", "RUNNING", "DRAINING", "STOPPED"]
 
@@ -34,7 +34,7 @@ STOPPED = "stopped"
 class LifecycleController:
     """Thread-safe drain state plus the in-flight request gauge."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, clock: Clock = SYSTEM_CLOCK) -> None:
         self._clock = clock
         self._cond = threading.Condition()
         self._state = RUNNING
@@ -61,7 +61,7 @@ class LifecycleController:
             if self._state != RUNNING:
                 return False
             self._state = DRAINING
-            self._drain_started = self._clock()
+            self._drain_started = self._clock.monotonic()
             self._cond.notify_all()
             return True
 
@@ -97,14 +97,10 @@ class LifecycleController:
         idle means every request that was admitted before the drain
         began has completed.
         """
-        deadline = self._clock() + timeout
         with self._cond:
-            while self._inflight > 0:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
+            return self._clock.wait_for(
+                self._cond, lambda: self._inflight == 0, timeout
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -118,6 +114,6 @@ class LifecycleController:
             }
             if self._drain_started is not None:
                 payload["draining_seconds"] = round(
-                    self._clock() - self._drain_started, 3
+                    self._clock.monotonic() - self._drain_started, 3
                 )
             return payload

@@ -34,13 +34,13 @@ import logging
 import math
 import re
 import threading
-import time
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from sys import intern
 from typing import Any
 
+from repro.clock import SYSTEM_CLOCK
 from repro.durability.checkpoint import read_checkpoint
 from repro.durability.codec import encode_store_state, restore_store_state
 from repro.durability.disk import OS_DISK, Disk
@@ -311,7 +311,7 @@ class DurableMetricsStore(MetricsStore):
         segment_max_bytes: int = 4 * 1024 * 1024,
         disk: Disk = OS_DISK,
     ) -> None:
-        began = time.perf_counter()
+        began = SYSTEM_CLOCK.monotonic()
         self.data_dir = Path(data_dir)
         disk.makedirs(self.data_dir)
         checkpoint = read_checkpoint(self.data_dir, disk)
@@ -371,7 +371,7 @@ class DurableMetricsStore(MetricsStore):
             last_lsn=self.wal.last_lsn,
             segments=self.wal.scan.segments,
             bytes=self.wal.scan.bytes,
-            seconds=time.perf_counter() - began,
+            seconds=SYSTEM_CLOCK.monotonic() - began,
         )
         self._journalling = True
         logger.info(

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO
 
+from repro.clock import SYSTEM_CLOCK
 from repro.durability.disk import OS_DISK, Disk
 from repro.errors import ApiError, DurabilityError
 
@@ -698,7 +699,9 @@ class WriteAheadLog:
         segment close) so a slow disk delays durability rather than
         blocking appenders.
         """
-        while not self._flusher_stop.wait(self.fsync_interval_seconds):
+        while not SYSTEM_CLOCK.wait(
+            self._flusher_stop, self.fsync_interval_seconds
+        ):
             with self._mutex:
                 if self._failed:
                     return

@@ -11,11 +11,10 @@ invalidation on metrics writes or plan changes O(entries-per-topology).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ConfigError
 
 __all__ = ["ResultCache"]
@@ -42,14 +41,14 @@ class ResultCache:
         before an insert evicts a live entry for room.  ``None``
         disables expiry.
     clock:
-        Monotonic time source (injectable for tests).
+        What entry lifetimes are measured on.
     """
 
     def __init__(
         self,
         max_bytes: int,
         ttl_seconds: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if max_bytes <= 0:
             raise ConfigError("cache max_bytes must be positive")
@@ -79,7 +78,7 @@ class ResultCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            expired = entry is not None and entry.expires_at <= self._clock()
+            expired = entry is not None and entry.expires_at <= self._clock.monotonic()
             if entry is None or expired:
                 if count_miss:
                     if expired:
@@ -96,7 +95,7 @@ class ResultCache:
         size = len(payload)
         if size > self.max_bytes:
             return False
-        now = self._clock()
+        now = self._clock.monotonic()
         expires = now + self.ttl_seconds if self.ttl_seconds else float("inf")
         with self._lock:
             if key in self._entries:

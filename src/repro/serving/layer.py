@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections.abc import Callable
 from typing import Any
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ReproError, TopologyError
 from repro.heron.tracker import TopologyTracker
 from repro.serving.cache import ResultCache
@@ -59,7 +59,8 @@ class ServingLayer:
     precompute_top_k:
         Popular queries recomputed per invalidation.
     clock:
-        Monotonic time source (injectable for tests).
+        What cache lifetimes, slot waits and the re-warm cadence are
+        measured on.
     """
 
     def __init__(
@@ -71,13 +72,14 @@ class ServingLayer:
         max_concurrent: int = 4,
         max_queue: int = 32,
         precompute_top_k: int = 8,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         self.tracker = tracker
         self.store = store
         self.cache = ResultCache(cache_bytes, ttl_seconds, clock)
         self.flight = SingleFlight()
         self.scheduler = PriorityScheduler(max_concurrent, max_queue, clock)
+        self._clock = clock
         self.precomputer = WarmCachePrecomputer(precompute_top_k)
         self._recompute: Callable[[RequestDescriptor], dict[str, Any]] | None = None
         self._counters = threading.Lock()
@@ -247,7 +249,7 @@ class ServingLayer:
 
         def loop() -> None:
             while not self._stop.is_set():
-                self._dirty.wait(interval_seconds)
+                self._clock.wait(self._dirty, interval_seconds)
                 if self._stop.is_set():
                     return
                 self._dirty.clear()

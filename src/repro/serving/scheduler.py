@@ -17,10 +17,10 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-import time
 from collections.abc import Callable
 from typing import Any, TypeVar
 
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ApiError, ConfigError
 
 __all__ = ["AdmissionError", "INTERACTIVE", "PRECOMPUTE", "PriorityScheduler"]
@@ -63,14 +63,14 @@ class PriorityScheduler:
         Waiters allowed beyond the running ones; an arrival past this
         bound is shed with :class:`AdmissionError`.
     clock:
-        Monotonic time source (injectable for tests).
+        What slot waits and computation times are measured on.
     """
 
     def __init__(
         self,
         max_concurrent: int = 4,
         max_queue: int = 32,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Clock = SYSTEM_CLOCK,
     ) -> None:
         if max_concurrent < 1:
             raise ConfigError("max_concurrent must be >= 1")
@@ -104,7 +104,6 @@ class PriorityScheduler:
         request still queued when it expires is shed exactly like an
         over-capacity arrival.
         """
-        deadline = self._clock() + timeout if timeout is not None else None
         with self._cond:
             if len(self._waiting) >= self.max_queue:
                 self.shed += 1
@@ -115,31 +114,34 @@ class PriorityScheduler:
             ticket = (priority, self._seq)
             heapq.heappush(self._waiting, ticket)
             self.peak_queue = max(self.peak_queue, len(self._waiting))
-            while (
-                self._running >= self.max_concurrent
-                or self._waiting[0] != ticket
-            ):
-                if deadline is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline - self._clock()
-                if remaining <= 0 or not self._cond.wait(remaining):
-                    if deadline - self._clock() <= 0:
-                        self._waiting.remove(ticket)
-                        heapq.heapify(self._waiting)
-                        self.shed += 1
-                        self._cond.notify_all()
-                        raise AdmissionError(
-                            self._retry_after_locked(), len(self._waiting)
-                        )
+            admitted = False
+            try:
+                admitted = self._clock.wait_for(
+                    self._cond,
+                    lambda: self._running < self.max_concurrent
+                    and self._waiting[0] == ticket,
+                    timeout,
+                )
+            finally:
+                if not admitted:
+                    # Shed, or the wait raised: either way the ticket
+                    # leaves the queue and the next one may run.
+                    self._waiting.remove(ticket)
+                    heapq.heapify(self._waiting)
+                    self._cond.notify_all()
+            if not admitted:
+                self.shed += 1
+                raise AdmissionError(
+                    self._retry_after_locked(), len(self._waiting)
+                )
             heapq.heappop(self._waiting)
             self._running += 1
             self._cond.notify_all()
-        start = self._clock()
+        start = self._clock.monotonic()
         try:
             return fn()
         finally:
-            elapsed = max(0.0, self._clock() - start)
+            elapsed = max(0.0, self._clock.monotonic() - start)
             with self._cond:
                 self._running -= 1
                 self.executed += 1

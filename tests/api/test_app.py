@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.api.app import CaladriusApp
 from repro.config import load_config
+from tests.clock import ManualClock
 
 M = 1e6
 PERFORMANCE = "/model/topology/heron/word-count"
 SWEEP = "/model/plan_sweep/heron/word-count"
+
+
+def _finished(app, request_id: str) -> dict:
+    """The job's poll once its pool worker is done (a bounded real wait:
+    the computation runs on real threads)."""
+    app._jobs[request_id].future.exception(timeout=30)
+    status, result = app.handle("GET", f"/model/result/{request_id}")
+    assert status == 200
+    return result
 
 
 @pytest.fixture()
@@ -220,13 +228,7 @@ class TestAsyncJobs:
         )
         assert status == 200
         assert submitted["status"] == "pending"
-        request_id = submitted["request_id"]
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            status, result = app.handle("GET", f"/model/result/{request_id}")
-            if result["status"] == "done":
-                break
-            time.sleep(0.05)
+        result = _finished(app, submitted["request_id"])
         assert result["status"] == "done"
         assert result["result"]["results"][0]["output_rate"] > 0
 
@@ -239,12 +241,7 @@ class TestAsyncJobs:
             {"source_rate": 10 * M},
         )
         request_id = submitted["request_id"]
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            _, result = app.handle("GET", f"/model/result/{request_id}")
-            if result["status"] == "done":
-                break
-            time.sleep(0.05)
+        result = _finished(app, request_id)
         assert result["status"] == "done"
         for _ in range(3):
             status, again = app.handle("GET", f"/model/result/{request_id}")
@@ -262,26 +259,43 @@ class TestAsyncJobs:
             {"async": "1"},
             {"source_rate": 1.0},
         )
-        request_id = submitted["request_id"]
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            _, result = app.handle("GET", f"/model/result/{request_id}")
-            if result["status"] != "pending":
-                break
-            time.sleep(0.05)
+        result = _finished(app, submitted["request_id"])
         assert result["status"] == "error"
         assert "missing-topology" in result["error"]
 
 
-class _FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
+class TestDeadlinesRunOnTheAppClock:
+    @pytest.fixture()
+    def clocked(self, deployed_wordcount):
+        _, _, _, store, tracker = deployed_wordcount
+        config = load_config({"performance_models": ["throughput-prediction"]})
+        clock = ManualClock()
+        application = CaladriusApp(config, tracker, store, clock=clock)
+        yield application, clock
+        application.shutdown()
 
-    def __call__(self) -> float:
-        return self.now
+    def test_a_budget_is_spent_only_as_the_app_clock_moves(self, clocked):
+        """A nanosecond is long gone on the OS clock by the time the
+        deadline is checked; on an app clock that stands still it is not."""
+        app, clock = clocked
+        body = {"source_rate": 12 * M}
+        status, _ = app.handle(
+            "POST", PERFORMANCE, {}, body, {"X-Request-Deadline": "1e-9"}
+        )
+        assert status == 200
 
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+        def compute_slowly(*args):
+            clock.advance(2.0)  # the evaluation takes two seconds
+            return compute(*args)
+
+        compute = app._performance_uncached
+        app._performance_uncached = compute_slowly
+        status, payload = app.handle(
+            "POST", PERFORMANCE, {}, {"source_rate": 13 * M},
+            {"X-Request-Deadline": "1.5"},
+        )
+        assert status == 504 and payload["deadline"] == "exceeded"
+        assert "500 ms past" in payload["error"]
 
 
 class TestAsyncJobTtl:
@@ -297,7 +311,7 @@ class TestAsyncJobTtl:
                 "serving": {"job_result_ttl_seconds": 30},
             }
         )
-        clock = _FakeClock()
+        clock = ManualClock()
         application = CaladriusApp(config, tracker, store, clock=clock)
         yield application, clock
         application.shutdown()
@@ -310,13 +324,8 @@ class TestAsyncJobTtl:
             {"source_rate": 10 * M},
         )
         request_id = submitted["request_id"]
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            _, result = app.handle("GET", f"/model/result/{request_id}")
-            if result["status"] == "done":
-                return request_id
-            time.sleep(0.05)
-        raise AssertionError("job did not complete")
+        assert _finished(app, request_id)["status"] == "done"
+        return request_id
 
     def test_done_result_expires_after_ttl(self, ttl_app):
         app, clock = ttl_app

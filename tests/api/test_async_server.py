@@ -10,17 +10,10 @@ strict-query behaviour of the listener lives in ``test_server_client``,
 
 from __future__ import annotations
 
-import os
-import re
-import signal
 import struct
-import subprocess
-import sys
-import threading
 import time
 import zlib
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -32,9 +25,8 @@ from repro.config import load_config
 from repro.durability import DurableMetricsStore, open_data_dir
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-_PORT_LINE = re.compile(r"caladrius serving on ([\d.]+):(\d+)")
+from tests.clock import Call
+from tests.live import sigkill_mid_storm, spawn_serve
 
 
 def _bare_config(**ingest_overrides):
@@ -215,26 +207,16 @@ class TestStreamingAcks:
         server = CaladriusServer(app, port=0)
         server.start()
         client = CaladriusClient(server.host, server.port, retries=0)
-        results: list = []
-
-        def send():
-            try:
-                results.append(
-                    client.write_batch(
-                        [("shutdown-race", 60 * (i + 1), float(i),
-                          {"topology": "s5"}) for i in range(35)]
-                    )
-                )
-            except ApiError as exc:
-                results.append(exc)
-
-        thread = threading.Thread(target=send)
-        thread.start()
-        time.sleep(0.02)  # let the batch get in flight
+        send = Call(client.write_batch, [
+            ("shutdown-race", 60 * (i + 1), float(i), {"topology": "s5"})
+            for i in range(35)
+        ])
+        time.sleep(0.02)  # a real socket: let the batch get in flight
         assert server.shutdown_gracefully(drain_timeout=10) is True
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        (outcome,) = results
+        try:
+            outcome = send.result()
+        except ApiError as exc:
+            outcome = exc
         client.close()
         app.shutdown()
         store.close()
@@ -258,77 +240,21 @@ class TestStreamingAcks:
                 assert len(series.timestamps) == acked
 
 
-def _spawn(data_dir: Path, *extra: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC)
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--data-dir", str(data_dir),
-            "--fsync", "always",
-            "--port", "0",
-            *extra,
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    deadline = time.monotonic() + 30
-    line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        match = _PORT_LINE.search(line)
-        if match:
-            return process, int(match.group(2))
-        if process.poll() is not None:
-            break
-        time.sleep(0.01)
-    stderr = process.stderr.read() if process.stderr else ""
-    process.kill()
-    raise AssertionError(f"server never announced a port: {line!r}\n{stderr}")
-
-
 class TestKillNine:
     def test_acked_batches_survive_sigkill(self, tmp_path):
         data_dir = tmp_path / "data"
-        process, port = _spawn(data_dir)
-        acked: list[int] = []  # batch ids fully acknowledged
-        try:
-            client = CaladriusClient("127.0.0.1", port, retries=0)
-            client.wait_ready(timeout=20)
-            stop_writing = threading.Event()
+        process, port = spawn_serve(data_dir)
 
-            def storm():
-                batch = 0
-                while not stop_writing.is_set():
-                    batch += 1
-                    base = batch * 1000
-                    try:
-                        ack = client.write_batch(
-                            [("storm", base + i, float(base + i),
-                              {"topology": "crashy", "batch": str(batch)})
-                             for i in range(10)]
-                        )
-                    except Exception:
-                        return  # the server died mid-request: expected
-                    if ack.acked == 10 and not ack.refused:
-                        acked.append(batch)
+        def write(client, batch):
+            base = batch * 1000
+            ack = client.write_batch(
+                [("storm", base + i, float(base + i),
+                  {"topology": "crashy", "batch": str(batch)})
+                 for i in range(10)]
+            )
+            return ack.acked == 10 and not ack.refused
 
-            writer = threading.Thread(target=storm)
-            writer.start()
-            deadline = time.monotonic() + 20
-            while len(acked) < 25 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            process.send_signal(signal.SIGKILL)
-            process.wait(timeout=10)
-            stop_writing.set()
-            writer.join(timeout=30)
-            assert len(acked) >= 25, "write storm never got going"
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        acked = sigkill_mid_storm(process, port, write)  # fully acknowledged
 
         store, _ = open_data_dir(data_dir)
         try:

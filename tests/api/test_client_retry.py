@@ -11,6 +11,7 @@ import pytest
 
 from repro.api.client import CaladriusClient
 from repro.errors import ApiError
+from tests.clock import ManualClock
 
 
 class _FlakyHandler(http.server.BaseHTTPRequestHandler):
@@ -110,13 +111,14 @@ def flaky_server():
 
 
 def _client(host, port, retries=3, **kwargs):
-    sleeps: list[float] = []
+    """A client on a ManualClock, and the sleeps it recorded."""
+    clock = ManualClock()
     client = CaladriusClient(
         host, port, timeout=5.0, retries=retries,
         backoff_seconds=0.01, backoff_max_seconds=0.05,
-        sleep=sleeps.append, **kwargs,
+        clock=clock, **kwargs,
     )
-    return client, sleeps
+    return client, clock.slept
 
 
 class TestRetries:

@@ -31,22 +31,22 @@ from repro.config import load_config
 from repro.durability import DurableMetricsStore
 from repro.serving.cache import ResultCache
 from repro.serving.layer import ServingLayer
+from tests.clock import Call, ManualClock
+from tests.live import poll_until
 
 LOOP_THREAD = "caladrius-http-loop"
+#: A budget the app's clock spends between two reads (its ``step``).
 EXPIRED = {"X-Request-Deadline": "0.000000001"}
 
 
-class Clock:
-    """The app's clock (cache TTL, drain age), moved by hand."""
-
-    def __init__(self) -> None:
-        self.now = 1000.0
-
-    def __call__(self) -> float:
-        return self.now
+def _clock() -> ManualClock:
+    """The app's clock (cache TTL, deadlines, drain age), moved by hand: a
+    microsecond per read, so ``EXPIRED`` is gone by the deadline check
+    and a drain is still 0.000 s old when ``/healthz`` reports it."""
+    return ManualClock(step=1e-6)
 
 
-def _app(deployment, serving: bool, clock: Clock) -> CaladriusApp:
+def _app(deployment, serving: bool, clock: ManualClock) -> CaladriusApp:
     _, _, _, store, tracker = deployment
     config = load_config(
         {
@@ -65,7 +65,7 @@ class Service:
     """One app on its own listener, with everything that ran recorded."""
 
     def __init__(self, deployment, serving: bool = True, inline: bool = True):
-        self.clock = Clock()
+        self.clock = _clock()
         self.app = _app(deployment, serving, self.clock)
         self.computed: list[str] = []  # thread of every model computation
         self.looked_up: list[tuple[str, bool]] = []  # (thread, hit) per attempt
@@ -135,7 +135,7 @@ class InProcess:
     """``CaladriusApp.handle``, framed the way the parent's ``_send`` did."""
 
     def __init__(self, deployment, serving: bool = True):
-        self.clock = Clock()
+        self.clock = _clock()
         self.app = _app(deployment, serving, self.clock)
 
     def ask(self, method, target, body=None, headers=None) -> bytes:
@@ -317,7 +317,7 @@ def check_an_expired_entry_is_recomputed(deployment) -> None:
         for service in (shipped, pool_only):
             first = service.ask(*request)
             assert service.ask(*request) == first
-            service.clock.now += 301.0  # past serving.ttl_seconds
+            service.clock.advance(301.0)  # past serving.ttl_seconds
             assert service.ask(*request) == first
             assert len(service.computed) == 2
         assert shipped.looked_up == [
@@ -357,24 +357,18 @@ class TestSameBytesSameCounters:
             return compute(*args)
 
         app._performance_uncached = held
-        answers: list = []
 
         def ask():
             arrived.wait(10)
-            answers.append(app.handle(*request, True))
+            return app.handle(*request, True)
 
-        threads = [threading.Thread(target=ask) for _ in range(4)]
+        asks = [Call(ask) for _ in range(4)]
         try:
-            for thread in threads:
-                thread.start()
             arrived.wait(10)
-            while app.serving.flight.stats()["coalesced"] < 3:
-                time.sleep(0.001)
+            assert poll_until(lambda: app.serving.flight.stats()["coalesced"] >= 3)
             release.set()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(answers) == 4 and answers.count(answers[0]) == 4
+            answers = [call.result() for call in asks]
+            assert answers.count(answers[0]) == 4
             status, payload = answers[0]
             assert status == 200 and isinstance(payload, bytes)
             stats = app.serving.stats()
@@ -619,7 +613,7 @@ class TestNoStall:
             slow = service.app._performance_uncached
 
             def slowly(*args):
-                time.sleep(0.3)
+                time.sleep(0.3)  # a real socket: a computation in flight
                 return slow(*args)
 
             service.app._performance_uncached = slowly

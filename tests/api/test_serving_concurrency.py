@@ -33,6 +33,7 @@ from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricsStore
+from tests.live import poll_until
 
 M = 1e6
 
@@ -161,7 +162,7 @@ class TestSingleFlightOverHttp:
                         {"topology": "word-count"},
                     )
                     written.append(ts)
-                    time.sleep(0.002)
+                    time.sleep(0.002)  # deliberate interleaving with readers
 
             def reader():
                 client = CaladriusClient(
@@ -247,9 +248,7 @@ def _overload(app, extra):
                 for i in range(capacity + extra)
             ]
             try:
-                deadline = time.monotonic() + 30
-                while scheduler.shed < extra and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                poll_until(lambda: scheduler.shed >= extra, 30)
                 with CaladriusClient(
                     "127.0.0.1", server.port, timeout=10, retries=0
                 ) as client:

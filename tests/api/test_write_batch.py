@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import struct
 import threading
-import time
 import zlib
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,6 +34,8 @@ from repro.durability import DurableMetricsStore
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
+from tests.clock import ManualClock
+from tests.live import poll_until
 
 _HEADER = struct.Struct("<II")
 
@@ -354,17 +355,17 @@ class TestRetryAfter:
             target=server.serve_forever, args=(0.01,), daemon=True
         )
         thread.start()
-        sleeps: list[float] = []
+        clock = ManualClock()
         try:
             client = CaladriusClient(
                 "127.0.0.1", server.server_address[1],
-                retries=2, backoff_max_seconds=0.5, sleep=sleeps.append,
+                retries=2, backoff_max_seconds=0.5, clock=clock,
             )
             ack = client.write_batch([("m", 60, 1.0)])
             assert ack.acked == 1
             # The server's 7s hint is honored but capped at the
             # client's backoff ceiling — not the exponential guess.
-            assert sleeps == [0.5]
+            assert clock.slept == [0.5]
             client.close()
         finally:
             server.shutdown()
@@ -400,10 +401,7 @@ class TestBatchWriter:
             client, max_frames=10_000, max_age_seconds=0.05
         ) as writer:
             writer.add("trickle", 60, 1.0, {"topology": "b3"})
-            deadline = time.monotonic() + 5
-            while not writer.acks and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert writer.acks, "age-based flush never fired"
+            assert poll_until(lambda: writer.acks, 5), "age-based flush never fired"
         assert sum(ack.acked for ack in writer.acks) == 1
 
     def test_closed_writer_refuses_adds(self, live):

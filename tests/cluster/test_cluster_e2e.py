@@ -9,73 +9,31 @@ last (it changes fleet membership).
 from __future__ import annotations
 
 import os
-import re
 import signal
 import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.api.client import CaladriusClient
 from repro.cluster import ClusterClient
 from repro.errors import ApiError
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-_PORT_LINE = re.compile(r"serving on ([\d.]+):(\d+)")
+from tests.live import poll_until, spawn_serve
 
 
-def _drain(stream, sink: list[str]) -> None:
-    for line in stream:
-        sink.append(line)
-        del sink[:-200]
+def _drain(stream) -> None:
+    for _ in stream:  # a chatty fleet: keep its pipes from filling
+        pass
 
 
 @pytest.fixture(scope="module")
 def cluster(tmp_path_factory):
     """Boot ``serve --shards 2 --replicate`` and yield a ClusterClient."""
     root = tmp_path_factory.mktemp("cluster")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC)
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--shards", "2",
-            "--replicate",
-            "--data-dir", str(root / "data"),
-            "--fsync", "always",
-            "--port", "0",
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    stderr_tail: list[str] = []
-    threading.Thread(
-        target=_drain, args=(process.stderr, stderr_tail), daemon=True
-    ).start()
-    deadline = time.monotonic() + 180
-    port = None
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        match = _PORT_LINE.search(line)
-        if match and "cluster" in line:
-            port = int(match.group(2))
-            break
-        if process.poll() is not None:
-            break
-        time.sleep(0.01)
-    if port is None:
-        process.kill()
-        raise AssertionError(
-            "cluster never announced a port\n" + "".join(stderr_tail[-30:])
-        )
-    threading.Thread(
-        target=_drain, args=(process.stdout, []), daemon=True
-    ).start()
+    process, port = spawn_serve(root / "data", "--shards", "2", "--replicate")
+    for stream in (process.stdout, process.stderr):
+        threading.Thread(target=_drain, args=(stream,), daemon=True).start()
     client = ClusterClient("127.0.0.1", port, ring_ttl_seconds=1.0)
     client.wait_ready(timeout=60)
     try:
@@ -90,16 +48,14 @@ def cluster(tmp_path_factory):
 
 
 def _wait_shard_ready(client: ClusterClient, shard_id: int, timeout=90.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
+    def ready():
         ring = client.refresh_ring()
-        if (
-            ring["states"].get(str(shard_id)) == "ready"
-            and ring["addresses"].get(str(shard_id))
-        ):
-            return ring
-        time.sleep(0.2)
-    raise AssertionError(f"shard {shard_id} never returned to ready")
+        up = ring["states"].get(str(shard_id)) == "ready"
+        return up and ring["addresses"].get(str(shard_id)) and ring
+
+    ring = poll_until(ready, timeout, 0.2)
+    assert ring, f"shard {shard_id} never returned to ready"
+    return ring
 
 
 def _shard_client(client: ClusterClient, shard_id: int) -> CaladriusClient:
@@ -252,12 +208,10 @@ class TestKillNine:
 
         writer = threading.Thread(target=storm, daemon=True)
         writer.start()
-        deadline = time.monotonic() + 20
-        while len(acked) < 10 and time.monotonic() < deadline:
-            time.sleep(0.05)
+        poll_until(lambda: len(acked) >= 10, 20, 0.05)
         assert len(acked) >= 10, "storm never got going"
         os.kill(pid, signal.SIGKILL)
-        time.sleep(1.0)  # let some writes fail against the dead shard
+        time.sleep(1.0)  # real subprocesses: let writes fail on the dead shard
         stop_writing.set()
         writer.join(timeout=30)
         acked_at_kill = list(acked)

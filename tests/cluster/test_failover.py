@@ -20,6 +20,7 @@ from repro.cluster.shard import (
     STOPPED,
     ShardManager,
 )
+from tests.live import poll_until
 
 _STUB = '''
 import http.server, json, os, sys, threading, time
@@ -45,7 +46,7 @@ server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 print(f"stub serving on 127.0.0.1:{server.server_address[1]}", flush=True)
 if lifetime > 0:
-    time.sleep(lifetime)
+    time.sleep(lifetime)  # a real subprocess: the stub lives this long
     os._exit(1)
 threading.Event().wait()
 '''
@@ -56,15 +57,6 @@ def stub_script(tmp_path):
     path = tmp_path / "stub_worker.py"
     path.write_text(_STUB, encoding="utf8")
     return path
-
-
-def _wait_for(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def _manager(stub_script, lifetime, **kwargs):
@@ -91,7 +83,7 @@ class TestCrashLoopGiveUp:
             assert manager.state_of(0) == READY
             epoch_after_boot = manager.epoch_of(0)
             assert epoch_after_boot == 1
-            assert _wait_for(
+            assert poll_until(
                 lambda: manager.state_of(0) == GAVE_UP, timeout=60
             ), f"never gave up (state={manager.state_of(0)})"
             (status,) = manager.statuses()
@@ -114,7 +106,7 @@ class TestCrashLoopGiveUp:
         manager = _manager(stub_script, lifetime=0.3)
         try:
             manager.start(1)
-            assert _wait_for(
+            assert poll_until(
                 lambda: manager.state_of(0) == GAVE_UP, timeout=60
             )
             router = RouterApp(load_config({}), manager)
@@ -187,7 +179,7 @@ class TestPromotion:
         )
         try:
             manager.start(1)
-            assert _wait_for(
+            assert poll_until(
                 lambda: manager.state_of(0) == GAVE_UP, timeout=120
             ), f"never settled (state={manager.state_of(0)})"
             (status,) = manager.statuses()
@@ -223,7 +215,7 @@ class TestPromotion:
         try:
             manager.start(1)
             handle = manager.handle(0)
-            assert _wait_for(
+            assert poll_until(
                 lambda: handle.promotions >= 1, timeout=60
             ), "validation promotion never happened"
             assert handle.rapid_deaths == 0  # not the crash-loop path
@@ -241,7 +233,7 @@ class TestStopRaces:
         manager = _manager(stub_script, lifetime=0.3)
         manager.start(2)
         # Let at least one death/respawn cycle start.
-        assert _wait_for(
+        assert poll_until(
             lambda: any(
                 s.get("restarts", 0) > 0 for s in manager.statuses()
             ),
@@ -253,7 +245,7 @@ class TestStopRaces:
         assert states == {STOPPED}
         # Every tracked process is dead, and stays dead (no respawn
         # raced past the stop).
-        time.sleep(0.5)
+        time.sleep(0.5)  # real subprocesses: give a raced respawn time to show
         for handle in manager._handles.values():
             if handle.worker is not None:
                 assert handle.worker.process.poll() is not None

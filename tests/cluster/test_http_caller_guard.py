@@ -148,7 +148,7 @@ def _sleeping_call_loops(src_index):
             counted = isinstance(loop, ast.For) and (
                 _called_name(loop.iter) == "range"
             )
-            if called & {"sleep", "_sleep"} and (counted or called & methods):
+            if "sleep" in called and (counted or called & methods):
                 yield name, loop
                 break
 

@@ -30,6 +30,7 @@ from repro.cluster.router import RouterApp
 from repro.durability.lifecycle import LifecycleController
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
+from tests.clock import ManualClock
 from tests.cluster.test_write_batch_routing import (  # noqa: F401 - fixture
     _bare_config,
     _FakeManager,
@@ -37,11 +38,10 @@ from tests.cluster.test_write_batch_routing import (  # noqa: F401 - fixture
 )
 
 
-def _cluster_client(router_server, sleeps=None, **options):
-    options.setdefault("sleep", (sleeps if sleeps is not None else []).append)
+def _cluster_client(router_server, clock=None, **options):
     return ClusterClient(
         router_server.host, router_server.port, ring_ttl_seconds=30.0,
-        **options,
+        clock=clock or ManualClock(), **options,
     )
 
 
@@ -84,9 +84,9 @@ class TestRouterFallbackBudget:
         time.  ``retries=2`` means two waits, each the hint capped at
         ``backoff_max_seconds`` — nothing multiplies them."""
         manager, router, router_server, _ = mini_cluster
-        sleeps: list[float] = []
+        clock = ManualClock()
         client = _cluster_client(
-            router_server, sleeps, retries=2, backoff_max_seconds=0.4
+            router_server, clock, retries=2, backoff_max_seconds=0.4
         )
         try:
             manager.mark_down(router.shard_for("alpha"))
@@ -96,8 +96,26 @@ class TestRouterFallbackBudget:
                 )
             assert excinfo.value.status == 503
             assert excinfo.value.payload["shard_state"] == "down"
-            assert sleeps == [0.4, 0.4]
+            assert clock.slept == [0.4, 0.4]
             assert client.router_fallbacks == 1
+        finally:
+            client.close()
+
+    def test_the_ring_ttl_runs_on_the_clients_clock(self, mini_cluster):
+        """The clock rides the forwarded client options: the router's
+        client, every shard client and the ring's age all read it."""
+        _, _, router_server, _ = mini_cluster
+        clock = ManualClock(now=100.0)
+        client = _cluster_client(router_server, clock)
+        try:
+            assert client.router.clock is clock
+            assert client._shard_clients._options["clock"] is clock
+            fetched_at = []
+            for step in (0.0, 29.5, 0.5):
+                clock.advance(step)
+                client._routing()
+                fetched_at.append(client._fetched_at)
+            assert fetched_at == [100.0, 100.0, 130.0]
         finally:
             client.close()
 

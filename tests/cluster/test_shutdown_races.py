@@ -10,14 +10,8 @@ still present.
 
 from __future__ import annotations
 
-import os
-import re
 import signal
-import subprocess
-import sys
-import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -27,11 +21,8 @@ from repro.api.server import CaladriusServer
 from repro.config import load_config
 from repro.durability import open_data_dir
 from repro.errors import ApiError
-from repro.heron.tracker import TopologyTracker
-from repro.timeseries.store import MetricsStore
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-_PORT_LINE = re.compile(r"caladrius serving on ([\d.]+):(\d+)")
+from tests.clock import Call
+from tests.live import poll_until, spawn_serve
 
 
 def _build_service(deployed_wordcount):
@@ -54,26 +45,11 @@ class TestConcurrentShutdown:
     ):
         app, server = _build_service(deployed_wordcount)
         try:
-            results: list[bool] = []
-            errors: list[BaseException] = []
-
-            def drain():
-                try:
-                    results.append(
-                        server.shutdown_gracefully(drain_timeout=5.0)
-                    )
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=drain) for _ in range(8)
+            drains = [
+                Call(server.shutdown_gracefully, drain_timeout=5.0)
+                for _ in range(8)
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not errors
-            assert results == [True] * 8
+            assert [drain.result() for drain in drains] == [True] * 8
             assert server._shutdown_done.is_set()
         finally:
             app.shutdown()
@@ -97,40 +73,19 @@ class TestSigtermMidRequest:
         client = CaladriusClient(server.host, server.port, retries=0)
         try:
             done = server.install_signal_handlers(drain_timeout=30.0)
-            sweep_result: list = []
-            sweep_errors: list[BaseException] = []
-
-            def sweep():
-                try:
-                    sweep_result.append(
-                        client.plan_sweep(
-                            "word-count",
-                            source_rate=10e6,
-                            plans=[
-                                {"splitter": 1, "counter": 2},
-                                {"splitter": 2, "counter": 4},
-                                {"splitter": 4, "counter": 4},
-                            ],
-                        )
-                    )
-                except BaseException as exc:  # noqa: BLE001
-                    sweep_errors.append(exc)
-
-            worker = threading.Thread(target=sweep, daemon=True)
-            worker.start()
-            deadline = time.monotonic() + 10
-            while (
-                app.lifecycle.inflight() == 0
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.002)
-            assert app.lifecycle.inflight() > 0, "sweep never went in flight"
+            plans = [
+                {"splitter": 1, "counter": 2},
+                {"splitter": 2, "counter": 4},
+                {"splitter": 4, "counter": 4},
+            ]
+            sweep = Call(client.plan_sweep, "word-count", 10e6, plans)
+            assert poll_until(
+                app.lifecycle.inflight, 10
+            ), "sweep never went in flight"
             signal.raise_signal(signal.SIGTERM)
             assert done.wait(timeout=60), "shutdown never completed"
-            worker.join(timeout=30)
             # The in-flight request completed despite the SIGTERM.
-            assert not sweep_errors
-            assert sweep_result and sweep_result[0]["ranked"]
+            assert sweep.result()["ranked"]
         finally:
             signal.signal(signal.SIGTERM, saved_term)
             signal.signal(signal.SIGINT, saved_int)
@@ -158,37 +113,7 @@ class TestDrainDuringReplay:
     def test_sigterm_during_wal_replay_loses_nothing(self, tmp_path):
         """kill -9, restart (replay), immediate SIGTERM: clean + complete."""
         data_dir = tmp_path / "data"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_SRC)
-        argv = [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--data-dir", str(data_dir),
-            "--fsync", "always",
-            "--port", "0",
-        ]
-
-        def spawn() -> tuple[subprocess.Popen, int]:
-            process = subprocess.Popen(
-                argv,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                match = _PORT_LINE.search(line)
-                if match:
-                    return process, int(match.group(2))
-                if process.poll() is not None:
-                    break
-                time.sleep(0.01)
-            stderr = process.stderr.read() if process.stderr else ""
-            process.kill()
-            raise AssertionError(f"no announce line\n{stderr}")
-
-        process, port = spawn()
+        process, port = spawn_serve(data_dir)
         client = CaladriusClient("127.0.0.1", port, retries=0)
         acked: list[int] = []
         try:
@@ -210,7 +135,7 @@ class TestDrainDuringReplay:
         # announce line) and SIGTERM the instant the port appears —
         # racing the drain against the freshly-replayed state's final
         # checkpoint.
-        process2, _ = spawn()
+        process2, _ = spawn_serve(data_dir)
         process2.send_signal(signal.SIGTERM)
         stdout, stderr = process2.communicate(timeout=90)
         assert process2.returncode == 0, (

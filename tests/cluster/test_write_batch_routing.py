@@ -26,6 +26,7 @@ from repro.config import load_config
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
+from tests.clock import ManualClock
 
 
 def _bare_config():
@@ -234,7 +235,7 @@ class TestRouterWriteBatch:
 
 class TestClusterClientWriteBatch:
     def _client(self, router_server, **kwargs):
-        kwargs.setdefault("sleep", lambda seconds: None)
+        kwargs.setdefault("clock", ManualClock())
         return ClusterClient(
             router_server.host, router_server.port,
             ring_ttl_seconds=30.0, **kwargs,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import sys
 import threading
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,11 +33,14 @@ from repro.serving.fingerprint import canonical_json
 from repro.sweep import PlanSweepEngine
 from repro.timeseries.store import MetricsStore
 from repro.workloads import SHAPES, generate_workload
+from tests.clock import ManualClock
 
 LEVELS = (0.4, 0.55, 0.7)
 MINUTES_PER_LEVEL = 3
 #: Minutes a fresh store starts with; the rest arrive as "write" steps.
 PRELOADED = 6
+#: Writes racing the two readers in the interleaving test.
+WRITES = 50
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,9 +311,9 @@ class TestFailuresAreNotCached:
         assert deployment.cache.get(deployment.name).fits
 
     def test_expired_deadline(self, deployment, calibrations):
-        now = [0.0]
-        deadline = Deadline(1.0, clock=lambda: now[0])
-        now[0] = 2.0
+        clock = ManualClock()
+        deadline = Deadline(1.0, clock)
+        clock.advance(2.0)
         with deadline_scope(deadline), pytest.raises(DeadlineExceeded):
             deployment.cache.get(deployment.name)
         assert deployment.cache.stats()["entries"] == 0
@@ -340,11 +342,14 @@ class TestHealthVerdict:
 
 def test_readers_never_get_a_calibration_older_than_they_asked_for(deployment):
     """Two readers against one writer: every calibration handed out is
-    stamped at or after the data version read just before asking."""
+    stamped at or after the data version read just before asking.  The
+    writer waits for both readers to be served between its writes, so
+    every write races reads in flight."""
     name, cache, store = deployment.name, deployment.cache, deployment.store
     stop = threading.Event()
     problems: list[str] = []
     served = [0, 0]
+    progress = threading.Condition()
 
     def read(slot: int) -> None:
         try:
@@ -356,15 +361,24 @@ def test_readers_never_get_a_calibration_older_than_they_asked_for(deployment):
                         f"asked at {asked}, got {calibration.data_version}"
                     )
                     return
-                served[slot] += 1
+                with progress:
+                    served[slot] += 1
+                    progress.notify_all()
         except Exception as exc:  # surfaced by the assertion below
             problems.append(repr(exc))
 
     def write() -> None:
         try:
-            while not stop.is_set():
+            for _ in range(WRITES):
+                with progress:
+                    mark = list(served)
                 deployment.write()
-                time.sleep(0.002)
+                with progress:
+                    if not progress.wait_for(
+                        lambda: all(n > m for n, m in zip(served, mark)), 30
+                    ):
+                        problems.append("the readers stopped being served")
+                        return
         except Exception as exc:
             problems.append(repr(exc))
 
@@ -378,7 +392,7 @@ def test_readers_never_get_a_calibration_older_than_they_asked_for(deployment):
     try:
         for thread in threads:
             thread.start()
-        time.sleep(1.0)
+        threads[2].join(timeout=60)
     finally:
         stop.set()
         for thread in threads:

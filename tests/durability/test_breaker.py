@@ -6,18 +6,7 @@ import pytest
 
 from repro.durability import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, CircuitOpenError
 from repro.errors import ApiError, ConfigError
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
+from tests.clock import ManualClock
 
 def boom():
     raise ValueError("evaluation blew up")
@@ -37,7 +26,7 @@ def make(clock, **overrides):
 
 class TestTripping:
     def test_stays_closed_below_min_calls(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         for _ in range(3):
             with pytest.raises(ValueError):
@@ -45,7 +34,7 @@ class TestTripping:
         assert breaker.state == CLOSED  # 3 < min_calls: rate not trusted
 
     def test_trips_open_at_failure_rate(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         for _ in range(4):
             with pytest.raises(ValueError):
@@ -57,7 +46,7 @@ class TestTripping:
         assert excinfo.value.payload["retry_after"] >= 1
 
     def test_api_errors_do_not_count_as_failures(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
 
         def refuse():
@@ -69,7 +58,7 @@ class TestTripping:
         assert breaker.state == CLOSED
 
     def test_mixed_outcomes_below_threshold_stay_closed(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         for i in range(12):
             if i % 4 == 0:
@@ -88,7 +77,7 @@ class TestHalfOpen:
         assert breaker.state == OPEN
 
     def test_probe_success_closes(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         self._trip(breaker)
         clock.advance(5.1)
@@ -101,7 +90,7 @@ class TestHalfOpen:
         assert breaker.state == CLOSED
 
     def test_probe_failure_reopens(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         self._trip(breaker)
         clock.advance(5.1)
@@ -111,8 +100,20 @@ class TestHalfOpen:
         with pytest.raises(CircuitOpenError):
             breaker.call(lambda: "rejected")
 
+    def test_stats_and_state_agree_after_the_cool_down(self):
+        clock = ManualClock()
+        breaker = make(clock)
+        self._trip(breaker)
+        assert breaker.stats()["state"] == breaker.state == OPEN
+        clock.advance(4.9)
+        assert breaker.stats()["state"] == breaker.state == OPEN
+        clock.advance(0.2)
+        assert breaker.stats()["state"] == breaker.state == HALF_OPEN
+        assert breaker.call(lambda: "probe") == "probe"
+        assert breaker.stats()["state"] == breaker.state == CLOSED
+
     def test_stats_shape(self):
-        clock = FakeClock()
+        clock = ManualClock()
         breaker = make(clock)
         self._trip(breaker)
         stats = breaker.stats()
@@ -134,4 +135,4 @@ class TestValidation:
     )
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            make(FakeClock(), **kwargs)
+            make(ManualClock(), **kwargs)

@@ -12,53 +12,14 @@ and a recovery report with nothing left to replay.
 
 from __future__ import annotations
 
-import os
-import re
 import signal
 import subprocess
-import sys
-import threading
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.api.client import CaladriusClient
 from repro.durability import open_data_dir
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
-_PORT_LINE = re.compile(r"caladrius serving on ([\d.]+):(\d+)")
-
-
-def _spawn(data_dir: Path, *extra: str) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_SRC)
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--data-dir", str(data_dir),
-            "--fsync", "always",
-            "--port", "0",
-            *extra,
-        ],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    deadline = time.monotonic() + 30
-    line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        match = _PORT_LINE.search(line)
-        if match:
-            return process, int(match.group(2))
-        if process.poll() is not None:
-            break
-        time.sleep(0.01)
-    stderr = process.stderr.read() if process.stderr else ""
-    process.kill()
-    raise AssertionError(f"server never announced a port: {line!r}\n{stderr}")
+from tests.live import sigkill_mid_storm, spawn_serve
 
 
 @pytest.fixture(scope="class")
@@ -72,45 +33,19 @@ def killed_and_restarted(tmp_path_factory):
     before any test wrote to it.
     """
     data_dir = tmp_path_factory.mktemp("kill9") / "data"
-    process, port = _spawn(data_dir)
-    acked: list[int] = []  # batch ids the server said yes to
-    try:
-        client = CaladriusClient("127.0.0.1", port, retries=0)
-        client.wait_ready(timeout=20)
-        stop_writing = threading.Event()
+    process, port = spawn_serve(data_dir)
 
-        def storm():
-            batch = 0
-            while not stop_writing.is_set():
-                batch += 1
-                base = batch * 1000
-                try:
-                    client.write_metrics(
-                        "storm",
-                        [(base + i, float(base + i)) for i in range(10)],
-                        {"topology": "crashy", "batch": str(batch)},
-                    )
-                except Exception:
-                    return  # the server died mid-request: expected
-                acked.append(batch)
+    def write(client, batch):
+        base = batch * 1000
+        return client.write_metrics(
+            "storm",
+            [(base + i, float(base + i)) for i in range(10)],
+            {"topology": "crashy", "batch": str(batch)},
+        )
 
-        writer = threading.Thread(target=storm)
-        writer.start()
-        # let the storm build, then pull the plug mid-flight
-        deadline = time.monotonic() + 20
-        while len(acked) < 25 and time.monotonic() < deadline:
-            time.sleep(0.01)  # a real server is filling the log
-        process.send_signal(signal.SIGKILL)
-        process.wait(timeout=10)
-        stop_writing.set()
-        writer.join(timeout=30)
-        assert len(acked) >= 25, "write storm never got going"
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait(timeout=10)
+    acked = sigkill_mid_storm(process, port, write)  # the ids it said yes to
 
-    process, port = _spawn(data_dir)
+    process, port = spawn_serve(data_dir)
     try:
         client = CaladriusClient("127.0.0.1", port, retries=0)
         client.wait_ready(timeout=20)
@@ -149,7 +84,7 @@ class TestKillNine:
 class TestSigterm:
     def test_graceful_exit_checkpoints_and_drains(self, tmp_path):
         data_dir = tmp_path / "data"
-        process, port = _spawn(data_dir, "--drain-timeout", "10")
+        process, port = spawn_serve(data_dir, "--drain-timeout", "10")
         client = CaladriusClient("127.0.0.1", port, retries=0)
         client.wait_ready(timeout=20)
         client.write_metrics("graceful", [(60 * i, float(i)) for i in range(1, 8)])

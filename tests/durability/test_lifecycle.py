@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import threading
 import time
 
 import pytest
@@ -27,6 +26,7 @@ from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricsStore
+from tests.clock import Call, ManualClock
 
 _MODEL_CONFIG = {
     "traffic_models": ["stats-summary"],
@@ -35,12 +35,19 @@ _MODEL_CONFIG = {
 
 
 @pytest.fixture()
-def bare_app():
+def clock():
+    """The app's clock: a microsecond passes per read, so a budget of a
+    nanosecond is spent by the time a request checks it."""
+    return ManualClock(step=1e-6)
+
+
+@pytest.fixture()
+def bare_app(clock):
     """An app over an empty deployment (plus one registered topology)."""
     tracker, store = TopologyTracker(), MetricsStore()
     topology, packing, _ = build_word_count(WordCountParams())
     tracker.register(topology, packing)
-    app = CaladriusApp(load_config(_MODEL_CONFIG), tracker, store)
+    app = CaladriusApp(load_config(_MODEL_CONFIG), tracker, store, clock=clock)
     yield app
     app.shutdown()
 
@@ -57,26 +64,25 @@ class TestLifecycleController:
         assert lifecycle.state == STOPPED
 
     def test_wait_idle_blocks_until_requests_finish(self):
-        lifecycle = LifecycleController()
+        clock = ManualClock()
+        lifecycle = LifecycleController(clock)
         lifecycle.request_started()
-        finished = threading.Event()
-
-        def release():
-            finished.wait(5)
-            lifecycle.request_finished()
-
-        releaser = threading.Thread(target=release)
-        releaser.start()
-        assert lifecycle.wait_idle(0.05) is False  # still in flight
-        finished.set()
-        assert lifecycle.wait_idle(5) is True
-        releaser.join(5)
+        waiter = Call(lifecycle.wait_idle, 0.05)
+        assert clock.await_waiters(1)
+        clock.advance(0.05)  # the timeout passes with the request in flight
+        assert waiter.result() is False
+        waiter = Call(lifecycle.wait_idle, 5)
+        assert clock.await_waiters(1)
+        lifecycle.request_finished()
+        assert waiter.result() is True
+        assert clock.now == 0.05  # the second wait ended on the finish
+        assert lifecycle.wait_idle(0) is True
 
     def test_status_reports_drain_duration(self):
-        clock_value = [0.0]
-        lifecycle = LifecycleController(clock=lambda: clock_value[0])
+        clock = ManualClock()
+        lifecycle = LifecycleController(clock)
         lifecycle.begin_drain()
-        clock_value[0] = 2.5
+        clock.advance(2.5)
         status = lifecycle.status()
         assert status["state"] == DRAINING
         assert status["draining_seconds"] == 2.5
@@ -162,12 +168,20 @@ class TestMetricsWriteEndpoint:
 class TestDeadlines:
     def test_parse_header(self):
         assert parse_deadline_header(None) is None
-        deadline = parse_deadline_header("5")
-        assert 0 < deadline.remaining() <= 5
+        assert parse_deadline_header("5") == 5.0
         with pytest.raises(ApiError):
             parse_deadline_header("soon")
-        with pytest.raises(ApiError):
-            parse_deadline_header("-1")
+
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "1e400", "nan"])
+    def test_a_budget_that_is_not_positive_and_finite_is_400(
+        self, bare_app, value
+    ):
+        status, payload = bare_app.handle(
+            "POST", "/model/topology/heron/word-count", {}, {},
+            {"X-Request-Deadline": value},
+        )
+        assert status == 400
+        assert "X-Request-Deadline" in payload["error"]
 
     def test_check_deadline_is_noop_without_scope(self):
         check_deadline()  # must not raise
@@ -187,15 +201,19 @@ class TestDeadlines:
             deadline_module, "_yield_interpreter", lambda: yields.append(1)
         )
         check_deadline()
-        with deadline_scope(Deadline(0.000001)):
-            time.sleep(0.01)
+        clock = ManualClock()
+        with deadline_scope(Deadline(1.0, clock)):
+            clock.advance(1.0)
             with pytest.raises(DeadlineExceeded):
                 check_deadline()
         assert len(yields) == 2
 
     def test_expired_deadline_raises_504(self):
-        deadline = Deadline(0.000001)
-        time.sleep(0.01)
+        clock = ManualClock()
+        deadline = Deadline(1.0, clock)
+        clock.advance(0.5)
+        assert deadline.remaining() == 0.5 and not deadline.expired()
+        clock.advance(1.0)
         with deadline_scope(deadline):
             with pytest.raises(DeadlineExceeded) as excinfo:
                 check_deadline()
@@ -205,7 +223,7 @@ class TestDeadlines:
         status, payload = bare_app.handle(
             "GET",
             "/model/traffic/heron/word-count",
-            headers={"X-Request-Deadline": "0.000001"},
+            headers={"X-Request-Deadline": "0.000000001"},
         )
         assert status == 504
         assert payload["deadline"] == "exceeded"
@@ -219,7 +237,7 @@ class TestDeadlines:
 
 
 class TestGracefulShutdownOverHttp:
-    def test_drain_completes_inflight_then_checkpoints(self, bare_app):
+    def test_drain_completes_inflight_then_checkpoints(self, bare_app, clock):
         server = CaladriusServer(bare_app, port=0).start()
         client = CaladriusClient("127.0.0.1", server.port, retries=0)
         client.wait_ready(timeout=10)
@@ -229,55 +247,51 @@ class TestGracefulShutdownOverHttp:
         bare_app.lifecycle.request_started()
         events: list[str] = []
 
-        def finish_later():
-            time.sleep(0.2)
+        def finish_once_the_drain_waits():
+            assert clock.await_waiters(1)
             events.append("request-finished")
             bare_app.lifecycle.request_finished()
 
-        finisher = threading.Thread(target=finish_later)
-        finisher.start()
+        finisher = Call(finish_once_the_drain_waits)
         clean = server.shutdown_gracefully(
             drain_timeout=10,
             on_drained=lambda: events.append("checkpointed"),
         )
-        finisher.join(5)
+        finisher.result()
         assert clean is True
         # the request completed BEFORE the final checkpoint ran
         assert events == ["request-finished", "checkpointed"]
         assert bare_app.lifecycle.state == STOPPED
 
-    def test_drain_deadline_gives_up_on_stuck_requests(self, bare_app):
+    def test_drain_deadline_gives_up_on_stuck_requests(self, bare_app, clock):
         server = CaladriusServer(bare_app, port=0).start()
         bare_app.lifecycle.request_started()  # never finishes
         try:
-            clean = server.shutdown_gracefully(drain_timeout=0.1)
-            assert clean is False
+            drainer = Call(server.shutdown_gracefully, drain_timeout=30)
+            assert clock.await_waiters(1)
+            clock.advance(29.5)
+            assert clock.await_waiters(1)  # not yet
+            clock.advance(0.5)
+            assert drainer.result() is False
             assert bare_app.lifecycle.state == STOPPED
         finally:
             bare_app.lifecycle.request_finished()
 
-    def test_readyz_flips_for_real_clients_during_drain(self, bare_app):
+    def test_readyz_flips_for_real_clients_during_drain(self, bare_app, clock):
         server = CaladriusServer(bare_app, port=0).start()
         client = CaladriusClient("127.0.0.1", server.port, retries=0)
         client.wait_ready(timeout=10)
         bare_app.lifecycle.request_started()  # keep the drain pending
-        drainer = threading.Thread(
-            target=server.shutdown_gracefully, kwargs={"drain_timeout": 10}
-        )
-        drainer.start()
+        drainer = Call(server.shutdown_gracefully, drain_timeout=10)
         try:
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if bare_app.lifecycle.is_draining():
-                    break
-                time.sleep(0.01)
+            assert clock.await_waiters(1)  # draining: waiting for the request
             with pytest.raises(ApiError) as excinfo:
                 client.readyz()
             assert excinfo.value.status == 503
             assert excinfo.value.payload.get("retry_after", 0) >= 1
         finally:
             bare_app.lifecycle.request_finished()
-            drainer.join(10)
+            assert drainer.result() is True
 
     def test_stop_warns_when_serve_thread_hangs(self, bare_app, caplog):
         server = CaladriusServer(bare_app, port=0).start()
@@ -303,11 +317,19 @@ class TestGracefulShutdownOverHttp:
 
 class TestClientHelpers:
     def test_wait_ready_times_out_against_nothing(self):
+        """Polls until the client's clock passes the timeout — about
+        ``timeout / poll_seconds`` attempts, none of them waited out."""
+        clock = ManualClock()
         client = CaladriusClient(
-            "127.0.0.1", 1, timeout=0.2, retries=0, sleep=lambda _: None
+            "127.0.0.1", 1, timeout=0.2, retries=0, clock=clock
         )
+        began = time.perf_counter()
         with pytest.raises(ApiError, match="not ready within"):
-            client.wait_ready(timeout=0.3, poll_seconds=0.01)
+            client.wait_ready(timeout=0.5, poll_seconds=0.05)
+        assert time.perf_counter() - began < 0.5
+        assert len(clock.slept) in (10, 11)  # one poll sleep per attempt
+        assert set(clock.slept) == {0.05}
+        assert 0.5 <= clock.now < 0.6
 
     def test_write_metrics_round_trip(self, bare_app):
         with CaladriusServer(bare_app, port=0) as server:

@@ -8,22 +8,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.serving.cache import ResultCache
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from tests.clock import ManualClock
 
 
 @pytest.fixture()
-def clock() -> FakeClock:
-    return FakeClock()
+def clock() -> ManualClock:
+    return ManualClock()
 
 
 class TestLru:

@@ -12,6 +12,8 @@ from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.serving.fingerprint import RequestDescriptor, fingerprint
 from repro.serving.layer import ServingLayer
 from repro.timeseries.store import MetricsStore
+from tests.clock import ManualClock
+from tests.live import poll_until
 
 
 def make_layer(**kwargs):
@@ -196,19 +198,17 @@ class TestWarmPrecompute:
         layer.close()
 
     def test_background_loop_rewarms(self):
-        import time
-
-        layer, _, store = make_layer()
+        """The loop waits on the layer's clock for a write, not for its
+        interval: with the clock standing still, the write alone wakes it."""
+        clock = ManualClock()
+        layer, _, store = make_layer(clock=clock)
         layer.set_recompute(lambda d: {"warm": True})
         layer.execute(desc(), lambda: {"warm": False})
         layer.start(interval_seconds=0.05)
+        assert clock.await_waiters(1)
         store.write("m", 0, 1.0, {"topology": "wc"})
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            if layer.stats()["precomputed"] >= 1:
-                break
-            time.sleep(0.01)
-        assert layer.stats()["precomputed"] >= 1
+        assert poll_until(lambda: layer.stats()["precomputed"] == 1, 10)
+        assert layer.execute(desc(), lambda: {"warm": False}) == {"warm": True}
         layer.close()
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,15 +15,25 @@ from repro.serving.scheduler import (
     AdmissionError,
     PriorityScheduler,
 )
+from tests.clock import JOIN, Call, ManualClock
+
+#: A slot wait that never times out unless the test moves the clock: a
+#: queued run carries it so that it shows up as a waiter on the clock.
+PATIENT = 3600.0
 
 
-def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
+def occupy(scheduler) -> tuple[Call, threading.Event]:
+    """Hold one slot until the returned event is set."""
+    occupied, release = threading.Event(), threading.Event()
+
+    def blocker():
+        occupied.set()
+        assert release.wait(JOIN)
+        return "blocker"
+
+    call = Call(scheduler.run, blocker)
+    assert occupied.wait(JOIN)
+    return call, release
 
 
 class TestExecution:
@@ -33,7 +43,8 @@ class TestExecution:
         assert scheduler.stats()["executed"] == 1
 
     def test_concurrency_is_bounded(self):
-        scheduler = PriorityScheduler(max_concurrent=2, max_queue=16)
+        clock = ManualClock()
+        scheduler = PriorityScheduler(max_concurrent=2, max_queue=16, clock=clock)
         running = []
         peak = []
         lock = threading.Lock()
@@ -43,17 +54,17 @@ class TestExecution:
             with lock:
                 running.append(1)
                 peak.append(len(running))
-            release.wait(5)
+            assert release.wait(JOIN)
             with lock:
                 running.pop()
             return True
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(scheduler.run, work) for _ in range(6)]
-            assert wait_until(lambda: len(running) == 2)
-            time.sleep(0.05)  # give over-admission a chance to show up
-            release.set()
-            assert all(f.result(5) for f in futures)
+        calls = [
+            Call(scheduler.run, work, INTERACTIVE, PATIENT) for _ in range(6)
+        ]
+        assert clock.await_waiters(4)  # two admitted, four queued
+        release.set()
+        assert all(call.result() for call in calls)
         assert max(peak) <= 2
 
     def test_exceptions_release_the_slot(self):
@@ -71,81 +82,77 @@ class TestExecution:
 
 class TestPriority:
     def test_interactive_runs_before_precompute(self):
-        scheduler = PriorityScheduler(max_concurrent=1, max_queue=8)
+        clock = ManualClock()
+        scheduler = PriorityScheduler(max_concurrent=1, max_queue=8, clock=clock)
         order = []
-        release = threading.Event()
-        occupied = threading.Event()
-
-        def blocker():
-            occupied.set()
-            release.wait(5)
-            return "blocker"
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            first = pool.submit(scheduler.run, blocker, INTERACTIVE)
-            assert occupied.wait(5)
-            # Queue a precompute, then an interactive, while the slot is
-            # held; the interactive one must be admitted first.
-            pre = pool.submit(
-                scheduler.run, lambda: order.append("pre"), PRECOMPUTE
-            )
-            assert wait_until(lambda: scheduler.queue_depth() == 1)
-            inter = pool.submit(
-                scheduler.run, lambda: order.append("inter"), INTERACTIVE
-            )
-            assert wait_until(lambda: scheduler.queue_depth() == 2)
-            release.set()
-            first.result(5)
-            pre.result(5)
-            inter.result(5)
+        first, release = occupy(scheduler)
+        # Queue a precompute, then an interactive, while the slot is
+        # held; the interactive one must be admitted first.
+        pre = Call(scheduler.run, lambda: order.append("pre"), PRECOMPUTE, PATIENT)
+        assert clock.await_waiters(1)
+        inter = Call(
+            scheduler.run, lambda: order.append("inter"), INTERACTIVE, PATIENT
+        )
+        assert clock.await_waiters(2)
+        release.set()
+        first.result()
+        pre.result()
+        inter.result()
         assert order == ["inter", "pre"]
 
 
 class TestAdmissionControl:
     def test_sheds_with_429_when_queue_full(self):
-        scheduler = PriorityScheduler(max_concurrent=1, max_queue=1)
-        release = threading.Event()
-        occupied = threading.Event()
-
-        def blocker():
-            occupied.set()
-            release.wait(5)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            running = pool.submit(scheduler.run, blocker)
-            assert occupied.wait(5)
-            queued = pool.submit(scheduler.run, lambda: "queued")
-            assert wait_until(lambda: scheduler.queue_depth() == 1)
-            with pytest.raises(AdmissionError) as excinfo:
-                scheduler.run(lambda: "shed")
-            release.set()
-            running.result(5)
-            assert queued.result(5) == "queued"
+        clock = ManualClock()
+        scheduler = PriorityScheduler(max_concurrent=1, max_queue=1, clock=clock)
+        running, release = occupy(scheduler)
+        queued = Call(scheduler.run, lambda: "queued", INTERACTIVE, PATIENT)
+        assert clock.await_waiters(1)
+        with pytest.raises(AdmissionError) as excinfo:
+            scheduler.run(lambda: "shed")
+        release.set()
+        running.result()
+        assert queued.result() == "queued"
         assert excinfo.value.status == 429
         assert excinfo.value.payload["retry_after"] >= 1
         assert excinfo.value.payload["queue_depth"] == 1
         assert scheduler.stats()["shed"] == 1
 
     def test_deadline_expiry_sheds(self):
-        scheduler = PriorityScheduler(max_concurrent=1, max_queue=4)
-        release = threading.Event()
-        occupied = threading.Event()
-
-        def blocker():
-            occupied.set()
-            release.wait(5)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            running = pool.submit(scheduler.run, blocker)
-            assert occupied.wait(5)
-            # A request whose deadline passes while still queued must be
-            # shed, not served late.
-            with pytest.raises(AdmissionError):
-                scheduler.run(lambda: "late", INTERACTIVE, timeout=0.1)
-            release.set()
-            running.result(5)
+        """A request whose budget runs out while still queued is shed, not
+        served late — when the scheduler's clock passes the budget, with
+        no real wait on top."""
+        clock = ManualClock()
+        scheduler = PriorityScheduler(max_concurrent=1, max_queue=4, clock=clock)
+        running, release = occupy(scheduler)
+        late = Call(scheduler.run, lambda: "late", INTERACTIVE, 0.2)
+        assert clock.await_waiters(1)
+        clock.advance(0.1)
+        assert scheduler.queue_depth() == 1  # not due yet
+        began = time.perf_counter()
+        clock.advance(0.1)
+        with pytest.raises(AdmissionError):
+            late.result()
+        assert time.perf_counter() - began < 1.0
         assert scheduler.queue_depth() == 0
         assert scheduler.stats()["shed"] == 1
+        release.set()
+        running.result()
+
+    def test_a_wait_that_raises_leaves_the_queue(self):
+        """A queued run whose wait raises (``Condition.wait(inf)`` is an
+        ``OverflowError``) takes its ticket with it: the next request is
+        admitted once the slot frees."""
+        scheduler = PriorityScheduler(max_concurrent=1, max_queue=4)
+        running, release = occupy(scheduler)
+        with pytest.raises(OverflowError):
+            scheduler.run(lambda: "never", INTERACTIVE, timeout=math.inf)
+        assert scheduler.queue_depth() == 0
+        assert scheduler.stats()["shed"] == 0
+        following = Call(scheduler.run, lambda: "admitted")
+        release.set()
+        assert running.result() == "blocker"
+        assert following.result() == "admitted"
 
     def test_retry_after_scales_with_backlog(self):
         scheduler = PriorityScheduler(max_concurrent=1, max_queue=100)

@@ -3,21 +3,12 @@
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.serving.singleflight import SingleFlight
-
-
-def wait_until(predicate, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
+from tests.live import poll_until
 
 
 class TestCoalescing:
@@ -47,7 +38,7 @@ class TestCoalescing:
             assert started.wait(5)
             waiters = [pool.submit(flight.do, "k", slow) for _ in range(7)]
             # Give the waiters time to join the in-flight call.
-            assert wait_until(lambda: flight.coalesced == 7)
+            assert poll_until(lambda: flight.coalesced == 7)
             release.set()
             results = [leader.result(5)] + [w.result(5) for w in waiters]
         assert sum(executions) == 1
@@ -84,7 +75,7 @@ class TestCoalescing:
             leader = pool.submit(flight.do, "k", failing)
             assert started.wait(5)
             waiter = pool.submit(flight.do, "k", failing)
-            assert wait_until(lambda: flight.coalesced == 1)
+            assert poll_until(lambda: flight.coalesced == 1)
             release.set()
             with pytest.raises(ValueError, match="boom"):
                 leader.result(5)

@@ -7,6 +7,7 @@ import pytest
 from repro.api.app import CaladriusApp
 from repro.config import load_config
 
+from tests.clock import ManualClock
 from tests.sweep.conftest import M, plan_grid
 
 RATE = 30 * M
@@ -63,14 +64,16 @@ class TestPlanSweepEndpoint:
         _, after = app.handle("GET", "/serving/stats")
         assert after["hits"] == before["hits"]
 
-    def test_expired_deadline_is_504(self, app):
-        import time
-
-        time.sleep(0.01)  # ensure a microscopic budget is already gone
+    def test_expired_deadline_is_504(self, deployed_wordcount):
+        _, _, _, store, tracker = deployed_wordcount
+        # A microsecond passes per read: the budget is gone by the check.
+        clock = ManualClock(step=1e-6)
+        app = CaladriusApp(load_config({}), tracker, store, clock=clock)
         status, payload = app.handle(
             "POST", PATH, body=sweep_body(),
-            headers={"X-Request-Deadline": "0.000001"},
+            headers={"X-Request-Deadline": "0.000000001"},
         )
+        app.shutdown()
         assert status == 504
         assert payload["deadline"] == "exceeded"
 

@@ -92,7 +92,7 @@ def test_the_ledger_child_imports_nothing_it_does_not_run(tmp_path):
         assert (status, ack["acked"]) == (200, 1)
         assert client.exchange("GET", "/healthz")[0] == 200
         client.close()
-        time.sleep(0.2)  # let the write's re-warm run
+        time.sleep(0.2)  # a real subprocess: let the write's re-warm run
         served = modules()
     finally:
         child.kill()
