@@ -6,7 +6,7 @@ import json
 import random
 import socket
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import urlencode
@@ -21,7 +21,14 @@ from repro.clock import SYSTEM_CLOCK, Clock
 from repro.durability.deadline import DEADLINE_HEADER
 from repro.errors import ApiError
 
-__all__ = ["BatchAck", "BatchWriter", "CaladriusClient", "TRANSPORT_ERRORS"]
+__all__ = [
+    "BatchAck",
+    "BatchWriter",
+    "CaladriusClient",
+    "SOCKET_TRANSPORT",
+    "TRANSPORT_ERRORS",
+    "Transport",
+]
 
 #: What :meth:`CaladriusClient.exchange` raises when no response arrived.
 TRANSPORT_ERRORS = (OSError,)
@@ -137,6 +144,13 @@ class _Wire:
             self._read(2)
 
 
+#: ``(host, port, timeout)`` → one connection to a server (a :class:`_Wire`
+#: or anything with its ``exchange``, ``close`` and ``used``).
+Transport = Callable[[str, int, float], _Wire]
+#: The operating system's transport: what every ``transport=`` defaults to.
+SOCKET_TRANSPORT: Transport = _Wire
+
+
 #: Statuses worth retrying: the service said "not right now", not "no".
 RETRYABLE_STATUSES = frozenset({429, 502, 503, 504})
 
@@ -204,6 +218,10 @@ class CaladriusClient:
     clock:
         What back-off sleeps, readiness polls and result polls are
         measured on.
+    transport:
+        ``(host, port, timeout)`` → the connection a thread's requests
+        ride (:class:`_Wire`, a socket, by default).  Chosen when a
+        connection opens, so the per-request path is the same either way.
     """
 
     def __init__(
@@ -216,6 +234,7 @@ class CaladriusClient:
         backoff_max_seconds: float = 2.0,
         jitter: float = 0.1,
         clock: Clock = SYSTEM_CLOCK,
+        transport: Transport = SOCKET_TRANSPORT,
     ) -> None:
         if retries < 0:
             raise ApiError("retries must be non-negative")
@@ -227,6 +246,7 @@ class CaladriusClient:
         self.backoff_max_seconds = backoff_max_seconds
         self.jitter = jitter
         self.clock = clock
+        self.transport = transport
         self._rng = random.Random(0x5EED)
         # One persistent HTTP/1.1 connection per thread: the server
         # speaks keep-alive, so reusing the socket saves a TCP handshake
@@ -248,7 +268,7 @@ class CaladriusClient:
         """
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = _Wire(self.host, self.port, self.timeout)
+            connection = self.transport(self.host, self.port, self.timeout)
             self._local.connection = connection
         return connection
 

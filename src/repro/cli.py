@@ -1,6 +1,6 @@
 """Command-line interface for the Caladrius reproduction.
 
-Eleven subcommands cover the operational surface:
+Ten subcommands cover the operational surface:
 
 ``serve``
     Stand up the web service over a demo cluster (or an empty tracker)
@@ -14,11 +14,6 @@ Eleven subcommands cover the operational surface:
 ``cluster-stats``
     Query a running cluster router for ring layout, per-shard state and
     proxy counters.
-``chaos``
-    Stand up a replicated cluster and subject it to a seeded schedule
-    of kill -9s, pauses, shipping partitions and data-dir wipes,
-    checking failover invariants (no acked write lost, a single writer
-    per epoch, replica convergence, bounded unavailability).
 ``recover``
     Replay a data directory offline, report what recovery read, and
     compact the WAL into a checkpoint (``--no-checkpoint`` only reports).
@@ -187,25 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json"
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the cluster chaos harness: seeded fault injection "
-             "against a live replicated cluster, with invariant checks",
-    )
-    chaos.add_argument("--shards", type=int, default=2)
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="event schedule seed (deterministic)")
-    chaos.add_argument("--duration", type=float, default=25.0,
-                       metavar="SECONDS",
-                       help="how long the chaos run lasts")
-    chaos.add_argument("--events", type=int, default=6,
-                       help="how many chaos events to schedule")
-    chaos.add_argument("--data-dir", default=None, metavar="DIR",
-                       help="scratch data root (default: a fresh temp dir)")
-    chaos.add_argument("--report", default=None, metavar="PATH",
-                       help="write the chaos report JSON here")
-    chaos.add_argument("--json", action="store_true", dest="as_json")
-
     recover = sub.add_parser(
         "recover",
         help="replay a data directory offline and compact its WAL",
@@ -311,7 +287,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "follow": _cmd_follow,
         "cluster-stats": _cmd_cluster_stats,
-        "chaos": _cmd_chaos,
         "recover": _cmd_recover,
         "simulate": _cmd_simulate,
         "predict": _cmd_predict,
@@ -633,7 +608,7 @@ def _serve_cluster(args, config) -> int:
     from pathlib import Path
 
     from repro.cluster.router import RouterApp
-    from repro.cluster.shard import ShardManager
+    from repro.cluster.shard import ShardManager, Subprocesses
 
     shards = config.cluster.shards
     replicate = config.cluster.replicate
@@ -699,8 +674,7 @@ def _serve_cluster(args, config) -> int:
             )
 
     manager = ShardManager(
-        worker_argv,
-        follower_argv,
+        Subprocesses(worker_argv, follower_argv),
         host=config.api_host,
         restart_backoff_seconds=config.cluster.restart_backoff_seconds,
         shard_dirs=shard_dirs,
@@ -818,60 +792,6 @@ def _cmd_cluster_stats(args) -> int:
         f"up {router['uptime_seconds']:.0f}s"
     )
     return 0
-
-
-def _cmd_chaos(args) -> int:
-    import tempfile
-    from pathlib import Path
-
-    from repro.cluster.chaos import ChaosController
-
-    scratch = None
-    if args.data_dir:
-        data_root = Path(args.data_dir)
-    else:
-        scratch = tempfile.TemporaryDirectory(prefix="caladrius-chaos-")
-        data_root = Path(scratch.name)
-    try:
-        controller = ChaosController(
-            shards=args.shards,
-            seed=args.seed,
-            duration_seconds=args.duration,
-            data_root=data_root,
-            events=args.events,
-        )
-        report = controller.run()
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, indent=2), encoding="utf8"
-        )
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"seed       : {report['seed']}")
-        print(f"duration   : {report['duration_seconds']:.1f}s "
-              f"({report['shards']} shard(s), {len(report['events'])} "
-              f"event(s))")
-        for event in report["events"]:
-            print(f"  t={event['at_seconds']:>5.1f}s {event['kind']:<10} "
-                  f"shard {event['shard_id']}")
-        counters = report["counters"]
-        print(f"writes     : {counters['acked_writes']} acked, "
-              f"{counters['failed_writes']} failed, "
-              f"{counters['fenced_writes']} fenced")
-        print(f"probes     : {counters['probes']} "
-              f"({counters['stale_reads']} stale reads, "
-              f"{counters['fence_rejections']} fence rejections)")
-        for name, verdict in report["invariants"].items():
-            status = "pass" if verdict["ok"] else "FAIL"
-            detail = verdict.get("detail", "")
-            print(f"  {status:<4} {name}" + (f" — {detail}" if detail else ""))
-        if args.report:
-            print(f"report     : {args.report}")
-    return 0 if report["ok"] else 1
 
 
 def _cmd_recover(args) -> int:

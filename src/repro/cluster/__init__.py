@@ -16,9 +16,7 @@ the service across processes while keeping the durability story intact:
 * :mod:`repro.cluster.client` — shard-aware client that routes
   data-plane calls directly to shard owners;
 * :mod:`repro.cluster.epoch` — persistent per-shard writer generations
-  backing the epoch-fencing protocol (no split-brain after failover);
-* :mod:`repro.cluster.chaos` — seeded fault-injection campaigns against
-  a live cluster with invariant checking (``caladrius chaos``).
+  backing the epoch-fencing protocol (no split-brain after failover).
 
 ``caladrius serve --shards N`` boots the whole tier; see
 ``docs/architecture.md`` ("Cluster tier" and "Failover & fencing") for

@@ -32,7 +32,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.durability.disk import OS_DISK
+from repro.durability.disk import OS_DISK, Disk
 
 __all__ = ["EPOCH_HEADER", "EpochStore", "fencing_rejection"]
 
@@ -63,21 +63,29 @@ class EpochStore:
     path:
         JSON file the counters are persisted to (atomically, on every
         bump).  ``None`` keeps them in memory only.
+    disk:
+        What the file is read and written through.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
+    def __init__(
+        self, path: str | Path | None = None, disk: Disk = OS_DISK
+    ) -> None:
         self._path = Path(path) if path is not None else None
+        self._disk = disk
         self._lock = threading.Lock()
         self._epochs: dict[int, int] = {}
-        if self._path is not None and self._path.exists():
+        if self._path is not None:
             self._load()
 
     def _load(self) -> None:
         assert self._path is not None
         try:
-            payload = json.loads(self._path.read_text("utf8"))
+            with self._disk.open_read(self._path) as handle:
+                payload = json.load(handle)
             raw = payload.get("epochs", {})
             self._epochs = {int(k): int(v) for k, v in raw.items()}
+        except FileNotFoundError:
+            pass
         except (ValueError, OSError, AttributeError):
             # A torn epoch file must not block the cluster from booting;
             # counters restart at 0 and the first bump re-persists.
@@ -95,9 +103,9 @@ class EpochStore:
             epoch = self._epochs.get(shard_id, 0) + 1
             self._epochs[shard_id] = epoch
             if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
+                self._disk.makedirs(self._path.parent)
                 epochs = {str(k): v for k, v in self._epochs.items()}
-                OS_DISK.atomic_write(
+                self._disk.atomic_write(
                     self._path, json.dumps({"epochs": epochs}).encode("utf8")
                 )
             return epoch

@@ -46,13 +46,14 @@ from repro.cluster.epoch import fencing_rejection
 from repro.durability.checkpoint import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_FORMAT,
+    read_checkpoint,
 )
 from repro.durability.codec import (
     restore_store_state,
     restore_tracker_state,
     store_content_hash,
 )
-from repro.durability.disk import OS_DISK
+from repro.durability.disk import OS_DISK, Disk
 from repro.durability.store import replay_frames
 from repro.errors import DurabilityError
 from repro.heron.tracker import TopologyTracker
@@ -69,12 +70,16 @@ _EPOCH_FILENAME = "shipper.epoch"
 
 
 class FollowerReplica:
-    """Receives shipped checkpoint + segment bytes; serves replica state."""
+    """Receives shipped checkpoint + segment bytes; serves replica state.
 
-    def __init__(self, replica_dir: str | Path) -> None:
+    ``disk`` is what the mirror is read and written through.
+    """
+
+    def __init__(self, replica_dir: str | Path, disk: Disk = OS_DISK) -> None:
         self.replica_dir = Path(replica_dir)
         self.wal_dir = self.replica_dir / _WAL_SUBDIR
-        self.wal_dir.mkdir(parents=True, exist_ok=True)
+        self.disk = disk
+        disk.makedirs(self.wal_dir)
         self._mutex = threading.RLock()
         self.store: MetricsStore = MetricsStore(None)
         self.tracker = TopologyTracker()
@@ -104,7 +109,7 @@ class FollowerReplica:
         ):
             raise DurabilityError("shipped checkpoint has the wrong format")
         with self._mutex:
-            OS_DISK.atomic_write(self.replica_dir / CHECKPOINT_FILENAME, raw)
+            self.disk.atomic_write(self.replica_dir / CHECKPOINT_FILENAME, raw)
             self._reset_from_checkpoint(payload)
             self._replay_all_segments()
             self.checkpoints_received += 1
@@ -118,16 +123,19 @@ class FollowerReplica:
             return 400, {"error": f"not a WAL segment name: {name!r}"}
         path = self.wal_dir / name
         with self._mutex:
-            size = path.stat().st_size if path.exists() else 0
+            try:
+                size = self.disk.size(path)
+            except FileNotFoundError:
+                size = 0
             if offset != size:
                 return 409, {"offset": size}
             if data:
-                with OS_DISK.open_append(path) as handle:
+                with self.disk.open_append(path) as handle:
                     handle.write(data)
                     handle.flush()
-                    OS_DISK.sync(handle)
+                    self.disk.sync(handle)
                 if not size:  # a new segment: make its name durable too
-                    OS_DISK.sync_directory(self.wal_dir)
+                    self.disk.sync_directory(self.wal_dir)
                 self._apply_new_frames(path)
             return 200, {
                 "offset": size + len(data),
@@ -152,7 +160,7 @@ class FollowerReplica:
                 return rejection
             if epoch > self.highest_epoch:
                 self.highest_epoch = epoch
-                OS_DISK.atomic_write(
+                self.disk.atomic_write(
                     self.replica_dir / _EPOCH_FILENAME, str(epoch).encode("utf8")
                 )
             return None
@@ -160,7 +168,8 @@ class FollowerReplica:
     def _load_epoch(self) -> None:
         path = self.replica_dir / _EPOCH_FILENAME
         try:
-            self.highest_epoch = int(path.read_text("utf8").strip())
+            with self.disk.open_read(path) as handle:
+                self.highest_epoch = int(handle.read().decode("utf8").strip())
         except FileNotFoundError:
             pass
         except (ValueError, OSError):
@@ -189,19 +198,13 @@ class FollowerReplica:
     # ------------------------------------------------------------------
     def _bootstrap(self) -> None:
         """A restarted follower rebuilds from its own mirrored files."""
-        checkpoint_path = self.replica_dir / CHECKPOINT_FILENAME
-        if checkpoint_path.exists():
-            try:
-                payload = json.loads(checkpoint_path.read_text("utf8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                logger.warning(
-                    "replica checkpoint is torn; rebuilding from WAL only"
-                )
-                payload = None
-            if isinstance(payload, dict) and (
-                payload.get("format") == CHECKPOINT_FORMAT
-            ):
-                self._reset_from_checkpoint(payload)
+        try:
+            payload = read_checkpoint(self.replica_dir, self.disk)
+        except DurabilityError:
+            logger.warning("replica checkpoint is torn; rebuilding from WAL only")
+            payload = None
+        if payload is not None:
+            self._reset_from_checkpoint(payload)
         self._replay_all_segments()
 
     def _reset_from_checkpoint(self, payload: dict[str, Any]) -> None:
@@ -220,8 +223,9 @@ class FollowerReplica:
         self._parse_offsets.clear()
 
     def _replay_all_segments(self) -> None:
-        for path in sorted(self.wal_dir.glob("wal-*.log")):
-            self._apply_new_frames(path)
+        for name in sorted(self.disk.listdir(self.wal_dir)):
+            if _SEGMENT_NAME.match(name):
+                self._apply_new_frames(self.wal_dir / name)
 
     def _apply_new_frames(self, path: Path) -> None:
         """Replay complete frames past our parse offset.
@@ -232,7 +236,7 @@ class FollowerReplica:
         stance as crash recovery otherwise: a record the store rejects
         (duplicate of checkpointed data, malformed) is skipped.
         """
-        with open(path, "rb") as handle:
+        with self.disk.open_read(path) as handle:
             walk = replay_frames(
                 self.store,
                 handle,

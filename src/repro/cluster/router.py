@@ -62,7 +62,12 @@ from typing import Any
 from urllib.parse import urlencode
 
 from repro.api.app import is_number
-from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
+from repro.api.client import (
+    SOCKET_TRANSPORT,
+    TRANSPORT_ERRORS,
+    CaladriusClient,
+    Transport,
+)
 from repro.api.ingest import (
     FRAMES_CONTENT_TYPE,
     keyed_frames,
@@ -70,7 +75,7 @@ from repro.api.ingest import (
     routing_key,
     split_by_owner,
 )
-from repro.clock import SYSTEM_CLOCK
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.cluster.client import ShardClients
 from repro.cluster.epoch import EPOCH_HEADER
 from repro.cluster.ring import DEFAULT_VIRTUAL_NODES, HashRing
@@ -93,7 +98,11 @@ _FORWARDED = ("x-request-deadline", "x-request-priority")
 
 
 class RouterApp:
-    """Routes requests across the shard fleet (hosted by CaladriusServer)."""
+    """Routes requests across the shard fleet (hosted by CaladriusServer).
+
+    ``clock`` and ``transport`` are the seams of the router's shard hops
+    (:class:`~repro.api.client.CaladriusClient`'s).
+    """
 
     # The hosting server hands these paths' bodies over as raw bytes
     # (WAL-framed samples), not parsed JSON.
@@ -105,13 +114,18 @@ class RouterApp:
         manager: ShardManager,
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         proxy_timeout: float = 30.0,
+        clock: Clock = SYSTEM_CLOCK,
+        transport: Transport = SOCKET_TRANSPORT,
     ) -> None:
         self.config = config
         self.manager = manager
         self.virtual_nodes = virtual_nodes
         self.proxy_timeout = proxy_timeout
         self.lifecycle = LifecycleController()
-        self._clients = ShardClients(timeout=proxy_timeout)
+        self._clock = clock
+        self._clients = ShardClients(
+            timeout=proxy_timeout, clock=clock, transport=transport
+        )
         self._ring_lock = threading.Lock()
         self._ring: HashRing | None = None
         self._ring_version = -1
@@ -120,7 +134,7 @@ class RouterApp:
         )
         self._proxied = 0
         self._unavailable = 0
-        self._started = SYSTEM_CLOCK.monotonic()
+        self._started = clock.monotonic()
 
     # ------------------------------------------------------------------
     # Ring
@@ -535,7 +549,7 @@ class RouterApp:
             "router": {
                 "proxied": self._proxied,
                 "unavailable": self._unavailable,
-                "uptime_seconds": SYSTEM_CLOCK.monotonic() - self._started,
+                "uptime_seconds": self._clock.monotonic() - self._started,
             },
             "per_shard": per_shard,
         }
@@ -576,7 +590,7 @@ class RouterApp:
             "router": {
                 "proxied": self._proxied,
                 "unavailable": self._unavailable,
-                "uptime_seconds": SYSTEM_CLOCK.monotonic() - self._started,
+                "uptime_seconds": self._clock.monotonic() - self._started,
             },
         }
 

@@ -10,7 +10,8 @@ WAL segments ship to).  :class:`ShardManager` owns the whole fleet:
   spawn bumps the shard's persistent epoch (see
   :mod:`repro.cluster.epoch`) so writes from superseded generations are
   fenced off;
-* **supervise** — a monitor thread polls the processes; a worker that
+* **supervise** — a monitor thread runs one supervision step
+  (:meth:`ShardManager.supervise`) per poll; a worker that
   dies (``kill -9``, OOM, crash) is respawned on the *same* data
   directory, so WAL replay recovers every acknowledged write.  While it
   replays, the shard reports ``restarting`` and the router answers 503
@@ -34,8 +35,11 @@ WAL segments ship to).  :class:`ShardManager` owns the whole fleet:
   before every respawn so a shard killed during shutdown is never
   respawned into a half-torn-down cluster.
 
-Everything here is transport-free; the HTTP front door lives in
-:mod:`repro.cluster.router`.
+Processes are started, watched and stopped through one seam
+(:class:`Subprocesses` by default), and time, the HTTP probes and the
+data directories go through the clock, transport and disk seams, so a
+test can run the same supervision code over in-process shards in
+virtual time.  The HTTP front door lives in :mod:`repro.cluster.router`.
 """
 
 from __future__ import annotations
@@ -50,14 +54,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
-from repro.api.client import TRANSPORT_ERRORS, CaladriusClient
-from repro.clock import SYSTEM_CLOCK
+from repro.api.client import (
+    SOCKET_TRANSPORT,
+    TRANSPORT_ERRORS,
+    CaladriusClient,
+    Transport,
+)
+from repro.clock import SYSTEM_CLOCK, Clock
 from repro.cluster.epoch import EpochStore
+from repro.durability.disk import OS_DISK, Disk
 from repro.durability.recovery import peek_recoverable_lsn
 from repro.errors import ApiError, DurabilityError, ReproError
 
 __all__ = [
     "ShardManager",
+    "Subprocesses",
     "ShardHandle",
     "ClusterError",
     "STARTING",
@@ -80,6 +91,9 @@ GAVE_UP = "gave_up"
 STOPPED = "stopped"
 
 _ANNOUNCE = re.compile(r"serving on ([\d.]+):(\d+)")
+#: Bound on process start + WAL replay: how long a child may take to
+#: print its ``serving on host:port`` line.
+_ANNOUNCE_TIMEOUT = 120.0
 #: A worker that dies this quickly after becoming ready is crash-looping.
 _MIN_HEALTHY_UPTIME = 2.0
 #: Consecutive rapid deaths before the manager gives up on a shard.
@@ -115,25 +129,24 @@ class _Child:
     port: int
     stderr_tail: list[str]
 
+    @property
+    def pid(self) -> int:
+        return self.process.pid
 
-def _spawn_announced(
-    argv: list[str],
-    announce_timeout: float,
-    env: dict[str, str] | None = None,
-) -> _Child:
+
+def _spawn_announced(argv: list[str]) -> _Child:
     """Start ``argv`` and wait for its ``… serving on host:port`` line."""
     process = subprocess.Popen(
         argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=env,
     )
     stderr_tail: list[str] = []
     threading.Thread(
         target=_drain, args=(process.stderr, stderr_tail), daemon=True
     ).start()
-    deadline = SYSTEM_CLOCK.monotonic() + announce_timeout
+    deadline = SYSTEM_CLOCK.monotonic() + _ANNOUNCE_TIMEOUT
     while SYSTEM_CLOCK.monotonic() < deadline:
         assert process.stdout is not None
         line = process.stdout.readline()
@@ -155,38 +168,87 @@ def _spawn_announced(
         process.wait(timeout=10)
     raise ClusterError(
         f"process {argv[:4]}… never announced a port within "
-        f"{announce_timeout:.0f}s\n{tail}"
+        f"{_ANNOUNCE_TIMEOUT:.0f}s\n{tail}"
     )
 
 
-def _terminate(
-    process: subprocess.Popen, timeout: float, label: str
-) -> int | None:
-    """SIGTERM then (after ``timeout``) SIGKILL; returns the exit code."""
-    if process.poll() is not None:
-        return process.returncode
-    try:
-        process.send_signal(signal.SIGTERM)
-    except (ProcessLookupError, OSError):
-        return process.poll()
-    try:
-        return process.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        logger.warning("%s ignored SIGTERM for %.1fs; killing", label, timeout)
-        process.kill()
-        return process.wait(timeout=10)
+class Subprocesses:
+    """The process seam, as the operating system provides it.
 
+    A :class:`ShardManager` starts, watches and stops its workers and
+    followers only through this object: ``spawn_worker`` /
+    ``spawn_follower`` return a handle with the ``port`` the process
+    serves on and its ``pid``; ``exit_code`` is ``None`` while the
+    process is alive; ``kill`` is SIGKILL (it lands on a stopped process
+    too) and ``terminate`` is SIGTERM (the process drains and
+    checkpoints), escalating to SIGKILL after a bound.  ``replicated``
+    says whether shards get followers.  Tests substitute in-process
+    processes with the same methods.
 
-def _kill(process: subprocess.Popen) -> None:
-    """SIGKILL and reap; lands on SIGSTOPped processes too."""
-    try:
-        process.kill()
-    except (ProcessLookupError, OSError):
-        return
-    try:
-        process.wait(timeout=10)
-    except subprocess.TimeoutExpired:  # pragma: no cover - kernel oddity
-        pass
+    Parameters
+    ----------
+    worker_argv:
+        ``(shard_id, ship_to, epoch)`` → the worker's command line.
+        ``ship_to`` is ``"host:port"`` of the shard's follower (or
+        ``None``); ``epoch`` is the writer generation the worker must
+        stamp and enforce.
+    follower_argv:
+        ``shard_id`` → the follower's command line, or ``None`` to run
+        without replication.
+    """
+
+    def __init__(
+        self,
+        worker_argv: Callable[[int, str | None, int], list[str]],
+        follower_argv: Callable[[int], list[str]] | None = None,
+    ) -> None:
+        self._worker_argv = worker_argv
+        self._follower_argv = follower_argv
+        self.replicated = follower_argv is not None
+
+    def spawn_worker(
+        self, shard_id: int, ship_to: str | None, epoch: int
+    ) -> _Child:
+        return _spawn_announced(self._worker_argv(shard_id, ship_to, epoch))
+
+    def spawn_follower(self, shard_id: int) -> _Child:
+        assert self._follower_argv is not None
+        return _spawn_announced(self._follower_argv(shard_id))
+
+    @staticmethod
+    def exit_code(child: _Child) -> int | None:
+        return child.process.poll()
+
+    @staticmethod
+    def kill(child: _Child) -> None:
+        """SIGKILL and reap; lands on SIGSTOPped processes too."""
+        try:
+            child.process.kill()
+        except (ProcessLookupError, OSError):
+            return
+        try:
+            child.process.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - kernel oddity
+            pass
+
+    @staticmethod
+    def terminate(child: _Child, timeout: float, label: str) -> None:
+        """SIGTERM then (after ``timeout``) SIGKILL."""
+        process = child.process
+        if process.poll() is not None:
+            return
+        try:
+            process.send_signal(signal.SIGTERM)
+        except (ProcessLookupError, OSError):
+            return
+        try:
+            process.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            logger.warning(
+                "%s ignored SIGTERM for %.1fs; killing", label, timeout
+            )
+            process.kill()
+            process.wait(timeout=10)
 
 
 class ShardHandle:
@@ -220,10 +282,10 @@ class ShardHandle:
             payload["rapid_deaths"] = self.rapid_deaths
         if self.worker is not None:
             payload["port"] = self.worker.port
-            payload["pid"] = self.worker.process.pid
+            payload["pid"] = self.worker.pid
         if self.follower is not None:
             payload["follower_port"] = self.follower.port
-            payload["follower_pid"] = self.follower.process.pid
+            payload["follower_pid"] = self.follower.pid
         if self.last_error:
             payload["last_error"] = self.last_error
         return payload
@@ -234,19 +296,13 @@ class ShardManager:
 
     Parameters
     ----------
-    worker_argv:
-        ``(shard_id, ship_to, epoch)`` → the worker's command line.
-        ``ship_to`` is ``"host:port"`` of the shard's follower (or
-        ``None``); ``epoch`` is the writer generation the worker must
-        stamp and enforce.
-    follower_argv:
-        ``shard_id`` → the follower's command line, or ``None`` to run
-        without replication.
+    processes:
+        How workers and followers are started, watched and stopped
+        (:class:`Subprocesses` runs them as child processes).
     host:
         Address the workers bind (they announce their ephemeral port).
-    ready_timeout / announce_timeout:
-        Bounds on worker boot: announce covers process start + WAL
-        replay, ready covers the ``/readyz`` probe after that.
+    ready_timeout:
+        Bound on the ``/readyz`` probe after a worker announced.
     restart_backoff_seconds:
         Delay before respawning a dead worker.
     shard_dirs:
@@ -262,31 +318,37 @@ class ShardManager:
         A ready worker whose ``/healthz`` has not answered for this
         long is SIGKILLed (and then recovered normally).  ``0`` turns
         the liveness probe off.
+    clock / transport / disk:
+        What supervision waits on, how it reaches workers and followers
+        (:class:`~repro.api.client.CaladriusClient`'s seams) and what the
+        data directories and the epoch file are read and renamed through.
     """
 
     def __init__(
         self,
-        worker_argv: Callable[[int, str | None, int], list[str]],
-        follower_argv: Callable[[int], list[str]] | None = None,
+        processes: Subprocesses,
         host: str = "127.0.0.1",
         ready_timeout: float = 60.0,
-        announce_timeout: float = 120.0,
         restart_backoff_seconds: float = 0.2,
         poll_interval_seconds: float = 0.1,
         shard_dirs: Callable[[int], tuple[Path, Path]] | None = None,
         epoch_path: str | Path | None = None,
         unresponsive_timeout_seconds: float = 10.0,
+        clock: Clock = SYSTEM_CLOCK,
+        transport: Transport = SOCKET_TRANSPORT,
+        disk: Disk = OS_DISK,
     ) -> None:
-        self._worker_argv = worker_argv
-        self._follower_argv = follower_argv
+        self._processes = processes
         self.host = host
         self.ready_timeout = ready_timeout
-        self.announce_timeout = announce_timeout
         self.restart_backoff_seconds = restart_backoff_seconds
         self.poll_interval_seconds = poll_interval_seconds
         self.unresponsive_timeout_seconds = unresponsive_timeout_seconds
         self._shard_dirs = shard_dirs
-        self._epochs = EpochStore(epoch_path)
+        self._clock = clock
+        self._transport = transport
+        self._disk = disk
+        self._epochs = EpochStore(epoch_path, disk)
         self._lock = threading.RLock()
         self._handles: dict[int, ShardHandle] = {}
         self._version = 0
@@ -298,6 +360,15 @@ class ShardManager:
     # ------------------------------------------------------------------
     def start(self, shards: int) -> None:
         """Boot ``shards`` workers (and followers) and start supervising."""
+        self.boot(shards)
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="cluster-monitor", daemon=True
+        )
+        self._monitor.start()
+
+    def boot(self, shards: int) -> None:
+        """Boot ``shards`` workers (and followers), leaving supervision
+        to whoever calls :meth:`supervise` (:meth:`start`'s thread)."""
         if shards < 1:
             raise ClusterError("a cluster needs at least one shard")
         with self._lock:
@@ -309,10 +380,19 @@ class ShardManager:
             self._boot_shard(shard_id)
         with self._lock:
             self._version += 1
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="cluster-monitor", daemon=True
+
+    def _client(self, port: int, timeout: float) -> CaladriusClient:
+        return CaladriusClient(
+            self.host,
+            port,
+            timeout=timeout,
+            retries=0,
+            clock=self._clock,
+            transport=self._transport,
         )
-        self._monitor.start()
+
+    def _alive(self, child: Any) -> bool:
+        return child is not None and self._processes.exit_code(child) is None
 
     def _boot_shard(self, shard_id: int) -> None:
         """Start follower (if any) then worker, then wait for readiness.
@@ -327,41 +407,30 @@ class ShardManager:
         handle = self._handles[shard_id]
         try:
             ship_to = None
-            if (
-                handle.follower is not None
-                and handle.follower.process.poll() is not None
-            ):
+            if handle.follower is not None and not self._alive(handle.follower):
                 # A dead follower gets a fresh process on the same
                 # replica dir; the 409 offset handshake resynchronises
                 # the shipper onto whatever the dir already holds.
                 handle.follower = None
-            if self._follower_argv is not None and handle.follower is None:
-                follower = _spawn_announced(
-                    self._follower_argv(shard_id), self.announce_timeout
-                )
-                handle.follower = follower
+            if self._processes.replicated and handle.follower is None:
+                handle.follower = self._processes.spawn_follower(shard_id)
             if handle.follower is not None:
                 ship_to = f"{self.host}:{handle.follower.port}"
             epoch = self._epochs.bump(shard_id)
             with self._lock:
                 handle.epoch = epoch
-            child = _spawn_announced(
-                self._worker_argv(shard_id, ship_to, epoch),
-                self.announce_timeout,
-            )
+            child = self._processes.spawn_worker(shard_id, ship_to, epoch)
             with self._lock:
                 handle.worker = child
             if self._stopping.is_set():
                 self._stop_handle(handle, timeout=10.0)
                 return
-            client = CaladriusClient(
-                self.host, child.port, timeout=5.0, retries=0
-            )
+            client = self._client(child.port, 5.0)
             client.wait_ready(timeout=self.ready_timeout)
             client.close()
             with self._lock:
                 handle.state = READY
-                handle.became_ready = SYSTEM_CLOCK.monotonic()
+                handle.became_ready = self._clock.monotonic()
                 handle.last_probe_at = 0.0
                 handle.last_probe_ok = handle.became_ready
                 handle.last_error = None
@@ -414,76 +483,85 @@ class ShardManager:
 
     def _stop_handle(self, handle: ShardHandle, timeout: float) -> None:
         if handle.worker is not None:
-            _terminate(
-                handle.worker.process, timeout, f"shard-{handle.shard_id}"
+            self._processes.terminate(
+                handle.worker, timeout, f"shard-{handle.shard_id}"
             )
         if handle.follower is not None:
-            _terminate(
-                handle.follower.process,
-                timeout,
-                f"follower-{handle.shard_id}",
+            self._processes.terminate(
+                handle.follower, timeout, f"follower-{handle.shard_id}"
             )
 
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
-        while not SYSTEM_CLOCK.wait(self._stopping, self.poll_interval_seconds):
-            self._probe_health()
-            with self._lock:
-                now = SYSTEM_CLOCK.monotonic()
-                for handle in self._handles.values():
-                    if (
-                        handle.state == READY
-                        and handle.became_ready is not None
-                        and now - handle.became_ready > _MIN_HEALTHY_UPTIME
-                    ):
-                        # The shard survived its post-promotion boot;
-                        # a future crash loop earns a fresh attempt.
-                        handle.crash_loop_promotions = 0
-                dead = [
-                    handle
-                    for handle in self._handles.values()
-                    if handle.state == READY
-                    and handle.worker is not None
-                    and handle.worker.process.poll() is not None
-                ]
-                for handle in dead:
-                    uptime = (
-                        now - handle.became_ready
-                        if handle.became_ready is not None
-                        else 0.0
-                    )
-                    handle.rapid_deaths = (
-                        handle.rapid_deaths + 1
-                        if uptime < _MIN_HEALTHY_UPTIME
-                        else 0
-                    )
-                    handle.state = RESTARTING
-                    handle.restarts += 1
-                    handle.last_error = (
-                        f"worker exited with {handle.worker.process.returncode}"
-                    )
+        while not self._clock.wait(self._stopping, self.poll_interval_seconds):
+            self.supervise()
+
+    def supervise(self) -> None:
+        """One supervision step: probe the ready workers, then respawn,
+        promote or give up on each one found dead.
+
+        :meth:`start`'s monitor thread runs it every
+        ``poll_interval_seconds``; a caller that owns the schedule (the
+        cluster simulation) runs it directly — one code path either way.
+        """
+        self._probe_health()
+        with self._lock:
+            now = self._clock.monotonic()
+            for handle in self._handles.values():
+                if (
+                    handle.state == READY
+                    and handle.became_ready is not None
+                    and now - handle.became_ready > _MIN_HEALTHY_UPTIME
+                ):
+                    # The shard survived its post-promotion boot;
+                    # a future crash loop earns a fresh attempt.
+                    handle.crash_loop_promotions = 0
+            dead = [
+                handle
+                for handle in self._handles.values()
+                if handle.state == READY
+                and handle.worker is not None
+                and not self._alive(handle.worker)
+            ]
             for handle in dead:
-                if self._stopping.is_set():
-                    return
-                if handle.rapid_deaths > _MAX_RAPID_RESTARTS:
-                    self._give_up(handle)
-                    continue
-                logger.warning(
-                    "shard %d died (%s); recovering",
-                    handle.shard_id,
-                    handle.last_error,
+                uptime = (
+                    now - handle.became_ready
+                    if handle.became_ready is not None
+                    else 0.0
                 )
-                SYSTEM_CLOCK.sleep(self.restart_backoff_seconds)
-                if self._stopping.is_set():
-                    return
-                try:
-                    self._recover_shard(handle)
-                except ReproError:
-                    logger.exception(
-                        "shard %d failed to restart", handle.shard_id
-                    )
+                handle.rapid_deaths = (
+                    handle.rapid_deaths + 1
+                    if uptime < _MIN_HEALTHY_UPTIME
+                    else 0
+                )
+                handle.state = RESTARTING
+                handle.restarts += 1
+                handle.last_error = (
+                    "worker exited with "
+                    f"{self._processes.exit_code(handle.worker)}"
+                )
+        for handle in dead:
+            if self._stopping.is_set():
+                return
+            if handle.rapid_deaths > _MAX_RAPID_RESTARTS:
+                self._give_up(handle)
+                continue
+            logger.warning(
+                "shard %d died (%s); recovering",
+                handle.shard_id,
+                handle.last_error,
+            )
+            self._clock.sleep(self.restart_backoff_seconds)
+            if self._stopping.is_set():
+                return
+            try:
+                self._recover_shard(handle)
+            except ReproError:
+                logger.exception(
+                    "shard %d failed to restart", handle.shard_id
+                )
 
     def _probe_health(self) -> None:
         """HTTP-probe ready workers; kill the ones wedged past the bound.
@@ -496,14 +574,13 @@ class ShardManager:
         """
         if self.unresponsive_timeout_seconds <= 0:
             return
-        now = SYSTEM_CLOCK.monotonic()
+        now = self._clock.monotonic()
         with self._lock:
             targets = [
                 handle
                 for handle in self._handles.values()
                 if handle.state == READY
-                and handle.worker is not None
-                and handle.worker.process.poll() is None
+                and self._alive(handle.worker)
                 and now - handle.last_probe_at >= _PROBE_INTERVAL
             ]
         for handle in targets:
@@ -512,13 +589,13 @@ class ShardManager:
             worker = handle.worker
             if worker is None:
                 continue
-            handle.last_probe_at = SYSTEM_CLOCK.monotonic()
+            handle.last_probe_at = self._clock.monotonic()
             health = self._get_once(worker.port, "/healthz", _PROBE_TIMEOUT)
             if health is not None:
-                handle.last_probe_ok = SYSTEM_CLOCK.monotonic()
+                handle.last_probe_ok = self._clock.monotonic()
                 continue
             silent_for = (
-                SYSTEM_CLOCK.monotonic() - handle.last_probe_ok
+                self._clock.monotonic() - handle.last_probe_ok
                 if handle.last_probe_ok is not None
                 else 0.0
             )
@@ -528,7 +605,7 @@ class ShardManager:
                     handle.shard_id,
                     silent_for,
                 )
-                _kill(worker.process)
+                self._processes.kill(worker)
 
     def _get_once(
         self, port: int, path: str, timeout: float
@@ -538,9 +615,7 @@ class ShardManager:
         Fresh on purpose: the question is whether the process answers
         *now*, and a child may be gone before the next poll.
         """
-        with CaladriusClient(
-            self.host, port, timeout=timeout, retries=0
-        ) as client:
+        with self._client(port, timeout) as client:
             try:
                 status, document, _ = client.exchange("GET", path)
             except (*TRANSPORT_ERRORS, ApiError):
@@ -580,7 +655,7 @@ class ShardManager:
             return None  # no live follower to compare against (or promote)
         worker_dir, _ = self._shard_dirs(handle.shard_id)
         try:
-            recoverable = peek_recoverable_lsn(worker_dir)
+            recoverable = peek_recoverable_lsn(worker_dir, self._disk)
         except DurabilityError as exc:
             return f"data dir failed recovery validation ({exc})"
         if recoverable < applied:
@@ -591,24 +666,18 @@ class ShardManager:
         return None
 
     def _follower_applied_lsn(self, handle: ShardHandle) -> int | None:
-        """The live follower's applied LSN, or ``None`` when unreachable."""
-        follower = handle.follower
-        if follower is None or follower.process.poll() is not None:
+        """The live follower's applied LSN; ``None`` when it is
+        unreachable or answers without an integer one."""
+        if not self._alive(handle.follower):
             return None
-        document = self._get_once(follower.port, "/replica/status", 2.0)
-        if document is None:
+        document = self._get_once(handle.follower.port, "/replica/status", 2.0)
+        applied = None if document is None else document.get("applied_lsn")
+        if not isinstance(applied, int) or isinstance(applied, bool):
             return None
-        try:
-            return int(document.get("applied_lsn", 0))
-        except ValueError:
-            return None
+        return applied
 
     def _promotable(self, handle: ShardHandle) -> bool:
-        return (
-            self._shard_dirs is not None
-            and handle.follower is not None
-            and handle.follower.process.poll() is None
-        )
+        return self._shard_dirs is not None and self._alive(handle.follower)
 
     def _give_up(self, handle: ShardHandle) -> None:
         """Crash loop: promote the follower once, else mark ``gave_up``."""
@@ -651,26 +720,29 @@ class ShardManager:
             handle.last_error = None
         try:
             if handle.worker is not None:
-                _kill(handle.worker.process)
+                self._processes.kill(handle.worker)
                 handle.worker = None
             if handle.follower is not None:
                 # SIGTERM lets the follower fsync + checkpoint its
                 # replica dir before we take it over.
-                _terminate(
-                    handle.follower.process, 10.0, f"follower-{shard_id}"
+                self._processes.terminate(
+                    handle.follower, 10.0, f"follower-{shard_id}"
                 )
                 handle.follower = None
             worker_dir, replica_dir = (
                 Path(p) for p in self._shard_dirs(shard_id)
             )
-            if worker_dir.exists():
-                worker_dir.rename(
+            try:
+                self._disk.replace(
+                    worker_dir,
                     worker_dir.with_name(
                         f"{worker_dir.name}-fenced-e{old_epoch}"
-                    )
+                    ),
                 )
-            replica_dir.rename(worker_dir)
-            replica_dir.mkdir(parents=True, exist_ok=True)
+            except FileNotFoundError:
+                pass  # wiped: nothing left to preserve
+            self._disk.replace(replica_dir, worker_dir)
+            self._disk.makedirs(replica_dir)
             with self._lock:
                 handle.rapid_deaths = 0
                 handle.promotions += 1
@@ -730,7 +802,7 @@ class ShardManager:
             handle = self._handles.get(shard_id)
             if handle is None or handle.follower is None:
                 return None
-            if handle.follower.process.poll() is not None:
+            if not self._alive(handle.follower):
                 return None
             return self.host, handle.follower.port
 

@@ -28,7 +28,9 @@ The transport is a single-shot
 socket per shipping thread, one reconnect when a reused socket has gone
 stale).  :meth:`SegmentShipper._post` turns what comes back into the
 shipper's contract: ``OSError`` for no response, for any status ≥ 500
-and for a fencing 409; a plain 409 is an offset to rewind to.
+and for a fencing 409; a plain 409 is an offset to rewind to, and one
+without a usable offset fails the pass.  Files are read through the
+store's disk (:mod:`repro.durability.disk`).
 
 Epoch fencing rides the same transport: every post carries
 ``epoch=<writer generation>`` and a follower that has seen a newer
@@ -45,7 +47,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.api.client import CaladriusClient
+from repro.api.client import SOCKET_TRANSPORT, CaladriusClient, Transport
 from repro.clock import SYSTEM_CLOCK
 from repro.durability.checkpoint import CHECKPOINT_FILENAME
 from repro.durability.store import DurableMetricsStore
@@ -74,6 +76,9 @@ class SegmentShipper:
         The worker's writer generation, stamped onto every post so the
         follower can fence off superseded shippers.  ``None`` ships
         unstamped (single-process and test deployments).
+    transport:
+        How a post reaches the follower
+        (:class:`~repro.api.client.CaladriusClient`'s seam).
     """
 
     def __init__(
@@ -83,6 +88,7 @@ class SegmentShipper:
         interval_seconds: float = 0.5,
         timeout: float = 10.0,
         epoch: int | None = None,
+        transport: Transport = SOCKET_TRANSPORT,
     ) -> None:
         host, _, port = target.rpartition(":")
         self.store = store
@@ -91,6 +97,7 @@ class SegmentShipper:
         self.interval_seconds = interval_seconds
         self.timeout = timeout
         self.epoch = epoch
+        self._disk = store.wal.disk
         self._fenced = False
         self._fencing_409s = 0
         # Replaced, never mutated: :meth:`stats` reads it without the
@@ -98,7 +105,7 @@ class SegmentShipper:
         self._offsets: dict[str, int] = {}
         self._checkpoint_sig: tuple[int, int] | None = None
         self._client = CaladriusClient(
-            self.host, self.port, timeout=timeout, retries=0
+            self.host, self.port, timeout=timeout, retries=0, transport=transport
         )
         self._mutex = threading.Lock()
         self._stop = threading.Event()
@@ -133,13 +140,17 @@ class SegmentShipper:
 
     def _loop(self) -> None:
         while not SYSTEM_CLOCK.wait(self._stop, self.interval_seconds):
-            try:
-                self.ship_now()
-            except OSError as exc:
-                self._failures += 1
-                logger.debug("ship pass failed: %s", exc)
-                if self._fenced:
-                    return  # permanently superseded; stop burning passes
+            if not self.ship_pass():
+                return  # permanently superseded; stop burning passes
+
+    def ship_pass(self) -> bool:
+        """One background pass, failures counted; ``False`` once fenced."""
+        try:
+            self.ship_now()
+        except OSError as exc:
+            self._failures += 1
+            logger.debug("ship pass failed: %s", exc)
+        return not self._fenced
 
     # ------------------------------------------------------------------
     # One shipping pass
@@ -192,13 +203,14 @@ class SegmentShipper:
     def _ship_checkpoint(self) -> int:
         path = self.store.data_dir / CHECKPOINT_FILENAME
         try:
-            stat = path.stat()
+            stat = self._disk.stat(path)
         except FileNotFoundError:
             return 0
         signature = (stat.st_mtime_ns, stat.st_size)
         if signature == self._checkpoint_sig:
             return 0
-        payload = path.read_bytes()
+        with self._disk.open_read(path) as handle:
+            payload = handle.read()
         self._post(f"/replica/{CHECKPOINT_FILENAME}", payload)
         self._checkpoint_sig = signature
         return len(payload)
@@ -207,12 +219,12 @@ class SegmentShipper:
         name = path.name
         offset = self._offsets.get(name, 0)
         try:
-            size = path.stat().st_size
+            size = self._disk.size(path)
         except FileNotFoundError:
             return 0  # pruned between listing and shipping
         shipped = 0
         while offset < size:
-            with open(path, "rb") as handle:
+            with self._disk.open_read(path) as handle:
                 handle.seek(offset)
                 chunk = handle.read(min(_CHUNK_BYTES, size - offset))
             if not chunk:
@@ -225,7 +237,16 @@ class SegmentShipper:
                 # means the follower holds a different prefix (it
                 # restarted or a transfer tore); trust its offset and
                 # rewind/advance.
-                offset = int(body.get("offset", 0))
+                offset = body.get("offset")
+                if (
+                    not isinstance(offset, int)
+                    or isinstance(offset, bool)
+                    or offset < 0
+                ):
+                    raise OSError(
+                        f"follower {self.host}:{self.port} answered 409 "
+                        f"without a usable offset: {body!r}"
+                    )
                 self._offsets = {**self._offsets, name: offset}
                 continue
             offset += len(chunk)

@@ -1,9 +1,11 @@
 """The disk seam: every file operation the durability layer makes.
 
-The write-ahead log, the checkpoint, :class:`DurableMetricsStore` and the
-follower's byte mirror open, size, list, truncate, unlink and sync files
-only through a :class:`Disk`, passed as ``disk=`` (the store hands its
-disk to its log, and the checkpoint manager writes through the store's).
+The write-ahead log, the checkpoint, :class:`DurableMetricsStore`, the
+follower's byte mirror, the WAL shipper's reads, the shard manager's
+promotion renames and the epoch file open, size, list, rename, truncate,
+unlink and sync files only through a :class:`Disk`, passed as ``disk=``
+(the store hands its disk to its log, and the checkpoint manager and the
+shipper use the store's).
 The one implementation here is the operating system.  Tests substitute a
 disk that models the page cache, fails the way real disks fail (``ENOSPC``
 on a write, ``EIO`` on a sync) and crashes between any two operations —
@@ -51,6 +53,10 @@ class Disk:
     def size(self, path: Path) -> int:
         return os.stat(path).st_size
 
+    def stat(self, path: Path) -> os.stat_result:
+        """``st_size`` and ``st_mtime_ns``: whether a file changed."""
+        return os.stat(path)
+
     def listdir(self, directory: Path) -> list[str]:
         return os.listdir(directory)
 
@@ -61,6 +67,7 @@ class Disk:
         os.truncate(path, size)
 
     def replace(self, source: Path, target: Path) -> None:
+        """Rename a file over ``target``, or a directory to an unused name."""
         os.replace(source, target)
 
     def unlink(self, path: Path) -> None:

@@ -43,7 +43,7 @@ def open_data_dir(
     return store, tracker
 
 
-def peek_recoverable_lsn(data_dir: str | Path) -> int:
+def peek_recoverable_lsn(data_dir: str | Path, disk: Disk = OS_DISK) -> int:
     """The highest LSN a recovery of ``data_dir`` would restore.
 
     An offline, read-only scan: the checkpoint's ``last_lsn`` plus
@@ -59,11 +59,15 @@ def peek_recoverable_lsn(data_dir: str | Path) -> int:
     promotion trigger too, and the caller decides).
     """
     data_dir = Path(data_dir)
-    checkpoint = read_checkpoint(data_dir)
+    checkpoint = read_checkpoint(data_dir, disk)
     last = int(checkpoint.get("last_lsn", 0)) if checkpoint else 0
     wal_dir = data_dir / "wal"
-    if wal_dir.is_dir():
-        for path in wal_dir.glob("wal-*.log"):
-            with open(path, "rb") as handle:
+    try:
+        names = disk.listdir(wal_dir)
+    except (FileNotFoundError, NotADirectoryError):
+        names = []
+    for name in names:
+        if name.startswith("wal-") and name.endswith(".log"):
+            with disk.open_read(wal_dir / name) as handle:
                 last = max(last, scan_segment(handle)[1])
     return last

@@ -195,13 +195,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    def kinds(self) -> dict[str, int]:
-        """Event count per fault kind."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
-
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "FaultPlan":
         """Build a plan from a mapping with ``events`` (and ``seed``)."""

@@ -1,7 +1,8 @@
 """Epoch fencing: the protocol pieces, each in isolation.
 
-End-to-end fencing (a real promotion creating a real zombie) is the
-chaos harness's job; these tests pin the building blocks — the epoch
+End-to-end fencing (promotions, and stale-epoch probes of every new
+generation) is the cluster simulation's job
+(``tests/cluster/test_chaos.py``); these tests pin the building blocks — the epoch
 store's monotonic persistence, the worker's 409 on a mismatched
 ``X-Shard-Epoch``, the follower's refuse-the-past rule and the shipper's
 permanent stop once fenced — so a failure names the broken layer
@@ -26,6 +27,7 @@ from repro.cluster import EpochStore
 from repro.cluster.follower import FollowerReplica
 from repro.cluster.shipping import SegmentShipper
 from repro.config import load_config
+from repro.durability.disk import OS_DISK
 from repro.errors import ApiError, DurabilityError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
@@ -153,13 +155,10 @@ class TestFollowerFencing:
         assert reopened.highest_epoch == 7
         assert reopened.fence(6) is not None
 
-    def test_the_fence_and_a_new_segment_survive_a_power_loss(
-        self, tmp_path, monkeypatch
-    ):
+    def test_the_fence_and_a_new_segment_survive_a_power_loss(self, tmp_path):
         """``shipper.epoch`` (the fence's high-water mark) and a new
         segment's name only survive a power loss once their directory is
         synced; an append to a known segment needs no directory sync."""
-        from repro.cluster import follower
         from repro.durability.disk import Disk
 
         synced: list[str] = []
@@ -169,8 +168,7 @@ class TestFollowerFencing:
                 synced.append(directory.name)
                 super().sync_directory(directory)
 
-        monkeypatch.setattr(follower, "OS_DISK", RecordingDisk())
-        replica = FollowerReplica(tmp_path / "replica")
+        replica = FollowerReplica(tmp_path / "replica", disk=RecordingDisk())
         assert replica.fence(3) is None
         assert synced == ["replica"]
         assert (tmp_path / "replica" / "shipper.epoch").read_text() == "3"
@@ -200,7 +198,7 @@ class _FencingFollower(BaseHTTPRequestHandler):
 class TestShipperFencing:
     def _fake_store(self, tmp_path, failed=None, flush=None):
         return SimpleNamespace(
-            wal=SimpleNamespace(failed=failed, segments=lambda: []),
+            wal=SimpleNamespace(failed=failed, segments=lambda: [], disk=OS_DISK),
             flush=flush or (lambda: None),
             data_dir=tmp_path,
         )

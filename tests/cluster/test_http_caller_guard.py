@@ -29,12 +29,6 @@ DEADLINE_POLLS = {
     "api/client.py:CaladriusClient.performance_async": (
         "polls /model/result/<id> until the submitted job finishes"
     ),
-    "cluster/chaos.py:ChaosController._quiesce": (
-        "harness: waits for every shard to report ready after the campaign"
-    ),
-    "cluster/chaos.py:ChaosController._check_convergence": (
-        "harness: waits for each follower's hash to match its primary's"
-    ),
 }
 
 RETIRED = (

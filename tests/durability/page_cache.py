@@ -11,7 +11,9 @@ Every file has three layers:
 Directory entries are layered the same way: a create, rename or unlink is
 in the cache at once and on the platter after the next
 :meth:`sync_directory` of its directory.  Directories themselves are
-durable once made (the data directory is made once, at first boot).
+durable once made (the data directory is made once, at first boot), and
+so is a directory's rename: its subtree moves with it, in both layers.
+:meth:`remove_tree` is ``rm -rf`` from outside the process (a wiped disk).
 
 :meth:`crash` returns the disk a restarted process finds: after a process
 crash, the page cache as it was (user-space buffers are gone, and what
@@ -38,6 +40,7 @@ import errno
 import io
 from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.durability.disk import Disk
 
@@ -48,11 +51,12 @@ class Crash(BaseException):
 
 
 class _File:
-    __slots__ = ("cached", "durable")
+    __slots__ = ("cached", "durable", "changed")
 
     def __init__(self, cached: bytes = b"", durable: bytes = b"") -> None:
         self.cached = bytearray(cached)
         self.durable = durable
+        self.changed = 0  # how many operations the disk had done by then
 
 
 class _Handle:
@@ -132,6 +136,7 @@ class PageCacheDisk(Disk):
             raise OSError(errno.ENOSPC, "No space left on device (modelled)")
         handle.file.cached += handle.buffer
         handle.buffer.clear()
+        handle.file.changed = len(self.trace)
         self._done(f"write {handle.name}")
 
     def _failing_sync(self) -> None:
@@ -160,6 +165,10 @@ class PageCacheDisk(Disk):
     def size(self, path: Path) -> int:
         return len(self._file(path).cached)
 
+    def stat(self, path: Path) -> SimpleNamespace:
+        file = self._file(path)
+        return SimpleNamespace(st_size=len(file.cached), st_mtime_ns=file.changed)
+
     def listdir(self, directory: Path) -> list[str]:
         return list(self._entries(directory))
 
@@ -170,10 +179,26 @@ class PageCacheDisk(Disk):
             self.durable_dirs.setdefault(made, {})
 
     def truncate(self, path: Path, size: int) -> None:
-        del self._file(path).cached[size:]
+        file = self._file(path)
+        del file.cached[size:]
+        file.changed = len(self.trace)
         self._done(f"truncate {path.name} to {size}")
 
+    def _subtree(self, layer: dict[Path, dict[str, _File]], top: Path) -> list[Path]:
+        return [d for d in layer if d == top or top in d.parents]
+
     def replace(self, source: Path, target: Path) -> None:
+        source, target = Path(source), Path(target)
+        if source in self.dirs:
+            self._alive()
+            if target in self.dirs:
+                raise OSError(errno.EEXIST, "directory exists", str(target))
+            for layer in (self.dirs, self.durable_dirs):
+                for directory in self._subtree(layer, source):
+                    layer[target / directory.relative_to(source)] = layer.pop(directory)
+            self._done(f"rename {source.name}/ to {target.name}/")
+            return
+        self._file(source)
         entries = self._entries(source.parent)
         entries[target.name] = entries.pop(source.name)
         self._done(f"rename {source.name} over {target.name}")
@@ -194,6 +219,12 @@ class PageCacheDisk(Disk):
         self._failing_sync()
         self.durable_dirs[Path(directory)] = dict(entries)
         self._done(f"sync directory {Path(directory).name}/")
+
+    def remove_tree(self, directory: Path) -> None:
+        """Delete ``directory`` and everything under it, cache and platter."""
+        for layer in (self.dirs, self.durable_dirs):
+            for gone in self._subtree(layer, Path(directory)):
+                del layer[gone]
 
     # -- crashing -------------------------------------------------------
     def crash(

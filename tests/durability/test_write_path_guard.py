@@ -1,6 +1,6 @@
 """Structure guards: one keyed write loop, one journal override, one
 frame decoder, one write-record renderer, one frame-validating body, one
-disk seam.
+disk seam — the cluster tier's files included.
 
 The store used to carry four write paths kept apart by a base class that
 inspected its own subclasses, the log was parsed by a per-record file
@@ -147,3 +147,35 @@ def test_only_the_disk_syncs_renames_or_makes_temp_files(src_index):
         if call in file.source
     }
     assert using == {"durability/disk.py"}
+
+
+#: Calls that touch a file themselves unless made on a ``Disk``.
+FILE_CALLS = {
+    "open", "stat", "exists", "is_dir", "is_file", "glob", "iterdir",
+    "read_bytes", "read_text", "write_bytes", "write_text", "rename",
+    "replace", "mkdir", "makedirs", "unlink", "rmdir", "listdir",
+    "truncate", "fsync",
+}
+
+
+def test_the_cluster_tier_touches_files_only_through_the_disk(src_index):
+    """Shipper reads, the follower's mirror, the epoch file and the
+    promotion renames go through the disk seam, so a simulated cluster on
+    the modelled disk sees every one of them."""
+    offenders = []
+    for path, file in src_index.items():
+        if not path.startswith("cluster/"):
+            continue
+        for node in ast.walk(file.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                offenders.append((path, node.lineno, "open"))
+            elif (
+                isinstance(func, ast.Attribute)
+                and func.attr in FILE_CALLS
+                and not ast.unparse(func.value).lower().endswith("disk")
+            ):
+                offenders.append((path, node.lineno, ast.unparse(func)))
+    assert offenders == []

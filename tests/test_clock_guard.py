@@ -2,8 +2,7 @@
 
 Every time read, sleep and timed wait under ``src/repro`` goes through
 :mod:`repro.clock`, so a component cannot read one clock and wait on
-another.  ``cluster/chaos.py`` is the one exception: a wall-clock
-harness around real processes by design.
+another.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def test_only_the_clock_reads_sleeps_or_waits_with_a_timeout(src_index):
     offenders = {
         path: found
         for path, file in src_index.items()
-        if path not in ("clock.py", "cluster/chaos.py")
+        if path != "clock.py"
         and (found := [s for n in ast.walk(file.tree) if (s := _spent_time(n))])
     }
     assert offenders == {}
