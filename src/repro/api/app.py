@@ -55,7 +55,7 @@ from repro.serving import (
     ServingLayer,
 )
 from repro.sweep import PlanSweepEngine
-from repro.timeseries.store import MetricsStore
+from repro.timeseries.store import MetricsStore, write_fields
 
 __all__ = ["CaladriusApp"]
 
@@ -503,7 +503,11 @@ class CaladriusApp:
     def _metrics_write(self, body: Mapping[str, Any]) -> dict[str, Any]:
         """Append samples to the store; 200 means *durably* accepted.
 
-        The validated samples go to the store as one batch
+        Each ``[timestamp, value]`` sample, with the body's ``name`` and
+        ``tags``, must pass the type rules a ``write_batch`` frame
+        passes (:func:`~repro.timeseries.store.write_fields`: JSON
+        numbers, not booleans, and a finite timestamp) before anything
+        is written.  The samples then go to the store as one batch
         (:meth:`MetricsStore.write_many`), so when the store is a
         :class:`~repro.durability.DurableMetricsStore` they are
         journalled in one group commit (per the configured fsync policy)
@@ -513,25 +517,20 @@ class CaladriusApp:
         name = body.get("name")
         if not isinstance(name, str) or not name:
             raise ApiError("name must be a non-empty string")
-        tags = body.get("tags") or {}
-        if not isinstance(tags, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in tags.items()
-        ):
-            raise ApiError("tags must map strings to strings")
+        tags = body.get("tags")
         samples = body.get("samples")
-        if not isinstance(samples, list) or not samples:
-            raise ApiError("samples must be a non-empty list of [ts, value]")
-        for sample in samples:
-            if (
-                not isinstance(sample, (list, tuple))
-                or len(sample) != 2
-                or not isinstance(sample[0], (int, float))
-                or not isinstance(sample[1], (int, float))
-            ):
-                raise ApiError(
-                    "each sample must be a [timestamp, value] number pair"
-                )
-        self.store.write_many(name, samples, tags)
+        if not isinstance(samples, list) or not samples or not all(
+            isinstance(sample, (list, tuple)) and len(sample) == 2
+            for sample in samples
+        ):
+            raise ApiError(
+                "samples must be a non-empty list of [timestamp, value] pairs"
+            )
+        checked = [
+            write_fields({"name": name, "tags": tags, "ts": ts, "v": value})[2:]
+            for ts, value in samples
+        ]
+        self.store.write_many(name, checked, tags)
         self._ship_after_write()
         return {"written": len(samples)}
 

@@ -34,7 +34,7 @@ import logging
 import math
 import re
 import threading
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from sys import intern
@@ -57,8 +57,6 @@ from repro.timeseries.store import (
     _TAIL,
     MetricKey,
     MetricsStore,
-    MinuteBatch,
-    raise_first_error,
     frame_sample,
     write_fields,
     write_head,
@@ -170,8 +168,9 @@ def replay_frames(
     so a series is decoded at its first sighting only — and stays known
     to ``write_batch`` after the restart.
 
-    Samples are applied through the plain (unjournaled) keyed loop in
-    batches of :data:`_REPLAY_BATCH`, so a long log is never held as
+    Samples are applied through ``store.apply_sample_batch`` (whose
+    journal hook does nothing until recovery has ended) in batches of
+    :data:`_REPLAY_BATCH`, so a long log is never held as
     entries; a ``clear`` is applied in its place between them.  A sample
     the store rejects (it predates the checkpoint cut, or duplicates a
     replayed one) is skipped and counted.
@@ -184,7 +183,7 @@ def replay_frames(
     after = after_lsn
 
     def apply_pending() -> None:
-        errors = MetricsStore.apply_sample_batch(store, entries)
+        errors = store.apply_sample_batch(entries)
         accepted = errors.count(None)
         walk.replayed += accepted
         walk.skipped += len(errors) - accepted
@@ -244,7 +243,7 @@ def replay_frames(
                     apply_pending()
             elif op == "clear":
                 apply_pending()
-                MetricsStore.clear(store)
+                store.clear()
                 walk.replayed += 1
             else:
                 walk.skipped += 1
@@ -318,14 +317,13 @@ class DurableMetricsStore(MetricsStore):
         if retention_seconds is None and checkpoint is not None:
             retention_seconds = checkpoint.get("retention_seconds")
         super().__init__(retention_seconds)
-        # One lock serialises apply+journal so WAL order always matches
-        # in-memory apply order (replay must not reorder same-series
-        # writes).  It is re-entrant because every journaled mutation
-        # holds it around the superclass body, and it replaces the
-        # superclass lock outright so a journaled write pays one lock
-        # round-trip, not two.
-        self._journal_lock = threading.RLock()
-        self._lock = self._journal_lock
+        # The store lock, re-entrant: ``apply_sample_batch`` holds it
+        # across apply and journal (so WAL order is in-memory apply
+        # order; replay must not reorder same-series writes),
+        # ``_apply_frames`` and ``clear`` around the superclass body,
+        # and the WAL shares it, so a journaled write pays one lock
+        # round-trip and WAL drains serialise against store reads.
+        self._lock = threading.RLock()
         self._journalling = False
         self.tracker_snapshot: dict[str, Any] | None = (
             checkpoint.get("tracker") if checkpoint else None
@@ -346,15 +344,13 @@ class DurableMetricsStore(MetricsStore):
             replay.decoded += walk.decoded
             return walk.records, walk.last_lsn, walk.end, walk.fault
 
-        # The WAL shares the journal lock, so apply + journal is one
-        # lock round-trip and WAL drains serialise against store reads.
         self.wal = WriteAheadLog(
             self.data_dir / _WAL_SUBDIR,
             segment_max_bytes=segment_max_bytes,
             fsync=fsync,
             fsync_interval_seconds=fsync_interval_seconds,
             disk=disk,
-            lock=self._journal_lock,
+            lock=self._lock,
             reader=replay_segment,
         )
         if checkpoint is not None:
@@ -390,79 +386,50 @@ class DurableMetricsStore(MetricsStore):
     # ------------------------------------------------------------------
     # Journaled mutations
     # ------------------------------------------------------------------
-    def apply_sample_batch(
+    def _journal(
         self,
-        entries: Sequence[tuple[MetricKey, int, float]],
-        bodies: Sequence[bytes] | None = None,
-    ) -> list[str | None]:
-        """Apply a keyed batch, then journal what was accepted: one
-        lock hold, one group commit (at most one fsync under
-        ``fsync="always"``).
-
-        Every batched writer lands here — ``write_many``, the
-        simulator's minute flushes, ``POST /metrics/write`` and
-        :meth:`ingest_frames` — so this is the one place a batch meets
-        the log.  ``bodies`` (the client's own record bytes, the very
-        ones :meth:`ingest_frames` validated) is appended verbatim
-        modulo the spliced LSN prefix; without it each record is
-        rendered from its series' cached template.  Rejected entries
-        are never journaled.
-
-        Invalidation listeners hear of the batch after its group commit,
-        so the re-warm a write wakes does not race that write's own
-        ``fsync`` — and hear of it even when the journal raised, because
-        the samples are in memory either way.
-        """
-        touched: Collection[str | None] = ()
-        try:
-            with self._journal_lock:
-                errors, touched = self._apply_entries(entries)
-                if self._journalling:
-                    accepted = [
-                        self._body(*entries[idx]) if bodies is None else bodies[idx]
-                        for idx, error in enumerate(errors)
-                        if error is None
-                    ]
-                    if accepted:
-                        self.wal.append_bodies(accepted)
-        finally:
-            self._notify(touched)
-        return errors
-
-    def write(
-        self,
-        name: str,
-        timestamp: int,
-        value: float,
-        tags: Mapping[str, str] | None = None,
+        entries: Iterable[tuple[MetricKey, int, float]],
+        errors: Sequence[str | None],
+        bodies: Sequence[bytes] | None,
     ) -> None:
-        """Append one sample; durable (per fsync policy) before return.
+        """Append a batch's accepted entries to the log as one group
+        commit (at most one fsync under ``fsync="always"``).
 
-        A batch of one through the shared loop; only the journal call is
-        specialised — one format pass straight into the log instead of a
-        rendered body handed to ``append_bodies`` — because the cost of a
-        durable ``write`` over an in-memory one is a benchmarked gate
-        (``bench_wal_overhead``).
+        Every mutation but ``clear`` lands here — ``write``,
+        ``write_many``, ``POST /metrics/write``, the simulator's minutes
+        (keyed or prepared) and :meth:`ingest_frames` — under the lock
+        the batch was applied in, so the log's order is the store's.
+        ``bodies`` (the client's own record bytes, the very ones
+        :meth:`ingest_frames` validated) is appended verbatim modulo the
+        spliced LSN prefix; without it each record is rendered from its
+        series' cached template.  A batch of one finite sample without
+        a body — every :meth:`write` — is one format pass straight into
+        the log (:meth:`WriteAheadLog.append_template`), because the
+        cost of a durable ``write`` over an in-memory one is a
+        benchmarked gate (``bench_wal_overhead``).  Rejected entries
+        are never journaled, and nothing is until recovery has ended.
         """
-        key = self.key_of(name, tags)
-        touched: Collection[str | None] = ()
-        try:
-            with self._journal_lock:
-                errors, touched = self._apply_entries(((key, timestamp, value),))
-                raise_first_error(errors)
-                if self._journalling:
-                    if type(value) is not float:
-                        value = float(value)
-                    if math.isfinite(value):
-                        self.wal.append_template(
-                            self._template(key), int(timestamp), value
-                        )
-                    else:
-                        self.wal.append_bodies(
-                            (self._body(key, timestamp, value),)
-                        )
-        finally:
-            self._notify(touched)
+        if not self._journalling:
+            return
+        if bodies is None and errors == [None]:
+            (key, timestamp, value), = entries
+            if type(value) is not float:
+                value = float(value)
+            if math.isfinite(value):
+                template = self._series[key].journal_template
+                self.wal.append_template(
+                    template or self._template(key), int(timestamp), value
+                )
+            else:
+                self.wal.append_bodies((self._body(key, timestamp, value),))
+            return
+        accepted = [
+            self._body(*entry) if bodies is None else bodies[idx]
+            for idx, (entry, error) in enumerate(zip(entries, errors))
+            if error is None
+        ]
+        if accepted:
+            self.wal.append_bodies(accepted)
 
     def _template(self, key: MetricKey) -> bytes:
         """The series' record as a ``%`` template: LSN, timestamp, value."""
@@ -498,39 +465,21 @@ class DurableMetricsStore(MetricsStore):
         """As :meth:`MetricsStore._apply_frames`, plus the LSN range of
         the group commit that made the acked frames durable.
 
-        The journal lock is held for apply + journal only — long enough
+        The store lock is held for apply + journal only — long enough
         to read the range the group was issued; validation ran before,
         without it, so a large group does not stall readers for the
         time it takes to check it.
         """
-        with self._journal_lock:
+        with self._lock:
             result = super()._apply_frames(payloads, samples, rejected)
             if result["acked"] and self._journalling:
                 result["last_lsn"] = self.wal.last_lsn
                 result["first_lsn"] = self.wal.last_lsn - result["acked"] + 1
         return result
 
-    def append_minute_batch(
-        self,
-        batch: MinuteBatch,
-        timestamp: int,
-        values: Sequence[float],
-        topology: str | None = None,
-    ) -> None:
-        """A prepared minute through the journaled loop: one group commit."""
-        if len(values) != len(batch.keys):
-            raise MetricsError(
-                f"batch expects {len(batch.keys)} values, got {len(values)}"
-            )
-        raise_first_error(
-            self.apply_sample_batch(
-                [(key, timestamp, value) for key, value in zip(batch.keys, values)]
-            )
-        )
-
     def clear(self) -> None:
         """Drop every stored series (journaled)."""
-        with self._journal_lock:
+        with self._lock:
             super().clear()
             if self._journalling:
                 self.wal.append({"op": "clear"})
@@ -545,17 +494,17 @@ class DurableMetricsStore(MetricsStore):
 
     def snapshot_state(self) -> tuple[dict[str, Any], int]:
         """A consistent ``(state, last_lsn)`` cut for checkpointing."""
-        with self._journal_lock:
+        with self._lock:
             return encode_store_state(self), self.wal.last_lsn
 
     def flush(self) -> None:
         """Force journaled writes to disk regardless of fsync policy."""
-        with self._journal_lock:
+        with self._lock:
             self.wal.flush()
 
     def close(self) -> None:
         """Flush and close the write-ahead log."""
-        with self._journal_lock:
+        with self._lock:
             self.wal.close()
 
     def __enter__(self) -> "DurableMetricsStore":

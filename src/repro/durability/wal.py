@@ -569,10 +569,11 @@ class WriteAheadLog:
 
         ``template`` must render to a compact JSON object, with the
         LSN as its *first* placeholder followed by one placeholder per
-        element of ``args``.  Callers that append the same record shape
-        repeatedly (the durable store's write path) cache the template
-        once per series, so the whole payload is rendered by a single
-        format pass here — no intermediate body string, no splice.
+        element of ``args``.  The durable store's journal hook caches one
+        per series and calls this for a batch of one finite sample with
+        no client body (every ``write``), so the whole payload is
+        rendered by a single format pass here — no intermediate body
+        string, no splice.
         This is the per-sample hot path: it stays flat (no helper calls,
         locals over attributes) because its overhead versus a plain
         in-memory write is a benchmarked gate (``bench_wal_overhead``).

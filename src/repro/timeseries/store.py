@@ -260,23 +260,23 @@ def write_fields(
     """
     name = record.get("name")
     if not isinstance(name, str):
-        raise MetricsError("frame 'name' must be a non-empty string")
+        raise MetricsError("'name' must be a non-empty string")
     tags = record.get("tags") or {}
     if not isinstance(tags, Mapping) or any(
         not isinstance(k, str) or not isinstance(v, str)
         for k, v in tags.items()
     ):
-        raise MetricsError("frame 'tags' must map strings to strings")
+        raise MetricsError("'tags' must map strings to strings")
     ts = record.get("ts")
     if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-        raise MetricsError("frame 'ts' must be a number")
+        raise MetricsError("'ts' must be a number")
     value = record.get("v")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MetricsError("frame 'v' must be a number")
+        raise MetricsError("'v' must be a number")
     try:
         return name, tags, int(ts), float(value)
     except (ValueError, OverflowError):  # NaN/Infinity ts, 400-digit v
-        raise MetricsError("frame 'ts' and 'v' must be finite") from None
+        raise MetricsError("'ts' and 'v' must be finite") from None
 
 
 def raise_first_error(errors: Iterable[str | None]) -> None:
@@ -537,8 +537,8 @@ class MetricsStore:
     ) -> None:
         """Append several ``(timestamp, value)`` samples to one series.
 
-        One batch: every in-order sample lands, then the first
-        out-of-order one (if any) is raised.
+        One batch: every acceptable sample lands, then the first
+        rejected one (out of order, or not a number) is raised.
         """
         key = self.key_of(name, tags)
         raise_first_error(
@@ -554,72 +554,97 @@ class MetricsStore:
     ) -> list[str | None]:
         """Apply keyed samples, in order, under one lock acquisition.
 
-        The one body behind every keyed write.  ``entries`` is
-        ``(key, timestamp, value)`` per sample, in arrival order, and
-        the end state is the one the equivalent sequence of
+        The one write primitive: every keyed write is a batch of it.
+        ``entries`` is ``(key, timestamp, value)`` per sample, in arrival
+        order, and the end state is the one the equivalent sequence of
         :meth:`write` calls leaves: the same samples on the same series
-        (created in entry order), the same entries rejected for
-        timestamp-order violations (reported per entry in the returned
-        list — ``None`` means accepted — instead of raising), the same
-        ``data_version`` per topology and the same retention trims.
-        Only the invalidation listeners are coalesced: one callback per
-        distinct touched topology after the lock drops, rather than one
-        per sample.
+        (created in entry order), the same entries rejected (reported
+        per entry in the returned list — ``None`` means accepted —
+        instead of raising), the same ``data_version`` per topology and
+        the same retention trims.  An entry is rejected for a timestamp
+        that is not after its series' last one, or that ``int()``
+        refuses (not a finite number), or for a value ``float()``
+        refuses — each before its series is touched.
 
-        ``bodies`` is the serialized record behind each entry when the
-        caller already holds it (:meth:`ingest_frames` does).  A store
-        without a journal has no use for it; the durable subclass
-        appends it to its log verbatim.
+        The same lock hold hands the batch to :meth:`_journal`, with
+        ``bodies``: the serialized record behind each entry when the
+        caller already holds it (:meth:`ingest_frames` does).  Only the
+        invalidation listeners are coalesced: one callback per distinct
+        touched topology after the lock drops — after the journal's
+        group commit, so the re-warm a write wakes does not race that
+        write's own ``fsync``, and even when the journal raised, because
+        the samples are in memory either way.
         """
-        errors, touched = self._apply_entries(entries)
-        self._notify(touched)
+        touched: Collection[str | None] = ()
+        try:
+            with self._lock:
+                errors, touched = self._apply_entries(entries)
+                self._journal(entries, errors, bodies)
+        finally:
+            self._notify(touched)
         return errors
+
+    def _journal(
+        self,
+        entries: Iterable[tuple[MetricKey, int, float]],
+        errors: Sequence[str | None],
+        bodies: Sequence[bytes] | None,
+    ) -> None:
+        """Make an applied batch durable, under the lock it was applied
+        in; ``errors[i]`` is ``None`` where entry ``i`` was accepted.
+
+        The one place a batch meets a journal; a store without one has
+        nothing to do.
+        """
 
     def _apply_entries(
         self, entries: Sequence[tuple[MetricKey, int, float]]
     ) -> tuple[list[str | None], Collection[str | None]]:
-        """:meth:`apply_sample_batch` up to the lock's release:
-        ``(errors, touched topologies)``, no listener told yet — a
-        journaling store tells them once the batch is durable."""
+        """:meth:`apply_sample_batch`'s loop, run under its lock hold:
+        ``(errors, touched topologies)``, no listener told yet."""
         errors: list[str | None] = [None] * len(entries)
         accepted: dict[str | None, int] = {}
         series = self._series
         retention = self._retention
-        with self._lock:
-            latest = self._latest
-            for idx, (key, timestamp, value) in enumerate(entries):
-                timestamp = int(timestamp)
-                buffer = series.get(key)
-                if buffer is None:
-                    buffer = series[key] = _SeriesBuffer()
-                    self._by_topology.setdefault(
-                        (key.name, key.topology), {}
-                    )[key] = buffer
-                timestamps = buffer.timestamps
-                if timestamps and timestamp <= timestamps[-1]:
-                    errors[idx] = (
-                        "writes must be in increasing timestamp order: "
-                        f"got {timestamp} after {timestamps[-1]}"
-                    )
-                    continue
-                timestamps.append(timestamp)
-                buffer.values.append(float(value))
-                buffer._frozen = None
-                topology = key.topology
-                accepted[topology] = accepted.get(topology, 0) + 1
-                if latest is None or timestamp > latest:
-                    latest = self._latest = timestamp
-                    if retention is not None:
-                        # The cutoff moved: trim now, as the write this
-                        # entry stands for would, so later entries are
-                        # judged against what it left behind.
-                        self._apply_retention_locked((topology,))
-                elif retention is not None and timestamp < latest - retention:
-                    buffer.trim_before(latest - retention)  # expired on arrival
-            for topology, count in accepted.items():
-                self._versions[topology] = (
-                    self._versions.get(topology, 0) + count
+        latest = self._latest
+        for idx, (key, timestamp, value) in enumerate(entries):
+            try:
+                timestamp, value = int(timestamp), float(value)
+            except (TypeError, ValueError, OverflowError):
+                errors[idx] = (
+                    "a sample needs a finite timestamp and a numeric value: "
+                    f"got {timestamp!r}, {value!r}"
                 )
+                continue
+            buffer = series.get(key)
+            if buffer is None:
+                buffer = series[key] = _SeriesBuffer()
+                self._by_topology.setdefault(
+                    (key.name, key.topology), {}
+                )[key] = buffer
+            timestamps = buffer.timestamps
+            if timestamps and timestamp <= timestamps[-1]:
+                errors[idx] = (
+                    "writes must be in increasing timestamp order: "
+                    f"got {timestamp} after {timestamps[-1]}"
+                )
+                continue
+            timestamps.append(timestamp)
+            buffer.values.append(value)
+            buffer._frozen = None
+            topology = key.topology
+            accepted[topology] = accepted.get(topology, 0) + 1
+            if latest is None or timestamp > latest:
+                latest = self._latest = timestamp
+                if retention is not None:
+                    # The cutoff moved: trim now, as the write this
+                    # entry stands for would, so later entries are
+                    # judged against what it left behind.
+                    self._apply_retention_locked((topology,))
+            elif retention is not None and timestamp < latest - retention:
+                buffer.trim_before(latest - retention)  # expired on arrival
+        for topology, count in accepted.items():
+            self._versions[topology] = self._versions.get(topology, 0) + count
         return errors, accepted
 
     def _notify(self, topologies: Iterable[str | None]) -> None:
@@ -807,7 +832,9 @@ class MetricsStore:
         samples, same ``data_version`` delta (one bump per series), same
         retention trim, one listener call — but with the keyed lookups
         and the order check resolved beforehand it is three C-level
-        loops: the second (and last) body that appends to a series.
+        loops: the second (and last) body that appends to a series.  It
+        is journaled like a batch, through the same :meth:`_journal`
+        hook under the same lock hold.
         """
         if len(values) != len(batch.buffers):
             raise MetricsError(
@@ -815,30 +842,27 @@ class MetricsStore:
                 f"got {len(values)}"
             )
         timestamp = int(timestamp)
-        with self._lock:
-            if batch.last_ts is not None and timestamp <= batch.last_ts:
-                raise MetricsError(
-                    "writes must be in increasing timestamp order: "
-                    f"got {timestamp} after {batch.last_ts}"
-                )
-            deque(
-                map(list.append, batch.ts_lists, repeat(timestamp)),
-                maxlen=0,
-            )
-            deque(map(list.append, batch.val_lists, values), maxlen=0)
-            deque(
-                map(setattr, batch.buffers,
-                    repeat("_frozen"), repeat(None)),
-                maxlen=0,
-            )
-            batch.last_ts = timestamp
-            if self._latest is None or timestamp > self._latest:
-                self._latest = timestamp
-            self._versions[topology] = (
-                self._versions.get(topology, 0) + len(batch.buffers)
-            )
-            self._apply_retention_locked((topology,))
-        self._notify((topology,))
+        touched: tuple[str | None, ...] = ()
+        try:
+            with self._lock:
+                if batch.last_ts is not None and timestamp <= batch.last_ts:
+                    raise MetricsError(
+                        "writes must be in increasing timestamp order: "
+                        f"got {timestamp} after {batch.last_ts}"
+                    )
+                deque(map(list.append, batch.ts_lists, repeat(timestamp)), maxlen=0)
+                deque(map(list.append, batch.val_lists, values), maxlen=0)
+                deque(map(setattr, batch.buffers, repeat("_frozen"), repeat(None)), maxlen=0)
+                batch.last_ts = timestamp
+                if self._latest is None or timestamp > self._latest:
+                    self._latest = timestamp
+                self._versions[topology] = self._versions.get(topology, 0) + len(values)
+                self._apply_retention_locked((topology,))
+                touched = (topology,)
+                entries = zip(batch.keys, repeat(timestamp), values)
+                self._journal(entries, [None] * len(values), None)
+        finally:
+            self._notify(touched)
 
     def _apply_retention_locked(self, written: Collection[str | None]) -> None:
         """Trim expired samples after a write to the ``written`` topologies.

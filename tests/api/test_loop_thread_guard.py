@@ -160,7 +160,7 @@ def test_the_resolver_is_not_blind(src_index):
     _, names = _Resolver(src_index).reach("serving/layer.py:ServingLayer.execute")
     assert {"scheduler.run", "flight.do"} <= names
     _, names = _Resolver(src_index).reach(
-        "durability/store.py:DurableMetricsStore.apply_sample_batch"
+        "durability/store.py:DurableMetricsStore._journal"
     )
     assert {"append_bodies", "fsync"} <= names
 

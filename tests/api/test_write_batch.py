@@ -22,6 +22,7 @@ import pytest
 from repro.api.app import CaladriusApp
 from repro.api.client import BatchWriter, CaladriusClient
 from repro.api.ingest import (
+    FRAMES_CONTENT_TYPE,
     decode_frames,
     encode_frame,
     encode_frames,
@@ -279,6 +280,52 @@ class TestMetricsWriteRoute:
             client.write_metrics("m", [[60, 1.0], [120, "x"]])
         assert excinfo.value.status == 400
         assert len(store) == 0 and store.wal.last_lsn == 0
+
+
+#: Samples both write endpoints refuse by one rule (``write_fields``'):
+#: the JSON text of ``ts, v`` and the refusal.
+BAD_SAMPLES = [
+    ("true, 1.0", "'ts' must be a number"),
+    ('"60", 1.0', "'ts' must be a number"),
+    ("1e400, 2.0", "'ts' and 'v' must be finite"),
+    ('60, "x"', "'v' must be a number"),
+    ("60, null", "'v' must be a number"),
+    ("60, false", "'v' must be a number"),
+]
+
+
+class TestOneSampleRule:
+    """A sample ``POST /metrics/write`` takes is one a ``write_batch``
+    frame may carry: the JSON route refuses the whole request (400,
+    nothing written), the framed route that frame alone."""
+
+    @pytest.mark.parametrize("sample, error", BAD_SAMPLES)
+    def test_metrics_write_refuses_the_request(self, live, sample, error):
+        _, client, store = live
+        body = b'{"name":"m","samples":[[60,1.0],[%b]]}' % sample.encode()
+        status, document, _ = client.exchange("POST", "/metrics/write", body)
+        assert (status, document["error"]) == (400, error)
+        assert len(store) == 0 and store.wal.last_lsn == 0
+
+    @pytest.mark.parametrize("sample, error", BAD_SAMPLES)
+    def test_write_batch_refuses_the_frame(self, live, sample, error):
+        _, client, store = live
+        payloads = [
+            b'{"op":"write","name":"m","tags":{},"ts":%b,"v":%b}' % pair
+            for pair in ((b"60", b"1.0"), tuple(sample.encode().split(b", ")))
+        ]
+        status, document, _ = client.exchange(
+            "POST",
+            "/metrics/write_batch",
+            b"".join(
+                _HEADER.pack(len(p), zlib.crc32(p)) + p for p in payloads
+            ),
+            content_type=FRAMES_CONTENT_TYPE,
+        )
+        assert status == 200
+        assert document["rejected"] == [{"frame": 1, "error": error}]
+        assert list(store.get("m").timestamps) == [60]
+        assert store.wal.last_lsn == 1
 
 
 class TestRequestLimits:

@@ -47,6 +47,22 @@ class TestJournalledWrites:
         assert recovered.recovery.skipped_records == 0
         recovered.close()
 
+    def test_an_inconvertible_sample_is_refused_before_it_lands(self, tmp_path):
+        """What a batch applied is what it journaled: the good sample
+        before a bad one is in memory *and* in the log, and
+        ``data_version`` counts it; the bad one is in neither."""
+        store = DurableMetricsStore(tmp_path, fsync="always")
+        with pytest.raises(MetricsError, match="finite timestamp"):
+            store.write_many("m", [(60, 1.0), (1e400, 2.0)], {"topology": "t"})
+        with pytest.raises(MetricsError, match="numeric value"):
+            store.write("m", 120, "abc", {"topology": "t"})
+        assert store.data_version("t") == 1 and store.wal.last_lsn == 1
+        live = store_content_hash(store)
+        store.close()
+        with DurableMetricsStore(tmp_path) as reopened:
+            assert store_content_hash(reopened) == live
+            assert list(reopened.get("m", {"topology": "t"}).timestamps) == [60]
+
     def test_clear_is_journalled(self, tmp_path):
         store = DurableMetricsStore(tmp_path, fsync="always")
         _fill(store, 5)

@@ -1,4 +1,4 @@
-"""Structure guards: one keyed write loop, one journal override, one
+"""Structure guards: one keyed write loop, one journal hook, one
 frame decoder, one write-record renderer, one frame-validating body, one
 disk seam — the cluster tier's files included.
 
@@ -54,12 +54,34 @@ def test_only_the_durable_store_overrides_a_mutation(src_index):
                 item.name for item in node.body if isinstance(item, ast.FunctionDef)
             }
     assert set(overriding) == {"DurableMetricsStore"}
-    # ``_apply_frames`` (apply + journal + LSN range under the journal
-    # lock), not ``ingest_frames``: validation stays outside the lock.
-    assert overriding["DurableMetricsStore"] == {
-        "write", "apply_sample_batch", "_apply_frames", "append_minute_batch",
-        "clear",
-    }
+    # Journaling is the ``_journal`` hook, not a mutation: only
+    # ``_apply_frames`` (apply + journal + LSN range under the store
+    # lock; validation stays outside it) and ``clear`` are overridden.
+    assert overriding["DurableMetricsStore"] == {"_apply_frames", "clear"}
+
+
+def test_one_hook_meets_the_log(src_index):
+    """Every batch reaches the WAL through ``DurableMetricsStore._journal``;
+    nothing outside the WAL's own wrappers appends bodies or templates."""
+    appending = sorted(
+        function.name
+        for function in src_index.functions()
+        if not function.name.startswith("durability/wal.py:")
+        and re.search(r"\.append_(bodies|template)\(", function.text)
+    )
+    assert appending == ["durability/store.py:DurableMetricsStore._journal"]
+
+
+def test_no_unbound_store_call_reaches_past_the_durable_store(src_index):
+    """``MetricsStore.apply_sample_batch(store, ...)`` would skip the
+    journal hook's owner; replay calls the store's own methods."""
+    unbound = re.compile(r"\bMetricsStore\.\w+\(")
+    offenders = [
+        path
+        for path, file in src_index.items()
+        if path.startswith("durability/") and unbound.search(file.source)
+    ]
+    assert offenders == []
 
 
 def test_two_bodies_append_to_a_series(src_index):
@@ -77,11 +99,7 @@ def test_two_bodies_append_to_a_series(src_index):
     ]
     assert appenders == ["_apply_entries", "append_minute_batch"]
     callers = src_index.functions_containing("._apply_entries(")
-    assert callers == [
-        "durability/store.py:apply_sample_batch",
-        "durability/store.py:write",
-        "timeseries/store.py:apply_sample_batch",
-    ]
+    assert callers == ["timeseries/store.py:apply_sample_batch"]
 
 
 def test_one_wal_record_replay_function(src_index):

@@ -10,10 +10,13 @@ listeners coalesced.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durability import DurableMetricsStore, store_content_hash
 from repro.errors import MetricsError
 from repro.timeseries.store import MetricKey, MetricsStore
 
@@ -125,6 +128,37 @@ class TestSequentialEquivalence:
         assert list(batched.get("m", {"topology": "t"}).timestamps) == [7200]
 
 
+class TestInconvertibleSamples:
+    """Each sample is converted before its series is touched: one that
+    ``int()`` or ``float()`` refuses is a per-entry error like an
+    out-of-order one — never a raw exception, nor a series whose
+    timestamps and values differ in length."""
+
+    @pytest.mark.parametrize(
+        "timestamp, value",
+        [(60, "abc"), (60, None), (float("inf"), 1.0), (float("nan"), 1.0),
+         ("x", 1.0), (60, 10**400)],
+        ids=["str-value", "none-value", "inf-ts", "nan-ts", "str-ts", "huge-value"],
+    )
+    def test_write_raises_and_leaves_no_series(self, timestamp, value):
+        store = MetricsStore()
+        with pytest.raises(MetricsError, match="finite timestamp and a numeric"):
+            store.write("m", timestamp, value)
+        assert len(store) == 0 and store.data_version() == 0
+
+    def test_the_good_samples_of_a_batch_land_and_are_announced(self):
+        store = MetricsStore()
+        calls: list[str | None] = []
+        store.add_invalidation_listener(calls.append)
+        with pytest.raises(MetricsError, match="got inf, 2.0"):
+            store.write_many(
+                "m", [(60, 1.0), (1e400, 2.0), (120, "abc")], {"topology": "t"}
+            )
+        buffer = store._series[store.key_of("m", {"topology": "t"})]
+        assert (buffer.timestamps, buffer.values) == ([60], [1.0])
+        assert store.data_version("t") == 1 and calls == ["t"]
+
+
 class TestListeners:
     def test_listeners_coalesce_to_one_call_per_topology(self):
         store = MetricsStore()
@@ -186,10 +220,22 @@ _KEYS = [
         {"topology": "t2"},
     )
 ]
+#: Timestamps and values a writer may hand over that are not clean
+#: numbers: ``int()``/``float()`` refuse some (a per-entry error), convert
+#: others (``30.5`` is ``30``, ``"1.5"`` is ``1.5``), and a non-finite
+#: value is stored.
+_ODD_TIMESTAMPS = [float("inf"), float("nan"), "x", None, 30.5]
+_ODD_VALUES = [float("nan"), float("-inf"), "abc", None, "1.5", 10**400]
 _ENTRY = st.tuples(
     st.sampled_from(_KEYS),
-    st.integers(min_value=0, max_value=12).map(lambda minute: minute * 60),
-    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.one_of(
+        st.integers(min_value=0, max_value=12).map(lambda minute: minute * 60),
+        st.sampled_from(_ODD_TIMESTAMPS),
+    ),
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.sampled_from(_ODD_VALUES),
+    ),
 )
 
 
@@ -238,6 +284,19 @@ class TestBatchEqualsSequentialWrites:
         assert _observe(batched, batched_calls) == _observe(
             sequential, sequential_calls
         )
+
+        # The same batches into a durable store journal exactly what
+        # landed: the reopened store holds what the in-memory one does.
+        with tempfile.TemporaryDirectory() as data_dir:
+            with DurableMetricsStore(data_dir, retention, fsync="never") as durable:
+                durable_errors = [
+                    error
+                    for entries in batches
+                    for error in durable.apply_sample_batch(entries)
+                ]
+            with DurableMetricsStore(data_dir, retention) as reopened:
+                assert store_content_hash(reopened) == store_content_hash(batched)
+        assert durable_errors == batched_errors
 
 
 if __name__ == "__main__":
