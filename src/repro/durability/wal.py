@@ -50,6 +50,7 @@ from typing import Any, BinaryIO
 from repro.clock import SYSTEM_CLOCK
 from repro.durability.disk import OS_DISK, Disk
 from repro.errors import ApiError, DurabilityError
+from repro.telemetry import Telemetry
 
 __all__ = [
     "FSYNC_ALWAYS",
@@ -319,6 +320,8 @@ class WriteAheadLog:
         :func:`scan_segment` (the default) does.  The durable store
         passes one that replays the segment as it reads it, so an open
         walks each byte once.
+    telemetry:
+        Where each fsync is timed (the ``wal.fsync`` span).
     """
 
     def __init__(
@@ -330,6 +333,7 @@ class WriteAheadLog:
         disk: Disk = OS_DISK,
         lock: Any | None = None,
         reader: Callable[[Any], tuple[int, int, int, str | None]] = scan_segment,
+        telemetry: Telemetry | None = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise DurabilityError(
@@ -366,6 +370,7 @@ class WriteAheadLog:
         self._failed: str | None = None
         self.appended = 0
         self.fsyncs = 0
+        self.telemetry = telemetry or Telemetry()
         self._scan = self._scan_segments(reader)
         self._next_lsn = self._scan.last_lsn + 1
         if fsync == FSYNC_INTERVAL:
@@ -684,7 +689,7 @@ class WriteAheadLog:
                 return
             try:
                 self._handle.flush()
-                with self._fd_lock:
+                with self._fd_lock, self.telemetry.span("wal.fsync"):
                     self.disk.sync(self._handle)
             except OSError as exc:
                 self._failed = f"flush failed: {exc}"
@@ -722,7 +727,7 @@ class WriteAheadLog:
                     return
                 self._unsynced = False
             try:
-                with self._fd_lock:
+                with self._fd_lock, self.telemetry.span("wal.fsync"):
                     self.disk.sync(handle)
                 self.fsyncs += 1
             except (OSError, ValueError) as exc:

@@ -13,6 +13,8 @@ import threading
 from collections.abc import Callable
 from typing import Any
 
+from repro.telemetry import Telemetry
+
 __all__ = ["SingleFlight"]
 
 _UNSET = object()
@@ -28,13 +30,16 @@ class _Call:
 
 
 class SingleFlight:
-    """Coalesce concurrent calls that share a key."""
+    """Coalesce concurrent calls that share a key.
 
-    def __init__(self) -> None:
+    ``telemetry`` keeps the ``serving.singleflight.led`` /
+    ``.coalesced`` counters.
+    """
+
+    def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._lock = threading.Lock()
         self._calls: dict[str, _Call] = {}
-        self.coalesced = 0
-        self.led = 0
+        self.telemetry = telemetry or Telemetry()
 
     def do(self, key: str, fn: Callable[[], Any]) -> tuple[Any, bool]:
         """Run ``fn`` once per in-flight key; returns ``(result, led)``.
@@ -48,10 +53,11 @@ class SingleFlight:
                 call = _Call()
                 self._calls[key] = call
                 leader = True
-                self.led += 1
             else:
                 leader = False
-                self.coalesced += 1
+        self.telemetry.count(
+            "serving.singleflight.led" if leader else "serving.singleflight.coalesced"
+        )
         if not leader:
             call.done.wait()
             if call.error is not None:
@@ -67,8 +73,3 @@ class SingleFlight:
                 del self._calls[key]
             call.done.set()
         return call.result, True
-
-    def stats(self) -> dict[str, int]:
-        """Leader/waiter counters (for ``/serving/stats``)."""
-        with self._lock:
-            return {"led": self.led, "coalesced": self.coalesced}

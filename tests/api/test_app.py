@@ -6,6 +6,7 @@ import pytest
 
 from repro.api.app import CaladriusApp
 from repro.config import load_config
+from repro.durability.breaker import breaker_view
 from tests.clock import ManualClock
 
 M = 1e6
@@ -197,7 +198,7 @@ class TestBreakerCountsOnlyEvaluatorFailures:
         for path, query, body in self.CLIENT_MISTAKES * 2:
             status, payload = app.handle("POST", path, query, body)
             assert status == 400, payload
-        stats = app.breaker.stats()
+        stats = breaker_view(app.telemetry.snapshot())
         assert (stats["state"], stats["opened_count"]) == ("closed", 0)
         status, _ = app.handle("POST", PERFORMANCE, body={"source_rate": 30 * M})
         assert status == 200
@@ -211,7 +212,7 @@ class TestBreakerCountsOnlyEvaluatorFailures:
         for i in range(5):
             with pytest.raises(RuntimeError, match="evaluator down"):
                 app.handle("POST", PERFORMANCE, body={"source_rate": 20 * M + i})
-        assert app.breaker.stats()["state"] == "open"
+        assert breaker_view(app.telemetry.snapshot())["state"] == "open"
         status, payload = app.handle("POST", PERFORMANCE, body={"source_rate": 30 * M})
         assert status == 503
         assert "circuit is open" in payload["error"]

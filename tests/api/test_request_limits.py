@@ -21,6 +21,7 @@ from repro.api.server import CaladriusServer
 from repro.config import load_config
 from repro.core.calibration import fit_piecewise_linear
 from repro.core.performance_models import calibrate_topology
+from repro.durability.breaker import breaker_view
 from repro.heron.groupings import ShuffleGrouping
 from repro.heron.packing import RoundRobinPacking
 from repro.heron.simulation import (
@@ -32,6 +33,7 @@ from repro.heron.simulation import (
 from repro.heron.topology import TopologyBuilder
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
+from tests.readings import reading
 
 M = 1e6
 PREDICT = "/model/topology/heron/word-count"
@@ -61,8 +63,8 @@ def test_a_plan_above_the_ceiling_is_a_400(app, path, body):
     assert status == 400
     assert str(CEILING) in payload["error"] and "above" in payload["error"]
     assert app.serving.stats()["requests"] == 0  # refused before the descriptor
-    assert app.calibrations.stats()["misses"] == 0
-    assert app.breaker.stats()["failure_rate"] == 0.0
+    assert reading(app, "calibration.misses") == 0
+    assert breaker_view(app.telemetry.snapshot())["failure_rate"] == 0.0
 
 
 def test_the_ceiling_itself_is_served(app):
@@ -205,4 +207,4 @@ def test_a_silent_stream_is_answered_not_crashed(silent_stream_service):
     )
     assert throughput["output_rate"] == pytest.approx(1.9 * 6e5, rel=0.02)
     assert backpressure["backpressure_risk"] == "low"
-    assert app.breaker.stats()["failure_rate"] == 0.0
+    assert breaker_view(app.telemetry.snapshot())["failure_rate"] == 0.0

@@ -34,6 +34,7 @@ from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricsStore
 from tests.live import poll_until
+from tests.readings import reading
 
 M = 1e6
 
@@ -248,7 +249,9 @@ def _overload(app, extra):
                 for i in range(capacity + extra)
             ]
             try:
-                poll_until(lambda: scheduler.shed >= extra, 30)
+                poll_until(
+                    lambda: reading(scheduler, "serving.scheduler.shed") >= extra, 30
+                )
                 with CaladriusClient(
                     "127.0.0.1", server.port, timeout=10, retries=0
                 ) as client:

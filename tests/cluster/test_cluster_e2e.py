@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.api.client import CaladriusClient
+from repro.cli import main
 from repro.cluster import ClusterClient
 from repro.errors import ApiError
 from tests.live import poll_until, spawn_serve
@@ -133,6 +134,17 @@ class TestClusterRouting:
         assert set(stats["per_shard"]) == {"0", "1"}
         assert stats["totals"]["requests"] >= 0
         assert "proxied" in stats["router"]
+
+    def test_serving_stats_cli_reads_the_fleet(self, cluster, capsys):
+        """The fleet document carries a shard's top-level keys, so the
+        command pointed at the router prints the fleet's counters."""
+        router = cluster.router
+        assert main(["serving-stats", "--host", router.host,
+                     "--port", str(router.port)]) == 0
+        out = capsys.readouterr().out
+        assert "serving layer: disabled" not in out
+        assert out.startswith("requests     : ")
+        assert "cache        : " in out
 
 
 class TestReplication:

@@ -30,12 +30,14 @@ from repro.cluster.router import RouterApp
 from repro.durability.lifecycle import LifecycleController
 from repro.errors import ApiError
 from repro.heron.tracker import TopologyTracker
+from repro.telemetry import Telemetry
 from tests.clock import ManualClock
 from tests.cluster.test_write_batch_routing import (  # noqa: F401 - fixture
     _bare_config,
     _FakeManager,
     mini_cluster,
 )
+from tests.readings import reading
 
 
 def _cluster_client(router_server, clock=None, **options):
@@ -75,7 +77,7 @@ class TestQueryEncoding:
             server, _ = shards[router.shard_for(topology)]
             with CaladriusClient(server.host, server.port) as direct:
                 assert direct.read_metrics("arrivals", tags) == [series]
-        assert router._unavailable == 0
+        assert reading(router, "router.unavailable") == 0
 
 
 class TestRouterFallbackBudget:
@@ -252,7 +254,7 @@ class TestRouterKeepAlive:
                 assert status == 200
                 assert answer == {"path": "/topology/t/logical"}
             assert stub.accepted == 1
-            assert router._proxied == 50
+            assert reading(router, "router.proxied") == 50
 
             # The shard drops the idle socket: the next call reconnects
             # once, transparently — no 503, nothing counted unavailable.
@@ -260,7 +262,7 @@ class TestRouterKeepAlive:
             assert router.handle("GET", "/topology/t/logical")[0] == 200
             assert router.handle("GET", "/topology/t/logical")[0] == 200
             assert stub.accepted == 2
-            assert router._unavailable == 0
+            assert reading(router, "router.unavailable") == 0
 
             # Nobody listening: a fresh connection failing is a real
             # transport error, worded as the one refusal.
@@ -272,7 +274,7 @@ class TestRouterKeepAlive:
             assert refusal["error"].startswith("shard 0 is unreachable: ")
             assert refusal["retry_after"] == 1 and refusal["shard_id"] == 0
             assert list(refusal) == ["error", "retry_after", "shard_id"]
-            assert router._unavailable == 1
+            assert reading(router, "router.unavailable") == 1
         finally:
             stub.server_close()
             router._fanout.shutdown(wait=False)
@@ -302,6 +304,7 @@ class _ScriptedShard:
     def __init__(self, config):
         self.config = config
         self.lifecycle = LifecycleController()
+        self.telemetry = Telemetry()
         self.script = None
 
     def handle(self, method, path, query=None, body=None, headers=None):

@@ -11,6 +11,7 @@ still present.
 from __future__ import annotations
 
 import signal
+import threading
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from repro.api.server import CaladriusServer
 from repro.config import load_config
 from repro.durability import open_data_dir
 from repro.errors import ApiError
-from tests.clock import Call
+from tests.clock import JOIN, Call
 from tests.live import poll_until, spawn_serve
 
 
@@ -71,6 +72,17 @@ class TestSigtermMidRequest:
         saved_term = signal.getsignal(signal.SIGTERM)
         saved_int = signal.getsignal(signal.SIGINT)
         client = CaladriusClient(server.host, server.port, retries=0)
+        # The sweep's computation is held open until the SIGTERM is in,
+        # so the drain cannot miss it however fast the sweep would be.
+        entered, gate = threading.Event(), threading.Event()
+        sweep_plans = app.sweep_engine.sweep
+
+        def held(*args, **kwargs):
+            entered.set()
+            assert gate.wait(JOIN)
+            return sweep_plans(*args, **kwargs)
+
+        app.sweep_engine.sweep = held
         try:
             done = server.install_signal_handlers(drain_timeout=30.0)
             plans = [
@@ -79,10 +91,12 @@ class TestSigtermMidRequest:
                 {"splitter": 4, "counter": 4},
             ]
             sweep = Call(client.plan_sweep, "word-count", 10e6, plans)
-            assert poll_until(
-                app.lifecycle.inflight, 10
-            ), "sweep never went in flight"
+            assert entered.wait(JOIN), "sweep never went in flight"
+            assert app.lifecycle.inflight()
             signal.raise_signal(signal.SIGTERM)
+            assert poll_until(app.lifecycle.is_draining, JOIN)
+            assert not done.is_set()  # the held sweep keeps the drain open
+            gate.set()
             assert done.wait(timeout=60), "shutdown never completed"
             # The in-flight request completed despite the SIGTERM.
             assert sweep.result()["ranked"]

@@ -34,6 +34,7 @@ from repro.sweep import PlanSweepEngine
 from repro.timeseries.store import MetricsStore
 from repro.workloads import SHAPES, generate_workload
 from tests.clock import ManualClock
+from tests.readings import reading
 
 LEVELS = (0.4, 0.55, 0.7)
 MINUTES_PER_LEVEL = 3
@@ -201,7 +202,7 @@ class TestSameAnswersAsUncached:
                     )
                 )
         # One entry per tracked topology, however the steps interleaved.
-        assert deployment.cache.stats()["entries"] <= 1
+        assert reading(deployment.cache, "calibration.entries") <= 1
 
 
 @pytest.fixture()
@@ -230,9 +231,10 @@ class TestStamping:
         first = deployment.cache.get(deployment.name)
         assert deployment.cache.get(deployment.name) is first
         assert len(calibrations) == 1
-        assert deployment.cache.stats() == {
-            "hits": 1, "misses": 1, "entries": 1,
-        }
+        assert [
+            reading(deployment.cache, f"calibration.{name}")
+            for name in ("hits", "misses", "entries")
+        ] == [1, 1, 1]
 
     def test_write_and_redeploy_each_recalibrate(
         self, deployment, calibrations
@@ -245,7 +247,7 @@ class TestStamping:
         third = deployment.cache.get(deployment.name)
         assert third.tracked.revision > second.tracked.revision
         assert len(calibrations) == 3
-        assert deployment.cache.stats()["entries"] == 1
+        assert reading(deployment.cache, "calibration.entries") == 1
 
     def test_another_window_is_not_a_stale_reuse(
         self, deployment, calibrations
@@ -296,7 +298,7 @@ class TestFailuresAreNotCached:
         monkeypatch.setattr(cache_module, "calibrate_topology", failing_once)
         with pytest.raises(CalibrationError):
             deployment.cache.get(deployment.name)
-        assert deployment.cache.stats()["entries"] == 0
+        assert reading(deployment.cache, "calibration.entries") == 0
         # Same stamp, no write in between: the failure was not kept.
         assert deployment.cache.get(deployment.name).fits
         assert len(attempts) == 2
@@ -305,7 +307,7 @@ class TestFailuresAreNotCached:
         deployment = _Deployment("diamond", 0, preloaded=2)
         with pytest.raises(CalibrationError):
             deployment.cache.get(deployment.name)
-        assert deployment.cache.stats()["entries"] == 0
+        assert reading(deployment.cache, "calibration.entries") == 0
         for _ in range(3):
             deployment.write()
         assert deployment.cache.get(deployment.name).fits
@@ -316,7 +318,7 @@ class TestFailuresAreNotCached:
         clock.advance(2.0)
         with deadline_scope(deadline), pytest.raises(DeadlineExceeded):
             deployment.cache.get(deployment.name)
-        assert deployment.cache.stats()["entries"] == 0
+        assert reading(deployment.cache, "calibration.entries") == 0
         assert deployment.cache.get(deployment.name).fits
         assert len(calibrations) == 2
 
@@ -401,5 +403,5 @@ def test_readers_never_get_a_calibration_older_than_they_asked_for(deployment):
     assert not any(thread.is_alive() for thread in threads)
     assert not problems
     assert all(count > 0 for count in served)
-    stats = cache.stats()
-    assert stats["misses"] > 1 and stats["entries"] == 1
+    assert reading(cache, "calibration.misses") > 1
+    assert reading(cache, "calibration.entries") == 1

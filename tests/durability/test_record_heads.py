@@ -37,6 +37,16 @@ from repro.heron.tracker import TopologyTracker
 from repro.timeseries import store as store_module
 from repro.timeseries.store import MetricsStore, frame_sample
 from tests.durability.frame_oracle import HEADER, frame
+from tests.readings import reading
+
+
+def _frames(store) -> tuple[int, int]:
+    """How many ingest frames were resolved by head, and how many decoded."""
+    return (
+        reading(store, "store.frames_by_head"),
+        reading(store, "store.frames_decoded"),
+    )
+
 
 CONFIG = load_config({})
 CONFIG = replace(CONFIG, serving=replace(CONFIG.serving, enabled=False))
@@ -153,7 +163,7 @@ def run_differential(batches) -> Service:
             _assert_same_store(warm.store, parent.store)
             _assert_same_store(cold.store, parent.store)
             assert warm.log() == cold.log() == parent.journal
-            assert cold.store.frames_by_head == 0
+            assert reading(cold.store, "store.frames_by_head") == 0
         finally:
             warm.close()
             cold.close()
@@ -308,7 +318,7 @@ class TestDifferential:
         for ts in TS_ODD:  # last: an accepted 19-digit stamp ends series 2
             around(payload(2, 0, ts, "1.5"))
         warm = run_differential(batches)
-        assert warm.store.frames_by_head > 2 * (len(batches) - 1)
+        assert reading(warm.store, "store.frames_by_head") > 2 * (len(batches) - 1)
 
     def test_a_batch_with_a_non_json_payload_applies_nothing(self, tmp_path):
         service = Service(tmp_path)
@@ -350,13 +360,13 @@ class TestCounters:
         ) as loads:
             first = store.ingest_frames(_minute(1))
             assert first["acked"] == 300
-            assert (store.frames_by_head, store.frames_decoded) == (0, 300)
+            assert _frames(store) == (0, 300)
             # First sight is decoded a window at a time, not per payload.
             assert loads.call_count == -(-300 // wal_module._WINDOW_FRAMES)
             loads.reset_mock()
             second = store.ingest_frames(_minute(2))
             assert second["acked"] == 300
-            assert (store.frames_by_head, store.frames_decoded) == (300, 300)
+            assert _frames(store) == (300, 300)
             assert loads.call_count == 0
 
     def test_a_refused_head_is_never_learned(self):
@@ -365,13 +375,13 @@ class TestCounters:
         for _ in range(3):
             result = store.ingest_frames(refused)
             assert [r["frame"] for r in result["rejected"]] == [0, 1]
-        assert store.frames_by_head == 0 and not store._heads
+        assert reading(store, "store.frames_by_head") == 0 and not store._heads
 
     def test_a_stale_sample_on_a_known_head_is_still_refused(self):
         store = MetricsStore()
         store.ingest_frames([payload(1, 0, "120", "1.0")])
         result = store.ingest_frames([payload(1, 0, "60", "1.0")])
-        assert store.frames_by_head == 1
+        assert reading(store, "store.frames_by_head") == 1
         assert "increasing timestamp order" in result["rejected"][0]["error"]
 
 
@@ -397,7 +407,8 @@ class TestBounds:
             assert store.ingest_frames(split_frames(b"".join(frames))[0])["acked"] == 1
             assert len(store) == 1
             assert len(store._heads) <= 2 + 64 and len(store._interned) <= 2 + 64
-        assert store.frames_decoded > 400 and store._heads and store._interned
+        assert reading(store, "store.frames_decoded") > 400
+        assert store._heads and store._interned
         store.clear()
         assert not store._heads and not store._interned
 

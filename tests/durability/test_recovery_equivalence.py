@@ -34,6 +34,7 @@ from repro.durability.codec import encode_store_state
 from repro.durability.recovery import peek_recoverable_lsn
 from tests.durability import frame_oracle
 from tests.durability.frame_oracle import frame
+from tests.readings import reading
 
 TOPOLOGIES = ("alpha", "beta", None)
 
@@ -298,7 +299,8 @@ def test_a_steady_state_log_decodes_each_series_once(tmp_path, caplog, capsys):
         with DurableMetricsStore(tmp_path, fsync="never") as store:
             report = store.recovery
             store.ingest_frames(split_frames(encode_frames(minute(9)))[0])
-            assert (store.frames_by_head, store.frames_decoded) == (50, 0)
+            assert reading(store, "store.frames_by_head") == 50
+            assert reading(store, "store.frames_decoded") == 0
     assert report.replayed_records == 1 + 8 * 50
     assert report.decoded_records == 1 + 50  # the clear, and each series once
     (line,) = [r.getMessage() for r in caplog.records]
@@ -326,7 +328,7 @@ def test_replay_learns_only_heads_the_ingest_gate_passes(tmp_path):
             (refused[0] % (1, 120)).encode(), (refused[1] % 120).encode(),
         ])
         assert [r["frame"] for r in result["rejected"]] == [0, 1]
-        assert store.frames_by_head == 0
+        assert reading(store, "store.frames_by_head") == 0
 
 
 def test_a_known_head_below_the_cut_is_dropped_like_the_oracle_drops_it(

@@ -121,7 +121,7 @@ class TestContentAddressing:
         assert layer.execute(desc(), compute) == {"value": 1}
         store.write("m", 0, 1.0, {"topology": "wc"})
         assert layer.execute(desc(), compute) == {"value": 2}
-        assert layer.cache.stats()["invalidations"] >= 1
+        assert layer.stats()["cache"]["invalidations"] >= 1
         layer.close()
 
     def test_write_to_other_topology_does_not_invalidate(self):
@@ -232,4 +232,4 @@ class TestStats:
         store.write("m", 0, 1.0, {"topology": "wc"})
         topology, packing, _ = build_word_count(WordCountParams())
         tracker.register(topology, packing)
-        assert layer.cache.stats()["invalidations"] == 0
+        assert layer.stats()["cache"]["invalidations"] == 0

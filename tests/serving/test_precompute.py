@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.serving.fingerprint import RequestDescriptor
 from repro.serving.precompute import WarmCachePrecomputer
+from tests.readings import reading
 
 
 def desc(topology: str, horizon: int) -> RequestDescriptor:
@@ -45,7 +46,7 @@ class TestPopularity:
         pre.record(desc("wc", 60))
         pre.invalidate("wc")
         pre.invalidate("wc")
-        assert pre.stats()["pending"] == 1
+        assert reading(pre, "serving.precompute.pending") == 1
 
     def test_take_pending_drains(self):
         pre = WarmCachePrecomputer(top_k=4)
@@ -58,7 +59,7 @@ class TestPopularity:
         pre = WarmCachePrecomputer(top_k=2, max_tracked=4)
         for horizon in range(1, 10):
             pre.record(desc("wc", horizon))
-        assert pre.stats()["tracked"] <= 4
+        assert reading(pre, "serving.precompute.tracked") <= 4
 
     def test_eviction_takes_the_lowest_count_then_the_least_recent(self):
         """The survivors the whole-table ``min`` used to pick, checked
@@ -101,7 +102,7 @@ class TestPopularity:
                 setattr(pre, name, Counting(table))
         for horizon in range(64, 96):
             pre.record(desc("wc", horizon))
-        assert pre.stats()["tracked"] == 64
+        assert reading(pre, "serving.precompute.tracked") == 64
         assert Counting.visited == 32  # the one evicted each time
 
     def test_validation(self):

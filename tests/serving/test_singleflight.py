@@ -9,6 +9,7 @@ import pytest
 
 from repro.serving.singleflight import SingleFlight
 from tests.live import poll_until
+from tests.readings import reading
 
 
 class TestCoalescing:
@@ -38,13 +39,16 @@ class TestCoalescing:
             assert started.wait(5)
             waiters = [pool.submit(flight.do, "k", slow) for _ in range(7)]
             # Give the waiters time to join the in-flight call.
-            assert poll_until(lambda: flight.coalesced == 7)
+            assert poll_until(
+                lambda: reading(flight, "serving.singleflight.coalesced") == 7
+            )
             release.set()
             results = [leader.result(5)] + [w.result(5) for w in waiters]
         assert sum(executions) == 1
         assert all(value == "answer" for value, _ in results)
         assert sum(1 for _, led in results if led) == 1
-        assert flight.stats() == {"led": 1, "coalesced": 7}
+        assert reading(flight, "serving.singleflight.led") == 1
+        assert reading(flight, "serving.singleflight.coalesced") == 7
 
     def test_distinct_keys_do_not_coalesce(self):
         flight = SingleFlight()
@@ -59,7 +63,7 @@ class TestCoalescing:
             b = pool.submit(flight.do, "b", lambda: work("b"))
             assert a.result(5) == ("a", True)
             assert b.result(5) == ("b", True)
-        assert flight.coalesced == 0
+        assert reading(flight, "serving.singleflight.coalesced") == 0
 
     def test_leader_error_propagates_to_waiters(self):
         flight = SingleFlight()
@@ -75,7 +79,9 @@ class TestCoalescing:
             leader = pool.submit(flight.do, "k", failing)
             assert started.wait(5)
             waiter = pool.submit(flight.do, "k", failing)
-            assert poll_until(lambda: flight.coalesced == 1)
+            assert poll_until(
+                lambda: reading(flight, "serving.singleflight.coalesced") == 1
+            )
             release.set()
             with pytest.raises(ValueError, match="boom"):
                 leader.result(5)

@@ -10,6 +10,8 @@ and ``conftest.src_index`` hands the result to the whole session.
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,3 +90,36 @@ def build() -> SourceIndex:
         tree = ast.parse(source)
         index[rel] = SourceFile(source, tree, _functions(rel, source, tree))
     return index
+
+
+_NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
+}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of ``path`` holding code: every line a token other than a
+    comment or layout spans, less the lines of docstrings (the string
+    opening a module, class or function body).  The size CHANGES.md
+    reports ``src/`` and ``tests/`` in."""
+    source = Path(path).read_text("utf8")
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ) or not body:
+            continue
+        first = body[0]
+        if (
+            isinstance(first, ast.Expr)
+            and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)
+        ):
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
