@@ -37,7 +37,6 @@ import threading
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from sys import intern
 from typing import Any
 
 from repro.clock import SYSTEM_CLOCK
@@ -164,7 +163,10 @@ def replay_frames(
     from its bytes — no JSON, no tag sort, no key built.  Every other
     frame is decoded, in log order, and a ``write`` must pass
     :func:`~repro.timeseries.store.write_fields`' type rules or is
-    skipped and counted: a CRC only vouches for the bytes.  A decoded
+    skipped and counted: a CRC only vouches for the bytes.  Its key comes
+    from ``store.key_of``, the constructor every writer uses, so a
+    recovered series shares its strings and tag pairs as a written one
+    does.  A decoded
     ``write`` that would also pass the ingest gate registers its head,
     so a series is decoded at its first sighting only — and stays known
     to ``write_batch`` after the restart.
@@ -230,12 +232,7 @@ def replay_frames(
                 except MetricsError:
                     walk.skipped += 1
                     continue
-                # A series' strings, interned: a recovered store's keys
-                # share the few names, tag keys and values they spell.
-                key = MetricKey(
-                    intern(name),
-                    tuple(sorted((intern(k), intern(v)) for k, v in tags.items())),
-                )
+                key = store.key_of(name, tags)
                 if learnable and name and match is not None:
                     store._bound_heads(1)
                     heads[b"{" + match[2]] = key

@@ -1635,6 +1635,7 @@ class HeronSimulation:
         table.
         """
         topo = self.topology.name
+        key_of = self._store.key_of
         keys: list[MetricKey] = []
         owners: list[tuple[str, int] | None] = []
         instances: list[tuple[str, int, np.ndarray, int]] = []
@@ -1651,7 +1652,7 @@ class HeronSimulation:
                 )
                 positions.append(len(keys))
                 gather.append(at)
-            keys.append(MetricKey.of(metric, tags))
+            keys.append(key_of(metric, tags))
             owners.append(owner)
 
         for name in self._order:

@@ -25,6 +25,7 @@ from collections import deque
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -48,32 +49,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MetricKey:
-    """Identity of one stored series: a metric name plus sorted tags."""
+    """Identity of one stored series: a metric name plus sorted tags.
+
+    A key obeys :func:`write_fields`' type rule — a string name, tags
+    mapping strings to strings — or is not built: construction raises
+    :class:`~repro.errors.MetricsError`, so no series can exist (and be
+    journaled) that WAL replay would refuse.  A store builds its keys
+    through :meth:`MetricsStore.key_of`, which shares their strings and
+    tag pairs.
+    """
 
     name: str
-    tags: tuple[tuple[str, str], ...] = ()
+    tags: tuple[tuple[str, str], ...]
     #: Value of the ``topology`` tag (``None`` when untagged): every write
     #: reads it to pick the ``data_version`` counter, so it is found once
     #: per key instead of through a tag dictionary per sample.
-    topology: str | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    topology: str | None = field(compare=False, repr=False)
     #: Value of the ``component`` tag, found once for the same reason: a
     #: topology frame groups thousands of keys by it under the store lock.
-    component: str | None = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    component: str | None = field(compare=False, repr=False)
     #: ``hash((name, tags))``, computed once: a key is hashed on every
     #: series-dict lookup of every write.
-    _hash: int = field(init=False, default=0, compare=False, repr=False)
+    _hash: int = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.tags)))
-        for tag, value in self.tags:
-            if tag in ("topology", "component"):
-                object.__setattr__(self, tag, value)
+    def __init__(self, name: str, tags: tuple[tuple[str, str], ...] = ()) -> None:
+        # One pass over the tags checks the type rule and finds the two
+        # tags kept as fields: a store builds a key per new series.
+        if not isinstance(name, str):
+            raise MetricsError("'name' must be a non-empty string")
+        topology = component = None
+        for tag, value in tags:
+            if not isinstance(tag, str) or not isinstance(value, str):
+                raise MetricsError("'tags' must map strings to strings")
+            if tag == "topology":
+                topology = value
+            elif tag == "component":
+                component = value
+        setattr = object.__setattr__
+        setattr(self, "name", name)
+        setattr(self, "tags", tags)
+        setattr(self, "topology", topology)
+        setattr(self, "component", component)
+        setattr(self, "_hash", hash((name, tags)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,7 +104,9 @@ class MetricKey:
 
     @classmethod
     def of(cls, name: str, tags: Mapping[str, str] | None = None) -> "MetricKey":
-        """Build a key from a name and an (unordered) tag mapping."""
+        """Build a key from a name and an (unordered) tag mapping: a
+        stand-alone key, for looking a series up.  A store builds the
+        keys it holds through :meth:`MetricsStore.key_of`."""
         items = tuple(sorted((tags or {}).items()))
         return cls(name, items)
 
@@ -101,7 +122,7 @@ class MetricKey:
         return all(item in tags for item in tag_filter.items())
 
 
-@dataclass
+@dataclass(slots=True)
 class _SeriesBuffer:
     """Mutable append buffer behind one stored series."""
 
@@ -114,14 +135,16 @@ class _SeriesBuffer:
     # Cached frozen view: rebuilding numpy arrays per read dominates
     # repeated-query cost (calibration reads every series several
     # times per sweep).  TimeSeries is immutable with read-only
-    # arrays, so serving the same object is safe; any mutation of the
-    # buffer drops the cache.
+    # arrays, so serving the same object is safe.  The buffer only
+    # grows at its end between trims, so a view as long as the buffer
+    # is a view of it: appends need not drop the cache, a trim does.
     _frozen: TimeSeries | None = None
 
     def freeze(self) -> TimeSeries:
-        if self._frozen is None:
-            self._frozen = TimeSeries(self.timestamps, self.values)
-        return self._frozen
+        frozen = self._frozen
+        if frozen is None or len(frozen) != len(self.timestamps):
+            frozen = self._frozen = TimeSeries(self.timestamps, self.values)
+        return frozen
 
     def trim_before(self, cutoff: int) -> None:
         # Timestamps are sorted, so find the first index to keep.
@@ -143,7 +166,7 @@ class MinuteBatch:
     Built by :meth:`MetricsStore.make_minute_batch` and consumed by
     :meth:`MetricsStore.append_minute_batch`: the keyed buffer lookups
     and the monotonicity bound are resolved once, so steady-state minute
-    flushes cost three C-level loops instead of thousands of keyed
+    flushes cost two C-level loops instead of thousands of keyed
     writes.  Opaque to callers — hold it and hand it back, nothing else.
 
     A batch is only valid while no other writer touches its series; the
@@ -152,11 +175,10 @@ class MinuteBatch:
     token moved underneath it.
     """
 
-    __slots__ = ("keys", "buffers", "ts_lists", "val_lists", "last_ts")
+    __slots__ = ("keys", "ts_lists", "val_lists", "last_ts")
 
     def __init__(self, keys: Sequence[MetricKey]) -> None:
         self.keys = list(keys)
-        self.buffers: list[_SeriesBuffer] = []
         self.ts_lists: list[list[int]] = []
         self.val_lists: list[list[float]] = []
         self.last_ts: int | None = None
@@ -166,6 +188,10 @@ class MinuteBatch:
 #: twice its live series: room for one large batch of new series
 #: validated before any of them exists.
 _INTERN_SLACK = 4096
+#: What ``key_of`` finds for a name it has no keys of (never written to).
+_NO_KEYS: Mapping[tuple, MetricKey] = MappingProxyType({})
+#: The ``_by_topology`` bucket of a (name, topology) with no series.
+_NO_BUCKET = ((), ())
 
 #: A write payload is *head + tail*: the head is every byte before the
 #: last ``,"ts":`` (op, name and tags — the same bytes every minute a
@@ -254,7 +280,9 @@ def write_fields(
     ``null`` is no tags), and a ``ts`` and ``v`` that are JSON numbers —
     not strings, not booleans — with an integral-convertible ``ts``.
     :func:`frame_sample` applies them to every ingest frame and WAL
-    replay to every record it decodes; the value rules on top (a
+    replay to every record it decodes, and :class:`MetricKey` applies
+    the name and tag rules to every key, so no writer can store a
+    series that replay would refuse; the value rules on top (a
     non-empty name, a finite value, no ``lsn``) are the ingest gate's
     alone, because a store accepts, and so journals, such samples from
     its own writers.  Raises :class:`~repro.errors.MetricsError`.
@@ -470,13 +498,21 @@ class MetricsStore:
             raise MetricsError("retention_seconds must be positive or None")
         self._retention = retention_seconds
         self._series: dict[MetricKey, _SeriesBuffer] = {}
-        # (name, topology tag) -> that bucket of ``_series``, filled in
-        # series-creation order: what a read naming a topology walks.
+        # (name, topology tag) -> that bucket of ``_series`` as parallel
+        # key and buffer lists (16 B a series, a dict entry is ~40),
+        # filled in series-creation order: what a read naming a topology
+        # walks.  Series are only ever dropped all at once, by ``clear``.
         self._by_topology: dict[
-            tuple[str, str | None], dict[MetricKey, _SeriesBuffer]
+            tuple[str, str | None], tuple[list[MetricKey], list[_SeriesBuffer]]
         ] = {}
-        # (name, tag items as they arrived) -> the series' one MetricKey.
-        self._interned: dict[tuple[str, tuple], MetricKey] = {}
+        # name -> tag items as they arrived -> the series' one MetricKey,
+        # and how many keys that holds (unlocked, like the table: a lost
+        # update only delays the bound's next clear by a key).
+        self._interned: dict[str, dict[tuple, MetricKey]] = {}
+        self._interned_keys = 0
+        # One copy of every metric name, tag string and tag pair the keys
+        # spell, each mapped to itself: what ``key_of`` builds keys from.
+        self._shared: dict[Any, Any] = {}
         # Record head bytes that passed the gate -> the key they name.
         self._heads: dict[bytes, MetricKey] = {}
         self.telemetry = telemetry or Telemetry()
@@ -493,28 +529,62 @@ class MetricsStore:
     def key_of(
         self, name: str, tags: Mapping[str, str] | None = None
     ) -> MetricKey:
-        """:meth:`MetricKey.of`, interned: one key object per series.
+        """The one :class:`MetricKey` constructor: one key per series,
+        built from strings and tag pairs shared across the store.
 
         Writers name the same few thousand series over and over (WAL
         replay, ``write_batch`` frames, per-sample writes); looking the
         key up by ``(name, tags as given)`` skips the sort, the dataclass
         construction and the hash of a fresh key per sample, and the
-        series-dict lookup that follows hits on identity.  The table is a
-        cache: at most a small multiple of the live series (a writer that
-        permutes tag order cannot grow it past that), emptied by
-        :meth:`clear`.
+        series-dict lookup that follows hits on identity.  A key built
+        here holds the store's one copy of its name and of each ``(tag,
+        value)`` pair — thousands of series of a topology spell the same
+        ``("topology", …)`` pair — and a table entry holds the key's own
+        pairs.  Raises :class:`~repro.errors.MetricsError` for a name or
+        tag that is not a string.  Both tables are caches: at most a small
+        multiple of the live series (a writer that permutes tag order
+        cannot grow them past that), emptied by :meth:`clear`.
         """
         items = tuple(tags.items()) if tags else ()
         interned = self._interned
-        key = interned.get((name, items))
+        try:
+            key = interned.get(name, _NO_KEYS).get(items)
+        except TypeError:  # an unhashable name or tag value, refused below
+            key = None
         if key is None:
-            # Sorting these items (not a second ``tags.items()``) lets the
-            # key share its pair tuples with the table entry.
-            key = MetricKey(name, tuple(sorted(items)))
-            if len(interned) >= 2 * len(self._series) + _INTERN_SLACK:
+            bound = 2 * len(self._series) + _INTERN_SLACK
+            shared = self._shared
+            if len(shared) >= 2 * bound:  # strings beside the pairs
+                shared.clear()
+            try:
+                name = shared.setdefault(name, name)
+                pairs = tuple([
+                    shared.get(item) or self._shared_pair(item) for item in items
+                ])
+                ordered = tuple(sorted(pairs))
+            except TypeError:  # not strings: the key refuses them
+                pairs = ordered = items
+            if ordered == pairs:  # the key and its entry share one tuple
+                ordered = pairs
+            key = MetricKey(name, ordered)
+            if self._interned_keys >= bound:
                 interned.clear()
-            interned[(name, items)] = key
+                self._interned_keys = 0
+            by_tags = interned.get(name)
+            if by_tags is None:
+                by_tags = interned[name] = {}
+            by_tags[pairs] = key
+            self._interned_keys += 1
         return key
+
+    def _shared_pair(self, item: tuple[str, str]) -> tuple[str, str]:
+        """A first sighting of a ``(tag, value)`` pair: its store copy,
+        made from shared strings."""
+        shared = self._shared
+        tag, value = item
+        pair = (shared.setdefault(tag, tag), shared.setdefault(value, value))
+        shared[pair] = pair
+        return pair
 
     def _bound_heads(self, arriving: int) -> None:
         """Empty the record-head table when ``arriving`` more heads would
@@ -529,7 +599,12 @@ class MetricsStore:
         value: float,
         tags: Mapping[str, str] | None = None,
     ) -> None:
-        """Append one sample to the series identified by name + tags."""
+        """Append one sample to the series identified by name + tags.
+
+        Raises :class:`~repro.errors.MetricsError` for a rejected sample,
+        and for a name or tag that is not a string (before anything is
+        applied or journaled).
+        """
         key = self.key_of(name, tags)
         raise_first_error(self.apply_sample_batch(((key, timestamp, value),)))
 
@@ -623,9 +698,11 @@ class MetricsStore:
             buffer = series.get(key)
             if buffer is None:
                 buffer = series[key] = _SeriesBuffer()
-                self._by_topology.setdefault(
-                    (key.name, key.topology), {}
-                )[key] = buffer
+                bucket = self._by_topology.get((key.name, key.topology))
+                if bucket is None:
+                    bucket = self._by_topology[key.name, key.topology] = ([], [])
+                bucket[0].append(key)
+                bucket[1].append(buffer)
             timestamps = buffer.timestamps
             if timestamps and timestamp <= timestamps[-1]:
                 errors[idx] = (
@@ -635,7 +712,6 @@ class MetricsStore:
                 continue
             timestamps.append(timestamp)
             buffer.values.append(value)
-            buffer._frozen = None
             topology = key.topology
             accepted[topology] = accepted.get(topology, 0) + 1
             if latest is None or timestamp > latest:
@@ -679,7 +755,14 @@ class MetricsStore:
         non-finite value — goes the full way, the misses of a group
         decoded together a window at a time, so every refusal and its
         wording comes from the one gate; a payload that passed it *and*
-        has a grammatical tail registers its head.  WAL replay
+        has a grammatical tail registers its head.  A head first seen in
+        this batch is decoded once: its later finite, grammatical
+        payloads wait for that verdict and resolve by the head it
+        registered, or go the full way after it where it registered
+        none.  Such a payload decodes whenever its first sighting does —
+        the same head and a tail of JSON numbers, none over-long since
+        its value is finite — so the first payload that is not JSON never
+        waited: the 400 names it, whatever the order of decoding.  WAL replay
         (:func:`repro.durability.store.replay_frames`) resolves journal
         records through the same table, and registers only heads whose
         payload passes this gate.
@@ -705,39 +788,68 @@ class MetricsStore:
 
         heads, known, tail = self._heads, self._heads.get, _TAIL.fullmatch
         samples: list[tuple[MetricKey, int, float] | None] = [None] * len(payloads)
-        misses: list[tuple[int, bytes]] = []
+        # (index, head, tail match) of the payloads that go the full way,
+        # and of those that wait for an earlier payload of this batch to
+        # register their head: finite, grammatical repeats of a head
+        # first seen (with a grammatical tail) in this batch.
+        misses: list[tuple[int, bytes, re.Match | None]] = []
+        waiting: list[tuple[int, bytes, re.Match]] = []
+        first: set[bytes] = set()
         for idx, payload in enumerate(payloads):
             head = payload[: payload.rfind(_TS_KEY)]
-            key = known(head)
-            if key is not None:
-                match = tail(payload, len(head))
-                if match is not None:
-                    value = float(match[2])
+            match = tail(payload, len(head))
+            if match is not None:
+                value = float(match[2])
+                key = known(head)
+                if key is not None:
                     if math.isfinite(value):
                         samples[idx] = (key, int(match[1]), value)
                         continue
-            misses.append((idx, head))
-        self.telemetry.count("store.frames_by_head", len(payloads) - len(misses))
-        self.telemetry.count("store.frames_decoded", len(misses))
+                elif head not in first:
+                    first.add(head)
+                elif math.isfinite(value):
+                    waiting.append((idx, head, match))
+                    continue
+            misses.append((idx, head, match))
         rejected: list[dict[str, Any]] = []
         key_of = self.key_of
-        for first in range(0, len(misses), _WINDOW_FRAMES):
-            window = misses[first : first + _WINDOW_FRAMES]
-            self._bound_heads(len(window))
-            records, error = _decode_window([payloads[idx] for idx, _ in window])
-            for (idx, head), record in zip(window, records):
-                payload = payloads[idx]
-                try:
-                    sample = samples[idx] = frame_sample(record, payload, key_of)
-                except MetricsError as exc:
-                    rejected.append({"frame": idx, "error": str(exc)})
-                else:
-                    if tail(payload, len(head)) is not None:
-                        heads[head] = sample[0]
-            if error is not None:
-                idx = window[len(records)][0]
-                offset = sum(map(len, payloads[:idx])) + _HEADER.size * idx
-                raise malformed_frame(idx, offset, f"{_NOT_JSON} ({error})")
+        by_head, decoded = len(payloads) - len(misses) - len(waiting), 0
+        try:
+            while decoded < len(misses):
+                window = misses[decoded : decoded + _WINDOW_FRAMES]
+                decoded += len(window)
+                self._bound_heads(len(window))
+                records, error = _decode_window([payloads[idx] for idx, _, _ in window])
+                for (idx, head, match), record in zip(window, records):
+                    try:
+                        sample = samples[idx] = frame_sample(
+                            record, payloads[idx], key_of
+                        )
+                    except MetricsError as exc:
+                        rejected.append({"frame": idx, "error": str(exc)})
+                    else:
+                        if match is not None:
+                            heads[head] = sample[0]
+                if error is not None:
+                    idx = window[len(records)][0]
+                    offset = sum(map(len, payloads[:idx])) + _HEADER.size * idx
+                    raise malformed_frame(idx, offset, f"{_NOT_JSON} ({error})")
+                if decoded == len(misses):
+                    # Every first sighting is decoded: a waiting payload
+                    # resolves by the head it registered, or (refused)
+                    # goes the full way too.
+                    for idx, head, match in waiting:
+                        key = known(head)
+                        if key is None:
+                            misses.append((idx, head, match))
+                        else:
+                            samples[idx] = (key, int(match[1]), float(match[2]))
+                            by_head += 1
+                    waiting.clear()
+        finally:
+            self.telemetry.count("store.frames_by_head", by_head)
+            self.telemetry.count("store.frames_decoded", decoded)
+        rejected.sort(key=lambda entry: entry["frame"])
         return samples, rejected
 
     def ingest_frames(
@@ -812,7 +924,6 @@ class MetricsStore:
                         f"no series for {key.name!r} with tags "
                         f"{dict(key.tags)}"
                     )
-                batch.buffers.append(buffer)
                 batch.ts_lists.append(buffer.timestamps)
                 batch.val_lists.append(buffer.values)
             batch.last_ts = max(
@@ -836,14 +947,14 @@ class MetricsStore:
         :meth:`apply_sample_batch` in batch order — same per-series
         samples, same ``data_version`` delta (one bump per series), same
         retention trim, one listener call — but with the keyed lookups
-        and the order check resolved beforehand it is three C-level
+        and the order check resolved beforehand it is two C-level
         loops: the second (and last) body that appends to a series.  It
         is journaled like a batch, through the same :meth:`_journal`
         hook under the same lock hold.
         """
-        if len(values) != len(batch.buffers):
+        if len(values) != len(batch.keys):
             raise MetricsError(
-                f"batch expects {len(batch.buffers)} values, "
+                f"batch expects {len(batch.keys)} values, "
                 f"got {len(values)}"
             )
         timestamp = int(timestamp)
@@ -857,7 +968,6 @@ class MetricsStore:
                     )
                 deque(map(list.append, batch.ts_lists, repeat(timestamp)), maxlen=0)
                 deque(map(list.append, batch.val_lists, values), maxlen=0)
-                deque(map(setattr, batch.buffers, repeat("_frozen"), repeat(None)), maxlen=0)
                 batch.last_ts = timestamp
                 if self._latest is None or timestamp > self._latest:
                     self._latest = timestamp
@@ -944,13 +1054,13 @@ class MetricsStore:
         topology = tag_filter.get("topology")
         with self._lock:
             candidates = (
-                self._series
+                self._series.items()
                 if topology is None
-                else self._by_topology.get((name, topology), {})
+                else zip(*self._by_topology.get((name, topology), _NO_BUCKET))
             )
             matched = {
                 key: buffer.freeze()
-                for key, buffer in candidates.items()
+                for key, buffer in candidates
                 if key.matches(name, tag_filter)
             }
         if start is not None or end is not None:
@@ -1022,8 +1132,8 @@ class MetricsStore:
         groups: dict[tuple[str, str | None], SeriesGroup | MetricsError] = {}
         with self._lock:
             for name in names:
-                bucket = self._by_topology.get((name, topology), {})
-                for key, buffer in bucket.items():
+                bucket = self._by_topology.get((name, topology), _NO_BUCKET)
+                for key, buffer in zip(*bucket):
                     group = members.get((name, key.component))
                     if group is None:
                         group = members[name, key.component] = ([], [])
@@ -1076,6 +1186,8 @@ class MetricsStore:
             self._series.clear()
             self._by_topology.clear()
             self._interned.clear()
+            self._interned_keys = 0
+            self._shared.clear()
             self._heads.clear()
             self._latest = None
             # A wipe changes what every query returns: bump the untagged

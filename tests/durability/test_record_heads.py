@@ -406,7 +406,7 @@ class TestBounds:
                 del frames[1:]
             assert store.ingest_frames(split_frames(b"".join(frames))[0])["acked"] == 1
             assert len(store) == 1
-            assert len(store._heads) <= 2 + 64 and len(store._interned) <= 2 + 64
+            assert len(store._heads) <= 2 + 64 and store._interned_keys <= 2 + 64
         assert reading(store, "store.frames_decoded") > 400
         assert store._heads and store._interned
         store.clear()

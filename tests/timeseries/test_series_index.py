@@ -76,14 +76,15 @@ def assert_index_is_the_series(store) -> None:
     """One index entry per series, the very buffer, nothing else."""
     indexed = {
         key: buffer
-        for bucket in store._by_topology.values()
-        for key, buffer in bucket.items()
+        for keys, buffers in store._by_topology.values()
+        for key, buffer in zip(keys, buffers)
     }
-    assert sum(map(len, store._by_topology.values())) == len(store._series)
+    assert all(len(keys) == len(buffers) for keys, buffers in store._by_topology.values())
+    assert sum(len(keys) for keys, _ in store._by_topology.values()) == len(store._series)
     assert indexed.keys() == store._series.keys()
     assert all(indexed[key] is store._series[key] for key in indexed)
-    for (name, topology), bucket in store._by_topology.items():
-        assert all((k.name, k.topology) == (name, topology) for k in bucket)
+    for (name, topology), (keys, _) in store._by_topology.items():
+        assert all((k.name, k.topology) == (name, topology) for k in keys)
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +184,20 @@ class SkipsWriteMany(MetricsStore):
         try:
             super().write_many(name, samples, tags)
         finally:
-            if not known:
-                self._by_topology.get((key.name, key.topology), {}).pop(key, None)
+            keys, buffers = self._by_topology.get((key.name, key.topology), ([], []))
+            if not known and key in keys:
+                position = keys.index(key)
+                del keys[position], buffers[position]
 
 
 class ForgetsClear(MetricsStore):
     """``clear`` leaves the index behind."""
 
     def clear(self):
-        kept = {k: dict(bucket) for k, bucket in self._by_topology.items()}
+        kept = {
+            k: (list(keys), list(buffers))
+            for k, (keys, buffers) in self._by_topology.items()
+        }
         super().clear()
         self._by_topology.update(kept)
 
@@ -201,8 +207,9 @@ class FillsBucketsBackwards(MetricsStore):
 
     def apply_sample_batch(self, entries, bodies=None):
         errors = super().apply_sample_batch(entries, bodies)
-        for index_key, bucket in self._by_topology.items():
-            self._by_topology[index_key] = dict(reversed(bucket.items()))
+        for keys, buffers in self._by_topology.values():
+            keys.reverse()
+            buffers.reverse()
         return errors
 
 
@@ -236,7 +243,7 @@ def test_repeat_writes_add_no_entry_and_clear_leaves_none():
         )
         store.write("emit-count", 60 * minute, 1.0)
     assert len(store._series) == 2
-    assert {k: len(b) for k, b in store._by_topology.items()} == {
+    assert {k: len(keys) for k, (keys, _) in store._by_topology.items()} == {
         ("emit-count", "t1"): 1, ("emit-count", None): 1,
     }
     store.clear()

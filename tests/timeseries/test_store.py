@@ -74,11 +74,15 @@ class TestKeyOf:
         s = MetricsStore()
         for i in range(20_000):  # series named but never written
             s.key_of("m", {"i": str(i)})
-        assert len(s._interned) <= store_module._INTERN_SLACK
+        assert s._interned_keys <= store_module._INTERN_SLACK
+        assert sum(map(len, s._interned.values())) == s._interned_keys
+        # Strings beside the pairs: twice the intern table's bound, give
+        # or take the last key's value string and pair.
+        assert len(s._shared) <= 2 * store_module._INTERN_SLACK + 2
         s.write("m", 60, 1.0, {"i": "0"})
-        assert s._interned
+        assert s._interned and s._shared
         s.clear()
-        assert s._interned == {}
+        assert s._interned == {} and s._interned_keys == 0 and s._shared == {}
 
 
 class TestWrite:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import MetricsError
+from repro.timeseries.series import TimeSeries
 from repro.timeseries.store import MetricsStore
 
 TAGS = {"topology": "t", "component": "c"}
@@ -60,3 +65,58 @@ class TestFrozenViewCache:
         after = store.get("execute-count", TAGS)
         assert after is not before
         assert int(after.timestamps[0]) >= 300 - 120
+
+
+#: One step on a three-series store: a keyed write ``minutes`` after the
+#: series' last sample (0 is refused as out of order), a prepared minute
+#: for every series, a direct trim, or a read that caches views.
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 3)),
+        st.tuples(st.just("minute")),
+        st.tuples(st.just("trim"), st.integers(0, 2), st.integers(0, 4)),
+        st.tuples(st.just("read"), st.integers(0, 2)),
+        st.tuples(st.just("query")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steps, st.sampled_from([None, 60, 240]))
+def test_a_frozen_view_is_always_a_view_of_its_buffer(steps, retention):
+    """The cached view is reused while it is as long as its buffer: that
+    must never serve samples the buffer no longer (or does not yet) hold,
+    whatever interleaving of writes, minute batches, trims and retention
+    came before."""
+    store = MetricsStore(retention_seconds=retention)
+    tags = [{"topology": "t", "instance": str(i)} for i in range(3)]
+    for t in tags:
+        store.write("m", 60, 0.0, t)
+    keys = [store.key_of("m", t) for t in tags]
+    buffers = [store._series[key] for key in keys]
+    for step in steps:
+        kind = step[0]
+        if kind == "write":
+            _, i, minutes = step
+            last = buffers[i].timestamps[-1] if buffers[i].timestamps else 0
+            try:
+                store.write("m", last + 60 * minutes, float(len(steps)), tags[i])
+            except MetricsError:
+                pass
+        elif kind == "minute":
+            batch = store.make_minute_batch(keys)
+            store.append_minute_batch(
+                batch, (store.latest_timestamp() or 0) + 60, [1.0, 2.0, 3.0], "t"
+            )
+        elif kind == "trim":
+            _, i, minutes = step
+            buffers[i].trim_before(60 * minutes)
+        elif kind == "read":
+            store.get("m", tags[step[1]])
+        else:
+            store.query("m", {"topology": "t"})
+        for buffer in buffers:
+            view, fresh = buffer.freeze(), TimeSeries(buffer.timestamps, buffer.values)
+            assert view.timestamps.tolist() == fresh.timestamps.tolist()
+            assert view.values.tolist() == fresh.values.tolist()
