@@ -34,7 +34,7 @@ import uuid
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.clock import SYSTEM_CLOCK, Clock
 from repro.config.loader import CaladriusConfig
@@ -65,7 +65,6 @@ from repro.timeseries.store import MetricsStore, write_fields
 
 __all__ = ["CaladriusApp", "stats_view"]
 
-T = TypeVar("T")
 
 #: A value of ``blocking``: the caller may wait, and takes a synchronous
 #: modelling answer as the response bytes the result cache stored.
@@ -168,18 +167,10 @@ class CaladriusApp:
         self._jobs_lock = threading.Lock()
         self._job_ttl = config.serving.job_result_ttl_seconds
         self.lifecycle = LifecycleController(clock=clock)
-        durability = config.durability
-        self._drain_retry_after = max(1, round(durability.drain_timeout_seconds))
-        self.breaker: CircuitBreaker | None = None
-        if durability.breaker_enabled:
-            self.breaker = CircuitBreaker(
-                failure_threshold=durability.breaker_failure_threshold,
-                window=durability.breaker_window,
-                min_calls=durability.breaker_min_calls,
-                open_seconds=durability.breaker_open_seconds,
-                clock=clock,
-                telemetry=telemetry,
-            )
+        self._drain_retry_after = max(
+            1, round(config.durability.drain_timeout_seconds)
+        )
+        self.breaker = CircuitBreaker(clock=clock, telemetry=telemetry)
         self.sweep_engine = PlanSweepEngine(
             tracker, store, calibrations=self.calibrations, telemetry=telemetry
         )
@@ -384,8 +375,7 @@ class CaladriusApp:
                 **readings(shipper.telemetry.snapshot("shipping."), "shipping.",
                            "passes", "shipped_bytes", "failures", "fencing_409s"),
             }
-        if self.breaker is not None:
-            payload["breaker"] = breaker_view(self.telemetry.snapshot("breaker."))
+        payload["breaker"] = breaker_view(self.telemetry.snapshot("breaker."))
         recovery = getattr(self.store, "recovery", None)
         if recovery is not None:
             payload["recovery"] = recovery.as_dict()
@@ -646,12 +636,6 @@ class CaladriusApp:
         )
         return serve(descriptor, compute, priority, timeout=timeout)
 
-    def _evaluate(self, compute: Callable[[], T]) -> T:
-        """Run model evaluation under the circuit breaker (if enabled)."""
-        if self.breaker is None:
-            return compute()
-        return self.breaker.call(compute)
-
     def _traffic(
         self, topology: str, query: Mapping[str, str]
     ) -> _Plan:
@@ -680,7 +664,7 @@ class CaladriusApp:
     ) -> dict[str, Any]:
         self._require_healthy_metrics(topology)
         models = self.registry.traffic_model(model)
-        results = self._evaluate(
+        results = self.breaker.call(
             lambda: [
                 m.predict(topology, source, horizon).as_dict() for m in models
             ]
@@ -768,7 +752,7 @@ class CaladriusApp:
                 for m in models
             ]
 
-        return {"topology": topology, "results": self._evaluate(evaluate)}
+        return {"topology": topology, "results": self.breaker.call(evaluate)}
 
     _MAX_SWEEP_PLANS = 1024
     #: Instances of one component a plan may propose.  The paper's
@@ -833,7 +817,7 @@ class CaladriusApp:
         top_k: int | None,
     ) -> dict[str, Any]:
         self._require_healthy_metrics(topology)
-        return self._evaluate(
+        return self.breaker.call(
             lambda: self.sweep_engine.sweep(
                 topology, source_rate, plans, top_k=top_k
             )
@@ -994,7 +978,7 @@ def _check_plans(
     """400 for a parallelism plan the topology cannot take.
 
     The models refuse the same plans (and a negative source rate) in the
-    same words, but from inside ``_evaluate``, where the circuit breaker
+    same words, but from inside ``breaker.call``, where the circuit breaker
     books the refusal as an evaluator failure: five mistyped requests
     would open the circuit for every other caller.  Request-derived
     input is judged before it.

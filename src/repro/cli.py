@@ -50,14 +50,15 @@ import json
 import logging
 import sys
 from collections.abc import Sequence
-from dataclasses import replace
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from repro.api.app import CaladriusApp
 from repro.api.server import CaladriusServer
 from repro.clock import SYSTEM_CLOCK
-from repro.config import load_config
+from repro.config.loader import CaladriusConfig, ClusterConfig, process_config
 from repro.core.performance_models import ThroughputPredictionModel
 from repro.core.traffic_models import (
     ProphetTrafficModel,
@@ -76,6 +77,62 @@ __all__ = ["main", "build_parser"]
 M = 1e6
 
 
+#: The ``serve``/``follow`` flags that set a configuration key:
+#: flag → (dotted key, the value a switch sets or ``None`` for a flag
+#: that takes one, help).  The flags given are laid over ``--config``
+#: before the one validation (:func:`_resolve`), and a cluster child is
+#: handed the same flags (:func:`_inherited`).
+SETTING_FLAGS: dict[str, tuple[str, object, str]] = {
+    "--host": ("api.host", None, "listen address (default 127.0.0.1)"),
+    "--port": ("api.port", None, "listen port (0 = any free port)"),
+    "--shards": (
+        "cluster.shards", None,
+        "run the cluster tier: a router on --port plus N worker processes, "
+        "topologies consistent-hash-routed across them",
+    ),
+    "--replicate": (
+        "cluster.replicate", True,
+        "pair every shard with a follower replica fed by WAL-segment "
+        "shipping (requires --data-dir)",
+    ),
+    "--sync-ship": (
+        "cluster.sync_ship", True,
+        "ship WAL segments to the follower before acknowledging writes "
+        "(stronger durability, higher write latency)",
+    ),
+    "--cache-mb": ("serving.cache_mb", None, "result cache budget in MB"),
+    "--max-queue": ("serving.max_queue", None, "admission-control queue bound"),
+    "--no-serving": (
+        "serving.enabled", False,
+        "disable the serving layer (recompute every request)",
+    ),
+    "--data-dir": (
+        "durability.data_dir", None,
+        "durable state directory (WAL + checkpoints); metrics and packing "
+        "plans survive crashes and restarts",
+    ),
+    "--fsync": (
+        "durability.fsync", None,
+        "WAL fsync policy: always, interval (default) or never",
+    ),
+    "--drain-timeout": (
+        "durability.drain_timeout_seconds", None,
+        "graceful-shutdown bound on waiting for in-flight requests",
+    ),
+}
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="YAML config file")
+    for flag, (key, switch, text) in SETTING_FLAGS.items():
+        if switch is None:
+            parser.add_argument(flag, dest=key, help=text)
+        else:
+            parser.add_argument(
+                flag, dest=key, action="store_const", const=switch, help=text
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -85,15 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run the web service")
-    serve.add_argument("--config", help="YAML config file", default=None)
-    serve.add_argument(
-        "--host", default=None,
-        help="listen address (overrides config api.host; default 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=None,
-        help="listen port (overrides config api.port; default 8080)",
-    )
+    _add_setting_flags(serve)
     serve.add_argument(
         "--demo",
         action="store_true",
@@ -103,16 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--demo-count", type=int, default=1, metavar="K",
         help="with --demo: register K demo topologies "
              "(word-count, word-count-2, ...) sharing the same metrics shape",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the cluster tier: a router on --port plus N worker "
-             "processes, topologies consistent-hash-routed across them",
-    )
-    serve.add_argument(
-        "--replicate", action="store_true",
-        help="pair every shard with a follower replica fed by WAL-segment "
-             "shipping (requires --data-dir)",
     )
     serve.add_argument(
         "--shard-id", type=int, default=None,
@@ -127,36 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,  # internal: writer-generation epoch
     )
     serve.add_argument(
-        "--sync-ship", action="store_true",
-        help="ship WAL segments to the follower before acknowledging "
-             "writes (stronger durability, higher write latency)",
-    )
-    serve.add_argument(
-        "--cache-mb", type=float, default=None, metavar="MB",
-        help="serving-layer result cache budget (overrides config)",
-    )
-    serve.add_argument(
-        "--max-queue", type=int, default=None, metavar="N",
-        help="admission-control queue bound (overrides config)",
-    )
-    serve.add_argument(
-        "--no-serving", action="store_true",
-        help="disable the serving layer (recompute every request)",
-    )
-    serve.add_argument(
-        "--data-dir", default=None, metavar="DIR",
-        help="durable state directory (WAL + checkpoints); metrics and "
-             "packing plans survive crashes and restarts",
-    )
-    serve.add_argument(
-        "--fsync", choices=("always", "interval", "never"), default=None,
-        help="WAL fsync policy (overrides config; default: interval)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=None, metavar="SECONDS",
-        help="graceful-shutdown bound on waiting for in-flight requests",
-    )
-    serve.add_argument(
         "--once",
         action="store_true",
         help=argparse.SUPPRESS,  # start and stop immediately (tests)
@@ -167,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a follower replica fed by WAL-segment shipping",
     )
     follow.add_argument("--replica-dir", required=True, metavar="DIR")
-    follow.add_argument("--host", default="127.0.0.1")
-    follow.add_argument("--port", type=int, default=0)
+    _add_setting_flags(follow)
     follow.add_argument(
         "--once", action="store_true", help=argparse.SUPPRESS
     )
@@ -307,34 +315,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 # Shared helpers
 # ----------------------------------------------------------------------
 def _demo_deployment(
-    splitter: int,
-    counter: int,
-    seed: int,
-    rates: Sequence[float],
-    tracker: TopologyTracker | None = None,
-    store: MetricsStore | None = None,
-) -> tuple[TopologyTracker, MetricsStore]:
-    """Simulate Word Count into ``store`` (a fresh one by default).
-
-    With a durable store the simulated metrics are journalled like any
-    other write, so a demo deployment survives restart too.
-    """
+    splitter: int, counter: int, seed: int
+) -> tuple[TopologyTracker, MetricsStore, dict]:
+    """Word Count simulated at 4M..44M tuples/minute into a fresh store
+    and registered in a fresh tracker, with its component logic."""
     params = WordCountParams(
         splitter_parallelism=splitter, counter_parallelism=counter
     )
     topology, packing, logic = build_word_count(params)
-    if store is None:
-        store = MetricsStore()
+    store = MetricsStore()
     sim = HeronSimulation(
         topology, packing, logic, store, SimulationConfig(seed=seed)
     )
-    for rate in rates:
+    for rate in np.arange(4 * M, 44 * M + 1, 8 * M):
         sim.set_source_rate("sentence-spout", float(rate))
         sim.run(2)
-    if tracker is None:
-        tracker = TopologyTracker()
+    tracker = TopologyTracker()
     tracker.register(topology, packing)
-    return tracker, store
+    return tracker, store, logic
 
 
 def _demo_names(count: int) -> list[str]:
@@ -346,18 +344,19 @@ def _setup_demo(
     tracker: TopologyTracker,
     store: MetricsStore,
     count: int,
-    shard_id: int | None = None,
-    shards: int = 1,
-    virtual_nodes: int = 64,
+    shard_id: int | None,
+    cluster: ClusterConfig,
 ) -> list[str]:
     """Register the demo topologies this process owns, with metrics.
 
     Word Count is simulated once into a scratch store, then cloned under
     each demo name (topology, packing plan and metric series with the
-    ``topology`` tag rewritten).  In cluster mode only the names the
-    consistent-hash ring assigns to ``shard_id`` are materialised, so
-    every shard owns a disjoint slice of the demo fleet — the same
-    placement the router computes.
+    ``topology`` tag rewritten) that ``tracker`` does not hold yet — a
+    recovered data directory keeps its own.  In cluster mode only the
+    names the consistent-hash ring assigns to ``shard_id`` are
+    materialised, so every shard owns a disjoint slice of the demo
+    fleet — the same placement the router computes.  With a durable
+    store the cloned series are journalled like any other write.
     """
     from repro.durability.codec import (
         _decode_packing,
@@ -367,18 +366,15 @@ def _setup_demo(
     )
 
     names = _demo_names(count)
-    if shard_id is not None and shards > 1:
+    if shard_id is not None and cluster.shards > 1:
         from repro.cluster.ring import HashRing
 
-        ring = HashRing(list(range(shards)), virtual_nodes)
+        ring = HashRing(list(range(cluster.shards)), cluster.virtual_nodes)
         names = [n for n in names if ring.shard_for(n) == shard_id]
     missing = [n for n in names if n not in tracker.names()]
     if not missing:
         return names
-    scratch_tracker, scratch_store = _demo_deployment(
-        splitter=2, counter=4, seed=0,
-        rates=np.arange(4 * M, 44 * M + 1, 8 * M),
-    )
+    scratch_tracker, scratch_store, _ = _demo_deployment(2, 4, seed=0)
     base = scratch_tracker.get("word-count")
     series = [
         (key, scratch_store.get(key.name, key.tag_dict()))
@@ -449,31 +445,29 @@ def _start_wal_watchdog(store, poll_seconds: float = 0.2) -> None:
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _overridden(section, **flags):
-    """``section`` with each flag given on the command line (not
-    ``None``) replacing the configured value."""
-    given = {name: value for name, value in flags.items() if value is not None}
-    return replace(section, **given) if given else section
+def _resolve(args) -> CaladriusConfig:
+    """The configuration this ``serve``/``follow`` process runs: its
+    ``--config`` with the setting flags it was given laid over it.  A
+    follower serves its replica directory, on any free port unless
+    ``--port`` says otherwise (the file's port is its router's), with
+    the serving layer off: it only answers reads over replicated state,
+    so the layer's precompute loop would be wasted work."""
+    overlay = {
+        key: getattr(args, key)
+        for key, _, _ in SETTING_FLAGS.values()
+        if getattr(args, key) is not None
+    }
+    if args.command == "follow":
+        overlay.setdefault("api.port", 0)
+        overlay.update(
+            {"serving.enabled": False, "durability.data_dir": args.replica_dir}
+        )
+    return process_config(args.config, overlay)
 
 
 def _cmd_serve(args) -> int:
-    config = load_config(args.config) if args.config else load_config({})
+    config = _resolve(args)
     logging.basicConfig(level=config.log_level, stream=sys.stderr)
-    config = _overridden(
-        config, api_host=args.host, api_port=args.port,
-        serving=_overridden(
-            config.serving, cache_mb=args.cache_mb, max_queue=args.max_queue,
-            enabled=False if args.no_serving else None,
-        ),
-        durability=_overridden(
-            config.durability, data_dir=args.data_dir, fsync=args.fsync,
-            drain_timeout_seconds=args.drain_timeout,
-        ),
-        cluster=_overridden(
-            config.cluster, shards=args.shards,
-            replicate=args.replicate or None, sync_ship=args.sync_ship or None,
-        ),
-    )
     if args.shard_id is None and config.cluster.shards > 1:
         return _serve_cluster(args, config)
 
@@ -503,19 +497,9 @@ def _cmd_serve(args) -> int:
     else:
         tracker, store = TopologyTracker(), MetricsStore(telemetry=telemetry)
     if args.demo:
-        if args.shard_id is not None or args.demo_count > 1:
-            _setup_demo(
-                tracker, store, args.demo_count,
-                shard_id=args.shard_id,
-                shards=config.cluster.shards,
-                virtual_nodes=config.cluster.virtual_nodes,
-            )
-        elif "word-count" not in tracker.names():
-            _demo_deployment(
-                splitter=2, counter=4, seed=0,
-                rates=np.arange(4 * M, 44 * M + 1, 8 * M),
-                tracker=tracker, store=store,
-            )
+        _setup_demo(
+            tracker, store, args.demo_count, args.shard_id, config.cluster
+        )
         if args.shard_id is not None and checkpointer is not None:
             # Checkpoint the demo registration immediately: a shard the
             # supervisor respawns after kill -9 must recover its tracker
@@ -592,82 +576,71 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_cluster(args, config) -> int:
-    """``serve --shards N``: router front door over N worker processes."""
-    from pathlib import Path
+def _inherited(args) -> list[str]:
+    """The command line a cluster child inherits: ``--config`` and every
+    setting flag given, as given."""
+    argv = ["--config", args.config] if args.config else []
+    for flag, (key, switch, _) in SETTING_FLAGS.items():
+        value = getattr(args, key)
+        if value is not None:
+            argv += [flag] if switch is not None else [flag, value]
+    return argv
 
+
+def _worker_argv(
+    args, config: CaladriusConfig, shard_id: int, ship_to: str | None,
+    epoch: int,
+) -> list[str]:
+    """Shard ``shard_id``'s worker command line.  Its identity flags come
+    last, so they replace the inherited ``--port`` and ``--data-dir``."""
+    argv = [
+        sys.executable, "-m", "repro.cli", "serve", *_inherited(args),
+        "--shard-id", str(shard_id), "--epoch", str(epoch), "--port", "0",
+    ]
+    if args.demo:
+        argv += ["--demo", "--demo-count", str(args.demo_count)]
+    if config.durability.data_dir:
+        argv += ["--data-dir", str(_shard_dirs(config, shard_id)[0])]
+    if ship_to:
+        argv += ["--ship-to", ship_to]
+    return argv
+
+
+def _follower_argv(args, config: CaladriusConfig, shard_id: int) -> list[str]:
+    """Shard ``shard_id``'s follower command line."""
+    return [
+        sys.executable, "-m", "repro.cli", "follow", *_inherited(args),
+        "--replica-dir", str(_shard_dirs(config, shard_id)[1]), "--port", "0",
+    ]
+
+
+def _shard_dirs(config: CaladriusConfig, shard_id: int) -> tuple[Path, Path]:
+    """Shard ``shard_id``'s worker and replica directories."""
+    root = Path(config.durability.data_dir)
+    return root / f"shard-{shard_id}", root / f"replica-{shard_id}"
+
+
+def _serve_cluster(args, config: CaladriusConfig) -> int:
+    """``serve --shards N``: router front door over N worker processes."""
     from repro.cluster.router import RouterApp
     from repro.cluster.shard import ShardManager, Subprocesses
 
     shards = config.cluster.shards
     replicate = config.cluster.replicate
-    if replicate and not config.durability.data_dir:
-        print(
-            "error: --replicate requires --data-dir (followers replay "
-            "shipped WAL segments)",
-            file=sys.stderr,
-        )
-        return 2
-    data_root = (
-        Path(config.durability.data_dir)
-        if config.durability.data_dir
-        else None
-    )
-
-    def worker_argv(
-        shard_id: int, ship_to: str | None, epoch: int
-    ) -> list[str]:
-        argv = [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--host", config.api_host, "--port", "0",
-            "--shard-id", str(shard_id), "--shards", str(shards),
-            "--epoch", str(epoch),
-        ]
-        if args.config:
-            argv += ["--config", args.config]
-        if args.demo:
-            argv += ["--demo", "--demo-count", str(args.demo_count)]
-        if args.cache_mb is not None:
-            argv += ["--cache-mb", str(args.cache_mb)]
-        if args.max_queue is not None:
-            argv += ["--max-queue", str(args.max_queue)]
-        if args.no_serving:
-            argv += ["--no-serving"]
-        if data_root is not None:
-            argv += ["--data-dir", str(data_root / f"shard-{shard_id}")]
-        if args.fsync is not None:
-            argv += ["--fsync", args.fsync]
-        if args.drain_timeout is not None:
-            argv += ["--drain-timeout", str(args.drain_timeout)]
-        if ship_to:
-            argv += ["--ship-to", ship_to]
-        if config.cluster.sync_ship and ship_to:
-            argv += ["--sync-ship"]
-        return argv
-
-    follower_argv = None
+    follower_argv = shard_dirs = None
     if replicate:
-        def follower_argv(shard_id: int) -> list[str]:
-            return [
-                sys.executable, "-m", "repro.cli", "follow",
-                "--replica-dir", str(data_root / f"replica-{shard_id}"),
-                "--host", config.api_host, "--port", "0",
-            ]
-
-    shard_dirs = None
-    if replicate and data_root is not None:
-        def shard_dirs(shard_id: int) -> tuple[Path, Path]:
-            return (
-                data_root / f"shard-{shard_id}",
-                data_root / f"replica-{shard_id}",
-            )
-
+        follower_argv = partial(_follower_argv, args, config)
+        shard_dirs = partial(_shard_dirs, config)
     manager = ShardManager(
-        Subprocesses(worker_argv, follower_argv),
+        Subprocesses(partial(_worker_argv, args, config), follower_argv),
         host=config.api_host,
         restart_backoff_seconds=config.cluster.restart_backoff_seconds,
         shard_dirs=shard_dirs,
-        epoch_path=(data_root / "epochs.json") if data_root else None,
+        epoch_path=(
+            Path(config.durability.data_dir, "epochs.json")
+            if config.durability.data_dir
+            else None
+        ),
         unresponsive_timeout_seconds=(
             config.cluster.unresponsive_timeout_seconds
         ),
@@ -716,18 +689,14 @@ def _serve_cluster(args, config) -> int:
 def _cmd_follow(args) -> int:
     from repro.cluster.follower import FollowerApp, FollowerReplica
 
-    config = load_config({})
+    config = _resolve(args)
     logging.basicConfig(level=config.log_level, stream=sys.stderr)
-    # A follower only serves reads over replicated state; the serving
-    # layer's cache keys would be correct but its precompute loop is
-    # wasted work here, so the layer stays off.
-    config = replace(config, serving=replace(config.serving, enabled=False))
     replica = FollowerReplica(args.replica_dir)
     inner = CaladriusApp(
         config, replica.tracker, replica.store, read_only=True
     )
     app = FollowerApp(replica, inner)
-    server = CaladriusServer(app, host=args.host, port=args.port)
+    server = CaladriusServer(app, host=config.api_host, port=config.api_port)
     server.start()
 
     def _announce() -> None:
@@ -901,9 +870,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    tracker, store = _demo_deployment(
-        args.splitter, args.counter, args.seed,
-        rates=np.arange(4 * M, 44 * M + 1, 8 * M),
+    tracker, store, _ = _demo_deployment(
+        args.splitter, args.counter, args.seed
     )
     model = ThroughputPredictionModel(tracker, store)
     prediction = model.predict(
@@ -944,13 +912,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     from repro.sweep import PlanSweepEngine, ValidationSpec, validate_plans
 
-    params = WordCountParams(
-        splitter_parallelism=args.splitter, counter_parallelism=args.counter
-    )
-    topology, packing, logic = build_word_count(params)
-    tracker, store = _demo_deployment(
-        args.splitter, args.counter, args.seed,
-        rates=np.arange(4 * M, 44 * M + 1, 8 * M),
+    tracker, store, logic = _demo_deployment(
+        args.splitter, args.counter, args.seed
     )
     if args.plans:
         try:
@@ -973,7 +936,7 @@ def _cmd_sweep(args) -> int:
     elapsed = SYSTEM_CLOCK.monotonic() - started
     if args.validate_top > 0:
         spec = ValidationSpec(
-            topology=topology,
+            topology=tracker.get("word-count").topology,
             logic=logic,
             source_rates_tpm={"sentence-spout": float(args.rate)},
             minutes=3,
@@ -1019,8 +982,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    from pathlib import Path
-
     from repro.workloads import SHAPES, report_json, run_matrix
 
     shapes = SHAPES

@@ -1,33 +1,76 @@
-"""YAML configuration loading and validation."""
+"""YAML configuration loading and validation.
+
+Every setting is declared once, as a dataclass field whose metadata
+carries its rule (:func:`setting`).  One walk over those fields
+(:func:`_parse`) validates the top level and every section, so a YAML
+key, a ``serve``/``follow`` flag laid over the document
+(:func:`process_config`) and a cluster child inheriting that flag are
+all judged by the same code, and an error always names ``section.key``.
+"""
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
 
 __all__ = [
+    "ApiConfig",
     "CaladriusConfig",
     "ClusterConfig",
     "DurabilityConfig",
     "IngestConfig",
     "ServingConfig",
     "load_config",
+    "process_config",
 ]
 
-_KNOWN_TRAFFIC_MODELS = (
-    "prophet",
-    "prophet-per-instance",
-    "stats-summary",
-    "holt-winters",
-)
+_KNOWN_TRAFFIC_MODELS = ("prophet", "prophet-per-instance", "stats-summary")
 _KNOWN_PERFORMANCE_MODELS = (
     "throughput-prediction",
     "backpressure-evaluation",
 )
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one setting accepts.
+
+    ``kind`` is its type: ``bool``, ``int``, ``float`` (an integer is
+    taken; the value must be finite), ``str`` (non-empty), ``tuple`` (a
+    non-empty list of names from ``choices``) or ``dict`` (model name →
+    mapping of options).  ``gt``/``ge``/``le`` bound a number,
+    ``choices`` restricts a string, and ``nullable`` admits null.
+    """
+
+    kind: type
+    gt: float | None = None
+    ge: float | None = None
+    le: float | None = None
+    choices: tuple[str, ...] = ()
+    nullable: bool = False
+
+
+def setting(default: Any, kind: type, **rule: Any) -> Any:
+    """A configuration field and its :class:`Rule`."""
+    metadata = {"rule": Rule(kind, **rule)}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True)
+class ApiConfig:
+    """The listener's address (``port: 0`` picks an ephemeral port)."""
+
+    host: str = setting("127.0.0.1", str)
+    port: int = setting(8080, int, ge=0, le=65535)
 
 
 @dataclass(frozen=True)
@@ -36,20 +79,20 @@ class ServingConfig:
 
     ``enabled`` switches the whole layer off (every request recomputes,
     the pre-serving behaviour).  ``cache_mb`` bounds the result cache in
-    megabytes and ``ttl_seconds`` the lifetime of an entry;
-    ``max_concurrent``/``max_queue`` bound the admission gate;
+    megabytes and ``ttl_seconds`` the lifetime of an entry (null: no
+    expiry); ``max_concurrent``/``max_queue`` bound the admission gate;
     ``precompute_top_k`` is how many popular queries are re-warmed per
     invalidation; ``job_result_ttl_seconds`` is how long a finished
     async job's result stays pollable.
     """
 
-    enabled: bool = True
-    cache_mb: float = 64.0
-    ttl_seconds: float | None = 300.0
-    max_concurrent: int = 4
-    max_queue: int = 32
-    precompute_top_k: int = 8
-    job_result_ttl_seconds: float = 60.0
+    enabled: bool = setting(True, bool)
+    cache_mb: float = setting(64.0, float, gt=0)
+    ttl_seconds: float | None = setting(300.0, float, gt=0, nullable=True)
+    max_concurrent: int = setting(4, int, ge=1)
+    max_queue: int = setting(32, int, ge=1)
+    precompute_top_k: int = setting(8, int, ge=1)
+    job_result_ttl_seconds: float = setting(60.0, float, gt=0)
 
     @property
     def cache_bytes(self) -> int:
@@ -66,21 +109,16 @@ class DurabilityConfig:
     the memory-only behaviour).  ``fsync`` is one of ``always`` /
     ``interval`` / ``never``; ``interval`` syncs at most once per
     ``fsync_interval_seconds``.  ``drain_timeout_seconds`` bounds how
-    long a SIGTERM-initiated drain waits for in-flight requests.  The
-    ``breaker_*`` knobs configure the circuit breaker around model
-    evaluation (``breaker_enabled: false`` disables it).
+    long a SIGTERM-initiated drain waits for in-flight requests.
     """
 
-    data_dir: str | None = None
-    fsync: str = "interval"
-    fsync_interval_seconds: float = 0.05
-    segment_max_bytes: int = 4 * 1024 * 1024
-    drain_timeout_seconds: float = 10.0
-    breaker_enabled: bool = True
-    breaker_failure_threshold: float = 0.5
-    breaker_window: int = 20
-    breaker_min_calls: int = 5
-    breaker_open_seconds: float = 5.0
+    data_dir: str | None = setting(None, str, nullable=True)
+    fsync: str = setting(
+        "interval", str, choices=("always", "interval", "never")
+    )
+    fsync_interval_seconds: float = setting(0.05, float, gt=0)
+    segment_max_bytes: int = setting(4 * 1024 * 1024, int, ge=1024)
+    drain_timeout_seconds: float = setting(10.0, float, gt=0)
 
 
 @dataclass(frozen=True)
@@ -96,8 +134,8 @@ class IngestConfig:
     answered as streamed per-commit-group acks.
     """
 
-    max_body_bytes: int = 8 * 1024 * 1024
-    commit_max_frames: int = 4096
+    max_body_bytes: int = setting(8 * 1024 * 1024, int, ge=1024)
+    commit_max_frames: int = setting(4096, int, ge=1)
 
 
 @dataclass(frozen=True)
@@ -119,14 +157,14 @@ class ClusterConfig:
     (0 disables the probe).
     """
 
-    shards: int = 1
-    virtual_nodes: int = 64
-    replicate: bool = False
-    ship_interval_seconds: float = 0.5
-    restart_backoff_seconds: float = 0.2
-    proxy_timeout_seconds: float = 30.0
-    sync_ship: bool = False
-    unresponsive_timeout_seconds: float = 10.0
+    shards: int = setting(1, int, ge=1)
+    virtual_nodes: int = setting(64, int, ge=1)
+    replicate: bool = setting(False, bool)
+    ship_interval_seconds: float = setting(0.5, float, gt=0)
+    restart_backoff_seconds: float = setting(0.2, float, gt=0)
+    proxy_timeout_seconds: float = setting(30.0, float, gt=0)
+    sync_ship: bool = setting(False, bool)
+    unresponsive_timeout_seconds: float = setting(10.0, float, ge=0)
 
 
 @dataclass(frozen=True)
@@ -136,24 +174,36 @@ class CaladriusConfig:
     ``traffic_models`` and ``performance_models`` list the enabled model
     names in the order the API tier runs them ("by default, the endpoint
     will run all model implementations defined in the configuration").
-    ``model_options`` carries per-model keyword options; ``api`` the
-    listener settings.
+    ``model_options`` carries per-model keyword options for enabled
+    models; ``api`` the listener settings.
     """
 
-    traffic_models: tuple[str, ...] = ("prophet", "stats-summary")
-    performance_models: tuple[str, ...] = (
-        "throughput-prediction",
-        "backpressure-evaluation",
+    traffic_models: tuple[str, ...] = setting(
+        ("prophet", "stats-summary"), tuple, choices=_KNOWN_TRAFFIC_MODELS
     )
-    model_options: dict[str, dict[str, Any]] = field(default_factory=dict)
-    api_host: str = "127.0.0.1"
-    api_port: int = 8080
-    log_level: str = "INFO"
-    degraded_threshold: float = 0.25
+    performance_models: tuple[str, ...] = setting(
+        _KNOWN_PERFORMANCE_MODELS, tuple, choices=_KNOWN_PERFORMANCE_MODELS
+    )
+    model_options: dict[str, dict[str, Any]] = setting({}, dict)
+    log_level: str = setting(
+        "INFO", str, choices=("DEBUG", "INFO", "WARNING", "ERROR")
+    )
+    degraded_threshold: float = setting(0.25, float, ge=0, le=1)
+    api: ApiConfig = field(default_factory=ApiConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
+
+    @property
+    def api_host(self) -> str:
+        """The listen address (``api.host``)."""
+        return self.api.host
+
+    @property
+    def api_port(self) -> int:
+        """The listen port (``api.port``)."""
+        return self.api.port
 
     def options_for(self, model: str) -> dict[str, Any]:
         """Keyword options configured for one model (may be empty)."""
@@ -163,7 +213,8 @@ class CaladriusConfig:
 def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
     """Load configuration from a YAML file path or an in-memory mapping.
 
-    The expected document shape::
+    The expected document shape (the ``caladrius:`` wrapper is
+    optional; every key may be left out)::
 
         caladrius:
           traffic_models: [prophet, stats-summary]
@@ -174,41 +225,55 @@ def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
           api: {host: 127.0.0.1, port: 8080}
           log_level: INFO
           degraded_threshold: 0.25
-          serving:
-            enabled: true
-            cache_mb: 64
-            ttl_seconds: 300
-            max_concurrent: 4
-            max_queue: 32
-            precompute_top_k: 8
-            job_result_ttl_seconds: 60
-          durability:
-            data_dir: /var/lib/caladrius
-            fsync: interval
-            fsync_interval_seconds: 0.05
-            segment_max_bytes: 4194304
-            drain_timeout_seconds: 10
-            breaker_enabled: true
-            breaker_failure_threshold: 0.5
-            breaker_window: 20
-            breaker_min_calls: 5
-            breaker_open_seconds: 5
-          cluster:
-            shards: 4
-            virtual_nodes: 64
-            replicate: true
-            ship_interval_seconds: 0.5
-            restart_backoff_seconds: 0.2
-            proxy_timeout_seconds: 30
-            sync_ship: false
-            unresponsive_timeout_seconds: 10
-          ingest:
-            max_body_bytes: 8388608
-            commit_max_frames: 4096
+          serving: {enabled: true, cache_mb: 64, ttl_seconds: 300,
+                    max_concurrent: 4, max_queue: 32, precompute_top_k: 8,
+                    job_result_ttl_seconds: 60}
+          durability: {data_dir: /var/lib/caladrius, fsync: interval,
+                       fsync_interval_seconds: 0.05,
+                       segment_max_bytes: 4194304, drain_timeout_seconds: 10}
+          cluster: {shards: 4, virtual_nodes: 64, replicate: true,
+                    ship_interval_seconds: 0.5, restart_backoff_seconds: 0.2,
+                    proxy_timeout_seconds: 30, sync_ship: false,
+                    unresponsive_timeout_seconds: 10}
+          ingest: {max_body_bytes: 8388608, commit_max_frames: 4096}
 
-    Unknown model names and malformed sections raise
-    :class:`~repro.errors.ConfigError` with a precise message.
+    An unknown key at any level, a value its rule refuses and options
+    for a model that is not enabled raise
+    :class:`~repro.errors.ConfigError` naming ``section.key``.
     """
+    return _load(source, {})
+
+
+def process_config(
+    path: str | Path | None, overlay: Mapping[str, Any]
+) -> CaladriusConfig:
+    """The configuration one ``serve`` or ``follow`` process runs.
+
+    ``overlay`` maps dotted keys (``"serving.cache_mb"``) to the values
+    the command line gave; they replace the YAML file's (or, without
+    ``path``, the defaults') before anything is validated, and a string
+    given for a number is read as one.  A process also needs settings
+    that agree: ``cluster.replicate`` needs ``durability.data_dir`` and
+    ``cluster.shards`` > 1, and ``cluster.sync_ship`` needs
+    ``cluster.replicate``.
+    """
+    config = _load(path or {}, overlay)
+    cluster = config.cluster
+    if cluster.replicate and (
+        cluster.shards < 2 or not config.durability.data_dir
+    ):
+        raise ConfigError(
+            "cluster.replicate needs cluster.shards > 1 and "
+            "durability.data_dir (followers replay shipped WAL segments)"
+        )
+    if cluster.sync_ship and not cluster.replicate:
+        raise ConfigError("cluster.sync_ship needs cluster.replicate")
+    return config
+
+
+def _load(
+    source: str | Path | Mapping[str, Any], overlay: Mapping[str, Any]
+) -> CaladriusConfig:
     if isinstance(source, Mapping):
         document: Any = dict(source)
     else:
@@ -221,323 +286,90 @@ def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
             document = yaml.safe_load(handle)
     if document is None:
         document = {}
+    if isinstance(document, dict) and list(document) == ["caladrius"]:
+        document = document["caladrius"]
+    config = _parse(CaladriusConfig, document, "", overlay)
+    enabled = config.traffic_models + config.performance_models
+    for model in config.model_options:
+        if model not in enabled:
+            raise ConfigError(
+                f"model_options.{model}: {model!r} is not an enabled model"
+            )
+    return config
+
+
+def _parse(cls: type, document: Any, prefix: str, overlay: Mapping) -> Any:
+    """``cls`` built from one mapping of the document, ``prefix`` (e.g.
+    ``"serving."``) naming it, each field checked against its rule."""
+    section = prefix[:-1] or "caladrius"
     if not isinstance(document, dict):
-        raise ConfigError("config root must be a mapping")
-    section = document.get("caladrius", document)
-    if not isinstance(section, dict):
-        raise ConfigError("'caladrius' section must be a mapping")
-
-    traffic = _name_list(
-        section.get("traffic_models", list(CaladriusConfig.traffic_models)),
-        "traffic_models",
-        _KNOWN_TRAFFIC_MODELS,
-    )
-    performance = _name_list(
-        section.get(
-            "performance_models", list(CaladriusConfig.performance_models)
-        ),
-        "performance_models",
-        _KNOWN_PERFORMANCE_MODELS,
-    )
-    options = section.get("model_options", {})
-    if not isinstance(options, dict) or not all(
-        isinstance(v, dict) for v in options.values()
-    ):
-        raise ConfigError("model_options must map model names to mappings")
-    api = section.get("api", {})
-    if not isinstance(api, dict):
-        raise ConfigError("'api' section must be a mapping")
-    host = api.get("host", "127.0.0.1")
-    port = api.get("port", 8080)
-    if not isinstance(host, str) or not host:
-        raise ConfigError("api.host must be a non-empty string")
-    if not isinstance(port, int) or not 0 <= port < 65536:
-        raise ConfigError(
-            f"api.port must be a port number (0 = ephemeral), got {port!r}"
-        )
-    log_level = section.get("log_level", "INFO")
-    if log_level not in ("DEBUG", "INFO", "WARNING", "ERROR"):
-        raise ConfigError(f"unsupported log_level {log_level!r}")
-    threshold = section.get("degraded_threshold", 0.25)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise ConfigError("degraded_threshold must be a number")
-    if not 0.0 <= float(threshold) <= 1.0:
-        raise ConfigError(
-            f"degraded_threshold must be in [0, 1], got {threshold!r}"
-        )
-    serving = _parse_serving(section.get("serving", {}))
-    durability = _parse_durability(section.get("durability", {}))
-    cluster = _parse_cluster(section.get("cluster", {}))
-    ingest = _parse_ingest(section.get("ingest", {}))
-    return CaladriusConfig(
-        traffic_models=traffic,
-        performance_models=performance,
-        model_options={k: dict(v) for k, v in options.items()},
-        api_host=host,
-        api_port=port,
-        log_level=log_level,
-        degraded_threshold=float(threshold),
-        serving=serving,
-        durability=durability,
-        cluster=cluster,
-        ingest=ingest,
-    )
-
-
-def _parse_serving(section: Any) -> ServingConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("'serving' section must be a mapping")
-    defaults = ServingConfig()
-    known = {
-        "enabled", "cache_mb", "ttl_seconds", "max_concurrent",
-        "max_queue", "precompute_top_k", "job_result_ttl_seconds",
-    }
-    unknown = sorted(set(section) - known)
+        raise ConfigError(f"'{section}' section must be a mapping")
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(map(str, set(document) - set(known)))
     if unknown:
-        raise ConfigError(
-            f"unknown serving keys {unknown}; known: {sorted(known)}"
-        )
-    enabled = section.get("enabled", defaults.enabled)
-    if not isinstance(enabled, bool):
-        raise ConfigError("serving.enabled must be a boolean")
-    cache_mb = _positive_number(
-        section.get("cache_mb", defaults.cache_mb), "serving.cache_mb"
-    )
-    ttl = section.get("ttl_seconds", defaults.ttl_seconds)
-    if ttl is not None:
-        ttl = _positive_number(ttl, "serving.ttl_seconds")
-    max_concurrent = _positive_int(
-        section.get("max_concurrent", defaults.max_concurrent),
-        "serving.max_concurrent",
-    )
-    max_queue = _positive_int(
-        section.get("max_queue", defaults.max_queue), "serving.max_queue"
-    )
-    top_k = _positive_int(
-        section.get("precompute_top_k", defaults.precompute_top_k),
-        "serving.precompute_top_k",
-    )
-    job_ttl = _positive_number(
-        section.get(
-            "job_result_ttl_seconds", defaults.job_result_ttl_seconds
-        ),
-        "serving.job_result_ttl_seconds",
-    )
-    return ServingConfig(
-        enabled=enabled,
-        cache_mb=float(cache_mb),
-        ttl_seconds=float(ttl) if ttl is not None else None,
-        max_concurrent=max_concurrent,
-        max_queue=max_queue,
-        precompute_top_k=top_k,
-        job_result_ttl_seconds=float(job_ttl),
-    )
+        raise ConfigError(f"unknown {section} keys {unknown}; known: {known}")
+    values = {}
+    for f in fields(cls):
+        name = prefix + f.name
+        if is_dataclass(f.default_factory):
+            values[f.name] = _parse(
+                f.default_factory, document.get(f.name, {}), name + ".", overlay
+            )
+        elif name in overlay:
+            rule, value = f.metadata["rule"], overlay[name]
+            if isinstance(value, str) and rule.kind in (int, float):
+                with suppress(ValueError):
+                    value = rule.kind(value)
+            values[f.name] = _check(rule, value, name)
+        elif f.name in document:
+            values[f.name] = _check(f.metadata["rule"], document[f.name], name)
+    return cls(**values)
 
 
-def _parse_durability(section: Any) -> DurabilityConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("'durability' section must be a mapping")
-    defaults = DurabilityConfig()
-    known = {
-        "data_dir", "fsync", "fsync_interval_seconds", "segment_max_bytes",
-        "drain_timeout_seconds", "breaker_enabled",
-        "breaker_failure_threshold", "breaker_window", "breaker_min_calls",
-        "breaker_open_seconds",
-    }
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown durability keys {unknown}; known: {sorted(known)}"
-        )
-    data_dir = section.get("data_dir", defaults.data_dir)
-    if data_dir is not None and (
-        not isinstance(data_dir, str) or not data_dir
+def _check(rule: Rule, value: Any, name: str) -> Any:
+    """``value`` as the setting ``name`` holds it, or a ConfigError."""
+    if value is None and rule.nullable:
+        return None
+    if rule.kind is tuple:
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise ConfigError(f"{name} must be a list of strings")
+        unknown = [item for item in value if item not in rule.choices]
+        if unknown:
+            raise ConfigError(
+                f"unknown {name} entries {unknown}; known: {list(rule.choices)}"
+            )
+        if not value:
+            raise ConfigError(f"{name} must enable at least one model")
+        return tuple(value)
+    if rule.kind is dict:
+        if not isinstance(value, dict) or not all(
+            isinstance(options, dict) for options in value.values()
+        ):
+            raise ConfigError(f"{name} must map model names to mappings")
+        return {model: dict(options) for model, options in value.items()}
+    if rule.kind is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, rule.kind) or isinstance(value, bool) is not (
+        rule.kind is bool
     ):
         raise ConfigError(
-            "durability.data_dir must be a non-empty string or null"
+            f"{name} must be of type {rule.kind.__name__}, got {value!r}"
         )
-    fsync = section.get("fsync", defaults.fsync)
-    if fsync not in ("always", "interval", "never"):
+    if rule.kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if rule.kind is str and not value:
+        raise ConfigError(f"{name} must be a non-empty string")
+    if rule.choices and value not in rule.choices:
         raise ConfigError(
-            f"durability.fsync must be always/interval/never, got {fsync!r}"
+            f"{name} must be one of {'/'.join(rule.choices)}, got {value!r}"
         )
-    interval = _positive_number(
-        section.get(
-            "fsync_interval_seconds", defaults.fsync_interval_seconds
-        ),
-        "durability.fsync_interval_seconds",
-    )
-    segment = _positive_int(
-        section.get("segment_max_bytes", defaults.segment_max_bytes),
-        "durability.segment_max_bytes",
-    )
-    if segment < 1024:
-        raise ConfigError("durability.segment_max_bytes must be >= 1024")
-    drain = _positive_number(
-        section.get(
-            "drain_timeout_seconds", defaults.drain_timeout_seconds
-        ),
-        "durability.drain_timeout_seconds",
-    )
-    breaker_enabled = section.get("breaker_enabled", defaults.breaker_enabled)
-    if not isinstance(breaker_enabled, bool):
-        raise ConfigError("durability.breaker_enabled must be a boolean")
-    threshold = section.get(
-        "breaker_failure_threshold", defaults.breaker_failure_threshold
-    )
-    if isinstance(threshold, bool) or not isinstance(
-        threshold, (int, float)
-    ) or not 0.0 < float(threshold) <= 1.0:
-        raise ConfigError(
-            "durability.breaker_failure_threshold must be in (0, 1], "
-            f"got {threshold!r}"
-        )
-    window = _positive_int(
-        section.get("breaker_window", defaults.breaker_window),
-        "durability.breaker_window",
-    )
-    min_calls = _positive_int(
-        section.get("breaker_min_calls", defaults.breaker_min_calls),
-        "durability.breaker_min_calls",
-    )
-    open_seconds = _positive_number(
-        section.get("breaker_open_seconds", defaults.breaker_open_seconds),
-        "durability.breaker_open_seconds",
-    )
-    return DurabilityConfig(
-        data_dir=data_dir,
-        fsync=fsync,
-        fsync_interval_seconds=float(interval),
-        segment_max_bytes=segment,
-        drain_timeout_seconds=float(drain),
-        breaker_enabled=breaker_enabled,
-        breaker_failure_threshold=float(threshold),
-        breaker_window=window,
-        breaker_min_calls=min_calls,
-        breaker_open_seconds=float(open_seconds),
-    )
-
-
-def _parse_cluster(section: Any) -> ClusterConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("'cluster' section must be a mapping")
-    defaults = ClusterConfig()
-    known = {
-        "shards", "virtual_nodes", "replicate", "ship_interval_seconds",
-        "restart_backoff_seconds", "proxy_timeout_seconds", "sync_ship",
-        "unresponsive_timeout_seconds",
-    }
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown cluster keys {unknown}; known: {sorted(known)}"
-        )
-    shards = _positive_int(
-        section.get("shards", defaults.shards), "cluster.shards"
-    )
-    virtual_nodes = _positive_int(
-        section.get("virtual_nodes", defaults.virtual_nodes),
-        "cluster.virtual_nodes",
-    )
-    replicate = section.get("replicate", defaults.replicate)
-    if not isinstance(replicate, bool):
-        raise ConfigError("cluster.replicate must be a boolean")
-    ship_interval = _positive_number(
-        section.get("ship_interval_seconds", defaults.ship_interval_seconds),
-        "cluster.ship_interval_seconds",
-    )
-    backoff = _positive_number(
-        section.get(
-            "restart_backoff_seconds", defaults.restart_backoff_seconds
-        ),
-        "cluster.restart_backoff_seconds",
-    )
-    proxy_timeout = _positive_number(
-        section.get(
-            "proxy_timeout_seconds", defaults.proxy_timeout_seconds
-        ),
-        "cluster.proxy_timeout_seconds",
-    )
-    sync_ship = section.get("sync_ship", defaults.sync_ship)
-    if not isinstance(sync_ship, bool):
-        raise ConfigError("cluster.sync_ship must be a boolean")
-    unresponsive = section.get(
-        "unresponsive_timeout_seconds",
-        defaults.unresponsive_timeout_seconds,
-    )
-    if isinstance(unresponsive, bool) or not isinstance(
-        unresponsive, (int, float)
-    ) or unresponsive < 0:
-        raise ConfigError(
-            "cluster.unresponsive_timeout_seconds must be a non-negative "
-            f"number (0 disables the probe), got {unresponsive!r}"
-        )
-    return ClusterConfig(
-        shards=shards,
-        virtual_nodes=virtual_nodes,
-        replicate=replicate,
-        ship_interval_seconds=float(ship_interval),
-        restart_backoff_seconds=float(backoff),
-        proxy_timeout_seconds=float(proxy_timeout),
-        sync_ship=sync_ship,
-        unresponsive_timeout_seconds=float(unresponsive),
-    )
-
-
-def _parse_ingest(section: Any) -> IngestConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("'ingest' section must be a mapping")
-    defaults = IngestConfig()
-    known = {"max_body_bytes", "commit_max_frames"}
-    unknown = sorted(set(section) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown ingest keys {unknown}; known: {sorted(known)}"
-        )
-    max_body = _positive_int(
-        section.get("max_body_bytes", defaults.max_body_bytes),
-        "ingest.max_body_bytes",
-    )
-    if max_body < 1024:
-        raise ConfigError("ingest.max_body_bytes must be >= 1024")
-    commit_frames = _positive_int(
-        section.get("commit_max_frames", defaults.commit_max_frames),
-        "ingest.commit_max_frames",
-    )
-    return IngestConfig(
-        max_body_bytes=max_body,
-        commit_max_frames=commit_frames,
-    )
-
-
-def _positive_number(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
-    return float(value)
-
-
-def _positive_int(value: Any, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    for word, bound, holds in (
+        (">", rule.gt, operator.gt),
+        (">=", rule.ge, operator.ge),
+        ("<=", rule.le, operator.le),
+    ):
+        if bound is not None and not holds(value, bound):
+            raise ConfigError(f"{name} must be {word} {bound}, got {value!r}")
     return value
-
-
-def _name_list(
-    value: Any, field_name: str, known: tuple[str, ...]
-) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) for item in value
-    ):
-        raise ConfigError(f"{field_name} must be a list of strings")
-    unknown = [name for name in value if name not in known]
-    if unknown:
-        raise ConfigError(
-            f"unknown {field_name} entries {unknown}; known: {list(known)}"
-        )
-    if not value:
-        raise ConfigError(f"{field_name} must enable at least one model")
-    return tuple(value)

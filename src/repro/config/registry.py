@@ -9,6 +9,7 @@ its configured options, bound to the shared tracker and metrics store.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.config.loader import CaladriusConfig
 from repro.core.calibration_cache import CalibrationCache
@@ -22,12 +23,22 @@ from repro.core.traffic_models import (
     StatsSummaryTrafficModel,
     TrafficModel,
 )
-from repro.errors import ConfigError
-from repro.forecasting.holt_winters import HoltWinters
+from repro.errors import ConfigError, ReproError
 from repro.heron.tracker import TopologyTracker
 from repro.timeseries.store import MetricsStore
 
 __all__ = ["ModelRegistry", "build_registry"]
+
+#: Config name → model constructor, for every selectable model.
+_TRAFFIC = {
+    "prophet": ProphetTrafficModel,
+    "prophet-per-instance": partial(ProphetTrafficModel, per_instance=True),
+    "stats-summary": StatsSummaryTrafficModel,
+}
+_PERFORMANCE = {
+    "throughput-prediction": ThroughputPredictionModel,
+    "backpressure-evaluation": BackpressureEvaluationModel,
+}
 
 
 @dataclass(frozen=True)
@@ -64,41 +75,22 @@ def build_registry(
 
     Performance models share ``calibrations`` when the service passes
     its cache, so one request that runs several of them calibrates once.
+    A Prophet model builds one forecaster here, so an option that the
+    model or its forecaster does not take is a :class:`ConfigError` at
+    start-up, not a failure of every request.
     """
     traffic: dict[str, TrafficModel] = {}
-    for name in config.traffic_models:
-        options = config.options_for(name)
-        if name == "prophet":
-            traffic[name] = ProphetTrafficModel(tracker, store, **options)
-        elif name == "prophet-per-instance":
-            traffic[name] = ProphetTrafficModel(
-                tracker, store, per_instance=True, **options
-            )
-        elif name == "stats-summary":
-            traffic[name] = StatsSummaryTrafficModel(tracker, store, **options)
-        elif name == "holt-winters":
-            model = ProphetTrafficModel(
-                tracker,
-                store,
-                make_forecaster=lambda options=dict(options): HoltWinters(
-                    **options
-                ),
-            )
-            model.name = "holt-winters"
-            traffic[name] = model
-        else:  # pragma: no cover - load_config already validates names
-            raise ConfigError(f"unknown traffic model {name!r}")
     performance: dict[str, PerformanceModel] = {}
-    for name in config.performance_models:
-        options = config.options_for(name)
-        if name == "throughput-prediction":
-            performance[name] = ThroughputPredictionModel(
-                tracker, store, calibrations, **options
+    try:
+        for name in config.traffic_models:
+            model = _TRAFFIC[name](tracker, store, **config.options_for(name))
+            if isinstance(model, ProphetTrafficModel):
+                model.make_forecaster()
+            traffic[name] = model
+        for name in config.performance_models:
+            performance[name] = _PERFORMANCE[name](
+                tracker, store, calibrations, **config.options_for(name)
             )
-        elif name == "backpressure-evaluation":
-            performance[name] = BackpressureEvaluationModel(
-                tracker, store, calibrations, **options
-            )
-        else:  # pragma: no cover - load_config already validates names
-            raise ConfigError(f"unknown performance model {name!r}")
+    except (TypeError, ReproError) as exc:
+        raise ConfigError(f"model_options.{name}: {exc}") from exc
     return ModelRegistry(traffic=traffic, performance=performance)

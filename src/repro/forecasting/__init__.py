@@ -23,7 +23,6 @@ __getattr__, __all__ = lazy_exports(
     __name__,
     {
         "backtest": ("rolling_origin_backtest",),
-        "holt_winters": ("HoltWinters",),
         "prophet_lite": ("ProphetLite", "Seasonality"),
         "summary": ("SummaryForecaster",),
     },

@@ -140,24 +140,6 @@ class TestRegistry:
             registry.performance_model("nonsense")
 
 
-class TestHoltWintersRegistration:
-    def test_holt_winters_is_a_known_traffic_model(self):
-        config = load_config(
-            {
-                "traffic_models": ["holt-winters"],
-                "model_options": {"holt-winters": {"season_length": 24}},
-            }
-        )
-        registry = build_registry(config, TopologyTracker(), MetricsStore())
-        model = registry.traffic["holt-winters"]
-        assert model.name == "holt-winters"
-        from repro.forecasting import HoltWinters
-
-        forecaster = model.make_forecaster()
-        assert isinstance(forecaster, HoltWinters)
-        assert forecaster.season_length == 24
-
-
 class TestServingConfig:
     def test_defaults(self):
         config = load_config({})
