@@ -15,7 +15,8 @@ recovery sequence:
    replayed as they are read (:func:`replay_frames`): a ``write`` whose
    record head the store has already validated is resolved from its
    bytes through the head table ingest uses, so only first sightings,
-   other ops and tails outside the grammar are JSON-decoded;
+   other ops and tails outside the grammar are JSON-decoded — a window
+   of them at a time, as ingest decodes them;
 3. resume appending after the last recovered LSN, with the head table
    already holding every series replayed — the first ``write_batch``
    after a restart resolves by head.
@@ -34,7 +35,7 @@ import logging
 import math
 import re
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -46,8 +47,10 @@ from repro.durability.disk import OS_DISK, Disk
 from repro.durability.wal import (
     _HEADER,
     _NOT_JSON,
+    _WINDOW_FRAMES,
     FSYNC_INTERVAL,
     WriteAheadLog,
+    _decode_window,
     frame_windows,
     record_lsn,
 )
@@ -90,7 +93,13 @@ _JOURNAL_RECORD = re.compile(
 )
 
 
-def _decode_record(payload: bytes, prefix: re.Match | None) -> tuple[Any, int, bool]:
+#: What ``_decode_record`` is told when nothing decoded the payload yet.
+_UNREAD = object()
+
+
+def _decode_record(
+    payload: bytes, prefix: re.Match | None, record: Any = _UNREAD
+) -> tuple[Any, int, bool]:
     """JSON-decode one journal payload: ``(record, lsn, learnable)``.
 
     With an LSN prefix the body after it is decoded (``{`` + the rest —
@@ -100,21 +109,82 @@ def _decode_record(payload: bytes, prefix: re.Match | None) -> tuple[Any, int, b
     duplicate top-level key, and the last one wins as in a whole-payload
     decode.  Anything else — no prefix, a body that does not decode —
     is decoded whole, which raises ``ValueError`` for a payload that is
-    not JSON.
+    not JSON.  ``record`` is what :func:`_decoded_text` of the payload
+    decoded to, when a window decoded it already.
     """
-    if prefix is not None:
+    if prefix is None:
+        if record is _UNREAD:
+            record = json.loads(payload.decode("utf8"))
+        return record, record_lsn(record), False
+    if record is _UNREAD:
         try:
-            body = b"{" + payload[prefix.end(1) + 1 :]
-            record = json.loads(body.decode("utf8"))
+            record = json.loads(_decoded_text(payload, prefix).decode("utf8"))
         except ValueError:
             record = None
-        # ``{}`` came from ``{"lsn":N,}``, which is not JSON.
-        if record:
-            if "lsn" in record:
-                return record, record_lsn(record), False
-            return record, int(prefix[1]), True
+    # ``{}`` came from ``{"lsn":N,}``, which is not JSON.
+    if record:
+        if "lsn" in record:
+            return record, record_lsn(record), False
+        return record, int(prefix[1]), True
     record = json.loads(payload.decode("utf8"))
     return record, record_lsn(record), False
+
+
+def _decoded_text(payload: bytes, prefix: re.Match | None) -> bytes:
+    """What replay JSON-decodes of a journal payload: the body after its
+    LSN prefix, or the whole payload when it has none."""
+    return payload if prefix is None else b"{" + payload[prefix.end(1) + 1 :]
+
+
+def _decode_ahead(
+    payloads: Sequence[bytes],
+    matches: Sequence[re.Match | None],
+    start: int,
+    known: Callable[[bytes], MetricKey | None],
+) -> dict[int, tuple[Any, int, bool] | ValueError]:
+    """Decode, together, the frames from ``start`` on that replay will
+    decode: index -> ``_decode_record``'s answer, or the ``ValueError``
+    of the first frame that is not JSON (nothing after it is decoded).
+
+    Those are the frames without a resolvable head and the first frame
+    of each head the table does not know: a repeat of such a head is
+    left out, because replay resolves it by the head its first sighting
+    registers.  Whatever the table does meanwhile (a ``clear`` empties
+    it), replay decodes a frame left out here on its own, so which frames
+    are decoded — and so every count — is what decoding one by one gives.
+    """
+    indices: list[int] = []
+    prefixes: list[re.Match | None] = []
+    first: set[bytes] = set()
+    for index in range(start, len(payloads)):
+        match = matches[index]
+        if match is None:
+            match = _LSN_PREFIX.match(payloads[index])
+        else:
+            head = b"{" + match[2]
+            if head in first or known(head) is not None:
+                continue
+            first.add(head)
+        indices.append(index)
+        prefixes.append(match)
+    texts = [
+        _decoded_text(payloads[index], prefix)
+        for index, prefix in zip(indices, prefixes)
+    ]
+    outcomes: dict[int, tuple[Any, int, bool] | ValueError] = {}
+    done = 0
+    while done < len(texts):
+        records, error = _decode_window(texts[done : done + _WINDOW_FRAMES])
+        if error is not None:  # the text that failed is decoded the long way
+            records.append(_UNREAD)
+        for index, prefix, record in zip(indices[done:], prefixes[done:], records):
+            try:
+                outcomes[index] = _decode_record(payloads[index], prefix, record)
+            except ValueError as exc:
+                outcomes[index] = exc
+                return outcomes
+        done += len(records)
+    return outcomes
 
 
 @dataclass
@@ -161,29 +231,37 @@ def replay_frames(
     whose head the store's head table knows and whose tail is in the
     ingest grammar (see :meth:`MetricsStore.frame_samples`) is resolved
     from its bytes — no JSON, no tag sort, no key built.  Every other
-    frame is decoded, in log order, and a ``write`` must pass
-    :func:`~repro.timeseries.store.write_fields`' type rules or is
-    skipped and counted: a CRC only vouches for the bytes.  Its key comes
-    from ``store.key_of``, the constructor every writer uses, so a
+    frame is decoded and applied in log order, and a ``write`` must pass
+    :func:`~repro.timeseries.store.write_fields`' type rules and get a
+    key from ``store.key_of`` (the constructor every writer uses, so a
     recovered series shares its strings and tag pairs as a written one
-    does.  A decoded
-    ``write`` that would also pass the ingest gate registers its head,
-    so a series is decoded at its first sighting only — and stays known
-    to ``write_batch`` after the restart.
+    does, and the tag rule's checker) or is skipped and counted: a CRC
+    only vouches for the bytes.  A decoded ``write`` that would also pass
+    the ingest gate registers its head, so a series is decoded at its
+    first sighting only — and stays known to ``write_batch`` after the
+    restart.
+
+    The frames a window will decode are decoded together, at its first
+    miss (:func:`_decode_ahead`): each one without a resolvable head and
+    the first of each unknown head — a repeat waits for the head its
+    first sighting registers, as ingest's does.  Which frames are
+    decoded, and so ``decoded`` and every count, is what decoding them
+    one at a time in log order gives.
 
     Samples are applied through ``store.apply_sample_batch`` (whose
-    journal hook does nothing until recovery has ended) in batches of
-    :data:`_REPLAY_BATCH`, so a long log is never held as
-    entries; a ``clear`` is applied in its place between them.  A sample
-    the store rejects (it predates the checkpoint cut, or duplicates a
-    replayed one) is skipped and counted.
+    journal hook does nothing until recovery has ended) once a window
+    leaves at least :data:`_REPLAY_BATCH` of them pending, so a long log
+    is never held as entries; a ``clear`` is applied in its place
+    between them.  A sample the store rejects (it predates the
+    checkpoint cut, or duplicates a replayed one) is skipped and
+    counted.
     """
     walk = FrameReplay(after_lsn=after_lsn)
-    entries: list[tuple[MetricKey, int, float]] = []
+    entries: list[tuple[MetricKey, int | bytes, float | bytes]] = []
     heads = store._heads
     known = heads.get
     resolvable = _JOURNAL_RECORD.fullmatch
-    after = after_lsn
+    after, last_lsn, decoded = after_lsn, 0, 0
 
     def apply_pending() -> None:
         errors = store.apply_sample_batch(entries)
@@ -193,34 +271,44 @@ def replay_frames(
         entries.clear()
 
     for payloads, _, start, fault in frame_windows(handle, offset, decode=False):
-        for index, payload in enumerate(payloads):
-            match = resolvable(payload)
+        matches = list(map(resolvable, payloads))
+        ahead = None
+        for index, match in enumerate(matches):
             if match is not None:
                 lsn, head, ts, value = match.groups()
                 key = known(b"{" + head)
                 if key is not None:
-                    lsn = walk.last_lsn = int(lsn)
+                    last_lsn = lsn = int(lsn)
                     if lsn > after:
                         if advance:
                             after = lsn
-                        entries.append((key, int(ts), float(value)))
-                        if len(entries) >= _REPLAY_BATCH:
-                            apply_pending()
+                        # The tail's bytes: the store's int() and float()
+                        # convert them, once.
+                        entries.append((key, ts, value))
                     continue
-            try:
-                record, lsn, learnable = _decode_record(
-                    payload, match or _LSN_PREFIX.match(payload)
-                )
-            except ValueError as exc:
+            # The window's first miss decodes every frame of the rest of
+            # the window that the walk will decode, together.
+            if ahead is None:
+                ahead = _decode_ahead(payloads, matches, index, known)
+            outcome = ahead.get(index)
+            if outcome is None:
+                try:
+                    outcome = _decode_record(
+                        payloads[index], match or _LSN_PREFIX.match(payloads[index])
+                    )
+                except ValueError as exc:
+                    outcome = exc
+            if isinstance(outcome, ValueError):
                 payloads = payloads[:index]  # the walk ends at this frame
-                fault = f"{_NOT_JSON} ({exc})"
+                fault = f"{_NOT_JSON} ({outcome})"
                 break
-            walk.decoded += 1
+            record, lsn, learnable = outcome
+            decoded += 1
             if not isinstance(record, dict):
                 walk.skipped += 1
                 continue
             if lsn:
-                walk.last_lsn = lsn
+                last_lsn = lsn
             if lsn <= after:
                 continue
             if advance:
@@ -229,16 +317,14 @@ def replay_frames(
             if op == "write":
                 try:
                     name, tags, ts, value = write_fields(record)
+                    key = store.key_of(name, tags)
                 except MetricsError:
                     walk.skipped += 1
                     continue
-                key = store.key_of(name, tags)
                 if learnable and name and match is not None:
                     store._bound_heads(1)
                     heads[b"{" + match[2]] = key
                 entries.append((key, ts, value))
-                if len(entries) >= _REPLAY_BATCH:
-                    apply_pending()
             elif op == "clear":
                 apply_pending()
                 store.clear()
@@ -246,10 +332,13 @@ def replay_frames(
             else:
                 walk.skipped += 1
         walk.records += len(payloads)
+        if len(entries) >= _REPLAY_BATCH:
+            apply_pending()
         if fault is not None:
             start += sum(map(len, payloads)) + _HEADER.size * len(payloads)
             break
     apply_pending()
+    walk.decoded, walk.last_lsn = decoded, last_lsn
     walk.after_lsn, walk.end, walk.fault = after, start, fault
     return walk
 
@@ -429,11 +518,16 @@ class DurableMetricsStore(MetricsStore):
             else:
                 self.wal.append_bodies((self._body(key, timestamp, value),))
             return
-        accepted = [
-            self._body(*entry) if bodies is None else bodies[idx]
-            for idx, (entry, error) in enumerate(zip(entries, errors))
-            if error is None
-        ]
+        if errors.count(None) == len(errors):  # every entry accepted
+            accepted = bodies
+            if bodies is None:
+                accepted = [self._body(*entry) for entry in entries]
+        else:
+            accepted = [
+                self._body(*entry) if bodies is None else bodies[idx]
+                for idx, (entry, error) in enumerate(zip(entries, errors))
+                if error is None
+            ]
         if accepted:
             self.wal.append_bodies(accepted)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import struct
 import threading
 import zlib
@@ -122,15 +123,17 @@ def _split_frames(buf: bytes) -> tuple[list[bytes], int, int, str | None]:
     frame header is unpacked for reading, on disk and on the wire.
     """
     payloads: list[bytes] = []
+    append = payloads.append
     offset, total = 0, len(buf)
     unpack, crc32, header = _HEADER.unpack_from, zlib.crc32, _HEADER.size
     while offset < total:
-        start = offset + header
-        if start > total:
+        try:
+            length, crc = unpack(buf, offset)
+        except struct.error:  # fewer than a header's bytes left
             return payloads, offset, header, (
                 f"truncated header ({total - offset} of {header} bytes)"
             )
-        length, crc = unpack(buf, offset)
+        start = offset + header
         if length > _MAX_RECORD_BYTES:
             return payloads, offset, 0, (
                 f"frame length {length} exceeds {_MAX_RECORD_BYTES}"
@@ -143,7 +146,7 @@ def _split_frames(buf: bytes) -> tuple[list[bytes], int, int, str | None]:
         payload = buf[start:end]
         if crc32(payload) != crc:
             return payloads, offset, 0, "crc32 mismatch"
-        payloads.append(payload)
+        append(payload)
         offset = end
     return payloads, offset, 0, None
 
@@ -537,35 +540,36 @@ class WriteAheadLog:
         with self._mutex:
             if self._failed:
                 self._refuse()
-            first = self._next_lsn
-            lsn = first
+            first = lsn = self._next_lsn
+            # The group's state lives in locals until it is drained or done.
+            pending, size = self._pending, self._pending_bytes
+            if not pending:
+                self._pending_first_lsn = lsn
+            drain_at = math.inf if self._sync_always else self._group_max_bytes
+            pack, crc32 = _HEADER.pack, zlib.crc32
             for body in bodies:
                 if body == b"{}":
                     payload = b'{"lsn":%d}' % lsn
                 else:
                     payload = b'{"lsn":%d,%b' % (lsn, body[1:])
-                frame = (
-                    _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-                )
-                if not self._pending:
-                    self._pending_first_lsn = lsn
-                self._pending.append(frame)
-                self._pending_bytes += len(frame)
+                frame = pack(len(payload), crc32(payload)) + payload
+                pending.append(frame)
+                size += len(frame)
                 lsn += 1
-                if (
-                    self._pending_bytes >= self._group_max_bytes
-                    and not self._sync_always
-                ):
+                if size >= drain_at:
                     # Keep the LSN counter coherent mid-batch: _drain
                     # names fresh segments from it.
-                    self._next_lsn = lsn
+                    self._next_lsn, self._pending_bytes = lsn, size
                     self._drain()
+                    pending, size = self._pending, 0
+                    self._pending_first_lsn = lsn
+            self._pending_bytes = size
             count = lsn - first
             self._next_lsn = lsn
             self.appended += count
             if count and self._sync_always:
                 self.flush()
-            elif self._pending_bytes >= self._group_max_bytes:
+            elif size >= self._group_max_bytes:
                 self._drain()
             return first
 

@@ -48,6 +48,10 @@ __all__ = [
     "write_record",
 ]
 
+#: The type rule's two refusals, raised wherever it is checked.
+_NAME_RULE = "'name' must be a non-empty string"
+_TAGS_RULE = "'tags' must map strings to strings"
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class MetricKey:
@@ -74,25 +78,35 @@ class MetricKey:
     #: series-dict lookup of every write.
     _hash: int = field(compare=False, repr=False)
 
-    def __init__(self, name: str, tags: tuple[tuple[str, str], ...] = ()) -> None:
+    def __init__(
+        self,
+        name: str,
+        tags: tuple[tuple[str, str], ...] = (),
+        *,
+        found: tuple[str | None, str | None] | None = None,
+    ) -> None:
         # One pass over the tags checks the type rule and finds the two
-        # tags kept as fields: a store builds a key per new series.
-        if not isinstance(name, str):
-            raise MetricsError("'name' must be a non-empty string")
-        topology = component = None
-        for tag, value in tags:
-            if not isinstance(tag, str) or not isinstance(value, str):
-                raise MetricsError("'tags' must map strings to strings")
-            if tag == "topology":
-                topology = value
-            elif tag == "component":
-                component = value
-        setattr = object.__setattr__
-        setattr(self, "name", name)
-        setattr(self, "tags", tags)
-        setattr(self, "topology", topology)
-        setattr(self, "component", component)
-        setattr(self, "_hash", hash((name, tags)))
+        # tags kept as fields.  ``found`` — those two values — is
+        # ``MetricsStore.key_of``'s alone: its own walk of the tags has
+        # checked the rule already.
+        if found is None:
+            if not isinstance(name, str):
+                raise MetricsError(_NAME_RULE)
+            topology = component = None
+            for tag, value in tags:
+                if not isinstance(tag, str) or not isinstance(value, str):
+                    raise MetricsError(_TAGS_RULE)
+                if tag == "topology":
+                    topology = value
+                elif tag == "component":
+                    component = value
+        else:
+            topology, component = found
+        _set_name(self, name)
+        _set_tags(self, tags)
+        _set_topology(self, topology)
+        _set_component(self, component)
+        _set_hash(self, hash((name, tags)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -122,23 +136,34 @@ class MetricKey:
         return all(item in tags for item in tag_filter.items())
 
 
-@dataclass(slots=True)
+# The slots' own setters: a frozen key's fields are set past the
+# ``__setattr__`` that refuses assignment, one call each.
+_set_name = MetricKey.name.__set__
+_set_tags = MetricKey.tags.__set__
+_set_topology = MetricKey.topology.__set__
+_set_component = MetricKey.component.__set__
+_set_hash = MetricKey._hash.__set__
+
+
 class _SeriesBuffer:
     """Mutable append buffer behind one stored series."""
 
-    timestamps: list[int] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    # Opaque per-series cache slot for subclasses: the durable store
-    # parks its rendered WAL record template here, so the journaling
-    # hot path pays an attribute read instead of a second keyed lookup.
-    journal_template: bytes | None = None
-    # Cached frozen view: rebuilding numpy arrays per read dominates
-    # repeated-query cost (calibration reads every series several
-    # times per sweep).  TimeSeries is immutable with read-only
-    # arrays, so serving the same object is safe.  The buffer only
-    # grows at its end between trims, so a view as long as the buffer
-    # is a view of it: appends need not drop the cache, a trim does.
-    _frozen: TimeSeries | None = None
+    __slots__ = ("timestamps", "values", "journal_template", "_frozen")
+
+    def __init__(self) -> None:
+        self.timestamps: list[int] = []
+        self.values: list[float] = []
+        # Opaque per-series cache slot for subclasses: the durable store
+        # parks its rendered WAL record template here, so the journaling
+        # hot path pays an attribute read instead of a second keyed lookup.
+        self.journal_template: bytes | None = None
+        # Cached frozen view: rebuilding numpy arrays per read dominates
+        # repeated-query cost (calibration reads every series several
+        # times per sweep).  TimeSeries is immutable with read-only
+        # arrays, so serving the same object is safe.  The buffer only
+        # grows at its end between trims, so a view as long as the buffer
+        # is a view of it: appends need not drop the cache, a trim does.
+        self._frozen: TimeSeries | None = None
 
     def freeze(self) -> TimeSeries:
         frozen = self._frozen
@@ -188,10 +213,15 @@ class MinuteBatch:
 #: twice its live series: room for one large batch of new series
 #: validated before any of them exists.
 _INTERN_SLACK = 4096
+#: Tag sets ``key_of`` remembers: an instance reports its metrics
+#: together, so the last few dozen are the ones the next keys spell.
+_TAG_SETS = 64
 #: What ``key_of`` finds for a name it has no keys of (never written to).
 _NO_KEYS: Mapping[tuple, MetricKey] = MappingProxyType({})
 #: The ``_by_topology`` bucket of a (name, topology) with no series.
 _NO_BUCKET = ((), ())
+#: What no key's ``topology`` is: the run a batch's count starts with.
+_NO_TOPOLOGY = object()
 
 #: A write payload is *head + tail*: the head is every byte before the
 #: last ``,"ts":`` (op, name and tags — the same bytes every minute a
@@ -204,6 +234,7 @@ _NO_BUCKET = ((), ())
 #: converters alone would let through — minus the integer ``-0``, which
 #: decodes to ``0`` and so to ``0.0``, not ``float("-0")``.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_isfinite = math.isfinite
 _TS_KEY = b',"ts":'
 _TAIL = re.compile(
     re.escape(_TS_KEY) + rb"(-?(?:0|[1-9][0-9]{0,17}))"
@@ -250,10 +281,11 @@ def frame_sample(
     server-assigned one on replay) and no non-finite value (``repr`` of
     ``inf``/``nan`` is not JSON).  ``record`` is what ``body`` (the
     payload, bytes or text) decodes to; ``key_of`` resolves the series
-    key (a store passes its interning :meth:`MetricsStore.key_of`).
+    key (a store passes its interning :meth:`MetricsStore.key_of`), and
+    with it checks the tag rule.
     Raises :class:`~repro.errors.MetricsError` naming the defect.
     """
-    if not isinstance(record, Mapping):
+    if type(record) is not dict and not isinstance(record, Mapping):
         raise MetricsError("frame payload must be a JSON object")
     if record.get("op") != "write":
         raise MetricsError(f"unsupported frame op {record.get('op')!r}")
@@ -264,9 +296,11 @@ def frame_sample(
     if not record.get("name"):
         raise MetricsError("frame 'name' must be a non-empty string")
     name, tags, ts, value = write_fields(record)
-    if not math.isfinite(value):
-        raise MetricsError("frame 'v' must be finite")
-    if body[:1] not in (b"{", "{"):  # the LSN is spliced in after it
+    if not _isfinite(value) or body[:1] not in (b"{", "{"):
+        _check_tags(tags)  # the tag rule's refusal comes first
+        if not _isfinite(value):
+            raise MetricsError("frame 'v' must be finite")
+        # The LSN is spliced in after the opening brace.
         raise MetricsError("frame payload must be a compact JSON object")
     return key_of(name, tags), ts, value
 
@@ -285,27 +319,44 @@ def write_fields(
     series that replay would refuse; the value rules on top (a
     non-empty name, a finite value, no ``lsn``) are the ingest gate's
     alone, because a store accepts, and so journals, such samples from
-    its own writers.  Raises :class:`~repro.errors.MetricsError`.
+    its own writers.
+
+    Each rule is checked once: the tags' strings are checked where the
+    key is built (:meth:`MetricsStore.key_of`, which every caller goes
+    on to), so here only a refused record walks them — first, because a
+    bad tag is the refusal that wins over a bad ``ts`` or ``v``.
+    Raises :class:`~repro.errors.MetricsError`.
     """
     name = record.get("name")
     if not isinstance(name, str):
-        raise MetricsError("'name' must be a non-empty string")
+        raise MetricsError(_NAME_RULE)
     tags = record.get("tags") or {}
-    if not isinstance(tags, Mapping) or any(
-        not isinstance(k, str) or not isinstance(v, str)
-        for k, v in tags.items()
-    ):
-        raise MetricsError("'tags' must map strings to strings")
+    if type(tags) is not dict and not isinstance(tags, Mapping):
+        raise MetricsError(_TAGS_RULE)
     ts = record.get("ts")
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-        raise MetricsError("'ts' must be a number")
     value = record.get("v")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MetricsError("'v' must be a number")
+    if type(ts) is int and type(value) is float:
+        return name, tags, ts, value
     try:
-        return name, tags, int(ts), float(value)
-    except (ValueError, OverflowError):  # NaN/Infinity ts, 400-digit v
-        raise MetricsError("'ts' and 'v' must be finite") from None
+        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
+            raise MetricsError("'ts' must be a number")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MetricsError("'v' must be a number")
+        try:
+            return name, tags, int(ts), float(value)
+        except (ValueError, OverflowError):  # NaN/Infinity ts, 400-digit v
+            raise MetricsError("'ts' and 'v' must be finite") from None
+    except MetricsError:
+        _check_tags(tags)
+        raise
+
+
+def _check_tags(tags: Mapping[Any, Any]) -> None:
+    """Raise the tag rule's refusal when ``tags`` breaks it: the walk a
+    refused record makes before its own refusal is raised."""
+    for tag, value in tags.items():
+        if not isinstance(tag, str) or not isinstance(value, str):
+            raise MetricsError(_TAGS_RULE)
 
 
 def raise_first_error(errors: Iterable[str | None]) -> None:
@@ -510,9 +561,14 @@ class MetricsStore:
         # update only delays the bound's next clear by a key).
         self._interned: dict[str, dict[tuple, MetricKey]] = {}
         self._interned_keys = 0
+        # The key tables' bound as last computed: it only grows with the
+        # series, so it is recomputed when the table reaches it.
+        self._key_bound = _INTERN_SLACK
         # One copy of every metric name, tag string and tag pair the keys
-        # spell, each mapped to itself: what ``key_of`` builds keys from.
+        # spell, each mapped to itself: what ``key_of`` builds keys from;
+        # and each recent tag set -> what ``_tag_set`` made of it.
         self._shared: dict[Any, Any] = {}
+        self._tag_sets: dict[tuple, tuple] = {}
         # Record head bytes that passed the gate -> the key they name.
         self._heads: dict[bytes, MetricKey] = {}
         self.telemetry = telemetry or Telemetry()
@@ -539,52 +595,88 @@ class MetricsStore:
         series-dict lookup that follows hits on identity.  A key built
         here holds the store's one copy of its name and of each ``(tag,
         value)`` pair — thousands of series of a topology spell the same
-        ``("topology", …)`` pair — and a table entry holds the key's own
-        pairs.  Raises :class:`~repro.errors.MetricsError` for a name or
-        tag that is not a string.  Both tables are caches: at most a small
-        multiple of the live series (a writer that permutes tag order
-        cannot grow them past that), emptied by :meth:`clear`.
+        ``("topology", …)`` pair — and of its tag tuple, which the keys
+        of one instance's metrics share, as their table entries do.
+        Raises :class:`~repro.errors.MetricsError` for a name or tag that
+        is not a string.  The tables are caches: at most a small multiple
+        of the live series (a writer that permutes tag order cannot grow
+        them past that), emptied by :meth:`clear`.
         """
         items = tuple(tags.items()) if tags else ()
-        interned = self._interned
         try:
-            key = interned.get(name, _NO_KEYS).get(items)
+            by_tags = self._interned.get(name, _NO_KEYS)
+            key = by_tags.get(items)
         except TypeError:  # an unhashable name or tag value, refused below
             key = None
         if key is None:
-            bound = 2 * len(self._series) + _INTERN_SLACK
-            shared = self._shared
-            if len(shared) >= 2 * bound:  # strings beside the pairs
-                shared.clear()
+            if not isinstance(name, str):
+                raise MetricsError(_NAME_RULE)
+            if self._interned_keys >= self._key_bound:
+                self._bound_keys()
+                by_tags = self._interned.get(name, _NO_KEYS)
             try:
-                name = shared.setdefault(name, name)
-                pairs = tuple([
-                    shared.get(item) or self._shared_pair(item) for item in items
-                ])
-                ordered = tuple(sorted(pairs))
-            except TypeError:  # not strings: the key refuses them
-                pairs = ordered = items
-            if ordered == pairs:  # the key and its entry share one tuple
-                ordered = pairs
-            key = MetricKey(name, ordered)
-            if self._interned_keys >= bound:
-                interned.clear()
-                self._interned_keys = 0
-            by_tags = interned.get(name)
-            if by_tags is None:
-                by_tags = interned[name] = {}
+                tag_set = self._tag_sets.get(items)
+            except TypeError:  # unhashable: not a string
+                raise MetricsError(_TAGS_RULE) from None
+            if tag_set is None:
+                tag_set = self._tag_set(items)
+            pairs, ordered, found = tag_set
+            name = self._shared.setdefault(name, name)
+            key = MetricKey(name, ordered, found=found)
+            if by_tags is _NO_KEYS:
+                by_tags = self._interned[name] = {}
             by_tags[pairs] = key
             self._interned_keys += 1
         return key
 
-    def _shared_pair(self, item: tuple[str, str]) -> tuple[str, str]:
-        """A first sighting of a ``(tag, value)`` pair: its store copy,
-        made from shared strings."""
-        shared = self._shared
-        tag, value = item
-        pair = (shared.setdefault(tag, tag), shared.setdefault(value, value))
-        shared[pair] = pair
-        return pair
+    def _tag_set(
+        self, items: tuple
+    ) -> tuple[tuple, tuple, tuple[str | None, str | None]]:
+        """A tag set's first sighting, as it arrived: ``(pairs, ordered,
+        found)`` — the store's copy of its pairs in arrival order and
+        sorted, and the values of its ``topology`` and ``component`` tags —
+        kept for every key that spells it (each metric of an instance).
+
+        The one walk of a tag set: it checks the type rule on each pair
+        the store has no copy of yet, and shares the rest.
+        """
+        shared, tag_sets = self._shared, self._tag_sets
+        if len(shared) >= 4 * len(self._series) + 2 * _INTERN_SLACK:
+            shared.clear()  # strings beside the pairs: twice the key bound
+            tag_sets.clear()
+        elif len(tag_sets) >= _TAG_SETS:
+            tag_sets.clear()
+        pairs = list(map(shared.get, items))
+        while None in pairs:
+            index = pairs.index(None)
+            tag, value = items[index]
+            if not isinstance(tag, str) or not isinstance(value, str):
+                raise MetricsError(_TAGS_RULE)
+            pair = pairs[index] = (
+                shared.setdefault(tag, tag), shared.setdefault(value, value)
+            )
+            shared[pair] = pair
+        found = dict(pairs)
+        pairs = tuple(pairs)
+        ordered = tuple(sorted(pairs))
+        if ordered == pairs:  # the keys and their entries share one tuple
+            ordered = pairs
+        tag_set = tag_sets[pairs] = (
+            pairs, ordered, (found.get("topology"), found.get("component"))
+        )
+        return tag_set
+
+    def _bound_keys(self) -> None:
+        """Recompute the key tables' bound — twice the live series plus
+        slack — once the intern table holds as many keys as the last one
+        allowed, and empty a table that is past it."""
+        bound = self._key_bound = 2 * len(self._series) + _INTERN_SLACK
+        if self._interned_keys >= bound:
+            self._interned.clear()
+            self._interned_keys = 0
+        if len(self._shared) >= 2 * bound:
+            self._shared.clear()
+            self._tag_sets.clear()
 
     def _bound_heads(self, arriving: int) -> None:
         """Empty the record-head table when ``arriving`` more heads would
@@ -682,10 +774,14 @@ class MetricsStore:
         """:meth:`apply_sample_batch`'s loop, run under its lock hold:
         ``(errors, touched topologies)``, no listener told yet."""
         errors: list[str | None] = [None] * len(entries)
+        # Accepted samples per topology, counted a run of one topology at
+        # a time (a batch is mostly one long run).
         accepted: dict[str | None, int] = {}
+        topology, run = _NO_TOPOLOGY, 0
         series = self._series
         retention = self._retention
-        latest = self._latest
+        # An empty store's latest timestamp is below every timestamp.
+        latest = -math.inf if self._latest is None else self._latest
         for idx, (key, timestamp, value) in enumerate(entries):
             try:
                 timestamp, value = int(timestamp), float(value)
@@ -712,9 +808,12 @@ class MetricsStore:
                 continue
             timestamps.append(timestamp)
             buffer.values.append(value)
-            topology = key.topology
-            accepted[topology] = accepted.get(topology, 0) + 1
-            if latest is None or timestamp > latest:
+            if key.topology is not topology:
+                if run:
+                    accepted[topology] = accepted.get(topology, 0) + run
+                topology, run = key.topology, 0
+            run += 1
+            if timestamp > latest:
                 latest = self._latest = timestamp
                 if retention is not None:
                     # The cutoff moved: trim now, as the write this
@@ -723,6 +822,8 @@ class MetricsStore:
                     self._apply_retention_locked((topology,))
             elif retention is not None and timestamp < latest - retention:
                 buffer.trim_before(latest - retention)  # expired on arrival
+        if run:
+            accepted[topology] = accepted.get(topology, 0) + run
         for topology, count in accepted.items():
             self._versions[topology] = self._versions.get(topology, 0) + count
         return errors, accepted
@@ -799,15 +900,15 @@ class MetricsStore:
             head = payload[: payload.rfind(_TS_KEY)]
             match = tail(payload, len(head))
             if match is not None:
-                value = float(match[2])
                 key = known(head)
                 if key is not None:
-                    if math.isfinite(value):
+                    value = float(match[2])
+                    if _isfinite(value):
                         samples[idx] = (key, int(match[1]), value)
                         continue
                 elif head not in first:
                     first.add(head)
-                elif math.isfinite(value):
+                elif _isfinite(float(match[2])):
                     waiting.append((idx, head, match))
                     continue
             misses.append((idx, head, match))
@@ -884,18 +985,26 @@ class MetricsStore:
         samples: list[tuple[MetricKey, int, float] | None],
         rejected: list[dict[str, Any]],
     ) -> dict[str, Any]:
-        """Apply validated frames as one batch and build the report."""
+        """Apply validated frames as one batch and build the report.
+
+        A batch the gate refused nothing of — the steady state — goes to
+        :meth:`apply_sample_batch` as it is; otherwise the accepted
+        frames are picked out first.
+        """
         count = len(payloads)
-        valid = [idx for idx in range(count) if samples[idx] is not None]
-        errors = self.apply_sample_batch(
-            [samples[idx] for idx in valid], [payloads[idx] for idx in valid]
-        )
-        rejected.extend(
-            {"frame": idx, "error": error}
-            for idx, error in zip(valid, errors)
-            if error is not None
-        )
-        rejected.sort(key=lambda entry: entry["frame"])
+        accepted: Sequence[int] = range(count)
+        if rejected:
+            accepted = [idx for idx in accepted if samples[idx] is not None]
+            samples = [samples[idx] for idx in accepted]
+            payloads = [payloads[idx] for idx in accepted]
+        errors = self.apply_sample_batch(samples, payloads)
+        if errors.count(None) != len(errors):
+            rejected.extend(
+                {"frame": idx, "error": error}
+                for idx, error in zip(accepted, errors)
+                if error is not None
+            )
+            rejected.sort(key=lambda entry: entry["frame"])
         return {
             "frames": count,
             "acked": count - len(rejected),
@@ -1187,7 +1296,9 @@ class MetricsStore:
             self._by_topology.clear()
             self._interned.clear()
             self._interned_keys = 0
+            self._key_bound = _INTERN_SLACK
             self._shared.clear()
+            self._tag_sets.clear()
             self._heads.clear()
             self._latest = None
             # A wipe changes what every query returns: bump the untagged
