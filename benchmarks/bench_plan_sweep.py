@@ -71,8 +71,9 @@ def _plans() -> list[dict[str, int]]:
 
 def run_benchmark(smoke: bool) -> tuple[list[str], dict[str, float]]:
     """Time both paths and verify ranked-result identity."""
+    from repro.core.calibration_cache import Calibration
     from repro.serving.fingerprint import canonical_json
-    from repro.sweep import CalibrationArtifact, PlanSweepEngine
+    from repro.sweep import PlanSweepEngine
 
     tracker, store = _deployment(smoke)
     tracked = tracker.get("word-count")
@@ -83,7 +84,7 @@ def run_benchmark(smoke: bool) -> tuple[list[str], dict[str, float]]:
     serial_start = time.perf_counter()
     serial_predictions = []
     for plan in plans:
-        artifact = CalibrationArtifact.build(tracked, store)
+        artifact = Calibration.build(tracked, store)
         engine_serial = PlanSweepEngine(tracker, store)
         (prediction,) = engine_serial.evaluate_serial(
             artifact, RATE, [plan]

@@ -51,6 +51,7 @@ from repro.durability.deadline import (
 from repro.durability.lifecycle import LifecycleController
 from repro.api.ingest import FRAMES_CONTENT_TYPE, split_frames
 from repro.errors import ApiError, ReproError, TopologyError
+from repro.heron.topology import is_count
 from repro.heron.tracker import TopologyTracker, TrackedTopology
 from repro.serving import (
     INTERACTIVE,
@@ -172,7 +173,7 @@ class CaladriusApp:
         )
         self.breaker = CircuitBreaker(clock=clock, telemetry=telemetry)
         self.sweep_engine = PlanSweepEngine(
-            tracker, store, calibrations=self.calibrations, telemetry=telemetry
+            tracker, store, calibrations=self.calibrations
         )
         self.serving: ServingLayer | None = None
         if config.serving.enabled:
@@ -948,11 +949,6 @@ def stats_view(snapshot: Snapshot) -> dict[str, Any]:
 def is_number(value: Any) -> bool:
     """A JSON number.  ``true`` is not one, though ``bool`` is an ``int``."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def is_count(value: Any) -> bool:
-    """A JSON integer (and, as above, not a boolean)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _source_rate(body: Mapping[str, Any], required: bool) -> float | None:

@@ -71,15 +71,12 @@ class ModelGuidedScaler:
         self.observe_minutes = observe_minutes
         self.headroom = headroom
         self.backpressure_slo_ms = backpressure_slo_ms
-        # Calibrate-once / evaluate-many: the engine memoizes the
-        # calibration artifact per observation window and revalidates it
-        # against the metrics data_version, so candidate evaluation —
-        # however many plans the search scores — never re-reads metrics
-        # while the window is unchanged.  CPU fitting is skipped: sizing
-        # only needs the throughput chain.
-        self._engine = PlanSweepEngine(
-            cluster.tracker, cluster.store, warmup_minutes=1, fit_cpu=False
-        )
+        # Calibrate-once / evaluate-many: the engine's calibration cache
+        # keeps the observation window's calibration under its metrics
+        # data_version, so candidate evaluation — however many plans the
+        # search scores — never re-reads metrics while the window is
+        # unchanged.
+        self._engine = PlanSweepEngine(cluster.tracker, cluster.store)
 
     def run(self, source_tpm: float) -> ScalingTrace:
         """Size the topology for ``source_tpm`` and verify.
@@ -162,7 +159,7 @@ class ModelGuidedScaler:
             self.cluster.topology_name, since_seconds=window_start
         )
         model, fits = artifact.base, artifact.fits
-        topology = artifact.topology
+        topology = artifact.tracked.topology
         demand: dict[str, float] = {
             spout.name: source_tpm / len(topology.spouts())
             for spout in topology.spouts()

@@ -382,7 +382,7 @@ class PerformanceModel(ABC):
     pass another model of the same request already made.
     ``calibrations`` is the service's shared
     :class:`~repro.core.calibration_cache.CalibrationCache`; without one
-    every prediction calibrates from the store.
+    the model makes its own.
     """
 
     name = "performance-model"
@@ -395,9 +395,10 @@ class PerformanceModel(ABC):
         store: MetricsStore,
         calibrations: CalibrationCache | None = None,
     ) -> None:
-        self.tracker = tracker
-        self.store = store
-        self.calibrations = calibrations
+        # Not at module level: the cache calibrates with this module.
+        from repro.core.calibration_cache import CalibrationCache
+
+        self.calibrations = calibrations or CalibrationCache(tracker, store)
 
     def predict(
         self,
@@ -416,12 +417,8 @@ class PerformanceModel(ABC):
         rate.  Two models asked the same question read one pass.
         """
         rate = self._resolve_source_rate(source_rate, traffic)
-        if self.calibrations is None:
-            tracked = self.tracker.get(topology_name, cluster, environ)
-            base, fits = calibrate_topology(tracked, self.store)
-        else:
-            calibration = self.calibrations.get(topology_name, cluster, environ)
-            base, fits = calibration.base, calibration.fits
+        calibration = self.calibrations.get(topology_name, cluster, environ)
+        base, fits = calibration.base, calibration.fits
         plan = dict(parallelisms or {})
         key = (base, tuple(sorted(plan.items())), rate)
         evaluation = None if passes is None else passes.get(key)

@@ -20,11 +20,19 @@ from dataclasses import dataclass, replace
 from repro.errors import TopologyError
 from repro.heron.groupings import Grouping
 
-__all__ = ["ComponentSpec", "Stream", "LogicalTopology", "TopologyBuilder"]
+__all__ = [
+    "ComponentSpec", "Stream", "LogicalTopology", "TopologyBuilder", "is_count",
+]
 
 SPOUT = "spout"
 BOLT = "bolt"
 DEFAULT_STREAM = "default"
+
+
+def is_count(value: object) -> bool:
+    """A parallelism as a plan or a request may state it: an integer,
+    and not a boolean (which Python counts as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Calibrate-once / evaluate-many plan-sweep engine.
 
-Three layers (ROADMAP: "score many candidate packing plans per query"):
+The one calibration is :class:`~repro.core.calibration_cache.Calibration`
+and the one memo of it the
+:class:`~repro.core.calibration_cache.CalibrationCache`; this package
+scores plans against it (ROADMAP: "score many candidate packing plans
+per query"):
 
-* :class:`~repro.sweep.artifact.CalibrationArtifact` — immutable,
-  pickleable product of one calibration pass;
 * :func:`~repro.sweep.kernel.evaluate_plans` — vectorized batch kernel,
   bitwise identical to the one-at-a-time path;
 * :func:`~repro.sweep.pool.validate_plans` — process-pool fan-out for
   simulator-backed validation with deterministic per-plan seeds;
 
 orchestrated by :class:`~repro.sweep.engine.PlanSweepEngine`.
+``CalibrationArtifact`` (:mod:`repro.sweep.artifact`) is the
+calibration's former name, kept as an alias.
 """
 
 from repro._lazy import lazy_exports

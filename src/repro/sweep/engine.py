@@ -1,27 +1,25 @@
 """Calibrate-once / evaluate-many orchestration.
 
-:class:`PlanSweepEngine` owns the artifact cache (one
-:class:`~repro.sweep.artifact.CalibrationArtifact` per topology,
-validated against the tracker revision and the metrics store's
-``data_version`` on every use) and turns a set of candidate plans into
-a ranked sweep payload via the vectorized kernel.
+:class:`PlanSweepEngine` turns a set of candidate plans into a ranked
+sweep payload via the vectorized kernel, scoring them against the
+topology's :class:`~repro.core.calibration_cache.Calibration` as the
+:class:`~repro.core.calibration_cache.CalibrationCache` holds it — the
+cache's stamp is the one freshness check.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping, Sequence
 
-from repro.core.calibration_cache import CalibrationCache
+from repro.core.calibration_cache import Calibration, CalibrationCache
 from repro.core.performance_models import (
     PerformancePrediction,
     evaluate_throughput,
 )
 from repro.heron.tracker import TopologyTracker
-from repro.serving.fingerprint import canonical_json
-from repro.sweep.artifact import CalibrationArtifact
+from repro.serving.fingerprint import canonical_json, fingerprint
 from repro.sweep.kernel import estimate_plan_cpu, evaluate_plans
-from repro.telemetry import Telemetry, readings
+from repro.telemetry import readings
 from repro.timeseries.store import MetricsStore
 
 __all__ = ["PlanSweepEngine"]
@@ -31,119 +29,61 @@ class PlanSweepEngine:
     """Evaluate many candidate parallelism plans per calibration.
 
     Thread-safe: the serving tier's worker pool may issue concurrent
-    sweeps.  Artifacts are cached per (topology, cluster, environ,
-    since) and revalidated on every access — a tracker revision bump
-    (redeploy) or a metrics write (new minute) forces recalibration,
-    nothing else does.
+    sweeps.  A tracker revision bump (redeploy) or a metrics write (new
+    minute) forces recalibration, nothing else does.
 
     ``calibrations`` is the service's shared
-    :class:`~repro.core.calibration_cache.CalibrationCache`: with one, a
-    new artifact reuses the calibration a prediction on the same data
-    already made — its CPU fits included — and reads no metrics;
-    without one it calibrates itself.
-
-    ``telemetry`` keeps the ``sweep.*`` counters, the artifact gauge and
-    the ``sweep.sweep`` span.
+    :class:`~repro.core.calibration_cache.CalibrationCache`, so a sweep
+    after a prediction on the same data reuses its calibration — CPU
+    fits included — and reads no metrics; an engine built without one
+    makes its own.  ``telemetry`` is the cache's registry: it keeps the
+    ``sweep.sweep`` span.
     """
 
     def __init__(
         self,
         tracker: TopologyTracker,
         store: MetricsStore,
-        warmup_minutes: int = 1,
-        fit_cpu: bool = True,
         calibrations: CalibrationCache | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
-        self.tracker = tracker
-        self.store = store
-        self.warmup_minutes = warmup_minutes
-        self.fit_cpu = fit_cpu
-        self.calibrations = calibrations
-        self._lock = threading.Lock()
-        self._artifacts: dict[tuple, CalibrationArtifact] = {}
-        self.telemetry = telemetry = telemetry or Telemetry()
-        telemetry.gauges("sweep.", lambda: {"cached_artifacts": len(self._artifacts)})
+        self.calibrations = calibrations or CalibrationCache(tracker, store)
+        self.telemetry = self.calibrations.telemetry
 
-    # ------------------------------------------------------------------
-    # Artifact lifecycle
-    # ------------------------------------------------------------------
     def artifact(
         self,
         topology_name: str,
         cluster: str = "local",
         environ: str = "test",
         since_seconds: int | None = None,
-    ) -> CalibrationArtifact:
-        """A current artifact for the topology, calibrating only on miss."""
-        tracked = self.tracker.get(topology_name, cluster, environ)
-        key = (topology_name, cluster, environ, since_seconds)
-        with self._lock:
-            cached = self._artifacts.get(key)
-            if cached is not None and cached.is_current(tracked, self.store):
-                self.telemetry.count("sweep.artifact_hits")
-                return cached
-        if self.calibrations is None:
-            built = CalibrationArtifact.build(
-                tracked,
-                self.store,
-                warmup_minutes=self.warmup_minutes,
-                since_seconds=since_seconds,
-                fit_cpu=self.fit_cpu,
-            )
-        else:
-            built = CalibrationArtifact.from_calibration(
-                self.calibrations.get(
-                    topology_name, cluster, environ,
-                    self.warmup_minutes, since_seconds,
-                ),
-                fit_cpu=self.fit_cpu,
-            )
-        with self._lock:
-            self._artifacts[key] = built
-            self.telemetry.count("sweep.artifact_misses")
-        return built
-
-    def invalidate(self, topology_name: str | None = None) -> None:
-        """Drop cached artifacts (all, or one topology's)."""
-        with self._lock:
-            if topology_name is None:
-                self._artifacts.clear()
-            else:
-                self._artifacts = {
-                    key: value
-                    for key, value in self._artifacts.items()
-                    if key[0] != topology_name
-                }
+    ) -> Calibration:
+        """The topology's current calibration, calibrating only on miss."""
+        return self.calibrations.get(
+            topology_name, cluster, environ, since_seconds
+        )
 
     def stats(self) -> dict[str, int]:
-        """Artifact-cache hit/miss counters and size, read from the
-        registry (``benchmarks/ledger`` reads this view)."""
-        return readings(self.telemetry.snapshot("sweep."), "sweep.",
-                        "artifact_hits", "artifact_misses", "cached_artifacts")
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate_batch(
-        self,
-        artifact: CalibrationArtifact,
-        source_rate: float,
-        plans: Sequence[Mapping[str, int]],
-    ) -> list[PerformancePrediction]:
-        """All plans through the vectorized kernel (the fast path)."""
-        return evaluate_plans(artifact, source_rate, plans)
+        """The cache's calibration hits, misses and entries, under the
+        names ``benchmarks/ledger`` reads."""
+        calibration = readings(
+            self.telemetry.snapshot("calibration."),
+            "calibration.", "hits", "misses", "entries",
+        )
+        return {
+            "artifact_hits": calibration["hits"],
+            "artifact_misses": calibration["misses"],
+            "cached_artifacts": calibration["entries"],
+        }
 
     def evaluate_serial(
         self,
-        artifact: CalibrationArtifact,
+        artifact: Calibration,
         source_rate: float,
         plans: Sequence[Mapping[str, int]],
     ) -> list[PerformancePrediction]:
         """One-at-a-time reference path (equivalence oracle)."""
         return [
             evaluate_throughput(
-                artifact.topology_name,
+                artifact.tracked.name,
                 artifact.model_for_plan(artifact.validate_plan(plan)),
                 artifact.fits,
                 float(source_rate),
@@ -171,8 +111,9 @@ class PlanSweepEngine:
             artifact = self.artifact(
                 topology_name, cluster, environ, since_seconds
             )
+            tracked = artifact.tracked
             normalized = [artifact.validate_plan(plan) for plan in plans]
-            predictions = self.evaluate_batch(artifact, source_rate, normalized)
+            predictions = evaluate_plans(artifact, source_rate, normalized)
             cpu = estimate_plan_cpu(artifact, predictions)
             entries = []
             for plan, prediction, cores in zip(normalized, predictions, cpu):
@@ -206,8 +147,19 @@ class PlanSweepEngine:
                 "source_rate": float(source_rate),
                 "plan_count": len(normalized),
                 "artifact": {
-                    "hash": artifact.artifact_hash,
-                    "plan_revision": artifact.plan_revision,
+                    # Content hash of the calibration's inputs (audit key).
+                    "hash": fingerprint(
+                        {
+                            "topology": tracked.name,
+                            "cluster": tracked.cluster,
+                            "environ": tracked.environ,
+                            "plan_revision": tracked.revision,
+                            "data_version": artifact.data_version,
+                            "warmup_minutes": 1,  # calibrate_topology's
+                            "since_seconds": artifact.since_seconds,
+                        }
+                    ),
+                    "plan_revision": tracked.revision,
                     "data_version": artifact.data_version,
                     "calibrated_components": sorted(artifact.fits),
                     "cpu_models": sorted(artifact.cpu_models),

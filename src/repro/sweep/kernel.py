@@ -1,7 +1,7 @@
 """The evaluate-many half of the plan-sweep engine.
 
 :func:`evaluate_plans` scores N candidate parallelism plans against one
-:class:`~repro.sweep.artifact.CalibrationArtifact` in a single pass:
+:class:`~repro.core.calibration_cache.Calibration` in a single pass:
 plan rows are stacked into ``(n_plans, instances)`` matrices and the
 piecewise-linear chain ``T(t) = min(alpha·t, ST)`` is reduced along the
 instance axis for every plan at once.
@@ -32,12 +32,12 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.calibration_cache import Calibration
 from repro.core.component_model import ComponentModel
 from repro.core.performance_models import PerformancePrediction
 from repro.durability.deadline import check_deadline
 from repro.errors import ModelError
 from repro.heron.topology import LogicalTopology
-from repro.sweep.artifact import CalibrationArtifact
 
 __all__ = ["evaluate_plans", "estimate_plan_cpu"]
 
@@ -64,7 +64,7 @@ class _PlanBatch:
     """
 
     def __init__(
-        self, artifact: CalibrationArtifact, plans: Sequence[Mapping[str, int]]
+        self, artifact: Calibration, plans: Sequence[Mapping[str, int]]
     ) -> None:
         self.artifact = artifact
         self.plans = [artifact.validate_plan(plan) for plan in plans]
@@ -74,7 +74,7 @@ class _PlanBatch:
     def groups_for(self, name: str) -> list[tuple[ComponentModel, np.ndarray]]:
         groups = self._groups.get(name)
         if groups is None:
-            base_p = self.artifact.topology.parallelism(name)
+            base_p = self.artifact.tracked.topology.parallelism(name)
             ps = np.asarray(
                 [plan.get(name, base_p) for plan in self.plans], dtype=np.int64
             )
@@ -123,7 +123,7 @@ class _PlanBatch:
 
 
 def evaluate_plans(
-    artifact: CalibrationArtifact,
+    artifact: Calibration,
     source_rate: float,
     plans: Sequence[Mapping[str, int]],
     model_name: str = "throughput-prediction",
@@ -140,7 +140,7 @@ def evaluate_plans(
     n = batch.n
     if n == 0:
         return []
-    topology = artifact.topology
+    topology = artifact.tracked.topology
     spouts = [s.name for s in topology.spouts()]
     rate = float(source_rate)
     share = rate / len(spouts)
@@ -317,7 +317,7 @@ def evaluate_plans(
             rate_stderr = float(output_rate[i] * 0.0)
         predictions.append(
             PerformancePrediction(
-                topology=artifact.topology_name,
+                topology=artifact.tracked.name,
                 model=model_name,
                 source_rate=rate,
                 parallelisms=artifact.plan_parallelisms(plan),
@@ -334,7 +334,7 @@ def evaluate_plans(
 
 
 def estimate_plan_cpu(
-    artifact: CalibrationArtifact,
+    artifact: Calibration,
     predictions: Sequence[PerformancePrediction],
 ) -> list[float | None]:
     """Estimated total cores per plan from the artifact's CPU fits.

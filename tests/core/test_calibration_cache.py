@@ -1,8 +1,9 @@
 """CalibrationCache: the answers of calibrating per request, never stale.
 
 The cache may only ever change *when* a calibration happens.  Every
-model response drawn through it must equal (canonical JSON) the response
-of the uncached path on the same tracker and store, through any
+model response drawn through the service's shared cache must equal
+(canonical JSON) the response of models and sweep engines that keep
+caches of their own on the same tracker and store, through any
 interleaving of metric writes, redeploys and requests; and nothing it
 hands out may be older than the ``(plan_revision, data_version)`` stamp
 that was current when it was asked.
@@ -68,7 +69,8 @@ def _history(shape: str, seed: int):
 
 
 class _Deployment:
-    """One tracker + store, with the cached and the uncached model tier."""
+    """One tracker + store, with the model tier drawing from one shared
+    cache and the model tier that makes a cache per model and engine."""
 
     def __init__(self, shape: str, seed: int, preloaded: int = PRELOADED):
         self.workload, minutes = _history(shape, seed)
@@ -258,12 +260,14 @@ class TestStamping:
         assert recent.since_seconds == 120
         assert len(calibrations) == 2
 
+    @pytest.mark.parametrize("asker", ["get", "sweep"])
     def test_write_during_calibration_forces_the_next_get_to_recalibrate(
-        self, deployment, monkeypatch
+        self, deployment, monkeypatch, asker
     ):
         """The stamp is read before the store is: an entry fitted while a
         write landed is stamped with the older version, so it can never
-        be taken for a calibration of the newer data."""
+        be taken for a calibration of the newer data — whether the cache
+        is asked directly or by a plan sweep."""
         original = cache_module.calibrate_topology
         calls = []
 
@@ -274,14 +278,23 @@ class TestStamping:
             return original(tracked, store, **kwargs)
 
         monkeypatch.setattr(cache_module, "calibrate_topology", racing)
-        torn = deployment.cache.get(deployment.name)
+
+        def data_version() -> int:
+            """The data version of what the asker is handed."""
+            if asker == "get":
+                return deployment.cache.get(deployment.name).data_version
+            payload = deployment.cached_engine.sweep(
+                deployment.name, deployment.workload.base_rate_tpm, [{}]
+            )
+            return payload["artifact"]["data_version"]
+
+        torn = data_version()
         current = deployment.store.data_version(deployment.name)
-        assert torn.data_version < current
-        fresh = deployment.cache.get(deployment.name)
-        assert fresh is not torn
-        assert fresh.data_version == current
+        assert torn < current
+        assert data_version() == current
+        assert len(calls) == 2  # the next ask recalibrated, once
+        assert data_version() == current
         assert len(calls) == 2
-        assert deployment.cache.get(deployment.name) is fresh
 
 
 class TestFailuresAreNotCached:

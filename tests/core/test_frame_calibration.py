@@ -1,9 +1,9 @@
-"""Calibration and the sweep artifact fit from one frame — and fit what
-the parent's per-call reads fitted.
+"""Calibration — throughput and CPU fits alike — reads one frame, and
+fits what the parent's per-call reads fitted.
 
 ``calibrate_topology`` used to make one ``aggregate_complete`` scan per
-component, metric and stream, and the artifact two ``query`` scans per
-bolt on top; both now read one ``topology_frame``.  Over generated
+component, metric and stream, and the sweep's CPU fits two ``query``
+scans per bolt on top; both now read one ``topology_frame``.  Over generated
 topologies × fault plans the fits, CPU models, warnings and errors must
 be the ones a model of the parent produces: the same calibration run
 against per-call linear reads (and asked for exactly the parent's reads),
@@ -24,15 +24,15 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.calibration_cache import CalibrationCache
+from repro.core.calibration_cache import Calibration, CalibrationCache
 from repro.core.cpu_model import fit_cpu_model
 from repro.core.performance_models import calibrate_topology, evaluate_throughput
-from repro.errors import CalibrationError, ModelError, ReproError
+from repro.errors import ModelError, ReproError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
-from repro.sweep.artifact import CalibrationArtifact
+from repro.sweep import PlanSweepEngine
 from repro.timeseries.store import MetricsStore
 from repro.workloads import generate_workload
 from tests.timeseries.linear_reference import (
@@ -217,18 +217,17 @@ def test_fits_equal_the_parents(shape, seed, plan_name, since):
     assert per_call.reads == parent_reads(topology, since)
     assert cpu_models == parent_cpu_models(topology, store, 1, since)
 
-    artifact = CalibrationArtifact.build(tracked, store, since_seconds=since)
-    assert artifact.fits == then[0][1]
-    assert artifact.cpu_models == cpu_models
-    assert CalibrationArtifact.build(
-        tracked, store, since_seconds=since, fit_cpu=False
-    ).cpu_models == {}
+    calibration = Calibration.build(tracked, store, since_seconds=since)
+    assert calibration.fits == then[0][1]
+    assert calibration.cpu_models == cpu_models
 
 
 def test_healthy_deployments_fit_every_bolt_cpu_model():
     tracked, store = deploy("diamond", 7)
-    artifact = CalibrationArtifact.build(tracked, store)
-    assert set(artifact.cpu_models) == {b.name for b in tracked.topology.bolts()}
+    calibration = Calibration.build(tracked, store)
+    assert set(calibration.cpu_models) == {
+        b.name for b in tracked.topology.bolts()
+    }
 
 
 def test_cpu_pairing_with_duplicate_and_missing_instance_tags():
@@ -303,9 +302,7 @@ class TestOneSnapshot:
         try:
             seen = []
             for _ in range(25):
-                calibration = cache.get(topology.name)
-                artifact = CalibrationArtifact.from_calibration(calibration)
-                seen.append((calibration, artifact))
+                seen.append(cache.get(topology.name))
         finally:
             stop.set()
             thread.join(timeout=30)
@@ -313,10 +310,10 @@ class TestOneSnapshot:
         assert not thread.is_alive()
 
         bolt = topology.bolts()[0].name
-        for calibration, artifact in seen:
-            assert artifact.cpu_models is calibration.cpu_models
-            # How many minutes the throughput fits saw...
-            minutes = calibration.fits[bolt].n_points + calibration.warmup_minutes
+        for calibration in seen:
+            # How many minutes the throughput fits saw (after the
+            # one-minute warmup)...
+            minutes = calibration.fits[bolt].n_points + 1
             # ...is how many the CPU fits saw: refit on a quiet copy cut
             # to that many minutes.
             quiet = MetricsStore()
@@ -359,13 +356,27 @@ class TestOneSnapshot:
         assert fresh.data_version == store.data_version(name)
         assert cache.get(name) is fresh
 
-    def test_from_calibration_reads_no_store(self):
+    def test_a_sweep_after_a_prediction_reads_no_store(self, monkeypatch):
         tracked, store = deploy("diamond", 7)
         tracker = TopologyTracker()
         tracker.register(tracked.topology, tracked.packing)
-        calibration = CalibrationCache(tracker, store).get(tracked.topology.name)
-        store.clear()
-        artifact = CalibrationArtifact.from_calibration(calibration)
-        assert artifact.cpu_models == calibration.cpu_models != {}
-        with pytest.raises(CalibrationError):
-            calibrate_topology(tracked, store)
+        cache = CalibrationCache(tracker, store)
+        name = tracked.topology.name
+        calibration = cache.get(name)  # what a prediction leaves behind
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the sweep read the store")
+
+        for read in ("topology_frame", "query", "aggregate_complete", "get"):
+            monkeypatch.setattr(store, read, unread)
+        engine = PlanSweepEngine(tracker, store, calibrations=cache)
+        bolt = tracked.topology.bolts()[0].name
+        payload = engine.sweep(name, 1e6, [{bolt: 1}, {bolt: 2}])
+        assert payload["artifact"]["data_version"] == calibration.data_version
+        assert payload["artifact"]["cpu_models"] == sorted(
+            calibration.cpu_models
+        ) != []
+        assert all(
+            entry["estimated_cpu_cores"] is not None
+            for entry in payload["ranked"]
+        )

@@ -1,11 +1,14 @@
-"""Structure guard: one chain, one memo, one encoding of a computed answer.
+"""Structure guard: one chain, one memo, one calibration, one encoding of
+a computed answer.
 
 Every prediction used to rebuild and re-validate a ``LogicalTopology``,
 enumerate its source→sink paths and rescale its component models — per
 model, per request — and the sweep kept three more ``(component,
-parallelism)`` memos of its own; a computed answer was encoded, decoded
-and encoded again on its way to the socket.  These checks read the source
-so none of it can quietly come back.
+parallelism)`` memos of its own; it also froze every calibration a second
+time (``CalibrationArtifact``) in a memo stacked on the calibration
+cache; a computed answer was encoded, decoded and encoded again on its
+way to the socket.  These checks read the source so none of it can
+quietly come back.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def test_no_prediction_rebuilds_a_topology_or_rescales_a_component(src_index):
     assert _receivers(src_index, "with_parallelism") == {
         # The plan overlay: shares the compiled structure and the memo.
         "core/performance_models.py:PerformanceModel.predict": {"base"},
-        "sweep/artifact.py:CalibrationArtifact.model_for_plan": {"self.base"},
+        "core/calibration_cache.py:Calibration.model_for_plan": {"self.base"},
         # The memo: the one place a ``ComponentModel`` is rescaled.
         "core/topology_model.py:TopologyModel.rescaled": {"calibrated"},
         # A ``LogicalTopology``, to *simulate* a plan (pool validation).
@@ -93,6 +96,48 @@ def test_the_chain_is_walked_by_one_function_and_the_kernel(src_index):
     ]
     for gone in ("critical_path_output(", "path_bottleneck(", "apply_parallelisms("):
         assert src_index.functions_containing(gone) == []
+
+
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    """Every call of ``name`` or ``<anything>.name`` under ``node``."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+
+
+def test_one_calibration_and_one_cache_of_it(src_index):
+    """``Calibration.build`` is the one way a calibration is made (the
+    experiments and the workload matrix call the primitive directly), the
+    calibration cache the one memo of it, and the sweep's old artifact
+    name a bare alias."""
+    serving = {
+        rel: file for rel, file in src_index.items()
+        if not rel.startswith(("experiments/", "workloads/"))
+    }
+    assert sum(
+        len(_calls(file.tree, "calibrate_topology")) for file in serving.values()
+    ) == 1
+    assert [
+        function.name
+        for file in serving.values()
+        for function in file.functions
+        if _calls(function.node, "calibrate_topology")
+    ] == ["core/calibration_cache.py:Calibration.build"]
+    identifiers = {
+        value
+        for file in src_index.values()
+        for node in ast.walk(file.tree)
+        for value in (
+            getattr(node, field, None) for field in ("id", "attr", "arg", "name")
+        )
+        if isinstance(value, str)
+    }
+    assert identifiers.isdisjoint({"fit_cpu", "_artifacts"})
+    artifact = src_index["sweep/artifact.py"]
+    assert artifact.functions == []
+    assert not any(isinstance(node, ast.ClassDef) for node in ast.walk(artifact.tree))
 
 
 def test_a_computed_answer_is_decoded_only_for_in_process_callers(src_index):

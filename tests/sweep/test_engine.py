@@ -1,16 +1,28 @@
-"""Engine-level behavior: calibrate once, rank, invalidate on new data."""
+"""Engine-level behavior: calibrate once, rank, recalibrate on new data."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-import repro.sweep.artifact as artifact_module
+import repro.core.calibration_cache as cache_module
+from repro.cli import main
 from repro.errors import ModelError
-from repro.sweep import CalibrationArtifact, PlanSweepEngine
+from repro.sweep import PlanSweepEngine
 
 from tests.sweep.conftest import M, plan_grid
 
 RATE = 30 * M
+
+
+def _write(store) -> None:
+    """One sample that moves word-count's data version and nothing else
+    (the session's store is shared, so stay ahead of every other test)."""
+    store.write(
+        "sweep-engine-probe", store.latest_timestamp() + 60, 1.0,
+        {"topology": "word-count"},
+    )
 
 
 class TestArtifactMemoization:
@@ -21,15 +33,12 @@ class TestArtifactMemoization:
         stats = sweep_engine.stats()
         assert stats["artifact_hits"] == 1
         assert stats["artifact_misses"] == 1
+        assert stats["cached_artifacts"] == 1
 
     def test_store_write_invalidates(self, deployed_wordcount, sweep_engine):
         _, _, _, store, _ = deployed_wordcount
         first = sweep_engine.artifact("word-count")
-        store.write(
-            "execute-count", 10**7, 1.0,
-            {"topology": "word-count", "component": "splitter",
-             "instance": "splitter_0", "container": "1"},
-        )
+        _write(store)
         second = sweep_engine.artifact("word-count")
         assert first is not second
         assert second.data_version > first.data_version
@@ -39,38 +48,44 @@ class TestArtifactMemoization:
         _, _, _, store, tracker = deployed_wordcount
         engine = PlanSweepEngine(tracker, store)
         calls = {"n": 0}
-        original = artifact_module.calibrate_topology
+        original = cache_module.calibrate_topology
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(artifact_module, "calibrate_topology", counting)
+        monkeypatch.setattr(cache_module, "calibrate_topology", counting)
         for _ in range(5):
             engine.sweep("word-count", RATE, plan_grid(3, 3))
         assert calls["n"] == 1
 
-    def test_explicit_invalidate(self, sweep_engine):
-        first = sweep_engine.artifact("word-count")
-        sweep_engine.invalidate("word-count")
-        second = sweep_engine.artifact("word-count")
-        assert first is not second
+    def test_artifact_hash_tracks_identity(self, deployed_wordcount,
+                                           sweep_engine):
+        _, _, _, store, _ = deployed_wordcount
+        first = sweep_engine.sweep("word-count", RATE, [{}])["artifact"]
+        again = sweep_engine.sweep("word-count", RATE, [{}])["artifact"]
+        assert again == first
+        _write(store)
+        later = sweep_engine.sweep("word-count", RATE, [{}])["artifact"]
+        assert later["data_version"] > first["data_version"]
+        assert later["hash"] != first["hash"]
 
-    def test_artifact_hash_tracks_identity(self, sweep_engine):
-        artifact = sweep_engine.artifact("word-count")
-        clone = CalibrationArtifact(
-            topology_name=artifact.topology_name,
-            cluster=artifact.cluster,
-            environ=artifact.environ,
-            topology=artifact.topology,
-            base=artifact.base,
-            fits=artifact.fits,
-            cpu_models=artifact.cpu_models,
-            plan_revision=artifact.plan_revision,
-            data_version=artifact.data_version + 1,
-            warmup_minutes=artifact.warmup_minutes,
-        )
-        assert clone.artifact_hash != artifact.artifact_hash
+
+@pytest.mark.parametrize(
+    "plans", [[{"splitter": 2.5}], [{"splitter": "3"}], [{"splitter": True}], [1]],
+    ids=["fraction", "string", "boolean", "not-a-mapping"],
+)
+def test_the_plan_check_refuses_what_http_refuses(sweep_engine, plans, capsys):
+    """A plan the HTTP tier answers 400 is a ``ModelError`` here, and the
+    CLI's ``error: ...`` with exit status 2 — never a silently truncated
+    parallelism or a traceback."""
+    with pytest.raises(ModelError):
+        sweep_engine.sweep("word-count", RATE, plans)
+    code = main([
+        "sweep", "--rate", "30e6", "--plans", json.dumps(plans), "--top-k", "1",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSweepPayload:

@@ -1,8 +1,9 @@
 """The guided scaler calibrates once per observation window.
 
 Candidate evaluation fans out through the plan-sweep kernel against the
-memoized artifact — however many plans `_best_candidate` scores, the
-metrics store is read exactly once per window.
+calibration the engine's cache holds — however many plans
+`_best_candidate` scores, the metrics store is read exactly once per
+window.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sweep.artifact as artifact_module
+import repro.core.calibration_cache as cache_module
 from repro.autoscaler import ModelGuidedScaler, SimulatedCluster
 from repro.heron.simulation import SimulationConfig
 from repro.heron.wordcount import WordCountParams
@@ -33,13 +34,13 @@ def test_one_calibration_per_sizing_pass(monkeypatch):
         cluster.run(2)
 
     calls = {"n": 0}
-    original = artifact_module.calibrate_topology
+    original = cache_module.calibrate_topology
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(artifact_module, "calibrate_topology", counting)
+    monkeypatch.setattr(cache_module, "calibrate_topology", counting)
     scaler = ModelGuidedScaler(cluster, slo_output_tpm=SLO, observe_minutes=3)
     trace = scaler.run(source_tpm=DEMAND)
 

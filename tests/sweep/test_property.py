@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.component_model import ComponentModel
 from repro.core.calibration import PiecewiseLinearFit
+from repro.core.calibration_cache import Calibration
 from repro.core.instance_model import InstanceModel
 from repro.core.performance_models import (
     BackpressureEvaluationModel,
@@ -44,8 +45,17 @@ from repro.heron.groupings import (
     ShuffleGrouping,
 )
 from repro.heron.topology import TopologyBuilder
+from repro.heron.tracker import TrackedTopology
 from repro.serving.fingerprint import canonical_json
-from repro.sweep import CalibrationArtifact, evaluate_plans
+from repro.sweep import evaluate_plans
+
+
+def _calibration(topology, base, fits) -> Calibration:
+    """A calibration of ``topology`` made up of ``base`` and ``fits``
+    (no packing: evaluating a plan reads none)."""
+    tracked = TrackedTopology(topology, None, "local", "test", 0)
+    return Calibration(tracked, 0, None, base, fits, {})
+
 
 alphas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 sps = st.one_of(
@@ -149,18 +159,7 @@ def topologies(draw):
             n_points=10,
         )
     base = TopologyModel(topology, components)
-    artifact = CalibrationArtifact(
-        topology_name=topology.name,
-        cluster="local",
-        environ="test",
-        topology=topology,
-        base=base,
-        fits=fits,
-        cpu_models={},
-        plan_revision=0,
-        data_version=0,
-        warmup_minutes=1,
-    )
+    artifact = _calibration(topology, base, fits)
     plans = draw(
         st.lists(
             st.dictionaries(st.sampled_from(bolts), parallelisms, max_size=3),
@@ -186,7 +185,7 @@ def test_batch_equals_serial_on_random_topologies(case):
     batch = evaluate_plans(artifact, rate, plans)
     for plan, prediction in zip(plans, batch):
         reference = evaluate_throughput(
-            artifact.topology_name,
+            artifact.tracked.name,
             artifact.model_for_plan(artifact.validate_plan(plan)),
             artifact.fits,
             rate,
@@ -201,7 +200,7 @@ def test_batch_equals_serial_on_random_topologies(case):
 # ----------------------------------------------------------------------
 def rescaled_components(artifact, plan) -> dict[str, ComponentModel]:
     """Every component at the plan's parallelism, rescaled afresh."""
-    topology, base = artifact.topology, artifact.base
+    topology, base = artifact.tracked.topology, artifact.base
     return {
         name: base.component(name).with_parallelism(
             plan[name], grouping_input_shares(topology, name, plan[name])
@@ -215,7 +214,7 @@ def rescaled_components(artifact, plan) -> dict[str, ComponentModel]:
 def walked_paths(artifact, plan, share):
     """Per source->sink path: the rate entering each stage, the chained
     output, and the first-to-saturate stage with its source rate."""
-    topology = artifact.topology
+    topology = artifact.tracked.topology
     components = rescaled_components(artifact, plan)
     walked = []
     for path in source_sink_paths(topology):
@@ -244,7 +243,7 @@ def walked_paths(artifact, plan, share):
 @relaxed
 def test_one_pass_equals_the_chain_walked_stage_by_stage(case):
     artifact, rate, plans = case
-    spouts = len(artifact.topology.spouts())
+    spouts = len(artifact.tracked.topology.spouts())
     for plan in plans:
         evaluation = artifact.model_for_plan(plan).evaluate(rate)
         components, walked = walked_paths(artifact, plan, rate / spouts)
@@ -271,7 +270,7 @@ def test_chained_output_stays_under_every_stage_bound(case):
     """No path delivers more than any of its stages can pass on:
     ``min(alpha t, ST)`` of stage ``k``, amplified by the alphas behind it."""
     artifact, rate, plans = case
-    topology = artifact.topology
+    topology = artifact.tracked.topology
     spouts = len(topology.spouts())
     for plan in plans:
         components, walked = walked_paths(artifact, plan, rate / spouts)
@@ -296,7 +295,7 @@ def test_chained_output_never_falls_when_traffic_or_parallelism_rises(
     case, growth, data
 ):
     artifact, rate, plans = case
-    topology = artifact.topology
+    topology = artifact.tracked.topology
 
     def outputs(plan, at):
         prediction = evaluate_throughput(
@@ -371,11 +370,7 @@ def _zero_alpha_case(mid_sp):
                                  0.0, 0.0, 1.0, 10)
         for name in ("mid", "sink")
     }
-    artifact = CalibrationArtifact(
-        topology_name="zero", cluster="local", environ="test",
-        topology=topology, base=base, fits=fits, cpu_models={},
-        plan_revision=0, data_version=0, warmup_minutes=1,
-    )
+    artifact = _calibration(topology, base, fits)
     serial = evaluate_throughput("zero", artifact.model_for_plan({}), fits, 1e5)
     (batch,) = evaluate_plans(artifact, 1e5, [{}])
     assert canonical_json(batch.as_dict()) == canonical_json(serial.as_dict())

@@ -3,14 +3,12 @@ of a topology per calibration.
 
 ``MetricsStore.query`` used to be a walk of every series, the API tier
 spelled "filter ⊆ tags" a second time, and a calibration scanned the
-store once per component, metric and stream — with the sweep artifact
-reading it again, later, for its CPU fits.  These checks read the source
+store once per component, metric and stream — with the sweep reading it
+again, later, for its CPU fits.  These checks read the source
 so the scans cannot quietly come back.
 """
 
 from __future__ import annotations
-
-import ast
 
 #: Where a model may read metrics: everything under these prefixes goes
 #: through ``topology_frame`` (or ``degraded_aggregate``, the one
@@ -77,19 +75,6 @@ def test_model_tier_reads_go_through_the_frame(src_index):
         name for name in src_index.functions_containing(".keys(MetricNames")
         if in_model_tier(name)
     ] == []
-
-
-def test_from_calibration_takes_no_store(src_index):
-    function = next(
-        function
-        for function in src_index["sweep/artifact.py"].functions
-        if function.name.endswith("CalibrationArtifact.from_calibration")
-    )
-    assert isinstance(function.node, ast.FunctionDef)
-    parameters = [argument.arg for argument in function.node.args.args]
-    assert parameters == ["cls", "calibration", "fit_cpu"]
-    assert "store" not in function.text.split('"""')[-1]
-    assert "_fit_cpu_models" not in src_index["sweep/artifact.py"].source
 
 
 def test_series_are_created_and_indexed_in_one_place(src_index):
