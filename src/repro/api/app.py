@@ -685,7 +685,7 @@ class CaladriusApp:
                 is_count(v) for v in parallelisms.values()
             ):
                 raise ApiError("parallelisms must map components to integers")
-            # An empty plan is no plan: one fingerprint, one cached answer.
+            # An empty plan is no plan: one key, one cached answer.
             parallelisms = parallelisms or None
         traffic_model_name = body.get("traffic_model")
         horizon = _int_param(query, "horizon_minutes", default=60)

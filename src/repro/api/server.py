@@ -1,8 +1,9 @@
 """The HTTP listener: one asyncio server adapting an app to real sockets.
 
 :class:`CaladriusServer` terminates keep-alive connections on a single
-``asyncio`` loop — idle connections cost file descriptors, not threads —
-and bridges each request into the synchronous hosted app
+``asyncio`` loop, as one :class:`asyncio.Protocol` per connection — idle
+connections cost file descriptors, not threads — and bridges each
+request into the synchronous hosted app
 (:class:`~repro.api.app.CaladriusApp`, the cluster's ``RouterApp`` or a
 ``FollowerApp``) through a worker pool.  The pool is sized from
 ``serving.max_concurrent + serving.max_queue`` plus fixed headroom, so
@@ -11,22 +12,26 @@ or queue owns a thread and the scheduler stays the one admission gate:
 overload is shed there with 429 + ``Retry-After``, never parked in an
 executor backlog, and writes still find a thread.
 
-What cannot block is answered where it arrives.  An app that has
-``handle_nonblocking`` (:class:`~repro.api.app.CaladriusApp`) is offered
-each request on the loop thread first, and answers ``GET /healthz``,
-``GET /readyz`` and a synchronous ``/model/{traffic,topology,plan_sweep}``
-request that is refused or whose result is cached — the hit as the
-cached bytes, written to the socket as they are.  A miss, a write, every
-other route and every app without the method go to the pool (the miss
-comes back from it as the bytes it was stored as, too).  *The rule
-for code the loop thread runs:* no file or socket I/O, no ``fsync``, no
-journal lock, no scheduler or single-flight wait, no model or
-calibration code.  The locks it may take are the result cache's, the
-tracker's, the telemetry registry's, the precomputer's, the lifecycle's
-and the circuit breaker's, each held for O(1) work; the store is read
-without one (``MetricsStore.data_version``).  What runs on the pool is
-timed there: each call is one ``api.handle`` span in the hosted app's
-``telemetry`` registry.
+What cannot block is answered in the loop pass that read it: each
+``data_received`` frames the requests its bytes complete, and writes a
+framing refusal, or what an app with ``handle_nonblocking``
+(:class:`~repro.api.app.CaladriusApp`) answers there, before it returns:
+``GET /healthz``, ``GET /readyz`` and a synchronous
+``/model/{traffic,topology,plan_sweep}`` request that is refused or
+whose result is cached — the hit as the bytes stored under its tuple key
+(:meth:`~repro.serving.fingerprint.RequestDescriptor.cache_key`).
+Misses, writes, other routes and apps without the method leave through
+the one pool door (:meth:`CaladriusServer._run`) on a task the callback
+starts; the connection reads nothing more until that response is written
+(a miss as its stored bytes too).  *The rule for code the loop thread
+runs:* no file or socket I/O, no ``fsync``, no journal lock, no
+scheduler or single-flight wait, no model or calibration code.  The locks
+it may take are the result cache's, the tracker's, the telemetry
+registry's, the precomputer's, the lifecycle's and the circuit
+breaker's, each held for O(1) work; the store is read without one
+(``MetricsStore.data_version``).  What runs on the pool is timed there:
+each call is one ``api.handle`` span in the hosted app's ``telemetry``
+registry.
 
 Beyond socket plumbing the server owns the *graceful lifecycle*: it
 brackets every request — dispatch *and* response writing — with the
@@ -39,12 +44,11 @@ SIGTERM/SIGINT to that sequence for ``caladrius serve``.
 
 ``POST /metrics/write_batch`` gets *streaming group-commit acks* when
 the hosted app commits frames itself (``handle_write_batch_frames``): a
-batch over ``ingest.commit_max_frames`` is chunked into commit groups
-and answered as chunked NDJSON — one ``{"commit": ...}`` line per group
-as its fsync lands, then a final ``{"done": true, ...}`` summary.  A
-drain beginning mid-stream refuses the remaining groups while every
-already-streamed ack stands.  Apps without that method (router,
-follower) get the body through ``handle`` like any other route.
+batch over ``ingest.commit_max_frames`` is answered as chunked NDJSON —
+one ``{"commit": ...}`` line per commit group as its fsync lands, then a
+``{"done": true, ...}`` summary; a drain beginning mid-stream refuses
+the remaining groups while every streamed ack stands.  Other apps
+(router, follower) get the body through ``handle``.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ __all__ = ["CaladriusServer", "parse_query_strict"]
 
 logger = logging.getLogger("repro.api.server")
 
-# Bound on the request head (request line + headers); readuntil refuses
-# anything larger, which doubles as slowloris header protection.
+# Bound on the request head (request line + headers); anything larger is
+# a 431, which doubles as slowloris header protection.
 _MAX_HEAD_BYTES = 64 * 1024
 # Pool threads beyond what the scheduler can hold (running + queued):
 # writes, health probes and stats reads never wait behind modelling.
@@ -85,7 +89,7 @@ def parse_query_strict(raw_query: str) -> dict[str, str]:
     ``b`` — an ambiguous request deserves a 400, not a guess.
     """
     query: dict[str, str] = {}
-    for key, value in parse_qsl(raw_query):
+    for key, value in parse_qsl(raw_query) if raw_query else ():
         if key in query:
             raise ApiError(f"duplicate query parameter {key!r}", 400)
         query[key] = value
@@ -141,11 +145,11 @@ class CaladriusServer:
         self._max_body_bytes = app.config.ingest.max_body_bytes
         self._commit_max_frames = app.config.ingest.commit_max_frames
         self._raw_prefixes = tuple(app.raw_body_paths)
-        # Streaming group commits need an app that commits frames
-        # itself; a router or follower takes the body through handle().
-        self._commits_frames = hasattr(app, "handle_write_batch_frames")
-        # ... and answers on the loop thread one that says what it can
+        # Group commits are streamed to an app that commits frames itself
+        # (a router or follower takes the body through handle()), and
+        # answered on the loop thread by one that says what it can
         # answer without blocking.
+        self._commits_frames = hasattr(app, "handle_write_batch_frames")
         self._nonblocking = getattr(app, "handle_nonblocking", None)
         serving = app.config.serving
         self._pool = ThreadPoolExecutor(
@@ -156,7 +160,7 @@ class CaladriusServer:
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
@@ -205,12 +209,8 @@ class CaladriusServer:
         try:
             # Accept generously (backlog): admission control is the
             # serving layer's job, not the kernel's.
-            server = await asyncio.start_server(
-                self._handle_connection,
-                host,
-                port,
-                limit=_MAX_HEAD_BYTES,
-                backlog=128,
+            server = await asyncio.get_running_loop().create_server(
+                lambda: _Connection(self), host, port, backlog=128
             )
         except OSError as exc:
             self._startup_error = exc
@@ -223,22 +223,19 @@ class CaladriusServer:
         await self._stop_event.wait()
         server.close()
         # shutdown_gracefully already waited for in-flight requests;
-        # anything left is an idle keep-alive reader — cancel it.
-        for task in list(self._conn_tasks):
+        # anything left is an idle keep-alive connection — close it.
+        tasks = [c.task for c in self._connections if c.task is not None]
+        for connection in list(self._connections):
+            connection.transport.close()
+        for task in tasks:
             task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         await server.wait_closed()
 
     def stop(self) -> None:
         """Stop serving and release the socket."""
-        loop = self._loop
-        if (
-            loop is not None
-            and not loop.is_closed()
-            and self._stop_event is not None
-        ):
-            loop.call_soon_threadsafe(self._stop_event.set)
+        if self._stop_event is not None and not self._loop.is_closed():
+            self._loop.call_soon_threadsafe(self._stop_event.set)
         if self._thread is not None:
             self._thread.join(timeout=5)
             if self._thread.is_alive():
@@ -307,197 +304,200 @@ class CaladriusServer:
         signal handlers run on the main thread.
         """
 
+        def drain() -> None:
+            try:
+                self.shutdown_gracefully(drain_timeout, on_drained)
+            finally:
+                self._shutdown_done.set()
+
         def _handle(signum: int, _frame) -> None:
             logger.info(
                 "received %s; draining", signal.Signals(signum).name
             )
             threading.Thread(
-                target=self._graceful_then_set,
-                args=(drain_timeout, on_drained),
-                name="caladrius-drain",
-                daemon=True,
+                target=drain, name="caladrius-drain", daemon=True
             ).start()
 
         signal.signal(signal.SIGTERM, _handle)
         signal.signal(signal.SIGINT, _handle)
         return self._shutdown_done
 
-    def _graceful_then_set(
-        self,
-        drain_timeout: float | None,
-        on_drained: Callable[[], None] | None,
-    ) -> None:
-        try:
-            self.shutdown_gracefully(drain_timeout, on_drained)
-        finally:
-            self._shutdown_done.set()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except (
-                    asyncio.IncompleteReadError,
-                    ConnectionResetError,
-                ):
-                    return  # client hung up between requests
-                except asyncio.LimitOverrunError:
-                    await self._send(
-                        writer, 431, {"error": "request head too large"}, False
-                    )
-                    return
-                if not await self._handle_request(reader, writer, head):
-                    return
-        except asyncio.CancelledError:
-            return  # server stopping; connection is idle by contract
-        except (BrokenPipeError, ConnectionResetError):
-            return
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - best-effort close
-                pass
-
-    async def _handle_request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        head: bytes,
-    ) -> bool:
-        """Serve one request; returns False when the connection is done."""
-        try:
-            method, target, version, headers = _parse_head(head)
-            split = urlsplit(target)
-        except ValueError as exc:
-            return await self._send(writer, 400, {"error": str(exc)}, False)
-        keep_alive = (
-            version == "HTTP/1.1"
-            and headers.get("connection", "").lower() != "close"
+    def _run(self, fn: Callable[..., Any], *args: Any) -> asyncio.Future:
+        """The one door to the worker pool, for the synchronous app."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._pool, self._timed, fn, args
         )
-        raw_length = headers.get("content-length")
-        if "transfer-encoding" in headers:
-            # Request transfer codings are not implemented; reading the
-            # request as body-less would parse its chunks as the next
-            # request.  Both framings at once is the smuggling shape.
-            return await self._send(
-                writer,
-                501 if raw_length is None else 400,
-                {"error": "request Transfer-Encoding is not supported: "
-                 "frame the body with Content-Length alone"},
-                False,
-            )
-        try:
-            length = int(raw_length or 0)
-            if length < 0:
-                raise ValueError(raw_length)
-        except ValueError:
-            return await self._send(
-                writer,
-                400,
-                {
-                    "error": "Content-Length must be a non-negative "
-                    f"integer, got {raw_length!r}"
-                },
-                False,
-            )
-        if length > self._max_body_bytes:
-            # Refuse before reading a byte: the declared size alone is
-            # grounds for 413, and never buffering it means one bad
-            # client cannot OOM this worker.  The unread body would
-            # desynchronise the connection — close it.
-            return await self._send(
-                writer,
-                413,
-                {
-                    "error": "request body too large: "
-                    f"{length} > {self._max_body_bytes} bytes",
-                    "max_body_bytes": self._max_body_bytes,
-                    "content_length": length,
-                },
-                False,
-            )
-        body_bytes = b""
-        if length:
+
+    def _timed(self, fn: Callable[..., Any], args: tuple) -> Any:
+        """One pool-side call into the app: an ``api.handle`` span."""
+        with self.app.telemetry.span("api.handle"):
+            return fn(*args)
+
+
+class _Connection(asyncio.Protocol):
+    """One keep-alive connection, its requests answered one at a time.
+
+    A request for the pool (:attr:`task`), or a response the socket has
+    no room for yet, holds the connection: reading pauses until that
+    response is written.  The app's in-flight gauge brackets each
+    request from its framing to the transport taking its response.
+    """
+
+    def __init__(self, server: CaladriusServer) -> None:
+        self.server, self.app = server, server.app
+        self.transport: Any = None
+        self.task: asyncio.Task | None = None
+        self._buffer = bytearray()
+        self._head: tuple | None = None  # framed, waiting for its body
+        self._eof = self._closing = self._paused = self._owed = False
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closing = True
+        self.server._connections.discard(self)
+        self.resume_writing()  # no more room will come: nothing is owed
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._owed:
+            self._owed = False
+            self._resume(True)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve_buffered()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._serve_buffered()
+        return True  # what is owed still goes out; _framed closes
+
+    def _serve_buffered(self) -> None:
+        """Answer every whole request in the buffer, in order, until one
+        has to wait for the pool or for room in the socket."""
+        while not (self._closing or self._owed or self.task):
+            request = self._framed()
+            if request is None:
+                return
+            self._begin(*request)
+        if not self._closing:
+            self.transport.pause_reading()
+
+    def _framed(self) -> tuple | None:
+        """The next whole request in the buffer, or ``None`` while it is
+        incomplete or once its head was refused (and the socket closed)."""
+        buffer = self._buffer
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n")
+            if end > _MAX_HEAD_BYTES or (
+                end < 0 and len(buffer) - 3 > _MAX_HEAD_BYTES
+            ):
+                return self._refuse(431, "request head too large")
+            if end < 0:
+                return self._close() if self._eof else None
             try:
-                body_bytes = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionResetError):
-                return False
-        # The in-flight gauge brackets dispatch AND response writing: a
-        # drain must not close the socket mid-response.
+                method, target, version, headers = _parse_head(buffer[:end])
+                split = urlsplit(target)
+            except ValueError as exc:
+                return self._refuse(400, str(exc))
+            del buffer[:end + 4]
+            raw_length = headers.get("content-length")
+            if "transfer-encoding" in headers:
+                # Request transfer codings are not implemented; read as
+                # body-less, its chunks would parse as the next request.
+                # Both framings at once is the smuggling shape.
+                return self._refuse(
+                    501 if raw_length is None else 400,
+                    "request Transfer-Encoding is not supported: "
+                    "frame the body with Content-Length alone",
+                )
+            try:
+                length = int(raw_length or 0)
+                if length < 0:
+                    raise ValueError(raw_length)
+            except ValueError:
+                return self._refuse(
+                    400, "Content-Length must be a non-negative "
+                    f"integer, got {raw_length!r}",
+                )
+            limit = self.server._max_body_bytes
+            if length > limit:
+                # Refuse before reading a byte: the declared size is
+                # grounds for 413, and one bad client cannot OOM this
+                # worker.  The unread body would desynchronise the
+                # connection — close it.
+                return self._refuse(
+                    413, f"request body too large: {length} > {limit} bytes",
+                    max_body_bytes=limit, content_length=length,
+                )
+            keep_alive = version == "HTTP/1.1" and (
+                headers.get("connection", "").lower() != "close")
+            self._head = (length, method, split.path, split.query, headers,
+                          keep_alive)
+        length = self._head[0]
+        if len(buffer) < length:
+            # A client that hangs up between (or inside) requests.
+            return self._close() if self._eof else None
+        head, self._head = self._head, None
+        body = bytes(memoryview(buffer)[:length])
+        del buffer[:length]
+        return head, body
+
+    def _refuse(self, status: int, error: str, **fields: Any) -> None:
+        self._send(status, {"error": error, **fields}, False)
+        self._close()
+
+    def _close(self) -> None:
+        self._closing = True
+        self.transport.close()
+
+    def _begin(self, head: tuple, body: bytes) -> None:
+        """Answer one request here, or start the task that finishes it."""
+        _, method, path, raw_query, headers, keep_alive = head
         self.app.lifecycle.request_started()
         try:
-            status, payload = await self._respond(
-                writer, method, split.path, split.query, body_bytes,
-                headers, keep_alive,
+            answer = self._respond(
+                method, path, raw_query, body, headers, keep_alive
             )
-            if status is None:
-                return payload  # the response was streamed
-            return await self._send(writer, status, payload, keep_alive)
         except Exception as exc:
-            # A bug in the hosted app (or a model), not a refusal: say
-            # so, so the client does not mistake it for a transport
-            # error and blindly re-send a possibly-applied write.
-            logger.exception(
-                "unhandled error serving %s %s", method, split.path
+            return self._finished(self._crashed(exc, method, path))
+        if type(answer) is tuple:
+            self._finished(self._send(*answer, keep_alive))
+        else:
+            self.task = asyncio.ensure_future(
+                self._complete(answer, keep_alive, method, path)
             )
-            return await self._send(writer, 500, _crash_payload(exc), False)
-        finally:
-            self.app.lifecycle.request_finished()
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        method: str,
-        path: str,
-        raw_query: str,
-        body_bytes: bytes,
-        headers: dict[str, str],
-        keep_alive: bool,
-    ) -> tuple[int | None, Any]:
-        """Answer one framed request: ``(status, payload)`` to send, or
-        ``(None, keep_alive)`` when the answer was streamed already."""
+    def _respond(
+        self, method: str, path: str, raw_query: str, body_bytes: bytes,
+        headers: dict[str, str], keep_alive: bool,
+    ) -> Any:
+        """``(status, payload)`` to write now, or an awaitable doing the
+        pool's part that gives one — ``(None, keep_alive)`` once it
+        streamed it."""
+        server = self.server
         try:
             query = parse_query_strict(raw_query)
             if (
-                self._commits_frames
+                path == "/metrics/write_batch"
+                and server._commits_frames
                 and method.upper() == "POST"
-                and path == "/metrics/write_batch"
             ):
                 # Lengths and CRCs here; every JSON decode runs on the
-                # pool.  A body that is not one clean commit group is
-                # checked whole there before any part of it commits: a
-                # payload that is not JSON refuses it all, and outranks
-                # a framing fault behind it.
+                # pool.
                 frames, fault = split_frames(body_bytes)
-                streamed = len(frames) > self._commit_max_frames
-                if streamed or fault is not None:
-                    await self._run(self.app.store.frame_samples, frames)
-                    if fault is not None:
-                        raise fault
-                if not frames:
+                if not frames and fault is None:
                     raise ApiError("write_batch body contains no frames")
-                if streamed:
-                    return None, await self._stream_commits(
-                        writer, frames, headers, keep_alive
-                    )
-                # One commit group: a plain JSON response, no
-                # streaming overhead.
-                return await self._run(
-                    self.app.handle_write_batch_frames, frames, headers
-                )
+                return self._write_batch(frames, fault, headers, keep_alive)
         except ApiError as exc:
             return exc.status, {"error": str(exc), **exc.payload}
-        if path.startswith(self._raw_prefixes):
+        if path.startswith(server._raw_prefixes):
             # WAL frames and replication segments are opaque bytes, not
             # JSON; hand them through untouched.
             body: Any = body_bytes
@@ -510,149 +510,151 @@ class CaladriusServer:
                 return 400, {"error": "request body must be a JSON object"}
         else:
             body = {}
-        if self._nonblocking is None:
-            return await self._run(
-                self.app.handle, method, path, query, body, headers
-            )
-        answer = self._nonblocking(method, path, query, body, headers)
-        if answer is not None:
-            return answer
-        # ... and a computed answer, like a cached one, as its bytes.
-        return await self._run(
-            self.app.handle, method, path, query, body, headers, True
+        args = (method, path, query, body, headers)
+        if server._nonblocking is None:
+            return server._run(self.app.handle, *args)
+        # A computed answer, like a cached one, comes back as its bytes.
+        return server._nonblocking(*args) or server._run(
+            self.app.handle, *args, True
         )
 
-    async def _run(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Run the synchronous app on the worker pool."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, self._timed, fn, args
-        )
+    async def _complete(
+        self, pending: Any, keep_alive: bool, method: str, path: str
+    ) -> None:
+        """Write what the pool answered, then go on with the buffer."""
+        try:
+            status, payload = await pending
+            alive = (payload if status is None  # streamed already
+                     else self._send(status, payload, keep_alive))
+        except asyncio.CancelledError:
+            self.app.lifecycle.request_finished()  # the server is stopping
+            raise
+        except Exception as exc:
+            alive = self._crashed(exc, method, path)
+        self.task = None
+        self._resume(alive)
 
-    def _timed(self, fn: Callable[..., Any], args: tuple) -> Any:
-        """One pool-side call into the app: an ``api.handle`` span."""
-        with self.app.telemetry.span("api.handle"):
-            return fn(*args)
+    def _crashed(self, exc: Exception, method: str, path: str) -> bool:
+        # A bug in the hosted app (or a model), not a refusal: say so, so
+        # the client does not mistake it for a transport error and
+        # blindly re-send a possibly-applied write.
+        logger.exception("unhandled error serving %s %s", method, path)
+        return self._send(500, _crash_payload(exc), False)
 
-    # ------------------------------------------------------------------
-    # Streaming batched ingest
-    # ------------------------------------------------------------------
-    async def _stream_commits(
-        self,
-        writer: asyncio.StreamWriter,
-        frames: list[bytes],
-        headers: dict[str, str],
-        keep_alive: bool,
-    ) -> bool:
-        """Commit groups one by one, streaming each ack as it lands.
+    def _finished(self, alive: bool) -> None:
+        """A response is written: the gauge drops once the socket has
+        room again, and a connection that is done closes."""
+        if alive and self._paused:
+            self._owed = True  # resume_writing finishes it
+            return
+        self.app.lifecycle.request_finished()
+        if not alive:
+            self._close()
 
-        Each ``{"commit": ...}`` line is written after that group's
-        WAL flush returns, so a client can treat every streamed frame
-        range as durable the moment the line arrives — even if the
-        connection later dies mid-batch.
+    def _resume(self, alive: bool) -> None:
+        """A held request is written: finish it, take the next one."""
+        self._finished(alive)
+        if not self._closing:
+            self.transport.resume_reading()
+            self._serve_buffered()
+
+    async def _write_batch(
+        self, frames: list[bytes], fault: ApiError | None,
+        headers: dict[str, str], keep_alive: bool,
+    ) -> tuple[int | None, Any]:
+        """Commit a ``write_batch`` body on the pool: one commit group as
+        a JSON response, more group by group, each ack streamed as it lands.
+
+        A body that is not one clean commit group is checked whole first: a
+        payload that is not JSON refuses it all, and outranks a framing
+        fault behind it.  A ``{"commit": ...}`` line leaves once its group's
+        WAL flush returned: its frames are durable when it arrives.
         """
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            f"Content-Type: {STREAM_CONTENT_TYPE}\r\n"
-            "Transfer-Encoding: chunked\r\n"
-        )
+        run, step = self.server._run, self.server._commit_max_frames
+        try:
+            if len(frames) > step or fault is not None:
+                await run(self.app.store.frame_samples, frames)
+                if fault is not None:
+                    raise fault
+            if len(frames) <= step:
+                return await run(
+                    self.app.handle_write_batch_frames, frames, headers
+                )
+        except ApiError as exc:
+            return exc.status, {"error": str(exc), **exc.payload}
+        head = ("HTTP/1.1 200 OK\r\n"
+                f"Content-Type: {STREAM_CONTENT_TYPE}\r\n"
+                "Transfer-Encoding: chunked\r\n")
         if not keep_alive:
             head += "Connection: close\r\n"
-        try:
-            writer.write(head.encode("latin1") + b"\r\n")
-            acked = 0
-            rejected: list[dict[str, Any]] = []
-            refused: list[dict[str, Any]] = []
-            first_lsn: int | None = None
-            last_lsn: int | None = None
-            crash: dict[str, Any] | None = None
-            step = self._commit_max_frames
-            for group_index, start in enumerate(range(0, len(frames), step)):
-                group = frames[start:start + step]
-                if crash is None:
-                    try:
-                        status, payload = await self._run(
-                            self.app.handle_write_batch_frames, group, headers
-                        )
-                    except Exception as exc:
-                        # The 200 head is gone, so the crash is reported
-                        # in-band; later groups are not attempted — they
-                        # would land ahead of this one's retry.
-                        logger.exception("unhandled error in commit group")
-                        crash = _crash_payload(exc)
-                if crash is not None:
-                    status, payload = 500, crash
-                commit: dict[str, Any] = {
-                    "group": group_index,
-                    "frame_start": start,
-                    "frames": len(group),
-                }
-                if status == 200:
-                    # Rebase per-group frame indexes onto the batch.
-                    group_rejected = [
-                        {**entry, "frame": start + entry["frame"]}
-                        for entry in payload.get("rejected", ())
-                    ]
-                    rejected.extend(group_rejected)
-                    acked += payload.get("acked", 0)
-                    commit.update(
-                        acked=payload.get("acked", 0),
-                        rejected=group_rejected,
-                        first_lsn=payload.get("first_lsn"),
-                        last_lsn=payload.get("last_lsn"),
+        self.transport.write(head.encode("latin1") + b"\r\n")
+        acked, rejected, refused = 0, [], []
+        first_lsn = last_lsn = crash = None
+        for group_index, start in enumerate(range(0, len(frames), step)):
+            if self.transport.is_closing():
+                # The client lost its acks, not its data: every streamed
+                # commit is already durable, and no later one is made.
+                return None, False
+            group = frames[start:start + step]
+            if crash is None:
+                try:
+                    status, payload = await run(
+                        self.app.handle_write_batch_frames, group, headers
                     )
-                    if first_lsn is None:
-                        first_lsn = payload.get("first_lsn")
-                    if payload.get("last_lsn") is not None:
-                        last_lsn = payload.get("last_lsn")
-                else:
-                    # Drain/fence/read-only arrived mid-stream: this
-                    # group (and its frames) was refused, retryably —
-                    # already-streamed acks stand.
-                    commit = {**commit, "status": status, **payload}
-                    refused.append(commit)
-                await self._write_chunk(writer, {"commit": commit})
-            summary: dict[str, Any] = {
-                "done": True,
-                "frames": len(frames),
-                "acked": acked,
-                "rejected": rejected,
-                "first_lsn": first_lsn,
-                "last_lsn": last_lsn,
-            }
-            if refused:
-                summary["refused"] = refused
-            await self._write_chunk(writer, summary)
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-        except (BrokenPipeError, ConnectionResetError):
-            # The client lost its acks, not its data: every streamed
-            # commit is already durable.
-            return False
-        return keep_alive
+                except Exception as exc:
+                    # The 200 head is gone, so the crash is reported
+                    # in-band; later groups are not attempted — they
+                    # would land ahead of this one's retry.
+                    logger.exception("unhandled error in commit group")
+                    crash = _crash_payload(exc)
+            if crash is not None:
+                status, payload = 500, crash
+            commit = {"group": group_index, "frame_start": start,
+                      "frames": len(group)}
+            if status == 200:
+                # Rebase per-group frame indexes onto the batch.
+                group_rejected = [
+                    {**entry, "frame": start + entry["frame"]}
+                    for entry in payload.get("rejected", ())
+                ]
+                rejected += group_rejected
+                acked += payload.get("acked", 0)
+                commit.update(
+                    acked=payload.get("acked", 0), rejected=group_rejected,
+                    first_lsn=payload.get("first_lsn"),
+                    last_lsn=payload.get("last_lsn"),
+                )
+                if first_lsn is None:
+                    first_lsn = commit["first_lsn"]
+                if commit["last_lsn"] is not None:
+                    last_lsn = commit["last_lsn"]
+            else:
+                # Drain/fence/read-only arrived mid-stream: this
+                # group (and its frames) was refused, retryably —
+                # already-streamed acks stand.
+                commit = {**commit, "status": status, **payload}
+                refused.append(commit)
+            self._write_chunk({"commit": commit})
+        summary = {
+            "done": True, "frames": len(frames), "acked": acked,
+            "rejected": rejected, "first_lsn": first_lsn, "last_lsn": last_lsn,
+        }
+        if refused:
+            summary["refused"] = refused
+        self._write_chunk(summary)
+        self.transport.write(b"0\r\n\r\n")
+        return None, keep_alive
 
-    async def _write_chunk(
-        self, writer: asyncio.StreamWriter, line: dict[str, Any]
-    ) -> None:
+    def _write_chunk(self, line: dict[str, Any]) -> None:
         data = json.dumps(line).encode("utf8") + b"\n"
-        writer.write(b"%x\r\n%s\r\n" % (len(data), data))
-        await writer.drain()
+        self.transport.write(b"%x\r\n%s\r\n" % (len(data), data))
 
-    # ------------------------------------------------------------------
-    # Response writing
-    # ------------------------------------------------------------------
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any] | bytes,
-        keep_alive: bool,
+    def _send(
+        self, status: int, payload: dict[str, Any] | bytes, keep_alive: bool
     ) -> bool:
         """Write one JSON response; returns whether the connection lives.
-
-        ``payload`` as ``bytes`` is an already-encoded document (a cached
-        or just-computed 200, so never a ``retry_after`` carrier) and is
-        sent as it is.
-        """
+        ``payload`` as ``bytes`` is an encoded document (a cached or just
+        computed 200, never a ``retry_after`` carrier), sent as it is."""
         if isinstance(payload, bytes):
             data, retry_after = payload, None
         else:
@@ -672,16 +674,13 @@ class CaladriusServer:
             head += f"Retry-After: {int(retry_after)}\r\n"
         if not keep_alive:
             head += "Connection: close\r\n"
-        try:
-            # Head and body leave in one write: a second small segment
-            # would sit behind Nagle until the peer ACKs the first.
-            writer.write(head.encode("latin1") + b"\r\n" + data)
-            await writer.drain()
-        except (BrokenPipeError, ConnectionResetError) as exc:
-            # A client that hangs up mid-response (timeout, Ctrl-C,
-            # load-generator teardown) is the client's problem, not
-            # ours: swallow it so the gauge in the caller's finally
-            # still decrements and a drain never waits on a dead request.
-            logger.debug("client disconnected mid-response: %s", exc)
+        if self.transport.is_closing():
+            # A client that hung up (timeout, Ctrl-C, load-generator
+            # teardown) is its own problem; the gauge still drops, so a
+            # drain never waits on a dead request.
+            logger.debug("client disconnected mid-response")
             return False
+        # Head and body leave in one write: a second small segment
+        # would sit behind Nagle until the peer ACKs the first.
+        self.transport.write(head.encode("latin1") + b"\r\n" + data)
         return keep_alive

@@ -64,7 +64,7 @@ from repro.core.traffic_models import (
     ProphetTrafficModel,
     StatsSummaryTrafficModel,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
@@ -458,6 +458,11 @@ def _resolve(args) -> CaladriusConfig:
         if getattr(args, key) is not None
     }
     if args.command == "follow":
+        if "durability.data_dir" in overlay:
+            raise ConfigError(
+                "follow takes no --data-dir: it serves the replica "
+                "directory --replica-dir names"
+            )
         overlay.setdefault("api.port", 0)
         overlay.update(
             {"serving.enabled": False, "durability.data_dir": args.replica_dir}
@@ -576,13 +581,13 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _inherited(args) -> list[str]:
+def _inherited(args, *omitted: str) -> list[str]:
     """The command line a cluster child inherits: ``--config`` and every
-    setting flag given, as given."""
+    setting flag given, as given, but the ``omitted`` ones."""
     argv = ["--config", args.config] if args.config else []
     for flag, (key, switch, _) in SETTING_FLAGS.items():
         value = getattr(args, key)
-        if value is not None:
+        if value is not None and flag not in omitted:
             argv += [flag] if switch is not None else [flag, value]
     return argv
 
@@ -607,9 +612,11 @@ def _worker_argv(
 
 
 def _follower_argv(args, config: CaladriusConfig, shard_id: int) -> list[str]:
-    """Shard ``shard_id``'s follower command line."""
+    """Shard ``shard_id``'s follower command line: its directory is its
+    ``--replica-dir``, and ``follow`` refuses a ``--data-dir``."""
     return [
-        sys.executable, "-m", "repro.cli", "follow", *_inherited(args),
+        sys.executable, "-m", "repro.cli", "follow",
+        *_inherited(args, "--data-dir"),
         "--replica-dir", str(_shard_dirs(config, shard_id)[1]), "--port", "0",
     ]
 

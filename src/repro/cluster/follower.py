@@ -210,7 +210,9 @@ class FollowerReplica:
     def _reset_from_checkpoint(self, payload: dict[str, Any]) -> None:
         retention = payload.get("retention_seconds")
         store = MetricsStore(retention)
-        restore_store_state(store, payload["store"])
+        restore_store_state(
+            store, payload["store"], self.replica_dir / CHECKPOINT_FILENAME
+        )
         tracker = TopologyTracker()
         if payload.get("tracker"):
             restore_tracker_state(tracker, payload["tracker"])

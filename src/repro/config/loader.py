@@ -239,7 +239,10 @@ def load_config(source: str | Path | Mapping[str, Any]) -> CaladriusConfig:
 
     An unknown key at any level, a value its rule refuses and options
     for a model that is not enabled raise
-    :class:`~repro.errors.ConfigError` naming ``section.key``.
+    :class:`~repro.errors.ConfigError` naming ``section.key``; so do
+    settings that disagree: ``cluster.replicate`` needs
+    ``durability.data_dir`` and ``cluster.shards`` > 1, and
+    ``cluster.sync_ship`` needs ``cluster.replicate``.
     """
     return _load(source, {})
 
@@ -251,24 +254,11 @@ def process_config(
 
     ``overlay`` maps dotted keys (``"serving.cache_mb"``) to the values
     the command line gave; they replace the YAML file's (or, without
-    ``path``, the defaults') before anything is validated, and a string
-    given for a number is read as one.  A process also needs settings
-    that agree: ``cluster.replicate`` needs ``durability.data_dir`` and
-    ``cluster.shards`` > 1, and ``cluster.sync_ship`` needs
-    ``cluster.replicate``.
+    ``path``, the defaults') before anything is validated, by the same
+    rules as :func:`load_config`, and a string given for a number is
+    read as one.
     """
-    config = _load(path or {}, overlay)
-    cluster = config.cluster
-    if cluster.replicate and (
-        cluster.shards < 2 or not config.durability.data_dir
-    ):
-        raise ConfigError(
-            "cluster.replicate needs cluster.shards > 1 and "
-            "durability.data_dir (followers replay shipped WAL segments)"
-        )
-    if cluster.sync_ship and not cluster.replicate:
-        raise ConfigError("cluster.sync_ship needs cluster.replicate")
-    return config
+    return _load(path or {}, overlay)
 
 
 def _load(
@@ -295,6 +285,16 @@ def _load(
             raise ConfigError(
                 f"model_options.{model}: {model!r} is not an enabled model"
             )
+    cluster = config.cluster
+    if cluster.replicate and (
+        cluster.shards < 2 or not config.durability.data_dir
+    ):
+        raise ConfigError(
+            "cluster.replicate needs cluster.shards > 1 and "
+            "durability.data_dir (followers replay shipped WAL segments)"
+        )
+    if cluster.sync_ship and not cluster.replicate:
+        raise ConfigError("cluster.sync_ship needs cluster.replicate")
     return config
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 from typing import Any
 
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, MetricsError
 from repro.heron.groupings import (
     AllGrouping,
     FieldsGrouping,
@@ -66,13 +66,18 @@ def encode_store_state(store: MetricsStore) -> dict[str, Any]:
     return {"series": series, "versions": versions, "latest": latest}
 
 
-def restore_store_state(store: MetricsStore, state: dict[str, Any]) -> int:
+def restore_store_state(
+    store: MetricsStore, state: dict[str, Any], source: object = "snapshot"
+) -> int:
     """Load a snapshot into an (empty) store; returns samples restored.
 
     Versions are restored *before* the series are replayed through
     :meth:`MetricsStore.write_many` (one batch per series), so the final
     counters are snapshot values plus replay increments — never lower
-    than at snapshot time.
+    than at snapshot time.  A series the store's key rule refuses (a
+    non-string tag, which builds before that rule wrote) raises
+    :class:`DurabilityError` naming ``source`` (the checkpoint file) and
+    the series.
     """
     if not isinstance(state, dict) or "series" not in state:
         raise DurabilityError("malformed store snapshot: no 'series' list")
@@ -83,11 +88,17 @@ def restore_store_state(store: MetricsStore, state: dict[str, Any]) -> int:
             )
     samples = 0
     for record in state["series"]:
-        store.write_many(
-            record["name"],
-            zip(record["timestamps"], record["values"]),
-            record["tags"],
-        )
+        try:
+            store.write_many(
+                record["name"],
+                zip(record["timestamps"], record["values"]),
+                record["tags"],
+            )
+        except MetricsError as exc:
+            raise DurabilityError(
+                f"{source}: series {record['name']!r} with tags "
+                f"{record['tags']!r} cannot be restored: {exc}"
+            ) from exc
         samples += len(record["timestamps"])
     return samples
 

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.clock import SYSTEM_CLOCK
-from repro.durability.checkpoint import read_checkpoint
+from repro.durability.checkpoint import CHECKPOINT_FILENAME, read_checkpoint
 from repro.durability.codec import encode_store_state, restore_store_state
 from repro.durability.disk import OS_DISK, Disk
 from repro.durability.wal import (
@@ -422,7 +422,9 @@ class DurableMetricsStore(MetricsStore):
         checkpoint_lsn = snapshot_samples = 0
         if checkpoint is not None:
             checkpoint_lsn = int(checkpoint.get("last_lsn", 0))
-            snapshot_samples = restore_store_state(self, checkpoint["store"])
+            snapshot_samples = restore_store_state(
+                self, checkpoint["store"], self.data_dir / CHECKPOINT_FILENAME
+            )
         replay = FrameReplay()
 
         def replay_segment(

@@ -10,10 +10,10 @@ This package sits between :class:`~repro.api.app.CaladriusApp` routing
 and the model registry:
 
 ``fingerprint``
-    Content-addressed cache keys: a digest of topology name, tracked
-    plan revision, metrics-window digest, model name and request
-    parameters.  Any input change changes the key, so stale entries can
-    never be served.
+    :class:`RequestDescriptor`, a request's identity (kind, topology,
+    model, parameters); the cache keys an answer by the tuple
+    ``(descriptor, plan revision, data_version)``, so any input change
+    changes the key and stale entries can never be served.
 ``cache``
     :class:`ResultCache` — thread-safe LRU bounded by bytes, with TTL
     expiry and per-topology invalidation.

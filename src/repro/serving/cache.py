@@ -3,15 +3,17 @@
 Entries are serialized response payloads (``bytes``), so the accounting
 unit is exactly what a cache hit saves the service from recomputing and
 re-encoding, and a hit is guaranteed byte-identical to the original
-response.  Keys are content-addressed fingerprints
-(:mod:`repro.serving.fingerprint`); the per-topology index makes
-invalidation on metrics writes or plan changes O(entries-per-topology).
+response.  Keys are ``(descriptor, plan revision, data_version)``
+tuples (:meth:`repro.serving.fingerprint.RequestDescriptor.cache_key`),
+hashed by the table itself; the per-topology index makes invalidation on
+metrics writes or plan changes O(entries-per-topology).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 from repro.clock import SYSTEM_CLOCK, Clock
@@ -29,7 +31,7 @@ class _Entry:
 
 
 class ResultCache:
-    """LRU + TTL cache from fingerprint keys to payload bytes.
+    """LRU + TTL cache from request keys to payload bytes.
 
     Parameters
     ----------
@@ -62,8 +64,8 @@ class ResultCache:
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, _Entry] = OrderedDict()
-        self._by_topology: dict[str, set[str]] = {}
+        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._by_topology: dict[str, set[Hashable]] = {}
         self._bytes = 0
         self.telemetry = telemetry = telemetry or Telemetry(clock)
         telemetry.gauges("serving.cache.", lambda: {
@@ -73,7 +75,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     # Read / write
     # ------------------------------------------------------------------
-    def get(self, key: str, count_miss: bool = True) -> bytes | None:
+    def get(self, key: Hashable, count_miss: bool = True) -> bytes | None:
         """The cached payload, or ``None`` on miss/expiry.
 
         With ``count_miss=False`` a miss leaves no trace (no counter, no
@@ -93,7 +95,7 @@ class ResultCache:
             self.telemetry.count("serving.cache.hits")
             return entry.payload
 
-    def put(self, key: str, payload: bytes, topology: str) -> bool:
+    def put(self, key: Hashable, payload: bytes, topology: str) -> bool:
         """Insert a payload; returns False when it exceeds the budget."""
         size = len(payload)
         if size > self.max_bytes:
@@ -121,9 +123,9 @@ class ResultCache:
     def invalidate_topology(self, topology: str | None) -> int:
         """Drop every entry for one topology (``None`` = all of them).
 
-        Content-addressed keys already make stale entries unreachable;
-        invalidation reclaims their budget immediately instead of
-        waiting for LRU pressure or TTL expiry.
+        Keys that carry the input versions already make stale entries
+        unreachable; invalidation reclaims their budget immediately
+        instead of waiting for LRU pressure or TTL expiry.
         """
         with self._lock:
             if topology is None:
@@ -141,7 +143,7 @@ class ResultCache:
             self.telemetry.count("serving.cache.invalidations", dropped)
             return dropped
 
-    def _drop_locked(self, key: str) -> None:
+    def _drop_locked(self, key: Hashable) -> None:
         entry = self._entries.pop(key)
         self._bytes -= len(entry.payload)
         keys = self._by_topology.get(entry.topology)

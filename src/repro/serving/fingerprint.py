@@ -1,13 +1,19 @@
-"""Content-addressed cache keys for modelling requests.
+"""The identity of a modelling request, and the sweep artifact's hash.
 
 A cached answer is valid exactly as long as every input that produced it
-is unchanged.  The fingerprint therefore digests the *complete* input
-identity: topology name, the tracker's plan revision (bumped on every
-register/update), the metrics-window digest (bumped on every write that
-can affect the topology's series), the model selector and the request
-parameters.  Equal fingerprints imply equal answers; any input change
-yields a different key, so a stale entry can never be addressed, let
-alone served.
+is unchanged.  :class:`RequestDescriptor` is the request's part of that
+identity — endpoint family, topology, model selector and parameters —
+and the result cache keys an answer by the tuple ``(descriptor, plan
+revision, data_version)`` (:meth:`RequestDescriptor.cache_key`): the
+tracker bumps the revision on every register/update and the store the
+data version on every write that can touch the topology's series, so any
+input change yields another key and a stale entry can never be
+addressed, let alone served.  The dict lookup hashes the tuple; nothing
+is digested to name an entry.
+
+:func:`fingerprint` (SHA-256 over :func:`canonical_json`) is what the
+plan-sweep payload reports as its ``artifact.hash``: a name that leaves
+the process.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = ["RequestDescriptor", "canonical_json", "fingerprint"]
 
@@ -32,15 +37,15 @@ def fingerprint(fields: Mapping[str, Any]) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-@dataclass(frozen=True)
-class RequestDescriptor:
+class RequestDescriptor(NamedTuple):
     """The replayable identity of one modelling request.
 
-    ``kind`` is the endpoint family (``"traffic"`` or ``"performance"``),
-    ``model`` the ``?model=`` selector (``None`` = all enabled), and
-    ``params`` the remaining request parameters as a canonical-JSON
-    string — keeping the descriptor hashable so it can key popularity
-    tracking and single-flight groups.
+    ``kind`` is the endpoint family (``"traffic"``, ``"performance"`` or
+    ``"plan_sweep"``), ``model`` the ``?model=`` selector (``None`` = all
+    enabled), and ``params`` the remaining request parameters as a
+    canonical-JSON string.  A tuple of strings: it hashes and compares
+    in C wherever it keys something — result-cache entries, popularity
+    tracking, single-flight groups.
     """
 
     kind: str
@@ -58,15 +63,8 @@ class RequestDescriptor:
     ) -> "RequestDescriptor":
         return cls(kind, topology, model, canonical_json(dict(params)))
 
-    def cache_key(self, plan_revision: int, metrics_digest: int) -> str:
-        """The content-addressed key at a given input state."""
-        return fingerprint(
-            {
-                "kind": self.kind,
-                "topology": self.topology,
-                "plan_revision": plan_revision,
-                "metrics_digest": metrics_digest,
-                "model": self.model,
-                "params": self.params,
-            }
-        )
+    def cache_key(
+        self, plan_revision: int, data_version: int
+    ) -> tuple["RequestDescriptor", int, int]:
+        """The result-cache key at a given input state."""
+        return self, plan_revision, data_version

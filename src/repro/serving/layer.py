@@ -3,8 +3,9 @@
 :class:`ServingLayer` is what :class:`~repro.api.app.CaladriusApp`
 calls instead of invoking models directly.  One request flows:
 
-1. **fingerprint** — the descriptor plus the tracker's plan revision and
-   the store's metrics digest form a content-addressed key;
+1. **key** — the tuple ``(descriptor, plan revision, data_version)``:
+   the request's identity and the two versions of its inputs, read from
+   the tracker and the store — no digest, the cache's table hashes it;
 2. **cache** — a hit returns the stored payload immediately
    (byte-identical to the original response);
 3. **single-flight** — concurrent misses on the same key elect one
@@ -17,9 +18,9 @@ Invalidation is event-driven: the layer subscribes to
 :class:`~repro.timeseries.store.MetricsStore` writes and
 :class:`~repro.heron.tracker.TopologyTracker` plan changes, evicting the
 touched topology's entries and queueing its popular queries for warm
-recomputation.  Because keys also embed the revision/digest, even an
-entry that escaped eviction can never be addressed again — eviction is
-a space optimisation, not a correctness requirement.
+recomputation.  Because keys also carry the revision and data version,
+even an entry that escaped eviction can never be addressed again —
+eviction is a space optimisation, not a correctness requirement.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ __all__ = ["ServingLayer", "serving_view"]
 
 
 class ServingLayer:
-    """Content-addressed serving for modelling requests.
+    """Cached, coalesced, admission-controlled serving for modelling
+    requests.
 
     Parameters
     ----------
@@ -156,7 +158,9 @@ class ServingLayer:
         Blocks on nothing but O(1) lock holds, so the HTTP listener may
         call it on its event-loop thread; a hit is booked exactly as
         :meth:`execute` books one, a miss is left for :meth:`execute` to
-        book when the request is run again where it may wait.
+        book when the request is run again where it may wait.  The key
+        is two version reads and a tuple: nothing is serialised or
+        digested to find the entry.
         """
         payload = self.cache.get(self._key(descriptor), count_miss=False)
         if payload is not None:
@@ -167,7 +171,7 @@ class ServingLayer:
 
     def _compute_and_store(
         self,
-        key: str,
+        key: tuple,
         descriptor: RequestDescriptor,
         compute: Callable[[], dict[str, Any]],
         priority: int,
@@ -187,13 +191,14 @@ class ServingLayer:
         self.cache.put(key, payload, descriptor.topology)
         return payload
 
-    def _key(self, descriptor: RequestDescriptor) -> str:
+    def _key(self, descriptor: RequestDescriptor) -> tuple:
         try:
             revision = self.tracker.revision_of(descriptor.topology)
         except TopologyError:
             revision = -1  # unknown topologies 404 in the handler anyway
-        digest = self.store.data_version(descriptor.topology)
-        return descriptor.cache_key(revision, digest)
+        return descriptor.cache_key(
+            revision, self.store.data_version(descriptor.topology)
+        )
 
     # ------------------------------------------------------------------
     # Invalidation + warm precompute

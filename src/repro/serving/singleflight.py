@@ -3,14 +3,14 @@
 When N identical requests arrive concurrently, exactly one of them (the
 *leader*) runs the computation; the other N-1 block on an event and
 receive the leader's result (or its exception).  Keys are the same
-content-addressed fingerprints the cache uses, so "identical" means
-identical inputs, not merely identical URLs.
+``(descriptor, plan revision, data_version)`` tuples the cache uses, so
+"identical" means identical inputs, not merely identical URLs.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from typing import Any
 
 from repro.telemetry import Telemetry
@@ -38,10 +38,10 @@ class SingleFlight:
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._lock = threading.Lock()
-        self._calls: dict[str, _Call] = {}
+        self._calls: dict[Hashable, _Call] = {}
         self.telemetry = telemetry or Telemetry()
 
-    def do(self, key: str, fn: Callable[[], Any]) -> tuple[Any, bool]:
+    def do(self, key: Hashable, fn: Callable[[], Any]) -> tuple[Any, bool]:
         """Run ``fn`` once per in-flight key; returns ``(result, led)``.
 
         ``led`` is True for the call that actually executed ``fn``.  An

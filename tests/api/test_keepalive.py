@@ -3,7 +3,6 @@ clients that disconnect mid-response."""
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 
@@ -11,7 +10,7 @@ import pytest
 
 from repro.api.app import CaladriusApp
 from repro.api.client import CaladriusClient
-from repro.api.server import CaladriusServer
+from repro.api.server import CaladriusServer, _Connection
 from repro.config import load_config
 
 
@@ -81,19 +80,29 @@ class TestKeepAlive:
         client.close()
 
 
-class _DeadWriter:
-    """A stream writer whose peer went away partway through a response."""
+class _GoneTransport:
+    """A transport whose peer went away partway through a response.
 
-    def __init__(self, fail_with: type[Exception]) -> None:
-        self.fail_with = fail_with
-        self.writes = 0
+    asyncio reports that by closing the transport (``connection_lost``
+    with the error), never by raising from ``write``.
+    """
+
+    def __init__(self, lost_with: type[Exception]) -> None:
+        self.lost_with = lost_with("peer went away")
+        self.writes: list[bytes] = []
+
+    def connection(self, app: CaladriusApp) -> _Connection:
+        """A listener connection on this transport, its peer gone."""
+        connection = _Connection(CaladriusServer(app, port=0))
+        connection.connection_made(self)
+        connection.connection_lost(self.lost_with)
+        return connection
+
+    def is_closing(self) -> bool:
+        return True
 
     def write(self, data: bytes) -> None:
-        self.writes += 1
-        raise self.fail_with("peer went away")
-
-    async def drain(self) -> None:
-        pass
+        self.writes.append(data)
 
 
 class TestClientDisconnectMidResponse:
@@ -104,15 +113,14 @@ class TestClientDisconnectMidResponse:
         _, _, _, store, tracker = deployed_wordcount
         app = CaladriusApp(load_config({}), tracker, store)
         try:
-            server = CaladriusServer(app, port=0)
-            writer = _DeadWriter(error)
+            transport = _GoneTransport(error)
+            connection = transport.connection(app)
             with caplog.at_level(logging.DEBUG, logger="repro.api.server"):
-                alive = asyncio.run(  # must not raise
-                    server._send(writer, 200, {"ok": True}, True)
-                )
-            assert writer.writes >= 1
-            # The connection is reported dead so the connection loop
-            # exits instead of trying to read another request from it.
+                alive = connection._send(200, {"ok": True}, True)
+            # Nothing is handed to a transport that is closing, and the
+            # connection is reported dead so the listener takes no
+            # further request from it.
+            assert transport.writes == []
             assert alive is False
             assert any(
                 "disconnected mid-response" in message
@@ -125,14 +133,9 @@ class TestClientDisconnectMidResponse:
         _, _, _, store, tracker = deployed_wordcount
         app = CaladriusApp(load_config({}), tracker, store)
         try:
-            server = CaladriusServer(app, port=0)
+            connection = _GoneTransport(BrokenPipeError).connection(app)
             with pytest.raises(TypeError):
                 # Unserialisable payloads are bugs, not disconnects.
-                asyncio.run(
-                    server._send(
-                        _DeadWriter(BrokenPipeError), 200,
-                        {"bad": object()}, True,
-                    )
-                )
+                connection._send(200, {"bad": object()}, True)
         finally:
             app.shutdown()

@@ -133,8 +133,9 @@ def test_the_attempt_reaches_nothing_that_blocks(src_index):
     resolver = _Resolver(src_index)
     functions, names = resolver.reach(ATTEMPT)
     assert not names & FORBIDDEN
-    # It is a lookup: the key, the cache, the counters, the popularity
-    # table, and the two version reads the key is made of.
+    # It is a lookup: the key (a tuple — nothing is serialised or
+    # digested), the cache, the counters, the popularity table, and the
+    # two version reads the key is made of.
     assert functions == {
         ATTEMPT,
         "serving/layer.py:ServingLayer._key",
@@ -142,8 +143,6 @@ def test_the_attempt_reaches_nothing_that_blocks(src_index):
         "serving/cache.py:ResultCache._drop_locked",
         "serving/precompute.py:WarmCachePrecomputer.record",
         "serving/fingerprint.py:RequestDescriptor.cache_key",
-        "serving/fingerprint.py:fingerprint",
-        "serving/fingerprint.py:canonical_json",
         "heron/tracker.py:TopologyTracker.revision_of",
         "heron/tracker.py:TopologyTracker.get",
         "heron/tracker.py:TopologyTracker._key",

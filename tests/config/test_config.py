@@ -228,7 +228,9 @@ class TestClusterConfig:
                     "ship_interval_seconds": 0.1,
                     "restart_backoff_seconds": 1,
                     "proxy_timeout_seconds": 5,
-                }
+                },
+                # Followers replay shipped segments into a data dir.
+                "durability": {"data_dir": "/var/lib/caladrius"},
             }
         ).cluster
         assert cluster.shards == 4
@@ -245,6 +247,34 @@ class TestClusterConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown cluster keys"):
             load_config({"cluster": {"shard_count": 4}})
+
+    @pytest.mark.parametrize(
+        "document, rule",
+        [
+            ({"cluster": {"shards": 4, "replicate": True}}, "data_dir"),
+            (
+                {"cluster": {"replicate": True},
+                 "durability": {"data_dir": "/d"}},
+                "shards > 1",
+            ),
+            ({"cluster": {"shards": 4, "sync_ship": True}}, "sync_ship needs"),
+        ],
+        ids=["replicate-without-data-dir", "replicate-one-shard",
+             "sync-ship-without-replicate"],
+    )
+    def test_settings_that_disagree_are_refused_from_a_mapping(
+        self, document, rule
+    ):
+        """The rules a ``serve`` process applies hold for every loaded
+        document, not only for one laid over by command-line flags."""
+        with pytest.raises(ConfigError, match=rule):
+            load_config(document)
+
+    def test_settings_that_disagree_are_refused_from_a_file(self, tmp_path):
+        path = tmp_path / "caladrius.yaml"
+        path.write_text("cluster: {shards: 2, replicate: true}\n")
+        with pytest.raises(ConfigError, match="durability.data_dir"):
+            load_config(path)
 
     def test_replicate_must_be_boolean(self):
         with pytest.raises(ConfigError, match="replicate"):

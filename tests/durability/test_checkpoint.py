@@ -118,3 +118,51 @@ class TestCheckpointRecovery:
         assert tracker.names() == []
         assert len(recovered.get("m").timestamps) == 1
         recovered.close()
+
+
+def _pre_rule_checkpoint(directory, tags: dict) -> None:
+    """A checkpoint as builds before the key rule wrote one: a tag value
+    that is not a string, which no writer accepts any more."""
+    (directory / CHECKPOINT_FILENAME).write_text(json.dumps({
+        "format": "repro-checkpoint-v1",
+        "last_lsn": 0,
+        "retention_seconds": None,
+        "store": {
+            "series": [{"name": "cpu-load", "tags": tags,
+                        "timestamps": [60, 120], "values": [0.5, 0.6]}],
+            "versions": [],
+        },
+        "tracker": None,
+    }))
+
+
+class TestPreRuleCheckpoint:
+    @pytest.mark.parametrize(
+        "tags", [{"container": 1}, {"topology": "wc", "instance": None}]
+    )
+    def test_a_non_string_tag_names_the_file_and_the_series(
+        self, tmp_path, tags
+    ):
+        _pre_rule_checkpoint(tmp_path, tags)
+        with pytest.raises(DurabilityError) as refused:
+            open_data_dir(tmp_path)
+        message = str(refused.value)
+        assert str(tmp_path / CHECKPOINT_FILENAME) in message
+        assert "'cpu-load'" in message and repr(tags) in message
+
+    def test_the_repair_in_the_docs_opens(self, tmp_path):
+        """``docs/architecture.md`` ("Recovery"): every tag value
+        rewritten as its string, the rest of the file as it was."""
+        _pre_rule_checkpoint(tmp_path, {"container": 1})
+        path = tmp_path / CHECKPOINT_FILENAME
+        document = json.loads(path.read_text())
+        for series in document["store"]["series"]:
+            series["tags"] = {k: str(v) for k, v in series["tags"].items()}
+        path.write_text(json.dumps(document))
+        store, _ = open_data_dir(tmp_path)
+        try:
+            assert list(store.get("cpu-load", {"container": "1"}).values) == [
+                0.5, 0.6,
+            ]
+        finally:
+            store.close()

@@ -153,6 +153,24 @@ class TestServe:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_follow_refuses_a_data_dir(self, tmp_path, capsys, monkeypatch):
+        """A follower serves its replica directory; ``--data-dir`` used
+        to be dropped for it without a word (and the follower served)."""
+        from repro.cluster import follower
+
+        def opened(*args, **kwargs):
+            raise AssertionError("follow opened a replica")
+
+        monkeypatch.setattr(follower.FollowerReplica, "__init__", opened)
+        replica, data = tmp_path / "replica", tmp_path / "data"
+        code = main(
+            ["follow", "--replica-dir", str(replica), "--data-dir", str(data)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--replica-dir" in err
+        assert not replica.exists() and not data.exists()  # nothing opened
+
     @pytest.mark.parametrize("level", ["DEBUG", None])
     def test_log_level_is_applied(self, tmp_path, level):
         """In a child process: under pytest the root logger already has

@@ -8,7 +8,10 @@ class is reachable too.  The roots are what the product runs: every
 module's top-level code under ``src/repro``, ``benchmarks/`` (the frozen
 ledger included) and ``examples/``.  Imports, ``__all__`` and
 ``__init__`` re-exports — a package's lazy export table included — are
-not a use.  Whatever the roots cannot reach
+not a use.  A dunder method runs whenever its class is used, and so does
+a method of an ``asyncio.Protocol`` subclass named for a callback the
+event loop makes (``data_received``, ``connection_lost``, …): both are
+the class's body.  Whatever the roots cannot reach
 is deleted together with the tests that test *it*, or is listed below
 because a test pins something live through it — never moved into
 ``tests/`` and never "wired in" to pass this check.
@@ -17,6 +20,7 @@ because a test pins something live through it — never moved into
 from __future__ import annotations
 
 import ast
+import asyncio
 import re
 
 import pytest
@@ -90,6 +94,13 @@ TEST_SUPPORT: dict[str, str] = {
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: What an event loop calls on a protocol object, by name.
+PROTOCOL_CALLBACKS = frozenset(
+    name
+    for base in (asyncio.BaseProtocol, asyncio.Protocol)
+    for name in vars(base)
+    if not name.startswith("_")
+)
 
 
 def _names(*nodes: ast.AST) -> set[str]:
@@ -112,16 +123,30 @@ def _is_export(stmt: ast.stmt) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _scan(body, prefix, parent, definitions) -> set[str]:
+def _is_protocol(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(base, ast.Attribute) and base.attr == "Protocol"
+        and isinstance(base.value, ast.Name) and base.value.id == "asyncio"
+        for base in node.bases
+    )
+
+
+def _scan(body, prefix, parent, definitions, called=frozenset()) -> set[str]:
     """Names ``body`` uses itself; its named children land in
     ``definitions`` as ``key -> (name, parent key, names it uses)``.
-    Dunder methods run whenever their class is used: they are body."""
+    Dunder methods run whenever their class is used, and the ``called``
+    ones (a protocol's event-loop callbacks) too: they are body."""
     used = set()
     for stmt in body:
-        if isinstance(stmt, DEFINITIONS) and not re.match(r"__\w+__\Z", stmt.name):
+        if (
+            isinstance(stmt, DEFINITIONS)
+            and not re.match(r"__\w+__\Z", stmt.name)
+            and stmt.name not in called
+        ):
             key = prefix + stmt.name
             if isinstance(stmt, ast.ClassDef):
-                inner = _scan(stmt.body, f"{key}.", key, definitions)
+                callbacks = PROTOCOL_CALLBACKS if _is_protocol(stmt) else ()
+                inner = _scan(stmt.body, f"{key}.", key, definitions, callbacks)
                 inner |= _names(*stmt.bases, *stmt.keywords, *stmt.decorator_list)
             else:
                 inner = _names(stmt)
@@ -184,6 +209,31 @@ def test_a_lazy_export_table_is_a_re_export_not_a_use():
     )
     assert _scan(package.body, "workloads/__init__.py:", None, {}) == {
         "lazy_exports"
+    }
+
+
+def test_event_loop_callbacks_are_a_protocols_body():
+    """asyncio calls ``data_received`` by name; what it calls is live,
+    and a helper nothing calls is still dead."""
+    module = ast.parse(
+        "import asyncio\n"
+        "class Conn(asyncio.Protocol):\n"
+        "    def data_received(self, data):\n"
+        "        self._framed(data)\n"
+        "    def _framed(self, data):\n"
+        "        pass\n"
+        "    def _unused(self):\n"
+        "        pass\n"
+        "class NotOne:\n"
+        "    def data_received(self, data):\n"
+        "        pass\n"
+        "Conn()\n"
+        "NotOne()\n"
+    )
+    definitions: dict[str, tuple] = {}
+    roots = _scan(module.body, "m.py:", None, definitions)
+    assert _unreachable(definitions, roots) == {
+        "m.py:Conn._unused", "m.py:NotOne.data_received",
     }
 
 
