@@ -13,8 +13,8 @@ a real :class:`~repro.api.server.CaladriusServer` in four regimes:
 * **warm** — the same request repeated: after the first computation the
   content-addressed cache answers from memory;
 * **coalesced** — bursts of identical concurrent requests against an
-  invalidated cache: single-flight runs one computation per burst and
-  the rest of the burst shares it.
+  invalidated cache: the result cache's pending entry runs one
+  computation per burst and the rest of the burst shares it.
 
 Two gates make this a CI check, not just a report: the warm phase must
 hit the cache at least 90% of the time, and warm throughput must be at
@@ -177,7 +177,7 @@ def run_benchmark(smoke: bool) -> tuple[list[str], dict[str, float]]:
             )
 
             # Coalesced: invalidate, then a burst of identical
-            # concurrent requests; single-flight computes once.
+            # concurrent requests; one pending entry computes once.
             coalesced_lat: list[float] = []
             burst_wall = 0.0
             with ThreadPoolExecutor(max_workers=burst_width) as pool:

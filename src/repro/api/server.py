@@ -24,9 +24,9 @@ Misses, writes, other routes and apps without the method leave through
 the one pool door (:meth:`CaladriusServer._run`) on a task the callback
 starts; the connection reads nothing more until that response is written
 (a miss as its stored bytes too).  *The rule for code the loop thread
-runs:* no file or socket I/O, no ``fsync``, no journal lock, no
-scheduler or single-flight wait, no model or calibration code.  The locks
-it may take are the result cache's, the tracker's, the telemetry
+runs:* no file or socket I/O, no ``fsync``, no journal lock, no wait
+for a scheduler slot or a pending answer, no model or calibration code.
+The locks it may take are the result cache's, the tracker's, the telemetry
 registry's, the precomputer's, the lifecycle's and the circuit
 breaker's, each held for O(1) work; the store is read without one
 (``MetricsStore.data_version``).  What runs on the pool is timed there:

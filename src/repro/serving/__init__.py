@@ -15,11 +15,11 @@ and the model registry:
     ``(descriptor, plan revision, data_version)``, so any input change
     changes the key and stale entries can never be served.
 ``cache``
-    :class:`ResultCache` — thread-safe LRU bounded by bytes, with TTL
-    expiry and per-topology invalidation.
-``singleflight``
-    :class:`SingleFlight` — N concurrent identical requests run one
-    computation; the other N-1 wait and share the result.
+    :class:`ResultCache` — the one table of answers: thread-safe LRU
+    bounded by bytes, with TTL expiry and per-topology invalidation,
+    whose entries are done (the bytes) or pending (:class:`Pending`:
+    N concurrent identical requests run one computation; the other N-1
+    wait and share the result).
 ``scheduler``
     :class:`PriorityScheduler` — bounded admission queue with
     interactive/precompute priority classes; sheds with a structured

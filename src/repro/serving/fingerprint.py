@@ -44,8 +44,8 @@ class RequestDescriptor(NamedTuple):
     ``"plan_sweep"``), ``model`` the ``?model=`` selector (``None`` = all
     enabled), and ``params`` the remaining request parameters as a
     canonical-JSON string.  A tuple of strings: it hashes and compares
-    in C wherever it keys something — result-cache entries, popularity
-    tracking, single-flight groups.
+    in C wherever it keys something — result-cache entries, done and
+    pending, and popularity tracking.
     """
 
     kind: str

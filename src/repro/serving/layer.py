@@ -1,26 +1,29 @@
-"""The serving facade: cache → single-flight → scheduler → models.
+"""The serving facade: one table of answers → scheduler → models.
 
 :class:`ServingLayer` is what :class:`~repro.api.app.CaladriusApp`
 calls instead of invoking models directly.  One request flows:
 
 1. **key** — the tuple ``(descriptor, plan revision, data_version)``:
    the request's identity and the two versions of its inputs, read from
-   the tracker and the store — no digest, the cache's table hashes it;
-2. **cache** — a hit returns the stored payload immediately
-   (byte-identical to the original response);
-3. **single-flight** — concurrent misses on the same key elect one
-   leader; the rest wait and share its result;
-4. **scheduler** — the leader's computation passes priority admission
+   the tracker and the store — no digest, the table hashes it;
+2. **lookup** — one look into the :class:`~repro.serving.cache.ResultCache`
+   answers a hit with the stored payload (byte-identical to the original
+   response); an asker who finds the answer *pending* waits for the
+   asker computing it and shares its result; a miss installs a pending
+   entry and leads;
+3. **scheduler** — the leader's computation passes priority admission
    control (shedding 429 + ``Retry-After`` under overload);
-5. **store** — the JSON-serialized result is cached for next time.
+4. **store** — the leader's JSON-serialized result resolves its pending
+   entry: stored for next time, and handed to its waiters.
 
 Invalidation is event-driven: the layer subscribes to
 :class:`~repro.timeseries.store.MetricsStore` writes and
-:class:`~repro.heron.tracker.TopologyTracker` plan changes, evicting the
-touched topology's entries and queueing its popular queries for warm
-recomputation.  Because keys also carry the revision and data version,
-even an entry that escaped eviction can never be addressed again —
-eviction is a space optimisation, not a correctness requirement.
+:class:`~repro.heron.tracker.TopologyTracker` plan changes, dropping the
+touched topology's entries — done and pending — and queueing its
+popular queries for warm recomputation.  Because keys also carry the
+revision and data version, even an entry that escaped eviction can
+never be addressed again — eviction is a space optimisation, not a
+correctness requirement.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from typing import Any
 from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ReproError, TopologyError
 from repro.heron.tracker import TopologyTracker
-from repro.serving.cache import ResultCache
+from repro.serving.cache import Pending, ResultCache
 from repro.serving.fingerprint import RequestDescriptor
 from repro.serving.precompute import WarmCachePrecomputer
 from repro.serving.scheduler import (
     INTERACTIVE, PRECOMPUTE, PriorityScheduler, mean_compute_seconds,
 )
-from repro.serving.singleflight import SingleFlight
 from repro.telemetry import Snapshot, Telemetry, readings
 from repro.timeseries.store import MetricsStore
 
@@ -67,8 +69,8 @@ class ServingLayer:
         What cache lifetimes, slot waits and the re-warm cadence are
         measured on.
     telemetry:
-        The registry the layer and its cache, single-flight, scheduler
-        and precomputer count into (``serving.*``).
+        The registry the layer and its cache, scheduler and precomputer
+        count into (``serving.*``).
     """
 
     def __init__(
@@ -88,7 +90,6 @@ class ServingLayer:
         self.telemetry = telemetry = telemetry or Telemetry(clock)
         telemetry.gauges("serving.", lambda: {"enabled": 1})
         self.cache = ResultCache(cache_bytes, ttl_seconds, clock, telemetry)
-        self.flight = SingleFlight(telemetry)
         self.scheduler = PriorityScheduler(max_concurrent, max_queue, clock, telemetry)
         self._clock = clock
         self.precomputer = WarmCachePrecomputer(precompute_top_k, telemetry=telemetry)
@@ -128,23 +129,24 @@ class ServingLayer:
         timeout: float | None = None,
         record: bool = True,
     ) -> bytes:
-        """Serve one request through cache, coalescing and admission.
+        """Serve one request through the table of answers and admission.
 
         ``compute`` runs at most once per distinct input state no matter
         how many concurrent callers present the same descriptor.  What
         comes back is the stored response bytes — the leader's encoding
-        of its result, handed to coalesced waiters and later hits alike —
-        which the HTTP listener writes as they are.
+        of its result, handed to its waiters and later hits alike —
+        which the HTTP listener writes as they are.  ``timeout`` bounds
+        the wait for a scheduler slot, or for another asker's answer.
         """
         key = self._key(descriptor)
         if record:
             self.telemetry.count("serving.requests")
-        payload = self.cache.get(key)
-        if payload is None:
-            payload, _ = self.flight.do(
-                key, lambda: self._compute_and_store(key, descriptor, compute,
-                                                     priority, timeout)
-            )
+        lead = Pending(descriptor.topology)
+        payload = self.cache.get(key, lead=lead)
+        if payload is lead:
+            payload = self._compute_and_store(key, lead, compute, priority, timeout)
+        elif payload.__class__ is Pending:
+            payload = self.cache.join(payload, timeout)
         elif record:
             self.telemetry.count("serving.hits")
         if record:
@@ -172,23 +174,23 @@ class ServingLayer:
     def _compute_and_store(
         self,
         key: tuple,
-        descriptor: RequestDescriptor,
+        lead: Pending,
         compute: Callable[[], dict[str, Any]],
         priority: int,
         timeout: float | None,
     ) -> bytes:
-        # A racing leader may have filled the cache between our miss and
-        # winning the flight; re-check before paying for a computation.
-        payload = self.cache.get(key)
-        if payload is not None:
-            return payload
-        result = self.scheduler.run(compute, priority, timeout)
-        self.telemetry.count("serving.computations")
-        # dumps(loads(payload)) == payload: what the HTTP tier would
-        # encode from execute()'s dict and what it sends from payload()
-        # or cached() are the same bytes.
-        payload = json.dumps(result).encode("utf8")
-        self.cache.put(key, payload, descriptor.topology)
+        """Compute the answer ``lead`` stands for and resolve it."""
+        try:
+            result = self.scheduler.run(compute, priority, timeout)
+            self.telemetry.count("serving.computations")
+            # dumps(loads(payload)) == payload: what the HTTP tier would
+            # encode from execute()'s dict and what it sends from
+            # payload() or cached() are the same bytes.
+            payload = json.dumps(result).encode("utf8")
+        except BaseException as exc:
+            self.cache.fail(key, lead, exc)
+            raise
+        self.cache.put(key, payload, lead.topology, lead)
         return payload
 
     def _key(self, descriptor: RequestDescriptor) -> tuple:

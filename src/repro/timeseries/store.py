@@ -819,7 +819,8 @@ class MetricsStore:
                     # The cutoff moved: trim now, as the write this
                     # entry stands for would, so later entries are
                     # judged against what it left behind.
-                    self._apply_retention_locked((topology,))
+                    for trimmed in self._apply_retention_locked((topology,)):
+                        accepted.setdefault(trimmed, 0)
             elif retention is not None and timestamp < latest - retention:
                 buffer.trim_before(latest - retention)  # expired on arrival
         if run:
@@ -1081,35 +1082,38 @@ class MetricsStore:
                 if self._latest is None or timestamp > self._latest:
                     self._latest = timestamp
                 self._versions[topology] = self._versions.get(topology, 0) + len(values)
-                self._apply_retention_locked((topology,))
-                touched = (topology,)
+                touched = (topology, *self._apply_retention_locked((topology,)))
                 entries = zip(batch.keys, repeat(timestamp), values)
                 self._journal(entries, [None] * len(values), None)
         finally:
             self._notify(touched)
 
-    def _apply_retention_locked(self, written: Collection[str | None]) -> None:
-        """Trim expired samples after a write to the ``written`` topologies.
+    def _apply_retention_locked(self, written: Collection[str | None]) -> Collection:
+        """Trim expired samples after a write to the ``written`` topologies;
+        returns the other topologies it trimmed, for the listeners.
 
         A trim changes what the trimmed series' topology can query, so
         that topology's ``data_version`` has to move as well — otherwise
         every consumer keyed on it (result cache, calibration cache,
         sweep artifacts) would keep serving answers computed from samples
-        that are gone.  The written topologies' counters just moved, and
-        an untagged write moved every digest, so only the *other*
-        topologies that lost samples are bumped here.
+        that are gone — and its listeners have to hear of it, or what
+        they hold for it stays behind under versions no read asks for.
+        The written topologies' counters just moved, and an untagged
+        write moved every digest (and is heard as ``None``), so only the
+        *other* topologies that lost samples are bumped here.
         """
         if self._retention is None or self._latest is None:
-            return
+            return ()
         cutoff = self._latest - self._retention
         trimmed: set[str | None] = set()
         for key, buffer in self._series.items():
             if buffer.timestamps and buffer.timestamps[0] < cutoff:
                 buffer.trim_before(cutoff)
                 trimmed.add(key.topology)
-        if None not in written:
-            for topology in trimmed.difference(written):
-                self._versions[topology] = self._versions.get(topology, 0) + 1
+        bumped = set() if None in written else trimmed.difference(written)
+        for topology in bumped:
+            self._versions[topology] = self._versions.get(topology, 0) + 1
+        return bumped
 
     # ------------------------------------------------------------------
     # Reading

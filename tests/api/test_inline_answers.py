@@ -430,10 +430,10 @@ class TestMutants:
     def test_answering_from_an_expired_entry(self, deployed_wordcount, monkeypatch):
         honest = ResultCache.get
 
-        def forgiving(self, key, count_miss=True):
+        def forgiving(self, key, count_miss=True, lead=None):
             if not count_miss and key in self._entries:
                 return self._entries[key].payload
-            return honest(self, key, count_miss)
+            return honest(self, key, count_miss, lead)
 
         monkeypatch.setattr(ResultCache, "get", forgiving)
         with pytest.raises(AssertionError):

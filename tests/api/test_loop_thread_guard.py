@@ -14,10 +14,17 @@ from __future__ import annotations
 
 import ast
 import functools
+import threading
+
+from repro.heron.tracker import TopologyTracker
+from repro.serving.fingerprint import RequestDescriptor
+from repro.serving.layer import ServingLayer
+from repro.timeseries.store import MetricsStore
+from tests.clock import JOIN, Call
 
 #: Where the loop thread must never arrive: the disk, the journal, the
-#: admission gate, another request's computation, a model.
-FORBIDDEN = {"fsync", "append_bodies", "scheduler.run", "flight.do", "calibrate_topology"}
+#: admission gate, the wait for another request's computation, a model.
+FORBIDDEN = {"fsync", "append_bodies", "scheduler.run", "cache.join", "calibrate_topology"}
 ATTEMPT = "serving/layer.py:ServingLayer.cached"
 
 
@@ -154,10 +161,36 @@ def test_the_attempt_reaches_nothing_that_blocks(src_index):
     assert not any(isinstance(n, ast.With) for n in ast.walk(version.node))
 
 
+def test_the_attempt_on_a_pending_answer_returns_at_once():
+    """Another request is computing the answer: ``cached`` says ``None``
+    at once instead of waiting for it, and moves no counter — the pool's
+    ``execute`` books the ask when it joins the computation."""
+    layer = ServingLayer(TopologyTracker(), MetricsStore())
+    descriptor = RequestDescriptor.of("traffic", "wc", None, {})
+    started, release = threading.Event(), threading.Event()
+
+    def blocking_model():
+        started.set()
+        release.wait(JOIN)
+        return {"v": 1}
+
+    leader = Call(layer.execute, descriptor, blocking_model)
+    try:
+        assert started.wait(JOIN)
+        before = layer.telemetry.snapshot()["counters"]
+        assert Call(layer.cached, descriptor).result() is None
+        assert layer.telemetry.snapshot()["counters"] == before
+    finally:
+        release.set()
+    assert leader.result() == {"v": 1}
+    assert layer.cached(descriptor) == b'{"v": 1}'
+    layer.close()
+
+
 def test_the_resolver_is_not_blind(src_index):
     """The same walk from ``execute`` does arrive where the attempt must not."""
     _, names = _Resolver(src_index).reach("serving/layer.py:ServingLayer.execute")
-    assert {"scheduler.run", "flight.do"} <= names
+    assert {"scheduler.run", "cache.join"} <= names
     _, names = _Resolver(src_index).reach(
         "durability/store.py:DurableMetricsStore._journal"
     )

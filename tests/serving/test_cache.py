@@ -1,4 +1,5 @@
-"""ResultCache: LRU byte bound, TTL expiry, topology invalidation."""
+"""ResultCache: LRU byte bound, TTL expiry, topology invalidation, and
+pending entries: one computation per key, shared by its waiters."""
 
 from __future__ import annotations
 
@@ -6,9 +7,11 @@ from collections import OrderedDict
 
 import pytest
 
+from repro.durability.deadline import DeadlineExceeded
 from repro.errors import ConfigError
-from repro.serving.cache import ResultCache
-from tests.clock import ManualClock
+from repro.serving.cache import Pending, ResultCache
+from tests.clock import Call, ManualClock
+from tests.live import poll_until
 from tests.readings import reading
 
 
@@ -148,3 +151,136 @@ class TestInvalidation:
         cache.put("a", b"1", "wc")
         assert cache.invalidate_topology("nope") == 0
         assert cache.get("a") == b"1"
+
+
+def lead(cache: ResultCache, key: str, topology: str = "wc") -> Pending:
+    """Ask for ``key`` as the layer does; the ask must lead."""
+    mine = Pending(topology)
+    assert cache.get(key, lead=mine) is mine
+    return mine
+
+
+class TestPending:
+    def test_a_miss_leads_and_the_next_ask_waits(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+        assert cache.get("k", lead=Pending("wc")) is first
+        assert cache.get("k", count_miss=False) is None
+        assert cache.get("k") is first  # a counted lookup finds it too
+        assert reading(cache, "serving.singleflight.led") == 1
+        assert reading(cache, "serving.singleflight.coalesced") == 2
+        assert reading(cache, "serving.cache.entries") == 1
+        assert reading(cache, "serving.cache.bytes") == 0
+
+    def test_seven_waiters_share_the_leaders_answer(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+
+        def ask():
+            answer = cache.get("k", lead=Pending("wc"))
+            assert answer is first
+            return cache.join(answer, None)
+
+        waiters = [Call(ask) for _ in range(7)]
+        assert poll_until(
+            lambda: reading(cache, "serving.singleflight.coalesced") == 7
+        )
+        assert cache.put("k", b"answer", "wc", first)
+        assert [w.result() for w in waiters] == [b"answer"] * 7
+        assert cache.get("k") == b"answer"
+        assert reading(cache, "serving.singleflight.led") == 1
+
+    def test_distinct_keys_do_not_coalesce(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        a, b = lead(cache, "a"), lead(cache, "b")
+        assert a is not b
+        assert reading(cache, "serving.singleflight.led") == 2
+        assert reading(cache, "serving.singleflight.coalesced") == 0
+
+    def test_the_leaders_error_reaches_every_waiter_and_stores_nothing(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+        waiters = [
+            Call(lambda: cache.join(cache.get("k", lead=Pending("wc")), None))
+            for _ in range(3)
+        ]
+        assert poll_until(
+            lambda: reading(cache, "serving.singleflight.coalesced") == 3
+        )
+        cache.fail("k", first, ValueError("boom"))
+        for waiter in waiters:
+            with pytest.raises(ValueError, match="boom"):
+                waiter.result()
+        assert reading(cache, "serving.cache.entries") == 0
+        lead(cache, "k")  # a later ask computes anew
+
+    def test_a_resolved_key_is_asked_again_as_a_hit(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        cache.put("k", b"1", "wc", lead(cache, "k"))
+        assert cache.get("k", lead=Pending("wc")) == b"1"
+        cache.invalidate_topology("wc")
+        cache.put("k", b"2", "wc", lead(cache, "k"))  # a later ask re-runs
+        assert cache.get("k") == b"2"
+
+    def test_a_waiter_gives_up_at_its_own_deadline(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+        impatient = Call(cache.join, first, 2.0)
+        patient = Call(cache.join, first, None)
+        assert clock.await_waiters(1)
+        clock.advance(2.0)
+        with pytest.raises(DeadlineExceeded) as raised:
+            impatient.result()
+        assert raised.value.status == 504
+        cache.put("k", b"late", "wc", first)
+        assert patient.result() == b"late"
+        assert cache.get("k") == b"late"
+
+    def test_pending_entries_hold_no_bytes_and_outlive_pressure_and_ttl(self, clock):
+        cache = ResultCache(20, ttl_seconds=10, clock=clock)
+        first = lead(cache, "slow")
+        for index in range(5):
+            cache.put(f"k{index}", b"x" * 10, "wc")  # the last three evict
+        assert reading(cache, "serving.cache.evictions") == 3
+        clock.advance(60)
+        cache.put("fresh", b"y" * 20, "wc")  # sweeps k3 and k4
+        assert reading(cache, "serving.cache.expirations") == 2
+        assert reading(cache, "serving.cache.bytes") == 20
+        assert cache.get("slow") is first
+        assert cache.put("slow", b"z" * 5, "wc", first)  # evicts "fresh"
+        assert reading(cache, "serving.cache.evictions") == 4
+        assert cache.get("slow") == b"z" * 5
+
+    @pytest.mark.parametrize("topology", ["wc", None])
+    def test_an_invalidated_answer_reaches_its_waiters_but_is_not_stored(
+        self, clock, topology
+    ):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+        other = lead(cache, "o", topology="other")
+        waiter = Call(lambda: cache.join(cache.get("k", lead=Pending("wc")), None))
+        assert poll_until(
+            lambda: reading(cache, "serving.singleflight.coalesced") == 1
+        )
+        assert cache.invalidate_topology(topology) == (1 if topology else 2)
+        assert cache.get("k", lead=Pending("wc")) is not first  # a new leader
+        assert not cache.put("k", b"old", "wc", first)
+        assert waiter.result() == b"old"
+        assert cache.get("k", count_miss=False) is None
+        assert (cache.get("o") is other) == (topology is not None)
+
+    def test_only_its_leader_resolves_a_pending_entry(self, clock):
+        cache = ResultCache(1024, clock=clock)
+        first = lead(cache, "k")
+        assert not cache.put("k", b"stray", "wc")
+        assert cache.get("k") is first
+        assert not first.done.is_set()
+        assert cache.put("k", b"answer", "wc", first)
+        assert cache.get("k") == b"answer"
+
+    def test_an_oversized_answer_still_reaches_its_waiters(self, clock):
+        cache = ResultCache(4, clock=clock)
+        first = lead(cache, "k")
+        assert not cache.put("k", b"too large", "wc", first)
+        assert cache.join(first, None) == b"too large"
+        assert reading(cache, "serving.cache.entries") == 0

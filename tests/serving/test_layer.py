@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import json
+import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durability.deadline import DeadlineExceeded
 from repro.heron.tracker import TopologyTracker
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.serving.fingerprint import RequestDescriptor, fingerprint
 from repro.serving.layer import ServingLayer
 from repro.timeseries.store import MetricsStore
-from tests.clock import ManualClock
+from tests.clock import JOIN, Call, ManualClock
 from tests.live import poll_until
+from tests.readings import reading
 
 
 def make_layer(**kwargs):
@@ -109,8 +113,8 @@ class TestContentAddressing:
         assert layer.cached(desc()) == b'{"value": 7}'
         stats = layer.stats()
         assert (stats["requests"], stats["hits"]) == (2, 1)
-        # execute's own two looks, and nothing from the three attempts.
-        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (2, 1)
+        # execute's one look, and nothing from the three attempts.
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (1, 1)
         assert stats["precompute"]["recorded"] == 2
         layer.close()
 
@@ -154,6 +158,116 @@ class TestContentAddressing:
         tracker.update(topology.name, topology, packing)
         layer.execute(desc(topology.name), compute)
         assert len(calls) == 2
+        layer.close()
+
+
+class Blocking:
+    """A model that runs until released, counting its runs."""
+
+    def __init__(self, answer=None) -> None:
+        self.answer = {"value": 1} if answer is None else answer
+        self.runs = 0
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self):
+        self.runs += 1
+        self.started.set()
+        assert self.release.wait(JOIN)
+        if isinstance(self.answer, Exception):
+            raise self.answer
+        return self.answer
+
+
+def coalesced(layer) -> int:
+    return reading(layer, "serving.singleflight.coalesced")
+
+
+class TestOneComputationPerKey:
+    def test_seven_concurrent_askers_share_one_computation(self):
+        layer, _, _ = make_layer()
+        model = Blocking()
+        leader = Call(layer.execute, desc(), model)
+        assert model.started.wait(JOIN)
+        waiters = [Call(layer.execute, desc(), model) for _ in range(7)]
+        assert poll_until(lambda: coalesced(layer) == 7)
+        model.release.set()
+        assert [c.result() for c in [leader, *waiters]] == [{"value": 1}] * 8
+        assert model.runs == 1
+        stats = layer.stats()
+        assert (stats["computations"], stats["coalesced"]) == (1, 7)
+        assert stats["singleflight"] == {"led": 1, "coalesced": 7}
+        assert stats["cache"]["misses"] == 8  # one look each
+        layer.close()
+
+    def test_distinct_keys_compute_side_by_side(self):
+        layer, _, _ = make_layer()
+        both = threading.Barrier(2, timeout=JOIN)
+
+        def model(tag):
+            both.wait()  # neither waits for the other's answer
+            return {"tag": tag}
+
+        a = Call(layer.execute, desc(horizon=1), lambda: model("a"))
+        b = Call(layer.execute, desc(horizon=2), lambda: model("b"))
+        assert (a.result(), b.result()) == ({"tag": "a"}, {"tag": "b"})
+        assert coalesced(layer) == 0
+        layer.close()
+
+    def test_the_leaders_error_reaches_every_waiter_and_is_not_stored(self):
+        from repro.errors import ModelError
+
+        layer, _, _ = make_layer()
+        model = Blocking(ModelError("boom"))
+        leader = Call(layer.execute, desc(), model)
+        assert model.started.wait(JOIN)
+        waiters = [Call(layer.execute, desc(), model) for _ in range(3)]
+        assert poll_until(lambda: coalesced(layer) == 3)
+        model.release.set()
+        for call in [leader, *waiters]:
+            with pytest.raises(ModelError, match="boom"):
+                call.result()
+        assert model.runs == 1
+        assert layer.stats()["cache"]["entries"] == 0
+        assert layer.execute(desc(), lambda: {"value": 2}) == {"value": 2}
+        layer.close()
+
+    def test_a_waiter_gives_up_at_its_own_deadline(self):
+        """The waiter's deadline is shorter than the leader's computation:
+        504 when it passes, while the leader and a patient waiter go on
+        to the answer."""
+        clock = ManualClock()
+        layer, _, _ = make_layer(clock=clock)
+        model = Blocking()
+        leader = Call(layer.execute, desc(), model)
+        assert model.started.wait(JOIN)
+        patient = Call(layer.execute, desc(), model)
+        impatient = Call(layer.execute, desc(), model, timeout=1.0)
+        assert clock.await_waiters(1)
+        clock.advance(1.0)
+        with pytest.raises(DeadlineExceeded) as raised:
+            impatient.result()
+        assert raised.value.status == 504
+        model.release.set()
+        assert leader.result() == patient.result() == {"value": 1}
+        assert model.runs == 1
+        layer.close()
+
+    def test_an_answer_invalidated_mid_computation_is_not_stored(self):
+        """A write lands while the leader computes: every asker still gets
+        the answer, and no entry is left holding budget under a key no
+        one can compute any more."""
+        layer, _, store = make_layer()
+        model = Blocking()
+        leader = Call(layer.execute, desc(), model)
+        assert model.started.wait(JOIN)
+        waiters = [Call(layer.execute, desc(), model) for _ in range(2)]
+        assert poll_until(lambda: coalesced(layer) == 2)
+        store.write("m", 0, 1.0, {"topology": "wc"})
+        model.release.set()
+        assert [c.result() for c in [leader, *waiters]] == [{"value": 1}] * 3
+        cache = layer.stats()["cache"]
+        assert (cache["bytes"], cache["entries"]) == (0, 0)
         layer.close()
 
 

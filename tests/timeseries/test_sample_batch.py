@@ -185,6 +185,27 @@ class TestListeners:
         assert calls == []
 
 
+    @pytest.mark.parametrize("prepared", [False, True], ids=["keyed", "prepared"])
+    def test_a_retention_trim_is_heard_by_the_topology_it_trimmed(self, prepared):
+        """A write to one topology that expires another's samples moves
+        that one's data_version, and tells the listeners so: what they
+        hold for it would otherwise stay behind under a dead version."""
+        store = MetricsStore(retention_seconds=60)
+        store.write("m", 0, 1.0, {"topology": "old"})
+        key = MetricKey.of("m", {"topology": "new"})
+        store.apply_sample_batch([(key, 0, 1.0)])
+        version = store.data_version("old")
+        calls: list[str | None] = []
+        store.add_invalidation_listener(calls.append)
+        if prepared:
+            batch = store.make_minute_batch([key])
+            store.append_minute_batch(batch, 120, [2.0], topology="new")
+        else:
+            store.apply_sample_batch([(key, 120, 2.0)])
+        assert store.data_version("old") == version + 1
+        assert sorted(calls) == ["new", "old"]
+
+
 class TestBatchedAppendGuard:
     """What the removed ``supports_batched_appends`` guard stood in for
     is now a property of the batch paths themselves (journaling of
