@@ -13,11 +13,15 @@ By default an endpoint runs *all* configured model implementations and
 concatenates the results into one JSON response, as the paper
 describes; ``?model=`` narrows to one.
 
+A modelling request is validated into a
+:class:`~repro.serving.RequestDescriptor`, and :meth:`CaladriusApp._answer`
+is the one function that turns a descriptor into a model run: fresh asks,
+``async=1`` jobs, the serving-disabled app and the re-warm all replay it.
 Modelling traffic flows through :class:`~repro.serving.ServingLayer`
-(unless disabled in configuration): identical requests over unchanged
-inputs are answered from a content-addressed cache, concurrent identical
-requests coalesce into one computation, and overload is shed with a
-structured 429 + ``Retry-After``.
+(unless disabled in configuration): a version-keyed table of answers
+serves identical requests over unchanged inputs, a later asker of an
+answer being computed joins its pending entry, and overload is shed with
+a structured 429 + ``Retry-After``.
 
 The app owns one :class:`~repro.telemetry.Telemetry` registry and hands
 it to everything it builds; ``GET /telemetry`` is its snapshot, and
@@ -71,17 +75,18 @@ __all__ = ["CaladriusApp", "stats_view"]
 #: modelling answer as the response bytes the result cache stored.
 _ENCODED = "encoded"
 
-#: ``/model/<kind>/heron/<name>``: the method each kind takes, and the
-#: 405's words for another.
-_MODEL_VERBS = {
-    "traffic": ("GET", "traffic modelling uses GET"),
-    "topology": ("POST", "performance modelling uses POST"),
-    "plan_sweep": ("POST", "plan sweeps use POST"),
+#: ``/model/<kind>/heron/<name>``: the method each kind takes, the 405's
+#: words for another, and the validator that makes the request its
+#: descriptor.
+_MODEL_ROUTES = {
+    "traffic": ("GET", "traffic modelling uses GET", "_traffic"),
+    "topology": ("POST", "performance modelling uses POST", "_performance"),
+    "plan_sweep": ("POST", "plan sweeps use POST", "_plan_sweep"),
 }
 
-#: What a modelling handler makes of a valid request: the descriptor that
-#: keys its answer, the computation behind it, and its priority.
-_Plan = tuple[RequestDescriptor, Callable[[], dict[str, Any]], int]
+#: What a modelling request validates to: the descriptor that is the whole
+#: request, and its priority.
+_Request = tuple[RequestDescriptor, int]
 
 
 @dataclass
@@ -180,6 +185,7 @@ class CaladriusApp:
             self.serving = ServingLayer(
                 tracker,
                 store,
+                self._answer,
                 cache_bytes=config.serving.cache_bytes,
                 ttl_seconds=config.serving.ttl_seconds,
                 max_concurrent=config.serving.max_concurrent,
@@ -188,7 +194,6 @@ class CaladriusApp:
                 clock=clock,
                 telemetry=telemetry,
             )
-            self.serving.set_recompute(self._recompute)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -280,20 +285,16 @@ class CaladriusApp:
         if (
             len(parts) == 4
             and parts[0] == "model"
-            and parts[1] in _MODEL_VERBS
+            and parts[1] in _MODEL_ROUTES
             and parts[2] == "heron"
         ):
-            verb, refusal = _MODEL_VERBS[parts[1]]
+            verb, refusal, validator = _MODEL_ROUTES[parts[1]]
             if method != verb:
                 raise ApiError(refusal, 405)
             self._refuse_if_draining()
-            name = parts[3]
-            compute = {
-                "traffic": lambda: self._traffic(name, query),
-                "topology": lambda: self._performance(name, query, body),
-                "plan_sweep": lambda: self._plan_sweep(name, query, body),
-            }[parts[1]]
-            return self._maybe_async(query, compute, blocking)
+            return self._maybe_async(
+                getattr(self, validator), (parts[3], query, body), blocking
+            )
         if not blocking:
             # Every route below reads the store, journals, ships or
             # touches the job table.
@@ -615,13 +616,12 @@ class CaladriusApp:
     def _serve(
         self,
         descriptor: RequestDescriptor,
-        compute: Callable[[], dict[str, Any]],
         priority: int,
         blocking: bool | str,
     ) -> dict[str, Any] | bytes | None:
         """Answer a validated modelling request.  Without ``blocking``
         only a cached answer (its stored bytes) comes back, else ``None``:
-        ``compute`` never runs and nothing is waited for.  ``_ENCODED``
+        nothing is computed and nothing is waited for.  ``_ENCODED``
         takes a computed answer as the bytes it was stored as, too."""
         deadline = current_deadline()
         timeout = None
@@ -631,53 +631,91 @@ class CaladriusApp:
         if not blocking:
             return None if self.serving is None else self.serving.cached(descriptor)
         if self.serving is None:
-            return compute()
+            return self._answer(descriptor)
         serve = (
             self.serving.payload if blocking is _ENCODED else self.serving.execute
         )
-        return serve(descriptor, compute, priority, timeout=timeout)
+        return serve(descriptor, priority, timeout=timeout)
+
+    def _answer(self, descriptor: RequestDescriptor) -> dict[str, Any]:
+        """The modelling answer to a validated request.
+
+        The one function that turns a request into a model run: a fresh
+        ask, an ``async=1`` job, the serving-disabled app and the re-warm
+        all replay the descriptor here, so an answer computed again is
+        the answer computed first.  Request-derived mistakes (an unknown
+        model name, unusable metrics) are refused before the circuit
+        breaker; only the evaluation runs under it.
+        """
+        kind, topology, model, params = descriptor
+        params = json.loads(params)
+        self._require_healthy_metrics(topology)
+        if kind == "plan_sweep":
+            return self.breaker.call(
+                lambda: self.sweep_engine.sweep(
+                    topology, float(params["source_rate"]), params["plans"],
+                    top_k=params["top_k"],
+                )
+            )
+        horizon = params["horizon_minutes"]
+        if kind == "traffic":
+            models = self.registry.traffic_model(model)
+            source = params["source_minutes"]
+            results = self.breaker.call(
+                lambda: [
+                    m.predict(topology, source, horizon).as_dict() for m in models
+                ]
+            )
+            return {"topology": topology, "results": results}
+        source_rate, plan = params["source_rate"], params["parallelisms"]
+        models = self.registry.performance_model(model)
+        forecasters = (
+            self.registry.traffic_model(params["traffic_model"])
+            if source_rate is None
+            else []
+        )
+
+        def evaluate() -> list[dict[str, Any]]:
+            traffic = None
+            if source_rate is None:
+                traffic = forecasters[0].predict(topology, None, horizon)
+            passes: dict = {}  # the models read one evaluation
+            return [
+                m.predict(
+                    topology,
+                    source_rate=source_rate,
+                    traffic=traffic,
+                    parallelisms=plan,
+                    passes=passes,
+                ).as_dict()
+                for m in models
+            ]
+
+        return {"topology": topology, "results": self.breaker.call(evaluate)}
 
     def _traffic(
-        self, topology: str, query: Mapping[str, str]
-    ) -> _Plan:
-        horizon = _int_param(query, "horizon_minutes", default=60)
+        self,
+        topology: str,
+        query: Mapping[str, str],
+        body: Mapping[str, Any],
+    ) -> _Request:
+        horizon = _horizon_param(query)
         source = _int_param(query, "source_minutes", default=None)
-        model = query.get("model")
         self._tracked(topology)  # 404 before caching/admission
         descriptor = RequestDescriptor.of(
             "traffic",
             topology,
-            model,
+            query.get("model"),
             {"horizon_minutes": horizon, "source_minutes": source},
         )
-        return (
-            descriptor,
-            lambda: self._traffic_uncached(topology, horizon, source, model),
-            _priority_param(query),
-        )
-
-    def _traffic_uncached(
-        self,
-        topology: str,
-        horizon: int,
-        source: int | None,
-        model: str | None,
-    ) -> dict[str, Any]:
-        self._require_healthy_metrics(topology)
-        models = self.registry.traffic_model(model)
-        results = self.breaker.call(
-            lambda: [
-                m.predict(topology, source, horizon).as_dict() for m in models
-            ]
-        )
-        return {"topology": topology, "results": results}
+        return descriptor, _priority_param(query)
 
     def _performance(
         self,
         topology: str,
         query: Mapping[str, str],
         body: Mapping[str, Any],
-    ) -> _Plan:
+    ) -> _Request:
         source_rate = _source_rate(body, required=False)
         parallelisms = body.get("parallelisms")
         if parallelisms is not None:
@@ -687,9 +725,10 @@ class CaladriusApp:
                 raise ApiError("parallelisms must map components to integers")
             # An empty plan is no plan: one key, one cached answer.
             parallelisms = parallelisms or None
-        traffic_model_name = body.get("traffic_model")
-        horizon = _int_param(query, "horizon_minutes", default=60)
-        model = query.get("model")
+        traffic_model = body.get("traffic_model")
+        if traffic_model is not None and not isinstance(traffic_model, str):
+            raise ApiError("traffic_model must be a string")
+        horizon = _horizon_param(query)
         tracked = self._tracked(topology)  # 404 before caching/admission
         if parallelisms:
             _check_plans(
@@ -701,72 +740,31 @@ class CaladriusApp:
         descriptor = RequestDescriptor.of(
             "performance",
             topology,
-            model,
+            query.get("model"),
             {
                 "horizon_minutes": horizon,
                 "source_rate": source_rate,
                 "parallelisms": parallelisms,
-                "traffic_model": traffic_model_name,
+                "traffic_model": traffic_model,
             },
         )
-        return (
-            descriptor,
-            lambda: self._performance_uncached(
-                topology, horizon, source_rate, parallelisms,
-                traffic_model_name, model,
-            ),
-            _priority_param(query),
-        )
-
-    def _performance_uncached(
-        self,
-        topology: str,
-        horizon: int,
-        source_rate: float | None,
-        parallelisms: dict[str, int] | None,
-        traffic_model_name: str | None,
-        model: str | None,
-    ) -> dict[str, Any]:
-        self._require_healthy_metrics(topology)
-        # Looked up out here: a model name the configuration does not
-        # enable is the caller's mistake, not an evaluator failure.
-        models = self.registry.performance_model(model)
-        traffic_models = (
-            self.registry.traffic_model(traffic_model_name)
-            if source_rate is None
-            else []
-        )
-
-        def evaluate() -> list[dict[str, Any]]:
-            traffic = None
-            if source_rate is None:
-                traffic = traffic_models[0].predict(topology, None, horizon)
-            passes: dict = {}  # the models read one evaluation
-            return [
-                m.predict(
-                    topology,
-                    source_rate=source_rate,
-                    traffic=traffic,
-                    parallelisms=parallelisms,
-                    passes=passes,
-                ).as_dict()
-                for m in models
-            ]
-
-        return {"topology": topology, "results": self.breaker.call(evaluate)}
+        return descriptor, _priority_param(query)
 
     _MAX_SWEEP_PLANS = 1024
     #: Instances of one component a plan may propose.  The paper's
     #: topologies run tens to hundreds; every rescale allocates a share
     #: vector this long (and a sweep one per plan).
     _MAX_PARALLELISM = 10_000
+    #: Minutes ahead a forecast may reach: one day.  The traffic models'
+    #: uncertainty sampling grows with the square of the horizon.
+    _MAX_HORIZON_MINUTES = 1440
 
     def _plan_sweep(
         self,
         topology: str,
         query: Mapping[str, str],
         body: Mapping[str, Any],
-    ) -> _Plan:
+    ) -> _Request:
         source_rate = _source_rate(body, required=True)
         plans = body.get("plans")
         if not isinstance(plans, list) or not plans:
@@ -802,74 +800,23 @@ class CaladriusApp:
                 "top_k": top_k,
             },
         )
-        return (
-            descriptor,
-            lambda: self._plan_sweep_uncached(
-                topology, float(source_rate), plans, top_k
-            ),
-            _priority_param(query),
-        )
-
-    def _plan_sweep_uncached(
-        self,
-        topology: str,
-        source_rate: float,
-        plans: list[dict[str, int]],
-        top_k: int | None,
-    ) -> dict[str, Any]:
-        self._require_healthy_metrics(topology)
-        return self.breaker.call(
-            lambda: self.sweep_engine.sweep(
-                topology, source_rate, plans, top_k=top_k
-            )
-        )
-
-    def _recompute(self, descriptor: RequestDescriptor) -> dict[str, Any]:
-        """Replay a descriptor's computation (warm-cache precompute)."""
-        params = json.loads(descriptor.params)
-        if descriptor.kind == "traffic":
-            return self._traffic_uncached(
-                descriptor.topology,
-                params["horizon_minutes"],
-                params["source_minutes"],
-                descriptor.model,
-            )
-        if descriptor.kind == "performance":
-            return self._performance_uncached(
-                descriptor.topology,
-                params["horizon_minutes"],
-                params["source_rate"],
-                params["parallelisms"],
-                params["traffic_model"],
-                descriptor.model,
-            )
-        if descriptor.kind == "plan_sweep":
-            return self._plan_sweep_uncached(
-                descriptor.topology,
-                float(params["source_rate"]),
-                params["plans"],
-                params["top_k"],
-            )
-        raise ApiError(f"unknown descriptor kind {descriptor.kind!r}", 500)
+        return descriptor, _priority_param(query)
 
     # ------------------------------------------------------------------
     # Async jobs
     # ------------------------------------------------------------------
     def _maybe_async(
         self,
-        query: Mapping[str, str],
-        plan: Callable[[], _Plan],
+        validate: Callable[..., _Request],
+        request: tuple[str, Mapping[str, str], Mapping[str, Any]],
         blocking: bool | str,
     ) -> dict[str, Any] | bytes | None:
-        """Validate (``plan``) and serve a modelling request: now, or
-        with ``?async=1`` as a job on the modelling pool (a job holds
-        the decoded answer, whoever asked)."""
-
-        def work(blocking: bool | str = True):
-            return self._serve(*plan(), blocking)
-
-        if query.get("async") not in ("1", "true", "yes"):
-            return work(blocking)
+        """Validate (``validate(*request)``) and serve a modelling
+        request: now, or with ``?async=1`` as a job on the modelling pool,
+        which validates it there and reports a refusal as the job's error
+        (a job holds the decoded answer, whoever asked)."""
+        if request[1].get("async") not in ("1", "true", "yes"):
+            return self._serve(*validate(*request), blocking)
         if not blocking:
             return None
         request_id = uuid.uuid4().hex
@@ -877,26 +824,32 @@ class CaladriusApp:
             # Router-routable: /model/result/{id} polls carry the owning
             # shard in the id itself, so any front door can route them.
             request_id = f"s{self.shard_id}-{request_id}"
-        # The pool worker runs outside the request's context; re-install
-        # the deadline so async jobs honour it too.
-        deadline = current_deadline()
         job = _Job()
-
-        def scoped_work():
-            try:
-                with deadline_scope(deadline):
-                    return work()
-            finally:
-                # Stamped before the result is visible, whether or not any
-                # client ever polls — expiry must not depend on being
-                # observed, and a poll that sees "done" sees the stamp.
-                job.done_at = self._clock.monotonic()
-
-        job.future = self._pool.submit(scoped_work)
+        # The pool worker runs outside the request's context; the job
+        # re-installs the deadline so async jobs honour it too.
+        job.future = self._pool.submit(
+            self._run_job, job, current_deadline(), validate, request
+        )
         with self._jobs_lock:
             self._evict_expired_jobs_locked()
             self._jobs[request_id] = job
         return {"request_id": request_id, "status": "pending"}
+
+    def _run_job(
+        self,
+        job: _Job,
+        deadline: Deadline | None,
+        validate: Callable[..., _Request],
+        request: tuple[str, Mapping[str, str], Mapping[str, Any]],
+    ) -> dict[str, Any]:
+        try:
+            with deadline_scope(deadline):
+                return self._serve(*validate(*request), True)
+        finally:
+            # Stamped before the result is visible, whether or not any
+            # client ever polls — expiry must not depend on being
+            # observed, and a poll that sees "done" sees the stamp.
+            job.done_at = self._clock.monotonic()
 
     def _evict_expired_jobs_locked(self) -> None:
         now = self._clock.monotonic()
@@ -1008,6 +961,17 @@ def _int_param(
     if value < 1:
         raise ApiError(f"{name} must be >= 1")
     return value
+
+
+def _horizon_param(query: Mapping[str, str]) -> int:
+    """``horizon_minutes``: 60 by default, at most a day."""
+    horizon = _int_param(query, "horizon_minutes", default=60)
+    if horizon > CaladriusApp._MAX_HORIZON_MINUTES:
+        raise ApiError(
+            f"horizon_minutes must be <= {CaladriusApp._MAX_HORIZON_MINUTES}, "
+            f"got {horizon}"
+        )
+    return horizon
 
 
 def _priority_param(query: Mapping[str, str]) -> int:

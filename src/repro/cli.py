@@ -27,8 +27,8 @@ Ten subcommands cover the operational surface:
     Rank candidate parallelism plans for Word Count from one
     calibration, optionally validating the best by simulation.
 ``serving-stats``
-    Query a running service's serving-layer counters (cache, scheduler,
-    single-flight, precompute, breaker).
+    Query a running service's serving-layer counters (the table of
+    answers and its pending entries, scheduler, precompute, breaker).
 ``forecast``
     Fit the traffic models on a simulated seasonal history and print
     the forecast summary.

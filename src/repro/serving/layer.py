@@ -11,7 +11,8 @@ calls instead of invoking models directly.  One request flows:
    response); an asker who finds the answer *pending* waits for the
    asker computing it and shares its result; a miss installs a pending
    entry and leads;
-3. **scheduler** — the leader's computation passes priority admission
+3. **scheduler** — the leader's computation, the app's one answer
+   function applied to the descriptor, passes priority admission
    control (shedding 429 + ``Retry-After`` under overload);
 4. **store** — the leader's JSON-serialized result resolves its pending
    entry: stored for next time, and handed to its waiters.
@@ -20,10 +21,11 @@ Invalidation is event-driven: the layer subscribes to
 :class:`~repro.timeseries.store.MetricsStore` writes and
 :class:`~repro.heron.tracker.TopologyTracker` plan changes, dropping the
 touched topology's entries — done and pending — and queueing its
-popular queries for warm recomputation.  Because keys also carry the
-revision and data version, even an entry that escaped eviction can
-never be addressed again — eviction is a space optimisation, not a
-correctness requirement.
+popular queries for warm recomputation: the same descriptors asked
+again through the same answer function and table.  Because keys also
+carry the revision and data version, even an entry that escaped
+eviction can never be addressed again — eviction is a space
+optimisation, not a correctness requirement.
 """
 
 from __future__ import annotations
@@ -49,14 +51,18 @@ __all__ = ["ServingLayer", "serving_view"]
 
 
 class ServingLayer:
-    """Cached, coalesced, admission-controlled serving for modelling
-    requests.
+    """Cached, admission-controlled serving for modelling requests: one
+    answer function behind one table of answers.
 
     Parameters
     ----------
     tracker / store:
         The shared metadata and metrics sources; both are subscribed to
         for invalidation.
+    answer:
+        The computation behind every answer: a descriptor to its result
+        document.  The re-warm replays a descriptor through it, as a
+        fresh ask does.
     cache_bytes:
         Result-cache budget in bytes.
     ttl_seconds:
@@ -77,6 +83,7 @@ class ServingLayer:
         self,
         tracker: TopologyTracker,
         store: MetricsStore,
+        answer: Callable[[RequestDescriptor], dict[str, Any]],
         cache_bytes: int = 64 * 1024 * 1024,
         ttl_seconds: float | None = 300.0,
         max_concurrent: int = 4,
@@ -92,8 +99,8 @@ class ServingLayer:
         self.cache = ResultCache(cache_bytes, ttl_seconds, clock, telemetry)
         self.scheduler = PriorityScheduler(max_concurrent, max_queue, clock, telemetry)
         self._clock = clock
+        self._answer = answer
         self.precomputer = WarmCachePrecomputer(precompute_top_k, telemetry=telemetry)
-        self._recompute: Callable[[RequestDescriptor], dict[str, Any]] | None = None
         self._dirty = threading.Event()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -106,7 +113,6 @@ class ServingLayer:
     def execute(
         self,
         descriptor: RequestDescriptor,
-        compute: Callable[[], dict[str, Any]],
         priority: int = INTERACTIVE,
         timeout: float | None = None,
         record: bool = True,
@@ -117,23 +123,20 @@ class ServingLayer:
         every caller — leader, coalesced waiter, later cache hit —
         receives an identical response.
         """
-        return json.loads(
-            self.payload(descriptor, compute, priority, timeout, record)
-        )
+        return json.loads(self.payload(descriptor, priority, timeout, record))
 
     def payload(
         self,
         descriptor: RequestDescriptor,
-        compute: Callable[[], dict[str, Any]],
         priority: int = INTERACTIVE,
         timeout: float | None = None,
         record: bool = True,
     ) -> bytes:
         """Serve one request through the table of answers and admission.
 
-        ``compute`` runs at most once per distinct input state no matter
-        how many concurrent callers present the same descriptor.  What
-        comes back is the stored response bytes — the leader's encoding
+        The answer function runs at most once per distinct input state no
+        matter how many concurrent callers present the same descriptor.
+        What comes back is the stored response bytes — the leader's encoding
         of its result, handed to its waiters and later hits alike —
         which the HTTP listener writes as they are.  ``timeout`` bounds
         the wait for a scheduler slot, or for another asker's answer.
@@ -144,7 +147,9 @@ class ServingLayer:
         lead = Pending(descriptor.topology)
         payload = self.cache.get(key, lead=lead)
         if payload is lead:
-            payload = self._compute_and_store(key, lead, compute, priority, timeout)
+            payload = self._compute_and_store(
+                key, lead, descriptor, priority, timeout
+            )
         elif payload.__class__ is Pending:
             payload = self.cache.join(payload, timeout)
         elif record:
@@ -175,13 +180,15 @@ class ServingLayer:
         self,
         key: tuple,
         lead: Pending,
-        compute: Callable[[], dict[str, Any]],
+        descriptor: RequestDescriptor,
         priority: int,
         timeout: float | None,
     ) -> bytes:
         """Compute the answer ``lead`` stands for and resolve it."""
         try:
-            result = self.scheduler.run(compute, priority, timeout)
+            result = self.scheduler.run(
+                lambda: self._answer(descriptor), priority, timeout
+            )
             self.telemetry.count("serving.computations")
             # dumps(loads(payload)) == payload: what the HTTP tier would
             # encode from execute()'s dict and what it sends from
@@ -212,30 +219,19 @@ class ServingLayer:
         self.precomputer.invalidate(topology)
         self._dirty.set()
 
-    def set_recompute(
-        self, fn: Callable[[RequestDescriptor], dict[str, Any]]
-    ) -> None:
-        """Register the callback that replays a descriptor's computation."""
-        self._recompute = fn
-
     def precompute_now(self) -> int:
         """Recompute pending popular queries; returns how many succeeded.
 
-        Runs at PRECOMPUTE priority, so a busy interactive queue starves
+        Each is an ordinary ask through the answer function and the table,
+        at PRECOMPUTE priority, so a busy interactive queue starves
         precomputation (by design), and sheds silently under overload —
-        warm-cache work is best-effort.
+        warm-cache work is best-effort.  The stored bytes are not decoded:
+        no one reads them here.
         """
-        if self._recompute is None:
-            return 0
         done = 0
         for descriptor in self.precomputer.take_pending():
             try:
-                self.execute(
-                    descriptor,
-                    lambda d=descriptor: self._recompute(d),
-                    priority=PRECOMPUTE,
-                    record=False,
-                )
+                self.payload(descriptor, PRECOMPUTE, record=False)
                 done += 1
             except ReproError:
                 self.telemetry.count("serving.precompute_failures")

@@ -40,10 +40,9 @@ class WarmCachePrecomputer:
     ----------
     top_k:
         How many of a topology's most popular descriptors to recompute
-        per invalidation.
-    max_tracked:
-        Bound on the popularity table; the least-recently-seen
-        descriptors are pruned past it (default ``8 * top_k``).
+        per invalidation.  The popularity table holds ``8 * top_k``
+        descriptors; the least-recently-seen of those seen once are
+        pruned past it.
     telemetry:
         Where the ``serving.precompute.*`` counters and gauges are kept.
     """
@@ -51,15 +50,12 @@ class WarmCachePrecomputer:
     def __init__(
         self,
         top_k: int = 8,
-        max_tracked: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if top_k < 1:
             raise ConfigError("precompute top_k must be >= 1")
         self.top_k = top_k
-        self.max_tracked = max_tracked if max_tracked is not None else 8 * top_k
-        if self.max_tracked < top_k:
-            raise ConfigError("max_tracked must be >= top_k")
+        self.max_tracked = 8 * top_k
         self._lock = threading.Lock()
         self._popular: dict[RequestDescriptor, _Popularity] = {}
         # The descriptors seen exactly once, oldest first: the eviction

@@ -289,8 +289,8 @@ class TestDeadlinesRunOnTheAppClock:
             clock.advance(2.0)  # the evaluation takes two seconds
             return compute(*args)
 
-        compute = app._performance_uncached
-        app._performance_uncached = compute_slowly
+        compute = app.breaker.call  # the evaluation, under the breaker
+        app.breaker.call = compute_slowly
         status, payload = app.handle(
             "POST", PERFORMANCE, {}, {"source_rate": 13 * M},
             {"X-Request-Deadline": "1.5"},

@@ -70,10 +70,8 @@ class Service:
         self.computed: list[str] = []  # thread of every model computation
         self.looked_up: list[tuple[str, bool]] = []  # (thread, hit) per attempt
         self.handled: list[str] = []  # targets that reached app.handle
-        for name in (
-            "_traffic_uncached", "_performance_uncached", "_plan_sweep_uncached"
-        ):
-            setattr(self.app, name, self._recording(getattr(self.app, name)))
+        # Every model run is one call under the circuit breaker.
+        self.app.breaker.call = self._recording(self.app.breaker.call)
         if self.app.serving is not None:
             cached = self.app.serving.cached
 
@@ -350,13 +348,13 @@ class TestSameBytesSameCounters:
         method, target, body, _ = ROUTES["topology"]
         request = _parsed(method, target.format(t=WC), body)
         arrived, release = threading.Barrier(5), threading.Event()
-        compute = app._performance_uncached
+        compute = app.breaker.call
 
         def held(*args):
             assert release.wait(10)
             return compute(*args)
 
-        app._performance_uncached = held
+        app.breaker.call = held
 
         def ask():
             arrived.wait(10)
@@ -460,10 +458,10 @@ class TestMutants:
     ):
         honest = CaladriusApp._serve
 
-        def eager(self, descriptor, compute, priority, blocking):
+        def eager(self, descriptor, priority, blocking):
             if self.serving is None:
-                return compute()
-            return honest(self, descriptor, compute, priority, blocking)
+                return self._answer(descriptor)
+            return honest(self, descriptor, priority, blocking)
 
         monkeypatch.setattr(CaladriusApp, "_serve", eager)
         with pytest.raises(AssertionError):
@@ -528,7 +526,7 @@ def test_the_attempt_enters_no_code_that_can_block(deployed_wordcount):
         assert {
             name for filename, name in entered if filename == "timeseries/store.py"
         } == {"data_version"}
-        assert not {"execute", "_compute_and_store", "_recompute"} & {
+        assert not {"execute", "_compute_and_store", "_answer"} & {
             name for _, name in entered
         }
         assert not c_calls & BLOCKING_C_CALLS
@@ -611,13 +609,13 @@ class TestNoStall:
             method, target, body, _ = ROUTES["topology"]
             hit = (method, target.format(t=WC), body)
             service.ask(*hit)  # primed
-            slow = service.app._performance_uncached
+            slow = service.app.breaker.call
 
             def slowly(*args):
                 time.sleep(0.3)  # a real socket: a computation in flight
                 return slow(*args)
 
-            service.app._performance_uncached = slowly
+            service.app.breaker.call = slowly
             payload = json.dumps({"source_rate": 3e7}).encode()
             began = time.perf_counter()
             other.sendall(

@@ -165,16 +165,16 @@ def test_the_attempt_on_a_pending_answer_returns_at_once():
     """Another request is computing the answer: ``cached`` says ``None``
     at once instead of waiting for it, and moves no counter — the pool's
     ``execute`` books the ask when it joins the computation."""
-    layer = ServingLayer(TopologyTracker(), MetricsStore())
     descriptor = RequestDescriptor.of("traffic", "wc", None, {})
     started, release = threading.Event(), threading.Event()
 
-    def blocking_model():
+    def blocking_model(descriptor):
         started.set()
         release.wait(JOIN)
         return {"v": 1}
 
-    leader = Call(layer.execute, descriptor, blocking_model)
+    layer = ServingLayer(TopologyTracker(), MetricsStore(), blocking_model)
+    leader = Call(layer.execute, descriptor)
     try:
         assert started.wait(JOIN)
         before = layer.telemetry.snapshot()["counters"]

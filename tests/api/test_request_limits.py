@@ -4,14 +4,19 @@ A plan proposing tens of millions of instances allocated as many floats
 per rescale; ``NaN`` / ``Infinity`` (which Python's ``json.loads``, and so
 the listener, accept) were modelled and cached; a silent output stream
 poisoned the calibration and crashed the chain with a division by zero,
-booked on the circuit breaker; and an empty plan was fingerprinted,
-computed, stored and re-warmed apart from no plan at all.
+booked on the circuit breaker; an empty plan was fingerprinted,
+computed, stored and re-warmed apart from no plan at all; a forecast
+horizon had no bound, though the traffic models' uncertainty sampling
+grows with its square; and a ``traffic_model`` that was not a string
+crashed the handler with ``TypeError: unhashable type``.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from repro.api.server import CaladriusServer
 from repro.config import load_config
 from repro.core.calibration import fit_piecewise_linear
 from repro.core.performance_models import calibrate_topology
+from repro.core.traffic_models import TrafficPrediction
 from repro.durability.breaker import breaker_view
 from repro.heron.groupings import ShuffleGrouping
 from repro.heron.packing import RoundRobinPacking
@@ -38,7 +44,9 @@ from tests.readings import reading
 M = 1e6
 PREDICT = "/model/topology/heron/word-count"
 SWEEP = "/model/plan_sweep/heron/word-count"
+TRAFFIC = "/model/traffic/heron/word-count"
 CEILING = CaladriusApp._MAX_PARALLELISM
+DAY = CaladriusApp._MAX_HORIZON_MINUTES
 
 
 @pytest.fixture()
@@ -106,6 +114,73 @@ def test_nan_over_the_socket_is_a_400_and_nothing_is_cached(app):
     assert raw.startswith(b"HTTP/1.1 400 ")
     assert b"source_rate must be finite" in raw
     assert app.serving.stats()["cache"]["entries"] == 0
+
+
+# ----------------------------------------------------------------------
+# A forecast reaches at most a day ahead
+# ----------------------------------------------------------------------
+class Forecaster:
+    """A traffic model that forecasts a flat 1 M tuples/min at once."""
+
+    def __init__(self) -> None:
+        self.horizons: list[int] = []
+
+    def predict(self, topology, source_minutes, horizon_minutes):
+        self.horizons.append(horizon_minutes)
+        rate = {"mean": 1 * M, "upper_max": 1 * M}
+        return TrafficPrediction(topology, "flat", horizon_minutes, rate)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a model or a scheduler slot ran")
+
+
+HORIZON_ROUTES = pytest.mark.parametrize(
+    "method, path, body", [("GET", TRAFFIC, None), ("POST", PREDICT, {})],
+    ids=["traffic", "performance"],
+)
+
+
+@HORIZON_ROUTES
+def test_a_horizon_past_a_day_is_a_400_before_any_model(
+    app, monkeypatch, method, path, body
+):
+    monkeypatch.setattr(
+        app, "registry", SimpleNamespace(traffic_model=_never, performance_model=_never)
+    )
+    monkeypatch.setattr(app.serving.scheduler, "run", _never)
+    status, payload = app.handle(method, path, {"horizon_minutes": str(DAY + 1)}, body)
+    assert (status, payload) == (
+        400, {"error": f"horizon_minutes must be <= {DAY}, got {DAY + 1}"}
+    )
+    assert app.serving.stats()["requests"] == 0
+    assert reading(app, "calibration.misses") == 0
+
+
+@HORIZON_ROUTES
+def test_a_horizon_of_a_day_is_served(app, monkeypatch, method, path, body):
+    """Forecast by a stand-in: the bound is what is tested, not the cost
+    of a day-long forecast."""
+    forecaster = Forecaster()
+    monkeypatch.setattr(
+        app, "registry", replace(app.registry, traffic={"flat": forecaster})
+    )
+    status, payload = app.handle(method, path, {"horizon_minutes": str(DAY)}, body)
+    assert status == 200, payload
+    assert forecaster.horizons == [DAY]
+
+
+# ----------------------------------------------------------------------
+# A traffic model is named by a string
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name", [[1], {"a": 1}, 7, True], ids=["list", "object", "number", "bool"]
+)
+def test_a_traffic_model_that_is_not_a_string_is_a_400(app, name):
+    status, payload = app.handle("POST", PREDICT, body={"traffic_model": name})
+    assert (status, payload) == (400, {"error": "traffic_model must be a string"})
+    assert app.serving.stats()["requests"] == 0  # refused before the descriptor
+    assert reading(app, "calibration.misses") == 0
 
 
 # ----------------------------------------------------------------------

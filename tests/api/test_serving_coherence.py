@@ -13,8 +13,11 @@ interleave, on two topologies:
 * a plan change on the tracker;
 * traffic, performance and plan-sweep queries, asked the way the HTTP
   listener asks: ``handle_nonblocking`` on the loop thread, ``handle``
-  with ``encoded`` in the pool when that declines;
-* ``precompute_now()``, the re-warm pass, and a TTL advance.
+  with ``encoded`` in the pool when that declines (the sweep proposes a
+  two-key plan whose keys are not in sorted order);
+* ``precompute_now()``, the re-warm pass, and a TTL advance;
+* a question asked, its topology written, the re-warm run and the
+  question asked again: the second answer is the re-warmed one.
 
 Three rules ask from windows a running service has:
 
@@ -104,7 +107,8 @@ class Deployment:
     requests: tuple  # (method, path, query, body)
 
 
-def _deployment(build, params, alternate, spout, bolt, rates) -> Deployment:
+def _deployment(build, params, alternate, spout, bolt, other, rates) -> Deployment:
+    """``other`` is a bolt whose name sorts before ``bolt``'s."""
     topology, packing, logic = build(params)
     simulated = MetricsStore()
     simulation = HeronSimulation(
@@ -134,7 +138,7 @@ def _deployment(build, params, alternate, spout, bolt, rates) -> Deployment:
             ),
             (
                 "POST", f"/model/plan_sweep/heron/{name}", {},
-                {"source_rate": 8 * M, "plans": [{bolt: 1}, {bolt: 3}]},
+                {"source_rate": 8 * M, "plans": [{bolt: 1}, {bolt: 3, other: 2}]},
             ),
         ),
     )
@@ -150,19 +154,23 @@ def deployments() -> tuple[Deployment, ...]:
                             counter_parallelism=2),
             WordCountParams(spout_parallelism=2, splitter_parallelism=3,
                             counter_parallelism=2),
-            "sentence-spout", "splitter", (4 * M, 12 * M, 20 * M, 28 * M, 36 * M),
+            "sentence-spout", "splitter", "counter",
+            (4 * M, 12 * M, 20 * M, 28 * M, 36 * M),
         ),
         _deployment(
             build_ads_pipeline,
             AdsPipelineParams(spout_parallelism=2, parser_parallelism=2),
             AdsPipelineParams(spout_parallelism=2, parser_parallelism=3),
-            "event-spout", "parser", (1 * M, 4 * M, 8 * M, 14 * M, 20 * M),
+            "event-spout", "parser", "filterer",
+            (1 * M, 4 * M, 8 * M, 14 * M, 20 * M),
         ),
     )
 
 
 TOPOLOGY = st.sampled_from([0, 1])
-REQUEST = st.tuples(TOPOLOGY, st.integers(0, 4))
+#: The index of the plan sweep in a deployment's requests.
+SWEEP = 4
+REQUEST = st.tuples(TOPOLOGY, st.integers(0, SWEEP))
 
 
 class HeldComputation:
@@ -381,6 +389,18 @@ class CoherenceMachine(RuleBasedStateMachine):
         assert second[0].result() == after, request
         del self.app.serving.scheduler.run  # the class's own again
 
+    @precondition(lambda self: self._room(1))
+    @rule(which=REQUEST)
+    def ask_across_a_rewarm(self, which):
+        """Ask, write the question's topology, re-warm, ask again: the
+        second answer is the one the re-warm stored, and it is the
+        fresh answer."""
+        request = self._request(which)
+        self._check(request)
+        self._write_batch(self._next_minute(which[0]))
+        self.app.serving.precompute_now()
+        self._check(request)
+
     @rule()
     def precompute(self):
         self.app.serving.precompute_now()
@@ -410,3 +430,23 @@ CoherenceMachine.TestCase.settings = settings(
     derandomize=True,
 )
 TestCoherenceMachine = CoherenceMachine.TestCase
+
+
+def test_an_unsorted_plan_is_one_answer_fresh_and_rewarmed():
+    """A sweep proposing ``{bolt: 3, other: 2}`` is answered alike when
+    asked fresh, after a write's re-warm and by the service without a
+    table, on both topologies: every echoed plan in sorted-key order,
+    the order of the request's descriptor."""
+    machine = CoherenceMachine()
+    try:
+        machine.deploy()
+        for topology in range(len(machine.deployments)):
+            before = machine.app.serving.stats()["precomputed"]
+            machine.ask_across_a_rewarm((topology, SWEEP))
+            assert machine.app.serving.stats()["precomputed"] > before
+            status, payload = machine._served(machine._request((topology, SWEEP)))
+            plans = [entry["plan"] for entry in json.loads(payload)["ranked"]]
+            assert status == 200 and len(plans) == 2
+            assert all(list(plan) == sorted(plan) for plan in plans)
+    finally:
+        machine.teardown()

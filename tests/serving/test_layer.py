@@ -1,4 +1,4 @@
-"""ServingLayer: content-addressed keys, invalidation, warm precompute."""
+"""ServingLayer: version-keyed answers, invalidation, warm precompute."""
 
 from __future__ import annotations
 
@@ -20,9 +20,10 @@ from tests.live import poll_until
 from tests.readings import reading
 
 
-def make_layer(**kwargs):
+def make_layer(answer=lambda descriptor: {"value": 7}, **kwargs):
+    """A layer whose answer function is ``answer``."""
     tracker, store = TopologyTracker(), MetricsStore()
-    layer = ServingLayer(tracker, store, **kwargs)
+    layer = ServingLayer(tracker, store, answer, **kwargs)
     return layer, tracker, store
 
 
@@ -57,21 +58,20 @@ class TestFingerprint:
 
 class TestContentAddressing:
     def test_unchanged_inputs_hit_the_cache(self):
-        layer, _, _ = make_layer()
         calls = []
-        compute = lambda: calls.append(1) or {"value": 7}  # noqa: E731
-        first = layer.execute(desc(), compute)
-        second = layer.execute(desc(), compute)
+        layer, _, _ = make_layer(lambda d: calls.append(d) or {"value": 7})
+        first = layer.execute(desc())
+        second = layer.execute(desc())
         assert first == second == {"value": 7}
         assert len(calls) == 1
         assert layer.stats()["hit_rate"] == 0.5
         layer.close()
 
     def test_cached_payload_is_byte_identical(self):
-        layer, _, _ = make_layer()
         result = {"nested": {"b": 2.5, "a": [1, 2]}, "rate": 1e7 / 3}
-        first = layer.execute(desc(), lambda: result)
-        second = layer.execute(desc(), lambda: dict(result))
+        layer, _, _ = make_layer(lambda d: dict(result))
+        first = layer.execute(desc())
+        second = layer.execute(desc())
         assert json.dumps(first) == json.dumps(second)
         layer.close()
 
@@ -92,9 +92,9 @@ class TestContentAddressing:
     def test_a_stored_payload_survives_decode_and_encode_unchanged(self, result):
         """What the listener sends for a hit (the stored bytes) and what
         it encodes from ``execute``'s dict are one and the same."""
-        layer, _, _ = make_layer()
+        layer, _, _ = make_layer(lambda d: result)
         try:
-            document = layer.execute(desc(), lambda: result)
+            document = layer.execute(desc())
             stored = layer.cached(desc())
             assert stored is not None
             assert json.dumps(json.loads(stored)).encode("utf8") == stored
@@ -109,7 +109,7 @@ class TestContentAddressing:
         stats = layer.stats()
         assert (stats["requests"], stats["hits"]) == (0, 0)
         assert (stats["cache"]["misses"], stats["precompute"]["recorded"]) == (0, 0)
-        layer.execute(desc(), lambda: {"value": 7})
+        layer.execute(desc())
         assert layer.cached(desc()) == b'{"value": 7}'
         stats = layer.stats()
         assert (stats["requests"], stats["hits"]) == (2, 1)
@@ -119,50 +119,46 @@ class TestContentAddressing:
         layer.close()
 
     def test_metrics_write_invalidates(self):
-        layer, _, store = make_layer()
         values = iter([1, 2])
-        compute = lambda: {"value": next(values)}  # noqa: E731
-        assert layer.execute(desc(), compute) == {"value": 1}
+        layer, _, store = make_layer(lambda d: {"value": next(values)})
+        assert layer.execute(desc()) == {"value": 1}
         store.write("m", 0, 1.0, {"topology": "wc"})
-        assert layer.execute(desc(), compute) == {"value": 2}
+        assert layer.execute(desc()) == {"value": 2}
         assert layer.stats()["cache"]["invalidations"] >= 1
         layer.close()
 
     def test_write_to_other_topology_does_not_invalidate(self):
-        layer, _, store = make_layer()
         calls = []
-        compute = lambda: calls.append(1) or {"value": 1}  # noqa: E731
-        layer.execute(desc(), compute)
+        layer, _, store = make_layer(lambda d: calls.append(d) or {"value": 1})
+        layer.execute(desc())
         store.write("m", 0, 1.0, {"topology": "unrelated"})
-        layer.execute(desc(), compute)
+        layer.execute(desc())
         assert len(calls) == 1
         layer.close()
 
     def test_untagged_write_invalidates_everything(self):
-        layer, _, store = make_layer()
         calls = []
-        compute = lambda: calls.append(1) or {"value": 1}  # noqa: E731
-        layer.execute(desc(), compute)
+        layer, _, store = make_layer(lambda d: calls.append(d) or {"value": 1})
+        layer.execute(desc())
         store.write("m", 0, 1.0)  # no topology tag: conservative
-        layer.execute(desc(), compute)
+        layer.execute(desc())
         assert len(calls) == 2
         layer.close()
 
     def test_plan_update_invalidates(self):
-        layer, tracker, _ = make_layer()
+        calls = []
+        layer, tracker, _ = make_layer(lambda d: calls.append(d) or {"value": 1})
         topology, packing, _ = build_word_count(WordCountParams())
         tracker.register(topology, packing)
-        calls = []
-        compute = lambda: calls.append(1) or {"value": 1}  # noqa: E731
-        layer.execute(desc(topology.name), compute)
+        layer.execute(desc(topology.name))
         tracker.update(topology.name, topology, packing)
-        layer.execute(desc(topology.name), compute)
+        layer.execute(desc(topology.name))
         assert len(calls) == 2
         layer.close()
 
 
 class Blocking:
-    """A model that runs until released, counting its runs."""
+    """An answer function that runs until released, counting its runs."""
 
     def __init__(self, answer=None) -> None:
         self.answer = {"value": 1} if answer is None else answer
@@ -170,7 +166,7 @@ class Blocking:
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self):
+    def __call__(self, descriptor):
         self.runs += 1
         self.started.set()
         assert self.release.wait(JOIN)
@@ -185,11 +181,11 @@ def coalesced(layer) -> int:
 
 class TestOneComputationPerKey:
     def test_seven_concurrent_askers_share_one_computation(self):
-        layer, _, _ = make_layer()
         model = Blocking()
-        leader = Call(layer.execute, desc(), model)
+        layer, _, _ = make_layer(model)
+        leader = Call(layer.execute, desc())
         assert model.started.wait(JOIN)
-        waiters = [Call(layer.execute, desc(), model) for _ in range(7)]
+        waiters = [Call(layer.execute, desc()) for _ in range(7)]
         assert poll_until(lambda: coalesced(layer) == 7)
         model.release.set()
         assert [c.result() for c in [leader, *waiters]] == [{"value": 1}] * 8
@@ -201,27 +197,27 @@ class TestOneComputationPerKey:
         layer.close()
 
     def test_distinct_keys_compute_side_by_side(self):
-        layer, _, _ = make_layer()
         both = threading.Barrier(2, timeout=JOIN)
 
-        def model(tag):
+        def model(descriptor):
             both.wait()  # neither waits for the other's answer
-            return {"tag": tag}
+            return {"tag": json.loads(descriptor.params)["horizon_minutes"]}
 
-        a = Call(layer.execute, desc(horizon=1), lambda: model("a"))
-        b = Call(layer.execute, desc(horizon=2), lambda: model("b"))
-        assert (a.result(), b.result()) == ({"tag": "a"}, {"tag": "b"})
+        layer, _, _ = make_layer(model)
+        a = Call(layer.execute, desc(horizon=1))
+        b = Call(layer.execute, desc(horizon=2))
+        assert (a.result(), b.result()) == ({"tag": 1}, {"tag": 2})
         assert coalesced(layer) == 0
         layer.close()
 
     def test_the_leaders_error_reaches_every_waiter_and_is_not_stored(self):
         from repro.errors import ModelError
 
-        layer, _, _ = make_layer()
         model = Blocking(ModelError("boom"))
-        leader = Call(layer.execute, desc(), model)
+        layer, _, _ = make_layer(model)
+        leader = Call(layer.execute, desc())
         assert model.started.wait(JOIN)
-        waiters = [Call(layer.execute, desc(), model) for _ in range(3)]
+        waiters = [Call(layer.execute, desc()) for _ in range(3)]
         assert poll_until(lambda: coalesced(layer) == 3)
         model.release.set()
         for call in [leader, *waiters]:
@@ -229,7 +225,9 @@ class TestOneComputationPerKey:
                 call.result()
         assert model.runs == 1
         assert layer.stats()["cache"]["entries"] == 0
-        assert layer.execute(desc(), lambda: {"value": 2}) == {"value": 2}
+        model.answer = {"value": 2}
+        assert layer.execute(desc()) == {"value": 2}
+        assert model.runs == 2
         layer.close()
 
     def test_a_waiter_gives_up_at_its_own_deadline(self):
@@ -237,12 +235,12 @@ class TestOneComputationPerKey:
         504 when it passes, while the leader and a patient waiter go on
         to the answer."""
         clock = ManualClock()
-        layer, _, _ = make_layer(clock=clock)
         model = Blocking()
-        leader = Call(layer.execute, desc(), model)
+        layer, _, _ = make_layer(model, clock=clock)
+        leader = Call(layer.execute, desc())
         assert model.started.wait(JOIN)
-        patient = Call(layer.execute, desc(), model)
-        impatient = Call(layer.execute, desc(), model, timeout=1.0)
+        patient = Call(layer.execute, desc())
+        impatient = Call(layer.execute, desc(), timeout=1.0)
         assert clock.await_waiters(1)
         clock.advance(1.0)
         with pytest.raises(DeadlineExceeded) as raised:
@@ -257,11 +255,11 @@ class TestOneComputationPerKey:
         """A write lands while the leader computes: every asker still gets
         the answer, and no entry is left holding budget under a key no
         one can compute any more."""
-        layer, _, store = make_layer()
         model = Blocking()
-        leader = Call(layer.execute, desc(), model)
+        layer, _, store = make_layer(model)
+        leader = Call(layer.execute, desc())
         assert model.started.wait(JOIN)
-        waiters = [Call(layer.execute, desc(), model) for _ in range(2)]
+        waiters = [Call(layer.execute, desc()) for _ in range(2)]
         assert poll_until(lambda: coalesced(layer) == 2)
         store.write("m", 0, 1.0, {"topology": "wc"})
         model.release.set()
@@ -271,41 +269,47 @@ class TestOneComputationPerKey:
         layer.close()
 
 
+class Counted:
+    """An answer function numbering the answers it computes."""
+
+    def __init__(self) -> None:
+        self.asked: list[RequestDescriptor] = []
+
+    def __call__(self, descriptor):
+        self.asked.append(descriptor)
+        return {"topology": descriptor.topology, "computed": len(self.asked)}
+
+
 class TestWarmPrecompute:
     def test_popular_query_is_rewarmed_after_invalidation(self):
-        layer, _, store = make_layer()
-        computes = []
-
-        def recompute(descriptor):
-            computes.append(descriptor)
-            return {"topology": descriptor.topology, "warm": True}
-
-        layer.set_recompute(recompute)
+        model = Counted()
+        layer, _, store = make_layer(model)
         # Make the query popular through the interactive path.
-        layer.execute(desc(), lambda: {"topology": "wc", "warm": False})
-        layer.execute(desc(), lambda: {"topology": "wc", "warm": False})
+        layer.execute(desc())
+        layer.execute(desc())
         store.write("m", 0, 1.0, {"topology": "wc"})
         assert layer.precompute_now() == 1
-        assert computes[0] == desc()
+        assert model.asked == [desc(), desc()]
         # The interactive path now hits the warm entry without computing.
         hits_before = layer.stats()["hits"]
-        result = layer.execute(
-            desc(), lambda: {"topology": "wc", "warm": False}
-        )
-        assert result["warm"] is True
+        assert layer.execute(desc()) == {"topology": "wc", "computed": 2}
         assert layer.stats()["hits"] == hits_before + 1
+        assert len(model.asked) == 2
         layer.close()
 
     def test_precompute_failure_is_counted_not_raised(self):
-        layer, _, store = make_layer()
+        from repro.errors import ModelError
 
-        def failing(descriptor):
-            from repro.errors import ModelError
+        outcomes = iter([{"v": 1}, ModelError("cannot recompute")])
 
-            raise ModelError("cannot recompute")
+        def answer(descriptor):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
 
-        layer.set_recompute(failing)
-        layer.execute(desc(), lambda: {"v": 1})
+        layer, _, store = make_layer(answer)
+        layer.execute(desc())
         store.write("m", 0, 1.0, {"topology": "wc"})
         assert layer.precompute_now() == 0
         assert layer.stats()["precompute_failures"] == 1
@@ -315,21 +319,21 @@ class TestWarmPrecompute:
         """The loop waits on the layer's clock for a write, not for its
         interval: with the clock standing still, the write alone wakes it."""
         clock = ManualClock()
-        layer, _, store = make_layer(clock=clock)
-        layer.set_recompute(lambda d: {"warm": True})
-        layer.execute(desc(), lambda: {"warm": False})
+        model = Counted()
+        layer, _, store = make_layer(model, clock=clock)
+        layer.execute(desc())
         layer.start(interval_seconds=0.05)
         assert clock.await_waiters(1)
         store.write("m", 0, 1.0, {"topology": "wc"})
         assert poll_until(lambda: layer.stats()["precomputed"] == 1, 10)
-        assert layer.execute(desc(), lambda: {"warm": False}) == {"warm": True}
+        assert layer.execute(desc()) == {"topology": "wc", "computed": 2}
         layer.close()
 
 
 class TestStats:
     def test_stats_shape(self):
         layer, _, _ = make_layer()
-        layer.execute(desc(), lambda: {"v": 1})
+        layer.execute(desc())
         stats = layer.stats()
         assert stats["enabled"] is True
         assert stats["requests"] == 1

@@ -56,15 +56,16 @@ class TestPopularity:
         assert pre.take_pending() == []
 
     def test_tracking_table_is_bounded(self):
-        pre = WarmCachePrecomputer(top_k=2, max_tracked=4)
-        for horizon in range(1, 10):
+        """The table holds eight descriptors per one re-warmed."""
+        pre = WarmCachePrecomputer(top_k=2)
+        for horizon in range(1, 40):
             pre.record(desc("wc", horizon))
-        assert reading(pre, "serving.precompute.tracked") <= 4
+        assert reading(pre, "serving.precompute.tracked") == 16
 
     def test_eviction_takes_the_lowest_count_then_the_least_recent(self):
         """The survivors the whole-table ``min`` used to pick, checked
         against that search over a long random-ish request stream."""
-        pre = WarmCachePrecomputer(top_k=2, max_tracked=6)
+        pre = WarmCachePrecomputer(top_k=1)  # eight tracked
         reference: dict[RequestDescriptor, tuple[int, int]] = {}
         horizon = 1
         for seq in range(1, 400):
@@ -72,7 +73,7 @@ class TestPopularity:
             descriptor = desc("wc", horizon)
             count, _ = reference.get(descriptor, (0, 0))
             reference[descriptor] = (count + 1, seq)
-            if len(reference) > 6:
+            if len(reference) > 8:
                 del reference[min(reference, key=reference.get)]
             pre.record(descriptor)
             assert {
@@ -108,5 +109,3 @@ class TestPopularity:
     def test_validation(self):
         with pytest.raises(ConfigError):
             WarmCachePrecomputer(top_k=0)
-        with pytest.raises(ConfigError):
-            WarmCachePrecomputer(top_k=4, max_tracked=2)
