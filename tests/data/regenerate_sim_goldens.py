@@ -26,6 +26,11 @@ Fixtures written:
 * ``golden_wordcount_s42.json`` — digests of *every* series of three
   4-minute Word Count runs (transparent, finite stream managers,
   half-second ticks): values, timestamps and series-creation order.
+* ``golden_fast_paths_s5.json`` — the same digests for three 5-minute
+  ``multi_spout`` runs that leave every fast path of the tick (failing
+  bolts, clipped spout edges, half-second ticks, control calls off the
+  minute); recorded with the engine of commit ``51917f0``, the last
+  whose tick ran every step every tick.
 """
 
 from __future__ import annotations
@@ -131,7 +136,9 @@ def main() -> None:
     # The Word Count runs and their digest are the parity test's own.
     sys.path.insert(0, str(DATA_DIR.parent.parent))
     from tests.heron.test_simulator_parity import (
+        FAST_PATH_CONFIGS,
         WORDCOUNT_CONFIGS,
+        run_fast_paths,
         run_wordcount,
         store_digest,
     )
@@ -144,6 +151,15 @@ def main() -> None:
         json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote golden_wordcount_s42.json ({len(digests)} configs)")
+
+    digests = {
+        config_id: store_digest(run_fast_paths(**kwargs)[0])
+        for config_id, kwargs in FAST_PATH_CONFIGS.items()
+    }
+    (DATA_DIR / "golden_fast_paths_s5.json").write_text(
+        json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote golden_fast_paths_s5.json ({len(digests)} configs)")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ is committed under ``tests/data``.  Three layers of evidence:
   full 40-cell scenario matrix;
 * store-level replays of the Word Count deployment against digests of
   every series the scalar engine wrote — values, timestamps and the
-  order the series were created in;
+  order the series were created in — and the same digests, recorded
+  before the tick learnt to skip work, for runs that leave each of its
+  fast paths (failing bolts, clipped spout edges, half-second ticks,
+  control calls off the minute);
 * unit coverage of the supporting machinery: the process-wide grouping
   shares memo and the store's batched minute-append fast path.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -161,6 +165,97 @@ class TestStoreParity:
             SimulationConfig(seed=1),
         )
         assert sim._injector is None
+
+
+# ----------------------------------------------------------------------
+# The tick's special cases, against the engine before it skipped work
+# ----------------------------------------------------------------------
+# ``golden_fast_paths_s5.json`` was recorded with the engine of commit
+# ``51917f0``, the last one whose tick ran every step every tick: its
+# digests hold the steps a tick now skips — exact identities known at
+# construction (``tick_seconds == 1``, no failing bolt), the headroom
+# clip's early-out, noise laid out once per minute — to the numbers the
+# full steps gave.
+FAST_PATH_CONFIGS = {
+    "tick_1": {},
+    "tick_0.5": {"tick_seconds": 0.5},
+    "tick_0.5_stmgr_25k": {"tick_seconds": 0.5, "stmgr_capacity_tps": 25_000.0},
+}
+
+
+def run_fast_paths(**config_kwargs):
+    """Five minutes of the ``multi_spout`` workload off every fast path.
+
+    Two bolts fail tuples, one spout draws no rate noise and one bolt no
+    capacity noise (their noise stays 1.0), watermarks are low enough
+    that a straggling router's catch-up bursts clip the spout edges on
+    some ticks and not on others, and the rate, a capacity factor, a
+    crash across a minute close and a stream-manager stall change at
+    seconds off the minute.
+    Returns the store and every clip factor the spouts took.
+    """
+    from repro.workloads.generator import generate_workload
+
+    workload = generate_workload("multi_spout", 23)
+    topology, packing, logic = workload.deployment()
+    logic = {
+        **logic,
+        "events": replace(logic["events"], rate_noise=0.0),
+        "router": replace(logic["router"], failure_rate=0.03),
+        "agg": replace(logic["agg"], failure_rate=0.05),
+        "archive": replace(logic["archive"], capacity_noise=0.0),
+    }
+    store = MetricsStore()
+    sim = HeronSimulation(
+        topology, packing, logic, store,
+        SimulationConfig(
+            seed=5, high_watermark_bytes=4e6, low_watermark_bytes=2e6,
+            **config_kwargs,
+        ),
+    )
+    clips = []
+    headroom_clip = sim._headroom_clip
+
+    def recorded(view, fetched):
+        clips.append(headroom_clip(view, fetched))
+        return clips[-1]
+
+    sim._headroom_clip = recorded
+    base = workload.base_rate_tpm
+    steps = [
+        (61, lambda: workload.set_source_rates(sim, 2.0 * base)),
+        (67, lambda: sim.set_instance_capacity_factor("router", 1, 0.1)),
+        (151, lambda: sim.set_instance_capacity_factor("router", 1, 1.0)),
+        (152, lambda: workload.set_source_rates(sim, 0.7 * base)),
+        (163, lambda: sim.crash_instance("agg", 0)),
+        (187, lambda: sim.restore_instance("agg", 0)),
+        (241, lambda: sim.stall_stream_manager(2)),
+        (256, lambda: sim.resume_stream_manager(2)),
+    ]
+    workload.set_source_rates(sim, 0.6 * base)
+    for second, step in steps:
+        sim.run_seconds(second - sim.now)
+        step()
+    sim.run_seconds(300 - sim.now)
+    return store, clips
+
+
+class TestFastPathGoldens:
+    @pytest.mark.parametrize("config_id", FAST_PATH_CONFIGS)
+    def test_store_matches_the_full_tick(self, config_id):
+        golden = json.loads(
+            (DATA_DIR / "golden_fast_paths_s5.json").read_text()
+        )["configs"][config_id]
+        store, clips = run_fast_paths(**FAST_PATH_CONFIGS[config_id])
+        # The scenario reaches what it is for: clipped and unclipped
+        # spout ticks, and failed tuples.
+        assert min(clips) < 1.0 == max(clips)
+        assert sum(
+            sum(buf.values)
+            for key, buf in store._series.items()
+            if key.name == "fail-count"
+        ) > 0
+        assert store_digest(store) == golden
 
 
 # ----------------------------------------------------------------------
