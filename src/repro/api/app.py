@@ -729,6 +729,10 @@ class CaladriusApp:
         if traffic_model is not None and not isinstance(traffic_model, str):
             raise ApiError("traffic_model must be a string")
         horizon = _horizon_param(query)
+        if source_rate is not None:
+            # A given rate is answered without a forecast: the horizon
+            # and the traffic model are checked but key nothing.
+            horizon = traffic_model = None
         tracked = self._tracked(topology)  # 404 before caching/admission
         if parallelisms:
             _check_plans(

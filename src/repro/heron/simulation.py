@@ -42,7 +42,11 @@ Topology routing is compiled once at construction into flat edge tables
 (destination-index, share, source-slot gathers), bolts are arena-ordered
 by topological *level* so the in-tick delivery of transparent stream
 managers becomes one whole-array pass per level, and all per-tick RNG is
-pre-drawn in minute-sized batches with a static draw layout.  Every
+pre-drawn in minute-sized batches with a static draw layout and laid out
+per tick right after the draw.  A tick makes only the numpy calls whose
+results depend on the tick: every view, index plan and exact identity
+(``× 1.0`` with one-second ticks, ``× 0.0`` failures, an edge that
+cannot clip) is settled at construction or per batch.  Every
 floating-point operation sequence — including numpy's pairwise summation
 trees and the RNG draw order — is arranged to be bit-identical to the
 scalar engine this one replaced; the golden fixtures under ``tests/data``,
@@ -275,7 +279,9 @@ def warm_shares_memo(topology: LogicalTopology) -> int:
 class _SpoutView:
     """Per-component handle over the spout arenas (one arena slice)."""
 
-    __slots__ = ("name", "logic", "parallelism", "start", "stop", "rate_tps")
+    __slots__ = (
+        "name", "logic", "parallelism", "start", "stop", "rate_tps", "fetched",
+    )
 
     def __init__(self, name: str, parallelism: int, logic: SpoutLogic) -> None:
         self.name = name
@@ -284,6 +290,7 @@ class _SpoutView:
         self.start = 0
         self.stop = 0
         self.rate_tps = 0.0  # configured source rate, per instance
+        self.fetched = np.empty(0)  # view of the fetched arena slice
 
 
 class _BoltView:
@@ -327,28 +334,40 @@ class _EdgeGroup:
     per-stream ``+=`` sequence of the scalar engine.  When every
     destination element receives exactly one contribution in the whole
     tick (``injective``), scatter-assign replaces ``np.add.at``.
+    ``sums`` are the slot totals the group reads.  Where construction
+    already knows the answer, a tick skips the index work: ``src`` is
+    the one slot total every element reads (a length-1 view that
+    broadcasts) and ``out`` the contiguous target slice an injective
+    group multiplies straight into.
     """
 
-    __slots__ = ("dest_idx", "slot_idx", "shares", "buf", "injective")
+    __slots__ = (
+        "dest_idx", "slot_idx", "shares", "sums", "buf", "injective", "src",
+        "out",
+    )
 
     def __init__(
         self,
         dest_idx: np.ndarray,
         slot_idx: np.ndarray,
         shares: np.ndarray,
+        sums: np.ndarray,
     ) -> None:
         self.dest_idx = dest_idx
         self.slot_idx = slot_idx
         self.shares = shares
+        self.sums = sums
         self.buf = np.empty(dest_idx.shape[0])
         self.injective = False
+        self.src: np.ndarray | None = None
+        self.out: np.ndarray | None = None
 
 
 class _ClipEdge:
     """Precomputed operands for one spout output stream's headroom clip."""
 
     __slots__ = (
-        "alpha", "shares", "mask", "dest_q", "itb", "cap_dt",
+        "alpha", "shares", "max_share", "mask", "dest_q", "itb", "cap_dt",
         "buf", "denom", "per",
     )
 
@@ -362,6 +381,7 @@ class _ClipEdge:
     ) -> None:
         self.alpha = alpha
         self.shares = shares
+        self.max_share = float(shares.max())
         self.mask = shares > 0
         self.dest_q = dest_q  # live view of the destination queue slice
         self.itb = itb
@@ -369,6 +389,46 @@ class _ClipEdge:
         self.buf = np.empty(shares.shape[0])
         self.denom = np.empty(shares.shape[0])
         self.per = np.empty(shares.shape[0])
+
+
+class _BoltRange:
+    """Views of one contiguous bolt-arena range that drains as a unit.
+
+    One per topological level with transparent stream managers, one for
+    the whole arena with finite ones.  Every field is fixed at
+    construction: the arena slices, the range's flat emission slots
+    ``f0:f1`` with their values ``vals``, ``emitting`` (the successful
+    slice the slots read, or ``None`` when a bolt has several streams and
+    ``gather`` picks them), its slot-total groups and, per level, the
+    edge group delivering into the range.
+    """
+
+    __slots__ = (
+        "queue", "arrivals", "processed", "capacity", "failed", "failrate",
+        "successful", "f0", "f1", "gather", "emitting", "vals", "totals",
+        "edges",
+    )
+
+    def __init__(self, sim: "HeronSimulation", a0: int, a1: int,
+                 f0: int, f1: int, slots, edges) -> None:
+        arena = slice(a0, a1)
+        self.queue = sim._b_queue[arena]
+        self.arrivals = sim._b_arrivals[arena]
+        self.processed = sim._b_processed[arena]
+        self.capacity = sim._b_capacity[arena]
+        self.failed = sim._b_failed[arena]
+        self.failrate = sim._b_failrate[arena]
+        self.successful = sim._b_successful[arena]
+        self.f0 = f0
+        self.f1 = f1
+        self.gather = sim._b_slot_gather[f0:f1]
+        span = _span(self.gather)
+        self.emitting = (
+            None if span is None else sim._b_successful[span[0]:span[1]]
+        )
+        self.vals = sim._b_slot_vals[f0:f1]
+        self.totals = _sum_groups(sim._b_slot_vals, sim._b_slot_sums, slots)
+        self.edges = edges
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,35 +457,33 @@ class _MinuteLayout:
     bp_gather: np.ndarray
 
 
-def _contiguous_span(
-    idx: np.ndarray, cols: np.ndarray
-) -> tuple[int, int, int, int] | None:
-    """Slice bounds when a scatter's indices form one contiguous run.
-
-    Returns ``(i0, i1, c0, c1)`` such that ``dest[i0:i1] = row[c0:c1]``
-    reproduces ``dest[idx] = row[cols]`` exactly, or ``None`` when the
-    index sets are empty or non-contiguous.
-    """
+def _span(idx: np.ndarray) -> tuple[int, int] | None:
+    """``(lo, hi)`` when ``idx`` is ``arange(lo, hi)``, so ``a[idx]`` is
+    the view ``a[lo:hi]``; ``None`` when it is empty or not a run."""
     n = idx.shape[0]
     if n == 0:
         return None
-    i0, c0 = int(idx[0]), int(cols[0])
-    if not np.array_equal(idx, np.arange(i0, i0 + n, dtype=np.intp)):
+    lo = int(idx[0])
+    if not np.array_equal(idx, np.arange(lo, lo + n, dtype=np.intp)):
         return None
-    if not np.array_equal(cols, np.arange(c0, c0 + n, dtype=np.intp)):
-        return None
-    return (i0, i0 + n, c0, c0 + n)
+    return (lo, lo + n)
 
 
 def _sum_groups(
-    slot_ranges: list[tuple[int, int, int]]
-) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    vals: np.ndarray,
+    sums: np.ndarray,
+    slot_ranges: list[tuple[int, int, int]],
+) -> list[tuple]:
     """Group (slot_id, flat_start, flat_stop) slots by segment length.
 
     Equal-length segments gathered into an ``(n, L)`` matrix and summed
     along axis 1 reproduce numpy's pairwise-summation tree of each
     contiguous segment exactly — the bit-identity requirement for the
-    per-stream totals that feed the routing edges.
+    per-stream totals that feed the routing edges.  Each group is bound
+    to the arrays a tick sums from and into: segments that are one run
+    of ``vals`` are a fixed ``(n, L)`` view, slots that are one run of
+    ``sums`` a slice reduced straight into; otherwise the tick gathers
+    or scatters (:func:`_slot_totals`).
     """
     by_len: dict[int, list[tuple[int, int]]] = {}
     for sid, f0, f1 in slot_ranges:
@@ -436,8 +494,36 @@ def _sum_groups(
         flat_idx = np.concatenate(
             [np.arange(f0, f0 + length, dtype=np.intp) for _, f0 in items]
         )
-        groups.append((out_idx, flat_idx, len(items), length))
+        rows = _span(flat_idx)
+        totals = _span(out_idx)
+        groups.append((
+            None if rows is None
+            else vals[rows[0]:rows[1]].reshape(len(items), length),
+            flat_idx,
+            (len(items), length),
+            None if totals is None else sums[totals[0]:totals[1]],
+            out_idx,
+        ))
     return groups
+
+
+# ``x.sum(axis=1)``, ``x.min()`` and ``x.any()`` without their
+# Python-level wrappers: the same reductions (the same pairwise
+# summation tree), one C call each.
+_add_reduce = np.add.reduce
+_min_reduce = np.minimum.reduce
+_or_reduce = np.logical_or.reduce
+
+
+def _slot_totals(vals: np.ndarray, sums: np.ndarray, plan) -> None:
+    """Per-slot totals of this tick's flat emissions, into ``sums``."""
+    for rows, flat_idx, shape, totals, out_idx in plan:
+        if rows is None:
+            rows = vals[flat_idx].reshape(shape)
+        if totals is None:
+            sums[out_idx] = _add_reduce(rows, 1)
+        else:
+            _add_reduce(rows, 1, out=totals)
 
 
 class HeronSimulation:
@@ -596,6 +682,10 @@ class HeronSimulation:
         """
         topology = self.topology
         dt = self.config.tick_seconds
+        # ``x / 1.0`` and ``x * 1.0`` are ``x`` bit for bit: with one-second
+        # ticks the metric steps that scale by the tick are skipped.
+        self._scaled = dt != 1.0
+        self._bp_ms_per_tick = dt * 1000.0
         self._use_stmgr = self.config.stmgr_capacity_tps is not None
         self._hwm = self.config.high_watermark_bytes
         self._high_trigger = self.config.high_watermark_bytes * (1.0 - 1e-9)
@@ -609,7 +699,6 @@ class HeronSimulation:
             view.stop = n_sp + view.parallelism
             n_sp = view.stop
         self._n_sp = n_sp
-        self._sp_backlog = np.zeros(n_sp)
         self._sp_down = np.zeros(n_sp, dtype=bool)
         self._sp_noise = np.ones(n_sp)
         self._sp_rate_dt = np.zeros(n_sp)
@@ -624,6 +713,10 @@ class HeronSimulation:
         self._sp_emitted = self._sp_tick2d[2]
         self._sp_backlog_dt = self._sp_tick2d[3]
         self._sp_cpu_dt = self._sp_tick2d[4]
+        # With one-second ticks the backlog *is* its per-tick gauge row.
+        self._sp_backlog = (
+            np.zeros(n_sp) if self._scaled else self._sp_backlog_dt
+        )
         self._sp_worker = np.zeros(n_sp)
         self._sp_gcpt = np.zeros(n_sp)
         self._sp_containers = np.zeros(n_sp, dtype=np.int64)
@@ -651,7 +744,6 @@ class HeronSimulation:
                 level[name] = 1 + max(level[src] for src in incoming[name])
         self._n_levels = max((level[n] for n in order_bolts), default=0)
         arena_names = sorted(order_bolts, key=lambda n: level[n])  # stable
-        self._bolt_arena_names = arena_names
         n_b = 0
         for name in arena_names:
             view = self._bolts[name]
@@ -662,17 +754,16 @@ class HeronSimulation:
         # Levels have no gaps: every bolt's level is 1 + the max level of
         # its sources, and the chain below any bolt bottoms out at a
         # level-1 bolt, so each k in [1, n_levels] has members.
-        self._level_bounds: list[tuple[int, int]] = []
+        level_bounds: list[tuple[int, int]] = []
         for k in range(1, self._n_levels + 1):
             members = [self._bolts[n] for n in arena_names if level[n] == k]
-            self._level_bounds.append((members[0].start, members[-1].stop))
+            level_bounds.append((members[0].start, members[-1].stop))
 
         self._b_queue = np.zeros(n_b)
         self._b_bp = np.zeros(n_b, dtype=bool)
         self._b_factor = np.ones(n_b)
         self._b_down = np.zeros(n_b, dtype=bool)
         self._b_state = np.zeros(n_b)
-        self._b_noise = np.ones(n_b)
         self._b_tick2d = np.zeros((9, n_b))
         self._b_arrivals = self._b_tick2d[0]
         self._b_processed = self._b_tick2d[1]
@@ -684,8 +775,10 @@ class HeronSimulation:
         self._b_cpu_dt = self._b_tick2d[7]
         self._b_bpms = self._b_tick2d[8]
         self._b_capacity = np.zeros(n_b)
-        self._b_successful = np.zeros(n_b)
-        self._b_pending = np.zeros(n_b)
+        # With one-second ticks pending bytes *are* their per-tick row.
+        self._b_pending = (
+            np.zeros(n_b) if self._scaled else self._b_pending_dt
+        )
         self._b_outbox = np.zeros(n_b) if self._use_stmgr else None
         self._b_containers = np.zeros(n_b, dtype=np.int64)
         self._b_cap_dt = np.zeros(n_b)
@@ -699,9 +792,9 @@ class HeronSimulation:
         self._b_gcpt = np.zeros(n_b)
         self._b_t1 = np.empty(n_b)
         self._b_t2 = np.empty(n_b)
-        self._b_t3 = np.empty(n_b)
         self._b_t4 = np.empty(n_b)
         self._any_state = False
+        self._any_failure = False
         for name in arena_names:
             view = self._bolts[name]
             lg = view.logic
@@ -718,6 +811,13 @@ class HeronSimulation:
             self._b_gcpt[sl] = lg.gateway_cores_per_tuple
             if lg.state_bytes_per_processed > 0:
                 self._any_state = True
+            if lg.failure_rate > 0:
+                self._any_failure = True
+        # No failing bolt: ``failed`` stays 0.0 and ``successful`` is
+        # ``processed`` (``x - x * 0.0`` is ``x`` for every count >= +0.0).
+        self._b_successful = (
+            np.zeros(n_b) if self._any_failure else self._b_processed
+        )
 
         # --- emission slots (one per unique output stream) -------------
         # Spout slots in spout insertion order; bolt slots in ARENA order
@@ -752,10 +852,18 @@ class HeronSimulation:
         self._sp_slot_alpha_flat = (
             np.concatenate(sp_alpha_flat) if sp_alpha_flat else np.empty(0)
         )
-        self._sp_slot_vals = np.zeros(self._sp_flat)
+        # One stream per spout: the flat slots are the arena, in order,
+        # so the slot values are the ``emitted`` row itself.
+        self._sp_emit_is_vals = _span(self._sp_slot_gather) == (0, n_sp)
+        self._sp_slot_vals = (
+            self._sp_emitted if self._sp_emit_is_vals
+            else np.zeros(self._sp_flat)
+        )
         self._sp_slot_sums = np.zeros(len(self._sp_slot_records))
-        self._sp_sum_groups = _sum_groups(
-            [(i, r[2], r[3]) for i, r in enumerate(self._sp_slot_records)]
+        self._sp_totals = _sum_groups(
+            self._sp_slot_vals,
+            self._sp_slot_sums,
+            [(i, r[2], r[3]) for i, r in enumerate(self._sp_slot_records)],
         )
         uniq = np.unique(self._sp_slot_gather)
         self._sp_emit_injective = uniq.shape[0] == self._sp_slot_gather.shape[0]
@@ -806,7 +914,6 @@ class HeronSimulation:
             while len(level_slot_flat) < self._n_levels:
                 level_slot_flat.append((flat, flat))
         self._b_flat = flat
-        self._level_slot_flat = level_slot_flat
         self._b_slot_gather = (
             np.concatenate(b_gather)
             if b_gather else np.empty(0, dtype=np.intp)
@@ -818,17 +925,11 @@ class HeronSimulation:
         )
         self._b_slot_vals = np.zeros(self._b_flat)
         self._b_slot_sums = np.zeros(len(self._b_slot_records))
-        self._b_slot_alpha_eff = np.empty(len(self._b_slot_records))
-        self._b_alpha_flat_buf = np.empty(self._b_flat)
-        self._b_alpha_flat_const = (
+        # This tick's effective alpha per flat slot: the base alphas until
+        # the first noise chunk, then a row of the chunk's layout.
+        self._b_alpha_flat = (
             self._b_slot_alpha_base[self._b_slot_of_flat]
             if self._b_flat else np.empty(0)
-        )
-        self._level_sum_groups = [
-            _sum_groups(ranges) for ranges in level_slot_ranges
-        ]
-        self._all_sum_groups = _sum_groups(
-            [(i, r[2], r[3]) for i, r in enumerate(self._b_slot_records)]
         )
         self._all_emit_injective = (
             np.unique(self._b_slot_gather).shape[0]
@@ -880,25 +981,46 @@ class HeronSimulation:
             if all_dest else np.zeros(max(n_b, 1), dtype=np.intp)
         )
 
-        def build_group(parts):
+        # Edges deliver into the arrivals (transparent stream managers)
+        # or the outbox (finite ones, which queue them for later ticks).
+        self._b_target = self._b_outbox if self._use_stmgr else self._b_arrivals
+        # Every instance receiving exactly one contribution a tick means
+        # the edges overwrite the whole target: no zero-fill first.
+        self._edges_assign_all = bool((counts[:n_b] == 1).all())
+
+        def build_group(parts, slot_sums):
             if not parts:
                 return None
             dest_idx = np.concatenate([p[0] for p in parts])
             slot_idx = np.concatenate([p[1] for p in parts])
             shares = np.concatenate([p[2] for p in parts])
-            group = _EdgeGroup(dest_idx, slot_idx, shares)
+            group = _EdgeGroup(dest_idx, slot_idx, shares, slot_sums)
             group.injective = bool((counts[dest_idx] == 1).all())
+            if (slot_idx == slot_idx[0]).all():
+                sid = int(slot_idx[0])
+                group.src = slot_sums[sid:sid + 1]
+            span = _span(dest_idx)
+            if group.injective and span is not None:
+                group.out = self._b_target[span[0]:span[1]]
             return group
 
-        self._sp_edge_group = build_group(
-            list(zip(sp_dest, sp_slot, sp_shares))
-        )
-        self._edge_groups = [build_group(grp) for grp in bolt_edges]
+        # The group delivering into each level: spouts feed level 1 alone
+        # (a bolt's level is one past its deepest source's), bolts the
+        # levels below it.
+        into_level = [
+            build_group(list(zip(sp_dest, sp_slot, sp_shares)),
+                        self._sp_slot_sums),
+            *[build_group(grp, self._b_slot_sums) for grp in bolt_edges[1:]],
+        ]
+        # Finite stream managers apply every edge after the one pass, in
+        # the same order.
+        self._edge_order = [g for g in into_level if g is not None]
 
         # --- headroom-clip operands per spout --------------------------
         self._clip_edges: dict[str, list[_ClipEdge]] = {}
         for name in self._spout_names:
             view = self._spouts[name]
+            view.fetched = self._sp_fetched[view.start:view.stop]
             records = []
             for stream in topology.outputs(name):
                 dest = self._bolts.get(stream.destination)
@@ -967,8 +1089,12 @@ class HeronSimulation:
         else:
             self._noise_loc_tile = np.empty(0)
             self._noise_scale_tile = np.empty(0)
-        self._noise_buf = np.empty((0, col))
-        self._noise_cursor = 0
+        # The chunk's noise laid out in arena order (see _lay_out_noise);
+        # the first tick draws.  Until then — for ever without noise —
+        # the rows are the noise-free values.
+        self._noise_cursor = self._noise_chunk
+        self._sp_noise = np.ones(n_sp)
+        self._b_cap_noisy = self._b_cap_dt
         self._sp_noise_idx = (
             np.concatenate(sp_idx) if sp_idx else np.empty(0, dtype=np.intp)
         )
@@ -983,16 +1109,23 @@ class HeronSimulation:
         )
         self._b_alpha_noise_slots = np.array(alpha_slots, dtype=np.intp)
         self._b_alpha_cols = np.array(alpha_cols, dtype=np.intp)
-        # When every noisy instance sits in one contiguous run (the
-        # common case: all spouts noisy, or all bolts noisy with no
-        # alpha columns interleaved), the fancy scatter degenerates to a
-        # slice copy — same values, no index gather per tick.
-        self._sp_noise_span = _contiguous_span(
-            self._sp_noise_idx, self._sp_noise_cols
-        )
-        self._b_noise_span = _contiguous_span(
-            self._b_noise_idx, self._b_noise_cols
-        )
+
+        # --- drain ranges ----------------------------------------------
+        if self._use_stmgr:
+            self._ranges = [
+                _BoltRange(self, 0, n_b, 0, self._b_flat, [
+                    (i, r[2], r[3])
+                    for i, r in enumerate(self._b_slot_records)
+                ], None)
+            ] if n_b else []
+        else:
+            self._ranges = [
+                _BoltRange(self, a0, a1, f0, f1, ranges, edges)
+                for (a0, a1), (f0, f1), ranges, edges in zip(
+                    level_bounds, level_slot_flat, level_slot_ranges,
+                    into_level,
+                )
+            ]
 
         # --- per-minute metric accumulators (row views of 2D blocks,
         # mirroring the tick blocks so accumulation is one 2D add) ------
@@ -1002,7 +1135,10 @@ class HeronSimulation:
         self._acc_sp_emitted = self._acc_sp2d[2]
         self._acc_sp_backlog = self._acc_sp2d[3]
         self._acc_sp_cpu = self._acc_sp2d[4]
-        self._acc_sp_streams = np.zeros(self._sp_flat)
+        self._acc_sp_streams = (
+            self._acc_sp_emitted if self._sp_emit_is_vals
+            else np.zeros(self._sp_flat)
+        )
         self._acc_b2d = np.zeros((9, n_b))
         self._acc_b_arrivals = self._acc_b2d[0]
         self._acc_b_processed = self._acc_b2d[1]
@@ -1060,7 +1196,7 @@ class HeronSimulation:
 
     def backpressure_active(self) -> bool:
         """True when any instance or stream manager is suppressing spouts."""
-        if self._b_bp.any():
+        if _or_reduce(self._b_bp):
             return True
         if not self._use_stmgr:
             # Transparent stream managers never raise their own flag
@@ -1265,56 +1401,46 @@ class HeronSimulation:
         if self._injector is not None:
             self._injector.on_tick(self)
         bp_at_start = self.backpressure_active()
-        row = self._scatter_noise()
+        if self._noise_k:
+            cursor = self._noise_cursor
+            if cursor == self._noise_chunk:
+                self._lay_out_noise()
+                cursor = 0
+            self._noise_cursor = cursor + 1
+            self._sp_noise = self._sp_noise_rows[cursor]
+            self._b_cap_noisy = self._b_cap_rows[cursor]
+            self._b_alpha_flat = self._b_alpha_rows[cursor]
         sp_blocked, b_blocked = self._blocked_masks()
 
         # Per-tick bolt capacity, whole arena: nominal × noise × factor,
         # clamped at zero, zeroed where crashed or stalled.
         cap = self._b_capacity
-        np.multiply(self._b_cap_dt, self._b_noise, out=cap)
-        cap *= self._b_factor
+        np.multiply(self._b_cap_noisy, self._b_factor, out=cap)
         np.maximum(0.0, cap, out=cap)
         if b_blocked is not None:
             np.copyto(cap, 0.0, where=b_blocked)
 
-        alpha_flat = self._alpha_flat(row)
+        if not self._edges_assign_all:
+            self._b_target.fill(0.0)
         if self._use_stmgr:
             # Finite stream managers: this tick's arrivals are whatever
             # the stream managers release from their queues; emissions
             # enqueue for later release (one-tick routing latency).
             self._stmgr_release(dt)
-            outbox = self._b_outbox
-            outbox.fill(0.0)
-            self._spout_pass(bp_at_start, sp_blocked, dt)
-            self._bolt_pass(0, self._n_b, 0, self._b_flat,
-                            self._all_sum_groups, alpha_flat)
-            if self._sp_edge_group is not None:
-                self._apply_edges(
-                    self._sp_edge_group, self._sp_slot_sums, outbox
-                )
-            for group in self._edge_groups:
-                if group is not None:
-                    self._apply_edges(group, self._b_slot_sums, outbox)
+            self._spout_pass(bp_at_start, sp_blocked)
+            for bolts in self._ranges:
+                self._bolt_pass(bolts)
+            for group in self._edge_order:
+                self._apply_edges(group)
             self._stmgr_enqueue()
         else:
             # Transparent stream managers (the paper's assumption):
             # emissions are delivered within the tick, level by level.
-            arrivals = self._b_arrivals
-            arrivals.fill(0.0)
-            self._spout_pass(bp_at_start, sp_blocked, dt)
-            if self._sp_edge_group is not None:
-                self._apply_edges(
-                    self._sp_edge_group, self._sp_slot_sums, arrivals
-                )
-            for k in range(self._n_levels):
-                group = self._edge_groups[k]
-                if group is not None:
-                    self._apply_edges(group, self._b_slot_sums, arrivals)
-                a0, a1 = self._level_bounds[k]
-                f0, f1 = self._level_slot_flat[k]
-                self._bolt_pass(
-                    a0, a1, f0, f1, self._level_sum_groups[k], alpha_flat
-                )
+            self._spout_pass(bp_at_start, sp_blocked)
+            for bolts in self._ranges:
+                if bolts.edges is not None:
+                    self._apply_edges(bolts.edges)
+                self._bolt_pass(bolts)
 
         # Post-pass state growth and watermark flags (nothing reads
         # these mid-tick, so whole-arena updates are order-safe).
@@ -1348,53 +1474,44 @@ class HeronSimulation:
                 b if b.any() else None,
             )
         return (
-            self._sp_down if self._sp_down.any() else None,
-            self._b_down if self._b_down.any() else None,
+            self._sp_down if _or_reduce(self._sp_down) else None,
+            self._b_down if _or_reduce(self._b_down) else None,
         )
 
-    def _scatter_noise(self) -> np.ndarray | None:
-        if self._noise_k == 0:
-            return None
-        cursor = self._noise_cursor
-        if cursor >= self._noise_buf.shape[0]:
-            self._noise_buf = self._rng.normal(
-                self._noise_loc_tile, self._noise_scale_tile
-            ).reshape(self._noise_chunk, self._noise_k)
-            cursor = 0
-        row = self._noise_buf[cursor]
-        self._noise_cursor = cursor + 1
-        if self._sp_noise_span is not None:
-            i0, i1, c0, c1 = self._sp_noise_span
-            self._sp_noise[i0:i1] = row[c0:c1]
-        elif self._sp_noise_idx.shape[0]:
-            self._sp_noise[self._sp_noise_idx] = row[self._sp_noise_cols]
-        if self._b_noise_span is not None:
-            i0, i1, c0, c1 = self._b_noise_span
-            self._b_noise[i0:i1] = row[c0:c1]
-        elif self._b_noise_idx.shape[0]:
-            self._b_noise[self._b_noise_idx] = row[self._b_noise_cols]
-        return row
+    def _lay_out_noise(self) -> None:
+        """Draw the next minute of noise and lay it out per tick.
 
-    def _alpha_flat(self, row: np.ndarray | None) -> np.ndarray:
-        """Per-flat-slot effective alphas for this tick's emissions."""
-        if self._b_alpha_noise_slots.shape[0] == 0 or row is None:
-            return self._b_alpha_flat_const
-        eff = self._b_slot_alpha_eff
-        np.copyto(eff, self._b_slot_alpha_base)
-        draws = row[self._b_alpha_cols]
-        np.add(1.0, draws, out=draws)
-        np.maximum(0.0, draws, out=draws)
-        eff[self._b_alpha_noise_slots] = (
-            self._b_slot_alpha_base[self._b_alpha_noise_slots] * draws
-        )
-        eff.take(self._b_slot_of_flat, out=self._b_alpha_flat_buf)
-        return self._b_alpha_flat_buf
+        One batched ``normal()`` call keeps the draw order; its columns
+        are then scattered, once per chunk, into arena-ordered rows —
+        spout rate noise, bolt capacity × noise, and each flat emission
+        slot's effective alpha ``base · max(0, 1 + draw)`` — so a tick
+        takes row views and does no index work.  Each row element sees
+        the operations the per-tick scatter gave it, in the same order.
+        """
+        chunk = self._noise_chunk
+        draws = self._rng.normal(
+            self._noise_loc_tile, self._noise_scale_tile
+        ).reshape(chunk, self._noise_k)
+        sp = np.ones((chunk, self._n_sp))
+        sp[:, self._sp_noise_idx] = draws[:, self._sp_noise_cols]
+        self._sp_noise_rows = sp
+        cap = np.ones((chunk, self._n_b))
+        cap[:, self._b_noise_idx] = draws[:, self._b_noise_cols]
+        np.multiply(self._b_cap_dt, cap, out=cap)
+        self._b_cap_rows = cap
+        alpha = draws[:, self._b_alpha_cols]
+        np.add(1.0, alpha, out=alpha)
+        np.maximum(0.0, alpha, out=alpha)
+        base = self._b_slot_alpha_base
+        slots = self._b_alpha_noise_slots
+        eff = np.tile(base, (chunk, 1))
+        eff[:, slots] = base[slots] * alpha
+        self._b_alpha_rows = eff[:, self._b_slot_of_flat]
 
     def _spout_pass(
         self,
         suppressed: bool,
         sp_blocked: np.ndarray | None,
-        dt: float,
     ) -> None:
         source = self._sp_source
         np.multiply(self._sp_rate_dt, self._sp_noise, out=source)
@@ -1411,42 +1528,48 @@ class HeronSimulation:
                 view = self._spouts[name]
                 if view.rate_tps <= 0.0:
                     continue
-                clip = self._headroom_clip(view, fetched)
+                clip = self._headroom_clip(view)
                 if clip != 1.0:
-                    fetched[view.start:view.stop] *= clip
+                    view.fetched *= clip
         self._sp_backlog -= fetched
+        if not self._sp_flat:
+            return
         vals = self._sp_slot_vals
-        if self._sp_flat:
+        if self._sp_emit_is_vals:
+            np.multiply(fetched, self._sp_slot_alpha_flat, out=vals)
+        else:
             np.multiply(
                 fetched[self._sp_slot_gather],
                 self._sp_slot_alpha_flat,
                 out=vals,
             )
             emitted = self._sp_emitted
-            emitted.fill(0.0)
             if self._sp_emit_injective:
+                # Every tick writes the same elements; the rest stay 0.0.
                 emitted[self._sp_slot_gather] = vals
             else:
+                emitted.fill(0.0)
                 np.add.at(emitted, self._sp_slot_gather, vals)
-            for out_idx, flat_idx, n, length in self._sp_sum_groups:
-                self._sp_slot_sums[out_idx] = (
-                    vals[flat_idx].reshape(n, length).sum(axis=1)
-                )
-        else:
-            self._sp_emitted.fill(0.0)
+        _slot_totals(vals, self._sp_slot_sums, self._sp_totals)
 
-    def _headroom_clip(self, view: _SpoutView, fetched: np.ndarray) -> float:
+    def _headroom_clip(self, view: _SpoutView) -> float:
         """Clip factor keeping downstream queues at/below the high watermark.
 
         Models the intra-tick stall: a stream manager stops accepting spout
         tuples the instant a destination queue reaches the high watermark,
         so at most ``headroom + capacity*dt`` tuples can enter per tick.
+
+        An edge with ``total_out * max(share) <= cap_dt`` cannot clip and
+        is skipped: every ``buf_i >= cap_dt`` (the headroom term is
+        ``>= 0`` and rounding is monotone) and every ``denom_i <=
+        total_out * max(share)``, so every ``per_i >= 1``.  An edge with
+        nothing to send (``total_out <= 0 < cap_dt``) is one of them.
         """
         clip = 1.0
-        fsum = fetched[view.start:view.stop].sum()
+        fsum = _add_reduce(view.fetched)
         for edge in self._clip_edges[view.name]:
             total_out = fsum * edge.alpha
-            if total_out <= 0:
+            if total_out * edge.max_share <= edge.cap_dt:
                 continue
             buf = edge.buf
             np.multiply(edge.dest_q, edge.itb, out=buf)
@@ -1458,63 +1581,52 @@ class HeronSimulation:
             per.fill(np.inf)
             denom = np.multiply(total_out, edge.shares, out=edge.denom)
             np.divide(buf, denom, out=per, where=edge.mask)
-            clip = min(clip, float(per.min()))
+            clip = min(clip, float(_min_reduce(per)))
         return max(0.0, min(1.0, clip))
 
-    def _bolt_pass(
-        self,
-        a0: int,
-        a1: int,
-        f0: int,
-        f1: int,
-        sum_groups,
-        alpha_flat: np.ndarray,
-    ) -> None:
+    def _bolt_pass(self, bolts: _BoltRange) -> None:
         """Drain and emit for one contiguous bolt-arena range."""
-        if a1 <= a0:
-            return
-        queue = self._b_queue[a0:a1]
-        queue += self._b_arrivals[a0:a1]
-        processed = self._b_processed[a0:a1]
-        np.minimum(queue, self._b_capacity[a0:a1], out=processed)
+        queue = bolts.queue
+        queue += bolts.arrivals
+        processed = bolts.processed
+        np.minimum(queue, bolts.capacity, out=processed)
         queue -= processed
-        failed = self._b_failed[a0:a1]
-        np.multiply(processed, self._b_failrate[a0:a1], out=failed)
-        np.subtract(processed, failed, out=self._b_successful[a0:a1])
-        if f1 > f0:
-            gather = self._b_slot_gather[f0:f1]
-            vals = self._b_slot_vals[f0:f1]
+        if self._any_failure:
+            np.multiply(processed, bolts.failrate, out=bolts.failed)
+            np.subtract(processed, bolts.failed, out=bolts.successful)
+        if bolts.f1 > bolts.f0:
+            emitting = bolts.emitting
+            if emitting is None:
+                emitting = self._b_successful[bolts.gather]
             np.multiply(
-                self._b_successful[gather], alpha_flat[f0:f1], out=vals
+                emitting, self._b_alpha_flat[bolts.f0:bolts.f1],
+                out=bolts.vals,
             )
-            for out_idx, flat_idx, n, length in sum_groups:
-                self._b_slot_sums[out_idx] = (
-                    self._b_slot_vals[flat_idx].reshape(n, length).sum(axis=1)
-                )
+            _slot_totals(self._b_slot_vals, self._b_slot_sums, bolts.totals)
 
     def _emit_scatter(self) -> None:
         """Scatter this tick's flat slot emissions into the emit arena."""
-        emitted = self._b_emitted
-        emitted.fill(0.0)
         if not self._b_flat:
             return
         if self._all_emit_injective:
-            emitted[self._b_slot_gather] = self._b_slot_vals
+            # Every tick writes the same elements; the rest stay 0.0.
+            self._b_emitted[self._b_slot_gather] = self._b_slot_vals
         else:
-            np.add.at(emitted, self._b_slot_gather, self._b_slot_vals)
+            self._b_emitted.fill(0.0)
+            np.add.at(self._b_emitted, self._b_slot_gather, self._b_slot_vals)
 
-    def _apply_edges(
-        self,
-        group: _EdgeGroup,
-        slot_sums: np.ndarray,
-        target: np.ndarray,
-    ) -> None:
-        slot_sums.take(group.slot_idx, out=group.buf)
-        group.buf *= group.shares
+    def _apply_edges(self, group: _EdgeGroup) -> None:
+        src = group.src
+        if src is None:
+            src = group.sums.take(group.slot_idx, out=group.buf)
+        if group.out is not None:
+            np.multiply(src, group.shares, out=group.out)
+            return
+        np.multiply(src, group.shares, out=group.buf)
         if group.injective:
-            target[group.dest_idx] = group.buf
+            self._b_target[group.dest_idx] = group.buf
         else:
-            np.add.at(target, group.dest_idx, group.buf)
+            np.add.at(self._b_target, group.dest_idx, group.buf)
 
     def _stmgr_release(self, dt: float) -> None:
         """Release queued tuples from each stream manager, up to capacity.
@@ -1577,20 +1689,26 @@ class HeronSimulation:
         # operation sequence the scalar engine's per-component loop
         # produced (counters: 0.0 + a_1 + ... + a_n; gauges:
         # 0.0 + v_1*dt + ...), so flushed per-minute values match bit
-        # for bit.
+        # for bit.  Steps that are exact identities for this simulation
+        # (``÷ dt``, ``× dt`` with one-second ticks; ``+ state`` with no
+        # stateful bolt) are skipped.
+        scaled = self._scaled
         if self._n_sp:
             util = np.divide(
                 self._sp_fetched, self._sp_util_denom, out=self._sp_t1
             )
             moved = np.add(self._sp_fetched, self._sp_emitted, out=self._sp_t2)
             np.multiply(self._sp_gcpt, moved, out=moved)
-            moved /= dt
+            if scaled:
+                moved /= dt
             cpu = np.multiply(self._sp_worker, util, out=self._sp_cpu_dt)
             cpu += moved
-            np.multiply(self._sp_backlog, dt, out=self._sp_backlog_dt)
-            cpu *= dt
+            if scaled:
+                np.multiply(self._sp_backlog, dt, out=self._sp_backlog_dt)
+                cpu *= dt
             self._acc_sp2d += self._sp_tick2d
-            self._acc_sp_streams += self._sp_slot_vals
+            if not self._sp_emit_is_vals:
+                self._acc_sp_streams += self._sp_slot_vals
         if self._n_b:
             self._emit_scatter()
             util = np.divide(
@@ -1599,26 +1717,29 @@ class HeronSimulation:
             np.minimum(1.0, util, out=util)
             moved = np.add(self._b_arrivals, self._b_emitted, out=self._b_t2)
             np.multiply(self._b_gcpt, moved, out=moved)
-            moved /= dt
+            if scaled:
+                moved /= dt
             cpu = np.multiply(self._b_worker, util, out=self._b_cpu_dt)
             cpu += moved
             memory = np.add(
                 self._b_base_mem, self._b_pending, out=self._b_memory_dt
             )
-            memory += self._b_state
-            memory *= dt
+            if self._any_state:
+                memory += self._b_state
             eff = np.multiply(self._b_captps, self._b_factor, out=self._b_t4)
             np.maximum(1e-9, eff, out=eff)
             latency = np.divide(self._b_queue, eff, out=self._b_latency_dt)
             latency *= 1000.0
-            latency *= dt
-            np.multiply(self._b_pending, dt, out=self._b_pending_dt)
-            cpu *= dt
-            np.multiply(self._b_bp, dt * 1000.0, out=self._b_bpms)
+            if scaled:
+                memory *= dt
+                latency *= dt
+                np.multiply(self._b_pending, dt, out=self._b_pending_dt)
+                cpu *= dt
+            np.multiply(self._b_bp, self._bp_ms_per_tick, out=self._b_bpms)
             self._acc_b2d += self._b_tick2d
             self._acc_b_streams += self._b_slot_vals
         if bp_at_start or self.backpressure_active():
-            self._topology_bp_ms += dt * 1000.0
+            self._topology_bp_ms += self._bp_ms_per_tick
         self._minute_ticks += 1
         if self._minute_ticks >= self._ticks_per_minute:
             self._close_minute()

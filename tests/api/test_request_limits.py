@@ -203,6 +203,30 @@ def test_empty_null_and_absent_plans_are_one_computation_one_entry(app):
     assert stats["precompute"]["tracked"] == 1  # and one query to re-warm
 
 
+def test_a_given_rate_is_one_answer_whatever_the_forecast_fields(app):
+    """With ``source_rate`` given the answer reads neither the horizon
+    nor the traffic model; they are still checked, but key nothing."""
+    body = {"source_rate": 20 * M}
+    answers = [
+        app.handle("POST", PREDICT, body=body),
+        app.handle("POST", PREDICT, {"horizon_minutes": "30"}, body),
+        app.handle(
+            "POST", PREDICT, body={**body, "traffic_model": "stats-summary"}
+        ),
+    ]
+    assert answers[0][0] == 200
+    assert answers[0] == answers[1] == answers[2]
+    stats = app.serving.stats()
+    assert (stats["requests"], stats["computations"]) == (3, 1)
+    assert stats["cache"]["entries"] == 1
+    assert app.handle(
+        "POST", PREDICT, {"horizon_minutes": str(DAY + 1)}, body
+    )[0] == 400
+    assert app.handle(
+        "POST", PREDICT, body={**body, "traffic_model": 7}
+    )[0] == 400
+
+
 # ----------------------------------------------------------------------
 # A silent output stream
 # ----------------------------------------------------------------------

@@ -17,7 +17,9 @@ interleave, on two topologies:
   two-key plan whose keys are not in sorted order);
 * ``precompute_now()``, the re-warm pass, and a TTL advance;
 * a question asked, its topology written, the re-warm run and the
-  question asked again: the second answer is the re-warmed one.
+  question asked again: the second answer is the re-warmed one, read
+  without a computation (the rule lifts the table's budget meanwhile,
+  or the re-warm of the topology's other questions could evict it).
 
 Three rules ask from windows a running service has:
 
@@ -259,9 +261,11 @@ class CoherenceMachine(RuleBasedStateMachine):
         status, payload = self.reference.handle(*request)
         return status, json.dumps(payload).encode("utf8")
 
-    def _check(self, request: tuple) -> None:
+    def _check(self, request: tuple) -> int:
+        """Hold the served answer to the reference's; return its status."""
         expected = self._expected(request)
         assert self._served(request) == expected, request
+        return expected[0]
 
     def _run_in_window(self, _topology: str | None) -> None:
         if self.in_window is not None:
@@ -393,13 +397,25 @@ class CoherenceMachine(RuleBasedStateMachine):
     @rule(which=REQUEST)
     def ask_across_a_rewarm(self, which):
         """Ask, write the question's topology, re-warm, ask again: the
-        second answer is the one the re-warm stored, and it is the
-        fresh answer."""
+        second answer is the one the re-warm stored — it computes
+        nothing — and it is the fresh answer.  The table's budget is
+        lifted for the rule, so re-warming the topology's other popular
+        questions cannot evict this one's entry before it is read."""
         request = self._request(which)
-        self._check(request)
-        self._write_batch(self._next_minute(which[0]))
-        self.app.serving.precompute_now()
-        self._check(request)
+        cache = self.app.serving.cache
+        budget, cache.max_bytes = cache.max_bytes, 1 << 30
+        try:
+            # Only a question answered before the write is tracked and
+            # re-warmed, and only an answer is stored.
+            answered = self._check(request) == 200
+            self._write_batch(self._next_minute(which[0]))
+            self.app.serving.precompute_now()
+            computations = self.app.serving.stats()["computations"]
+            answered &= self._check(request) == 200
+        finally:
+            cache.max_bytes = budget
+        if answered:
+            assert self.app.serving.stats()["computations"] == computations
 
     @rule()
     def precompute(self):

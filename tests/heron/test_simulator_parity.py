@@ -191,8 +191,8 @@ def run_fast_paths(**config_kwargs):
     that a straggling router's catch-up bursts clip the spout edges on
     some ticks and not on others, and the rate, a capacity factor, a
     crash across a minute close and a stream-manager stall change at
-    seconds off the minute.
-    Returns the store and every clip factor the spouts took.
+    seconds off the minute.  Returns the store and every clip factor the
+    spouts took.
     """
     from repro.workloads.generator import generate_workload
 
@@ -216,8 +216,8 @@ def run_fast_paths(**config_kwargs):
     clips = []
     headroom_clip = sim._headroom_clip
 
-    def recorded(view, fetched):
-        clips.append(headroom_clip(view, fetched))
+    def recorded(*args):
+        clips.append(headroom_clip(*args))
         return clips[-1]
 
     sim._headroom_clip = recorded

@@ -1,0 +1,99 @@
+"""A cost ratchet on the simulator's tick, counted in bytecode.
+
+A tick is a fixed sequence of numpy calls whose number, not their size,
+sets its cost at the topology sizes the ledger and the accuracy runs
+simulate (tens to a few hundred instances).  Wall time on a shared
+machine is too noisy for tier-1; the opcodes the interpreter runs and
+the Python frames it enters are exact.  Both are counted with the
+``sys.settrace`` tracer of the write-path ratchet over one steady-state
+minute — every tick of it, the minute's noise draw and its close
+included — and divided by the minute's ticks, for two topologies:
+
+* ``deep_chain_250``: the ledger's feed topology (``deep_chain``) scaled
+  to 250 instances, as ``cold_queries`` and ``warm_queries`` run it;
+* ``multi_spout_40``: three spouts and named streams at 40 instances,
+  the size of the ledger's query corpus.
+
+On CPython 3.11 a tick measured 2376.6 opcodes / 36.3 calls
+(``deep_chain_250``) and 1847.6 / 31.3 (``multi_spout_40``) while every
+tick ran every step, and 1422.1 / 27.5 and 1108.1 / 17.5 once the tick
+skipped what construction or the minute's noise draw had already fixed.
+The bounds below hold those counts on 3.11, where they were set; other
+interpreters count differently.  Run as a module
+(``python -m tests.heron.test_tick_cost``) it prints the counts as JSON.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import pytest
+
+from benchmarks.ledger.inputs import (
+    TopologySpec,
+    build_deployment,
+    new_simulation,
+)
+from repro.timeseries.store import MetricsStore
+from repro.workloads import workload_seed
+from tests.durability.test_write_path_cost import count
+
+#: The counted topologies, each at 0.7x its base rate.
+SHAPES = {
+    "deep_chain_250": TopologySpec(
+        "deep_chain", workload_seed(7, "deep_chain"), 250
+    ),
+    "multi_spout_40": TopologySpec(
+        "multi_spout", workload_seed(7, "multi_spout"), 40
+    ),
+}
+#: CPython 3.11's bounds: opcodes and Python calls per tick.
+BOUNDS = {
+    "deep_chain_250": (1424, 27.5),
+    "multi_spout_40": (1110, 17.5),
+}
+
+
+def measure() -> dict[str, float]:
+    """Opcodes and calls per tick for every shape, averaged over a minute.
+
+    Two minutes run untraced first (the first minute close compiles the
+    series layout and writes keyed; the second resolves the prepared
+    batch) and two are traced, of which the second is kept: from Python
+    3.12 on, the first traced run of a function misses some of its
+    opcodes.
+    """
+    counts: dict[str, float] = {}
+    for label, spec in SHAPES.items():
+        deployment = build_deployment(spec)
+        simulation = new_simulation(deployment, MetricsStore(), seed=7)
+        deployment.workload.set_source_rates(
+            simulation, 0.7 * deployment.workload.base_rate_tpm
+        )
+        simulation.run(2)
+        count(lambda: simulation.run(1))
+        opcodes, calls = count(lambda: simulation.run(1))
+        ticks = simulation._ticks_per_minute
+        counts[f"{label}_opcodes"] = opcodes / ticks
+        counts[f"{label}_calls"] = calls / ticks
+    return counts
+
+
+@pytest.fixture(scope="module")
+def costs() -> dict[str, float]:
+    return measure()
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="counts measured on 3.11"
+)
+@pytest.mark.parametrize("label", SHAPES)
+def test_tick_cost_on_3_11(costs, label):
+    opcodes, calls = BOUNDS[label]
+    assert costs[f"{label}_opcodes"] <= opcodes
+    assert costs[f"{label}_calls"] <= calls
+
+
+if __name__ == "__main__":
+    print(json.dumps(measure(), sort_keys=True))
