@@ -31,6 +31,13 @@ Fixtures written:
   bolts, clipped spout edges, half-second ticks, control calls off the
   minute); recorded with the engine of commit ``51917f0``, the last
   whose tick ran every step every tick.
+* ``golden_finite_stmgr_s7.json`` — the same digests for seven 3-minute
+  runs of the ledger feed shapes (``deep_chain`` 250, ``diamond`` 200,
+  ``multi_spout`` 120 instances) behind finite stream managers of 2e4
+  and 6e4 tuples per second, and of ``fanin`` at 160 with one spout
+  starting late, each with a stall and a crash; recorded with the
+  engine of commit ``82cc218``, the last that kept each stream
+  manager's queue as per-component arrays.
 """
 
 from __future__ import annotations
@@ -137,8 +144,10 @@ def main() -> None:
     sys.path.insert(0, str(DATA_DIR.parent.parent))
     from tests.heron.test_simulator_parity import (
         FAST_PATH_CONFIGS,
+        FINITE_STMGR_CONFIGS,
         WORDCOUNT_CONFIGS,
         run_fast_paths,
+        run_finite_stmgr,
         run_wordcount,
         store_digest,
     )
@@ -160,6 +169,15 @@ def main() -> None:
         json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote golden_fast_paths_s5.json ({len(digests)} configs)")
+
+    digests = {
+        config_id: store_digest(run_finite_stmgr(**kwargs)[0])
+        for config_id, kwargs in FINITE_STMGR_CONFIGS.items()
+    }
+    (DATA_DIR / "golden_finite_stmgr_s7.json").write_text(
+        json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote golden_finite_stmgr_s7.json ({len(digests)} configs)")
 
 
 if __name__ == "__main__":
