@@ -143,12 +143,6 @@ class PropertyGraph:
         self._in[target][(source, label)] = edge
         return edge
 
-    def clear(self) -> None:
-        """Remove every vertex and edge."""
-        self._vertices.clear()
-        self._out.clear()
-        self._in.clear()
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------

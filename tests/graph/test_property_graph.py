@@ -42,12 +42,6 @@ class TestMutation:
         diamond.add_edge("a", "b", "other")
         assert len(diamond.out_edges("a")) == 3
 
-    def test_clear(self, diamond):
-        diamond.clear()
-        assert diamond.sinks() == []
-        with pytest.raises(GraphError, match="does not exist"):
-            diamond.vertex("a")
-
 
 class TestRead:
     def test_vertex_lookup_and_properties(self, diamond):
