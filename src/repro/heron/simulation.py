@@ -8,7 +8,9 @@ tick (default one second) the engine:
    suppressed and the external source accumulates a backlog (the paper's
    "data will begin to accumulate in the external system");
 2. routes emissions to downstream instances according to each stream's
-   grouping shares, optionally through finite-capacity stream managers;
+   grouping shares — within the tick through transparent stream
+   managers, or, with finite-capacity ones, into per-container queues
+   that each stream manager releases up to its budget on the next tick;
 3. lets every bolt instance drain its pending queue at its (noisy)
    processing capacity and emit ``alpha`` tuples per processed tuple on
    each declared output stream;
@@ -40,10 +42,12 @@ State lives in flat numpy arenas indexed by a global instance id — one
 arena set for spouts, one for bolts — instead of per-component objects.
 Topology routing is compiled once at construction into flat edge tables
 (destination-index, share, source-slot gathers), bolts are arena-ordered
-by topological *level* so the in-tick delivery of transparent stream
-managers becomes one whole-array pass per level, and all per-tick RNG is
-pre-drawn in minute-sized batches with a static draw layout and laid out
-per tick right after the draw.  A tick makes only the numpy calls whose
+by topological *level* so delivery becomes one whole-array pass per
+level — into the arrivals through transparent stream managers, into an
+outbox that one containers × bolt-arena queue block takes up with
+finite ones — and all per-tick RNG is pre-drawn in minute-sized
+batches with a static draw layout and laid out per tick right after the
+draw.  A tick makes only the numpy calls whose
 results depend on the tick: every view, index plan and exact identity
 (``× 1.0`` with one-second ticks, ``× 0.0`` failures, an edge that
 cannot clip) is settled at construction or per batch.  Every
@@ -306,25 +310,6 @@ class _BoltView:
         self.stop = 0
 
 
-class _StmgrState:
-    """Runtime state for one container's stream manager.
-
-    Only used when the stream manager has finite capacity: tuples routed
-    to the container's instances wait in ``pending`` (keyed by
-    destination component, one slot per *local* instance) until the
-    stream manager's per-tick budget releases them.
-    """
-
-    def __init__(self, container_id: int) -> None:
-        self.container_id = container_id
-        self.pending: dict[str, np.ndarray] = {}
-        self.bp_flag = False
-
-    def queued_tuples(self) -> float:
-        """Total tuples waiting inside this stream manager."""
-        return float(sum(p.sum() for p in self.pending.values()))
-
-
 class _EdgeGroup:
     """One compiled batch of routing edges sharing an application point.
 
@@ -392,15 +377,15 @@ class _ClipEdge:
 
 
 class _BoltRange:
-    """Views of one contiguous bolt-arena range that drains as a unit.
+    """Views of one topological level's bolt-arena range, which drains
+    as a unit.
 
-    One per topological level with transparent stream managers, one for
-    the whole arena with finite ones.  Every field is fixed at
-    construction: the arena slices, the range's flat emission slots
-    ``f0:f1`` with their values ``vals``, ``emitting`` (the successful
-    slice the slots read, or ``None`` when a bolt has several streams and
-    ``gather`` picks them), its slot-total groups and, per level, the
-    edge group delivering into the range.
+    Every field is fixed at construction: the arena slices, the range's
+    flat emission slots ``f0:f1`` with their values ``vals``,
+    ``emitting`` (the successful slice the slots read, or ``None`` when a
+    bolt has several streams and ``gather`` picks them), its slot-total
+    groups and the edge group delivering into the level (``None`` when
+    nothing does).
     """
 
     __slots__ = (
@@ -467,6 +452,11 @@ def _span(idx: np.ndarray) -> tuple[int, int] | None:
     if not np.array_equal(idx, np.arange(lo, lo + n, dtype=np.intp)):
         return None
     return (lo, lo + n)
+
+
+def _concat(parts: list[np.ndarray], dtype=np.intp) -> np.ndarray:
+    """``np.concatenate(parts)``, or an empty array when there are none."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 def _sum_groups(
@@ -592,12 +582,6 @@ class HeronSimulation:
         self._validate_and_build(logic)
         self._order = [c.name for c in topology.topological_order()]
         self._compile_arenas()
-        self._stmgrs: dict[int, _StmgrState] = {
-            c.container_id: _StmgrState(c.container_id)
-            for c in packing.containers
-        }
-        self._compile_stmgr_index()
-        self._stalled_containers: set[int] = set()
         self._injector = None
         if faults is not None:
             # Imported lazily: repro.faults depends on repro.heron types.
@@ -677,16 +661,21 @@ class HeronSimulation:
         """Build the struct-of-arrays state and the compiled routing.
 
         Bolts are arena-ordered by topological level (stable within a
-        level by scalar-engine processing order) so transparent-mode
-        in-tick delivery advances level by level with whole-array ops.
+        level by scalar-engine processing order) so in-tick delivery
+        advances level by level with whole-array ops.
         """
         topology = self.topology
         dt = self.config.tick_seconds
+        # Each container's stream manager is one row of the per-container
+        # state, in packing order.
+        self._row_of = {
+            c.container_id: row
+            for row, c in enumerate(self.packing.containers)
+        }
         # ``x / 1.0`` and ``x * 1.0`` are ``x`` bit for bit: with one-second
         # ticks the metric steps that scale by the tick are skipped.
         self._scaled = dt != 1.0
         self._bp_ms_per_tick = dt * 1000.0
-        self._use_stmgr = self.config.stmgr_capacity_tps is not None
         self._hwm = self.config.high_watermark_bytes
         self._high_trigger = self.config.high_watermark_bytes * (1.0 - 1e-9)
         self._low = self.config.low_watermark_bytes
@@ -719,14 +708,14 @@ class HeronSimulation:
         )
         self._sp_worker = np.zeros(n_sp)
         self._sp_gcpt = np.zeros(n_sp)
-        self._sp_containers = np.zeros(n_sp, dtype=np.int64)
+        self._sp_rows = np.zeros(n_sp, dtype=np.intp)
         self._sp_t1 = np.empty(n_sp)
         self._sp_t2 = np.empty(n_sp)
         for name, view in self._spouts.items():
             sl = slice(view.start, view.stop)
             self._sp_worker[sl] = view.logic.worker_cores
             self._sp_gcpt[sl] = view.logic.gateway_cores_per_tuple
-            self._sp_containers[sl] = self._containers[name]
+            self._sp_rows[sl] = self._rows(name)
 
         # --- bolt arena (level-major, stable by processing order) ------
         self._bolt_names = list(self._bolts)  # component insertion order
@@ -779,8 +768,11 @@ class HeronSimulation:
         self._b_pending = (
             np.zeros(n_b) if self._scaled else self._b_pending_dt
         )
-        self._b_outbox = np.zeros(n_b) if self._use_stmgr else None
-        self._b_containers = np.zeros(n_b, dtype=np.int64)
+        self._finite_stmgrs = (
+            self.config.stmgr_capacity_tps is not None and n_b > 0
+        )
+        self._b_outbox = np.zeros(n_b) if self._finite_stmgrs else None
+        self._b_rows = np.zeros(n_b, dtype=np.intp)
         self._b_cap_dt = np.zeros(n_b)
         self._b_captps = np.zeros(n_b)
         self._b_itb = np.zeros(n_b)
@@ -799,7 +791,7 @@ class HeronSimulation:
             view = self._bolts[name]
             lg = view.logic
             sl = slice(view.start, view.stop)
-            self._b_containers[sl] = self._containers[name]
+            self._b_rows[sl] = self._rows(name)
             self._b_cap_dt[sl] = lg.capacity_tps * dt
             self._b_captps[sl] = lg.capacity_tps
             self._b_itb[sl] = lg.input_tuple_bytes
@@ -824,6 +816,7 @@ class HeronSimulation:
         # so each level's slots form one contiguous flat range.
         self._sp_slot_records: list[tuple[str, str, int, int]] = []
         self._sp_stream_slots: dict[str, list[tuple[str, int]]] = {}
+        sp_slot_key: dict[tuple[str, str], int] = {}
         sp_gather: list[np.ndarray] = []
         sp_alpha_flat: list[np.ndarray] = []
         flat = 0
@@ -831,7 +824,7 @@ class HeronSimulation:
             view = self._spouts[name]
             entries = []
             for stream_name in self._output_stream_names(name):
-                sid = len(self._sp_slot_records)
+                sp_slot_key[(name, stream_name)] = len(self._sp_slot_records)
                 self._sp_slot_records.append(
                     (name, stream_name, flat, flat + view.parallelism)
                 )
@@ -845,13 +838,8 @@ class HeronSimulation:
                 flat += view.parallelism
             self._sp_stream_slots[name] = entries
         self._sp_flat = flat
-        self._sp_slot_gather = (
-            np.concatenate(sp_gather)
-            if sp_gather else np.empty(0, dtype=np.intp)
-        )
-        self._sp_slot_alpha_flat = (
-            np.concatenate(sp_alpha_flat) if sp_alpha_flat else np.empty(0)
-        )
+        self._sp_slot_gather = _concat(sp_gather)
+        self._sp_slot_alpha_flat = _concat(sp_alpha_flat, np.float64)
         # One stream per spout: the flat slots are the arena, in order,
         # so the slot values are the ``emitted`` row itself.
         self._sp_emit_is_vals = _span(self._sp_slot_gather) == (0, n_sp)
@@ -875,20 +863,11 @@ class HeronSimulation:
         b_alpha_base: list[float] = []
         b_slot_of_flat: list[np.ndarray] = []
         flat = 0
-        level_slot_flat: list[tuple[int, int]] = []
         level_slot_ranges: list[list[tuple[int, int, int]]] = [
             [] for _ in range(self._n_levels)
         ]
-        cur_level = 1
-        level_flat_start = 0
         for name in arena_names:
             view = self._bolts[name]
-            if level[name] != cur_level:
-                level_slot_flat.append((level_flat_start, flat))
-                for _ in range(level[name] - cur_level - 1):
-                    level_slot_flat.append((flat, flat))
-                cur_level = level[name]
-                level_flat_start = flat
             entries = []
             for stream_name in self._output_stream_names(name):
                 sid = len(self._b_slot_records)
@@ -904,25 +883,21 @@ class HeronSimulation:
                 b_slot_of_flat.append(
                     np.full(view.parallelism, sid, dtype=np.intp)
                 )
-                level_slot_ranges[cur_level - 1].append(
+                level_slot_ranges[level[name] - 1].append(
                     (sid, flat, flat + view.parallelism)
                 )
                 flat += view.parallelism
             self._b_stream_slots[name] = entries
-        if self._n_levels:
-            level_slot_flat.append((level_flat_start, flat))
-            while len(level_slot_flat) < self._n_levels:
-                level_slot_flat.append((flat, flat))
+        # A level's slots are one run of the flat slots (arena order); a
+        # level of sinks has none.
+        level_slot_flat = [
+            (ranges[0][1], ranges[-1][2]) if ranges else (0, 0)
+            for ranges in level_slot_ranges
+        ]
         self._b_flat = flat
-        self._b_slot_gather = (
-            np.concatenate(b_gather)
-            if b_gather else np.empty(0, dtype=np.intp)
-        )
+        self._b_slot_gather = _concat(b_gather)
         self._b_slot_alpha_base = np.array(b_alpha_base)
-        self._b_slot_of_flat = (
-            np.concatenate(b_slot_of_flat)
-            if b_slot_of_flat else np.empty(0, dtype=np.intp)
-        )
+        self._b_slot_of_flat = _concat(b_slot_of_flat)
         self._b_slot_vals = np.zeros(self._b_flat)
         self._b_slot_sums = np.zeros(len(self._b_slot_records))
         # This tick's effective alpha per flat slot: the base alphas until
@@ -942,17 +917,13 @@ class HeronSimulation:
         # into any one destination element must land in exactly this
         # order.  Spout edges apply as one group before any bolt level;
         # bolt edges group by destination level, applied just before that
-        # level drains (transparent) or after the single pass (finite).
+        # level drains.
         sp_dest: list[np.ndarray] = []
         sp_slot: list[np.ndarray] = []
         sp_shares: list[np.ndarray] = []
         for name in self._spout_names:
             for stream in topology.outputs(name):
-                sid = None
-                for i, rec in enumerate(self._sp_slot_records):
-                    if rec[0] == name and rec[1] == stream.name:
-                        sid = i
-                        break
+                sid = sp_slot_key[(name, stream.name)]
                 dest = self._bolts[stream.destination]
                 shares = self._shares(stream)
                 sp_dest.append(np.arange(dest.start, dest.stop, dtype=np.intp))
@@ -983,7 +954,9 @@ class HeronSimulation:
 
         # Edges deliver into the arrivals (transparent stream managers)
         # or the outbox (finite ones, which queue them for later ticks).
-        self._b_target = self._b_outbox if self._use_stmgr else self._b_arrivals
+        self._b_target = (
+            self._b_outbox if self._finite_stmgrs else self._b_arrivals
+        )
         # Every instance receiving exactly one contribution a tick means
         # the edges overwrite the whole target: no zero-fill first.
         self._edges_assign_all = bool((counts[:n_b] == 1).all())
@@ -1004,17 +977,14 @@ class HeronSimulation:
                 group.out = self._b_target[span[0]:span[1]]
             return group
 
-        # The group delivering into each level: spouts feed level 1 alone
-        # (a bolt's level is one past its deepest source's), bolts the
-        # levels below it.
+        # The group delivering into each level: every spout edge goes
+        # with level 1 (spout sums are whole before any level drains),
+        # a deeper level's bolt edges read only the levels below it.
         into_level = [
             build_group(list(zip(sp_dest, sp_slot, sp_shares)),
                         self._sp_slot_sums),
             *[build_group(grp, self._b_slot_sums) for grp in bolt_edges[1:]],
         ]
-        # Finite stream managers apply every edge after the one pass, in
-        # the same order.
-        self._edge_order = [g for g in into_level if g is not None]
 
         # --- headroom-clip operands per spout --------------------------
         self._clip_edges: dict[str, list[_ClipEdge]] = {}
@@ -1095,37 +1065,30 @@ class HeronSimulation:
         self._noise_cursor = self._noise_chunk
         self._sp_noise = np.ones(n_sp)
         self._b_cap_noisy = self._b_cap_dt
-        self._sp_noise_idx = (
-            np.concatenate(sp_idx) if sp_idx else np.empty(0, dtype=np.intp)
-        )
-        self._sp_noise_cols = (
-            np.concatenate(sp_cols) if sp_cols else np.empty(0, dtype=np.intp)
-        )
-        self._b_noise_idx = (
-            np.concatenate(b_idx) if b_idx else np.empty(0, dtype=np.intp)
-        )
-        self._b_noise_cols = (
-            np.concatenate(b_cols) if b_cols else np.empty(0, dtype=np.intp)
-        )
+        self._sp_noise_idx = _concat(sp_idx)
+        self._sp_noise_cols = _concat(sp_cols)
+        self._b_noise_idx = _concat(b_idx)
+        self._b_noise_cols = _concat(b_cols)
         self._b_alpha_noise_slots = np.array(alpha_slots, dtype=np.intp)
         self._b_alpha_cols = np.array(alpha_cols, dtype=np.intp)
 
         # --- drain ranges ----------------------------------------------
-        if self._use_stmgr:
-            self._ranges = [
-                _BoltRange(self, 0, n_b, 0, self._b_flat, [
-                    (i, r[2], r[3])
-                    for i, r in enumerate(self._b_slot_records)
-                ], None)
-            ] if n_b else []
-        else:
-            self._ranges = [
-                _BoltRange(self, a0, a1, f0, f1, ranges, edges)
-                for (a0, a1), (f0, f1), ranges, edges in zip(
-                    level_bounds, level_slot_flat, level_slot_ranges,
-                    into_level,
-                )
-            ]
+        self._ranges = [
+            _BoltRange(self, a0, a1, f0, f1, ranges, edges)
+            for (a0, a1), (f0, f1), ranges, edges in zip(
+                level_bounds, level_slot_flat, level_slot_ranges, into_level,
+            )
+        ]
+
+        # --- stream managers -------------------------------------------
+        n_c = len(self._row_of)
+        self._stalled = np.zeros(n_c, dtype=bool)
+        self._stmgr_open = np.ones(n_c, dtype=bool)
+        self._stmgr_bp = np.zeros(n_c, dtype=bool)
+        self._sp_blocked: np.ndarray | None = None
+        self._b_blocked: np.ndarray | None = None
+        if self._finite_stmgrs:
+            self._compile_stmgr_queues(dt)
 
         # --- per-minute metric accumulators (row views of 2D blocks,
         # mirroring the tick blocks so accumulation is one 2D add) ------
@@ -1151,20 +1114,48 @@ class HeronSimulation:
         self._acc_b_bpms = self._acc_b2d[8]
         self._acc_b_streams = np.zeros(self._b_flat)
 
-    def _compile_stmgr_index(self) -> None:
-        """Per-(stream manager, component) local instance indices.
+    def _rows(self, component: str) -> list[int]:
+        """The stream-manager row of each of a component's instances."""
+        return [self._row_of[c] for c in self._containers[component].tolist()]
 
-        Replaces the per-tick ``containers == cid`` mask rebuild in the
-        enqueue path with construction-time index arrays; an ascending
-        fancy-index add is bit-identical to the boolean-mask add.
+    def _compile_stmgr_queues(self, dt: float) -> None:
+        """The finite stream managers' state: one queue block, containers
+        × bolt arena, with each instance's queued tuples in its container's
+        row (every other element of its column stays 0.0), per-container
+        queued totals and watermark flags.
+
+        A container's total is what its stream manager's per-component
+        queues summed to: each component's own reduction over its arena
+        slice of the row (zeros included, which fixes the summation
+        tree), added up in the order the components first queued.
         """
-        self._stmgr_local_idx: dict[tuple[int, str], np.ndarray] = {}
-        for name in self._bolt_names:
-            containers = self._containers[name]
-            for cid in self._stmgrs:
-                idx = np.nonzero(containers == cid)[0]
-                if idx.shape[0]:
-                    self._stmgr_local_idx[(cid, name)] = idx.astype(np.intp)
+        n_c, n_b = len(self._row_of), self._n_b
+        self._stmgr_queue = np.zeros((n_c, n_b))
+        self._stmgr_at = (self._b_rows, np.arange(n_b))
+        self._stmgr_budget = self.config.stmgr_capacity_tps * dt
+        # Row 0 each component's part, in sum order, row 1 its bytes;
+        # accumulated along the components, the last column is the totals.
+        self._stmgr_sums = np.zeros((2, n_c, len(self._bolts)))
+        acc = np.zeros((2, n_c, len(self._bolts)))
+        self._stmgr_acc = acc
+        self._stmgr_totals = acc[0, :, -1]
+        self._stmgr_bytes = acc[1, :, -1]
+        self._stmgr_order: list[_BoltView] = []
+        self._stmgr_waiting = list(self._bolts.values())
+        self._stmgr_sum_order()
+
+    def _stmgr_sum_order(self) -> None:
+        """Lay the totals' parts out in the order the components first
+        queued (see _stmgr_join); those yet to queue, all 0.0, sum last."""
+        order = self._stmgr_order + self._stmgr_waiting
+        parts = self._stmgr_sums[0]
+        self._stmgr_reductions = [
+            (self._stmgr_queue[:, view.start:view.stop], parts[:, j])
+            for j, view in enumerate(order)
+        ]
+        self._stmgr_itb = np.array(
+            [view.logic.input_tuple_bytes for view in order]
+        )
 
     # ------------------------------------------------------------------
     # Control
@@ -1196,13 +1187,7 @@ class HeronSimulation:
 
     def backpressure_active(self) -> bool:
         """True when any instance or stream manager is suppressing spouts."""
-        if _or_reduce(self._b_bp):
-            return True
-        if not self._use_stmgr:
-            # Transparent stream managers never raise their own flag
-            # (only _stmgr_enqueue sets it, on the finite path).
-            return False
-        return any(s.bp_flag for s in self._stmgrs.values())
+        return bool(_or_reduce(self._b_bp) or _or_reduce(self._stmgr_bp))
 
     def backpressure_components(self) -> list[str]:
         """Names of bolt components with at least one raised flag."""
@@ -1269,6 +1254,7 @@ class HeronSimulation:
             self._b_down[g] = True
         else:
             self._sp_down[g] = True
+        self._block()
 
     def restore_instance(self, component: str, index: int) -> None:
         """Restart a crashed instance; it resumes with whatever queued."""
@@ -1278,6 +1264,7 @@ class HeronSimulation:
             self._b_down[g] = False
         else:
             self._sp_down[g] = False
+        self._block()
 
     def instance_down(self, component: str, index: int) -> bool:
         """True while an instance is crashed."""
@@ -1315,15 +1302,30 @@ class HeronSimulation:
         observable signature is a backpressure spike plus a throughput
         dip, not missing minutes.
         """
-        if container_id not in self._stmgrs:
-            raise SimulationError(f"no container with id {container_id}")
-        self._stalled_containers.add(container_id)
+        self._stall(container_id, True)
 
     def resume_stream_manager(self, container_id: int) -> None:
         """Clear a stream-manager stall."""
-        if container_id not in self._stmgrs:
+        self._stall(container_id, False)
+
+    def _stall(self, container_id: int, stalled: bool) -> None:
+        row = self._row_of.get(container_id)
+        if row is None:
             raise SimulationError(f"no container with id {container_id}")
-        self._stalled_containers.discard(container_id)
+        self._stalled[row] = stalled
+        self._block()
+
+    def _block(self) -> None:
+        """Refresh what a crash, restore, stall or resume changes: the
+        instances unable to move tuples — crashed or on a stalled
+        container; ``None`` when there are none — and the stream managers
+        free to release."""
+        stalled = self._stalled
+        sp = self._sp_down | stalled[self._sp_rows]
+        b = self._b_down | stalled[self._b_rows]
+        self._sp_blocked = sp if sp.any() else None
+        self._b_blocked = b if b.any() else None
+        np.logical_not(stalled, out=self._stmgr_open)
 
     def set_metric_dropout(
         self,
@@ -1410,37 +1412,31 @@ class HeronSimulation:
             self._sp_noise = self._sp_noise_rows[cursor]
             self._b_cap_noisy = self._b_cap_rows[cursor]
             self._b_alpha_flat = self._b_alpha_rows[cursor]
-        sp_blocked, b_blocked = self._blocked_masks()
 
         # Per-tick bolt capacity, whole arena: nominal × noise × factor,
         # clamped at zero, zeroed where crashed or stalled.
         cap = self._b_capacity
         np.multiply(self._b_cap_noisy, self._b_factor, out=cap)
         np.maximum(0.0, cap, out=cap)
-        if b_blocked is not None:
-            np.copyto(cap, 0.0, where=b_blocked)
+        if self._b_blocked is not None:
+            np.copyto(cap, 0.0, where=self._b_blocked)
 
+        # Emissions are delivered level by level: within the tick through
+        # transparent stream managers (the paper's assumption), or into
+        # the outbox through finite ones, whose queues release this
+        # tick's arrivals first and take the outbox in after the drain
+        # (one-tick routing latency).
         if not self._edges_assign_all:
             self._b_target.fill(0.0)
-        if self._use_stmgr:
-            # Finite stream managers: this tick's arrivals are whatever
-            # the stream managers release from their queues; emissions
-            # enqueue for later release (one-tick routing latency).
-            self._stmgr_release(dt)
-            self._spout_pass(bp_at_start, sp_blocked)
-            for bolts in self._ranges:
-                self._bolt_pass(bolts)
-            for group in self._edge_order:
-                self._apply_edges(group)
+        if self._finite_stmgrs:
+            self._stmgr_release()
+        self._spout_pass(bp_at_start, self._sp_blocked)
+        for bolts in self._ranges:
+            if bolts.edges is not None:
+                self._apply_edges(bolts.edges)
+            self._bolt_pass(bolts)
+        if self._finite_stmgrs:
             self._stmgr_enqueue()
-        else:
-            # Transparent stream managers (the paper's assumption):
-            # emissions are delivered within the tick, level by level.
-            self._spout_pass(bp_at_start, sp_blocked)
-            for bolts in self._ranges:
-                if bolts.edges is not None:
-                    self._apply_edges(bolts.edges)
-                self._bolt_pass(bolts)
 
         # Post-pass state growth and watermark flags (nothing reads
         # these mid-tick, so whole-arena updates are order-safe).
@@ -1461,22 +1457,6 @@ class HeronSimulation:
 
         self._record_tick(bp_at_start, dt)
         self._now += dt
-
-    def _blocked_masks(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Instances unable to move tuples: crashed or on a stalled
-        container.  ``None`` when nothing is blocked (the fast path)."""
-        if self._stalled_containers:
-            stalled = np.fromiter(self._stalled_containers, dtype=np.int64)
-            sp = self._sp_down | np.isin(self._sp_containers, stalled)
-            b = self._b_down | np.isin(self._b_containers, stalled)
-            return (
-                sp if sp.any() else None,
-                b if b.any() else None,
-            )
-        return (
-            self._sp_down if _or_reduce(self._sp_down) else None,
-            self._b_down if _or_reduce(self._b_down) else None,
-        )
 
     def _lay_out_noise(self) -> None:
         """Draw the next minute of noise and lay it out per tick.
@@ -1628,58 +1608,57 @@ class HeronSimulation:
         else:
             np.add.at(self._b_target, group.dest_idx, group.buf)
 
-    def _stmgr_release(self, dt: float) -> None:
-        """Release queued tuples from each stream manager, up to capacity.
+    def _stmgr_release(self) -> None:
+        """Release queued tuples from every stream manager, up to capacity.
 
         Release is proportional across everything a stream manager has
-        queued for its local instances (FIFO in fluid terms).  Fills the
-        per-tick arrival arena.
+        queued for its local instances (FIFO in fluid terms): each queued
+        tuple's share is ``min(1, budget / total)``, none from a stalled
+        or empty stream manager.  Fills the per-tick arrival arena, whose
+        element is the one non-zero of its block column.
         """
-        arrivals = self._b_arrivals
-        arrivals.fill(0.0)
-        budget = self.config.stmgr_capacity_tps * dt
-        for stmgr in self._stmgrs.values():
-            if stmgr.container_id in self._stalled_containers:
-                continue  # a stalled stream manager releases nothing
-            total = stmgr.queued_tuples()
-            if total <= 0.0:
-                continue
-            fraction = min(1.0, budget / total)
-            for component, pending in stmgr.pending.items():
-                released = pending * fraction
-                view = self._bolts[component]
-                arrivals[view.start:view.stop] += released
-                stmgr.pending[component] = pending - released
+        totals = self._stmgr_totals
+        fraction = np.divide(
+            self._stmgr_budget, totals, out=np.zeros(totals.shape),
+            where=(totals > 0.0) & self._stmgr_open,
+        )
+        np.minimum(1.0, fraction, out=fraction)
+        released = self._stmgr_queue * fraction[:, None]
+        _add_reduce(released, 0, out=self._b_arrivals)
+        self._stmgr_queue -= released
 
     def _stmgr_enqueue(self) -> None:
-        """Queue this tick's emissions inside the destination stmgrs."""
+        """Queue this tick's emissions inside the destination stream
+        managers, then total each one's queue and set its watermark flag."""
         outbox = self._b_outbox
-        for component in self._bolt_names:
-            view = self._bolts[component]
-            amounts = outbox[view.start:view.stop]
-            if not np.any(amounts):
-                continue
-            for cid, stmgr in self._stmgrs.items():
-                idx = self._stmgr_local_idx.get((cid, component))
-                if idx is None:
-                    continue
-                pending = stmgr.pending.get(component)
-                if pending is None:
-                    pending = np.zeros(view.parallelism)
-                    stmgr.pending[component] = pending
-                pending[idx] += amounts[idx]
-        high = self._high_trigger
-        low = self._low
-        for stmgr in self._stmgrs.values():
-            queued_bytes = sum(
-                float(pending.sum())
-                * self._bolts[component].logic.input_tuple_bytes
-                for component, pending in stmgr.pending.items()
-            )
-            if stmgr.bp_flag:
-                stmgr.bp_flag = queued_bytes > low
-            else:
-                stmgr.bp_flag = queued_bytes >= high
+        self._stmgr_queue[self._stmgr_at] += outbox
+        if self._stmgr_waiting:
+            self._stmgr_join(outbox)
+        for rows, out in self._stmgr_reductions:
+            _add_reduce(rows, 1, out=out)
+        sums = self._stmgr_sums
+        np.multiply(sums[0], self._stmgr_itb, out=sums[1])
+        np.add.accumulate(sums, 2, out=self._stmgr_acc)
+        queued_bytes = self._stmgr_bytes
+        self._stmgr_bp = np.where(
+            self._stmgr_bp,
+            queued_bytes > self._low,
+            queued_bytes >= self._high_trigger,
+        )
+
+    def _stmgr_join(self, outbox: np.ndarray) -> None:
+        """Components join the totals' sum order the first tick their
+        outbox slice holds a tuple, in insertion order within a tick."""
+        queued = [
+            view for view in self._stmgr_waiting
+            if _or_reduce(outbox[view.start:view.stop])
+        ]
+        if queued:
+            self._stmgr_order += queued
+            self._stmgr_waiting = [
+                view for view in self._stmgr_waiting if view not in queued
+            ]
+            self._stmgr_sum_order()
 
     # ------------------------------------------------------------------
     # Metrics

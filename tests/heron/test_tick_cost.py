@@ -7,20 +7,28 @@ machine is too noisy for tier-1; the opcodes the interpreter runs and
 the Python frames it enters are exact.  Both are counted with the
 ``sys.settrace`` tracer of the write-path ratchet over one steady-state
 minute — every tick of it, the minute's noise draw and its close
-included — and divided by the minute's ticks, for two topologies:
+included — and divided by the minute's ticks, for three topologies:
 
 * ``deep_chain_250``: the ledger's feed topology (``deep_chain``) scaled
   to 250 instances, as ``cold_queries`` and ``warm_queries`` run it;
 * ``multi_spout_40``: three spouts and named streams at 40 instances,
-  the size of the ledger's query corpus.
+  the size of the ledger's query corpus;
+* ``deep_chain_250_stmgr_20k``: the feed topology behind finite stream
+  managers of 2e4 tuples per second, which bind at this rate (the
+  ablation of the paper's assumption that they never do).
 
 On CPython 3.11 a tick measured 2376.6 opcodes / 36.3 calls
 (``deep_chain_250``) and 1847.6 / 31.3 (``multi_spout_40``) while every
 tick ran every step, and 1422.1 / 27.5 and 1108.1 / 17.5 once the tick
 skipped what construction or the minute's noise draw had already fixed.
-The bounds below hold those counts on 3.11, where they were set; other
-interpreters count differently.  Run as a module
-(``python -m tests.heron.test_tick_cost``) it prints the counts as JSON.
+``deep_chain_250_stmgr_20k`` measured 24606.5 / 865.7 while each
+container's stream manager kept its own per-component queue arrays and
+a tick looped over them in Python, and 1564.4 / 30.7 once the queues
+became one block of the arenas (the transparent shapes then read
+1409.1 / 26.5 and 1095.1 / 16.5).  Each bound below holds its shape's
+count when the bound was set, on 3.11; other interpreters count
+differently.  Run as a module (``python -m tests.heron.test_tick_cost``)
+it prints the counts as JSON.
 """
 
 from __future__ import annotations
@@ -30,28 +38,28 @@ import sys
 
 import pytest
 
-from benchmarks.ledger.inputs import (
-    TopologySpec,
-    build_deployment,
-    new_simulation,
-)
+from benchmarks.ledger.inputs import TopologySpec, build_deployment, sim_seed
+from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.timeseries.store import MetricsStore
 from repro.workloads import workload_seed
 from tests.durability.test_write_path_cost import count
 
-#: The counted topologies, each at 0.7x its base rate.
+_DEEP_CHAIN_250 = TopologySpec("deep_chain", workload_seed(7, "deep_chain"), 250)
+#: The counted topologies, each at 0.7x its base rate, and their stream
+#: managers' capacity in tuples per second (``None``: transparent).
 SHAPES = {
-    "deep_chain_250": TopologySpec(
-        "deep_chain", workload_seed(7, "deep_chain"), 250
+    "deep_chain_250": (_DEEP_CHAIN_250, None),
+    "multi_spout_40": (
+        TopologySpec("multi_spout", workload_seed(7, "multi_spout"), 40),
+        None,
     ),
-    "multi_spout_40": TopologySpec(
-        "multi_spout", workload_seed(7, "multi_spout"), 40
-    ),
+    "deep_chain_250_stmgr_20k": (_DEEP_CHAIN_250, 2e4),
 }
 #: CPython 3.11's bounds: opcodes and Python calls per tick.
 BOUNDS = {
     "deep_chain_250": (1424, 27.5),
     "multi_spout_40": (1110, 17.5),
+    "deep_chain_250_stmgr_20k": (1566, 30.75),
 }
 
 
@@ -65,9 +73,18 @@ def measure() -> dict[str, float]:
     opcodes.
     """
     counts: dict[str, float] = {}
-    for label, spec in SHAPES.items():
+    for label, (spec, stmgr_capacity_tps) in SHAPES.items():
         deployment = build_deployment(spec)
-        simulation = new_simulation(deployment, MetricsStore(), seed=7)
+        simulation = HeronSimulation(
+            deployment.topology,
+            deployment.packing,
+            deployment.workload.logic,
+            MetricsStore(),
+            SimulationConfig(
+                seed=sim_seed(7, deployment.name),
+                stmgr_capacity_tps=stmgr_capacity_tps,
+            ),
+        )
         deployment.workload.set_source_rates(
             simulation, 0.7 * deployment.workload.base_rate_tpm
         )
