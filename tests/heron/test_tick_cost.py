@@ -23,7 +23,7 @@ tick ran every step, and 1422.1 / 27.5 and 1108.1 / 17.5 once the tick
 skipped what construction or the minute's noise draw had already fixed.
 ``deep_chain_250_stmgr_20k`` measured 24606.5 / 865.7 while each
 container's stream manager kept its own per-component queue arrays and
-a tick looped over them in Python, and 1564.4 / 30.7 once the queues
+a tick looped over them in Python, and 1556.4 / 27.7 once the queues
 became one block of the arenas (the transparent shapes then read
 1409.1 / 26.5 and 1095.1 / 16.5).  Each bound below holds its shape's
 count when the bound was set, on 3.11; other interpreters count
@@ -59,7 +59,7 @@ SHAPES = {
 BOUNDS = {
     "deep_chain_250": (1424, 27.5),
     "multi_spout_40": (1110, 17.5),
-    "deep_chain_250_stmgr_20k": (1566, 30.75),
+    "deep_chain_250_stmgr_20k": (1558, 27.75),
 }
 
 
