@@ -311,6 +311,7 @@ def run_finite_stmgr(shape, instances, stmgr_capacity_tps, late=False):
         store,
         SimulationConfig(seed=7, stmgr_capacity_tps=stmgr_capacity_tps),
     )
+
     def full_rate():
         deployment.workload.set_source_rates(
             sim, 0.9 * deployment.workload.base_rate_tpm
