@@ -151,7 +151,27 @@ def run_point(
     )
     sim.set_source_rate("sentence-spout", source_tpm)
     sim.run(warmup_minutes + measure_minutes)
-    start = warmup_minutes * 60
+    # One read of the point, as calibration and the health gate read a
+    # topology: every mean below comes from this frame.
+    frame = store.topology_frame(
+        topology.name,
+        (
+            MetricNames.EXECUTE_COUNT,
+            MetricNames.RECEIVED_COUNT,
+            MetricNames.EMIT_COUNT,
+            MetricNames.CPU_LOAD,
+            MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS,
+        ),
+        start=warmup_minutes * 60,
+    )
+
+    def mean(metric: str, component: str | None) -> float:
+        return frame.group(metric, component).complete()[0].mean()
+
+    def instance_means(metric: str, component: str) -> np.ndarray:
+        members = frame.group(metric, component).series()
+        return np.asarray([series.mean() for series in members])
+
     component_input: dict[str, float] = {}
     component_received: dict[str, float] = {}
     component_output: dict[str, float] = {}
@@ -159,39 +179,18 @@ def run_point(
     instance_input: dict[str, np.ndarray] = {}
     instance_cpu: dict[str, np.ndarray] = {}
     for spec in topology.components.values():
-        tags = {"topology": topology.name, "component": spec.name}
-        component_input[spec.name] = _mean_from(
-            store, MetricNames.EXECUTE_COUNT, tags, start
+        name = spec.name
+        component_input[name] = mean(MetricNames.EXECUTE_COUNT, name)
+        component_received[name] = (
+            component_input[name]
+            if spec.is_spout
+            else mean(MetricNames.RECEIVED_COUNT, name)
         )
-        if spec.is_spout:
-            component_received[spec.name] = component_input[spec.name]
-        else:
-            component_received[spec.name] = _mean_from(
-                store, MetricNames.RECEIVED_COUNT, tags, start
-            )
-        component_output[spec.name] = _mean_from(
-            store, MetricNames.EMIT_COUNT, tags, start
-        )
-        component_cpu[spec.name] = _mean_from(
-            store, MetricNames.CPU_LOAD, tags, start
-        )
-        per_in, per_cpu = [], []
-        for index in range(spec.parallelism):
-            inst_tags = {**tags, "instance": f"{spec.name}_{index}"}
-            per_in.append(
-                _mean_from(store, MetricNames.EXECUTE_COUNT, inst_tags, start)
-            )
-            per_cpu.append(
-                _mean_from(store, MetricNames.CPU_LOAD, inst_tags, start)
-            )
-        instance_input[spec.name] = np.asarray(per_in)
-        instance_cpu[spec.name] = np.asarray(per_cpu)
-    backpressure = _mean_from(
-        store,
-        MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS,
-        {"topology": topology.name},
-        start,
-    )
+        component_output[name] = mean(MetricNames.EMIT_COUNT, name)
+        component_cpu[name] = mean(MetricNames.CPU_LOAD, name)
+        instance_input[name] = instance_means(MetricNames.EXECUTE_COUNT, name)
+        instance_cpu[name] = instance_means(MetricNames.CPU_LOAD, name)
+    backpressure = mean(MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS, None)
     return ObservationPoint(
         source_tpm=source_tpm,
         run=run,
@@ -203,13 +202,6 @@ def run_point(
         instance_cpu=instance_cpu,
         backpressure_ms=backpressure,
     )
-
-
-def _mean_from(
-    store: MetricsStore, metric: str, tags: dict[str, str], start: int
-) -> float:
-    series = store.aggregate(metric, tags).between(start, 2**62)
-    return series.mean()
 
 
 def run_sweep(

@@ -13,9 +13,11 @@ reproduced faithfully.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +48,8 @@ class KeyDistribution:
 
     This describes the data flowing on a stream — for the Word Count
     topology it is the word-frequency distribution of the corpus.  Fields
-    grouping uses it to compute per-instance traffic shares.
+    grouping uses it to compute per-instance traffic shares; the keys are
+    hashed once per distribution, the first time shares are asked for.
     """
 
     keys: tuple[str, ...]
@@ -60,6 +63,8 @@ class KeyDistribution:
         if any(w < 0 for w in self.weights):
             raise TopologyError("key weights must be non-negative")
         total = sum(self.weights)
+        if not math.isfinite(total):  # a NaN or infinite weight
+            raise TopologyError("key weights must be finite")
         if total <= 0:
             raise TopologyError("key weights must not all be zero")
 
@@ -72,8 +77,8 @@ class KeyDistribution:
     @classmethod
     def zipf(cls, keys: Sequence[str], exponent: float = 1.0) -> "KeyDistribution":
         """Zipf-distributed frequencies over the given keys (rank order)."""
-        if exponent < 0:
-            raise TopologyError("zipf exponent must be non-negative")
+        if not exponent >= 0:  # NaN included
+            raise TopologyError("zipf exponent must be a non-negative number")
         ranks = np.arange(1, len(keys) + 1, dtype=np.float64)
         raw = ranks**-exponent
         norm = raw / raw.sum()
@@ -84,20 +89,30 @@ class KeyDistribution:
         w = np.asarray(self.weights, dtype=np.float64)
         return w / w.sum()
 
+    @cached_property
+    def _hashes(self) -> np.ndarray:
+        """Every key's :func:`stable_hash`, in key order."""
+        return np.fromiter(
+            (stable_hash(key) for key in self.keys), np.int64, len(self.keys)
+        )
+
     def shares_mod(self, parallelism: int) -> np.ndarray:
         """Traffic share per downstream instance under ``hash % p`` routing.
 
         Entry ``j`` is the probability mass of keys whose stable hash is
         congruent to ``j`` modulo ``parallelism``.  This is the stationary
         routing distribution the paper calls the "routing probability" of a
-        fields-grouped connection.
+        fields-grouped connection.  ``bincount`` adds the weights in key
+        order, one key at a time, so each entry is the same sum a per-key
+        loop makes.
         """
         if parallelism <= 0:
             raise TopologyError("parallelism must be positive")
-        shares = np.zeros(parallelism, dtype=np.float64)
-        for key, weight in zip(self.keys, self.normalised_weights()):
-            shares[stable_hash(key) % parallelism] += weight
-        return shares
+        return np.bincount(
+            self._hashes % parallelism,
+            self.normalised_weights(),
+            minlength=parallelism,
+        )
 
     def imbalance(self, parallelism: int) -> float:
         """Max share over mean share — 1.0 means perfectly balanced."""

@@ -85,7 +85,6 @@ __all__ = [
     "ComponentLogic",
     "SpoutLogic",
     "HeronSimulation",
-    "warm_shares_memo",
 ]
 
 _MINUTE = 60.0
@@ -232,52 +231,6 @@ class SpoutLogic:
             raise SimulationError("alphas must be non-negative")
         if self.rate_noise < 0:
             raise SimulationError("rate_noise must be non-negative")
-
-
-# ----------------------------------------------------------------------
-# Cross-simulation shares memo
-# ----------------------------------------------------------------------
-# Grouping objects are immutable and shared across the topologies a plan
-# sweep derives via ``with_parallelism``, so their per-destination share
-# vectors can be computed once per (grouping identity, parallelism) and
-# reused by every simulation in the process — the pool workers warm this
-# from their pickled-once spec.  Entries hold a strong reference to the
-# grouping so a recycled ``id`` can never alias a dead object; the
-# identity check guards the pathological case regardless.
-_SHARES_MEMO: dict[tuple[int, int], tuple[object, np.ndarray]] = {}
-_SHARES_MEMO_CAP = 4096
-
-
-def _grouping_shares(grouping, dest_parallelism: int) -> np.ndarray:
-    key = (id(grouping), dest_parallelism)
-    hit = _SHARES_MEMO.get(key)
-    if hit is not None and hit[0] is grouping:
-        return hit[1]
-    shares = grouping.shares(dest_parallelism)
-    # The memoized array is shared across every simulation in the
-    # process; freeze it so no consumer can mutate routing under
-    # another's feet.
-    shares.flags.writeable = False
-    if len(_SHARES_MEMO) >= _SHARES_MEMO_CAP:
-        _SHARES_MEMO.clear()
-    _SHARES_MEMO[key] = (grouping, shares)
-    return shares
-
-
-def warm_shares_memo(topology: LogicalTopology) -> int:
-    """Precompute every stream's share vector into the process memo.
-
-    Returns the number of streams warmed.  Used by pool workers so each
-    per-plan simulation starts with its routing shares already resolved.
-    """
-    count = 0
-    for component in topology.components:
-        for stream in topology.outputs(component):
-            _grouping_shares(
-                stream.grouping, topology.parallelism(stream.destination)
-            )
-            count += 1
-    return count
 
 
 class _SpoutView:
@@ -653,8 +606,8 @@ class HeronSimulation:
         )
 
     def _shares(self, stream: Stream) -> np.ndarray:
-        return _grouping_shares(
-            stream.grouping, self.topology.parallelism(stream.destination)
+        return stream.grouping.shares(
+            self.topology.parallelism(stream.destination)
         )
 
     def _compile_arenas(self) -> None:

@@ -27,7 +27,6 @@ from repro.heron.simulation import (
     HeronSimulation,
     SimulationConfig,
     SpoutLogic,
-    warm_shares_memo,
 )
 from repro.heron.topology import LogicalTopology
 from repro.serving.fingerprint import canonical_json
@@ -117,10 +116,6 @@ _WORKER_SPEC: ValidationSpec | None = None
 def _init_worker(payload: bytes) -> None:
     global _WORKER_SPEC
     _WORKER_SPEC = pickle.loads(payload)
-    # Resolve every stream's routing shares once per worker process:
-    # the per-plan simulations then hit the process memo instead of
-    # recomputing identical share vectors for each candidate.
-    warm_shares_memo(_WORKER_SPEC.topology)
 
 
 def _worker_validate(task: tuple[dict[str, int], int]) -> dict[str, object]:

@@ -508,11 +508,13 @@ class TopologyFrame:
     groups: dict[tuple[str, str | None], SeriesGroup | MetricsError]
 
     def group(
-        self, name: str, component: str, stream: str | None = None
+        self, name: str, component: str | None, stream: str | None = None
     ) -> SeriesGroup:
         """The series ``query(name, {topology, component[, stream]})``
-        matches; raises as :meth:`MetricsStore.aggregate_complete` does
-        when there is none (or when one of them cannot be viewed)."""
+        matches (``component=None``: the topology-wide series, which
+        carry no component tag); raises as
+        :meth:`MetricsStore.aggregate_complete` does when there is none
+        (or when one of them cannot be viewed)."""
         tag_filter = {"topology": self.topology, "component": component}
         found = self.groups.get((name, component))
         if isinstance(found, MetricsError):

@@ -7,6 +7,14 @@ Caladrius deployment reads one shared metrics database.
 
 from __future__ import annotations
 
+import sys
+
+# Compile once: write bytecode for every module the suite imports even
+# where the environment sets ``PYTHONDONTWRITEBYTECODE``, so a second run
+# neither recompiles ``src/`` nor re-rewrites the asserts of each test
+# module.  Set before this file imports anything and before collection.
+sys.dont_write_bytecode = False
+
 import numpy as np
 import pytest
 

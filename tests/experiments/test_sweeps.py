@@ -8,6 +8,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.experiments.sweeps import run_point, run_sweep
 from repro.heron.wordcount import WordCountParams
+from repro.timeseries.store import MetricsStore
 
 M = 1e6
 
@@ -43,6 +44,24 @@ class TestRunPoint:
         assert point.instance_input["splitter"].shape == (1,)
         assert point.instance_cpu["counter"].shape == (2,)
         assert point.backpressure_ms == 0.0
+
+    def test_one_frame_read_per_point(self, monkeypatch):
+        """A point is read as calibration reads a topology: one
+        ``topology_frame``, no per-metric ``aggregate``."""
+        calls = {"aggregate": 0, "topology_frame": 0}
+        for method in calls:
+            original = getattr(MetricsStore, method)
+
+            def counted(self, *args, _original=original, _name=method, **kw):
+                calls[_name] += 1
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(MetricsStore, method, counted)
+        params = WordCountParams(
+            spout_parallelism=2, splitter_parallelism=1, counter_parallelism=2
+        )
+        run_point(params, 6 * M, seed=3, warmup_minutes=1, measure_minutes=1)
+        assert calls == {"aggregate": 0, "topology_frame": 1}
 
     def test_validation(self):
         params = WordCountParams()

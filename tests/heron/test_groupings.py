@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
+from repro.heron import groupings
 from repro.heron.groupings import (
     AllGrouping,
     FieldsGrouping,
@@ -16,6 +17,9 @@ from repro.heron.groupings import (
     ShuffleGrouping,
     stable_hash,
 )
+from repro.heron.simulation import HeronSimulation, SimulationConfig
+from repro.heron.wordcount import WordCountParams, build_word_count
+from repro.timeseries.store import MetricsStore
 
 
 @pytest.fixture()
@@ -139,3 +143,26 @@ def test_property_partitioning_groupings_sum_to_one(parallelism):
 @given(parallelism=st.integers(min_value=1, max_value=32))
 def test_property_all_grouping_amplifies_by_p(parallelism):
     assert AllGrouping().shares(parallelism).sum() == parallelism
+
+
+class TestKeysHashedOnce:
+    def test_two_simulations_hash_each_key_once(self, monkeypatch):
+        """Keys are hashed once per distribution, however many
+        simulations (and parallelisms) route by it."""
+        hashed: list[str] = []
+
+        def counting_hash(key: str) -> int:
+            hashed.append(key)
+            return stable_hash(key)
+
+        monkeypatch.setattr(groupings, "stable_hash", counting_hash)
+        topology, packing, logic = build_word_count(WordCountParams())
+        (stream,) = topology.inputs("counter")
+        keys = stream.grouping.key_distribution.keys
+        for seed in (1, 2):
+            HeronSimulation(
+                topology, packing, logic, MetricsStore(),
+                SimulationConfig(seed=seed),
+            )
+        stream.grouping.shares(topology.parallelism("counter") + 3)
+        assert sorted(hashed) == sorted(keys)

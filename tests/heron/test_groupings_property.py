@@ -162,3 +162,54 @@ class TestZipfFieldsRouting:
         head_weight = KeyDistribution.zipf(keys, 2.5).normalised_weights()[0]
         assert skewed[head_slot] >= head_weight - 1e-12
         assert float(skewed.sum()) == pytest.approx(1.0, rel=1e-9)
+
+
+def per_key_shares(dist: KeyDistribution, p: int) -> np.ndarray:
+    """The reference: one key at a time, hashed where it is routed.
+
+    ``shares_mod`` computed exactly this until the keys were hashed once
+    per distribution and the weights added by ``np.bincount``.
+    """
+    shares = np.zeros(p, dtype=np.float64)
+    for key, weight in zip(dist.keys, dist.normalised_weights()):
+        shares[stable_hash(key) % p] += weight
+    return shares
+
+
+@st.composite
+def vocabularies(draw):
+    """A Zipf, uniform or zero-holding vocabulary, and a parallelism from
+    one instance to more instances than keys."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    prefix = draw(st.sampled_from(["w", "key-", "k"]))
+    keys = [f"{prefix}{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["zipf", "uniform", "zeros"]))
+    if kind == "zipf":
+        dist = KeyDistribution.zipf(
+            keys, draw(st.floats(min_value=0.0, max_value=3.0))
+        )
+    elif kind == "uniform":
+        dist = KeyDistribution.uniform(keys)
+    else:
+        weights = draw(
+            st.lists(
+                st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.25, 1e-9]),
+                min_size=n,
+                max_size=n,
+            ).filter(any)
+        )
+        dist = KeyDistribution(tuple(keys), tuple(weights))
+    return dist, draw(st.integers(min_value=1, max_value=n + 16))
+
+
+class TestSharesMatchPerKeyLoop:
+    """``shares_mod`` is the per-key loop, bit for bit."""
+
+    @given(case=vocabularies())
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def test_bit_identical_to_the_per_key_loop(self, case):
+        dist, p = case
+        shares = dist.shares_mod(p)
+        expected = per_key_shares(dist, p)
+        assert shares.dtype == np.float64 and shares.shape == (p,)
+        assert shares.tobytes() == expected.tobytes()

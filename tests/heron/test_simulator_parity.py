@@ -18,8 +18,8 @@ is committed under ``tests/data``.  Three layers of evidence:
   fast paths (failing bolts, clipped spout edges, half-second ticks,
   control calls off the minute), and for finite stream managers at
   the ledger feed's scale;
-* unit coverage of the supporting machinery: the process-wide grouping
-  shares memo and the store's batched minute-append fast path.
+* unit coverage of the supporting machinery: the store's batched
+  minute-append fast path.
 
 Regenerate the fixtures only for a deliberate numerics change::
 
@@ -36,13 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import MetricsError
-from repro.heron.simulation import (
-    HeronSimulation,
-    SimulationConfig,
-    _SHARES_MEMO,
-    _grouping_shares,
-    warm_shares_memo,
-)
+from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.wordcount import WordCountParams, build_word_count
 from repro.timeseries.store import MetricKey, MetricsStore
 
@@ -354,37 +348,6 @@ class TestFiniteStmgrGoldens:
             # The binding capacity raises the stream managers' own flag.
             assert stmgr_held > 0
         assert store_digest(store) == golden
-
-
-# ----------------------------------------------------------------------
-# Grouping-shares memo
-# ----------------------------------------------------------------------
-class TestSharesMemo:
-    def test_warm_covers_every_stream(self):
-        topology, _, _ = build_word_count(WordCountParams())
-        _SHARES_MEMO.clear()
-        warmed = warm_shares_memo(topology)
-        assert warmed == len(_SHARES_MEMO) > 0
-
-    def test_memo_hit_returns_same_array(self):
-        topology, _, _ = build_word_count(WordCountParams())
-        stream = next(iter(topology.outputs("sentence-spout")))
-        parallelism = topology.parallelism(stream.destination)
-        first = _grouping_shares(stream.grouping, parallelism)
-        second = _grouping_shares(stream.grouping, parallelism)
-        assert first is second
-        assert not first.flags.writeable
-
-    def test_simulations_share_warmed_routing(self):
-        topology, packing, logic = build_word_count(WordCountParams())
-        _SHARES_MEMO.clear()
-        warm_shares_memo(topology)
-        populated = dict(_SHARES_MEMO)
-        HeronSimulation(
-            topology, packing, logic, MetricsStore(), SimulationConfig(seed=3)
-        )
-        for key, (grouping, shares) in populated.items():
-            assert _SHARES_MEMO[key][1] is shares
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,10 @@ skipped what construction or the minute's noise draw had already fixed.
 container's stream manager kept its own per-component queue arrays and
 a tick looped over them in Python, and 1556.4 / 27.7 once the queues
 became one block of the arenas (the transparent shapes then read
-1409.1 / 26.5 and 1095.1 / 16.5).  Each bound below holds its shape's
-count when the bound was set, on 3.11; other interpreters count
-differently.  Run as a module (``python -m tests.heron.test_tick_cost``)
-it prints the counts as JSON.
+1409.1 / 26.5 and 1095.1 / 16.5, their bounds since).  Each bound
+below holds its shape's count when the bound was set, on 3.11; other
+interpreters count differently.  Run as a module
+(``python -m tests.heron.test_tick_cost``) it prints the counts as JSON.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ SHAPES = {
 }
 #: CPython 3.11's bounds: opcodes and Python calls per tick.
 BOUNDS = {
-    "deep_chain_250": (1424, 27.5),
-    "multi_spout_40": (1110, 17.5),
+    "deep_chain_250": (1410, 26.5),
+    "multi_spout_40": (1096, 16.5),
     "deep_chain_250_stmgr_20k": (1558, 27.75),
 }
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TopologyError
 from repro.heron.groupings import FieldsGrouping, ShuffleGrouping
 from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
@@ -152,6 +152,25 @@ class TestValidation:
         topology, _, _ = parse_topology_document(document)
         (stream,) = topology.inputs("b")
         assert stream.grouping.key_distribution.keys == ("a", "b")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_key_weights_must_be_finite(self, bad):
+        document = self.base_document()
+        document["connections"][0].update(
+            {"grouping": "fields", "fields": ["k"],
+             "key_list": ["a", "b", "c"], "key_weights": [bad, 1, 1]}
+        )
+        with pytest.raises(TopologyError, match="finite"):
+            parse_topology_document(document)
+
+    def test_key_skew_must_be_a_number(self):
+        document = self.base_document()
+        document["connections"][0].update(
+            {"grouping": "fields", "fields": ["k"], "keys": 10,
+             "key_skew": float("nan")}
+        )
+        with pytest.raises(TopologyError, match="exponent"):
+            parse_topology_document(document)
 
     def test_unknown_grouping(self):
         document = self.base_document()

@@ -4,7 +4,8 @@ of a topology per calibration.
 ``MetricsStore.query`` used to be a walk of every series, the API tier
 spelled "filter ⊆ tags" a second time, and a calibration scanned the
 store once per component, metric and stream — with the sweep reading it
-again, later, for its CPU fits.  These checks read the source
+again, later, for its CPU fits.  The accuracy experiments read their
+observation points through the same frame.  These checks read the source
 so the scans cannot quietly come back.
 """
 
@@ -68,6 +69,7 @@ def test_model_tier_reads_go_through_the_frame(src_index):
     ] == [
         "core/performance_models.py:calibrate_topology",
         "core/traffic_models.py:_spout_series",
+        "experiments/sweeps.py:run_point",
         "faults/health.py:assess_topology_metrics",
     ]
     # ``store.keys`` + a scan per instance was the per-instance forecast.
