@@ -10,6 +10,7 @@ the same store and re-registering with the same tracker.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from dataclasses import replace
 
 from repro.errors import SimulationError
 from repro.heron.metrics import MetricNames
@@ -37,7 +38,8 @@ def _word_count_builder(base: WordCountParams) -> BuildFn:
     def build(parallelisms: Mapping[str, int] | None):
         params = base
         if parallelisms:
-            params = WordCountParams(
+            params = replace(
+                base,
                 spout_parallelism=parallelisms.get(
                     "sentence-spout", base.spout_parallelism
                 ),
@@ -47,9 +49,6 @@ def _word_count_builder(base: WordCountParams) -> BuildFn:
                 counter_parallelism=parallelisms.get(
                     "counter", base.counter_parallelism
                 ),
-                corpus=base.corpus,
-                splitter_capacity_tps=base.splitter_capacity_tps,
-                counter_capacity_tps=base.counter_capacity_tps,
             )
         return build_word_count(params)
 
@@ -81,7 +80,8 @@ class SimulatedCluster:
         if build is None:
             build = _word_count_builder(word_count_params or WordCountParams())
         self._build = build
-        self._config = config or SimulationConfig()
+        # Every deployment runs these engine parameters, reseeded.
+        self._engine = config or SimulationConfig()
         self.store = MetricsStore()
         self.tracker = TopologyTracker()
         self.simulation: HeronSimulation | None = None
@@ -106,12 +106,8 @@ class SimulatedCluster:
             raise SimulationError(
                 "redeploy must happen on a minute boundary"
             )
-        config = SimulationConfig(
-            tick_seconds=self._config.tick_seconds,
-            high_watermark_bytes=self._config.high_watermark_bytes,
-            low_watermark_bytes=self._config.low_watermark_bytes,
-            stmgr_capacity_tps=self._config.stmgr_capacity_tps,
-            seed=self._config.seed + self._deploy_count,
+        config = replace(
+            self._engine, seed=self._engine.seed + self._deploy_count
         )
         self.simulation = HeronSimulation(
             topology, packing, logic, self.store, config, start_at_seconds=start

@@ -9,7 +9,8 @@ taken to find a packing plan to satisfy the SLO".  The loop:
 3. compute, per bolt, the *demand* — the rate the component would
    receive if nothing throttled (source rate amplified through the
    fitted alphas) — and size its parallelism as
-   ``ceil(headroom * demand / instance_SP)``; components whose fits
+   ``ceil(1.15 * demand / instance_SP)``, a 15 % margin for calibration
+   noise and traffic variance; components whose fits
    never saturated keep their parallelism (they were never the problem);
 4. deploy that configuration once, then verify with a final observation
    window.
@@ -20,13 +21,20 @@ from __future__ import annotations
 import math
 
 from repro.autoscaler.cluster import SimulatedCluster
-from repro.autoscaler.types import ScalingRound, ScalingTrace
+from repro.autoscaler.types import (
+    BACKPRESSURE_SLO_MS,
+    ScalingRound,
+    ScalingTrace,
+)
 from repro.errors import ModelError
 from repro.heron.metrics import MetricNames
 from repro.serving.fingerprint import canonical_json
 from repro.sweep import PlanSweepEngine, evaluate_plans
 
 __all__ = ["ModelGuidedScaler"]
+
+#: Capacity margin a bolt is sized with, over its demand.
+_HEADROOM = 1.15
 
 
 class ModelGuidedScaler:
@@ -41,11 +49,6 @@ class ModelGuidedScaler:
     observe_minutes:
         Length of the calibration window (and of the verification
         window after deployment).
-    headroom:
-        Capacity margin applied when sizing (1.15 = 15% above demand),
-        covering calibration noise and traffic variance.
-    backpressure_slo_ms:
-        Mean backpressure time above which verification fails.
     """
 
     strategy = "model-guided (Caladrius)"
@@ -55,8 +58,6 @@ class ModelGuidedScaler:
         cluster: SimulatedCluster,
         slo_output_tpm: float,
         observe_minutes: int = 3,
-        headroom: float = 1.15,
-        backpressure_slo_ms: float = 1_000.0,
     ) -> None:
         if slo_output_tpm <= 0:
             raise ModelError("slo_output_tpm must be positive")
@@ -64,13 +65,9 @@ class ModelGuidedScaler:
             raise ModelError(
                 "observe_minutes must be >= 2 (one warmup + one measured)"
             )
-        if headroom < 1.0:
-            raise ModelError("headroom must be >= 1")
         self.cluster = cluster
         self.slo_output_tpm = slo_output_tpm
         self.observe_minutes = observe_minutes
-        self.headroom = headroom
-        self.backpressure_slo_ms = backpressure_slo_ms
         # Calibrate-once / evaluate-many: the engine's calibration cache
         # keeps the observation window's calibration under its metrics
         # data_version, so candidate evaluation — however many plans the
@@ -100,7 +97,7 @@ class ModelGuidedScaler:
         backpressure = self.cluster.recent_backpressure_ms(self.observe_minutes)
         meets = (
             output >= self.slo_output_tpm
-            and backpressure <= self.backpressure_slo_ms
+            and backpressure <= BACKPRESSURE_SLO_MS
         )
         parallelisms = self.cluster.parallelisms()
         if meets:
@@ -123,7 +120,7 @@ class ModelGuidedScaler:
         backpressure = self.cluster.recent_backpressure_ms(self.observe_minutes)
         meets = (
             output >= self.slo_output_tpm
-            and backpressure <= self.backpressure_slo_ms
+            and backpressure <= BACKPRESSURE_SLO_MS
         )
         trace.rounds.append(
             ScalingRound(
@@ -173,7 +170,7 @@ class ModelGuidedScaler:
                     name, spec.parallelism, model, window_start
                 )
                 if math.isfinite(capacity) and capacity > 0:
-                    needed = math.ceil(self.headroom * incoming / capacity)
+                    needed = math.ceil(_HEADROOM * incoming / capacity)
                     proposal[name] = max(needed, 1)
                 else:
                     # Never stressed: keep the current parallelism and

@@ -11,7 +11,7 @@ throughput SLO" (Section V).  The policy below is that loop:
    backpressure), stop;
 3. otherwise find the symptomatic component — the bolt reporting the
    most backpressure time, i.e. the one suppressing the spouts — scale
-   it out by one step, redeploy, and go back to 1.
+   it out by one instance, redeploy, and go back to 1.
 
 Each round costs a redeployment plus a stabilisation wait, which is
 exactly the cost Caladrius's dry-run predictions avoid.
@@ -20,10 +20,17 @@ exactly the cost Caladrius's dry-run predictions avoid.
 from __future__ import annotations
 
 from repro.autoscaler.cluster import SimulatedCluster
-from repro.autoscaler.types import ScalingRound, ScalingTrace
+from repro.autoscaler.types import (
+    BACKPRESSURE_SLO_MS,
+    ScalingRound,
+    ScalingTrace,
+)
 from repro.errors import ModelError
 
 __all__ = ["ReactiveScaler"]
+
+#: Rounds after which the scaler gives up without meeting the SLO.
+_MAX_ROUNDS = 15
 
 
 class ReactiveScaler:
@@ -39,12 +46,6 @@ class ReactiveScaler:
         Stabilisation window per round; the paper notes waiting for a
         topology "to stabilize and for normal operation to resume" is
         what makes each reactive round expensive.
-    scale_step:
-        Instances added to the symptomatic component per round.
-    max_rounds:
-        Safety limit.
-    backpressure_slo_ms:
-        Mean backpressure time above which the round fails the SLO.
     """
 
     strategy = "reactive (Dhalion-style)"
@@ -54,25 +55,19 @@ class ReactiveScaler:
         cluster: SimulatedCluster,
         slo_output_tpm: float,
         observe_minutes: int = 3,
-        scale_step: int = 1,
-        max_rounds: int = 15,
-        backpressure_slo_ms: float = 1_000.0,
     ) -> None:
         if slo_output_tpm <= 0:
             raise ModelError("slo_output_tpm must be positive")
-        if observe_minutes < 1 or scale_step < 1 or max_rounds < 1:
-            raise ModelError("observe/scale/max parameters must be >= 1")
+        if observe_minutes < 1:
+            raise ModelError("observe_minutes must be >= 1")
         self.cluster = cluster
         self.slo_output_tpm = slo_output_tpm
         self.observe_minutes = observe_minutes
-        self.scale_step = scale_step
-        self.max_rounds = max_rounds
-        self.backpressure_slo_ms = backpressure_slo_ms
 
     def run(self) -> ScalingTrace:
         """Iterate observe→diagnose→scale until the SLO holds."""
         trace = ScalingTrace(self.strategy, self.slo_output_tpm)
-        for index in range(self.max_rounds):
+        for index in range(_MAX_ROUNDS):
             self.cluster.run(self.observe_minutes)
             output = self.cluster.recent_output_tpm(self.observe_minutes)
             backpressure = self.cluster.recent_backpressure_ms(
@@ -80,7 +75,7 @@ class ReactiveScaler:
             )
             meets = (
                 output >= self.slo_output_tpm
-                and backpressure <= self.backpressure_slo_ms
+                and backpressure <= BACKPRESSURE_SLO_MS
             )
             parallelisms = self.cluster.parallelisms()
             if meets:
@@ -93,7 +88,7 @@ class ReactiveScaler:
                 return trace
             bottleneck = self._diagnose()
             proposal = dict(parallelisms)
-            proposal[bottleneck] = parallelisms[bottleneck] + self.scale_step
+            proposal[bottleneck] = parallelisms[bottleneck] + 1
             trace.rounds.append(
                 ScalingRound(
                     index,

@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["ScalingRound", "ScalingTrace"]
 
+#: Mean topology backpressure per minute above which a window fails the
+#: SLO, whatever its throughput.
+BACKPRESSURE_SLO_MS = 1_000.0
+
 
 @dataclass(frozen=True)
 class ScalingRound:

@@ -68,7 +68,11 @@ from repro.errors import ConfigError, ReproError
 from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
-from repro.heron.wordcount import WordCountParams, build_word_count
+from repro.heron.wordcount import (
+    WordCountParams,
+    build_word_count,
+    demo_word_count,
+)
 from repro.telemetry import Telemetry
 from repro.timeseries.store import MetricsStore
 
@@ -314,27 +318,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-def _demo_deployment(
-    splitter: int, counter: int, seed: int
-) -> tuple[TopologyTracker, MetricsStore, dict]:
-    """Word Count simulated at 4M..44M tuples/minute into a fresh store
-    and registered in a fresh tracker, with its component logic."""
-    params = WordCountParams(
-        splitter_parallelism=splitter, counter_parallelism=counter
-    )
-    topology, packing, logic = build_word_count(params)
-    store = MetricsStore()
-    sim = HeronSimulation(
-        topology, packing, logic, store, SimulationConfig(seed=seed)
-    )
-    for rate in np.arange(4 * M, 44 * M + 1, 8 * M):
-        sim.set_source_rate("sentence-spout", float(rate))
-        sim.run(2)
-    tracker = TopologyTracker()
-    tracker.register(topology, packing)
-    return tracker, store, logic
-
-
 def _demo_names(count: int) -> list[str]:
     """The demo topology names for ``--demo --demo-count K``."""
     return ["word-count"] + [f"word-count-{i}" for i in range(2, count + 1)]
@@ -374,7 +357,7 @@ def _setup_demo(
     missing = [n for n in names if n not in tracker.names()]
     if not missing:
         return names
-    scratch_tracker, scratch_store, _ = _demo_deployment(2, 4, seed=0)
+    scratch_tracker, scratch_store, _ = demo_word_count(2, 4, seed=0)
     base = scratch_tracker.get("word-count")
     series = [
         (key, scratch_store.get(key.name, key.tag_dict()))
@@ -877,7 +860,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    tracker, store, _ = _demo_deployment(
+    tracker, store, _ = demo_word_count(
         args.splitter, args.counter, args.seed
     )
     model = ThroughputPredictionModel(tracker, store)
@@ -919,7 +902,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 def _cmd_sweep(args) -> int:
     from repro.sweep import PlanSweepEngine, ValidationSpec, validate_plans
 
-    tracker, store, logic = _demo_deployment(
+    tracker, store, logic = demo_word_count(
         args.splitter, args.counter, args.seed
     )
     if args.plans:

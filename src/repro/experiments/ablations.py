@@ -56,7 +56,7 @@ def skew(quick: bool) -> list[dict]:
     records = []
     for exponent in (0.0, 0.6, 1.0, 1.4):
         corpus = SyntheticCorpus(zipf_exponent=exponent)
-        imbalance = corpus.word_distribution().imbalance(counter_p)
+        imbalance = corpus.word_distribution.imbalance(counter_p)
         params = WordCountParams(
             splitter_parallelism=7, counter_parallelism=counter_p, corpus=corpus
         )

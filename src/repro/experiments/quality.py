@@ -40,7 +40,11 @@ from repro.forecasting.backtest import rolling_origin_backtest
 from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.tracker import TopologyTracker
-from repro.heron.wordcount import WordCountParams, build_word_count
+from repro.heron.wordcount import (
+    WordCountParams,
+    build_word_count,
+    demo_word_count,
+)
 from repro.timeseries.series import TimeSeries
 from repro.timeseries.store import MetricsStore
 from repro.workloads import run_matrix
@@ -90,21 +94,11 @@ FAULTS: dict[str, tuple[FaultEvent, ...]] = {
 def _deployed(
     seed: int, events: tuple[FaultEvent, ...] = ()
 ) -> ThroughputPredictionModel:
-    """Word Count (Splitter 2, Counter 4) swept over 4..44 M tuples/min,
-    two minutes a rate, calibrated from its own metrics."""
-    topology, packing, logic = build_word_count(
-        WordCountParams(splitter_parallelism=2, counter_parallelism=4)
+    """The Word Count demo deployment (Splitter 2, Counter 4) under
+    ``events``, calibrated from its own metrics."""
+    tracker, store, _ = demo_word_count(
+        2, 4, seed, faults=FaultPlan(events=events) if events else None
     )
-    store = MetricsStore()
-    sim = HeronSimulation(
-        topology, packing, logic, store, SimulationConfig(seed=seed),
-        faults=FaultPlan(events=events) if events else None,
-    )
-    for rate in np.arange(4 * M, 44 * M + 1, 8 * M):
-        sim.set_source_rate("sentence-spout", float(rate))
-        sim.run(2)
-    tracker = TopologyTracker()
-    tracker.register(topology, packing)
     return ThroughputPredictionModel(tracker, store)
 
 

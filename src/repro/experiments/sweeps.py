@@ -12,7 +12,7 @@ figures are made of.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,19 +135,12 @@ def run_point(
         raise SimulationError("warmup and measure minutes must be >= 1")
     topology, packing, logic = build_word_count(params)
     store = MetricsStore()
-    base = config or SimulationConfig()
     sim = HeronSimulation(
         topology,
         packing,
         logic,
         store,
-        SimulationConfig(
-            tick_seconds=base.tick_seconds,
-            high_watermark_bytes=base.high_watermark_bytes,
-            low_watermark_bytes=base.low_watermark_bytes,
-            stmgr_capacity_tps=base.stmgr_capacity_tps,
-            seed=seed,
-        ),
+        replace(config or SimulationConfig(), seed=seed),
     )
     sim.set_source_rate("sentence-spout", source_tpm)
     sim.run(warmup_minutes + measure_minutes)

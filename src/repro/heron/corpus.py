@@ -12,7 +12,7 @@ properties configurable, defaulting to the paper's measured values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import TopologyError
 from repro.heron.groupings import KeyDistribution
@@ -73,8 +73,13 @@ class SyntheticCorpus:
         """The distinct words, most frequent first."""
         return _vocabulary(self.vocabulary_size)
 
+    @cached_property
     def word_distribution(self) -> KeyDistribution:
-        """Zipf-weighted word frequencies as a routing key distribution."""
+        """Zipf-weighted word frequencies as a routing key distribution.
+
+        Built once per corpus, so every topology built from it routes by
+        one distribution and its words are hashed once.
+        """
         return KeyDistribution.zipf(self.vocabulary, self.zipf_exponent)
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The discrete-time (fluid) Heron topology simulator.
 
 This is the substrate that replaces the paper's Aurora/Heron cluster.  Each
-tick (default one second) the engine:
+one-second tick the engine:
 
 1. lets every spout instance fetch from its external source and emit,
    unless topology backpressure is active — in which case spouts are
@@ -49,8 +49,8 @@ finite ones — and all per-tick RNG is pre-drawn in minute-sized
 batches with a static draw layout and laid out per tick right after the
 draw.  A tick makes only the numpy calls whose
 results depend on the tick: every view, index plan and exact identity
-(``× 1.0`` with one-second ticks, ``× 0.0`` failures, an edge that
-cannot clip) is settled at construction or per batch.  Every
+(``× 0.0`` failures, an edge that cannot clip) is settled at
+construction or per batch.  Every
 floating-point operation sequence — including numpy's pairwise summation
 trees and the RNG draw order — is arranged to be bit-identical to the
 scalar engine this one replaced; the golden fixtures under ``tests/data``,
@@ -88,17 +88,17 @@ __all__ = [
 ]
 
 _MINUTE = 60.0
+#: The engine steps one second at a time, so a minute closes every 60
+#: ticks.  The models see only the per-minute counters, never the step.
+_TICKS_PER_MINUTE = 60
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Engine-wide parameters.
+    """Engine-wide parameters (the engine always steps one second).
 
     Parameters
     ----------
-    tick_seconds:
-        Simulation step.  Must divide 60 exactly so per-minute metrics
-        close on minute boundaries.
     high_watermark_bytes / low_watermark_bytes:
         Heron's defaults are 100 MB / 50 MB (paper Section IV-B1).
     stmgr_capacity_tps:
@@ -110,18 +110,12 @@ class SimulationConfig:
         Seed for all stochastic elements (capacity and rate noise).
     """
 
-    tick_seconds: float = 1.0
     high_watermark_bytes: float = 100e6
     low_watermark_bytes: float = 50e6
     stmgr_capacity_tps: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tick_seconds <= 0:
-            raise SimulationError("tick_seconds must be positive")
-        ticks_per_minute = _MINUTE / self.tick_seconds
-        if abs(ticks_per_minute - round(ticks_per_minute)) > 1e-9:
-            raise SimulationError("tick_seconds must divide 60 exactly")
         if self.low_watermark_bytes <= 0:
             raise SimulationError("low watermark must be positive")
         if self.high_watermark_bytes <= self.low_watermark_bytes:
@@ -305,7 +299,7 @@ class _ClipEdge:
     """Precomputed operands for one spout output stream's headroom clip."""
 
     __slots__ = (
-        "alpha", "shares", "max_share", "mask", "dest_q", "itb", "cap_dt",
+        "alpha", "shares", "max_share", "mask", "dest_q", "itb", "cap",
         "buf", "denom", "per",
     )
 
@@ -315,7 +309,7 @@ class _ClipEdge:
         shares: np.ndarray,
         dest_q: np.ndarray,
         itb: float,
-        cap_dt: float,
+        cap: float,
     ) -> None:
         self.alpha = alpha
         self.shares = shares
@@ -323,7 +317,7 @@ class _ClipEdge:
         self.mask = shares > 0
         self.dest_q = dest_q  # live view of the destination queue slice
         self.itb = itb
-        self.cap_dt = cap_dt
+        self.cap = cap
         self.buf = np.empty(shares.shape[0])
         self.denom = np.empty(shares.shape[0])
         self.per = np.empty(shares.shape[0])
@@ -523,7 +517,6 @@ class HeronSimulation:
         # topology-wide backpressure they accrued.
         self._minute_start = start_at_seconds
         self._minute_ticks = 0
-        self._ticks_per_minute = round(_MINUTE / self.config.tick_seconds)
         self._topology_bp_ms = 0.0
         # Active metric-dropout scopes: ``(component, index)`` one
         # instance, ``(component, None)`` a component, ``(None, None)``
@@ -618,17 +611,12 @@ class HeronSimulation:
         advances level by level with whole-array ops.
         """
         topology = self.topology
-        dt = self.config.tick_seconds
         # Each container's stream manager is one row of the per-container
         # state, in packing order.
         self._row_of = {
             c.container_id: row
             for row, c in enumerate(self.packing.containers)
         }
-        # ``x / 1.0`` and ``x * 1.0`` are ``x`` bit for bit: with one-second
-        # ticks the metric steps that scale by the tick are skipped.
-        self._scaled = dt != 1.0
-        self._bp_ms_per_tick = dt * 1000.0
         self._hwm = self.config.high_watermark_bytes
         self._high_trigger = self.config.high_watermark_bytes * (1.0 - 1e-9)
         self._low = self.config.low_watermark_bytes
@@ -643,7 +631,7 @@ class HeronSimulation:
         self._n_sp = n_sp
         self._sp_down = np.zeros(n_sp, dtype=bool)
         self._sp_noise = np.ones(n_sp)
-        self._sp_rate_dt = np.zeros(n_sp)
+        self._sp_rate = np.zeros(n_sp)
         self._sp_fetch_cap = np.zeros(n_sp)
         self._sp_util_denom = np.ones(n_sp)
         # Per-tick quantities live as rows of one 2D block so the minute
@@ -653,12 +641,8 @@ class HeronSimulation:
         self._sp_source = self._sp_tick2d[0]
         self._sp_fetched = self._sp_tick2d[1]
         self._sp_emitted = self._sp_tick2d[2]
-        self._sp_backlog_dt = self._sp_tick2d[3]
-        self._sp_cpu_dt = self._sp_tick2d[4]
-        # With one-second ticks the backlog *is* its per-tick gauge row.
-        self._sp_backlog = (
-            np.zeros(n_sp) if self._scaled else self._sp_backlog_dt
-        )
+        self._sp_backlog = self._sp_tick2d[3]
+        self._sp_cpu = self._sp_tick2d[4]
         self._sp_worker = np.zeros(n_sp)
         self._sp_gcpt = np.zeros(n_sp)
         self._sp_rows = np.zeros(n_sp, dtype=np.intp)
@@ -711,22 +695,17 @@ class HeronSimulation:
         self._b_processed = self._b_tick2d[1]
         self._b_emitted = self._b_tick2d[2]
         self._b_failed = self._b_tick2d[3]
-        self._b_memory_dt = self._b_tick2d[4]
-        self._b_latency_dt = self._b_tick2d[5]
-        self._b_pending_dt = self._b_tick2d[6]
-        self._b_cpu_dt = self._b_tick2d[7]
+        self._b_memory = self._b_tick2d[4]
+        self._b_latency = self._b_tick2d[5]
+        self._b_pending = self._b_tick2d[6]
+        self._b_cpu = self._b_tick2d[7]
         self._b_bpms = self._b_tick2d[8]
         self._b_capacity = np.zeros(n_b)
-        # With one-second ticks pending bytes *are* their per-tick row.
-        self._b_pending = (
-            np.zeros(n_b) if self._scaled else self._b_pending_dt
-        )
         self._finite_stmgrs = (
             self.config.stmgr_capacity_tps is not None and n_b > 0
         )
         self._b_outbox = np.zeros(n_b) if self._finite_stmgrs else None
         self._b_rows = np.zeros(n_b, dtype=np.intp)
-        self._b_cap_dt = np.zeros(n_b)
         self._b_captps = np.zeros(n_b)
         self._b_itb = np.zeros(n_b)
         self._b_failrate = np.zeros(n_b)
@@ -745,7 +724,6 @@ class HeronSimulation:
             lg = view.logic
             sl = slice(view.start, view.stop)
             self._b_rows[sl] = self._rows(name)
-            self._b_cap_dt[sl] = lg.capacity_tps * dt
             self._b_captps[sl] = lg.capacity_tps
             self._b_itb[sl] = lg.input_tuple_bytes
             self._b_failrate[sl] = lg.failure_rate
@@ -955,7 +933,7 @@ class HeronSimulation:
                         np.asarray(self._shares(stream), dtype=np.float64),
                         self._b_queue[dest.start:dest.stop],
                         dest.logic.input_tuple_bytes,
-                        dest.logic.capacity_tps * dt,
+                        dest.logic.capacity_tps,
                     )
                 )
             self._clip_edges[name] = records
@@ -1003,21 +981,20 @@ class HeronSimulation:
                     alpha_cols.append(col)
                     col += 1
         self._noise_k = col
-        self._noise_chunk = int(round(_MINUTE / dt))
         if col:
             loc_tick = np.concatenate(loc)
             scale_tick = np.concatenate(scale)
-            self._noise_loc_tile = np.tile(loc_tick, self._noise_chunk)
-            self._noise_scale_tile = np.tile(scale_tick, self._noise_chunk)
+            self._noise_loc_tile = np.tile(loc_tick, _TICKS_PER_MINUTE)
+            self._noise_scale_tile = np.tile(scale_tick, _TICKS_PER_MINUTE)
         else:
             self._noise_loc_tile = np.empty(0)
             self._noise_scale_tile = np.empty(0)
         # The chunk's noise laid out in arena order (see _lay_out_noise);
         # the first tick draws.  Until then — for ever without noise —
         # the rows are the noise-free values.
-        self._noise_cursor = self._noise_chunk
+        self._noise_cursor = _TICKS_PER_MINUTE
         self._sp_noise = np.ones(n_sp)
-        self._b_cap_noisy = self._b_cap_dt
+        self._b_cap_noisy = self._b_captps
         self._sp_noise_idx = _concat(sp_idx)
         self._sp_noise_cols = _concat(sp_cols)
         self._b_noise_idx = _concat(b_idx)
@@ -1041,7 +1018,7 @@ class HeronSimulation:
         self._sp_blocked: np.ndarray | None = None
         self._b_blocked: np.ndarray | None = None
         if self._finite_stmgrs:
-            self._compile_stmgr_queues(dt)
+            self._compile_stmgr_queues()
 
         # --- per-minute metric accumulators (row views of 2D blocks,
         # mirroring the tick blocks so accumulation is one 2D add) ------
@@ -1071,7 +1048,7 @@ class HeronSimulation:
         """The stream-manager row of each of a component's instances."""
         return [self._row_of[c] for c in self._containers[component].tolist()]
 
-    def _compile_stmgr_queues(self, dt: float) -> None:
+    def _compile_stmgr_queues(self) -> None:
         """The finite stream managers' state: one queue block, containers
         × bolt arena, with each instance's queued tuples in its container's
         row (every other element of its column stays 0.0), per-container
@@ -1085,7 +1062,7 @@ class HeronSimulation:
         n_c, n_b = len(self._row_of), self._n_b
         self._stmgr_queue = np.zeros((n_c, n_b))
         self._stmgr_at = (self._b_rows, np.arange(n_b))
-        self._stmgr_budget = self.config.stmgr_capacity_tps * dt
+        self._stmgr_budget = self.config.stmgr_capacity_tps
         # Row 0 each component's part, in sum order, row 1 its bytes;
         # accumulated along the components, the last column is the totals.
         self._stmgr_sums = np.zeros((2, n_c, len(self._bolts)))
@@ -1125,11 +1102,9 @@ class HeronSimulation:
             raise SimulationError("source rate must be non-negative")
         view = self._spouts[spout]
         view.rate_tps = tuples_per_minute / _MINUTE / view.parallelism
-        dt = self.config.tick_seconds
         sl = slice(view.start, view.stop)
-        rate_dt = view.rate_tps * dt
-        fetch_cap = view.logic.fetch_multiplier * view.rate_tps * dt
-        self._sp_rate_dt[sl] = rate_dt
+        fetch_cap = view.logic.fetch_multiplier * view.rate_tps
+        self._sp_rate[sl] = view.rate_tps
         self._sp_fetch_cap[sl] = fetch_cap
         self._sp_util_denom[sl] = fetch_cap if view.rate_tps > 0 else 1.0
 
@@ -1337,28 +1312,27 @@ class HeronSimulation:
         self.run_seconds(minutes * _MINUTE)
 
     def run_seconds(self, seconds: float) -> None:
-        """Advance the simulation by ``seconds`` (multiple of the tick)."""
+        """Advance the simulation by a whole number of ``seconds``."""
         if seconds < 0:
             raise SimulationError("cannot run for negative time")
-        dt = self.config.tick_seconds
-        ticks = round(seconds / dt)
-        if abs(ticks * dt - seconds) > 1e-6:
+        ticks = round(seconds)
+        if abs(ticks - seconds) > 1e-6:
             raise SimulationError(
-                f"run length {seconds}s is not a multiple of the tick ({dt}s)"
+                f"run length {seconds}s is not a multiple of the tick (1s)"
             )
         for _ in range(ticks):
-            self._tick(dt)
+            self._tick()
 
     # ------------------------------------------------------------------
     # One tick
     # ------------------------------------------------------------------
-    def _tick(self, dt: float) -> None:
+    def _tick(self) -> None:
         if self._injector is not None:
             self._injector.on_tick(self)
         bp_at_start = self.backpressure_active()
         if self._noise_k:
             cursor = self._noise_cursor
-            if cursor == self._noise_chunk:
+            if cursor == _TICKS_PER_MINUTE:
                 self._lay_out_noise()
                 cursor = 0
             self._noise_cursor = cursor + 1
@@ -1408,8 +1382,8 @@ class HeronSimulation:
             self._b_pending >= self._high_trigger,
         )
 
-        self._record_tick(bp_at_start, dt)
-        self._now += dt
+        self._record_tick(bp_at_start)
+        self._now += 1.0
 
     def _lay_out_noise(self) -> None:
         """Draw the next minute of noise and lay it out per tick.
@@ -1421,7 +1395,7 @@ class HeronSimulation:
         takes row views and does no index work.  Each row element sees
         the operations the per-tick scatter gave it, in the same order.
         """
-        chunk = self._noise_chunk
+        chunk = _TICKS_PER_MINUTE
         draws = self._rng.normal(
             self._noise_loc_tile, self._noise_scale_tile
         ).reshape(chunk, self._noise_k)
@@ -1430,7 +1404,7 @@ class HeronSimulation:
         self._sp_noise_rows = sp
         cap = np.ones((chunk, self._n_b))
         cap[:, self._b_noise_idx] = draws[:, self._b_noise_cols]
-        np.multiply(self._b_cap_dt, cap, out=cap)
+        np.multiply(self._b_captps, cap, out=cap)
         self._b_cap_rows = cap
         alpha = draws[:, self._b_alpha_cols]
         np.add(1.0, alpha, out=alpha)
@@ -1447,7 +1421,7 @@ class HeronSimulation:
         sp_blocked: np.ndarray | None,
     ) -> None:
         source = self._sp_source
-        np.multiply(self._sp_rate_dt, self._sp_noise, out=source)
+        np.multiply(self._sp_rate, self._sp_noise, out=source)
         np.maximum(0.0, source, out=source)
         self._sp_backlog += source
         fetched = self._sp_fetched
@@ -1490,26 +1464,26 @@ class HeronSimulation:
 
         Models the intra-tick stall: a stream manager stops accepting spout
         tuples the instant a destination queue reaches the high watermark,
-        so at most ``headroom + capacity*dt`` tuples can enter per tick.
+        so at most ``headroom + capacity`` tuples can enter per tick.
 
-        An edge with ``total_out * max(share) <= cap_dt`` cannot clip and
-        is skipped: every ``buf_i >= cap_dt`` (the headroom term is
+        An edge with ``total_out * max(share) <= cap`` cannot clip and
+        is skipped: every ``buf_i >= cap`` (the headroom term is
         ``>= 0`` and rounding is monotone) and every ``denom_i <=
         total_out * max(share)``, so every ``per_i >= 1``.  An edge with
-        nothing to send (``total_out <= 0 < cap_dt``) is one of them.
+        nothing to send (``total_out <= 0 < cap``) is one of them.
         """
         clip = 1.0
         fsum = _add_reduce(view.fetched)
         for edge in self._clip_edges[view.name]:
             total_out = fsum * edge.alpha
-            if total_out * edge.max_share <= edge.cap_dt:
+            if total_out * edge.max_share <= edge.cap:
                 continue
             buf = edge.buf
             np.multiply(edge.dest_q, edge.itb, out=buf)
             np.subtract(self._hwm, buf, out=buf)
             np.maximum(0.0, buf, out=buf)
             buf /= edge.itb
-            buf += edge.cap_dt
+            buf += edge.cap
             per = edge.per
             per.fill(np.inf)
             denom = np.multiply(total_out, edge.shares, out=edge.denom)
@@ -1616,66 +1590,50 @@ class HeronSimulation:
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-    def _record_tick(self, bp_at_start: bool, dt: float) -> None:
+    def _record_tick(self, bp_at_start: bool) -> None:
         # Whole-arena accumulation: every element sees the same IEEE-754
         # operation sequence the scalar engine's per-component loop
-        # produced (counters: 0.0 + a_1 + ... + a_n; gauges:
-        # 0.0 + v_1*dt + ...), so flushed per-minute values match bit
-        # for bit.  Steps that are exact identities for this simulation
-        # (``÷ dt``, ``× dt`` with one-second ticks; ``+ state`` with no
-        # stateful bolt) are skipped.
-        scaled = self._scaled
+        # produced (counters and gauges: 0.0 + a_1 + ... + a_n), so
+        # flushed per-minute values match bit for bit.  ``+ state`` is
+        # skipped when no bolt is stateful.
         if self._n_sp:
             util = np.divide(
                 self._sp_fetched, self._sp_util_denom, out=self._sp_t1
             )
             moved = np.add(self._sp_fetched, self._sp_emitted, out=self._sp_t2)
             np.multiply(self._sp_gcpt, moved, out=moved)
-            if scaled:
-                moved /= dt
-            cpu = np.multiply(self._sp_worker, util, out=self._sp_cpu_dt)
+            cpu = np.multiply(self._sp_worker, util, out=self._sp_cpu)
             cpu += moved
-            if scaled:
-                np.multiply(self._sp_backlog, dt, out=self._sp_backlog_dt)
-                cpu *= dt
             self._acc_sp2d += self._sp_tick2d
             if not self._sp_emit_is_vals:
                 self._acc_sp_streams += self._sp_slot_vals
         if self._n_b:
             self._emit_scatter()
             util = np.divide(
-                self._b_processed, self._b_cap_dt, out=self._b_t1
+                self._b_processed, self._b_captps, out=self._b_t1
             )
             np.minimum(1.0, util, out=util)
             moved = np.add(self._b_arrivals, self._b_emitted, out=self._b_t2)
             np.multiply(self._b_gcpt, moved, out=moved)
-            if scaled:
-                moved /= dt
-            cpu = np.multiply(self._b_worker, util, out=self._b_cpu_dt)
+            cpu = np.multiply(self._b_worker, util, out=self._b_cpu)
             cpu += moved
             memory = np.add(
-                self._b_base_mem, self._b_pending, out=self._b_memory_dt
+                self._b_base_mem, self._b_pending, out=self._b_memory
             )
             if self._any_state:
                 memory += self._b_state
             eff = np.multiply(self._b_captps, self._b_factor, out=self._b_t4)
             np.maximum(1e-9, eff, out=eff)
-            latency = np.divide(self._b_queue, eff, out=self._b_latency_dt)
+            latency = np.divide(self._b_queue, eff, out=self._b_latency)
             latency *= 1000.0
-            if scaled:
-                memory *= dt
-                latency *= dt
-                np.multiply(self._b_pending, dt, out=self._b_pending_dt)
-                cpu *= dt
-            np.multiply(self._b_bp, self._bp_ms_per_tick, out=self._b_bpms)
+            np.multiply(self._b_bp, 1000.0, out=self._b_bpms)
             self._acc_b2d += self._b_tick2d
             self._acc_b_streams += self._b_slot_vals
         if bp_at_start or self.backpressure_active():
-            self._topology_bp_ms += self._bp_ms_per_tick
+            self._topology_bp_ms += 1000.0
         self._minute_ticks += 1
-        if self._minute_ticks >= self._ticks_per_minute:
+        if self._minute_ticks >= _TICKS_PER_MINUTE:
             self._close_minute()
-
 
     def _compile_minute_layout(self) -> _MinuteLayout:
         """Build the per-minute series table: keys, owners and gathers.

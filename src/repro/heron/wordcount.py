@@ -6,7 +6,7 @@ bolt over fields grouping on the word.  The spout reads sentences from a
 literary corpus (here the synthetic Gatsby substitute), so the Splitter's
 I/O coefficient is the corpus's mean sentence length (~7.63).
 
-Default rates are tuned to land near the paper's measurements:
+Rates are tuned to land near the paper's measurements:
 
 * Splitter instance saturation point ≈ 11 M tuples/minute input
   (Fig. 4), hence ``capacity_tps`` ≈ 183,333;
@@ -19,13 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.heron.corpus import SyntheticCorpus
 from repro.heron.groupings import FieldsGrouping, ShuffleGrouping
 from repro.heron.packing import PackingPlan, Resources, RoundRobinPacking
-from repro.heron.simulation import ComponentLogic, SpoutLogic
+from repro.heron.simulation import (
+    ComponentLogic,
+    HeronSimulation,
+    SimulationConfig,
+    SpoutLogic,
+)
 from repro.heron.topology import LogicalTopology, TopologyBuilder
+from repro.heron.tracker import TopologyTracker
+from repro.timeseries.store import MetricsStore
 
-__all__ = ["WordCountParams", "build_word_count"]
+__all__ = ["WordCountParams", "build_word_count", "demo_word_count"]
 
 SPOUT = "sentence-spout"
 SPLITTER = "splitter"
@@ -34,27 +43,17 @@ COUNTER = "counter"
 
 @dataclass(frozen=True)
 class WordCountParams:
-    """Tunable parameters of the Word Count evaluation topology.
+    """Parallelisms, corpus and container count of the Word Count topology.
 
     Parallelisms default to the paper's Section V-A setup: spout 8 (fixed
     "unless mentioned otherwise"), Splitter and Counter as configured per
-    experiment.
+    experiment.  ``containers`` defaults to about two instances each.
     """
 
     spout_parallelism: int = 8
     splitter_parallelism: int = 3
     counter_parallelism: int = 3
     corpus: SyntheticCorpus = field(default_factory=SyntheticCorpus)
-    splitter_capacity_tps: float = 11.0e6 / 60.0
-    counter_capacity_tps: float = 70.0e6 / 60.0
-    sentence_bytes: float = 60.0
-    word_bytes: float = 16.0
-    splitter_worker_cores: float = 0.85
-    splitter_gateway_cores_per_tuple: float = 1.8e-7
-    counter_worker_cores: float = 0.85
-    counter_gateway_cores_per_tuple: float = 1.2e-7
-    capacity_noise: float = 0.015
-    spout_fetch_multiplier: float = 10.0
     containers: int | None = None
 
     def num_containers(self) -> int:
@@ -88,32 +87,54 @@ def build_word_count(
     builder.connect(
         SPLITTER,
         COUNTER,
-        FieldsGrouping(["word"], params.corpus.word_distribution()),
+        FieldsGrouping(["word"], params.corpus.word_distribution),
     )
     topology = builder.build()
     packing = RoundRobinPacking(Resources(cpu=1.0, ram_bytes=2 * 1024**3)).pack(
         topology, params.num_containers()
     )
     logic: dict[str, SpoutLogic | ComponentLogic] = {
-        SPOUT: SpoutLogic(
-            fetch_multiplier=params.spout_fetch_multiplier,
-            alphas={"default": 1.0},
-        ),
+        SPOUT: SpoutLogic(alphas={"default": 1.0}),
         SPLITTER: ComponentLogic(
-            capacity_tps=params.splitter_capacity_tps,
+            capacity_tps=11.0e6 / 60.0,
             alphas={"default": params.corpus.words_per_sentence()},
-            input_tuple_bytes=params.sentence_bytes,
-            worker_cores=params.splitter_worker_cores,
-            gateway_cores_per_tuple=params.splitter_gateway_cores_per_tuple,
-            capacity_noise=params.capacity_noise,
+            input_tuple_bytes=60.0,
+            capacity_noise=0.015,
         ),
         COUNTER: ComponentLogic(
-            capacity_tps=params.counter_capacity_tps,
+            capacity_tps=70.0e6 / 60.0,
             alphas={},
-            input_tuple_bytes=params.word_bytes,
-            worker_cores=params.counter_worker_cores,
-            gateway_cores_per_tuple=params.counter_gateway_cores_per_tuple,
-            capacity_noise=params.capacity_noise,
+            input_tuple_bytes=16.0,
+            gateway_cores_per_tuple=1.2e-7,
+            capacity_noise=0.015,
         ),
     }
     return topology, packing, logic
+
+
+def demo_word_count(
+    splitter: int, counter: int, seed: int, faults: "object | None" = None
+) -> tuple[TopologyTracker, MetricsStore, dict[str, SpoutLogic | ComponentLogic]]:
+    """Word Count swept over 4..44 M tuples/minute, two minutes a rate.
+
+    Simulated into a fresh store (under ``faults``, an optional
+    :class:`~repro.faults.plan.FaultPlan`) and registered in a fresh
+    tracker; returns both and the component logic.  This is the
+    deployment the CLI demos model and the accuracy runner calibrates.
+    """
+    topology, packing, logic = build_word_count(
+        WordCountParams(
+            splitter_parallelism=splitter, counter_parallelism=counter
+        )
+    )
+    store = MetricsStore()
+    sim = HeronSimulation(
+        topology, packing, logic, store, SimulationConfig(seed=seed),
+        faults=faults,
+    )
+    for rate in np.arange(4e6, 44e6 + 1, 8e6):
+        sim.set_source_rate(SPOUT, float(rate))
+        sim.run(2)
+    tracker = TopologyTracker()
+    tracker.register(topology, packing)
+    return tracker, store, logic

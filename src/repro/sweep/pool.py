@@ -18,7 +18,7 @@ import pickle
 import zlib
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.heron.metrics import MetricNames
 from repro.heron.packing import Resources, RoundRobinPacking
@@ -40,19 +40,15 @@ class ValidationSpec:
     """Everything a worker needs to simulate one candidate plan.
 
     Immutable and pickleable: shipped to each pool worker exactly once.
+    Each plan is packed two instances to a 1-core, 2 GiB container, and
+    its first simulated minute is warm-up, left out of the means.
     """
 
     topology: LogicalTopology
     logic: Mapping[str, SpoutLogic | ComponentLogic]
     source_rates_tpm: Mapping[str, float]
     minutes: int = 5
-    tick_seconds: float = 1.0
     base_seed: int = 0
-    warmup_minutes: int = 1
-    instances_per_container: int = 2
-    container_resources: Resources = field(
-        default_factory=lambda: Resources(cpu=1.0, ram_bytes=2 * 1024**3)
-    )
 
 
 def plan_seed(base_seed: int, plan: Mapping[str, int]) -> int:
@@ -71,18 +67,14 @@ def _validate_one(
 ) -> dict[str, object]:
     """Simulate one plan in a fresh store and summarize steady state."""
     topology = spec.topology.with_parallelism(dict(plan))
-    containers = max(
-        1,
-        math.ceil(
-            topology.total_instances() / max(1, spec.instances_per_container)
-        ),
-    )
-    packing = RoundRobinPacking(spec.container_resources).pack(
-        topology, containers
-    )
+    containers = max(1, math.ceil(topology.total_instances() / 2))
+    packing = RoundRobinPacking(
+        Resources(cpu=1.0, ram_bytes=2 * 1024**3)
+    ).pack(topology, containers)
     store = MetricsStore()
-    config = SimulationConfig(tick_seconds=spec.tick_seconds, seed=seed)
-    simulation = HeronSimulation(topology, packing, spec.logic, store, config)
+    simulation = HeronSimulation(
+        topology, packing, spec.logic, store, SimulationConfig(seed=seed)
+    )
     for spout, rate_tpm in spec.source_rates_tpm.items():
         simulation.set_source_rate(spout, float(rate_tpm))
     simulation.run(spec.minutes)
@@ -92,13 +84,13 @@ def _validate_one(
         series = store.aggregate(
             MetricNames.EXECUTE_COUNT, {**tags, "component": sink.name}
         )
-        values = series.values[spec.warmup_minutes:]
+        values = series.values[1:]
         if values.shape[0]:
             output_tpm += float(values.mean())
     backpressure = store.aggregate(
         MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS, tags
     )
-    bp_values = backpressure.values[spec.warmup_minutes:]
+    bp_values = backpressure.values[1:]
     backpressure_ms = float(bp_values.mean()) if bp_values.shape[0] else 0.0
     return {
         "plan": dict(plan),

@@ -36,10 +36,10 @@ byte-identical :func:`~repro.heron.topology_yaml.dump_topology_yaml`
 document and byte-identical simulations.
 
 Capacities are not drawn blindly: the generator walks the DAG computing
-each component's offered rate at :attr:`GeneratorParams.base_rate_tpm`
+each component's offered rate at the base rate of 6 M tuples a minute
 (exactly as the fluid simulator will route it, hottest instance
 included) and sets every bolt's ``capacity_tps`` so its busiest instance
-sits at a drawn utilisation in ``[min_utilisation, max_utilisation]``.
+sits at a drawn utilisation in ``[0.35, 0.65]``.
 Generated workloads are therefore unsaturated at the base rate — finite,
 calibratable behaviour — yet saturable within a 2-3x rate sweep.
 """
@@ -74,6 +74,16 @@ __all__ = [
 SHAPES = ("diamond", "fanin", "deep_chain", "multi_spout")
 
 _MINUTE = 60.0
+#: The topology-level reference rate (divided evenly over spouts, the
+#: evaluation-spout convention) capacities are sized at and traffic
+#: schedules scale.
+_BASE_RATE_TPM = 6.0e6
+#: Keys per fields-grouped edge, and the lower end of their Zipf exponent.
+_KEY_COUNT = 120
+_ZIPF_EXPONENT = 1.6
+#: The band a bolt's busiest instance is sized into at the base rate.
+_UTILISATION = (0.35, 0.65)
+_CHAIN_DEPTH = 6
 
 
 def workload_seed(matrix_seed: int, shape: str) -> int:
@@ -83,45 +93,21 @@ def workload_seed(matrix_seed: int, shape: str) -> int:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Knobs of the workload generator.
-
-    ``base_rate_tpm`` is the topology-level reference rate (divided
-    evenly over spouts, the evaluation-spout convention) used both for
-    capacity auto-assignment and as the unit traffic schedules scale.
-    """
+    """A generated workload's identity: its shape and seed."""
 
     shape: str
     seed: int = 0
-    base_rate_tpm: float = 6.0e6
-    key_count: int = 120
-    zipf_exponent: float = 1.6
-    min_utilisation: float = 0.35
-    max_utilisation: float = 0.65
-    chain_depth: int = 6
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if self.shape not in SHAPES:
             raise TopologyError(
                 f"unknown workload shape {self.shape!r}; known: {list(SHAPES)}"
             )
-        if self.base_rate_tpm <= 0:
-            raise TopologyError("base_rate_tpm must be positive")
-        if self.key_count < 2:
-            raise TopologyError("key_count must be at least 2")
-        if self.zipf_exponent < 0:
-            raise TopologyError("zipf_exponent must be non-negative")
-        if not 0 < self.min_utilisation <= self.max_utilisation < 1:
-            raise TopologyError(
-                "utilisation bounds must satisfy 0 < min <= max < 1"
-            )
-        if self.chain_depth < 6:
-            raise TopologyError("chain_depth must be at least 6")
 
     @property
     def topology_name(self) -> str:
-        """The generated topology's name (defaults to gen-<shape>-s<seed>)."""
-        return self.name or f"gen-{self.shape}-s{self.seed}"
+        """The generated topology's name, ``gen-<shape>-s<seed>``."""
+        return f"gen-{self.shape}-s{self.seed}"
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,7 @@ class GeneratedWorkload:
     @property
     def base_rate_tpm(self) -> float:
         """The reference topology source rate the capacities were sized at."""
-        return self.params.base_rate_tpm
+        return _BASE_RATE_TPM
 
     def deployment(
         self,
@@ -176,11 +162,9 @@ class GeneratedWorkload:
             simulation.set_source_rate(spout.name, rate_tpm / len(spouts))
 
 
-def generate_workload(
-    shape: str, seed: int = 0, **overrides: object
-) -> GeneratedWorkload:
+def generate_workload(shape: str, seed: int = 0) -> GeneratedWorkload:
     """Generate one workload for a (shape, seed) identity."""
-    params = GeneratorParams(shape=shape, seed=seed, **overrides)  # type: ignore[arg-type]
+    params = GeneratorParams(shape=shape, seed=seed)
     builders = {
         "diamond": _build_diamond,
         "fanin": _build_fanin,
@@ -189,7 +173,7 @@ def generate_workload(
     }
     rng = np.random.default_rng(params.seed)
     topology, alphas, profiles = builders[params.shape](params, rng)
-    logic = _finalise_logic(topology, alphas, profiles, params, rng)
+    logic = _finalise_logic(topology, alphas, profiles, rng)
     return GeneratedWorkload(params, topology, _pack(topology), logic)
 
 
@@ -206,12 +190,10 @@ def _parallelism(rng: np.random.Generator, low: int = 2, high: int = 4) -> int:
     return int(rng.integers(low, high + 1))
 
 
-def _zipf_keys(
-    params: GeneratorParams, rng: np.random.Generator, label: str
-) -> KeyDistribution:
+def _zipf_keys(rng: np.random.Generator, label: str) -> KeyDistribution:
     """A skewed key vocabulary unique to one edge of the topology."""
-    exponent = float(rng.uniform(params.zipf_exponent, params.zipf_exponent + 0.6))
-    keys = [f"{label}-k{i}" for i in range(params.key_count)]
+    exponent = float(rng.uniform(_ZIPF_EXPONENT, _ZIPF_EXPONENT + 0.6))
+    keys = [f"{label}-k{i}" for i in range(_KEY_COUNT)]
     return KeyDistribution.zipf(keys, exponent)
 
 
@@ -227,14 +209,14 @@ def _build_diamond(params: GeneratorParams, rng: np.random.Generator):
     builder.connect(
         "split",
         "right",
-        FieldsGrouping(["user"], _zipf_keys(params, rng, "diamond-right")),
+        FieldsGrouping(["user"], _zipf_keys(rng, "diamond-right")),
         stream="out",
     )
     builder.connect("left", "merge", ShuffleGrouping())
     builder.connect(
         "right",
         "merge",
-        FieldsGrouping(["user"], _zipf_keys(params, rng, "diamond-merge")),
+        FieldsGrouping(["user"], _zipf_keys(rng, "diamond-merge")),
     )
     alphas = {
         "source": {"default": 1.0},
@@ -264,7 +246,7 @@ def _build_fanin(params: GeneratorParams, rng: np.random.Generator):
     builder.connect("clicks", "clean_clicks", ShuffleGrouping())
     # Both join edges hash the *same* key vocabulary — co-partitioning,
     # as a streaming equi-join requires.
-    join_keys = _zipf_keys(params, rng, "fanin-join")
+    join_keys = _zipf_keys(rng, "fanin-join")
     builder.connect(
         "clean_orders", "join", FieldsGrouping(["key"], join_keys)
     )
@@ -292,16 +274,15 @@ def _build_fanin(params: GeneratorParams, rng: np.random.Generator):
 def _build_deep_chain(params: GeneratorParams, rng: np.random.Generator):
     builder = TopologyBuilder(params.topology_name)
     builder.add_spout("head", _parallelism(rng))
-    depth = params.chain_depth
-    window_stage = depth // 2
-    stages = [f"stage{i}" for i in range(1, depth + 1)]
+    window_stage = _CHAIN_DEPTH // 2
+    stages = [f"stage{i}" for i in range(1, _CHAIN_DEPTH + 1)]
     for stage in stages:
         builder.add_bolt(stage, _parallelism(rng))
     previous = "head"
     for index, stage in enumerate(stages, start=1):
         if index % 2 == 0:
             grouping: Grouping = FieldsGrouping(
-                ["key"], _zipf_keys(params, rng, f"chain-{index}")
+                ["key"], _zipf_keys(rng, f"chain-{index}")
             )
         else:
             grouping = ShuffleGrouping()
@@ -335,7 +316,7 @@ def _build_multi_spout(params: GeneratorParams, rng: np.random.Generator):
     builder.connect(
         "router",
         "agg",
-        FieldsGrouping(["tenant"], _zipf_keys(params, rng, "hot")),
+        FieldsGrouping(["tenant"], _zipf_keys(rng, "hot")),
         stream="hot",
     )
     builder.connect("router", "archive", ShuffleGrouping(), stream="cold")
@@ -413,10 +394,9 @@ def _finalise_logic(
     topology: LogicalTopology,
     alphas: Mapping[str, Mapping[str, float]],
     profiles: Mapping[str, str],
-    params: GeneratorParams,
     rng: np.random.Generator,
 ) -> dict[str, SpoutLogic | ComponentLogic]:
-    _, hottest = _offered_rates(topology, alphas, params.base_rate_tpm)
+    _, hottest = _offered_rates(topology, alphas, _BASE_RATE_TPM)
     logic: dict[str, SpoutLogic | ComponentLogic] = {}
     for name, spec in topology.components.items():
         if spec.is_spout:
@@ -424,9 +404,7 @@ def _finalise_logic(
                 fetch_multiplier=10.0, alphas=dict(alphas[name])
             )
             continue
-        utilisation = float(
-            rng.uniform(params.min_utilisation, params.max_utilisation)
-        )
+        utilisation = float(rng.uniform(*_UTILISATION))
         hottest_tps = hottest[name] / _MINUTE
         if hottest_tps <= 0:
             raise TopologyError(

@@ -110,17 +110,17 @@ def config_trace(
     seed: int,
     minutes: int = 4,
     *,
-    tick_seconds: float = 1.0,
     stmgr_capacity_tps: float | None = None,
     fault: str | None = None,
 ) -> dict[str, Any]:
     """Canonical trace under a non-default simulator configuration.
 
     Exercises the configuration axes the default golden fixtures do not
-    reach — sub-second ``tick_seconds``, finite ``stmgr_capacity_tps``
-    (the explicit stream-manager queueing path), and each fault kind —
-    so every code path of the engine is pinned by a committed hash, not
-    just the transparent fault-free one.
+    reach — finite ``stmgr_capacity_tps`` (the explicit stream-manager
+    queueing path) and each fault kind — so every code path of the
+    engine is pinned by a committed hash, not just the transparent
+    fault-free one.  The payload still records the one-second tick the
+    committed hashes were taken with.
     """
     from repro.workloads.scenarios import fault_plan_for
 
@@ -133,11 +133,7 @@ def config_trace(
         packing,
         logic,
         store,
-        SimulationConfig(
-            seed=seed,
-            tick_seconds=tick_seconds,
-            stmgr_capacity_tps=stmgr_capacity_tps,
-        ),
+        SimulationConfig(seed=seed, stmgr_capacity_tps=stmgr_capacity_tps),
         faults=plan,
     )
     schedule = [0.6 * workload.base_rate_tpm] * minutes
@@ -149,7 +145,7 @@ def config_trace(
         "seed": int(seed),
         "minutes": int(minutes),
         "schedule_tpm": [float(r) for r in schedule],
-        "tick_seconds": float(tick_seconds),
+        "tick_seconds": 1.0,
         "stmgr_capacity_tps": (
             None
             if stmgr_capacity_tps is None

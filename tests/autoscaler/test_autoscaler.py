@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,22 @@ class TestCluster:
         record = cluster.tracker.get("word-count")
         assert record.revision > revision
         assert record.topology.parallelism("splitter") == 4
+
+    def test_redeploy_keeps_base_parameters(self):
+        config = SimulationConfig(
+            high_watermark_bytes=40e6, low_watermark_bytes=20e6, seed=5
+        )
+        cluster = SimulatedCluster(
+            word_count_params=WordCountParams(
+                splitter_parallelism=2, counter_parallelism=2, containers=3
+            ),
+            config=config,
+        )
+        assert cluster.simulation.packing.num_containers() == 3
+        cluster.deploy({"splitter": 3})
+        assert cluster.simulation.packing.num_containers() == 3
+        assert cluster.parallelisms()["splitter"] == 3
+        assert cluster.simulation.config == replace(config, seed=6)
 
     def test_observation_windows(self):
         cluster = SimulatedCluster(
@@ -195,7 +213,7 @@ class TestModelGuidedScaler:
         with pytest.raises(ModelError):
             ModelGuidedScaler(cluster, slo_output_tpm=-1)
         with pytest.raises(ModelError):
-            ModelGuidedScaler(cluster, slo_output_tpm=1.0, headroom=0.5)
+            ModelGuidedScaler(cluster, slo_output_tpm=1.0, observe_minutes=1)
         scaler = ModelGuidedScaler(cluster, slo_output_tpm=1.0)
         with pytest.raises(ModelError):
             scaler.run(source_tpm=0)

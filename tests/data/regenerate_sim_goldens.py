@@ -19,17 +19,16 @@ Fixtures written:
   shape (diamond / fanin / deep_chain / multi_spout), the canonical
   4-minute trace plus its SHA-256 (see ``repro.workloads.trace``).
 * ``golden_sim_configs.json`` — hashes for the configuration axes the
-  default fixtures do not reach: sub-second ``tick_seconds``, finite
-  ``stmgr_capacity_tps``, every fault kind, and combined cases.
+  default fixtures do not reach: finite ``stmgr_capacity_tps``, every
+  fault kind, and combined cases.
 * ``golden_matrix_cells_s7.json`` — per-cell simulate-phase hashes for
   the full 40-cell (shape × fault × traffic) scenario matrix.
-* ``golden_wordcount_s42.json`` — digests of *every* series of three
-  4-minute Word Count runs (transparent, finite stream managers,
-  half-second ticks): values, timestamps and series-creation order.
-* ``golden_fast_paths_s5.json`` — the same digests for three 5-minute
-  ``multi_spout`` runs that leave every fast path of the tick (failing
-  bolts, clipped spout edges, half-second ticks, control calls off the
-  minute); recorded with the engine of commit ``51917f0``, the last
+* ``golden_wordcount_s42.json`` — digests of *every* series of two
+  4-minute Word Count runs (transparent and finite stream managers):
+  values, timestamps and series-creation order.
+* ``golden_fast_paths_s5.json`` — the same digests for a 5-minute
+  ``multi_spout`` run that leaves every fast path of the tick (failing
+  bolts, clipped spout edges, control calls off the minute); recorded with the engine of commit ``51917f0``, the last
   whose tick ran every step every tick.
 * ``golden_finite_stmgr_s7.json`` — the same digests for seven 3-minute
   runs of the ledger feed shapes (``deep_chain`` 250, ``diamond`` 200,
@@ -59,18 +58,13 @@ FAULT_KINDS = ["crash", "straggler", "stmgr_stall", "metric_dropout"]
 
 # (label suffix, config_trace keyword arguments); applied to every shape.
 CONFIG_AXES: list[tuple[str, dict]] = [
-    ("tick_0.5", {"tick_seconds": 0.5}),
     ("stmgr_150k", {"stmgr_capacity_tps": 150_000.0}),
     *[(f"fault_{kind}", {"fault": kind}) for kind in FAULT_KINDS],
 ]
 
-# Combined cases on one shape each: fault plans and sub-second ticks
-# must also hold under the finite-stmgr queueing path.
+# Combined cases on one shape each: fault plans must also hold under
+# the finite-stmgr queueing path.
 COMBINED_CASES: list[tuple[str, int, str, dict]] = [
-    (
-        "diamond", 7, "tick_0.5_stmgr_150k",
-        {"tick_seconds": 0.5, "stmgr_capacity_tps": 150_000.0},
-    ),
     (
         "fanin", 11, "fault_crash_stmgr_150k",
         {"fault": "crash", "stmgr_capacity_tps": 150_000.0},

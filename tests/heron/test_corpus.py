@@ -27,7 +27,7 @@ class TestVocabulary:
 class TestDistribution:
     def test_word_distribution_matches_vocabulary(self):
         corpus = SyntheticCorpus(vocabulary_size=100)
-        kd = corpus.word_distribution()
+        kd = corpus.word_distribution
         assert kd.keys == corpus.vocabulary
 
     def test_default_shares_are_near_uniform(self):
@@ -35,12 +35,12 @@ class TestDistribution:
         # corpus must reproduce that so fields grouping behaves per Eq. 9.
         corpus = SyntheticCorpus()
         for p in (2, 3, 4):
-            shares = corpus.word_distribution().shares_mod(p)
+            shares = corpus.word_distribution.shares_mod(p)
             assert shares.max() <= 1.10 / p
 
     def test_high_zipf_creates_skew(self):
         skewed = SyntheticCorpus(zipf_exponent=1.4)
-        shares = skewed.word_distribution().shares_mod(3)
+        shares = skewed.word_distribution.shares_mod(3)
         assert shares.max() > 1.3 / 3
 
 

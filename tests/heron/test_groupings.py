@@ -148,7 +148,8 @@ def test_property_all_grouping_amplifies_by_p(parallelism):
 class TestKeysHashedOnce:
     def test_two_simulations_hash_each_key_once(self, monkeypatch):
         """Keys are hashed once per distribution, however many
-        simulations (and parallelisms) route by it."""
+        simulations (and parallelisms) route by it, and once per corpus,
+        however many topologies are built from it."""
         hashed: list[str] = []
 
         def counting_hash(key: str) -> int:
@@ -156,7 +157,8 @@ class TestKeysHashedOnce:
             return stable_hash(key)
 
         monkeypatch.setattr(groupings, "stable_hash", counting_hash)
-        topology, packing, logic = build_word_count(WordCountParams())
+        params = WordCountParams()
+        topology, packing, logic = build_word_count(params)
         (stream,) = topology.inputs("counter")
         keys = stream.grouping.key_distribution.keys
         for seed in (1, 2):
@@ -165,4 +167,7 @@ class TestKeysHashedOnce:
                 SimulationConfig(seed=seed),
             )
         stream.grouping.shares(topology.parallelism("counter") + 3)
+        HeronSimulation(
+            *build_word_count(params), MetricsStore(), SimulationConfig()
+        )
         assert sorted(hashed) == sorted(keys)

@@ -27,7 +27,7 @@ RATE_TPM = 12_000.0
 MINUTE_MS = 60_000.0
 
 
-def pipe(tick_seconds=1.0, counter=None):
+def pipe(counter=None):
     """The noise-free pipeline and its store (no source rate set yet)."""
     builder = TopologyBuilder("pipe")
     builder.add_spout("spout", 1)
@@ -50,7 +50,7 @@ def pipe(tick_seconds=1.0, counter=None):
         RoundRobinPacking().pack(topology, 2),
         logic,
         store,
-        SimulationConfig(seed=1, tick_seconds=tick_seconds),
+        SimulationConfig(seed=1),
     )
     return sim, store
 
@@ -114,15 +114,14 @@ class TestGauges:
             logic.worker_cores * 200.0 / (logic.fetch_multiplier * 200.0)
             + logic.gateway_cores_per_tuple * 400.0
         )
-        for tick_seconds in (1.0, 0.5):
-            # Half a minute busy, half idle: the gauge is the mean.
-            sim, store = pipe(tick_seconds)
-            sim.set_source_rate("spout", RATE_TPM)
-            sim.run_seconds(30)
-            sim.set_source_rate("spout", 0.0)
-            sim.run_seconds(30)
-            [(_, value)] = pairs(store, MetricNames.CPU_LOAD, "spout_0")
-            assert value == pytest.approx(busy / 2.0, rel=1e-12), tick_seconds
+        # Half a minute busy, half idle: the gauge is the mean.
+        sim, store = pipe()
+        sim.set_source_rate("spout", RATE_TPM)
+        sim.run_seconds(30)
+        sim.set_source_rate("spout", 0.0)
+        sim.run_seconds(30)
+        [(_, value)] = pairs(store, MetricNames.CPU_LOAD, "spout_0")
+        assert value == pytest.approx(busy / 2.0, rel=1e-12)
 
 
 def stuck_counter():
@@ -138,25 +137,24 @@ class TestBackpressure:
         name = MetricNames.BACKPRESSURE_TIME_MS
         whole_minutes = [(0, MINUTE_MS), (60, MINUTE_MS), (120, MINUTE_MS)]
         never = [(0, 0.0), (60, 0.0), (120, 0.0)]
-        for tick_seconds in (1.0, 0.5):
-            sim, store = pipe(tick_seconds, counter=stuck_counter())
-            sim.set_instance_capacity_factor("counter", 0, 0.0)
-            sim.set_source_rate("spout", RATE_TPM)
-            sim.run(3)
-            # Raised within the first tick and never cleared: every
-            # minute is a whole minute, never more.
-            assert pairs(store, name, "counter_0") == whole_minutes
-            reported = [
-                value
-                for metric in (name, MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS)
-                for series in store.query(metric).values()
-                for value in series.values
-            ]
-            assert len(reported) == 3 * 5
-            assert all(0.0 <= value <= MINUTE_MS for value in reported)
-            # Only the stuck instance raises its flag; spouts never do.
-            assert pairs(store, name, "splitter_0") == never
-            assert pairs(store, name, "spout_0") == never
+        sim, store = pipe(counter=stuck_counter())
+        sim.set_instance_capacity_factor("counter", 0, 0.0)
+        sim.set_source_rate("spout", RATE_TPM)
+        sim.run(3)
+        # Raised within the first tick and never cleared: every minute is
+        # a whole minute, never more.
+        assert pairs(store, name, "counter_0") == whole_minutes
+        reported = [
+            value
+            for metric in (name, MetricNames.TOPOLOGY_BACKPRESSURE_TIME_MS)
+            for series in store.query(metric).values()
+            for value in series.values
+        ]
+        assert len(reported) == 3 * 5
+        assert all(0.0 <= value <= MINUTE_MS for value in reported)
+        # Only the stuck instance raises its flag; spouts never do.
+        assert pairs(store, name, "splitter_0") == never
+        assert pairs(store, name, "spout_0") == never
 
     def test_topology_level_backpressure(self):
         sim, store = pipe(counter=stuck_counter())
@@ -186,15 +184,6 @@ class TestMinuteBoundaries:
         assert pairs(store, MetricNames.EXECUTE_COUNT, "spout_0") == [
             (0, 0.0), (60, 6_000.0), (120, 12_000.0)
         ]
-
-    def test_fractional_ticks_accumulate_exactly(self):
-        sim, store = pipe(tick_seconds=0.5)
-        sim.set_source_rate("spout", RATE_TPM)
-        sim.run(1)
-        for (metric, instance), total in MINUTE_COUNTERS.items():
-            assert pairs(store, metric, instance) == [(0, total)], (
-                metric, instance,
-            )
 
     def test_registered_instance_reports_even_if_idle(self):
         # No source rate: nothing moves, and every instance still reports

@@ -8,16 +8,16 @@ gone from the tree (it lives in history: ``src/repro/heron/`` at commit
 is committed under ``tests/data``.  Three layers of evidence:
 
 * replays against committed golden hashes covering the configuration
-  axes the default fixtures do not reach (sub-second ticks, finite
-  stream-manager capacity, every fault kind, combined cases) and the
-  full 40-cell scenario matrix;
+  axes the default fixtures do not reach (finite stream-manager
+  capacity, every fault kind, combined cases) and the full 40-cell
+  scenario matrix;
 * store-level replays of the Word Count deployment against digests of
   every series the scalar engine wrote — values, timestamps and the
   order the series were created in — and the same digests, recorded
-  before the tick learnt to skip work, for runs that leave each of its
-  fast paths (failing bolts, clipped spout edges, half-second ticks,
-  control calls off the minute), and for finite stream managers at
-  the ledger feed's scale;
+  before the tick learnt to skip work, for a run that leaves each of
+  its fast paths (failing bolts, clipped spout edges, control calls
+  off the minute), and for finite stream managers at the ledger
+  feed's scale;
 * unit coverage of the supporting machinery: the store's batched
   minute-append fast path.
 
@@ -92,7 +92,6 @@ class TestMatrixCellGoldens:
 WORDCOUNT_CONFIGS = {
     "transparent": {},
     "finite_stmgr": {"stmgr_capacity_tps": 150_000.0},
-    "tick_0.5": {"tick_seconds": 0.5},
 }
 
 
@@ -168,13 +167,10 @@ class TestStoreParity:
 # ``golden_fast_paths_s5.json`` was recorded with the engine of commit
 # ``51917f0``, the last one whose tick ran every step every tick: its
 # digests hold the steps a tick now skips — exact identities known at
-# construction (``tick_seconds == 1``, no failing bolt), the headroom
-# clip's early-out, noise laid out once per minute — to the numbers the
-# full steps gave.
+# construction (no failing bolt), the headroom clip's early-out, noise
+# laid out once per minute — to the numbers the full steps gave.
 FAST_PATH_CONFIGS = {
     "tick_1": {},
-    "tick_0.5": {"tick_seconds": 0.5},
-    "tick_0.5_stmgr_25k": {"tick_seconds": 0.5, "stmgr_capacity_tps": 25_000.0},
 }
 
 

@@ -25,9 +25,11 @@ skipped what construction or the minute's noise draw had already fixed.
 container's stream manager kept its own per-component queue arrays and
 a tick looped over them in Python, and 1556.4 / 27.7 once the queues
 became one block of the arenas (the transparent shapes then read
-1409.1 / 26.5 and 1095.1 / 16.5, their bounds since).  Each bound
-below holds its shape's count when the bound was set, on 3.11; other
-interpreters count differently.  Run as a module
+1409.1 / 26.5 and 1095.1 / 16.5).  Once the engine stepped only whole
+seconds, so that a tick passed no step length and tested no scaling
+flag, the three read 1392.9 / 26.5, 1078.9 / 16.5 and 1539.3 / 27.65,
+their bounds since.  Each bound below holds its shape's count when the
+bound was set, on 3.11; other interpreters count differently.  Run as a module
 (``python -m tests.heron.test_tick_cost``) it prints the counts as JSON.
 """
 
@@ -57,9 +59,9 @@ SHAPES = {
 }
 #: CPython 3.11's bounds: opcodes and Python calls per tick.
 BOUNDS = {
-    "deep_chain_250": (1410, 26.5),
-    "multi_spout_40": (1096, 16.5),
-    "deep_chain_250_stmgr_20k": (1558, 27.75),
+    "deep_chain_250": (1393, 26.5),
+    "multi_spout_40": (1079, 16.5),
+    "deep_chain_250_stmgr_20k": (1540, 27.65),
 }
 
 
@@ -91,9 +93,8 @@ def measure() -> dict[str, float]:
         simulation.run(2)
         count(lambda: simulation.run(1))
         opcodes, calls = count(lambda: simulation.run(1))
-        ticks = simulation._ticks_per_minute
-        counts[f"{label}_opcodes"] = opcodes / ticks
-        counts[f"{label}_calls"] = calls / ticks
+        counts[f"{label}_opcodes"] = opcodes / 60
+        counts[f"{label}_calls"] = calls / 60
     return counts
 
 

@@ -10,12 +10,8 @@ from repro.heron.metrics import MetricNames
 from repro.heron.simulation import HeronSimulation, SimulationConfig
 from repro.heron.topology_yaml import dump_topology_yaml
 from repro.timeseries.store import MetricsStore
-from repro.workloads import (
-    SHAPES,
-    GeneratorParams,
-    generate_workload,
-    workload_seed,
-)
+from repro.workloads import SHAPES, generate_workload, workload_seed
+from repro.workloads.generator import _offered_rates
 
 
 def spouts_of(topology):
@@ -107,17 +103,21 @@ class TestParams:
             generate_workload("pentagon", seed=0)
 
     def test_utilisation_band_respected(self):
-        params = GeneratorParams(
-            shape="deep_chain", seed=4,
-            min_utilisation=0.4, max_utilisation=0.5,
-        )
-        workload = generate_workload(**{
-            "shape": params.shape, "seed": params.seed,
-            "min_utilisation": 0.4, "max_utilisation": 0.5,
-        })
-        for spec in workload.logic.values():
-            if hasattr(spec, "capacity_tps"):
-                assert spec.capacity_tps > 0
+        """At the base rate every bolt's busiest instance runs at 35-65 %
+        of its capacity: unsaturated, yet saturable by a 2-3x sweep."""
+        for shape in SHAPES:
+            workload = generate_workload(shape, seed=4)
+            logic = workload.logic
+            _, hottest = _offered_rates(
+                workload.topology,
+                {name: entry.alphas for name, entry in logic.items()},
+                workload.base_rate_tpm,
+            )
+            for name in bolts_of(workload.topology):
+                utilisation = hottest[name] / 60.0 / logic[name].capacity_tps
+                assert utilisation == pytest.approx(0.5, abs=0.15 + 1e-9), (
+                    shape, name,
+                )
 
     def test_with_parallelisms_rebuilds_packing(self):
         workload = generate_workload("diamond", seed=7)
