@@ -37,6 +37,13 @@ Fixtures written:
   starting late, each with a stall and a crash; recorded with the
   engine of commit ``82cc218``, the last that kept each stream
   manager's queue as per-component arrays.
+* ``golden_free_minutes_s7.json`` — the same digests for six minutes of
+  the ledger's traffic (``deep_chain`` at 1000 and 90 instances and the
+  four shapes at 40 over the ledger's load levels, Word Count at the
+  ledger's rate) and of runs that leave a free-flowing minute's block
+  (a rate stepping into saturation, calls split off the minute, a crash
+  inside one minute); recorded with the engine of commit ``5874f3e``,
+  the last that stepped every minute tick by tick.
 """
 
 from __future__ import annotations
@@ -139,9 +146,11 @@ def main() -> None:
     from tests.heron.test_simulator_parity import (
         FAST_PATH_CONFIGS,
         FINITE_STMGR_CONFIGS,
+        FREE_MINUTE_CONFIGS,
         WORDCOUNT_CONFIGS,
         run_fast_paths,
         run_finite_stmgr,
+        run_free_minutes,
         run_wordcount,
         store_digest,
     )
@@ -172,6 +181,15 @@ def main() -> None:
         json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
     )
     print(f"wrote golden_finite_stmgr_s7.json ({len(digests)} configs)")
+
+    digests = {
+        config_id: store_digest(run_free_minutes(**kwargs)[0])
+        for config_id, kwargs in FREE_MINUTE_CONFIGS.items()
+    }
+    (DATA_DIR / "golden_free_minutes_s7.json").write_text(
+        json.dumps({"configs": digests}, indent=2, sort_keys=True) + "\n"
+    )
+    print(f"wrote golden_free_minutes_s7.json ({len(digests)} configs)")
 
 
 if __name__ == "__main__":

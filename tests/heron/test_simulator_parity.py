@@ -399,3 +399,126 @@ class TestMinuteBatchAppends:
         # One keyed minute, three prepared ones: a call each, same data.
         assert calls == ["word-count"] * 4
         assert _store_samples(heard) == _store_samples(quiet)
+
+
+# ----------------------------------------------------------------------
+# Free-flowing minutes: the ledger's traffic and the ways out of a block
+# ----------------------------------------------------------------------
+# ``golden_free_minutes_s7.json`` was recorded with the engine of commit
+# ``5874f3e``, the last that stepped every minute tick by tick.  Its
+# digests cover the traffic the ledger simulates — ``deep_chain`` at 1000
+# and 90 instances and the four shapes at 40 over the ledger's level
+# schedule, Word Count at the ledger's rate — plus the runs that leave a
+# block: a rate stepping into saturation at a minute boundary and back
+# out off it, ``run_seconds`` calls split off the minute, and a crash
+# inside one minute.
+FREE_MINUTE_SHAPES = ("diamond", "fanin", "deep_chain", "multi_spout")
+FREE_MINUTE_CONFIGS = {
+    "deep_chain_1000_levels": {"shape": "deep_chain", "instances": 1000},
+    "deep_chain_90_levels": {"shape": "deep_chain", "instances": 90},
+    **{
+        f"{shape}_40_levels": {"shape": shape, "instances": 40}
+        for shape in FREE_MINUTE_SHAPES
+    },
+    "word_count_ledger_rate": {"shape": "word_count"},
+    "deep_chain_90_saturating": {
+        "shape": "deep_chain", "instances": 90, "scenario": "saturating",
+    },
+    "deep_chain_90_split_calls": {
+        "shape": "deep_chain", "instances": 90, "scenario": "split",
+    },
+    "deep_chain_90_crash_in_minute": {
+        "shape": "deep_chain", "instances": 90, "scenario": "crash",
+    },
+}
+
+
+def run_free_minutes(shape, instances=None, scenario="levels"):
+    """Six simulated minutes of one ledger topology (seed 7).
+
+    ``levels`` steps through the ledger's load levels a minute each;
+    ``saturating`` runs two minutes at 0.7x base, steps to 4x at the
+    minute boundary, and back to 0.5x at second 190; ``split`` runs 0.7x
+    in calls of 30, 100, 110, 5, 55 and 60 seconds; ``crash`` runs 0.7x
+    with the second bolt's instance 2 down from second 75 to 95.
+    Word Count runs at the ledger's rate.  Returns the store and the
+    number of ticks the engine stepped one at a time.
+    """
+    from benchmarks.ledger import inputs
+    from benchmarks.ledger.e2e import WORD_COUNT_RATE_TPM
+    from repro.faults.plan import FaultEvent, FaultPlan
+    from repro.workloads import workload_seed
+
+    store = MetricsStore()
+    if shape == "word_count":
+        topology, packing, logic = build_word_count(WordCountParams())
+        sim = HeronSimulation(
+            topology, packing, logic, store,
+            SimulationConfig(seed=inputs.sim_seed(7, "word-count")),
+        )
+        sim.set_source_rate("sentence-spout", WORD_COUNT_RATE_TPM)
+        ticks = _count_ticks(sim)
+        sim.run(6)
+        return store, ticks[0]
+    deployment = inputs.build_deployment(
+        inputs.TopologySpec(shape, workload_seed(7, shape), instances)
+    )
+    faults = None
+    if scenario == "crash":
+        bolt = [
+            c.name for c in deployment.topology.topological_order()
+            if not c.is_spout
+        ][1]
+        faults = FaultPlan(events=(
+            FaultEvent(
+                at_seconds=75, kind="crash", component=bolt, index=2,
+                duration_seconds=20,
+            ),
+        ))
+    sim = HeronSimulation(
+        deployment.topology, deployment.packing, deployment.workload.logic,
+        store,
+        SimulationConfig(seed=inputs.sim_seed(7, deployment.name)),
+        faults=faults,
+    )
+    ticks = _count_ticks(sim)
+    if scenario == "levels":
+        inputs.run_levels(deployment, sim, inputs.level_schedule(6))
+        return store, ticks[0]
+    # Second -> load level set there (``None``: a call ends there).
+    schedule = {
+        "saturating": {0: 0.7, 120: 4.0, 190: 0.5},
+        "split": {0: 0.7, 30: None, 130: None, 240: None, 245: None, 300: None},
+        "crash": {0: 0.7},
+    }[scenario]
+    for second, level in schedule.items():
+        sim.run_seconds(second - sim.now)
+        if level is not None:
+            deployment.workload.set_source_rates(
+                sim, level * deployment.workload.base_rate_tpm
+            )
+    sim.run_seconds(360 - sim.now)
+    return store, ticks[0]
+
+
+def _count_ticks(sim):
+    """Count the ticks ``sim`` steps one at a time, into a one-item list."""
+    counted = [0]
+    tick = sim._tick
+
+    def counting():
+        counted[0] += 1
+        tick()
+
+    sim._tick = counting
+    return counted
+
+
+class TestFreeMinuteGoldens:
+    @pytest.mark.parametrize("config_id", FREE_MINUTE_CONFIGS)
+    def test_store_matches_the_tick_by_tick_engine(self, config_id):
+        golden = json.loads(
+            (DATA_DIR / "golden_free_minutes_s7.json").read_text()
+        )["configs"][config_id]
+        store, _ = run_free_minutes(**FREE_MINUTE_CONFIGS[config_id])
+        assert store_digest(store) == golden
