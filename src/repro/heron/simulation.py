@@ -56,6 +56,13 @@ trees and the RNG draw order — is arranged to be bit-identical to the
 scalar engine this one replaced; the golden fixtures under ``tests/data``,
 recorded from that engine, pin the contract.
 
+A minute in which nothing queues — every minute the paper's linear
+model branch describes — is stepped as one block of 60 ticks
+(:meth:`HeronSimulation._free_minute`): the same formulas over rows with
+a leading tick axis, exact because an empty queue under capacity stays
+empty, and rejected (the minute then runs tick by tick on the same
+noise rows) as soon as a row would queue.
+
 The per-minute series table — which series every instance reports, in
 which order, gathered from which accumulator — is compiled once
 (:meth:`HeronSimulation._compile_minute_layout`) and read by the one
@@ -266,33 +273,36 @@ class _EdgeGroup:
     per-stream ``+=`` sequence of the scalar engine.  When every
     destination element receives exactly one contribution in the whole
     tick (``injective``), scatter-assign replaces ``np.add.at``.
-    ``sums`` are the slot totals the group reads.  Where construction
-    already knows the answer, a tick skips the index work: ``src`` is
+    ``sums`` are the slot totals the group reads and ``target`` the
+    array it delivers into, both of one frame.  Where construction
+    already knows the answer, a pass skips the index work: ``src`` is
     the one slot total every element reads (a length-1 view that
     broadcasts) and ``out`` the contiguous target slice an injective
     group multiplies straight into.
     """
 
     __slots__ = (
-        "dest_idx", "slot_idx", "shares", "sums", "buf", "injective", "src",
-        "out",
+        "dest_idx", "slot_idx", "shares", "sums", "target", "at", "buf",
+        "injective", "src", "out",
     )
 
-    def __init__(
-        self,
-        dest_idx: np.ndarray,
-        slot_idx: np.ndarray,
-        shares: np.ndarray,
-        sums: np.ndarray,
-    ) -> None:
-        self.dest_idx = dest_idx
-        self.slot_idx = slot_idx
-        self.shares = shares
+    def __init__(self, parts, counts, sums, target) -> None:
+        self.dest_idx = np.concatenate([p[0] for p in parts])
+        self.slot_idx = np.concatenate([p[1] for p in parts])
+        self.shares = np.concatenate([p[2] for p in parts])
         self.sums = sums
-        self.buf = np.empty(dest_idx.shape[0])
-        self.injective = False
+        self.target = target
+        self.at = (..., self.dest_idx)
+        self.buf = np.empty(sums.shape[:-1] + self.dest_idx.shape)
+        self.injective = bool((counts[self.dest_idx] == 1).all())
         self.src: np.ndarray | None = None
         self.out: np.ndarray | None = None
+        if (self.slot_idx == self.slot_idx[0]).all():
+            sid = int(self.slot_idx[0])
+            self.src = sums[..., sid:sid + 1]
+        span = _span(self.dest_idx)
+        if self.injective and span is not None:
+            self.out = target[..., span[0]:span[1]]
 
 
 class _ClipEdge:
@@ -327,40 +337,90 @@ class _BoltRange:
     """Views of one topological level's bolt-arena range, which drains
     as a unit.
 
-    Every field is fixed at construction: the arena slices, the range's
-    flat emission slots ``f0:f1`` with their values ``vals``,
-    ``emitting`` (the successful slice the slots read, or ``None`` when a
-    bolt has several streams and ``gather`` picks them), its slot-total
-    groups and the edge group delivering into the level (``None`` when
-    nothing does).
+    Every field is fixed when a frame is bound: the frame's slices of
+    the range, the range's flat emission slots ``f0:f1`` with their
+    values ``vals``, ``emitting`` (the successful slice the slots read,
+    or ``None`` when a bolt has several streams and ``gather`` picks
+    them), its slot-total groups and the edge group delivering into the
+    level (``None`` when nothing does).  ``queue`` is the arena's own.
     """
 
     __slots__ = (
-        "queue", "arrivals", "processed", "capacity", "failed", "failrate",
-        "successful", "f0", "f1", "gather", "emitting", "vals", "totals",
-        "edges",
+        "frame", "queue", "arrivals", "processed", "capacity", "failed",
+        "failrate", "successful", "f0", "f1", "gather", "emitting", "vals",
+        "totals", "edges",
     )
 
-    def __init__(self, sim: "HeronSimulation", a0: int, a1: int,
-                 f0: int, f1: int, slots, edges) -> None:
-        arena = slice(a0, a1)
-        self.queue = sim._b_queue[arena]
-        self.arrivals = sim._b_arrivals[arena]
-        self.processed = sim._b_processed[arena]
-        self.capacity = sim._b_capacity[arena]
-        self.failed = sim._b_failed[arena]
-        self.failrate = sim._b_failrate[arena]
-        self.successful = sim._b_successful[arena]
+    def __init__(self, sim: "HeronSimulation", frame: "_Frame", a0: int,
+                 a1: int, f0: int, f1: int, slots, edges) -> None:
+        self.frame = frame
+        self.queue = sim._b_queue[a0:a1]
+        self.arrivals = frame.b_arrivals[..., a0:a1]
+        self.processed = frame.b_processed[..., a0:a1]
+        self.capacity = frame.b_capacity[..., a0:a1]
+        self.failed = frame.b_failed[..., a0:a1]
+        self.failrate = sim._b_failrate[a0:a1]
+        self.successful = frame.b_successful[..., a0:a1]
         self.f0 = f0
         self.f1 = f1
         self.gather = sim._b_slot_gather[f0:f1]
         span = _span(self.gather)
         self.emitting = (
-            None if span is None else sim._b_successful[span[0]:span[1]]
+            None if span is None
+            else frame.b_successful[..., span[0]:span[1]]
         )
-        self.vals = sim._b_slot_vals[f0:f1]
-        self.totals = _sum_groups(sim._b_slot_vals, sim._b_slot_sums, slots)
+        self.vals = frame.b_vals[..., f0:f1]
+        self.totals = _sum_groups(frame.b_vals, frame.b_sums, slots)
         self.edges = edges
+
+
+class _Frame:
+    """What one pass computes, as named views of flat rows of floats.
+
+    The last axis of ``buf`` is the row: 1-D, the arena's own (one tick);
+    ``(60, width)``, a free-flowing minute's block (a leading tick axis).
+    The minute's accumulators are a third frame.  ``acc``, the row's
+    leading part, is what a minute sums — the spouts' five per-tick
+    quantities and stream emissions, the bolts' nine and slot emissions
+    — so a tick adds one row into the accumulators and a block reduces
+    its rows once; capacities, state, slot totals and scratch follow.
+    """
+
+    def __init__(self, sim: "HeronSimulation", ticks: tuple = ()) -> None:
+        n_sp, n_b = sim._n_sp, sim._n_b
+        spouts = ("source", "fetched", "emitted", "backlog", "cpu")
+        bolts = (
+            "arrivals", "processed", "emitted", "failed", "memory",
+            "latency", "pending", "cpu", "bpms",
+        )
+        summed = [
+            *((f"sp_{name}", n_sp) for name in spouts),
+            ("sp_vals", 0 if sim._sp_emit_is_vals else sim._sp_flat),
+            *((f"b_{name}", n_b) for name in bolts),
+            ("b_vals", sim._b_flat),
+        ]
+        rest = [
+            *((f"b_{name}", n_b) for name in ("capacity", "state", "t1",
+                                              "t2", "t4")),
+            ("b_successful", n_b if sim._any_failure else 0),
+            ("sp_t1", n_sp), ("sp_t2", n_sp),
+            ("sp_sums", len(sim._sp_slot_records)),
+            ("b_sums", len(sim._b_slot_records)),
+        ]
+        self.buf = np.zeros(ticks + (sum(n for _, n in summed + rest),))
+        self.acc = self.buf[..., :sum(n for _, n in summed)]
+        at = 0
+        for name, n in summed + rest:
+            setattr(self, name, self.buf[..., at:at + n])
+            at += n
+        if sim._sp_emit_is_vals:
+            # One stream per spout: the flat slots are the arena, in
+            # order, so the slot values are the ``emitted`` row itself.
+            self.sp_vals = self.sp_emitted
+        if not sim._any_failure:
+            # No failing bolt: ``failed`` stays 0.0 and ``successful`` is
+            # ``processed`` (``x - x * 0.0`` is ``x`` for every count).
+            self.b_successful = self.b_processed
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,10 +477,11 @@ def _sum_groups(
     along axis 1 reproduce numpy's pairwise-summation tree of each
     contiguous segment exactly — the bit-identity requirement for the
     per-stream totals that feed the routing edges.  Each group is bound
-    to the arrays a tick sums from and into: segments that are one run
+    to the arrays a pass sums from and into: segments that are one run
     of ``vals`` are a fixed ``(n, L)`` view, slots that are one run of
-    ``sums`` a slice reduced straight into; otherwise the tick gathers
-    or scatters (:func:`_slot_totals`).
+    ``sums`` a slice reduced straight into; otherwise the pass gathers
+    or scatters (:func:`_slot_totals`).  A block's rows lead with the
+    tick axis, ``(ticks, n, L)``, and each row reduces by the same tree.
     """
     by_len: dict[int, list[tuple[int, int]]] = {}
     for sid, f0, f1 in slot_ranges:
@@ -433,12 +494,13 @@ def _sum_groups(
         )
         rows = _span(flat_idx)
         totals = _span(out_idx)
+        shape = vals.shape[:-1] + (len(items), length)
         groups.append((
             None if rows is None
-            else vals[rows[0]:rows[1]].reshape(len(items), length),
+            else vals[..., rows[0]:rows[1]].reshape(shape),
             flat_idx,
-            (len(items), length),
-            None if totals is None else sums[totals[0]:totals[1]],
+            shape,
+            None if totals is None else sums[..., totals[0]:totals[1]],
             out_idx,
         ))
     return groups
@@ -453,14 +515,33 @@ _or_reduce = np.logical_or.reduce
 
 
 def _slot_totals(vals: np.ndarray, sums: np.ndarray, plan) -> None:
-    """Per-slot totals of this tick's flat emissions, into ``sums``."""
+    """Per-slot totals of a pass's flat emissions, into ``sums``.
+
+    A gather goes through ``take``, whose result is C-ordered, so every
+    row reduces along a contiguous axis by numpy's pairwise tree.
+    """
     for rows, flat_idx, shape, totals, out_idx in plan:
         if rows is None:
-            rows = vals[flat_idx].reshape(shape)
+            rows = vals.take(flat_idx, -1).reshape(shape)
         if totals is None:
-            sums[out_idx] = _add_reduce(rows, 1)
+            sums[..., out_idx] = _add_reduce(rows, -1)
         else:
-            _add_reduce(rows, 1, out=totals)
+            _add_reduce(rows, -1, out=totals)
+
+
+def _apply_edges(group: _EdgeGroup) -> None:
+    """Deliver a group's slot totals times shares into its target."""
+    src = group.src
+    if src is None:
+        src = group.sums.take(group.slot_idx, -1, group.buf)
+    if group.out is not None:
+        np.multiply(src, group.shares, out=group.out)
+        return
+    np.multiply(src, group.shares, out=group.buf)
+    if group.injective:
+        group.target[group.at] = group.buf
+    else:
+        np.add.at(group.target, group.at, group.buf)
 
 
 class HeronSimulation:
@@ -630,24 +711,12 @@ class HeronSimulation:
             n_sp = view.stop
         self._n_sp = n_sp
         self._sp_down = np.zeros(n_sp, dtype=bool)
-        self._sp_noise = np.ones(n_sp)
         self._sp_rate = np.zeros(n_sp)
         self._sp_fetch_cap = np.zeros(n_sp)
         self._sp_util_denom = np.ones(n_sp)
-        # Per-tick quantities live as rows of one 2D block so the minute
-        # accumulation is a single 2D += instead of one add per metric
-        # (bit-identical: the add is elementwise either way).
-        self._sp_tick2d = np.zeros((5, n_sp))
-        self._sp_source = self._sp_tick2d[0]
-        self._sp_fetched = self._sp_tick2d[1]
-        self._sp_emitted = self._sp_tick2d[2]
-        self._sp_backlog = self._sp_tick2d[3]
-        self._sp_cpu = self._sp_tick2d[4]
         self._sp_worker = np.zeros(n_sp)
         self._sp_gcpt = np.zeros(n_sp)
         self._sp_rows = np.zeros(n_sp, dtype=np.intp)
-        self._sp_t1 = np.empty(n_sp)
-        self._sp_t2 = np.empty(n_sp)
         for name, view in self._spouts.items():
             sl = slice(view.start, view.stop)
             self._sp_worker[sl] = view.logic.worker_cores
@@ -689,18 +758,6 @@ class HeronSimulation:
         self._b_bp = np.zeros(n_b, dtype=bool)
         self._b_factor = np.ones(n_b)
         self._b_down = np.zeros(n_b, dtype=bool)
-        self._b_state = np.zeros(n_b)
-        self._b_tick2d = np.zeros((9, n_b))
-        self._b_arrivals = self._b_tick2d[0]
-        self._b_processed = self._b_tick2d[1]
-        self._b_emitted = self._b_tick2d[2]
-        self._b_failed = self._b_tick2d[3]
-        self._b_memory = self._b_tick2d[4]
-        self._b_latency = self._b_tick2d[5]
-        self._b_pending = self._b_tick2d[6]
-        self._b_cpu = self._b_tick2d[7]
-        self._b_bpms = self._b_tick2d[8]
-        self._b_capacity = np.zeros(n_b)
         self._finite_stmgrs = (
             self.config.stmgr_capacity_tps is not None and n_b > 0
         )
@@ -714,9 +771,6 @@ class HeronSimulation:
         self._b_base_mem = np.zeros(n_b)
         self._b_worker = np.zeros(n_b)
         self._b_gcpt = np.zeros(n_b)
-        self._b_t1 = np.empty(n_b)
-        self._b_t2 = np.empty(n_b)
-        self._b_t4 = np.empty(n_b)
         self._any_state = False
         self._any_failure = False
         for name in arena_names:
@@ -736,11 +790,6 @@ class HeronSimulation:
                 self._any_state = True
             if lg.failure_rate > 0:
                 self._any_failure = True
-        # No failing bolt: ``failed`` stays 0.0 and ``successful`` is
-        # ``processed`` (``x - x * 0.0`` is ``x`` for every count >= +0.0).
-        self._b_successful = (
-            np.zeros(n_b) if self._any_failure else self._b_processed
-        )
 
         # --- emission slots (one per unique output stream) -------------
         # Spout slots in spout insertion order; bolt slots in ARENA order
@@ -771,19 +820,10 @@ class HeronSimulation:
         self._sp_flat = flat
         self._sp_slot_gather = _concat(sp_gather)
         self._sp_slot_alpha_flat = _concat(sp_alpha_flat, np.float64)
-        # One stream per spout: the flat slots are the arena, in order,
-        # so the slot values are the ``emitted`` row itself.
         self._sp_emit_is_vals = _span(self._sp_slot_gather) == (0, n_sp)
-        self._sp_slot_vals = (
-            self._sp_emitted if self._sp_emit_is_vals
-            else np.zeros(self._sp_flat)
-        )
-        self._sp_slot_sums = np.zeros(len(self._sp_slot_records))
-        self._sp_totals = _sum_groups(
-            self._sp_slot_vals,
-            self._sp_slot_sums,
-            [(i, r[2], r[3]) for i, r in enumerate(self._sp_slot_records)],
-        )
+        self._sp_slot_ranges = [
+            (i, r[2], r[3]) for i, r in enumerate(self._sp_slot_records)
+        ]
         uniq = np.unique(self._sp_slot_gather)
         self._sp_emit_injective = uniq.shape[0] == self._sp_slot_gather.shape[0]
 
@@ -829,8 +869,6 @@ class HeronSimulation:
         self._b_slot_gather = _concat(b_gather)
         self._b_slot_alpha_base = np.array(b_alpha_base)
         self._b_slot_of_flat = _concat(b_slot_of_flat)
-        self._b_slot_vals = np.zeros(self._b_flat)
-        self._b_slot_sums = np.zeros(len(self._b_slot_records))
         # This tick's effective alpha per flat slot: the base alphas until
         # the first noise chunk, then a row of the chunk's layout.
         self._b_alpha_flat = (
@@ -883,45 +921,21 @@ class HeronSimulation:
             if all_dest else np.zeros(max(n_b, 1), dtype=np.intp)
         )
 
-        # Edges deliver into the arrivals (transparent stream managers)
-        # or the outbox (finite ones, which queue them for later ticks).
-        self._b_target = (
-            self._b_outbox if self._finite_stmgrs else self._b_arrivals
-        )
+        self._edge_counts = counts
         # Every instance receiving exactly one contribution a tick means
         # the edges overwrite the whole target: no zero-fill first.
         self._edges_assign_all = bool((counts[:n_b] == 1).all())
-
-        def build_group(parts, slot_sums):
-            if not parts:
-                return None
-            dest_idx = np.concatenate([p[0] for p in parts])
-            slot_idx = np.concatenate([p[1] for p in parts])
-            shares = np.concatenate([p[2] for p in parts])
-            group = _EdgeGroup(dest_idx, slot_idx, shares, slot_sums)
-            group.injective = bool((counts[dest_idx] == 1).all())
-            if (slot_idx == slot_idx[0]).all():
-                sid = int(slot_idx[0])
-                group.src = slot_sums[sid:sid + 1]
-            span = _span(dest_idx)
-            if group.injective and span is not None:
-                group.out = self._b_target[span[0]:span[1]]
-            return group
-
-        # The group delivering into each level: every spout edge goes
+        # The edges delivering into each level: every spout edge goes
         # with level 1 (spout sums are whole before any level drains),
         # a deeper level's bolt edges read only the levels below it.
-        into_level = [
-            build_group(list(zip(sp_dest, sp_slot, sp_shares)),
-                        self._sp_slot_sums),
-            *[build_group(grp, self._b_slot_sums) for grp in bolt_edges[1:]],
+        self._level_edges = [
+            list(zip(sp_dest, sp_slot, sp_shares)), *bolt_edges[1:],
         ]
 
         # --- headroom-clip operands per spout --------------------------
         self._clip_edges: dict[str, list[_ClipEdge]] = {}
         for name in self._spout_names:
             view = self._spouts[name]
-            view.fetched = self._sp_fetched[view.start:view.stop]
             records = []
             for stream in topology.outputs(name):
                 dest = self._bolts.get(stream.destination)
@@ -991,10 +1005,12 @@ class HeronSimulation:
             self._noise_scale_tile = np.empty(0)
         # The chunk's noise laid out in arena order (see _lay_out_noise);
         # the first tick draws.  Until then — for ever without noise —
-        # the rows are the noise-free values.
+        # the rows are the noise-free values, and a minute's rows too
+        # (they broadcast over a block's tick axis).
         self._noise_cursor = _TICKS_PER_MINUTE
-        self._sp_noise = np.ones(n_sp)
-        self._b_cap_noisy = self._b_captps
+        self._sp_noise = self._sp_noise_rows = np.ones(n_sp)
+        self._b_cap_noisy = self._b_cap_rows = self._b_captps
+        self._b_alpha_rows = self._b_alpha_flat
         self._sp_noise_idx = _concat(sp_idx)
         self._sp_noise_cols = _concat(sp_cols)
         self._b_noise_idx = _concat(b_idx)
@@ -1002,13 +1018,16 @@ class HeronSimulation:
         self._b_alpha_noise_slots = np.array(alpha_slots, dtype=np.intp)
         self._b_alpha_cols = np.array(alpha_cols, dtype=np.intp)
 
-        # --- drain ranges ----------------------------------------------
-        self._ranges = [
-            _BoltRange(self, a0, a1, f0, f1, ranges, edges)
-            for (a0, a1), (f0, f1), ranges, edges in zip(
-                level_bounds, level_slot_flat, level_slot_ranges, into_level,
-            )
-        ]
+        # --- the arena's row and the minute's accumulators -------------
+        self._level_bounds = list(zip(
+            level_bounds, level_slot_flat, level_slot_ranges,
+        ))
+        self._f = self._bind(_Frame(self))
+        self._acc = _Frame(self)
+        for view in self._spouts.values():
+            view.fetched = self._f.sp_fetched[view.start:view.stop]
+        # A free-flowing minute's block frame, made by the first one.
+        self._blk: _Frame | None = None
 
         # --- stream managers -------------------------------------------
         n_c = len(self._row_of)
@@ -1020,29 +1039,31 @@ class HeronSimulation:
         if self._finite_stmgrs:
             self._compile_stmgr_queues()
 
-        # --- per-minute metric accumulators (row views of 2D blocks,
-        # mirroring the tick blocks so accumulation is one 2D add) ------
-        self._acc_sp2d = np.zeros((5, n_sp))
-        self._acc_sp_source = self._acc_sp2d[0]
-        self._acc_sp_fetched = self._acc_sp2d[1]
-        self._acc_sp_emitted = self._acc_sp2d[2]
-        self._acc_sp_backlog = self._acc_sp2d[3]
-        self._acc_sp_cpu = self._acc_sp2d[4]
-        self._acc_sp_streams = (
-            self._acc_sp_emitted if self._sp_emit_is_vals
-            else np.zeros(self._sp_flat)
+    def _bind(self, frame: _Frame) -> _Frame:
+        """Compile a frame's passes: its spout slot totals and, level by
+        level, the edge group delivering into it and its drain range.
+
+        Edges deliver into the arrivals (transparent stream managers) or
+        the outbox (finite ones, which queue them for later ticks; only
+        the arena's frame runs with them).
+        """
+        target = self._b_outbox if self._finite_stmgrs else frame.b_arrivals
+        frame.target = target
+        sums = [frame.sp_sums] + [frame.b_sums] * len(self._level_edges)
+        frame.sp_totals = _sum_groups(
+            frame.sp_vals, frame.sp_sums, self._sp_slot_ranges
         )
-        self._acc_b2d = np.zeros((9, n_b))
-        self._acc_b_arrivals = self._acc_b2d[0]
-        self._acc_b_processed = self._acc_b2d[1]
-        self._acc_b_emitted = self._acc_b2d[2]
-        self._acc_b_failed = self._acc_b2d[3]
-        self._acc_b_memory = self._acc_b2d[4]
-        self._acc_b_latency = self._acc_b2d[5]
-        self._acc_b_pending = self._acc_b2d[6]
-        self._acc_b_cpu = self._acc_b2d[7]
-        self._acc_b_bpms = self._acc_b2d[8]
-        self._acc_b_streams = np.zeros(self._b_flat)
+        frame.ranges = [
+            _BoltRange(
+                self, frame, a0, a1, f0, f1, slots,
+                _EdgeGroup(parts, self._edge_counts, group_sums, target)
+                if parts else None,
+            )
+            for ((a0, a1), (f0, f1), slots), parts, group_sums in zip(
+                self._level_bounds, self._level_edges, sums,
+            )
+        ]
+        return frame
 
     def _rows(self, component: str) -> list[int]:
         """The stream-manager row of each of a component's instances."""
@@ -1302,7 +1323,7 @@ class HeronSimulation:
         if spout not in self._spouts:
             raise SimulationError(f"{spout!r} is not a spout")
         view = self._spouts[spout]
-        return self._sp_backlog[view.start:view.stop].copy()
+        return self._f.sp_backlog[view.start:view.stop].copy()
 
     # ------------------------------------------------------------------
     # Running
@@ -1312,7 +1333,12 @@ class HeronSimulation:
         self.run_seconds(minutes * _MINUTE)
 
     def run_seconds(self, seconds: float) -> None:
-        """Advance the simulation by a whole number of ``seconds``."""
+        """Advance the simulation by a whole number of ``seconds``.
+
+        A minute the call covers whole, from its boundary, is stepped as
+        one block when it is free-flowing (:meth:`_free_minute`); every
+        other second is one tick.
+        """
         if seconds < 0:
             raise SimulationError("cannot run for negative time")
         ticks = round(seconds)
@@ -1320,8 +1346,16 @@ class HeronSimulation:
             raise SimulationError(
                 f"run length {seconds}s is not a multiple of the tick (1s)"
             )
-        for _ in range(ticks):
-            self._tick()
+        while ticks:
+            if (
+                ticks >= _TICKS_PER_MINUTE
+                and not self._minute_ticks
+                and self._free_minute()
+            ):
+                ticks -= _TICKS_PER_MINUTE
+            else:
+                self._tick()
+                ticks -= 1
 
     # ------------------------------------------------------------------
     # One tick
@@ -1339,14 +1373,8 @@ class HeronSimulation:
             self._sp_noise = self._sp_noise_rows[cursor]
             self._b_cap_noisy = self._b_cap_rows[cursor]
             self._b_alpha_flat = self._b_alpha_rows[cursor]
-
-        # Per-tick bolt capacity, whole arena: nominal × noise × factor,
-        # clamped at zero, zeroed where crashed or stalled.
-        cap = self._b_capacity
-        np.multiply(self._b_cap_noisy, self._b_factor, out=cap)
-        np.maximum(0.0, cap, out=cap)
-        if self._b_blocked is not None:
-            np.copyto(cap, 0.0, where=self._b_blocked)
+        f = self._f
+        self._noisy_rates(f, self._sp_noise, self._b_cap_noisy)
 
         # Emissions are delivered level by level: within the tick through
         # transparent stream managers (the paper's assumption), or into
@@ -1354,36 +1382,138 @@ class HeronSimulation:
         # tick's arrivals first and take the outbox in after the drain
         # (one-tick routing latency).
         if not self._edges_assign_all:
-            self._b_target.fill(0.0)
+            f.target.fill(0.0)
         if self._finite_stmgrs:
             self._stmgr_release()
         self._spout_pass(bp_at_start, self._sp_blocked)
-        for bolts in self._ranges:
+        for bolts in f.ranges:
             if bolts.edges is not None:
-                self._apply_edges(bolts.edges)
-            self._bolt_pass(bolts)
+                _apply_edges(bolts.edges)
+            queue = bolts.queue
+            queue += bolts.arrivals
+            np.minimum(queue, bolts.capacity, out=bolts.processed)
+            queue -= bolts.processed
+            self._bolt_emit(bolts, self._b_alpha_flat)
         if self._finite_stmgrs:
             self._stmgr_enqueue()
 
         # Post-pass state growth and watermark flags (nothing reads
         # these mid-tick, so whole-arena updates are order-safe).
         if self._any_state:
-            t = np.multiply(self._b_sbpp, self._b_processed, out=self._b_t1)
-            t += self._b_state
-            np.minimum(self._b_scap, t, out=self._b_state)
-        np.multiply(self._b_queue, self._b_itb, out=self._b_pending)
+            t = np.multiply(self._b_sbpp, f.b_processed, out=f.b_t1)
+            t += f.b_state
+            np.minimum(self._b_scap, t, out=f.b_state)
+        np.multiply(self._b_queue, self._b_itb, out=f.b_pending)
         # The trigger fires when pending *reaches* the high watermark:
         # the spout headroom clip pins a saturated queue exactly at it,
         # which is precisely the state where a real stream manager has
         # already raised backpressure.
         self._b_bp = np.where(
             self._b_bp,
-            self._b_pending > self._low,
-            self._b_pending >= self._high_trigger,
+            f.b_pending > self._low,
+            f.b_pending >= self._high_trigger,
         )
 
         self._record_tick(bp_at_start)
         self._now += 1.0
+
+    def _free_minute(self) -> bool:
+        """Step one free-flowing minute as a block of 60 ticks; ``False``,
+        with nothing stepped, when the minute is not free-flowing.
+
+        A minute is tried when nothing queues, nothing waits at a source
+        and no flag is raised at its start, the stream managers are
+        transparent and no fault is active or due in it.  Its ticks are
+        computed as ``(60, n)`` rows from the minute's laid-out noise with
+        the helpers a tick uses, and it is free-flowing when no row sees
+        arrivals above capacity, a source above its fetch cap or a spout
+        edge that may clip.  Then every tick is exact without the queue
+        recurrence: ``queue += a; p = min(queue, cap); queue -= p`` gives
+        ``p = a`` and an empty queue, so no flag rises, and a stateful
+        bolt's ``min(scap, state + inc)`` is ``min(scap, cumsum)`` (the
+        increments are non-negative).  A rejected minute runs tick by
+        tick on the rows laid out here, so the RNG draws stay in order.
+        """
+        injector = self._injector
+        faults_quiet = injector is None or not (
+            injector._active
+            or injector._pending
+            and injector._pending[0].at_seconds < self._now + _MINUTE
+        )
+        if (
+            not faults_quiet
+            or self._finite_stmgrs
+            or self._b_blocked is not None
+            or self._sp_blocked is not None
+            or _or_reduce(self._b_queue)
+            or _or_reduce(self._f.sp_backlog)
+            or _or_reduce(self._b_bp)
+        ):
+            return False
+        if self._noise_k:
+            self._lay_out_noise()
+            self._noise_cursor = 0
+        f = self._blk
+        if f is None:
+            f = self._blk = self._bind(_Frame(self, (_TICKS_PER_MINUTE,)))
+        self._noisy_rates(f, self._sp_noise_rows, self._b_cap_rows)
+        np.add(self._f.sp_backlog, f.sp_source, out=f.sp_backlog)
+        if not (f.sp_backlog <= self._sp_fetch_cap).all():
+            return False
+        np.minimum(f.sp_backlog, self._sp_fetch_cap, out=f.sp_fetched)
+        f.sp_backlog -= f.sp_fetched
+        for name in self._spout_names:
+            view = self._spouts[name]
+            if view.rate_tps <= 0.0:
+                continue
+            fsum = _add_reduce(f.sp_fetched[:, view.start:view.stop], 1)
+            for edge in self._clip_edges[name]:
+                # _headroom_clip's skip test, on every row.
+                if not (fsum * edge.alpha * edge.max_share <= edge.cap).all():
+                    return False
+        self._spout_emit(f)
+        if not self._edges_assign_all:
+            f.target.fill(0.0)
+        for bolts in f.ranges:
+            if bolts.edges is not None:
+                _apply_edges(bolts.edges)
+            if not (bolts.arrivals <= bolts.capacity).all():
+                return False
+            np.copyto(bolts.processed, bolts.arrivals)
+            self._bolt_emit(bolts, self._b_alpha_rows)
+        if self._any_state:
+            state = np.multiply(self._b_sbpp, f.b_processed, out=f.b_state)
+            state[0] += self._f.b_state
+            np.add.accumulate(state, 0, out=state)
+            np.minimum(self._b_scap, state, out=state)
+        np.multiply(self._b_queue, self._b_itb, out=f.b_pending)
+        self._tick_metrics(f)
+
+        # Row after row, as the ticks add them (numpy reduces axis 0 of
+        # a C-ordered block a row at a time; ``acc`` is never one wide).
+        _add_reduce(f.acc, 0, out=self._acc.acc)
+        np.copyto(self._f.buf, f.buf[-1])
+        if self._noise_k:
+            self._noise_cursor = _TICKS_PER_MINUTE
+            self._sp_noise = self._sp_noise_rows[-1]
+            self._b_cap_noisy = self._b_cap_rows[-1]
+            self._b_alpha_flat = self._b_alpha_rows[-1]
+        self._now += _MINUTE
+        self._close_minute()
+        return True
+
+    def _noisy_rates(
+        self, f: _Frame, sp_noise: np.ndarray, b_cap: np.ndarray
+    ) -> None:
+        """Source rates and bolt capacities from noise rows: nominal ×
+        noise (× factor), clamped at zero, capacity zeroed where crashed
+        or stalled."""
+        source = np.multiply(self._sp_rate, sp_noise, out=f.sp_source)
+        np.maximum(0.0, source, out=source)
+        cap = np.multiply(b_cap, self._b_factor, out=f.b_capacity)
+        np.maximum(0.0, cap, out=cap)
+        if self._b_blocked is not None:
+            np.copyto(cap, 0.0, where=self._b_blocked)
 
     def _lay_out_noise(self) -> None:
         """Draw the next minute of noise and lay it out per tick.
@@ -1420,15 +1550,14 @@ class HeronSimulation:
         suppressed: bool,
         sp_blocked: np.ndarray | None,
     ) -> None:
-        source = self._sp_source
-        np.multiply(self._sp_rate, self._sp_noise, out=source)
-        np.maximum(0.0, source, out=source)
-        self._sp_backlog += source
-        fetched = self._sp_fetched
+        f = self._f
+        backlog = f.sp_backlog
+        backlog += f.sp_source
+        fetched = f.sp_fetched
         if suppressed:
             fetched.fill(0.0)
         else:
-            np.minimum(self._sp_backlog, self._sp_fetch_cap, out=fetched)
+            np.minimum(backlog, self._sp_fetch_cap, out=fetched)
             if sp_blocked is not None:
                 np.copyto(fetched, 0.0, where=sp_blocked)
             for name in self._spout_names:
@@ -1438,26 +1567,30 @@ class HeronSimulation:
                 clip = self._headroom_clip(view)
                 if clip != 1.0:
                     view.fetched *= clip
-        self._sp_backlog -= fetched
+        backlog -= fetched
+        self._spout_emit(f)
+
+    def _spout_emit(self, f: _Frame) -> None:
+        """The spouts' slot emissions and slot totals from what they
+        fetched."""
         if not self._sp_flat:
             return
-        vals = self._sp_slot_vals
+        vals = f.sp_vals
         if self._sp_emit_is_vals:
-            np.multiply(fetched, self._sp_slot_alpha_flat, out=vals)
+            np.multiply(f.sp_fetched, self._sp_slot_alpha_flat, out=vals)
         else:
+            gather = self._sp_slot_gather
             np.multiply(
-                fetched[self._sp_slot_gather],
-                self._sp_slot_alpha_flat,
+                f.sp_fetched.take(gather, -1), self._sp_slot_alpha_flat,
                 out=vals,
             )
-            emitted = self._sp_emitted
             if self._sp_emit_injective:
-                # Every tick writes the same elements; the rest stay 0.0.
-                emitted[self._sp_slot_gather] = vals
+                # Every pass writes the same elements; the rest stay 0.0.
+                f.sp_emitted[..., gather] = vals
             else:
-                emitted.fill(0.0)
-                np.add.at(emitted, self._sp_slot_gather, vals)
-        _slot_totals(vals, self._sp_slot_sums, self._sp_totals)
+                f.sp_emitted.fill(0.0)
+                np.add.at(f.sp_emitted, (..., gather), vals)
+        _slot_totals(vals, f.sp_sums, f.sp_totals)
 
     def _headroom_clip(self, view: _SpoutView) -> float:
         """Clip factor keeping downstream queues at/below the high watermark.
@@ -1491,49 +1624,34 @@ class HeronSimulation:
             clip = min(clip, float(_min_reduce(per)))
         return max(0.0, min(1.0, clip))
 
-    def _bolt_pass(self, bolts: _BoltRange) -> None:
-        """Drain and emit for one contiguous bolt-arena range."""
-        queue = bolts.queue
-        queue += bolts.arrivals
-        processed = bolts.processed
-        np.minimum(queue, bolts.capacity, out=processed)
-        queue -= processed
+    def _bolt_emit(self, bolts: _BoltRange, alpha: np.ndarray) -> None:
+        """A drained range's failures, slot emissions (``alpha`` is the
+        flat slots' effective alphas) and slot totals."""
         if self._any_failure:
-            np.multiply(processed, bolts.failrate, out=bolts.failed)
-            np.subtract(processed, bolts.failed, out=bolts.successful)
+            np.multiply(bolts.processed, bolts.failrate, out=bolts.failed)
+            np.subtract(bolts.processed, bolts.failed, out=bolts.successful)
         if bolts.f1 > bolts.f0:
             emitting = bolts.emitting
             if emitting is None:
-                emitting = self._b_successful[bolts.gather]
+                emitting = bolts.frame.b_successful.take(bolts.gather, -1)
             np.multiply(
-                emitting, self._b_alpha_flat[bolts.f0:bolts.f1],
-                out=bolts.vals,
+                emitting, alpha[..., bolts.f0:bolts.f1], out=bolts.vals,
             )
-            _slot_totals(self._b_slot_vals, self._b_slot_sums, bolts.totals)
+            _slot_totals(
+                bolts.frame.b_vals, bolts.frame.b_sums, bolts.totals
+            )
 
-    def _emit_scatter(self) -> None:
-        """Scatter this tick's flat slot emissions into the emit arena."""
+    def _emit_scatter(self, f: _Frame) -> None:
+        """Scatter a pass's flat slot emissions into its emit arena."""
         if not self._b_flat:
             return
+        gather = self._b_slot_gather
         if self._all_emit_injective:
-            # Every tick writes the same elements; the rest stay 0.0.
-            self._b_emitted[self._b_slot_gather] = self._b_slot_vals
+            # Every pass writes the same elements; the rest stay 0.0.
+            f.b_emitted[..., gather] = f.b_vals
         else:
-            self._b_emitted.fill(0.0)
-            np.add.at(self._b_emitted, self._b_slot_gather, self._b_slot_vals)
-
-    def _apply_edges(self, group: _EdgeGroup) -> None:
-        src = group.src
-        if src is None:
-            src = group.sums.take(group.slot_idx, out=group.buf)
-        if group.out is not None:
-            np.multiply(src, group.shares, out=group.out)
-            return
-        np.multiply(src, group.shares, out=group.buf)
-        if group.injective:
-            self._b_target[group.dest_idx] = group.buf
-        else:
-            np.add.at(self._b_target, group.dest_idx, group.buf)
+            f.b_emitted.fill(0.0)
+            np.add.at(f.b_emitted, (..., gather), f.b_vals)
 
     def _stmgr_release(self) -> None:
         """Release queued tuples from every stream manager, up to capacity.
@@ -1551,7 +1669,7 @@ class HeronSimulation:
         )
         np.minimum(1.0, fraction, out=fraction)
         released = self._stmgr_queue * fraction[:, None]
-        _add_reduce(released, 0, out=self._b_arrivals)
+        _add_reduce(released, 0, out=self._f.b_arrivals)
         self._stmgr_queue -= released
 
     def _stmgr_enqueue(self) -> None:
@@ -1591,49 +1709,43 @@ class HeronSimulation:
     # Metrics
     # ------------------------------------------------------------------
     def _record_tick(self, bp_at_start: bool) -> None:
-        # Whole-arena accumulation: every element sees the same IEEE-754
-        # operation sequence the scalar engine's per-component loop
-        # produced (counters and gauges: 0.0 + a_1 + ... + a_n), so
-        # flushed per-minute values match bit for bit.  ``+ state`` is
-        # skipped when no bolt is stateful.
-        if self._n_sp:
-            util = np.divide(
-                self._sp_fetched, self._sp_util_denom, out=self._sp_t1
-            )
-            moved = np.add(self._sp_fetched, self._sp_emitted, out=self._sp_t2)
-            np.multiply(self._sp_gcpt, moved, out=moved)
-            cpu = np.multiply(self._sp_worker, util, out=self._sp_cpu)
-            cpu += moved
-            self._acc_sp2d += self._sp_tick2d
-            if not self._sp_emit_is_vals:
-                self._acc_sp_streams += self._sp_slot_vals
-        if self._n_b:
-            self._emit_scatter()
-            util = np.divide(
-                self._b_processed, self._b_captps, out=self._b_t1
-            )
-            np.minimum(1.0, util, out=util)
-            moved = np.add(self._b_arrivals, self._b_emitted, out=self._b_t2)
-            np.multiply(self._b_gcpt, moved, out=moved)
-            cpu = np.multiply(self._b_worker, util, out=self._b_cpu)
-            cpu += moved
-            memory = np.add(
-                self._b_base_mem, self._b_pending, out=self._b_memory
-            )
-            if self._any_state:
-                memory += self._b_state
-            eff = np.multiply(self._b_captps, self._b_factor, out=self._b_t4)
-            np.maximum(1e-9, eff, out=eff)
-            latency = np.divide(self._b_queue, eff, out=self._b_latency)
-            latency *= 1000.0
-            np.multiply(self._b_bp, 1000.0, out=self._b_bpms)
-            self._acc_b2d += self._b_tick2d
-            self._acc_b_streams += self._b_slot_vals
+        # One add of the tick's row into the accumulators: every element
+        # sees the IEEE-754 operation sequence the scalar engine's
+        # per-component loop produced (counters and gauges: 0.0 + a_1 +
+        # ... + a_n), so flushed per-minute values match bit for bit.
+        self._tick_metrics(self._f)
+        self._acc.acc += self._f.acc
         if bp_at_start or self.backpressure_active():
             self._topology_bp_ms += 1000.0
         self._minute_ticks += 1
         if self._minute_ticks >= _TICKS_PER_MINUTE:
             self._close_minute()
+
+    def _tick_metrics(self, f: _Frame) -> None:
+        """A pass's per-tick CPU, memory, latency and backpressure
+        readings (``+ state`` is skipped when no bolt is stateful)."""
+        if self._n_sp:
+            util = np.divide(f.sp_fetched, self._sp_util_denom, out=f.sp_t1)
+            moved = np.add(f.sp_fetched, f.sp_emitted, out=f.sp_t2)
+            np.multiply(self._sp_gcpt, moved, out=moved)
+            cpu = np.multiply(self._sp_worker, util, out=f.sp_cpu)
+            cpu += moved
+        if self._n_b:
+            self._emit_scatter(f)
+            util = np.divide(f.b_processed, self._b_captps, out=f.b_t1)
+            np.minimum(1.0, util, out=util)
+            moved = np.add(f.b_arrivals, f.b_emitted, out=f.b_t2)
+            np.multiply(self._b_gcpt, moved, out=moved)
+            cpu = np.multiply(self._b_worker, util, out=f.b_cpu)
+            cpu += moved
+            memory = np.add(self._b_base_mem, f.b_pending, out=f.b_memory)
+            if self._any_state:
+                memory += f.b_state
+            eff = np.multiply(self._b_captps, self._b_factor, out=f.b_t4)
+            np.maximum(1e-9, eff, out=eff)
+            latency = np.divide(self._b_queue, eff, out=f.b_latency)
+            latency *= 1000.0
+            np.multiply(self._b_bp, 1000.0, out=f.b_bpms)
 
     def _compile_minute_layout(self) -> _MinuteLayout:
         """Build the per-minute series table: keys, owners and gathers.
@@ -1647,6 +1759,7 @@ class HeronSimulation:
         """
         topo = self.topology.name
         key_of = self._store.key_of
+        totals = self._acc
         keys: list[MetricKey] = []
         owners: list[tuple[str, int] | None] = []
         instances: list[tuple[str, int, np.ndarray, int]] = []
@@ -1672,32 +1785,32 @@ class HeronSimulation:
             if not is_bolt:
                 down = self._sp_down
                 counters = (
-                    (MetricNames.SOURCE_COUNT, self._acc_sp_source),
-                    (MetricNames.EXECUTE_COUNT, self._acc_sp_fetched),
-                    (MetricNames.EMIT_COUNT, self._acc_sp_emitted),
+                    (MetricNames.SOURCE_COUNT, totals.sp_source),
+                    (MetricNames.EXECUTE_COUNT, totals.sp_fetched),
+                    (MetricNames.EMIT_COUNT, totals.sp_emitted),
                 )
                 stream_slots = self._sp_stream_slots[name]
-                stream_acc = self._acc_sp_streams
+                stream_acc = totals.sp_vals
                 gauges = (
-                    (MetricNames.BACKLOG_TUPLES, self._acc_sp_backlog),
-                    (MetricNames.CPU_LOAD, self._acc_sp_cpu),
+                    (MetricNames.BACKLOG_TUPLES, totals.sp_backlog),
+                    (MetricNames.CPU_LOAD, totals.sp_cpu),
                 )
             else:
                 view = self._bolts[name]
                 down = self._b_down
                 counters = (
-                    (MetricNames.RECEIVED_COUNT, self._acc_b_arrivals),
-                    (MetricNames.EXECUTE_COUNT, self._acc_b_processed),
-                    (MetricNames.EMIT_COUNT, self._acc_b_emitted),
-                    (MetricNames.FAIL_COUNT, self._acc_b_failed),
+                    (MetricNames.RECEIVED_COUNT, totals.b_arrivals),
+                    (MetricNames.EXECUTE_COUNT, totals.b_processed),
+                    (MetricNames.EMIT_COUNT, totals.b_emitted),
+                    (MetricNames.FAIL_COUNT, totals.b_failed),
                 )
                 stream_slots = self._b_stream_slots[name]
-                stream_acc = self._acc_b_streams
+                stream_acc = totals.b_vals
                 gauges = (
-                    (MetricNames.MEMORY_BYTES, self._acc_b_memory),
-                    (MetricNames.QUEUE_LATENCY_MS, self._acc_b_latency),
-                    (MetricNames.PENDING_BYTES, self._acc_b_pending),
-                    (MetricNames.CPU_LOAD, self._acc_b_cpu),
+                    (MetricNames.MEMORY_BYTES, totals.b_memory),
+                    (MetricNames.QUEUE_LATENCY_MS, totals.b_latency),
+                    (MetricNames.PENDING_BYTES, totals.b_pending),
+                    (MetricNames.CPU_LOAD, totals.b_cpu),
                 )
             for i, container in enumerate(self._containers[name].tolist()):
                 g = view.start + i
@@ -1796,7 +1909,7 @@ class HeronSimulation:
             out[positions] = src[gather] / _MINUTE
         ceiling = _MINUTE * 1000.0
         out[layout.bp_positions] = np.minimum(
-            self._acc_b_bpms[layout.bp_gather], ceiling
+            self._acc.b_bpms[layout.bp_gather], ceiling
         )
         out[-1] = min(self._topology_bp_ms, ceiling)
         values = out.tolist()
@@ -1839,10 +1952,7 @@ class HeronSimulation:
                     self._batch = None
             self._store_token = store.data_version(topo)
 
-        self._acc_sp2d.fill(0.0)
-        self._acc_sp_streams.fill(0.0)
-        self._acc_b2d.fill(0.0)
-        self._acc_b_streams.fill(0.0)
+        self._acc.acc.fill(0.0)
         self._topology_bp_ms = 0.0
         self._minute_ticks = 0
         self._minute_start += int(_MINUTE)

@@ -16,8 +16,9 @@ is committed under ``tests/data``.  Three layers of evidence:
   order the series were created in — and the same digests, recorded
   before the tick learnt to skip work, for a run that leaves each of
   its fast paths (failing bolts, clipped spout edges, control calls
-  off the minute), and for finite stream managers at the ledger
-  feed's scale;
+  off the minute), for finite stream managers at the ledger feed's
+  scale, and for the ledger's free-flowing minutes, which the engine
+  now steps as one block each, and the runs that leave a block;
 * unit coverage of the supporting machinery: the store's batched
   minute-append fast path.
 
@@ -520,5 +521,12 @@ class TestFreeMinuteGoldens:
         golden = json.loads(
             (DATA_DIR / "golden_free_minutes_s7.json").read_text()
         )["configs"][config_id]
-        store, _ = run_free_minutes(**FREE_MINUTE_CONFIGS[config_id])
+        config = FREE_MINUTE_CONFIGS[config_id]
+        store, ticks = run_free_minutes(**config)
+        # The ledger's traffic steps every minute as a block; each other
+        # run steps some minutes tick by tick and returns to blocks.
+        if config.get("scenario", "levels") == "levels":
+            assert ticks == 0
+        else:
+            assert 0 < ticks < 360
         assert store_digest(store) == golden
