@@ -17,7 +17,7 @@ Rates are tuned to land near the paper's measurements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,11 @@ SPLITTER = "splitter"
 COUNTER = "counter"
 
 
+#: The corpus every ``WordCountParams()`` shares: it is frozen and builds
+#: its word distribution once, so its words are hashed once per process.
+_DEFAULT_CORPUS = SyntheticCorpus()
+
+
 @dataclass(frozen=True)
 class WordCountParams:
     """Parallelisms, corpus and container count of the Word Count topology.
@@ -53,7 +58,7 @@ class WordCountParams:
     spout_parallelism: int = 8
     splitter_parallelism: int = 3
     counter_parallelism: int = 3
-    corpus: SyntheticCorpus = field(default_factory=SyntheticCorpus)
+    corpus: SyntheticCorpus = _DEFAULT_CORPUS
     containers: int | None = None
 
     def num_containers(self) -> int:

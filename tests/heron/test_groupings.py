@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.heron import groupings
+from repro.heron.corpus import SyntheticCorpus
 from repro.heron.groupings import (
     AllGrouping,
     FieldsGrouping,
@@ -157,7 +158,7 @@ class TestKeysHashedOnce:
             return stable_hash(key)
 
         monkeypatch.setattr(groupings, "stable_hash", counting_hash)
-        params = WordCountParams()
+        params = WordCountParams(corpus=SyntheticCorpus())
         topology, packing, logic = build_word_count(params)
         (stream,) = topology.inputs("counter")
         keys = stream.grouping.key_distribution.keys

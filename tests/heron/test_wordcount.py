@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.heron import groupings
 from repro.heron.groupings import FieldsGrouping, ShuffleGrouping
-from repro.heron.simulation import ComponentLogic, SpoutLogic
+from repro.heron.simulation import (
+    ComponentLogic,
+    HeronSimulation,
+    SimulationConfig,
+    SpoutLogic,
+)
 from repro.heron.wordcount import WordCountParams, build_word_count
+from repro.timeseries.store import MetricsStore
 
 
 class TestStructure:
@@ -80,3 +87,27 @@ class TestPacking:
         instance = packing.all_instances()[0]
         assert instance.resources.cpu == 1.0
         assert instance.resources.ram_bytes == 2 * 1024**3
+
+
+class TestDefaultCorpus:
+    def test_two_builds_hash_the_vocabulary_once(self, monkeypatch):
+        """Every ``WordCountParams()`` shares one default corpus, so two
+        Word Count builds and their simulations hash its words once."""
+        corpus = WordCountParams().corpus
+        # Start from a corpus that has not built its distribution yet.
+        monkeypatch.delitem(vars(corpus), "word_distribution", raising=False)
+        hashed: list[str] = []
+        stable_hash = groupings.stable_hash
+
+        def counting_hash(key: str) -> int:
+            hashed.append(key)
+            return stable_hash(key)
+
+        monkeypatch.setattr(groupings, "stable_hash", counting_hash)
+        for seed in (1, 2):
+            HeronSimulation(
+                *build_word_count(WordCountParams()), MetricsStore(),
+                SimulationConfig(seed=seed),
+            )
+        assert WordCountParams().corpus is corpus
+        assert len(hashed) == corpus.vocabulary_size
